@@ -9,6 +9,7 @@ runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -353,27 +354,30 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray, minv,
     return x, it
 
 
+def jacobi(diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Diagonal (Jacobi) preconditioner a -> a / diag; entries must be > 0."""
+    if np.any(diag <= 0.0):
+        raise ValueError("preconditioner diagonal must be positive")
+    return lambda a: a / diag
+
+
 def solve_minres(op: StencilOperator, rhs: np.ndarray,
                  opts: SolverOptions | None = None,
-                 precond_diag: np.ndarray | None = None
+                 precond: Callable[[np.ndarray], np.ndarray] | None = None
                  ) -> tuple[np.ndarray, SolveReport]:
-    """MINRES for symmetric indefinite stencils, with an optional SPD diagonal
-    preconditioner (entries > 0).
+    """MINRES for symmetric indefinite stencils, with an optional SPD
+    preconditioner `precond` (a -> M^-1 a, e.g. `jacobi(diag)`).
 
     The recurrence tracks the residual in the preconditioner norm, whose gap
-    to the plain norm can reach sqrt(max diag / min diag); the recurrence
-    estimate also drifts from the true residual on long warm-started solves.
+    to the plain norm can reach sqrt(cond(M)); the recurrence estimate also
+    drifts from the true residual on long warm-started solves.
     Both are handled the same way: measure the true residual at cycle exit
     and restart the recurrence (with a tightened internal target if the
     estimate was already below it) until ||rhs - A x|| <= tol * ||rhs||."""
     opts = opts or SolverOptions()
     if not op.symmetric:
         raise ValueError("solve_minres requires a symmetric operator")
-    if precond_diag is not None and np.any(precond_diag <= 0.0):
-        raise ValueError("preconditioner diagonal must be positive")
-
-    def minv(a: np.ndarray) -> np.ndarray:
-        return a if precond_diag is None else a / precond_diag
+    minv = precond if precond is not None else (lambda a: a)
 
     x = np.zeros_like(rhs) if opts.x0 is None else opts.x0.copy()
     nb_plain = _norm(rhs)
@@ -393,6 +397,47 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray,
         if it == 0:
             target *= 0.1
     return x, _true_report(op, rhs, x, it_total, opts.tol)
+
+
+# ---------------------------------------------------------------------------
+# Trigonometric eigenbases of the 1D Laplacians
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def laplacian_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis (q, lam) of a unit-spacing 1D Laplacian on n cells.
+
+    kind "cell": the n cell values with zero-flux walls, q[:, k] =
+    cos(pi k (j + 1/2) / n) (DCT-II), k = 0..n-1.
+    kind "dirichlet": the n cell values with zero wall values (mirror ghost
+    -f), q[:, k] = sin(pi k (j + 1/2) / n) (DST-II), k = 1..n.
+    kind "node": the n + 1 node values with zero-flux walls and half weight
+    m = (1/2, 1, ..., 1, 1/2) at the two ends, q[:, k] = cos(pi k i / n)
+    (DCT-I), k = 0..n.
+    q is orthonormal (m-orthonormal for "node"), lam_k = 2 - 2 cos(pi k / n),
+    and the stiffness matrix is q diag(lam) q^T (m q diag(lam) q^T m for
+    "node"). The arrays are cached and read-only.
+    """
+    j = np.arange(n) + 0.5
+    weight = np.ones(n)
+    if kind == "cell":
+        k = np.arange(n)
+        q = np.cos(np.pi * np.outer(j, k) / n)
+    elif kind == "dirichlet":
+        k = np.arange(1, n + 1)
+        q = np.sin(np.pi * np.outer(j, k) / n)
+    elif kind == "node":
+        k = np.arange(n + 1)
+        q = np.cos(np.pi * np.outer(k, k) / n)
+        weight = np.ones(n + 1)
+        weight[[0, -1]] = 0.5
+    else:
+        raise ValueError(f"unknown Laplacian basis kind {kind!r}")
+    q /= np.sqrt(weight @ q ** 2)
+    lam = 2.0 - 2.0 * np.cos(np.pi * k / n)
+    q.setflags(write=False)
+    lam.setflags(write=False)
+    return q, lam
 
 
 def materialize_dense(op: StencilOperator) -> np.ndarray:

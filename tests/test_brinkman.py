@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from chbsim import brinkman
 from chbsim.constitutive import ModelParams
 from chbsim.core import FaceField, make_grid
+from chbsim.elliptic import SolverOptions, StencilOperator, materialize_dense
 from chbsim.brinkman import (
     BrinkmanProblem,
     apply_brinkman,
@@ -174,6 +176,83 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         BrinkmanProblem(grid, np.ones(grid.shape), -np.ones(grid.shape), 1.0,
                         FaceField.zeros(grid), np.zeros(grid.shape))
+
+
+# ---------------------------------------------------------------------------
+# preconditioner selection
+# ---------------------------------------------------------------------------
+
+def random_data(grid, seed):
+    rng = np.random.default_rng(seed)
+    force = FaceField(rng.standard_normal((grid.nx + 1, grid.ny)),
+                      rng.standard_normal((grid.nx, grid.ny + 1)))
+    return force, 0.5 * rng.standard_normal(grid.shape)
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Counts the solves that build the cosine-transform block preconditioner."""
+    calls = []
+    original = brinkman._block_preconditioner
+
+    def spy(problem):
+        calls.append(problem)
+        return original(problem)
+    monkeypatch.setattr(brinkman, "_block_preconditioner", spy)
+    return calls
+
+
+def test_block_preconditioner_is_symmetric_positive_definite():
+    grid = make_grid(1.0, 1.5, 7, 5)  # hx != hy
+    force, gamma_v = random_data(grid, 3)
+    prob = problem(grid, nu=2.0, eta=0.8, lam=0.3, force=force, gamma_v=gamma_v)
+    n = brinkman_rhs(prob).size
+    mat = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
+                                            (n,), symmetric=True))
+    assert np.max(np.abs(mat - mat.T)) <= 1e-14 * np.max(np.abs(mat))
+    assert np.min(np.linalg.eigvalsh(mat)) > 0.0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("nu", [1e-2, 1.0, 1e3])
+def test_block_path_matches_dense_oracle(block_calls, nu, lam):
+    grid = make_grid(1.0, 1.5, 8, 6)
+    force, gamma_v = random_data(grid, 11)
+    prob = problem(grid, nu=nu, eta=0.8, lam=lam, force=force, gamma_v=gamma_v)
+    krylov = solve_brinkman(prob, SolverOptions(tol=1e-13, max_iters=5000))
+    direct = dense_oracle_solve(prob)
+    assert block_calls and krylov.report.converged
+    for a, b in ((krylov.v.u, direct.v.u), (krylov.v.w, direct.v.w),
+                 (krylov.p, direct.p)):
+        np.testing.assert_allclose(a, b, atol=1e-10 * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1e3])
+def test_block_iterations_do_not_grow_with_the_grid(block_calls, nu):
+    iters = []
+    for n in (16, 64):
+        grid = make_grid(1.0, 1.0, n, n)
+        x, y = grid.cell_centers()
+        force = FaceField(np.zeros((n + 1, n)), np.zeros((n, n + 1)))
+        force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
+        prob = problem(grid, nu=nu, force=force,
+                       gamma_v=0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        sol = solve_brinkman(prob)
+        assert sol.report.converged
+        iters.append(sol.report.iterations)
+    assert len(block_calls) == 2
+    assert iters[1] <= 1.5 * iters[0], iters
+
+
+def test_viscosity_contrast_stays_on_jacobi_and_converges(block_calls):
+    grid = make_grid(1.0, 1.0, 16, 16)
+    x, y = grid.cell_centers()
+    eta = np.where((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.25 ** 2, 100.0, 1.0)
+    force, gamma_v = random_data(grid, 17)
+    prob = BrinkmanProblem(grid, eta, np.zeros(grid.shape), 1.0, force, gamma_v)
+    sol = solve_brinkman(prob)
+    assert not block_calls
+    assert sol.report.converged and sol.divergence_residual < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from chbsim.elliptic import (
     apply_robin_diffusion,
     face_gradient,
     harmonic_face_coefficients,
+    jacobi,
+    laplacian_basis,
     materialize_dense,
     robin_influx,
     robin_linear,
@@ -282,13 +284,32 @@ def test_solve_minres_indefinite_diagonal():
     op = StencilOperator(lambda x: d * x, d.shape, symmetric=True)
     rhs = rng.standard_normal(d.shape)
     x, rep = solve_minres(op, rhs, SolverOptions(tol=1e-12),
-                          precond_diag=np.abs(d))
+                          precond=jacobi(np.abs(d)))
     assert rep.converged
     np.testing.assert_allclose(x, rhs / d, atol=1e-9)
     with pytest.raises(ValueError):
-        solve_minres(op, rhs, precond_diag=-np.abs(d))
+        solve_minres(op, rhs, precond=jacobi(-np.abs(d)))
     with pytest.raises(ValueError):
         solve_minres(StencilOperator(lambda x: d * x, d.shape, symmetric=False), rhs)
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_laplacian_bases_diagonalize_the_1d_stiffness(n):
+    def stiffness(size, end):
+        k = 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
+        k[0, 0] = k[-1, -1] = end
+        return k
+
+    for kind, k, weight in (("cell", stiffness(n, 1.0), np.ones(n)),
+                            ("dirichlet", stiffness(n, 3.0), np.ones(n)),
+                            ("node", stiffness(n + 1, 1.0),
+                             np.r_[0.5, np.ones(n - 1), 0.5])):
+        q, lam = laplacian_basis(n, kind)
+        m = np.diag(weight)
+        np.testing.assert_allclose(q.T @ m @ q, np.eye(len(weight)), atol=1e-14)
+        np.testing.assert_allclose(m @ q @ np.diag(lam) @ q.T @ m, k, atol=1e-14)
+    with pytest.raises(ValueError):
+        laplacian_basis(n, "edge")
 
 
 def test_face_gradient_walls_are_zero():
