@@ -93,4 +93,4 @@ from .io import (
     write_timeseries,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .elliptic import (
     StencilOperator,
     jacobi,
     laplacian_basis,
+    separable_inverse,
     solve_minres,
 )
 
@@ -203,12 +204,6 @@ def _jacobi_diagonal(problem: BrinkmanProblem) -> np.ndarray:
     return _pack(du, dw, dp)
 
 
-def _separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray):
-    """r -> qx ((qx^T r qy) * scale) qy^T: the symmetric operator that is
-    diagonal, with entries `scale`, in the tensor basis of qx and qy."""
-    return lambda r: qx @ ((qx.T @ r @ qy) * scale) @ qy.T
-
-
 def _block_preconditioner(problem: BrinkmanProblem):
     """Block-diagonal SPD preconditioner for constant eta, lam and nu > 0.
 
@@ -231,12 +226,12 @@ def _block_preconditioner(problem: BrinkmanProblem):
     kx, ky = 1.0 / g.hx ** 2, 1.0 / g.hy ** 2
     vol = g.cell_area
 
-    inv_u = _separable_inverse(qxn, qyc, 1.0 / (vol * (
+    inv_u = separable_inverse(qxn, qyc, 1.0 / (vol * (
         nu + ce * kx * lxn[:, None] + eta * ky * lyc[None, :])))
-    inv_w = _separable_inverse(qxc, qyn, 1.0 / (vol * (
+    inv_w = separable_inverse(qxc, qyn, 1.0 / (vol * (
         nu + eta * kx * lxc[:, None] + ce * ky * lyn[None, :])))
-    inv_p = _separable_inverse(qxd, qyd, (nu / (kx * lxd[:, None] + ky * lyd[None, :])
-                                          + ce) / vol)
+    inv_p = separable_inverse(qxd, qyd, (nu / (kx * lxd[:, None] + ky * lyd[None, :])
+                                         + ce) / vol)
 
     def apply(x: np.ndarray) -> np.ndarray:
         u, w, p = _unpack(x, g)

@@ -95,7 +95,7 @@ class PotentialSpec:
 
 def _quartic(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     psi = 0.25 * (t * t - 1.0) ** 2
-    dpsi = t ** 3 - t
+    dpsi = t * t * t - t
     ddpsi = 3.0 * t * t - 1.0
     return psi, dpsi, ddpsi
 

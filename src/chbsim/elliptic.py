@@ -3,8 +3,8 @@
 Operators are conservative flux-difference stencils with mirror ghosts
 (zero-flux walls) or Robin wall fluxes; coefficients live on faces via
 harmonic means of the adjacent cells. Solvers are matrix-free Krylov
-iterations (CG / BiCGStab / MINRES) with fixed-order reductions, so repeated
-runs are bit-identical.
+iterations (CG / BiCGStab / MINRES; CG and MINRES take one preconditioner
+hook) with fixed-order reductions, so repeated runs are bit-identical.
 """
 from __future__ import annotations
 
@@ -174,9 +174,10 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
 
 
-def _true_report(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
-                 iterations: int, tol: float) -> SolveReport:
-    res = _norm(rhs - op.apply(x))
+def _true_report(rhs: np.ndarray, r: np.ndarray, iterations: int,
+                 tol: float) -> SolveReport:
+    """Report for the true residual r = rhs - A x."""
+    res = _norm(r)
     nb = _norm(rhs)
     rel = res / nb if nb > 0.0 else (0.0 if res == 0.0 else 1.0)
     return SolveReport(rel <= 10.0 * tol or res <= 1e-300, iterations, res, rel)
@@ -187,18 +188,26 @@ def _project_mean(a: np.ndarray) -> np.ndarray:
 
 
 def solve_spd(op: StencilOperator, rhs: np.ndarray,
-              opts: SolverOptions | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Conjugate gradients for symmetric positive (semi-)definite stencils.
+              opts: SolverOptions | None = None,
+              precond: Callable[[np.ndarray], np.ndarray] | None = None
+              ) -> tuple[np.ndarray, SolveReport]:
+    """Conjugate gradients for symmetric positive (semi-)definite stencils,
+    with an optional SPD preconditioner `precond` (a -> M^-1 a).
 
     Parameters
     ----------
     op : StencilOperator
         Symmetric operator; if op.nullspace == "constants" the system is the
-        singular pure-Neumann case and rhs/iterates are projected to zero mean.
+        singular pure-Neumann case and rhs/iterates (and preconditioned
+        residuals) are projected to zero mean.
     rhs : ndarray
         Right-hand side, same shape as the operator domain.
     opts : SolverOptions
         Relative tolerance, iteration cap and optional warm start.
+    precond : callable, optional
+        Applied to each residual; the stopping test stays on the plain
+        residual norm ||r|| <= tol * ||rhs||. Without it the iteration is
+        plain CG.
 
     Returns
     -------
@@ -208,6 +217,15 @@ def solve_spd(op: StencilOperator, rhs: np.ndarray,
     if not op.symmetric:
         raise ValueError("solve_spd requires a symmetric operator")
     singular = op.nullspace == "constants"
+
+    def preconditioned(r: np.ndarray, rs: float) -> tuple[np.ndarray, float]:
+        if precond is None:
+            return r, rs
+        z = precond(r)
+        if singular:
+            z = _project_mean(z)
+        return z, _dot(r, z)
+
     b = _project_mean(rhs) if singular else rhs
     x = np.zeros_like(rhs) if opts.x0 is None else opts.x0.copy()
     if singular:
@@ -215,28 +233,30 @@ def solve_spd(op: StencilOperator, rhs: np.ndarray,
     r = b - op.apply(x)
     if singular:
         r = _project_mean(r)
-    p = r.copy()
     rs = _dot(r, r)
+    z, rz = preconditioned(r, rs)
+    p = z.copy()
     nb = _norm(b)
     target = (opts.tol * nb) ** 2 if nb > 0.0 else 0.0
     it = 0
-    while rs > target and it < opts.max_iters:
+    while rs > target and rz > 0.0 and it < opts.max_iters:
         ap = op.apply(p)
         denom = _dot(p, ap)
         if denom <= 0.0:
             break  # lost positivity (rounding on the singular system)
-        alpha = rs / denom
+        alpha = rz / denom
         x = x + alpha * p
         r = r - alpha * ap
         if singular:
             r = _project_mean(r)
-        rs_new = _dot(r, r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rs = _dot(r, r)
+        z, rz_new = preconditioned(r, rs)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
         it += 1
     if singular:
         x = _project_mean(x)
-    return x, _true_report(op, b, x, it, opts.tol)
+    return x, _true_report(b, b - op.apply(x), it, opts.tol)
 
 
 def solve_general(op: StencilOperator, rhs: np.ndarray,
@@ -299,14 +319,14 @@ def solve_general(op: StencilOperator, rhs: np.ndarray,
             r = rhs - op.apply(x)
         else:
             break
-    return x, _true_report(op, rhs, x, it, opts.tol)
+    return x, _true_report(rhs, rhs - op.apply(x), it, opts.tol)
 
 
-def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray, minv,
+def _minres_cycle(op: StencilOperator, x: np.ndarray, r1: np.ndarray, minv,
                   target: float, budget: int) -> tuple[np.ndarray, int]:
-    """One Lanczos/Givens recurrence from iterate x until the estimated
-    preconditioned residual drops below `target` (or the budget runs out)."""
-    r1 = rhs - op.apply(x)
+    """One Lanczos/Givens recurrence from iterate x, whose residual
+    rhs - A x is r1, until the estimated preconditioned residual drops below
+    `target` (or the budget runs out)."""
     y = minv(r1)
     beta1_sq = _dot(r1, y)
     if beta1_sq <= 0.0:
@@ -317,8 +337,8 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray, minv,
     dbar = epsln = 0.0
     phibar = beta
     cs, sn = -1.0, 0.0
-    w = np.zeros_like(rhs)
-    w2 = np.zeros_like(rhs)
+    w = np.zeros_like(x)
+    w2 = np.zeros_like(x)
     r2 = r1
     it = 0
     while it < budget and phibar > target:
@@ -385,18 +405,21 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray,
     nb_pre = np.sqrt(max(_dot(rhs, minv(rhs)), 0.0))
     target = opts.tol * nb_pre
     it_total = 0
+    r = rhs - op.apply(x)
     for _ in range(8):
-        res = _norm(rhs - op.apply(x))
+        res = _norm(r)
         if res <= opts.tol * nb_plain or res <= 1e-300:
             break
         if it_total >= opts.max_iters or target < 1e-280:
             break
-        x, it = _minres_cycle(op, rhs, x, minv, target,
+        x, it = _minres_cycle(op, x, r, minv, target,
                               opts.max_iters - it_total)
         it_total += it
         if it == 0:
-            target *= 0.1
-    return x, _true_report(op, rhs, x, it_total, opts.tol)
+            target *= 0.1  # x did not move, so neither did r
+        else:
+            r = rhs - op.apply(x)
+    return x, _true_report(rhs, r, it_total, opts.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +461,13 @@ def laplacian_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     q.setflags(write=False)
     lam.setflags(write=False)
     return q, lam
+
+
+def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    """r -> qx ((qx^T r qy) * scale) qy^T: the symmetric operator that is
+    diagonal, with entries `scale`, in the tensor basis of qx and qy."""
+    return lambda r: qx @ ((qx.T @ r @ qy) * scale) @ qy.T
 
 
 def materialize_dense(op: StencilOperator) -> np.ndarray:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from chbsim import elliptic
 from chbsim.core import EdgeTraces, FaceField, make_grid, integrate_cell
 from chbsim.elliptic import (
     SolverOptions,
@@ -235,6 +236,70 @@ def test_solve_spd_singular_neumann_system():
     assert rep.converged
     assert abs(x.mean()) < 1e-12  # gauge fixed to zero mean
     np.testing.assert_allclose(op.apply(x), rhs, atol=1e-8)
+
+
+def test_solve_spd_identity_preconditioner_is_plain_cg():
+    grid = make_grid(1.0, 1.0, 8, 8)
+    rng = np.random.default_rng(61)
+    op = spd_operator(grid, rng)
+    rhs = rng.standard_normal(grid.shape)
+    opts = SolverOptions(tol=1e-12, x0=rng.standard_normal(grid.shape))
+    x_plain, rep_plain = solve_spd(op, rhs, opts)
+    x_ident, rep_ident = solve_spd(op, rhs, opts, precond=lambda a: a.copy())
+    assert rep_plain.converged and rep_plain.iterations > 5
+    assert np.array_equal(x_ident, x_plain)
+    assert rep_ident == rep_plain
+
+
+def test_preconditioned_cg_on_the_singular_neumann_system():
+    # the preconditioner adds a constant to every residual; PCG must project
+    # it away, or the search directions leave the zero-mean subspace
+    grid = make_grid(1.0, 1.0, 8, 8)
+    rng = np.random.default_rng(67)
+    cell = rng.uniform(0.5, 2.0, grid.shape)
+    c = harmonic_face_coefficients(cell, grid)
+    op = StencilOperator(lambda f: -apply_neumann_laplacian(f, c, grid),
+                         grid.shape, symmetric=True, nullspace="constants")
+    rhs = rng.standard_normal(grid.shape)
+    rhs -= rhs.mean()
+    scale = jacobi(cell)
+    x_plain, rep_plain = solve_spd(op, rhs, SolverOptions(tol=1e-12))
+    x, rep = solve_spd(op, rhs, SolverOptions(tol=1e-12),
+                       precond=lambda a: scale(a) + 5.0)
+    assert rep.converged and rep.rel_residual <= 1e-11
+    assert abs(x.mean()) < 1e-12
+    np.testing.assert_allclose(op.apply(x), rhs, atol=1e-10)
+    np.testing.assert_allclose(x, x_plain, atol=1e-9)
+
+
+def test_solve_minres_restarts_reuse_the_true_residual(monkeypatch):
+    # a badly scaled Jacobi preconditioner makes the preconditioned-norm
+    # estimate stop short of the plain-norm target, so MINRES restarts; each
+    # restart and the final report reuse the residual already computed
+    rng = np.random.default_rng(71)
+    d = np.concatenate([rng.uniform(1.0, 3.0, 40), -rng.uniform(0.5, 2.0, 24)])
+    d[:4] *= 1e4
+    calls = {"apply": 0, "cycles": 0}
+
+    def apply(x):
+        calls["apply"] += 1
+        return d * x
+
+    cycle = elliptic._minres_cycle
+
+    def counted_cycle(*args):
+        calls["cycles"] += 1
+        return cycle(*args)
+
+    monkeypatch.setattr(elliptic, "_minres_cycle", counted_cycle)
+    op = StencilOperator(apply, d.shape, symmetric=True)
+    rhs = rng.standard_normal(d.shape)
+    x, rep = solve_minres(op, rhs, SolverOptions(tol=1e-12),
+                          precond=jacobi(np.abs(d) ** 0.5))
+    assert rep.converged
+    np.testing.assert_allclose(x, rhs / d, atol=1e-9)
+    assert calls["cycles"] >= 2
+    assert calls["apply"] <= rep.iterations + calls["cycles"] + 1
 
 
 def test_solve_general_agrees_with_cg_on_symmetric_systems():

@@ -30,10 +30,12 @@ from chbsim.timestepper import (
     StepFailure,
     chemical_potential,
     initial_state,
+    phase_inverse,
     run,
     step,
     step_phase,
 )
+from chbsim import timestepper
 
 
 def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0, nu=1.0,
@@ -157,6 +159,47 @@ def test_phase_step_matches_dense_block_solve(variant):
     assert rep.converged
     np.testing.assert_allclose(phi_new, phi_oracle, atol=1e-8)
     np.testing.assert_allclose(mu_new, mu_oracle, atol=1e-7)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.35])
+def test_phase_inverse_matches_the_dense_inverse(theta):
+    grid = make_grid(1.0, 0.5, 9, 6)  # hx = 1/9, hy = 1/12
+    dt, s, eps, m = 1e-2, 2.0, 0.1, 0.7
+    m_faces = harmonic_face_coefficients(np.full(grid.shape, m), grid)
+    ones = FaceField(np.ones((grid.nx + 1, grid.ny)), np.ones((grid.nx, grid.ny + 1)))
+
+    def apply(f):
+        a_eps = (s / eps) * f - eps * apply_neumann_laplacian(f, ones, grid)
+        return f + dt * (-apply_neumann_laplacian(a_eps, m_faces, grid) + theta * a_eps)
+
+    dense_inv = np.linalg.inv(materialize_dense(StencilOperator(apply, grid.shape)))
+    inv = materialize_dense(StencilOperator(phase_inverse(grid, dt, s, eps, m, theta),
+                                            grid.shape))
+    assert np.max(np.abs(inv - dense_inv)) <= 1e-10 * np.max(np.abs(dense_inv))
+
+
+@pytest.mark.parametrize("source", ["lima", "hawkins_positive_floor"])
+def test_constant_mobility_phase_solve_is_preconditioned(source, monkeypatch):
+    # theta_phi = 0 (Lima) and theta_phi = p0 rho_min > 0 (Hawkins below the
+    # floor, phi < -1 + 2 rho_min everywhere): both take the CG branch
+    if source == "lima":
+        model = build_model(nx=32, ny=32, source=SourceSpec.lima(P=0.3, A=0.1, C=0.2))
+        phi0 = disc_phase(model.grid)
+    else:
+        model = build_model(nx=32, ny=32, source=SourceSpec.hawkins_positive(p0=0.5, rho_min=0.2))
+        phi0 = -1.0 + 0.15 * (1.0 + disc_phase(model.grid))
+    sigma0 = np.full(model.grid.shape, 0.8)
+    state = initial_state(phi0, sigma0, model)
+    specs = specs_for(model, 1e-3, flow=False)
+    new, rep = step(state, 1e-3, specs)
+    assert rep.phase.converged and rep.phase.iterations <= 2
+    assert abs(rep.ledger_phi) <= 1e-11
+
+    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: None)
+    plain, plain_rep = step(state, 1e-3, specs)
+    assert plain_rep.phase.iterations > 10
+    assert (np.linalg.norm(new.phi - plain.phi)
+            <= 1e-10 * np.linalg.norm(plain.phi))
 
 
 def test_nutrient_step_matches_dense_solve():
