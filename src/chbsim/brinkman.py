@@ -12,15 +12,15 @@ and div live at cell centers, the shear dxy at interior nodes; omitting the
 shear energy at wall nodes imposes the tangential traction condition weakly,
 and the normal traction (including the pressure) is the natural boundary
 condition of the Lagrangian. The first-order system is symmetric indefinite
-by construction and solved with preconditioned MINRES: when the viscosities
-are constant over the cells (and nu > 0) a block-diagonal preconditioner with
-cosine-transform velocity blocks and a Cahouet-Chabard pressure block (sine
-transform) keeps the iteration count independent of the grid; variable
-viscosity uses a Jacobi diagonal. A dense loop-assembled oracle covers small grids.
+by construction and solved with preconditioned MINRES (nu > 0): a block-diagonal
+preconditioner with cosine-transform velocity blocks and a Cahouet-Chabard
+pressure block (sine transform) keeps the iteration count independent of the
+grid; variable viscosity rescales it, cell by cell, by the Jacobi diagonals.
+A dense loop-assembled oracle covers small grids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .elliptic import (
     SolveReport,
     SolverOptions,
     StencilOperator,
-    jacobi,
     laplacian_basis,
     separable_inverse,
     solve_minres,
@@ -180,8 +179,8 @@ def apply_brinkman(problem: BrinkmanProblem, v: FaceField,
 
 
 def _jacobi_diagonal(problem: BrinkmanProblem) -> np.ndarray:
-    """Positive diagonal for MINRES preconditioning: diag(A) on velocities and
-    a SIMPLE-style Schur surrogate diag(G^T diag(A)^-1 G) on the pressure."""
+    """Positive diagonal: diag(A) on velocities and a SIMPLE-style Schur
+    surrogate diag(G^T diag(A)^-1 G) on the pressure."""
     g = problem.grid
     hx, hy = g.hx, g.hy
     ce = 2.0 * problem.eta + problem.lam
@@ -205,18 +204,30 @@ def _jacobi_diagonal(problem: BrinkmanProblem) -> np.ndarray:
 
 
 def _block_preconditioner(problem: BrinkmanProblem):
-    """Block-diagonal SPD preconditioner for constant eta, lam and nu > 0.
+    """Block-diagonal SPD preconditioner for nu > 0.
 
-    Velocity blocks: vu (nu + (2 eta + lam) Lx + eta Ly) for u, where Lx is
-    the node Laplacian along x (DCT-I, half weight at the walls) and Ly the
-    cell Laplacian along y (DCT-II); w is the mirror image. They drop the
-    u-w coupling and treat the wall rows as interior ones.
+    Variable eta or lam: P of the reference problem with constant eta, lam =
+    their minima, rescaled as a -> s P(s a) with s = sqrt(d_ref / d) from the
+    Jacobi diagonals (cell-wise viscosity weights, as in Grinevich &
+    Olshanskii, SISC 31, 2009); SPD by construction. Its iteration counts stay
+    flat with the grid for smooth viscosity profiles, not across a sharp jump.
+
+    Constant eta and lam: velocity blocks vu (nu + (2 eta + lam) Lx + eta Ly)
+    for u, where Lx is the node Laplacian along x (DCT-I, half weight at the
+    walls) and Ly the cell Laplacian along y (DCT-II); w is the mirror image.
+    They drop the u-w coupling and treat the wall rows as interior ones.
     Pressure block (Cahouet-Chabard): the inverse Schur surrogate
     (nu (-Lap_D)^-1 + 2 eta + lam) / vol. Lap_D is the cell Laplacian with
     zero wall values (DST-II on both axes): with traction walls the wall
     faces carry p itself, so G^T diag(vu, vw)^-1 G = -vol Lap_D exactly and
     the surrogate is exact in the friction limit.
     """
+    if float(np.ptp(problem.eta)) != 0.0 or float(np.ptp(problem.lam)) != 0.0:
+        ref = replace(problem, eta=np.full_like(problem.eta, np.min(problem.eta)),
+                      lam=np.full_like(problem.lam, np.min(problem.lam)))
+        s = np.sqrt(_jacobi_diagonal(ref) / _jacobi_diagonal(problem))
+        inner = _block_preconditioner(ref)
+        return lambda a: s * inner(s * a)
     g = problem.grid
     eta, nu = float(problem.eta.flat[0]), problem.nu
     ce = 2.0 * eta + float(problem.lam.flat[0])
@@ -241,21 +252,14 @@ def _block_preconditioner(problem: BrinkmanProblem):
 
 def solve_brinkman(problem: BrinkmanProblem,
                    opts: SolverOptions | None = None) -> BrinkmanSolution:
-    """Solve the saddle system with preconditioned MINRES.
-
-    The preconditioner is picked from the coefficients: with eta and lam
-    constant over the cells and nu > 0, the cosine-transform block
-    preconditioner (iterations independent of the grid); otherwise the
-    Jacobi diagonal with a SIMPLE-style pressure surrogate.
-    """
+    """Solve the saddle system with MINRES and `_block_preconditioner`.
+    Requires nu > 0: without friction its velocity blocks are singular."""
+    if not problem.nu > 0.0:
+        raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
     opts = opts or SolverOptions(tol=1e-11, max_iters=20000)
     op = brinkman_operator(problem)
     rhs = brinkman_rhs(problem)
-    constant = (problem.nu > 0.0 and float(np.ptp(problem.eta)) == 0.0
-                and float(np.ptp(problem.lam)) == 0.0)
-    precond = (_block_preconditioner(problem) if constant
-               else jacobi(_jacobi_diagonal(problem)))
-    x, report = solve_minres(op, rhs, opts, precond=precond)
+    x, report = solve_minres(op, rhs, opts, precond=_block_preconditioner(problem))
     u, w, p = _unpack(x, problem.grid)
     v = FaceField(u, w)
     mom_u, mom_w, div_v = apply_brinkman(problem, v, p)

@@ -183,7 +183,5 @@ def main(argv: list | None = None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-cli_main = main
-
 if __name__ == "__main__":
     sys.exit(main())

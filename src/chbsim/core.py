@@ -83,6 +83,10 @@ class FaceField:
     def zeros(cls, grid: Grid) -> "FaceField":
         return cls(np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
 
+    @classmethod
+    def ones(cls, grid: Grid) -> "FaceField":
+        return cls(np.ones((grid.nx + 1, grid.ny)), np.ones((grid.nx, grid.ny + 1)))
+
     def copy(self) -> "FaceField":
         return FaceField(self.u.copy(), self.w.copy())
 

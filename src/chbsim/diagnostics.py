@@ -39,15 +39,13 @@ from .elliptic import (
     apply_neumann_laplacian,
     face_gradient,
     harmonic_face_coefficients,
+    neumann_multiplier,
     robin_influx,
     solve_spd,
     upwind_div,
 )
-from .brinkman import BrinkmanProblem, capillary_force, energy_parts, strain_rates
-
-
-def _unit_faces(grid: Grid) -> FaceField:
-    return FaceField(np.ones((grid.nx + 1, grid.ny)), np.ones((grid.nx, grid.ny + 1)))
+from .brinkman import (BrinkmanProblem, _face_volumes, capillary_force, energy_parts,
+                       strain_rates)
 
 
 def _grad_sq(f: np.ndarray, grid: Grid) -> float:
@@ -236,15 +234,17 @@ def _trapez(values: np.ndarray, times: np.ndarray) -> float:
 
 
 def _dual_proxy(rate: np.ndarray, grid: Grid) -> float:
-    """|| grad (-lap + I)^{-1} rate ||_{L^2}, one CG solve."""
-    ones = _unit_faces(grid)
+    """|| grad (-lap + I)^{-1} rate ||_{L^2}, one CG solve preconditioned by
+    the exact cosine-transform inverse."""
+    ones = FaceField.ones(grid)
 
     def apply(f: np.ndarray) -> np.ndarray:
         return f - apply_neumann_laplacian(f, ones, grid)
 
     op = StencilOperator(apply, grid.shape, symmetric=True,
                          description="dual-norm shift -lap + I")
-    x, rep = solve_spd(op, rate, SolverOptions(tol=1e-11, max_iters=10000))
+    x, rep = solve_spd(op, rate, SolverOptions(tol=1e-11, max_iters=10000),
+                       precond=neumann_multiplier(grid, lambda kappa: 1.0 / (1.0 + kappa)))
     if not rep.converged:
         raise RuntimeError(f"dual-norm solve stalled: {rep}")
     return float(np.sqrt(_grad_sq(x, grid)))
@@ -258,17 +258,12 @@ def norm_estimates(states: Sequence[State], model: ModelSpec) -> NormEstimates:
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     vol = g.cell_area
-    vu = np.full((g.nx + 1, g.ny), vol)
-    vu[0, :] *= 0.5
-    vu[-1, :] *= 0.5
-    vw = np.full((g.nx, g.ny + 1), vol)
-    vw[:, 0] *= 0.5
-    vw[:, -1] *= 0.5
+    vu, vw = _face_volumes(g)
 
     h1_phi, lap_phi_sq = [], []
     l2_sig, h1_sig_sq, h1_mu_sq = [], [], []
     trace_sq, p_l2, v_h1_sq, div_l32_sq = [], [], [], []
-    ones = _unit_faces(g)
+    ones = FaceField.ones(g)
     for s in states:
         h1_phi.append(np.sqrt(integrate_cell(s.phi ** 2, g) + _grad_sq(s.phi, g)))
         lap = apply_neumann_laplacian(s.phi, ones, g)

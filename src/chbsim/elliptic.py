@@ -470,6 +470,16 @@ def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray
     return lambda r: qx @ ((qx.T @ r @ qy) * scale) @ qy.T
 
 
+def neumann_multiplier(grid: Grid, symbol: Callable[[np.ndarray], np.ndarray]
+                       ) -> Callable[[np.ndarray], np.ndarray]:
+    """r -> symbol(-lap) r for the Neumann cell Laplacian, diagonal in the
+    cosine basis (DCT-II) with eigenvalues kappa = lam_x / hx^2 + lam_y / hy^2."""
+    qx, lx = laplacian_basis(grid.nx, "cell")
+    qy, ly = laplacian_basis(grid.ny, "cell")
+    return separable_inverse(qx, qy, symbol(lx[:, None] / grid.hx ** 2
+                                            + ly[None, :] / grid.hy ** 2))
+
+
 def materialize_dense(op: StencilOperator) -> np.ndarray:
     """Dense matrix of a stencil operator (test oracle; small grids only)."""
     n = int(np.prod(op.shape))

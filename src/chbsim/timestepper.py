@@ -35,11 +35,10 @@ from .elliptic import (
     advective_boundary_flux,
     apply_neumann_laplacian,
     harmonic_face_coefficients,
-    laplacian_basis,
+    neumann_multiplier,
     robin_influx,
     robin_linear,
     robin_source,
-    separable_inverse,
     solve_general,
     solve_spd,
     upwind_div,
@@ -110,16 +109,12 @@ class StepFailure(RuntimeError):
         self.partial = partial
 
 
-def _unit_faces(grid: Grid) -> FaceField:
-    return FaceField(np.ones((grid.nx + 1, grid.ny)), np.ones((grid.nx, grid.ny + 1)))
-
-
 def chemical_potential(phi: np.ndarray, sigma: np.ndarray,
                        model: ModelSpec) -> np.ndarray:
     """Diagnostic mu(phi, sigma) = psi'(phi)/eps - eps lap(phi) - chi_phi sigma."""
     eps = model.params.epsilon
     _, dpsi = potential_eval(phi, model.potential)
-    lap = apply_neumann_laplacian(phi, _unit_faces(model.grid), model.grid)
+    lap = apply_neumann_laplacian(phi, FaceField.ones(model.grid), model.grid)
     return dpsi / eps - eps * lap - model.params.chi_phi * sigma
 
 
@@ -161,14 +156,9 @@ def phase_inverse(grid: Grid, dt: float, s: float, eps: float, m: float,
                   theta: float) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of the phase operator f + dt L_m A_eps f for constant
     mobility m and constant theta: L_m = m (-lap) + theta and
-    A_eps = s/eps - eps lap are polynomials in the Neumann cell Laplacian,
-    which the cosine basis (DCT-II on both axes) diagonalises with
-    eigenvalues -kappa = -(lam_x / hx^2 + lam_y / hy^2)."""
-    qx, lx = laplacian_basis(grid.nx, "cell")
-    qy, ly = laplacian_basis(grid.ny, "cell")
-    kappa = lx[:, None] / grid.hx ** 2 + ly[None, :] / grid.hy ** 2
-    return separable_inverse(
-        qx, qy, 1.0 / (1.0 + dt * (m * kappa + theta) * (s / eps + eps * kappa)))
+    A_eps = s/eps - eps lap are polynomials in the Neumann cell Laplacian."""
+    return neumann_multiplier(grid, lambda kappa: 1.0 / (
+        1.0 + dt * (m * kappa + theta) * (s / eps + eps * kappa)))
 
 
 def step_phase(state: State, v_new: FaceField, dt: float,
@@ -186,7 +176,7 @@ def step_phase(state: State, v_new: FaceField, dt: float,
 
     m_cell, _ = mobilities(phi_n, model.mobvis)
     m_faces = harmonic_face_coefficients(m_cell, g)
-    ones = _unit_faces(g)
+    ones = FaceField.ones(g)
     src = sources(phi_n, sigma_n, state.mu, model.source, p)
     theta = src.theta_phi
 

@@ -63,10 +63,6 @@ class Cache(dict):
         return self[key]
 
 
-def _ones_faces(g: Grid) -> FaceField:
-    return FaceField(np.ones((g.nx + 1, g.ny)), np.ones((g.nx, g.ny + 1)))
-
-
 def _l2(field: np.ndarray, g: Grid) -> float:
     return float(np.sqrt(np.sum(field ** 2) * g.cell_area))
 
@@ -305,7 +301,7 @@ def poisson_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         x, y = g.cell_centers()
         exact = np.cos(np.pi * x) * np.cos(np.pi * y)
         rhs = 2.0 * np.pi ** 2 * exact
-        ones = _ones_faces(g)
+        ones = FaceField.ones(g)
         op = StencilOperator(
             lambda f, g=g, ones=ones: -apply_neumann_laplacian(f, ones, g),
             g.shape, symmetric=True, nullspace="constants",
@@ -336,7 +332,7 @@ def robin_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
                             right=np.cos(np.pi * 1.0) * np.cos(np.pi * ys) + 2.0,
                             bottom=np.cos(np.pi * xs) + 2.0,
                             top=np.cos(np.pi * xs) * np.cos(np.pi * 1.0) + 2.0)
-        ones = _ones_faces(g)
+        ones = FaceField.ones(g)
         op = StencilOperator(
             lambda f, g=g, ones=ones: f - robin_linear(f, ones, 1.0, g),
             g.shape, symmetric=False, description="Robin diffusion")

@@ -5,7 +5,13 @@ import pytest
 from chbsim import brinkman
 from chbsim.constitutive import ModelParams
 from chbsim.core import FaceField, make_grid
-from chbsim.elliptic import SolverOptions, StencilOperator, materialize_dense
+from chbsim.elliptic import (
+    SolverOptions,
+    StencilOperator,
+    jacobi,
+    materialize_dense,
+    solve_minres,
+)
 from chbsim.brinkman import (
     BrinkmanProblem,
     apply_brinkman,
@@ -179,7 +185,7 @@ def test_problem_validation():
 
 
 # ---------------------------------------------------------------------------
-# preconditioner selection
+# block preconditioner
 # ---------------------------------------------------------------------------
 
 def random_data(grid, seed):
@@ -244,15 +250,107 @@ def test_block_iterations_do_not_grow_with_the_grid(block_calls, nu):
     assert iters[1] <= 1.5 * iters[0], iters
 
 
-def test_viscosity_contrast_stays_on_jacobi_and_converges(block_calls):
-    grid = make_grid(1.0, 1.0, 16, 16)
+def disc_problem(grid, contrast, nu, lam, seed=11):
+    """Off-centre tanh disc of width eps = 0.1: eta from 1 outside to
+    `contrast` inside, lam from 0 to `lam`, random force and divergence."""
     x, y = grid.cell_centers()
-    eta = np.where((x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.25 ** 2, 100.0, 1.0)
+    frac = 0.5 * (1.0 + np.tanh((0.25 - np.hypot(x - 0.4, y - 0.55)) / (np.sqrt(2.0) * 0.1)))
+    force, gamma_v = random_data(grid, seed)
+    return BrinkmanProblem(grid, 1.0 + (contrast - 1.0) * frac, lam * frac, nu,
+                           force, gamma_v)
+
+
+def test_rescaled_block_preconditioner_is_symmetric_positive_definite():
+    grid = make_grid(1.0, 1.5, 7, 5)  # hx != hy
+    rng = np.random.default_rng(5)
+    force, gamma_v = random_data(grid, 3)
+    prob = BrinkmanProblem(grid, rng.uniform(0.5, 50.0, grid.shape),
+                           rng.uniform(0.0, 2.0, grid.shape), 2.0, force, gamma_v)
+    n = brinkman_rhs(prob).size
+    mat = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
+                                            (n,), symmetric=True))
+    assert np.max(np.abs(mat - mat.T)) <= 1e-14 * np.max(np.abs(mat))
+    assert np.min(np.linalg.eigvalsh(mat)) > 0.0
+
+
+def test_constant_coefficients_skip_the_rescaling(block_calls):
+    grid = make_grid(1.0, 1.5, 7, 5)
+    force, gamma_v = random_data(grid, 3)
+    prob = problem(grid, nu=2.0, eta=0.8, lam=0.3, force=force, gamma_v=gamma_v)
+    apply = brinkman._block_preconditioner(prob)
+    assert len(block_calls) == 1  # no reference problem was built
+    # and the rescaling would not change a bit: s is exactly 1
+    a = np.random.default_rng(9).standard_normal(brinkman_rhs(prob).size)
+    s = np.sqrt(brinkman._jacobi_diagonal(prob) / brinkman._jacobi_diagonal(prob))
+    assert np.array_equal(apply(a), s * apply(s * a))
+
+
+@pytest.mark.parametrize("contrast, nu, lam", [
+    (c, nu, lam) for c in (10.0, 100.0) for nu in (1.0, 1e3) for lam in (0.0, 0.3)
+] + [(10.0, 1e-2, 0.0), (10.0, 1e-2, 0.3)])
+def test_rescaled_block_path_matches_dense_oracle(block_calls, contrast, nu, lam):
+    prob = disc_problem(make_grid(1.0, 1.5, 8, 6), contrast, nu, lam)
+    krylov = solve_brinkman(prob, SolverOptions(tol=1e-12, max_iters=5000))
+    direct = dense_oracle_solve(prob)
+    assert block_calls and krylov.report.converged
+    for a, b in ((krylov.v.u, direct.v.u), (krylov.v.w, direct.v.w),
+                 (krylov.p, direct.p)):
+        np.testing.assert_allclose(a, b, atol=1e-10 * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1e3])
+def test_rescaled_block_iterations_do_not_grow_with_the_grid(nu):
+    iters = []
+    for n in (16, 64):
+        sol = solve_brinkman(disc_problem(make_grid(1.0, 1.0, n, n), 100.0, nu, 0.0))
+        assert sol.report.converged
+        iters.append(sol.report.iterations)
+    assert iters[1] <= 1.5 * iters[0], iters
+
+
+@pytest.mark.parametrize("interface, n, ratio", [("step", 16, 0.6), ("tanh", 32, 0.2)])
+def test_viscosity_contrast_uses_the_rescaled_block_and_beats_jacobi(
+        block_calls, interface, n, ratio):
+    grid = make_grid(1.0, 1.0, n, n)
+    x, y = grid.cell_centers()
+    r = np.hypot(x - 0.5, y - 0.5)
+    inside = (r < 0.25) if interface == "step" else \
+        0.5 * (1.0 + np.tanh((0.25 - r) / (np.sqrt(2.0) * 0.1)))
     force, gamma_v = random_data(grid, 17)
-    prob = BrinkmanProblem(grid, eta, np.zeros(grid.shape), 1.0, force, gamma_v)
+    prob = BrinkmanProblem(grid, 1.0 + 99.0 * inside, np.zeros(grid.shape), 1.0,
+                           force, gamma_v)
     sol = solve_brinkman(prob)
-    assert not block_calls
+    assert block_calls
     assert sol.report.converged and sol.divergence_residual < 1e-8
+    _, jac = solve_minres(brinkman_operator(prob), brinkman_rhs(prob),
+                          SolverOptions(tol=1e-11, max_iters=20000),
+                          precond=jacobi(brinkman._jacobi_diagonal(prob)))
+    assert jac.converged
+    assert sol.report.iterations <= ratio * jac.iterations, \
+        (sol.report.iterations, jac.iterations)
+
+
+def test_solve_brinkman_rejects_zero_friction():
+    with pytest.raises(ValueError):
+        solve_brinkman(problem(make_grid(1.0, 1.0, 6, 6), nu=0.0))
+
+
+# Not strict: the floor lands on either side of the test from one data set to
+# the next, so a strict mark would fail whenever it happens to pass.
+_STALL = pytest.mark.xfail(strict=False, reason=(
+    "round-off floor: contrast 100 at nu = 1e-2 (cond ~1e7) ends at a relative "
+    "residual of 5e-11 to 1e-10 at 32^2 and 1.4e-10 to 3e-10 at 64^2, around "
+    "the 10 tol = 1e-10 test, under Jacobi and the block preconditioner alike"))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("contrast, nu", [
+    pytest.param(c, nu, marks=_STALL) if (c, nu) == (100.0, 1e-2) else (c, nu)
+    for c in (1.0, 10.0, 100.0) for nu in (1e-2, 1.0, 1e3)])
+def test_robustness_sweep_converges(contrast, nu, lam):
+    sol = solve_brinkman(disc_problem(make_grid(1.0, 1.0, 32, 32), contrast, nu, lam),
+                         SolverOptions(tol=1e-11, max_iters=20000))
+    assert sol.report.converged, sol.report
 
 
 # ---------------------------------------------------------------------------
