@@ -120,42 +120,49 @@ def _unpack(x: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return u, w, p
 
 
-def _apply_saddle(problem: BrinkmanProblem, u: np.ndarray, w: np.ndarray,
-                  p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Volume-weighted residual blocks (Av + Gp, G^T v); symmetric."""
+def _saddle_apply(problem: BrinkmanProblem):
+    """(u, w, p, au, aw, ap) -> writes the volume-weighted residual blocks
+    (Av + Gp, G^T v) into au, aw, ap; symmetric. 2 eta at cells and nodes
+    is computed once here, not on every apply."""
     g = problem.grid
     hx, hy, vol = g.hx, g.hy, g.cell_area
-    v = FaceField(u, w)
-    dxx, dyy, dxy = strain_rates(v, g)
-    div = dxx + dyy
-    pxx = (2.0 * problem.eta * dxx + problem.lam * div - p) * hy
-    pyy = (2.0 * problem.eta * dyy + problem.lam * div - p) * hx
-    qn = 2.0 * problem.eta_nodes * dxy
+    two_eta = 2.0 * problem.eta
+    two_eta_nodes = 2.0 * problem.eta_nodes
 
-    au = problem.nu * u * problem.vu
-    au[1:, :] += pxx
-    au[:-1, :] -= pxx
-    au[1:-1, 1:] += qn * hx
-    au[1:-1, :-1] -= qn * hx
+    def apply(u, w, p, au, aw, ap) -> None:
+        dxx, dyy, dxy = strain_rates(FaceField(u, w), g)
+        div = dxx + dyy
+        pxx = (two_eta * dxx + problem.lam * div - p) * hy
+        pyy = (two_eta * dyy + problem.lam * div - p) * hx
+        qn = two_eta_nodes * dxy
 
-    aw = problem.nu * w * problem.vw
-    aw[:, 1:] += pyy
-    aw[:, :-1] -= pyy
-    aw[1:, 1:-1] += qn * hy
-    aw[:-1, 1:-1] -= qn * hy
+        np.multiply(problem.nu * u, problem.vu, out=au)
+        au[1:, :] += pxx
+        au[:-1, :] -= pxx
+        qh = qn * hx
+        au[1:-1, 1:] += qh
+        au[1:-1, :-1] -= qh
 
-    ap = -div * vol
-    return au, aw, ap
+        np.multiply(problem.nu * w, problem.vw, out=aw)
+        aw[:, 1:] += pyy
+        aw[:, :-1] -= pyy
+        qh = qn * hy
+        aw[1:, 1:-1] += qh
+        aw[:-1, 1:-1] -= qh
+
+        np.multiply(-div, vol, out=ap)
+    return apply
 
 
 def brinkman_operator(problem: BrinkmanProblem) -> StencilOperator:
     g = problem.grid
     n = (g.nx + 1) * g.ny + g.nx * (g.ny + 1) + g.nx * g.ny
+    saddle = _saddle_apply(problem)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        u, w, p = _unpack(x, g)
-        au, aw, ap = _apply_saddle(problem, u, w, p)
-        return _pack(au, aw, ap)
+        out = np.empty(n)
+        saddle(*_unpack(x, g), *_unpack(out, g))
+        return out
 
     return StencilOperator(apply=apply, shape=(n,), symmetric=True,
                            description="MAC Brinkman saddle system")
@@ -174,8 +181,10 @@ def apply_brinkman(problem: BrinkmanProblem, v: FaceField,
     div_v == gamma_v. At wall faces the discrete momentum includes the weak
     traction terms, so a constant pressure shows up there (and nowhere else).
     """
-    au, aw, ap = _apply_saddle(problem, v.u, v.w, p)
-    return au / problem.vu, aw / problem.vw, -ap / problem.grid.cell_area
+    g = problem.grid
+    au, aw, ap = np.empty(v.u.shape), np.empty(v.w.shape), np.empty(g.shape)
+    _saddle_apply(problem)(v.u, v.w, p, au, aw, ap)
+    return au / problem.vu, aw / problem.vw, -ap / g.cell_area
 
 
 def _jacobi_diagonal(problem: BrinkmanProblem) -> np.ndarray:

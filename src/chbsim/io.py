@@ -466,11 +466,15 @@ def _write_snapshot_csv(header: SnapshotHeader, cols: dict, grid: Grid,
         "# fields = " + " ".join(header.fields),
         "i,j,x,y," + ",".join(header.fields),
     ]
-    data = [cols[name] for name in header.fields]
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            vals = ",".join(repr(float(d[i, j])) for d in data)
-            lines.append(f"{i},{j},{float(x[i, j])!r},{float(y[i, j])!r},{vals}")
+    # x varies with i only and y with j only (an 'ij' meshgrid)
+    xs = list(map(repr, x[:, 0].tolist()))
+    ys = list(map(repr, y[0, :].tolist()))
+    prefixes = [f"{i},{j},{xv},{yv}," for i, xv in enumerate(xs)
+                for j, yv in enumerate(ys)]
+    # one row per cell in (i, j) order, one column per field
+    rows = np.stack([np.asarray(cols[name], dtype=float) for name in header.fields],
+                    axis=-1).reshape(grid.nx * grid.ny, -1).tolist()
+    lines.extend(prefix + ",".join(map(repr, row)) for prefix, row in zip(prefixes, rows))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -513,8 +517,8 @@ def _write_snapshot_vtk(header: SnapshotHeader, cols: dict, grid: Grid,
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
         # VTK cell order: x varies fastest
-        flat = cols[name].flatten(order="F")
-        lines.extend(repr(float(v)) for v in flat)
+        flat = np.asarray(cols[name], dtype=float).ravel(order="F")
+        lines.extend(map(repr, flat.tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

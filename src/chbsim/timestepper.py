@@ -10,7 +10,9 @@ One step from t_n advances in three stages:
         two-field block and the single-field system is solved with CG,
         preconditioned by its exact cosine-transform inverse, when the
         mobility and theta_phi are constant (the operator is then a
-        polynomial in the Neumann Laplacian), and with BiCGStab otherwise.
+        polynomial in the Neumann Laplacian), and otherwise with BiCGStab,
+        right-preconditioned by the same inverse taken at the upper mobility
+        bound and the largest theta_phi.
         mu' is then evaluated exactly from phi', so the constitutive relation
         holds to machine precision;
   (iii) nutrient update with implicit Robin-wall diffusion, the fresh phi'
@@ -195,20 +197,19 @@ def step_phase(state: State, v_new: FaceField, dt: float,
     conv = upwind_div(phi_n, v_new, g)
     rhs = phi_n + dt * (src.lambda_phi - conv) - dt * l_m(c_lin)
     # With constant mobility and constant theta the two factors are commuting
-    # polynomials in the Neumann Laplacian, so the product is SPD and CG
-    # applies, preconditioned by the exact inverse; otherwise fall back to
-    # BiCGStab.
+    # polynomials in the Neumann Laplacian, so the product is SPD, CG applies
+    # and the preconditioner below is its exact inverse. Otherwise the
+    # product is nonsymmetric and BiCGStab takes the same preconditioner: the
+    # exact inverse of the constant-coefficient operator at the upper
+    # mobility bound and the largest theta.
     spd = (model.mobvis.m.lo == model.mobvis.m.hi
            and float(np.ptp(theta)) == 0.0)
     op = StencilOperator(apply, g.shape, symmetric=spd,
                          description="phase update, chemical potential eliminated")
     opts = SolverOptions(tol=sc.phase_tol, max_iters=sc.max_iters, x0=phi_n.copy())
-    if spd:
-        precond = phase_inverse(g, dt, s, eps, model.mobvis.m.lo,
-                                float(np.ravel(theta)[0]))
-        phi_new, rep = solve_spd(op, rhs, opts, precond=precond)
-    else:
-        phi_new, rep = solve_general(op, rhs, opts)
+    precond = phase_inverse(g, dt, s, eps, model.mobvis.m.hi, float(np.max(theta)))
+    solve = solve_spd if spd else solve_general
+    phi_new, rep = solve(op, rhs, opts, precond=precond)
     if not rep.converged:
         raise StepFailure(
             f"phase solve stalled at t={state.t:g}: rel residual "

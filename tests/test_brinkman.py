@@ -97,6 +97,40 @@ def test_operator_matches_loop_assembled_matrix():
     np.testing.assert_allclose(mat, mat.T, atol=1e-11)  # saddle symmetry
 
 
+def test_operator_apply_keeps_the_evaluation_order():
+    # the apply writes into one output vector with hoisted 2 eta factors; its
+    # bits must equal the plain formula evaluated term by term
+    grid = make_grid(1.0, 1.5, 7, 5)
+    rng = np.random.default_rng(103)
+    prob = BrinkmanProblem(grid, rng.uniform(1.0, 100.0, grid.shape),
+                           rng.uniform(0.0, 1.0, grid.shape), 1.7,
+                           FaceField.zeros(grid), np.zeros(grid.shape))
+    op = brinkman_operator(prob)
+    x = rng.standard_normal(op.shape)
+    u, w, p = brinkman._unpack(x, grid)
+    hx, hy = grid.hx, grid.hy
+    dxx, dyy, dxy = strain_rates(FaceField(u, w), grid)
+    div = dxx + dyy
+    pxx = (2.0 * prob.eta * dxx + prob.lam * div - p) * hy
+    pyy = (2.0 * prob.eta * dyy + prob.lam * div - p) * hx
+    qn = 2.0 * prob.eta_nodes * dxy
+    au = prob.nu * u * prob.vu
+    au[1:, :] += pxx
+    au[:-1, :] -= pxx
+    au[1:-1, 1:] += qn * hx
+    au[1:-1, :-1] -= qn * hx
+    aw = prob.nu * w * prob.vw
+    aw[:, 1:] += pyy
+    aw[:, :-1] -= pyy
+    aw[1:, 1:-1] += qn * hy
+    aw[:-1, 1:-1] -= qn * hy
+    ap = -div * grid.cell_area
+    assert np.array_equal(op.apply(x), np.concatenate([au.ravel(), aw.ravel(), ap.ravel()]))
+    mom_u, mom_w, div_v = apply_brinkman(prob, FaceField(u, w), p)
+    assert np.array_equal(mom_u, au / prob.vu) and np.array_equal(mom_w, aw / prob.vw)
+    assert np.array_equal(div_v, -ap / grid.cell_area)
+
+
 # ---------------------------------------------------------------------------
 # solves
 # ---------------------------------------------------------------------------

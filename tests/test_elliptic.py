@@ -15,6 +15,7 @@ from chbsim.elliptic import (
     jacobi,
     laplacian_basis,
     materialize_dense,
+    neumann_multiplier,
     robin_influx,
     robin_linear,
     robin_source,
@@ -314,25 +315,34 @@ def test_solve_general_agrees_with_cg_on_symmetric_systems():
     np.testing.assert_allclose(x_bi, x_cg, atol=1e-10)
 
 
+DT, S, EPS = 1e-3, 2.0, 0.1
+
+
+def phase_like_operator(grid):
+    """The eliminated phase system f + dt L_m A_eps f with mobility in
+    [0.05, 0.95] and theta in [0.1, 0.3]: two symmetric stencils whose
+    composition is not symmetric when the coefficients vary."""
+    x0, y0 = grid.cell_centers()
+    phi = np.tanh(3.0 * np.cos(np.pi * x0) * np.cos(np.pi * y0))
+    m = harmonic_face_coefficients(0.5 + 0.45 * phi, grid)
+    theta = 0.2 + 0.1 * np.cos(np.pi * y0)
+
+    def a_eps(f):
+        return (S / EPS) * f - EPS * apply_neumann_laplacian(f, unit_faces(grid), grid)
+
+    def l_m(f):
+        return -apply_neumann_laplacian(f, m, grid) + theta * f
+
+    return StencilOperator(lambda f: f + DT * l_m(a_eps(f)), grid.shape)
+
+
 def test_solve_general_nonsymmetric_composition_vs_dense():
     # the eliminated phase system composes two symmetric stencils, which is
     # not symmetric when the coefficients vary; BiCGStab must still match a
     # dense direct solve
     grid = make_grid(1.0, 1.0, 8, 8)
     rng = np.random.default_rng(53)
-    x0, y0 = grid.cell_centers()
-    phi = np.tanh(3.0 * np.cos(np.pi * x0) * np.cos(np.pi * y0))
-    m = harmonic_face_coefficients(0.5 + 0.45 * phi, grid)
-    theta = 0.2 + 0.1 * np.cos(np.pi * y0)
-    dt, s, eps = 1e-3, 2.0, 0.1
-
-    def a_eps(f):
-        return (s / eps) * f - eps * apply_neumann_laplacian(f, unit_faces(grid), grid)
-
-    def l_m(f):
-        return -apply_neumann_laplacian(f, m, grid) + theta * f
-
-    op = StencilOperator(lambda f: f + dt * l_m(a_eps(f)), grid.shape)
+    op = phase_like_operator(grid)
     mat = materialize_dense(op)
     assert np.max(np.abs(mat - mat.T)) > 1e-8  # genuinely nonsymmetric
     rhs = rng.standard_normal(grid.shape)
@@ -340,6 +350,54 @@ def test_solve_general_nonsymmetric_composition_vs_dense():
     assert rep.converged
     np.testing.assert_allclose(x.ravel(), np.linalg.solve(mat, rhs.ravel()),
                                atol=1e-8)
+
+
+def test_solve_general_identity_preconditioner_is_plain_bicgstab():
+    grid = make_grid(1.0, 1.0, 8, 8)
+    rng = np.random.default_rng(59)
+    op = phase_like_operator(grid)
+    rhs = rng.standard_normal(grid.shape)
+    opts = SolverOptions(tol=1e-12, x0=rng.standard_normal(grid.shape))
+    x_plain, rep_plain = solve_general(op, rhs, opts)
+    x_ident, rep_ident = solve_general(op, rhs, opts, precond=lambda a: a.copy())
+    assert rep_plain.converged and rep_plain.iterations > 5
+    assert np.array_equal(x_ident, x_plain)
+    assert rep_ident == rep_plain
+
+
+def test_preconditioned_bicgstab_matches_dense_solve():
+    # right preconditioning by the exact inverse of the constant-coefficient
+    # operator at the largest mobility and theta (DCT-II): the solution is
+    # the dense one, and the stopping test stays on the plain residual
+    grid = make_grid(1.0, 0.75, 12, 9)
+    rng = np.random.default_rng(73)
+    op = phase_like_operator(grid)
+    mat = materialize_dense(op)
+    assert np.max(np.abs(mat - mat.T)) > 1e-8
+    precond = neumann_multiplier(grid, lambda kappa: 1.0 / (
+        1.0 + DT * (0.95 * kappa + 0.3) * (S / EPS + EPS * kappa)))
+    rhs = rng.standard_normal(grid.shape)
+    opts = SolverOptions(tol=1e-12)
+    _, rep_plain = solve_general(op, rhs, opts)
+    x, rep = solve_general(op, rhs, opts, precond=precond)
+    assert rep.converged and rep.rel_residual <= 1e-11
+    assert rep.iterations <= rep_plain.iterations // 2
+    np.testing.assert_allclose(x.ravel(), np.linalg.solve(mat, rhs.ravel()),
+                               atol=1e-9)
+
+
+def test_solve_general_restarts_when_the_true_residual_fails():
+    # on this badly scaled system the BiCGStab recurrence residual drifts
+    # below the target while rhs - A x stays above 10 tol; the solver must
+    # check the true residual on exit and restart instead of reporting failure
+    rng = np.random.default_rng(98)
+    n = 24
+    a = np.diag(np.logspace(0, 6, n)) + rng.standard_normal((n, n))
+    rhs = rng.standard_normal(n)
+    op = StencilOperator(lambda x: a @ x, (n,))
+    x, rep = solve_general(op, rhs, SolverOptions(tol=1e-14))
+    assert rep.converged and rep.rel_residual <= 1e-13
+    np.testing.assert_allclose(np.linalg.norm(rhs - a @ x), rep.residual, rtol=1e-12)
 
 
 def test_solve_minres_indefinite_diagonal():

@@ -1,9 +1,11 @@
 """Config parsing, snapshot/timeseries formats, output layout, CLI contract."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from chbsim import cli
-from chbsim.core import make_grid
+from chbsim.core import FaceField, State, make_grid
 from chbsim.io import (
     OUTPUT_ROOT_ENV,
     ConfigError,
@@ -184,6 +186,37 @@ def test_snapshot_vtk_layout(tmp_path):
     vals = lines[k + 2:k + 2 + grid.nx * grid.ny]
     # x varies fastest in VTK cell order
     assert float(vals[1]) == result.final_state.phi[1, 0]
+
+
+def fixed_snapshot_state():
+    """A 7x5 state built with exactly rounded arithmetic only (no libm), with
+    a signed zero, a subnormal-range and a huge value among the entries."""
+    grid = make_grid(1.0, 0.7, 7, 5)
+
+    def field(k, shape):
+        return ((np.arange(np.prod(shape)).reshape(shape) * 7919 + k) % 1013 - 506) / 37.0
+
+    phi = field(1, grid.shape)
+    phi[0, 0], phi[1, 0], phi[2, 0] = -0.0, 1e-300, 1e300
+    state = State(t=0.1 + 0.2, phi=phi, mu=field(2, grid.shape) * 1e-7,
+                  sigma=field(3, grid.shape) + 0.1, p=field(4, grid.shape) * 3.0,
+                  v=FaceField(field(5, (8, 5)), field(6, (7, 6))))
+    return grid, state
+
+
+# SHA-256 of the files the element-by-element writers produced for this state
+SNAPSHOT_SHA256 = {
+    "csv": "3cfbabaf418c096f2801c318159fd68b1cf40bf0a5e412a93c807acb09308130",
+    "vtk": "e6f616fd77fb9706213e68e0f0aa1bea8e5f2591cc1b2933bc6b720a10b5163d",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "vtk"])
+def test_snapshot_bytes_are_unchanged(fmt, tmp_path):
+    grid, state = fixed_snapshot_state()
+    path = tmp_path / f"snap.{fmt}"
+    write_snapshot(state, grid, path, fmt=fmt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SNAPSHOT_SHA256[fmt]
 
 
 # ---------------------------------------------------------------------------
