@@ -72,6 +72,7 @@ from .diagnostics import (
     gronwall_bound,
     mass_balances,
     norm_estimates,
+    old_level,
     weak_residuals,
 )
 from .galerkin import (

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constitutive import ModelParams, nutrient_energy
+from .constitutive import ModelParams, ModelSpec, nutrient_energy, viscosities
 from .core import FaceField, Grid
 from .elliptic import (
     SolveReport,
@@ -330,6 +330,14 @@ def capillary_force(phi: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
     fw[:, 1:-1] = mu_f * (phi[:, 1:] - phi[:, :-1]) / grid.hy \
         + ns_f * (sigma[:, 1:] - sigma[:, :-1]) / grid.hy
     return FaceField(fu, fw)
+
+
+def brinkman_problem(phi: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
+                     gamma_v: np.ndarray, model: ModelSpec) -> BrinkmanProblem:
+    """The model's Brinkman problem at (phi, sigma, mu), with divergence gamma_v."""
+    eta, lam = viscosities(phi, model.mobvis)
+    force = capillary_force(phi, sigma, mu, model.params, model.grid)
+    return BrinkmanProblem(model.grid, eta, lam, model.params.nu, force, gamma_v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Run diagnostics: energy, per-step budget, mass ledgers, norms, Gronwall.
 
-The budget routine mirrors the scheme's own quadratures term by term (same
-face coefficients, same upwind fluxes, same wall traces), so its residual
+The time stepper's three stages, the mass ledgers and the energy budget read
+one record of a step's old-level coefficients (`old_level`).  The budget
+routine mirrors the scheme's own quadratures term by term (same face
+coefficients, same upwind fluxes, same wall traces), so its residual
 contains only the time-discretization remainder and the Krylov floors, and
 shrinks linearly with the step size.  The weak-form residuals at the bottom
 of the module deliberately do NOT mirror the scheme: they test snapshots
@@ -26,6 +28,7 @@ from .core import (
 )
 from .constitutive import (
     ModelSpec,
+    SourceTerms,
     mobilities,
     nutrient_energy,
     potential_eval,
@@ -44,7 +47,7 @@ from .elliptic import (
     solve_spd,
     upwind_div,
 )
-from .brinkman import (BrinkmanProblem, _face_volumes, capillary_force, energy_parts,
+from .brinkman import (BrinkmanProblem, _face_volumes, brinkman_problem, energy_parts,
                        strain_rates)
 
 
@@ -54,8 +57,26 @@ def _grad_sq(f: np.ndarray, grid: Grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Free energy and its per-step budget
+# Old-level record, free energy and its per-step budget
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OldLevel:
+    """The coefficients of one step taken at the old time level t_n."""
+
+    state: State               # the old fields
+    src: SourceTerms           # sources of (phi_n, sigma_n, mu_n)
+    m_faces: FaceField         # harmonic face mobility m(phi_n)
+    flow: BrinkmanProblem      # eta, lam of phi_n, capillary force, Gamma_v
+
+
+def old_level(state: State, model: ModelSpec) -> OldLevel:
+    """Evaluate the old-level coefficients of the step leaving `state`."""
+    src = sources(state.phi, state.sigma, state.mu, model.source, model.params)
+    m_cell, _ = mobilities(state.phi, model.mobvis)
+    flow = brinkman_problem(state.phi, state.sigma, state.mu, src.gamma_v, model)
+    return OldLevel(state, src, harmonic_face_coefficients(m_cell, model.grid), flow)
+
 
 def energy(state: State, model: ModelSpec) -> float:
     """Total free energy: bulk potential, interfacial gradient, nutrient part.
@@ -97,25 +118,21 @@ class EnergyBudget:
         return max(1.0, abs(self.e_after))
 
 
-def energy_budget(prev: State, new: State, dt: float, model: ModelSpec) -> EnergyBudget:
-    """Recompute every term of the step energy identity from the two states.
-
-    Uses the same time levels as the scheme: mobilities m(phi_n) and n(phi'),
-    convection of the old fields by the new velocity, source splits
-    Lambda(old) - theta(old) mu', and the extrapolated sigma' wall traces.
-    """
+def energy_budget(old: OldLevel, new: State, dt: float, model: ModelSpec) -> EnergyBudget:
+    """Recompute every term of the step energy identity, by its own quadratures,
+    from the step's old-level record and the new state.  The time levels are
+    the scheme's: mobilities m(phi_n) and n(phi'), old fields convected by the
+    new velocity, sources Lambda(old) - theta(old) mu', sigma' wall traces."""
     g, p = model.grid, model.params
-    e0 = energy(prev, model)
+    e0 = energy(old.state, model)
     e1 = energy(new, model)
 
-    m_cell, _ = mobilities(prev.phi, model.mobvis)
     _, n_cell = mobilities(new.phi, model.mobvis)
-    m_faces = harmonic_face_coefficients(m_cell, g)
     n_faces = harmonic_face_coefficients(n_cell, g)
 
     gmu = face_gradient(new.mu, g)
-    diss_mu = (float(np.sum(m_faces.u * gmu.u ** 2))
-               + float(np.sum(m_faces.w * gmu.w ** 2))) * g.cell_area
+    diss_mu = (float(np.sum(old.m_faces.u * gmu.u ** 2))
+               + float(np.sum(old.m_faces.w * gmu.w ** 2))) * g.cell_area
 
     nhat = p.chi_sigma * new.sigma - p.chi_phi * new.phi
     gnh = face_gradient(nhat, g)
@@ -137,20 +154,16 @@ def energy_budget(prev: State, new: State, dt: float, model: ModelSpec) -> Energ
         + float(np.sum(tr.bottom * new.sigma[:, 0]) + np.sum(tr.top * new.sigma[:, -1])) * g.hx
     )
 
-    src_prev = sources(prev.phi, prev.sigma, prev.mu, model.source, p)
-    gamma_phi = src_prev.lambda_phi - src_prev.theta_phi * new.mu
-    gamma_sig = src_prev.lambda_sigma - src_prev.theta_sigma * new.mu
+    gamma_phi = old.src.lambda_phi - old.src.theta_phi * new.mu
+    gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * new.mu
     src_phi_mu = integrate_cell(gamma_phi * new.mu, g)
     src_sigma_n = -integrate_cell(gamma_sig * nsig, g)
 
-    eta, lam = viscosities(prev.phi, model.mobvis)
-    force = capillary_force(prev.phi, prev.sigma, prev.mu, p, g)
-    problem = BrinkmanProblem(g, eta, lam, p.nu, force, src_prev.gamma_v)
-    parts = energy_parts(problem, new.v, new.p)
+    parts = energy_parts(old.flow, new.v, new.p)
     diss_visc = parts["dissipation"]
     conv_work = (parts["force_work"] + parts["pressure_work"]
-                 - integrate_cell(upwind_div(prev.phi, new.v, g) * new.mu, g)
-                 - integrate_cell(upwind_div(prev.sigma, new.v, g) * nsig, g))
+                 - integrate_cell(upwind_div(old.state.phi, new.v, g) * new.mu, g)
+                 - integrate_cell(upwind_div(old.state.sigma, new.v, g) * nsig, g))
 
     residual = ((e1 - e0) / dt + diss_mu + diss_nsigma + diss_visc + bnd_sigma_sq
                 - src_phi_mu - src_sigma_n - income - conv_work)
@@ -178,7 +191,7 @@ class BalanceLedger:
         return self.sigma_change - self.sigma_expected
 
 
-def mass_balances(prev: State, new: State, dt: float, model: ModelSpec) -> BalanceLedger:
+def mass_balances(old: OldLevel, new: State, dt: float, model: ModelSpec) -> BalanceLedger:
     """Integral ledgers of one step, with the scheme's own flux conventions.
 
     phi:   d(int phi)   = dt [ int (Lambda - theta mu') - outward upwind flux ]
@@ -186,7 +199,7 @@ def mass_balances(prev: State, new: State, dt: float, model: ModelSpec) -> Balan
                                - outward upwind flux ]
     """
     g, p = model.grid, model.params
-    src = sources(prev.phi, prev.sigma, prev.mu, model.source, p)
+    prev, src = old.state, old.src
     gamma_phi = src.lambda_phi - src.theta_phi * new.mu
     gamma_sig = src.lambda_sigma - src.theta_sigma * new.mu
     sinf = p.sigma_inf.as_traces(g)

@@ -28,16 +28,9 @@ from .constitutive import (
     mobilities,
     potential_eval,
     sources,
-    viscosities,
 )
 from .elliptic import SolverOptions
-from .brinkman import (
-    BrinkmanProblem,
-    BrinkmanSolution,
-    _pack,
-    capillary_force,
-    solve_brinkman,
-)
+from .brinkman import BrinkmanSolution, _pack, brinkman_problem, solve_brinkman
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +305,9 @@ def stability_timestep(basis: SpectralBasis, model: ModelSpec) -> float:
 def _flow_solution(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                    model: ModelSpec, basis: SpectralBasis, flow_tol: float,
                    max_iters: int, x0: np.ndarray | None) -> BrinkmanSolution:
-    g, prm = basis.grid, model.params
     phi_g, sig_g, mu_g = synthesize(a, basis), synthesize(c, basis), synthesize(b, basis)
-    eta, lam = viscosities(phi_g, model.mobvis)
-    force = capillary_force(phi_g, sig_g, mu_g, prm, g)
-    src = sources(phi_g, sig_g, mu_g, model.source, prm)
-    problem = BrinkmanProblem(g, eta, lam, prm.nu, force, src.gamma_v)
+    src = sources(phi_g, sig_g, mu_g, model.source, model.params)
+    problem = brinkman_problem(phi_g, sig_g, mu_g, src.gamma_v, model)
     opts = SolverOptions(tol=flow_tol, max_iters=max_iters, x0=x0)
     sol = solve_brinkman(problem, opts)
     if not sol.report.converged:

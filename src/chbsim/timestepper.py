@@ -1,6 +1,6 @@
 """Semi-implicit time stepping for the coupled phase/nutrient/flow system.
 
-One step from t_n advances in three stages:
+One step from t_n advances in three stages that share one old-level record:
 
   (i)   Brinkman solve with capillary forcing assembled from the old fields,
         giving the velocity and pressure used by both transport equations;
@@ -19,7 +19,8 @@ One step from t_n advances in three stages:
         in the cross-diffusion flux and explicit upwind convection.
 
 After (ii) and (iii) the field is shifted by a spatial constant (of the order
-of the Krylov tolerance) chosen so the integral mass ledgers close exactly.
+of the Krylov tolerance) chosen so the integral mass ledgers close exactly;
+the ledgers and energy budget read the same `diagnostics.old_level` record.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .core import FaceField, Grid, State, integrate_cell
-from .constitutive import ModelSpec, mobilities, potential_eval, sources, viscosities
+from .constitutive import ModelSpec, mobilities, potential_eval
 from .elliptic import (
     SolveReport,
     SolverOptions,
@@ -45,13 +46,7 @@ from .elliptic import (
     solve_spd,
     upwind_div,
 )
-from .brinkman import (
-    BrinkmanProblem,
-    BrinkmanSolution,
-    _pack,
-    capillary_force,
-    solve_brinkman,
-)
+from .brinkman import BrinkmanSolution, _pack, solve_brinkman
 from . import diagnostics
 
 
@@ -94,6 +89,7 @@ class StepReport:
     phi_max: float
     ledger_phi: float
     ledger_sigma: float
+    budget: diagnostics.EnergyBudget
 
     @property
     def iterations_total(self) -> int:
@@ -136,20 +132,14 @@ def initial_state(phi0: np.ndarray, sigma0: np.ndarray, model: ModelSpec) -> Sta
 # Stage solvers
 # ---------------------------------------------------------------------------
 
-def solve_flow(state: State, specs: SimSpec) -> BrinkmanSolution:
-    """Brinkman solve with coefficients and forces from the given state."""
-    model = specs.model
-    g, p = model.grid, model.params
-    eta, lam = viscosities(state.phi, model.mobvis)
-    force = capillary_force(state.phi, state.sigma, state.mu, p, g)
-    src = sources(state.phi, state.sigma, state.mu, model.source, p)
-    problem = BrinkmanProblem(g, eta, lam, p.nu, force, src.gamma_v)
+def solve_flow(old: diagnostics.OldLevel, specs: SimSpec) -> BrinkmanSolution:
+    """Solve the old level's Brinkman problem, warm-started from its flow."""
     opts = SolverOptions(tol=specs.scheme.flow_tol, max_iters=specs.scheme.max_iters,
-                         x0=_pack(state.v.u, state.v.w, state.p))
-    sol = solve_brinkman(problem, opts)
+                         x0=_pack(old.state.v.u, old.state.v.w, old.state.p))
+    sol = solve_brinkman(old.flow, opts)
     if not sol.report.converged:
         raise StepFailure(
-            f"flow solve stalled at t={state.t:g}: rel residual "
+            f"flow solve stalled at t={old.state.t:g}: rel residual "
             f"{sol.report.rel_residual:.3e} after {sol.report.iterations} iterations")
     return sol
 
@@ -163,7 +153,7 @@ def phase_inverse(grid: Grid, dt: float, s: float, eps: float, m: float,
         1.0 + dt * (m * kappa + theta) * (s / eps + eps * kappa)))
 
 
-def step_phase(state: State, v_new: FaceField, dt: float,
+def step_phase(old: diagnostics.OldLevel, v_new: FaceField, dt: float,
                specs: SimSpec) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Advance the phase field; returns (phi', mu', solver report).
 
@@ -174,13 +164,9 @@ def step_phase(state: State, v_new: FaceField, dt: float,
     model, sc = specs.model, specs.scheme
     g, p = model.grid, model.params
     eps, s = p.epsilon, sc.s
-    phi_n, sigma_n = state.phi, state.sigma
-
-    m_cell, _ = mobilities(phi_n, model.mobvis)
-    m_faces = harmonic_face_coefficients(m_cell, g)
+    phi_n, sigma_n = old.state.phi, old.state.sigma
     ones = FaceField.ones(g)
-    src = sources(phi_n, sigma_n, state.mu, model.source, p)
-    theta = src.theta_phi
+    theta = old.src.theta_phi
 
     _, dpsi = potential_eval(phi_n, model.potential)
     c_lin = dpsi / eps - (s / eps) * phi_n - p.chi_phi * sigma_n
@@ -189,13 +175,13 @@ def step_phase(state: State, v_new: FaceField, dt: float,
         return (s / eps) * f - eps * apply_neumann_laplacian(f, ones, g)
 
     def l_m(f: np.ndarray) -> np.ndarray:
-        return -apply_neumann_laplacian(f, m_faces, g) + theta * f
+        return -apply_neumann_laplacian(f, old.m_faces, g) + theta * f
 
     def apply(f: np.ndarray) -> np.ndarray:
         return f + dt * l_m(a_eps(f))
 
     conv = upwind_div(phi_n, v_new, g)
-    rhs = phi_n + dt * (src.lambda_phi - conv) - dt * l_m(c_lin)
+    rhs = phi_n + dt * (old.src.lambda_phi - conv) - dt * l_m(c_lin)
     # With constant mobility and constant theta the two factors are commuting
     # polynomials in the Neumann Laplacian, so the product is SPD, CG applies
     # and the preconditioner below is its exact inverse. Otherwise the
@@ -212,12 +198,12 @@ def step_phase(state: State, v_new: FaceField, dt: float,
     phi_new, rep = solve(op, rhs, opts, precond=precond)
     if not rep.converged:
         raise StepFailure(
-            f"phase solve stalled at t={state.t:g}: rel residual "
+            f"phase solve stalled at t={old.state.t:g}: rel residual "
             f"{rep.rel_residual:.3e} after {rep.iterations} iterations")
     mu_new = a_eps(phi_new) + c_lin
 
     # constant shift closing the integral ledger exactly
-    gamma_new = src.lambda_phi - theta * mu_new
+    gamma_new = old.src.lambda_phi - theta * mu_new
     mismatch = (integrate_cell(phi_new, g) - integrate_cell(phi_n, g)
                 - dt * (integrate_cell(gamma_new, g)
                         - advective_boundary_flux(phi_n, v_new, g)))
@@ -226,12 +212,12 @@ def step_phase(state: State, v_new: FaceField, dt: float,
     peak = float(np.max(np.abs(phi_new)))
     if not np.isfinite(peak) or peak > sc.phi_abort:
         raise StepFailure(
-            f"phase range explosion at t={state.t:g}: max|phi| = {peak:g}")
+            f"phase range explosion at t={old.state.t:g}: max|phi| = {peak:g}")
     return phi_new, mu_new, rep
 
 
-def step_nutrient(state: State, v_new: FaceField, phi_new: np.ndarray,
-                  mu_new: np.ndarray, dt: float,
+def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
+                  phi_new: np.ndarray, mu_new: np.ndarray, dt: float,
                   specs: SimSpec) -> tuple[np.ndarray, SolveReport]:
     """Advance the nutrient; returns (sigma', solver report).
 
@@ -241,13 +227,12 @@ def step_nutrient(state: State, v_new: FaceField, phi_new: np.ndarray,
     """
     model, sc = specs.model, specs.scheme
     g, p = model.grid, model.params
-    sigma_n = state.sigma
+    sigma_n = old.state.sigma
 
     _, n_cell = mobilities(phi_new, model.mobvis)
     n_faces = harmonic_face_coefficients(n_cell, g)
     chi_faces = FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w)
-    src = sources(state.phi, sigma_n, state.mu, model.source, p)
-    gamma_sig = src.lambda_sigma - src.theta_sigma * mu_new
+    gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * mu_new
     sinf = p.sigma_inf.as_traces(g)
 
     def apply(f: np.ndarray) -> np.ndarray:
@@ -263,7 +248,7 @@ def step_nutrient(state: State, v_new: FaceField, phi_new: np.ndarray,
     sigma_new, rep = solve_general(op, rhs, opts)
     if not rep.converged:
         raise StepFailure(
-            f"nutrient solve stalled at t={state.t:g}: rel residual "
+            f"nutrient solve stalled at t={old.state.t:g}: rel residual "
             f"{rep.rel_residual:.3e} after {rep.iterations} iterations")
 
     # constant shift closing the sigma ledger exactly; the shift moves the
@@ -274,36 +259,38 @@ def step_nutrient(state: State, v_new: FaceField, phi_new: np.ndarray,
                         - advective_boundary_flux(sigma_n, v_new, g)))
     sigma_new = sigma_new - mismatch / (g.area + dt * p.b * g.perimeter)
     if not np.all(np.isfinite(sigma_new)):
-        raise StepFailure(f"nutrient field lost finiteness at t={state.t:g}")
+        raise StepFailure(f"nutrient field lost finiteness at t={old.state.t:g}")
     return sigma_new, rep
 
 
 def step(state: State, dt: float, specs: SimSpec) -> tuple[State, StepReport]:
-    """One full step: flow, then phase, then nutrient, then the ledgers."""
+    """One full step from one old-level record: flow, phase, nutrient, ledgers, budget."""
     model = specs.model
     g = model.grid
+    old = diagnostics.old_level(state, model)
 
     flow_report = None
     div_residual = 0.0
     if specs.scheme.flow:
-        sol = solve_flow(state, specs)
+        sol = solve_flow(old, specs)
         v_new, p_new = sol.v, sol.p
         flow_report = sol.report
         div_residual = sol.divergence_residual
     else:
         v_new, p_new = FaceField.zeros(g), np.zeros(g.shape)
 
-    phi_new, mu_new, phase_rep = step_phase(state, v_new, dt, specs)
-    sigma_new, nut_rep = step_nutrient(state, v_new, phi_new, mu_new, dt, specs)
+    phi_new, mu_new, phase_rep = step_phase(old, v_new, dt, specs)
+    sigma_new, nut_rep = step_nutrient(old, v_new, phi_new, mu_new, dt, specs)
 
     new = State(t=state.t + dt, phi=phi_new, mu=mu_new, sigma=sigma_new,
                 p=p_new, v=v_new)
-    ledger = diagnostics.mass_balances(state, new, dt, model)
+    ledger = diagnostics.mass_balances(old, new, dt, model)
     report = StepReport(
         t=new.t, dt=dt, flow=flow_report, phase=phase_rep, nutrient=nut_rep,
         div_residual=div_residual,
         phi_min=float(np.min(phi_new)), phi_max=float(np.max(phi_new)),
-        ledger_phi=ledger.phi_residual, ledger_sigma=ledger.sigma_residual)
+        ledger_phi=ledger.phi_residual, ledger_sigma=ledger.sigma_residual,
+        budget=diagnostics.energy_budget(old, new, dt, model))
     return new, report
 
 
@@ -323,7 +310,10 @@ class RunResult:
     rows: list[dict]                 # one diagnostics row per time level
     reports: list[StepReport]
     states: list[State]              # sampled per snapshot_every, ends included
-    budgets: list["diagnostics.EnergyBudget"]
+
+    @property
+    def budgets(self) -> list[diagnostics.EnergyBudget]:
+        return [rep.budget for rep in self.reports]
 
     @property
     def final_state(self) -> State:
@@ -357,39 +347,36 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
     state = state0
     rows = [_initial_row(state0, model)]
     reports: list[StepReport] = []
-    budgets: list[diagnostics.EnergyBudget] = []
     states = [state0.copy()]
     try:
         for k in range(n_steps):
             new, rep = step(state, sc.dt, specs)
-            budget = diagnostics.energy_budget(state, new, sc.dt, model)
             rows.append({
                 "t": new.t,
-                "energy": budget.e_after,
+                "energy": rep.budget.e_after,
                 "mass_phi": integrate_cell(new.phi, g),
                 "mass_sigma": integrate_cell(new.sigma, g),
-                "diss_mu": budget.diss_mu,
-                "diss_nsigma": budget.diss_nsigma,
-                "diss_visc": budget.diss_visc,
-                "bnd_sigma_sq": budget.bnd_sigma_sq,
-                "src_phi_mu": budget.src_phi_mu,
-                "src_sigma_N": budget.src_sigma_n,
-                "bnd_income": budget.bnd_income,
-                "budget_residual": budget.residual,
+                "diss_mu": rep.budget.diss_mu,
+                "diss_nsigma": rep.budget.diss_nsigma,
+                "diss_visc": rep.budget.diss_visc,
+                "bnd_sigma_sq": rep.budget.bnd_sigma_sq,
+                "src_phi_mu": rep.budget.src_phi_mu,
+                "src_sigma_N": rep.budget.src_sigma_n,
+                "bnd_income": rep.budget.bnd_income,
+                "budget_residual": rep.budget.residual,
                 "div_residual": rep.div_residual,
                 "phi_min": rep.phi_min,
                 "phi_max": rep.phi_max,
                 "cg_iters_total": rep.iterations_total,
             })
             reports.append(rep)
-            budgets.append(budget)
             state = new
             last = k == n_steps - 1
             if (sc.snapshot_every > 0 and (k + 1) % sc.snapshot_every == 0) or last:
                 states.append(state.copy())
     except StepFailure as exc:
-        if state is not states[-1] and (not states or states[-1].t != state.t):
+        if states[-1].t != state.t:
             states.append(state.copy())
-        exc.partial = RunResult(rows, reports, states, budgets)
+        exc.partial = RunResult(rows, reports, states)
         raise
-    return RunResult(rows, reports, states, budgets)
+    return RunResult(rows, reports, states)

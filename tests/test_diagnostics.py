@@ -18,6 +18,7 @@ from chbsim.diagnostics import (
     gronwall_bound,
     mass_balances,
     norm_estimates,
+    old_level,
     weak_residuals,
 )
 from chbsim.timestepper import SchemeOptions, SimSpec, initial_state, run, step
@@ -81,7 +82,7 @@ def test_budget_of_a_stationary_state_is_identically_zero():
     model = build_model()
     prev = uniform_state(model, phi=0.3, sigma=1.0)
     new = uniform_state(model, phi=0.3, sigma=1.0, t=1e-3)
-    b = energy_budget(prev, new, 1e-3, model)
+    b = energy_budget(old_level(prev, model), new, 1e-3, model)
     assert b.e_after == b.e_before
     for term in (b.diss_mu, b.diss_nsigma, b.diss_visc, b.src_phi_mu,
                  b.src_sigma_n, b.conv_work, b.residual):
@@ -100,7 +101,7 @@ def test_relaxation_step_dissipates_energy():
                           np.zeros(g.shape), model)
     specs = SimSpec(model, SchemeOptions(dt=1e-4, flow=False))
     new, _ = step(state, 1e-4, specs)
-    b = energy_budget(state, new, 1e-4, model)
+    b = energy_budget(old_level(state, model), new, 1e-4, model)
     assert b.diss_mu > 0.0
     assert b.diss_nsigma >= 0.0
     assert b.e_after < b.e_before
@@ -126,7 +127,7 @@ def test_mass_balance_conventions():
     g = model.grid
     prev = uniform_state(model, phi=0.0, sigma=0.0)
     new = uniform_state(model, phi=0.2, sigma=0.0, t=1e-3)
-    led = mass_balances(prev, new, 1e-3, model)
+    led = mass_balances(old_level(prev, model), new, 1e-3, model)
     assert led.phi_change == pytest.approx(0.2 * g.area)
     assert led.phi_expected == pytest.approx(0.0)  # no sources, no flow
     assert led.phi_residual == pytest.approx(0.2 * g.area)
@@ -143,7 +144,7 @@ def test_step_ledgers_close_after_the_conservation_shift():
                           model)
     specs = SimSpec(model, SchemeOptions(dt=1e-3, flow=False))
     new, _ = step(state, 1e-3, specs)
-    led = mass_balances(state, new, 1e-3, model)
+    led = mass_balances(old_level(state, model), new, 1e-3, model)
     assert abs(led.phi_residual) < 1e-13 * g.area
     assert abs(led.sigma_residual) < 1e-13 * g.area
 

@@ -1,4 +1,6 @@
 """Semi-implicit stepping: fixed points, dense oracles, ledgers, convergence."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from chbsim.constitutive import (
     sources,
 )
 from chbsim.core import FaceField, integrate_cell, make_grid
+from chbsim.diagnostics import energy_budget, mass_balances, old_level
 from chbsim.elliptic import (
     StencilOperator,
     apply_neumann_laplacian,
@@ -35,7 +38,7 @@ from chbsim.timestepper import (
     step,
     step_phase,
 )
-from chbsim import timestepper
+from chbsim import brinkman, constitutive, timestepper
 
 
 def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0, nu=1.0,
@@ -100,8 +103,8 @@ def test_uniform_tumour_grows_at_the_lima_rate():
     dt, sig_bar = 2e-3, 1.0
     state = initial_state(np.ones(model.grid.shape),
                           np.full(model.grid.shape, sig_bar), model)
-    phi_new, _, _ = step_phase(state, FaceField.zeros(model.grid), dt,
-                               specs_for(model, dt))
+    phi_new, _, _ = step_phase(old_level(state, model), FaceField.zeros(model.grid),
+                               dt, specs_for(model, dt))
     np.testing.assert_allclose(phi_new, 1.0 + dt * (0.4 * sig_bar - 0.1),
                                atol=1e-13)
 
@@ -155,7 +158,8 @@ def test_phase_step_matches_dense_block_solve(variant):
     phi_oracle = sol[:n].reshape(g.shape)
     mu_oracle = sol[n:].reshape(g.shape)
 
-    phi_new, mu_new, rep = step_phase(state, v_new, dt, specs_for(model, dt))
+    phi_new, mu_new, rep = step_phase(old_level(state, model), v_new, dt,
+                                      specs_for(model, dt))
     assert rep.converged
     np.testing.assert_allclose(phi_new, phi_oracle, atol=1e-8)
     np.testing.assert_allclose(mu_new, mu_oracle, atol=1e-7)
@@ -323,6 +327,54 @@ def test_mass_ledgers_close_exactly_with_flow_and_sources():
         assert abs(rep.ledger_phi) < 1e-11
         assert abs(rep.ledger_sigma) < 1e-11
         assert rep.div_residual < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# one old-level record per step
+# ---------------------------------------------------------------------------
+
+def flow_model_with_lima_sources():
+    return build_model(nu=100.0,
+                       source=SourceSpec.lima(P=0.2, A=0.05, C=0.1, c_gamma_v=0.05))
+
+
+def test_old_level_coefficients_are_evaluated_once_per_step(monkeypatch):
+    # the three stages, the mass ledgers and the energy budget share one
+    # evaluation of the sources, the viscosities and the capillary force
+    model = flow_model_with_lima_sources()
+    state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    calls = {}
+    for origin, name in [(constitutive, "sources"), (constitutive, "viscosities"),
+                         (brinkman, "capillary_force")]:
+        original = getattr(origin, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if ((key == "chbsim" or key.startswith("chbsim."))
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+    run(state, 1, specs_for(model, 1e-4, flow=True))
+    assert calls == {"sources": 1, "viscosities": 1, "capillary_force": 1}
+
+
+def test_rebuilt_old_level_records_reproduce_the_step_diagnostics():
+    # every step's budget and ledgers, recomputed from the saved levels,
+    # equal the run's own bit for bit: the record is built from the old level
+    model = flow_model_with_lima_sources()
+    dt = 1e-4
+    state0 = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    res = run(state0, 3, specs_for(model, dt, flow=True, snapshot_every=1))
+    assert len(res.states) == len(res.reports) + 1 == 4
+    for prev, new, rep in zip(res.states, res.states[1:], res.reports):
+        old = old_level(prev, model)
+        assert energy_budget(old, new, dt, model) == rep.budget
+        ledger = mass_balances(old, new, dt, model)
+        assert ledger.phi_residual == rep.ledger_phi
+        assert ledger.sigma_residual == rep.ledger_sigma
 
 
 # ---------------------------------------------------------------------------
