@@ -73,9 +73,9 @@ class OldLevel:
 def old_level(state: State, model: ModelSpec) -> OldLevel:
     """Evaluate the old-level coefficients of the step leaving `state`."""
     src = sources(state.phi, state.sigma, state.mu, model.source, model.params)
-    m_cell, _ = mobilities(state.phi, model.mobvis)
+    m_faces = harmonic_face_coefficients(model.mobvis.m(state.phi), model.grid)
     flow = brinkman_problem(state.phi, state.sigma, state.mu, src.gamma_v, model)
-    return OldLevel(state, src, harmonic_face_coefficients(m_cell, model.grid), flow)
+    return OldLevel(state, src, m_faces, flow)
 
 
 def energy(state: State, model: ModelSpec) -> float:

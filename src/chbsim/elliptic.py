@@ -334,15 +334,26 @@ def solve_general(op: StencilOperator, rhs: np.ndarray,
     return x, _true_report(rhs, r, it, opts.tol)
 
 
-def _minres_cycle(op: StencilOperator, x: np.ndarray, r1: np.ndarray, minv,
-                  target: float, budget: int) -> tuple[np.ndarray, int]:
+def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
+                  r1: np.ndarray, minv, target: float, goal: float,
+                  budget: int) -> tuple[np.ndarray, np.ndarray, int, float]:
     """One Lanczos/Givens recurrence from iterate x, whose residual
-    rhs - A x is r1, until the estimated preconditioned residual drops below
-    `target` (or the budget runs out)."""
+    rhs - A x is r1, run until ||rhs - A x|| <= `goal`.
+
+    Each time the estimate phibar of the preconditioned residual meets
+    `target`, the true residual r is measured once. If ||r|| fell at least
+    100x since the last measurement, the target is tightened by the observed
+    gap, to half of phibar * goal / ||r|| but at most 100x at a time, and the
+    same recurrence continues. Otherwise the estimate has come loose from
+    the true residual, and the cycle returns so that the caller restarts
+    from r; so does a recurrence whose estimate reached zero (a lucky
+    breakdown that left round-off above the goal). The target is never
+    tighter than the gap measured at r1 itself asks for.
+    Returns (x, rhs - A x, iterations, target)."""
     y = minv(r1)
     beta1_sq = _dot(r1, y)
     if beta1_sq <= 0.0:
-        return x, 0
+        return x, r1, 0, target
 
     oldb = 0.0
     beta = np.sqrt(beta1_sq)
@@ -352,8 +363,23 @@ def _minres_cycle(op: StencilOperator, x: np.ndarray, r1: np.ndarray, minv,
     w = np.zeros_like(x)
     w2 = np.zeros_like(x)
     r2 = r1
+    r, res = r1, _norm(r1)   # last measured true residual and its norm
+    target = max(target, 0.5 * phibar * goal / res)
+    moved = False            # x has changed since r was measured
     it = 0
-    while it < budget and phibar > target:
+    while True:
+        if phibar <= target:
+            if moved:
+                last = res
+                r = rhs - op.apply(x)
+                res = _norm(r)
+                moved = False
+                # met the goal, came loose, or nothing left to continue with
+                if res <= goal or res > 0.01 * last or phibar == 0.0:
+                    break
+            target = max(0.5 * phibar * goal / res, 0.01 * phibar)
+        if it >= budget or target < 1e-280:
+            break
         it += 1
         v = y / beta
         y = op.apply(v)
@@ -383,7 +409,10 @@ def _minres_cycle(op: StencilOperator, x: np.ndarray, r1: np.ndarray, minv,
         w2 = w
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + phi * w
-    return x, it
+        moved = True
+    if moved:
+        r = rhs - op.apply(x)
+    return x, r, it, target
 
 
 def jacobi(diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -401,36 +430,35 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray,
     preconditioner `precond` (a -> M^-1 a, e.g. `jacobi(diag)`).
 
     The recurrence tracks the residual in the preconditioner norm, whose gap
-    to the plain norm can reach sqrt(cond(M)); the recurrence estimate also
-    drifts from the true residual on long warm-started solves.
-    Both are handled the same way: measure the true residual at cycle exit
-    and restart the recurrence (with a tightened internal target if the
-    estimate was already below it) until ||rhs - A x|| <= tol * ||rhs||."""
+    to the plain norm can reach sqrt(cond(M)). One recurrence serves the
+    whole solve: its estimate first runs to tol times the preconditioned
+    norm of rhs, and each time it meets its target the true residual is
+    measured once; the target is then tightened by the observed gap and the
+    recurrence continues until ||rhs - A x|| <= tol * ||rhs||. Only when the
+    estimate has come loose from the true residual (it fell less than 100x
+    between two measurements, as on long ill-conditioned solves) is the
+    recurrence restarted from the true residual, at most 8 times. The report
+    reuses the last measured residual."""
     opts = opts or SolverOptions()
     if not op.symmetric:
         raise ValueError("solve_minres requires a symmetric operator")
     minv = precond if precond is not None else (lambda a: a)
 
     x = np.zeros_like(rhs) if opts.x0 is None else opts.x0.copy()
-    nb_plain = _norm(rhs)
+    goal = opts.tol * _norm(rhs)
     # tolerance scales with the rhs, not the (possibly warm-started) residual
-    nb_pre = np.sqrt(max(_dot(rhs, minv(rhs)), 0.0))
-    target = opts.tol * nb_pre
+    target = opts.tol * np.sqrt(max(_dot(rhs, minv(rhs)), 0.0))
     it_total = 0
     r = rhs - op.apply(x)
     for _ in range(8):
         res = _norm(r)
-        if res <= opts.tol * nb_plain or res <= 1e-300:
+        if res <= goal or res <= 1e-300:
             break
-        if it_total >= opts.max_iters or target < 1e-280:
+        if it_total >= opts.max_iters or goal < 1e-280:
             break
-        x, it = _minres_cycle(op, x, r, minv, target,
-                              opts.max_iters - it_total)
+        x, r, it, target = _minres_cycle(op, rhs, x, r, minv, target, goal,
+                                         opts.max_iters - it_total)
         it_total += it
-        if it == 0:
-            target *= 0.1  # x did not move, so neither did r
-        else:
-            r = rhs - op.apply(x)
     return x, _true_report(rhs, r, it_total, opts.tol)
 
 

@@ -4,6 +4,8 @@ One step from t_n advances in three stages that share one old-level record:
 
   (i)   Brinkman solve with capillary forcing assembled from the old fields,
         giving the velocity and pressure used by both transport equations;
+        warm-started from 2 x_n - x_{n-1}, the flows of the two previous
+        levels, from the third step of a run on (from x_n before that);
   (ii)  phase update with the stabilized linear splitting: psi'(phi_n) kept
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of
         the sources implicit.  The chemical potential is eliminated from the
@@ -132,10 +134,16 @@ def initial_state(phi0: np.ndarray, sigma0: np.ndarray, model: ModelSpec) -> Sta
 # Stage solvers
 # ---------------------------------------------------------------------------
 
-def solve_flow(old: diagnostics.OldLevel, specs: SimSpec) -> BrinkmanSolution:
-    """Solve the old level's Brinkman problem, warm-started from its flow."""
+def solve_flow(old: diagnostics.OldLevel, specs: SimSpec,
+               prev: State | None = None) -> BrinkmanSolution:
+    """Solve the old level's Brinkman problem, warm-started from its flow x_n,
+    or from the linear extrapolation 2 x_n - x_{n-1} when the level before
+    it, `prev`, is given (its flow must be a solution too)."""
+    x0 = _pack(old.state.v.u, old.state.v.w, old.state.p)
+    if prev is not None:
+        x0 = 2.0 * x0 - _pack(prev.v.u, prev.v.w, prev.p)
     opts = SolverOptions(tol=specs.scheme.flow_tol, max_iters=specs.scheme.max_iters,
-                         x0=_pack(old.state.v.u, old.state.v.w, old.state.p))
+                         x0=x0)
     sol = solve_brinkman(old.flow, opts)
     if not sol.report.converged:
         raise StepFailure(
@@ -263,8 +271,12 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
     return sigma_new, rep
 
 
-def step(state: State, dt: float, specs: SimSpec) -> tuple[State, StepReport]:
-    """One full step from one old-level record: flow, phase, nutrient, ledgers, budget."""
+def step(state: State, dt: float, specs: SimSpec,
+         prev: State | None = None) -> tuple[State, StepReport]:
+    """One full step from one old-level record: flow, phase, nutrient, ledgers, budget.
+
+    `prev`, the level before `state`, only moves the start of the flow solve
+    (see `solve_flow`); pass it only when both levels hold solved flows."""
     model = specs.model
     g = model.grid
     old = diagnostics.old_level(state, model)
@@ -272,7 +284,7 @@ def step(state: State, dt: float, specs: SimSpec) -> tuple[State, StepReport]:
     flow_report = None
     div_residual = 0.0
     if specs.scheme.flow:
-        sol = solve_flow(old, specs)
+        sol = solve_flow(old, specs, prev)
         v_new, p_new = sol.v, sol.p
         flow_report = sol.report
         div_residual = sol.divergence_residual
@@ -348,9 +360,10 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
     rows = [_initial_row(state0, model)]
     reports: list[StepReport] = []
     states = [state0.copy()]
+    prev = None  # the level before `state`, once its flow is a solution too
     try:
         for k in range(n_steps):
-            new, rep = step(state, sc.dt, specs)
+            new, rep = step(state, sc.dt, specs, prev)
             rows.append({
                 "t": new.t,
                 "energy": rep.budget.e_after,
@@ -370,6 +383,7 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
                 "cg_iters_total": rep.iterations_total,
             })
             reports.append(rep)
+            prev = state if k > 0 else None  # the t = 0 rest flow is no solution
             state = new
             last = k == n_steps - 1
             if (sc.snapshot_every > 0 and (k + 1) % sc.snapshot_every == 0) or last:

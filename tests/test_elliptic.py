@@ -273,34 +273,63 @@ def test_preconditioned_cg_on_the_singular_neumann_system():
     np.testing.assert_allclose(x, x_plain, atol=1e-9)
 
 
-def test_solve_minres_restarts_reuse_the_true_residual(monkeypatch):
-    # a badly scaled Jacobi preconditioner makes the preconditioned-norm
-    # estimate stop short of the plain-norm target, so MINRES restarts; each
-    # restart and the final report reuse the residual already computed
+def test_solve_minres_continues_one_recurrence_past_the_norm_gap(monkeypatch):
+    # a badly scaled Jacobi preconditioner opens a wide gap between the
+    # preconditioned-norm estimate and the plain residual; when the estimate
+    # meets its target the true residual is measured, the target tightened
+    # by the observed gap and the same recurrence continued, with no restart
     rng = np.random.default_rng(71)
     d = np.concatenate([rng.uniform(1.0, 3.0, 40), -rng.uniform(0.5, 2.0, 24)])
     d[:4] *= 1e4
-    calls = {"apply": 0, "cycles": 0}
+    m = np.abs(d) ** 0.5
+    args = []
+    cycles = []
 
     def apply(x):
-        calls["apply"] += 1
+        args.append(x.copy())
         return d * x
 
     cycle = elliptic._minres_cycle
 
-    def counted_cycle(*args):
-        calls["cycles"] += 1
-        return cycle(*args)
+    def counted_cycle(*a):
+        cycles.append(a)
+        return cycle(*a)
 
     monkeypatch.setattr(elliptic, "_minres_cycle", counted_cycle)
     op = StencilOperator(apply, d.shape, symmetric=True)
     rhs = rng.standard_normal(d.shape)
-    x, rep = solve_minres(op, rhs, SolverOptions(tol=1e-12),
-                          precond=jacobi(np.abs(d) ** 0.5))
+    x, rep = solve_minres(op, rhs, SolverOptions(tol=1e-12), precond=jacobi(m))
     assert rep.converged
     np.testing.assert_allclose(x, rhs / d, atol=1e-9)
-    assert calls["cycles"] >= 2
-    assert calls["apply"] <= rep.iterations + calls["cycles"] + 1
+    assert len(cycles) == 1
+    # Lanczos vectors have unit preconditioned norm v.(m v) = 1; every other
+    # apply is at an iterate: the initial residual or a true-residual check
+    lanczos = sum(abs(a @ (m * a) - 1.0) < 1e-8 for a in args)
+    checks = len(args) - lanczos - 1
+    assert lanczos == rep.iterations and 1 <= checks <= 2
+    assert len(args) <= rep.iterations + checks + 1
+    # the report reuses the last check, made at the returned iterate
+    assert np.array_equal(args[-1], x)
+    assert rep.residual == np.linalg.norm(rhs - d * x)
+
+
+def test_solve_minres_lucky_breakdown_applies_the_last_update():
+    # with the exact Jacobi preconditioner M^-1 A = I, so the Krylov space
+    # is exhausted after one step: bsq = 0 there is a lucky breakdown and
+    # the step's update must still be applied
+    rng = np.random.default_rng(73)
+    d = rng.uniform(1.0, 5.0, 50)
+    op = StencilOperator(lambda x: d * x, d.shape, symmetric=True)
+    x, rep = solve_minres(op, rng.standard_normal(d.shape), SolverOptions(tol=1e-12),
+                          precond=jacobi(d))
+    assert rep.converged and rep.iterations == 1 and rep.rel_residual <= 1e-12
+    # powers of two summing to 64 = 8^2, rhs = d: every operation is exact,
+    # so the breakdown is bsq == 0 exactly, not a round-off remainder
+    d = np.array([1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    op = StencilOperator(lambda x: d * x, d.shape, symmetric=True)
+    x, rep = solve_minres(op, d.copy(), SolverOptions(tol=1e-12), precond=jacobi(d))
+    assert rep.converged and rep.iterations == 1 and rep.rel_residual <= 1e-12
+    assert np.array_equal(x, np.ones_like(d))
 
 
 def test_solve_general_agrees_with_cg_on_symmetric_systems():

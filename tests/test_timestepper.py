@@ -1,5 +1,6 @@
 """Semi-implicit stepping: fixed points, dense oracles, ledgers, convergence."""
 import sys
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from chbsim.timestepper import (
     step,
     step_phase,
 )
-from chbsim import brinkman, constitutive, timestepper
+from chbsim import brinkman, constitutive, timestepper, verify
 
 
 def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0, nu=1.0,
@@ -402,6 +403,47 @@ def test_rerun_is_bitwise_deterministic():
     b = run(state, 3, specs_for(model, 1e-4, flow=False))
     assert np.array_equal(a.final_state.phi, b.final_state.phi)
     assert a.rows[-1]["energy"] == b.rows[-1]["energy"]
+
+
+def test_flow_solve_starts_from_the_extrapolated_flow():
+    # criterion-4/5 disc at 32^2, relaxed flow-free first as the disc_flow
+    # benchmark workload does; `run` hands `step` the previous level from
+    # the third step on, a plain `step` loop starts every solve from x_n
+    model = dc_replace(verify._disc_model(), grid=make_grid(1.0, 1.0, 32, 32))
+    phi = verify._disc_phase(model)
+    relax_model = dc_replace(model, mobvis=dc_replace(
+        model.mobvis, m=CoefficientSpec.constant(1e-2)))
+    phi = run(initial_state(phi, verify._steady_nutrient(phi, model), relax_model),
+              10, specs_for(relax_model, 2e-3, s=2.0, flow=False)).final_state.phi
+    state0 = initial_state(phi, verify._steady_nutrient(phi, model), model)
+    n_steps, dt = 10, 1e-4
+    spec = specs_for(model, dt, s=2.0, snapshot_every=1)
+    res = run(state0, n_steps, spec)
+    plain = [state0]
+    plain_its = []
+    for _ in range(n_steps):
+        new, rep = step(plain[-1], dt, spec)
+        plain.append(new)
+        plain_its.append(rep.flow.iterations)
+
+    def fields(st):
+        return (st.phi, st.mu, st.sigma, st.p, st.v.u, st.v.w)
+
+    # steps 1 and 2 start from x_n: the t = 0 rest flow is not a solution
+    for k in (1, 2):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(fields(res.states[k]), fields(plain[k])))
+    its = [rep.flow.iterations for rep in res.reports]
+    assert all(a <= 0.75 * b for a, b in zip(its[3:], plain_its[3:])), (its, plain_its)
+    # the same fields to the benchmark's reference tolerance: three solves
+    # per step, each stopped at <= 10 tol (flow_tol, the loosest), times a
+    # condition number of 1e3
+    tol = n_steps * 3 * 10.0 * spec.scheme.flow_tol * 1e3
+    for a, b in zip(fields(res.final_state), fields(plain[-1])):
+        assert np.max(np.abs(a - b)) <= tol * max(1.0, float(np.max(np.abs(b))))
+    again = run(state0, n_steps, spec)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(fields(again.final_state), fields(res.final_state)))
 
 
 def test_step_failure_carries_the_partial_record():
