@@ -269,6 +269,12 @@ def solve_brinkman(problem: BrinkmanProblem,
     op = brinkman_operator(problem)
     rhs = brinkman_rhs(problem)
     x, report = solve_minres(op, rhs, opts, precond=_block_preconditioner(problem))
+    return _solution(problem, x, report)
+
+
+def _solution(problem: BrinkmanProblem, x: np.ndarray,
+              report: SolveReport) -> BrinkmanSolution:
+    """Unpack x and measure its momentum and divergence residuals."""
     u, w, p = _unpack(x, problem.grid)
     v = FaceField(u, w)
     mom_u, mom_w, div_v = apply_brinkman(problem, v, p)
@@ -425,11 +431,5 @@ def dense_oracle_solve(problem: BrinkmanProblem) -> BrinkmanSolution:
         raise np.linalg.LinAlgError(
             f"Brinkman saddle matrix is numerically singular (cond={cond:.3g})")
     x = np.linalg.solve(mat, rhs)
-    u, w, p = _unpack(x, g)
-    v = FaceField(u, w)
-    mom_u, mom_w, div_v = apply_brinkman(problem, v, p)
-    mom_res = max(float(np.max(np.abs(mom_u - problem.force.u))),
-                  float(np.max(np.abs(mom_w - problem.force.w))))
-    div_res = float(np.max(np.abs(div_v - problem.gamma_v)))
     report = SolveReport(True, 0, float(np.linalg.norm(rhs - mat @ x)), 0.0)
-    return BrinkmanSolution(v, p, report, mom_res, div_res)
+    return _solution(problem, x, report)

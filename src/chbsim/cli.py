@@ -8,7 +8,8 @@ Subcommands:
   oracle                     dense-vs-Krylov Brinkman comparison
 
 Exit code 0 iff everything requested passed; 2 for usage errors such as a
-missing config file.
+missing config file, an unknown criterion number or a mode cutoff the grid
+cannot resolve.
 """
 from __future__ import annotations
 
@@ -16,9 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import io, verify
+from . import galerkin, io, verify
 from .timestepper import StepFailure
 
 
@@ -56,6 +55,19 @@ def _load_config(path: str, parser: argparse.ArgumentParser):
     return io.load_config(path)
 
 
+def _usage_error(message: str) -> int:
+    print(f"chbsim: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _int_list(text: str) -> list[int] | None:
+    """The integers of a comma-separated list, or None if a token is not one."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        return None
+
+
 def _cmd_run(args, parser) -> int:
     cfg = _load_config(args.config, parser)
     if cfg is None:
@@ -75,9 +87,11 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_verify(args) -> int:
-    indices = None
-    if args.only.strip():
-        indices = [int(tok) for tok in args.only.split(",") if tok.strip()]
+    count = len(verify.CRITERIA)
+    indices = _int_list(args.only)
+    if indices is None or not all(1 <= i <= count for i in indices):
+        return _usage_error(f"--only takes criterion numbers 1 to {count}, "
+                            f"got {args.only!r}")
     results = verify.run_all(indices=indices,
                              progress=lambda res: print(res.line(), flush=True))
     return 0 if all(r.passed for r in results) else 1
@@ -118,11 +132,16 @@ def _cmd_galerkin(args, parser) -> int:
     cfg = _load_config(args.config, parser)
     if cfg is None:
         return 2
-    ks = sorted({int(tok) for tok in args.k.split(",") if tok.strip()})
+    ks = _int_list(args.k)
     if not ks:
-        print("chbsim: error: empty --k list", file=sys.stderr)
-        return 2
+        return _usage_error(f"--k takes comma-separated mode cutoffs, got {args.k!r}")
+    ks = sorted(set(ks))
     model = cfg.model_spec()
+    try:
+        for k in ks:
+            galerkin.build_basis(k, model.grid)
+    except ValueError as exc:
+        return _usage_error(f"--k: {exc}")
     phi0, sigma0 = cfg.initial_fields()
     steps = cfg.n_steps
     table = verify.galerkin_sweep(model, phi0, sigma0, ks, cfg.dt, steps)
@@ -134,17 +153,11 @@ def _cmd_galerkin(args, parser) -> int:
     for name in names:
         row = "".join(f"{table[k][name]:<14.6g}" for k in ks)
         print(f"  {name:<20s}{row}")
-    finite = all(np.isfinite(v) for norms in table.values()
-                 for v in norms.values())
-    ok = finite
+    ok, worst = verify.k_gap_check(table)
     if len(ks) >= 2:
-        k_lo, k_hi = ks[-2], ks[-1]
-        worst = max(abs(table[k_hi][n] - table[k_lo][n])
-                    / max(abs(table[k_hi][n]), 1e-12) for n in names)
-        ok = finite and worst < 0.2
-        print(f"max relative gap between k={k_lo} and k={k_hi}: {worst:.4f} "
+        print(f"max relative gap between k={ks[-2]} and k={ks[-1]}: {worst:.4f} "
               f"(< 0.2) {'ok' if ok else 'FAIL'}")
-    elif not finite:
+    elif not ok:
         print("non-finite quantities encountered FAIL")
     return 0 if ok else 1
 

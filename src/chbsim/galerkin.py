@@ -4,8 +4,9 @@ The phase and nutrient fields are expanded in the first k eigenfunctions
 w_m(x, y) = kappa_m cos(i pi x / Lx) cos(j pi y / Ly) and the PDE system is
 projected onto the span, yielding an ODE system in the coefficient vectors
 which is marched with classical RK4.  Velocity and pressure are NOT spectral:
-every stage synthesizes the fields to the grid and re-solves the staggered
-Brinkman system there.
+every stage re-solves the staggered Brinkman system on the grid.  A stage
+synthesizes its fields and evaluates psi' and the sources once, into a `Stage`
+record that the flow solve, the assembly and the sampled States all read.
 
 Midpoint quadrature at the cell centers is exact for products of admissible
 modes (combined index below twice the cell count per direction), so the Gram
@@ -18,19 +19,21 @@ evaluated by collocation on the same grid and projected back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import FaceField, Grid, State, integrate_cell
 from .constitutive import (
     ModelSpec,
+    SourceTerms,
     mobilities,
+    nutrient_energy,
     potential_eval,
     sources,
 )
 from .elliptic import SolverOptions
-from .brinkman import BrinkmanSolution, _pack, brinkman_problem, solve_brinkman
+from .brinkman import _pack, brinkman_problem, solve_brinkman
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +60,10 @@ class SpectralBasis:
     edge_right: np.ndarray            # (k, ny)
     edge_bottom: np.ndarray           # (k, nx)
     edge_top: np.ndarray              # (k, nx)
+    m_bnd: np.ndarray = field(init=False)  # (k, k) boundary mass, built once
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "m_bnd", boundary_mass(self))
 
 
 def build_basis(k: int, grid: Grid) -> SpectralBasis:
@@ -140,18 +147,37 @@ class SpectralState:
     c: np.ndarray   # nutrient coefficients
 
 
-def chemical_coeffs(a: np.ndarray, c: np.ndarray, basis: SpectralBasis,
-                    model: ModelSpec) -> np.ndarray:
-    """b = eps lambda a + psi_vec / eps - chi_phi c (projection of mu)."""
+def chemical_coeffs(a: np.ndarray, c: np.ndarray, phi: np.ndarray,
+                    basis: SpectralBasis, model: ModelSpec) -> np.ndarray:
+    """b = eps lambda a + <psi'(phi), w> / eps - chi_phi c, phi the synthesized a."""
     eps = model.params.epsilon
-    _, dpsi = potential_eval(synthesize(a, basis), model.potential)
+    _, dpsi = potential_eval(phi, model.potential)
     psi_vec = project(dpsi, basis)
     return eps * basis.eigenvalues * a + psi_vec / eps - model.params.chi_phi * c
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One RK4 stage at coefficients (a, c), evaluated once."""
+
+    b: np.ndarray          # chemical-potential coefficients
+    phi: np.ndarray        # the synthesized a, b and c
+    mu: np.ndarray
+    sigma: np.ndarray
+    src: SourceTerms       # sources of (phi, sigma, mu)
+
+
+def stage(a: np.ndarray, c: np.ndarray, basis: SpectralBasis,
+          model: ModelSpec) -> Stage:
+    """Evaluate the stage at (a, c): b from psi'(phi), then the sources."""
+    phi, sigma = synthesize(a, basis), synthesize(c, basis)
+    b = chemical_coeffs(a, c, phi, basis, model)
+    mu = synthesize(b, basis)
+    return Stage(b, phi, mu, sigma, sources(phi, sigma, mu, model.source, model.params))
+
+
 @dataclass
 class GalerkinMatrices:
-    s: np.ndarray        # stiffness, diag(lambda) exactly
     s_m: np.ndarray      # phase-mobility-weighted stiffness
     s_n: np.ndarray      # nutrient-mobility-weighted stiffness
     m_bnd: np.ndarray    # boundary mass matrix
@@ -160,7 +186,6 @@ class GalerkinMatrices:
     g_vec: np.ndarray    # <Gamma_phi, w_j>
     f_vec: np.ndarray    # <Gamma_sigma, w_j>
     sig_vec: np.ndarray  # boundary data, <sigma_inf, w_j>_{boundary}
-    psi_vec: np.ndarray  # <psi'(phi), w_j>
 
 
 def _weighted_stiffness(weight: np.ndarray, basis: SpectralBasis) -> np.ndarray:
@@ -182,23 +207,18 @@ def boundary_mass(basis: SpectralBasis) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def assemble_matrices(state: SpectralState, v: FaceField, model: ModelSpec,
+def assemble_matrices(st: Stage, v: FaceField, model: ModelSpec,
                       basis: SpectralBasis) -> GalerkinMatrices:
     """All projections by the shared midpoint quadrature.
 
-    Nonlinearities are evaluated on the synthesized grid fields; the
+    Nonlinearities are read from the stage's grid fields and sources; the
     convection matrix uses the face velocity averaged to the cell centers.
     """
     g, prm = basis.grid, model.params
     k, p = basis.k, g.nx * g.ny
     vol = g.cell_area
-    phi_g = synthesize(state.a, basis)
-    sig_g = synthesize(state.c, basis)
-    mu_g = synthesize(state.b, basis)
-
-    m_cell, n_cell = mobilities(phi_g, model.mobvis)
-    src = sources(phi_g, sig_g, mu_g, model.source, prm)
-    _, dpsi = potential_eval(phi_g, model.potential)
+    src = st.src
+    m_cell, n_cell = mobilities(st.phi, model.mobvis)
 
     vals = basis.values.reshape(k, p)
     gx = basis.grad_x.reshape(k, p)
@@ -217,28 +237,26 @@ def assemble_matrices(state: SpectralState, v: FaceField, model: ModelSpec,
                        + sinf.top * basis.edge_top.sum(axis=1))
 
     return GalerkinMatrices(
-        s=np.diag(basis.eigenvalues),
         s_m=_weighted_stiffness(m_cell, basis),
         s_n=_weighted_stiffness(n_cell, basis),
-        m_bnd=boundary_mass(basis),
+        m_bnd=basis.m_bnd,
         c_mat=c_mat,
         d_mat=d_mat,
-        g_vec=project(src.lambda_phi - src.theta_phi * mu_g, basis),
-        f_vec=project(src.lambda_sigma - src.theta_sigma * mu_g, basis),
+        g_vec=project(src.lambda_phi - src.theta_phi * st.mu, basis),
+        f_vec=project(src.lambda_sigma - src.theta_sigma * st.mu, basis),
         sig_vec=sig_vec,
-        psi_vec=project(dpsi, basis),
     )
 
 
 def rhs(a: np.ndarray, b: np.ndarray, c: np.ndarray, mats: GalerkinMatrices,
-        model: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient derivatives (da/dt, b, dc/dt) from assembled matrices."""
+        model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient derivatives (da/dt, dc/dt) from assembled matrices."""
     prm = model.params
     conv = mats.c_mat + mats.d_mat
     da = -(mats.s_m @ b) + mats.g_vec - conv @ a
     dc = (mats.s_n @ (prm.chi_phi * a - prm.chi_sigma * c) - mats.f_vec
           - conv @ c + prm.b * (mats.sig_vec - mats.m_bnd @ c))
-    return da, b, dc
+    return da, dc
 
 
 def spectral_to_grid(state: SpectralState,
@@ -254,8 +272,7 @@ def spectral_energy(a: np.ndarray, c: np.ndarray, basis: SpectralBasis,
     prm = model.params
     phi_g, sig_g = synthesize(a, basis), synthesize(c, basis)
     psi, _ = potential_eval(phi_g, model.potential)
-    n_val = (0.5 * prm.chi_sigma * sig_g ** 2
-             + prm.chi_phi * sig_g * (1.0 - phi_g))
+    n_val, _, _ = nutrient_energy(phi_g, sig_g, prm)
     bulk = integrate_cell(psi / prm.epsilon + n_val, basis.grid)
     return bulk + 0.5 * prm.epsilon * float(np.sum(basis.eigenvalues * a * a))
 
@@ -302,31 +319,16 @@ def stability_timestep(basis: SpectralBasis, model: ModelSpec) -> float:
     return 0.9 * 2.8 / rate
 
 
-def _flow_solution(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                   model: ModelSpec, basis: SpectralBasis, flow_tol: float,
-                   max_iters: int, x0: np.ndarray | None) -> BrinkmanSolution:
-    phi_g, sig_g, mu_g = synthesize(a, basis), synthesize(c, basis), synthesize(b, basis)
-    src = sources(phi_g, sig_g, mu_g, model.source, model.params)
-    problem = brinkman_problem(phi_g, sig_g, mu_g, src.gamma_v, model)
-    opts = SolverOptions(tol=flow_tol, max_iters=max_iters, x0=x0)
-    sol = solve_brinkman(problem, opts)
-    if not sol.report.converged:
-        raise SpectralBlowup(
-            f"spectral-route flow solve stalled: rel residual "
-            f"{sol.report.rel_residual:.3e}")
-    return sol
-
-
 def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
               basis: SpectralBasis, *, flow: bool = True, flow_tol: float = 1e-10,
               max_iters: int = 40000, sample_every: int = 1) -> GalerkinResult:
     """Classical RK4 march of the coefficient ODEs.
 
-    Every stage re-solves the grid Brinkman system from the synthesized
-    fields (warm-started from the previous stage).  Aborts when
-    ||a|| + ||c|| exceeds 1e6.  Samples synthesized States (with the
-    stage-1 velocity and pressure of that step) every `sample_every` steps;
-    the final state is always sampled.
+    Every stage re-solves the grid Brinkman system from its `Stage` record
+    (warm-started from the previous stage).  Aborts when ||a|| + ||c||
+    exceeds 1e6.  Samples the stage-1 record of a step as a State (with that
+    stage's velocity and pressure) every `sample_every` steps; the final
+    state is always sampled, without assembling its matrices.
     """
     if dt <= 0.0 or steps < 0:
         raise ValueError("need dt > 0 and steps >= 0")
@@ -342,29 +344,35 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     warm: np.ndarray | None = None
     flow_iters = 0
 
-    def derivative(aa: np.ndarray, cc: np.ndarray,
-                   record: float | None) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(aa: np.ndarray, cc: np.ndarray,
+                 record: float | None) -> tuple[Stage, FaceField]:
+        """The stage record and its flow; sampled when `record` is a time."""
         nonlocal warm, flow_iters
         if float(np.linalg.norm(aa)) + float(np.linalg.norm(cc)) > 1e6:
             raise SpectralBlowup(f"coefficient blow-up at t={t:g}")
-        bb = chemical_coeffs(aa, cc, basis, model)
+        st = stage(aa, cc, basis, model)
         if flow:
-            sol = _flow_solution(aa, bb, cc, model, basis, flow_tol,
-                                 max_iters, warm)
+            problem = brinkman_problem(st.phi, st.sigma, st.mu, st.src.gamma_v, model)
+            sol = solve_brinkman(problem, SolverOptions(tol=flow_tol, max_iters=max_iters,
+                                                        x0=warm))
+            if not sol.report.converged:
+                raise SpectralBlowup(
+                    f"spectral-route flow solve stalled: rel residual "
+                    f"{sol.report.rel_residual:.3e}")
             v, p = sol.v, sol.p
             warm = _pack(v.u, v.w, p)
             flow_iters += sol.report.iterations
         else:
             v, p = FaceField.zeros(g), np.zeros(g.shape)
         if record is not None:
-            states.append(State(t=record, phi=synthesize(aa, basis),
-                                mu=synthesize(bb, basis),
-                                sigma=synthesize(cc, basis), p=p.copy(),
-                                v=v.copy()))
-        st = SpectralState(t=t, a=aa, b=bb, c=cc)
-        mats = assemble_matrices(st, v, model, basis)
-        da, _, dc = rhs(aa, bb, cc, mats, model)
-        return da, dc
+            states.append(State(t=record, phi=st.phi, mu=st.mu, sigma=st.sigma,
+                                p=p, v=v))
+        return st, v
+
+    def derivative(aa: np.ndarray, cc: np.ndarray,
+                   record: float | None) -> tuple[np.ndarray, np.ndarray]:
+        st, v = evaluate(aa, cc, record)
+        return rhs(aa, st.b, cc, assemble_matrices(st, v, model, basis), model)
 
     for n in range(steps):
         record = t if (sample_every > 0 and n % sample_every == 0) else None
@@ -379,6 +387,6 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c))):
             raise SpectralBlowup(f"non-finite coefficients at t={t:g}")
 
-    derivative(a, c, t)  # sample the final state (and validate it)
+    evaluate(a, c, t)  # sample the final state (and validate it)
     return GalerkinResult(times=times, a=a_hist, c=c_hist, states=states,
                           flow_iterations=flow_iters)

@@ -414,6 +414,19 @@ def galerkin_sweep(model: ModelSpec, phi0: np.ndarray, sigma0: np.ndarray,
     return table
 
 
+def k_gap_check(table: dict) -> tuple[bool, float]:
+    """(passed, gap) for a `galerkin_sweep` table: it passes when every
+    quantity is finite and the largest relative gap between the two largest
+    cutoffs is below 0.2.  With one cutoff the gap is 0."""
+    finite = all(np.isfinite(v) for norms in table.values() for v in norms.values())
+    ks = sorted(table)
+    if len(ks) < 2:
+        return finite, 0.0
+    lo, hi = table[ks[-2]], table[ks[-1]]
+    worst = max(abs(hi[n] - lo[n]) / max(abs(hi[n]), 1e-12) for n in hi)
+    return finite and worst < 0.2, worst
+
+
 def _galerkin_table() -> dict:
     model = _galerkin_model()
     g = model.grid
@@ -428,15 +441,9 @@ def criterion_7(cache: Cache) -> CriterionResult:
     t0 = time.perf_counter()
     table = cache.fetch("galerkin_table", _galerkin_table)
     elapsed = time.perf_counter() - t0
-    all_finite = all(np.isfinite(v) for norms in table.values()
-                     for v in norms.values())
     k_lo, k_hi = sorted(table.keys())[-2:]
-    worst_rel = 0.0
-    for name in table[k_hi]:
-        lo, hi = table[k_lo][name], table[k_hi][name]
-        denom = max(abs(hi), 1e-12)
-        worst_rel = max(worst_rel, abs(hi - lo) / denom)
-    passed = all_finite and worst_rel < 0.2 and elapsed < 300.0
+    stable, worst_rel = k_gap_check(table)
+    passed = stable and elapsed < 300.0
     return CriterionResult(7, "k-uniform bound echo", passed,
                            f"all quantities finite for k in {GALERKIN_KS}; "
                            f"max relative gap k={k_lo} vs k={k_hi}: "

@@ -1,7 +1,10 @@
 """Spectral route: basis quality, assembled matrices, RK4 integration."""
+import sys
+
 import numpy as np
 import pytest
 
+from chbsim import constitutive, galerkin
 from chbsim.constitutive import (
     CoefficientSpec,
     EdgeValues,
@@ -27,6 +30,7 @@ from chbsim.galerkin import (
     spectral_energy,
     spectral_to_grid,
     stability_timestep,
+    stage,
     synthesize,
 )
 
@@ -122,9 +126,8 @@ def test_spectral_to_grid_returns_the_synthesized_fields():
 def test_stiffness_with_constant_mobility_is_diagonal():
     model = build_model()
     basis = build_basis(8, model.grid)
-    state = SpectralState(0.0, np.zeros(8), np.zeros(8), np.zeros(8))
-    mats = assemble_matrices(state, FaceField.zeros(model.grid), model, basis)
-    np.testing.assert_allclose(mats.s, np.diag(basis.eigenvalues))
+    st = stage(np.zeros(8), np.zeros(8), basis, model)
+    mats = assemble_matrices(st, FaceField.zeros(model.grid), model, basis)
     np.testing.assert_allclose(mats.s_m, 1e-2 * np.diag(basis.eigenvalues),
                                atol=1e-9)
     np.testing.assert_allclose(mats.s_n, 0.05 * np.diag(basis.eigenvalues),
@@ -147,8 +150,8 @@ def test_convection_matrix_against_trig_quadrature():
     basis = build_basis(5, g)
     cvel = 0.37
     v = FaceField(np.full((g.nx + 1, g.ny), cvel), np.zeros((g.nx, g.ny + 1)))
-    state = SpectralState(0.0, np.zeros(5), np.zeros(5), np.zeros(5))
-    mats = assemble_matrices(state, v, model, basis)
+    st = stage(np.zeros(5), np.zeros(5), basis, model)
+    mats = assemble_matrices(st, v, model, basis)
 
     xs = (np.arange(g.nx) + 0.5) * g.hx
     ys = (np.arange(g.ny) + 0.5) * g.hy
@@ -173,15 +176,14 @@ def test_rhs_assembles_the_coefficient_odes():
     basis = build_basis(6, model.grid)
     rng = np.random.default_rng(9)
     a, c = 0.3 * rng.standard_normal(6), 0.3 * rng.standard_normal(6)
-    b = chemical_coeffs(a, c, basis, model)
-    state = SpectralState(0.0, a, b, c)
+    st = stage(a, c, basis, model)
+    b = st.b
     xs = np.linspace(0.0, 1.0, model.grid.nx + 1)
     psi = 0.1 * np.sin(np.pi * xs)[:, None] * np.sin(np.pi * xs)[None, :]
     v = FaceField((psi[:, 1:] - psi[:, :-1]) / model.grid.hy,
                   -(psi[1:, :] - psi[:-1, :]) / model.grid.hx)
-    mats = assemble_matrices(state, v, model, basis)
-    da, b_out, dc = rhs(a, b, c, mats, model)
-    assert b_out is b
+    mats = assemble_matrices(st, v, model, basis)
+    da, dc = rhs(a, b, c, mats, model)
     prm = model.params
     conv = mats.c_mat + mats.d_mat
     np.testing.assert_allclose(da, -mats.s_m @ b + mats.g_vec - conv @ a,
@@ -195,9 +197,9 @@ def test_zero_state_without_boundary_data_is_stationary():
     model = build_model(b=0.0)
     basis = build_basis(4, model.grid)
     z = np.zeros(4)
-    mats = assemble_matrices(SpectralState(0.0, z, z, z),
-                             FaceField.zeros(model.grid), model, basis)
-    da, _, dc = rhs(z, chemical_coeffs(z, z, basis, model), z, mats, model)
+    st = stage(z, z, basis, model)
+    mats = assemble_matrices(st, FaceField.zeros(model.grid), model, basis)
+    da, dc = rhs(z, st.b, z, mats, model)
     np.testing.assert_allclose(da, 0.0, atol=1e-14)
     np.testing.assert_allclose(dc, 0.0, atol=1e-14)
 
@@ -282,6 +284,60 @@ def test_oversized_timestep_raises_blowup():
     with pytest.raises(SpectralBlowup):
         integrate(SpectralState(0.0, a0, np.zeros(6), c0), 5.0, 50,
                   model, basis, flow=False)
+
+
+def _flow_run(monkeypatch=None, counted=()):
+    """Three flow-on RK4 steps at k = 4 on 16x16, with Lima sources; each
+    function named in `counted` is wrapped in every chbsim module binding it
+    and its calls are tallied."""
+    model = build_model(nx=16, ny=16,
+                        source=SourceSpec.lima(P=0.3, A=0.1, C=0.2, c_gamma_v=0.1))
+    x, y = model.grid.cell_centers()
+    phi0 = 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    calls = {}
+    for origin, name in counted:
+        original = getattr(origin, name)
+        calls[name] = 0
+
+        def tallied(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if ((key == "chbsim" or key.startswith("chbsim."))
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, tallied)
+    basis = build_basis(4, model.grid)
+    a0, c0 = project_initial(phi0, np.ones(model.grid.shape), basis)
+    res = integrate(SpectralState(0.0, a0, np.zeros(4), c0), 1e-4, 3,
+                    model, basis, flow=True)
+    return res, model, basis, calls
+
+
+def test_stage_fields_and_sources_are_evaluated_once_per_stage(monkeypatch):
+    # the flow solve, the assembly and the samples share one stage record:
+    # 3 steps of 4 stages plus the closing sample are 13 stages, and the
+    # boundary mass is built once, with the basis
+    _, _, _, calls = _flow_run(monkeypatch, [
+        (constitutive, "sources"), (constitutive, "potential_eval"),
+        (galerkin, "synthesize"), (galerkin, "boundary_mass")])
+    stages = 4 * 3 + 1
+    assert calls["sources"] == stages
+    assert calls["potential_eval"] == stages
+    assert calls["synthesize"] <= 3 * stages
+    assert calls["boundary_mass"] == 1
+
+
+def test_sampled_states_hold_the_synthesized_recorded_coefficients():
+    res, model, basis, _ = _flow_run()
+    assert len(res.states) == len(res.times) == 4
+    for s, t, a, c in zip(res.states, res.times, res.a, res.c):
+        b = chemical_coeffs(a, c, synthesize(a, basis), basis, model)
+        phi, mu, sigma = spectral_to_grid(SpectralState(t, a, b, c), basis)
+        assert s.t == t
+        assert np.array_equal(s.phi, phi)
+        assert np.array_equal(s.mu, mu)
+        assert np.array_equal(s.sigma, sigma)
 
 
 def test_integrate_records_flow_samples():

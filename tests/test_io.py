@@ -343,3 +343,21 @@ def test_cli_galerkin_sweep_small(tmp_path, capsys):
     assert cli.main(["galerkin", str(path), "--k", "1,4"]) == 1
     assert "FAIL" in capsys.readouterr().out
     assert cli.main(["galerkin", str(path), "--k", " "]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--only", "11"],
+    ["verify", "--only", "0,3"],
+    ["verify", "--only", "x"],
+    ["galerkin", "CONFIG", "--k", "x"],
+    ["galerkin", "CONFIG", "--k", "0"],
+    ["galerkin", "CONFIG", "--k", "4,40"],  # 16x16 resolves 25 modes
+])
+def test_cli_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    text = SMALL_RUN.replace("nx = 8", "nx = 16").replace("ny = 8", "ny = 16")
+    path = write_small_config(tmp_path, text=text)
+    argv = [str(path) if arg == "CONFIG" else arg for arg in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("chbsim: error:") and captured.err.count("\n") == 1
