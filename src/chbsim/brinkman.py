@@ -164,8 +164,7 @@ def brinkman_operator(problem: BrinkmanProblem) -> StencilOperator:
         saddle(*_unpack(x, g), *_unpack(out, g))
         return out
 
-    return StencilOperator(apply=apply, shape=(n,), symmetric=True,
-                           description="MAC Brinkman saddle system")
+    return StencilOperator(apply=apply, shape=(n,), symmetric=True)
 
 
 def brinkman_rhs(problem: BrinkmanProblem) -> np.ndarray:

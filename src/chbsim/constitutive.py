@@ -35,9 +35,6 @@ class EdgeValues:
         return EdgeTraces.from_constants(self.left, self.right, self.bottom,
                                          self.top, grid)
 
-    def max_abs(self) -> float:
-        return max(abs(self.left), abs(self.right), abs(self.bottom), abs(self.top))
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -254,8 +254,7 @@ def _dual_proxy(rate: np.ndarray, grid: Grid) -> float:
     def apply(f: np.ndarray) -> np.ndarray:
         return f - apply_neumann_laplacian(f, ones, grid)
 
-    op = StencilOperator(apply, grid.shape, symmetric=True,
-                         description="dual-norm shift -lap + I")
+    op = StencilOperator(apply, grid.shape, symmetric=True)
     x, rep = solve_spd(op, rate, SolverOptions(tol=1e-11, max_iters=10000),
                        precond=neumann_multiplier(grid, lambda kappa: 1.0 / (1.0 + kappa)))
     if not rep.converged:

@@ -148,7 +148,6 @@ class StencilOperator:
     shape: tuple[int, ...]
     symmetric: bool = False
     nullspace: str = "none"  # "none" | "constants"
-    description: str = ""
 
 
 @dataclass

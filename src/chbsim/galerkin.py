@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FaceField, Grid, State, integrate_cell
+from .core import FaceField, Grid, State, face_to_center, integrate_cell
 from .constitutive import (
     ModelSpec,
     SourceTerms,
@@ -223,8 +223,7 @@ def assemble_matrices(st: Stage, v: FaceField, model: ModelSpec,
     vals = basis.values.reshape(k, p)
     gx = basis.grad_x.reshape(k, p)
     gy = basis.grad_y.reshape(k, p)
-    vx = 0.5 * (v.u[:-1, :] + v.u[1:, :]).reshape(p)
-    vy = 0.5 * (v.w[:, :-1] + v.w[:, 1:]).reshape(p)
+    vx, vy = (comp.reshape(p) for comp in face_to_center(v))
     gam_v = src.gamma_v.reshape(p)
 
     c_mat = vol * (vals @ (gx * vx + gy * vy).T)
@@ -281,6 +280,10 @@ def spectral_energy(a: np.ndarray, c: np.ndarray, basis: SpectralBasis,
 # Time integration
 # ---------------------------------------------------------------------------
 
+FLOW_TOL = 1e-10         # relative tolerance of every stage's Brinkman solve
+FLOW_MAX_ITERS = 40000
+
+
 class SpectralBlowup(RuntimeError):
     pass
 
@@ -292,11 +295,6 @@ class GalerkinResult:
     c: np.ndarray                 # (steps+1, k)
     states: list[State]           # synthesized samples with the stage-1 flow
     flow_iterations: int
-
-    @property
-    def final(self) -> SpectralState:
-        return SpectralState(t=float(self.times[-1]), a=self.a[-1].copy(),
-                             b=np.zeros_like(self.a[-1]), c=self.c[-1].copy())
 
 
 def stability_timestep(basis: SpectralBasis, model: ModelSpec) -> float:
@@ -320,15 +318,16 @@ def stability_timestep(basis: SpectralBasis, model: ModelSpec) -> float:
 
 
 def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
-              basis: SpectralBasis, *, flow: bool = True, flow_tol: float = 1e-10,
-              max_iters: int = 40000, sample_every: int = 1) -> GalerkinResult:
+              basis: SpectralBasis, *, flow: bool = True,
+              sample_every: int = 1) -> GalerkinResult:
     """Classical RK4 march of the coefficient ODEs.
 
     Every stage re-solves the grid Brinkman system from its `Stage` record
-    (warm-started from the previous stage).  Aborts when ||a|| + ||c||
-    exceeds 1e6.  Samples the stage-1 record of a step as a State (with that
-    stage's velocity and pressure) every `sample_every` steps; the final
-    state is always sampled, without assembling its matrices.
+    to FLOW_TOL (warm-started from the previous stage).  Aborts when
+    ||a|| + ||c|| exceeds 1e6.  Samples the stage-1 record of a step as a
+    State (with that stage's velocity and pressure) every `sample_every`
+    steps; the final state is always sampled, without assembling its
+    matrices.
     """
     if dt <= 0.0 or steps < 0:
         raise ValueError("need dt > 0 and steps >= 0")
@@ -353,8 +352,8 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
         st = stage(aa, cc, basis, model)
         if flow:
             problem = brinkman_problem(st.phi, st.sigma, st.mu, st.src.gamma_v, model)
-            sol = solve_brinkman(problem, SolverOptions(tol=flow_tol, max_iters=max_iters,
-                                                        x0=warm))
+            sol = solve_brinkman(problem, SolverOptions(
+                tol=FLOW_TOL, max_iters=FLOW_MAX_ITERS, x0=warm))
             if not sol.report.converged:
                 raise SpectralBlowup(
                     f"spectral-route flow solve stalled: rel residual "

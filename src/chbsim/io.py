@@ -382,18 +382,17 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
         if getattr(cfg, name) not in choices:
             errors.append(f"{name} must be one of {choices}, "
                           f"got {getattr(cfg, name)!r}")
-    if cfg.dt <= 0.0:
-        errors.append(f"dt must be positive, got {cfg.dt}")
-    if cfg.t_end < cfg.dt:
+    if cfg.dt > 0.0 and not cfg.t_end >= cfg.dt:
         errors.append(f"t_end={cfg.t_end} is shorter than one step dt={cfg.dt}")
     if cfg.snapshot_every < 0:
         errors.append("snapshot_every must be >= 0")
     if not cfg.formats:
         errors.append("need at least one output format")
-    try:
-        cfg.grid()
-    except ValueError as exc:
-        errors.append(str(exc))
+    for build in (cfg.grid, cfg.scheme):
+        try:
+            build()
+        except ValueError as exc:
+            errors.append(str(exc))
     if errors:
         return errors
     try:
@@ -491,13 +490,26 @@ def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, dict]:
                             nx=int(gnx), ny=int(gny), fields=fields,
                             version=version)
     arrays = {name: np.empty((header.nx, header.ny)) for name in fields}
+    seen = np.zeros((header.nx, header.ny), dtype=bool)
     for line in text[5:]:
         if not line.strip():
             continue
         toks = line.split(",")
         i, j = int(toks[0]), int(toks[1])
+        if not (0 <= i < header.nx and 0 <= j < header.ny):
+            raise ValueError(f"{path}: cell ({i}, {j}) lies outside the "
+                             f"{header.nx}x{header.ny} grid")
+        if seen[i, j]:
+            raise ValueError(f"{path}: cell ({i}, {j}) appears twice")
+        if len(toks) != 4 + len(fields):
+            raise ValueError(f"{path}: cell ({i}, {j}) has {len(toks) - 4} "
+                             f"values for {len(fields)} fields")
+        seen[i, j] = True
         for name, tok in zip(fields, toks[4:]):
             arrays[name][i, j] = float(tok)
+    if not seen.all():
+        raise ValueError(f"{path}: {int(np.count_nonzero(~seen))} of "
+                         f"{seen.size} cells missing")
     return header, arrays
 
 

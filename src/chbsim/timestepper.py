@@ -9,12 +9,11 @@ One step from t_n advances in three stages that share one old-level record:
   (ii)  phase update with the stabilized linear splitting: psi'(phi_n) kept
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of
         the sources implicit.  The chemical potential is eliminated from the
-        two-field block and the single-field system is solved with CG,
-        preconditioned by its exact cosine-transform inverse, when the
-        mobility and theta_phi are constant (the operator is then a
-        polynomial in the Neumann Laplacian), and otherwise with BiCGStab,
-        right-preconditioned by the same inverse taken at the upper mobility
-        bound and the largest theta_phi.
+        two-field block and the single-field system is solved with BiCGStab,
+        right-preconditioned by the cosine-transform inverse of the
+        constant-coefficient operator at the upper mobility bound and the
+        largest theta_phi; at constant mobility and theta_phi that inverse
+        is exact and one iteration suffices.
         mu' is then evaluated exactly from phi', so the constitutive relation
         holds to machine precision;
   (iii) nutrient update with implicit Robin-wall diffusion, the fresh phi'
@@ -45,7 +44,6 @@ from .elliptic import (
     robin_linear,
     robin_source,
     solve_general,
-    solve_spd,
     upwind_div,
 )
 from .brinkman import BrinkmanSolution, _pack, solve_brinkman
@@ -67,10 +65,16 @@ class SchemeOptions:
     phi_abort: float = 10.0      # range-explosion guard
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.s < 0.0:
-            raise ValueError(f"stabilization must be non-negative, got {self.s}")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not self.s >= 0.0:
+            raise ValueError(f"stabilization s must be non-negative, got {self.s}")
+        for name in ("phase_tol", "nutrient_tol", "flow_tol"):
+            tol = getattr(self, name)
+            if not (np.isfinite(tol) and tol > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -109,6 +113,13 @@ class StepFailure(RuntimeError):
         self.partial = partial
 
 
+def _require_converged(solve: str, t: float, rep: SolveReport) -> None:
+    if not rep.converged:
+        raise StepFailure(
+            f"{solve} solve stalled at t={t:g}: rel residual "
+            f"{rep.rel_residual:.3e} after {rep.iterations} iterations")
+
+
 def chemical_potential(phi: np.ndarray, sigma: np.ndarray,
                        model: ModelSpec) -> np.ndarray:
     """Diagnostic mu(phi, sigma) = psi'(phi)/eps - eps lap(phi) - chi_phi sigma."""
@@ -145,10 +156,7 @@ def solve_flow(old: diagnostics.OldLevel, specs: SimSpec,
     opts = SolverOptions(tol=specs.scheme.flow_tol, max_iters=specs.scheme.max_iters,
                          x0=x0)
     sol = solve_brinkman(old.flow, opts)
-    if not sol.report.converged:
-        raise StepFailure(
-            f"flow solve stalled at t={old.state.t:g}: rel residual "
-            f"{sol.report.rel_residual:.3e} after {sol.report.iterations} iterations")
+    _require_converged("flow", old.state.t, sol.report)
     return sol
 
 
@@ -190,24 +198,14 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField, dt: float,
 
     conv = upwind_div(phi_n, v_new, g)
     rhs = phi_n + dt * (old.src.lambda_phi - conv) - dt * l_m(c_lin)
-    # With constant mobility and constant theta the two factors are commuting
-    # polynomials in the Neumann Laplacian, so the product is SPD, CG applies
-    # and the preconditioner below is its exact inverse. Otherwise the
-    # product is nonsymmetric and BiCGStab takes the same preconditioner: the
-    # exact inverse of the constant-coefficient operator at the upper
-    # mobility bound and the largest theta.
-    spd = (model.mobvis.m.lo == model.mobvis.m.hi
-           and float(np.ptp(theta)) == 0.0)
-    op = StencilOperator(apply, g.shape, symmetric=spd,
-                         description="phase update, chemical potential eliminated")
+    # The preconditioner inverts the operator at the upper mobility bound and
+    # the largest theta; when both are constant it is the exact inverse (both
+    # factors are polynomials in the Neumann Laplacian): one iteration.
+    op = StencilOperator(apply, g.shape)
     opts = SolverOptions(tol=sc.phase_tol, max_iters=sc.max_iters, x0=phi_n.copy())
     precond = phase_inverse(g, dt, s, eps, model.mobvis.m.hi, float(np.max(theta)))
-    solve = solve_spd if spd else solve_general
-    phi_new, rep = solve(op, rhs, opts, precond=precond)
-    if not rep.converged:
-        raise StepFailure(
-            f"phase solve stalled at t={old.state.t:g}: rel residual "
-            f"{rep.rel_residual:.3e} after {rep.iterations} iterations")
+    phi_new, rep = solve_general(op, rhs, opts, precond=precond)
+    _require_converged("phase", old.state.t, rep)
     mu_new = a_eps(phi_new) + c_lin
 
     # constant shift closing the integral ledger exactly
@@ -250,14 +248,9 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
     rhs = sigma_n + dt * (robin_source(p.b, sinf, g)
                           - p.chi_phi * apply_neumann_laplacian(phi_new, n_faces, g)
                           - gamma_sig - conv)
-    op = StencilOperator(apply, g.shape, symmetric=False,
-                         description="nutrient update, Robin walls")
     opts = SolverOptions(tol=sc.nutrient_tol, max_iters=sc.max_iters, x0=sigma_n.copy())
-    sigma_new, rep = solve_general(op, rhs, opts)
-    if not rep.converged:
-        raise StepFailure(
-            f"nutrient solve stalled at t={old.state.t:g}: rel residual "
-            f"{rep.rel_residual:.3e} after {rep.iterations} iterations")
+    sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, opts)
+    _require_converged("nutrient", old.state.t, rep)
 
     # constant shift closing the sigma ledger exactly; the shift moves the
     # extrapolated wall trace by the same constant, hence the denominator

@@ -221,8 +221,7 @@ def _steady_nutrient(phi: np.ndarray, model: ModelSpec) -> np.ndarray:
                           params.chi_sigma * n_faces.w)
     consumption = model.source.C * np.clip(0.5 * (1.0 + phi), 0.0, 1.0)
     op = StencilOperator(
-        lambda f: -robin_linear(f, chi_faces, params.b, g), g.shape,
-        description="steady nutrient balance")
+        lambda f: -robin_linear(f, chi_faces, params.b, g), g.shape)
     rhs = (robin_source(params.b, params.sigma_inf.as_traces(g), g)
            - params.chi_phi * apply_neumann_laplacian(phi, n_faces, g)
            - consumption)
@@ -304,8 +303,7 @@ def poisson_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         ones = FaceField.ones(g)
         op = StencilOperator(
             lambda f, g=g, ones=ones: -apply_neumann_laplacian(f, ones, g),
-            g.shape, symmetric=True, nullspace="constants",
-            description="Neumann Poisson")
+            g.shape, symmetric=True, nullspace="constants")
         u, rep = solve_spd(op, rhs, SolverOptions(tol=1e-12, max_iters=20000))
         exact0 = exact - np.mean(exact)
         errs.append(_l2(u - exact0, g))
@@ -335,7 +333,7 @@ def robin_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         ones = FaceField.ones(g)
         op = StencilOperator(
             lambda f, g=g, ones=ones: f - robin_linear(f, ones, 1.0, g),
-            g.shape, symmetric=False, description="Robin diffusion")
+            g.shape)
         rhs = rhs_f + robin_source(1.0, traces, g)
         u, rep = solve_general(op, rhs, SolverOptions(tol=1e-12, max_iters=20000))
         errs.append(_l2(u - exact, g))
@@ -409,7 +407,7 @@ def galerkin_sweep(model: ModelSpec, phi0: np.ndarray, sigma0: np.ndarray,
         a0, c0 = galerkin.project_initial(phi0, sigma0, basis)
         st0 = galerkin.SpectralState(t=0.0, a=a0, b=np.zeros(k), c=c0)
         res = galerkin.integrate(st0, dt, steps, model, basis,
-                                 flow=True, flow_tol=1e-10, sample_every=1)
+                                 flow=True, sample_every=1)
         table[k] = diagnostics.norm_estimates(res.states, model).as_dict()
     return table
 

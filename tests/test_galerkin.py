@@ -223,7 +223,6 @@ def test_single_mode_relaxes_on_the_exact_exponential():
     exact = 1.0 + (c0 - 1.0) * np.exp(-4.0 * t_end)
     assert res.c[-1][0] == pytest.approx(exact, abs=1e-9)
     assert np.array_equal(res.a[-1], res.a[0])
-    assert res.final.t == pytest.approx(0.5)
 
 
 def test_uniform_spectral_state_is_stationary():

@@ -105,6 +105,32 @@ def test_config_rejects_inadmissible_parameters(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("line, name", [
+    ("stabilization_s = -1", "stabilization"),
+    ("stabilization_s = nan", "stabilization"),
+    ("phase_tol = 0", "phase_tol"),
+    ("nutrient_tol = -1e-12", "nutrient_tol"),
+    ("flow_tol = inf", "flow_tol"),
+    ("max_iters = 0", "max_iters"),
+    ("dt = nan", "dt"),
+    ("t_end = nan", "t_end"),
+])
+def test_config_rejects_bad_step_and_solver_settings_before_any_output(
+        tmp_path, monkeypatch, capsys, line, name):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    key = line.split()[0]
+    kept = [row for row in SMALL_RUN.splitlines() if not row.startswith(key + " ")]
+    section = "[time]" if key in ("dt", "t_end") else "[solver]"
+    kept.insert(kept.index(section) + 1, line)
+    path = write_small_config(tmp_path, text="\n".join(kept) + "\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert len(exc.value.errors) == 1 and name in exc.value.errors[0]
+    assert cli.main(["run", str(path)]) == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_save_load_round_trip(tmp_path):
     cfg = RunConfig(lx=2.0, nx=16, ny=8, dt=5e-4, t_end=1e-3,
                     chi_phi=0.25, b=0.5, sigma_inf=(1.0, 0.5, 1.0, 0.5),
@@ -168,6 +194,41 @@ def test_snapshot_rejects_unknown_format_and_bad_file(tmp_path):
     bad.write_text("x,y\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_snapshot(bad)
+
+
+def small_snapshot_lines(tmp_path):
+    """A 4x4 CSV snapshot with distinct values; returns its path and lines."""
+    grid = make_grid(1.0, 1.0, 4, 4)
+    x, y = grid.cell_centers()
+    state = State(t=0.5, phi=x + 10.0 * y, mu=x * y, sigma=1.0 + x, p=y,
+                  v=FaceField.zeros(grid))
+    path = tmp_path / "snap.csv"
+    write_snapshot(state, grid, path, fmt="csv")
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def test_snapshot_reader_rejects_a_truncated_file(tmp_path):
+    path, lines = small_snapshot_lines(tmp_path)
+    path.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="3 of 16 cells missing"):
+        read_snapshot(path)
+    cut = lines[-1].rsplit(",", 2)[0]          # last row loses two values
+    path.write_text("\n".join(lines[:-1] + [cut]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="has 4 values for 6 fields"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("index, match", [("-1", "outside the 4x4 grid"),
+                                          ("4", "outside the 4x4 grid"),
+                                          ("0", "appears twice")])
+def test_snapshot_reader_rejects_bad_cell_indices(tmp_path, index, match):
+    # the last row, cell (3, 3), relabelled: -1 used to overwrite row 3
+    # in place, 0 overwrote cell (0, 3) and left (3, 3) unread
+    path, lines = small_snapshot_lines(tmp_path)
+    last = ",".join([index] + lines[-1].split(",")[1:])
+    path.write_text("\n".join(lines[:-1] + [last]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        read_snapshot(path)
 
 
 def test_snapshot_vtk_layout(tmp_path):

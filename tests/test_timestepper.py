@@ -26,6 +26,7 @@ from chbsim.elliptic import (
     materialize_dense,
     robin_linear,
     robin_source,
+    solve_general,
     upwind_div,
 )
 from chbsim.timestepper import (
@@ -183,18 +184,23 @@ def test_phase_inverse_matches_the_dense_inverse(theta):
     assert np.max(np.abs(inv - dense_inv)) <= 1e-10 * np.max(np.abs(dense_inv))
 
 
-@pytest.mark.parametrize("source", ["lima", "hawkins_positive_floor"])
-def test_constant_mobility_phase_solve_is_preconditioned(source, monkeypatch):
-    # theta_phi = 0 (Lima) and theta_phi = p0 rho_min > 0 (Hawkins below the
-    # floor, phi < -1 + 2 rho_min everywhere): both take the CG branch
+def constant_mobility_state(source):
+    """A 32^2 state with constant mobility and constant theta_phi: theta_phi
+    = 0 (Lima), or theta_phi = p0 rho_min > 0 (Hawkins below the floor,
+    phi < -1 + 2 rho_min everywhere)."""
     if source == "lima":
         model = build_model(nx=32, ny=32, source=SourceSpec.lima(P=0.3, A=0.1, C=0.2))
         phi0 = disc_phase(model.grid)
     else:
         model = build_model(nx=32, ny=32, source=SourceSpec.hawkins_positive(p0=0.5, rho_min=0.2))
         phi0 = -1.0 + 0.15 * (1.0 + disc_phase(model.grid))
-    sigma0 = np.full(model.grid.shape, 0.8)
-    state = initial_state(phi0, sigma0, model)
+    return initial_state(phi0, np.full(model.grid.shape, 0.8), model), model
+
+
+@pytest.mark.parametrize("source", ["lima", "hawkins_positive_floor"])
+def test_constant_mobility_phase_solve_is_preconditioned(source, monkeypatch):
+    # in both cases the phase preconditioner is the exact inverse
+    state, model = constant_mobility_state(source)
     specs = specs_for(model, 1e-3, flow=False)
     new, rep = step(state, 1e-3, specs)
     assert rep.phase.converged and rep.phase.iterations <= 2
@@ -233,6 +239,40 @@ def test_variable_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     assert 3 * rep.phase.iterations <= plain_rep.phase.iterations
     assert (np.linalg.norm(new.phi - plain.phi)
             <= 1e-10 * np.linalg.norm(plain.phi))
+
+
+@pytest.mark.parametrize("case", ["lima", "hawkins_positive_floor", "variable"])
+def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
+    # constant and variable mobility alike: BiCGStab with the one
+    # preconditioner the step builds, and never CG
+    if case == "variable":
+        model = build_model(nx=32, ny=32, m=CoefficientSpec(1e-3, 2e-3),
+                            source=SOURCES["lima"])
+        state = initial_state(disc_phase(model.grid), np.full(model.grid.shape, 0.8), model)
+    else:
+        state, model = constant_mobility_state(case)
+    built, used = [], []
+
+    def spy_inverse(*args):
+        built.append(phase_inverse(*args))
+        return built[-1]
+
+    def spy_general(op, rhs, opts=None, precond=None):
+        used.append(precond)
+        return solve_general(op, rhs, opts, precond=precond)
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("step_phase called solve_spd")
+
+    monkeypatch.setattr(timestepper, "phase_inverse", spy_inverse)
+    monkeypatch.setattr(timestepper, "solve_general", spy_general)
+    monkeypatch.setattr(timestepper, "solve_spd", no_cg, raising=False)
+    _, _, rep = step_phase(old_level(state, model), FaceField.zeros(model.grid), 1e-3,
+                           specs_for(model, 1e-3, flow=False))
+    assert len(built) == 1 and len(used) == 1 and used[0] is built[0]
+    assert rep.converged
+    if case != "variable":
+        assert rep.iterations == 1
 
 
 @pytest.mark.parametrize("n", [32, 64])
