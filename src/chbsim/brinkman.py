@@ -50,6 +50,8 @@ class BrinkmanProblem:
     eta_nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (np.all(np.isfinite(self.eta)) and np.all(np.isfinite(self.lam))):
+            raise ValueError("viscosities must be finite")
         if np.any(self.eta <= 0.0):
             raise ValueError("shear viscosity must be strictly positive")
         if np.any(self.lam < 0.0):

@@ -400,7 +400,9 @@ def validate_params(params: ModelParams, potential: PotentialSpec,
 
     # Epsilon smallness: 1/eps > 2 chi_phi^2 / (chi_sigma R1).
     lhs = 1.0 / params.epsilon if params.epsilon > 0 else np.inf
-    rhs = 2.0 * params.chi_phi ** 2 / (params.chi_sigma * potential.r1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # inf or nan, not an exception, if chi_sigma is 0 or chi_phi^2 overflows
+        rhs = 2.0 * np.float64(params.chi_phi) ** 2 / (params.chi_sigma * potential.r1)
     add("epsilon_condition", lhs > rhs,
         f"1/eps = {lhs:.6g} vs 2 chi_phi^2/(chi_sigma R1) = {rhs:.6g}")
 

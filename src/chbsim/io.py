@@ -1,10 +1,14 @@
 """Configuration files, snapshot/timeseries serialization, run outputs.
 
-Configs are sectioned key=value text (INI) with a fixed schema; unknown
+Configs are sectioned key=value text (INI).  Each key is the name of a
+`RunConfig` field in lower case, and its section is fixed; unknown
 sections or keys are rejected so typos cannot silently fall back to
 defaults.  Every key has a default, so even an empty file is a valid
-configuration.  Floats are written with `repr`, which round-trips bit
-exactly, making save -> load the identity and reruns byte-identical.
+configuration.  Every number must be finite.  A malformed file (a repeated
+key or section, a key above the first section, a value that does not
+parse) raises `ConfigError` with one line per problem before any output is
+made.  Floats are written with `repr`, which round-trips bit exactly,
+making save -> load the identity and reruns byte-identical.
 
 Snapshots come in two flavours: CSV (one row per cell, the bit-exact
 archival format) and legacy-VTK structured points (ASCII, for viewers).
@@ -14,8 +18,9 @@ environment variable and is protected by a lock sentinel per run.
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -191,7 +196,8 @@ class RunConfig:
         return phi, sigma
 
     def initial_state(self) -> State:
-        phi, sigma = self.initial_fields()
+        with np.errstate(over="ignore", invalid="ignore"):   # reported below
+            phi, sigma = self.initial_fields()
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(sigma))):
             raise ConfigError(["initial fields contain non-finite values"])
         return initial_state(phi, sigma, self.model_spec())
@@ -201,8 +207,15 @@ class RunConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text.strip()!r}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [_float(tok) for tok in text.replace(",", " ").split()]
 
 
 def _pairs(text: str) -> tuple:
@@ -259,7 +272,7 @@ def _formats(text: str) -> tuple:
 
 
 def _opt_float(text: str) -> float | None:
-    return None if not text.strip() else float(text)
+    return None if not text.strip() else _float(text)
 
 
 def _fmt_floats(vals) -> str:
@@ -270,69 +283,45 @@ def _fmt_pairs(pairs) -> str:
     return ", ".join(f"{i} {j}" for i, j in pairs)
 
 
-# section -> key -> (attribute, parser, formatter)
-_SCHEMA = {
-    "domain": {
-        "lx": ("lx", float, repr),
-        "ly": ("ly", float, repr),
-        "nx": ("nx", int, str),
-        "ny": ("ny", int, str),
-    },
-    "time": {
-        "dt": ("dt", float, repr),
-        "t_end": ("t_end", float, repr),
-        "snapshot_every": ("snapshot_every", int, str),
-    },
-    "model": {
-        "epsilon": ("epsilon", float, repr),
-        "chi_sigma": ("chi_sigma", float, repr),
-        "chi_phi": ("chi_phi", float, repr),
-        "nu": ("nu", float, repr),
-        "b": ("b", float, repr),
-        "sigma_inf": ("sigma_inf", _edges, _fmt_floats),
-    },
-    "constitutive": {
-        "potential": ("potential", str.strip, str),
-        "delta_cap": ("delta_cap", float, repr),
-        "mobility": ("mobility", _bounds, _fmt_floats),
-        "nutrient_mobility": ("nutrient_mobility", _bounds, _fmt_floats),
-        "viscosity": ("viscosity", _bounds, _fmt_floats),
-        "bulk_viscosity": ("bulk_viscosity", _bounds, _fmt_floats),
-        "source": ("source", str.strip, str),
-        "source_p": ("source_P", float, repr),
-        "source_a": ("source_A", float, repr),
-        "source_c": ("source_C", float, repr),
-        "source_p0": ("source_p0", float, repr),
-        "source_rho_min": ("source_rho_min", float, repr),
-        "c_gamma_v": ("c_gamma_v", float, repr),
-        "gamma0": ("gamma0", _opt_float,
-                   lambda v: "" if v is None else repr(v)),
-    },
-    "solver": {
-        "phase_tol": ("phase_tol", float, repr),
-        "nutrient_tol": ("nutrient_tol", float, repr),
-        "flow_tol": ("flow_tol", float, repr),
-        "max_iters": ("max_iters", int, str),
-        "stabilization_s": ("stabilization_s", float, repr),
-        "flow": ("flow", _bool, lambda v: "on" if v else "off"),
-    },
-    "init": {
-        "phi0": ("phi0", str.strip, str),
-        "phi0_value": ("phi0_value", float, repr),
-        "phi0_center": ("phi0_center", _center, _fmt_floats),
-        "phi0_radius": ("phi0_radius", float, repr),
-        "phi0_amplitude": ("phi0_amplitude", float, repr),
-        "phi0_modes": ("phi0_modes", _pairs, _fmt_pairs),
-        "sigma0": ("sigma0", str.strip, str),
-        "sigma0_value": ("sigma0_value", float, repr),
-        "sigma0_amplitude": ("sigma0_amplitude", float, repr),
-        "sigma0_modes": ("sigma0_modes", _pairs, _fmt_pairs),
-    },
-    "output": {
-        "directory": ("directory", str.strip, str),
-        "formats": ("formats", _formats, lambda v: ", ".join(v)),
-    },
+# section -> the RunConfig fields it holds; a field's key is its name in lower case
+_SECTIONS = {
+    "domain": ("lx", "ly", "nx", "ny"),
+    "time": ("dt", "t_end", "snapshot_every"),
+    "model": ("epsilon", "chi_sigma", "chi_phi", "nu", "b", "sigma_inf"),
+    "constitutive": ("potential", "delta_cap", "mobility", "nutrient_mobility",
+                     "viscosity", "bulk_viscosity", "source", "source_P",
+                     "source_A", "source_C", "source_p0", "source_rho_min",
+                     "c_gamma_v", "gamma0"),
+    "solver": ("phase_tol", "nutrient_tol", "flow_tol", "max_iters",
+               "stabilization_s", "flow"),
+    "init": ("phi0", "phi0_value", "phi0_center", "phi0_radius",
+             "phi0_amplitude", "phi0_modes", "sigma0", "sigma0_value",
+             "sigma0_amplitude", "sigma0_modes"),
+    "output": ("directory", "formats"),
 }
+
+# (parser, formatter) by field type, then for the fields whose type does not
+# decide it
+_TYPE_CODECS = {
+    "float": (_float, repr),
+    "int": (int, str),
+    "str": (str.strip, str),
+    "bool": (_bool, lambda v: "on" if v else "off"),
+}
+_FIELD_CODECS = {
+    "sigma_inf": (_edges, _fmt_floats),
+    "mobility": (_bounds, _fmt_floats),
+    "nutrient_mobility": (_bounds, _fmt_floats),
+    "viscosity": (_bounds, _fmt_floats),
+    "bulk_viscosity": (_bounds, _fmt_floats),
+    "gamma0": (_opt_float, lambda v: "" if v is None else repr(v)),
+    "phi0_center": (_center, _fmt_floats),
+    "phi0_modes": (_pairs, _fmt_pairs),
+    "sigma0_modes": (_pairs, _fmt_pairs),
+    "formats": (_formats, ", ".join),
+}
+_CODECS = {f.name: _FIELD_CODECS.get(f.name) or _TYPE_CODECS[f.type]
+           for f in fields(RunConfig)}
 
 _CHOICES = {
     "potential": ("quartic", "quadratic_growth"),
@@ -347,23 +336,27 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh, source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh, source=str(path))
+    except configparser.Error as exc:
+        # its message names the file and the line, spread over several lines
+        raise ConfigError([" ".join(str(exc).split())]) from None
 
     errors: list[str] = []
     values: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             errors.append(f"unknown section [{section}]")
             continue
+        attrs = {attr.lower(): attr for attr in _SECTIONS[section]}
         for key, raw in parser.items(section):
-            entry = _SCHEMA[section].get(key)
-            if entry is None:
+            attr = attrs.get(key)
+            if attr is None:
                 errors.append(f"unknown key {key!r} in section [{section}]")
                 continue
-            attr, parse, _ = entry
             try:
-                values[attr] = parse(raw)
+                values[attr] = _CODECS[attr][0](raw)
             except ValueError as exc:
                 errors.append(f"[{section}] {key}: {exc}")
     if errors:
@@ -408,10 +401,10 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
 def save_config(cfg: RunConfig, path: str | Path) -> None:
     """Write the full canonical file; load(save(cfg)) == cfg."""
     lines = []
-    for section, entries in _SCHEMA.items():
+    for section, attrs in _SECTIONS.items():
         lines.append(f"[{section}]")
-        for key, (attr, _, fmt) in entries.items():
-            lines.append(f"{key} = {fmt(getattr(cfg, attr))}")
+        for attr in attrs:
+            lines.append(f"{attr.lower()} = {_CODECS[attr][1](getattr(cfg, attr))}")
         lines.append("")
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 
@@ -616,12 +609,12 @@ def _write_outputs(result: RunResult, cfg: RunConfig, outdir: Path) -> None:
 
 def run_from_config(cfg: RunConfig) -> tuple[RunResult, Path]:
     """Full simulation with all outputs; partial outputs survive a failed step."""
+    state0 = cfg.initial_state()   # a ConfigError here leaves no output behind
+    specs = cfg.sim_spec()
     outdir = resolve_output_dir(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     with OutputLock(outdir):
         save_config(cfg, outdir / "config.ini")
-        state0 = cfg.initial_state()
-        specs = cfg.sim_spec()
         try:
             result = run(state0, cfg.n_steps, specs)
         except StepFailure as exc:

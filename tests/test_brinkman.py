@@ -218,6 +218,21 @@ def test_problem_validation():
                         FaceField.zeros(grid), np.zeros(grid.shape))
 
 
+@pytest.mark.parametrize("bad", ["inf everywhere", "one nan cell"])
+def test_problem_rejects_non_finite_viscosity(bad):
+    # np.ptp of an all-inf eta is nan, which sent the preconditioner's
+    # variable-coefficient branch into endless recursion
+    grid = make_grid(1.0, 1.0, 6, 6)
+    eta = np.ones(grid.shape)
+    if bad == "inf everywhere":
+        eta[:] = np.inf
+    else:
+        eta[2, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        BrinkmanProblem(grid, eta, np.zeros(grid.shape), 1.0,
+                        FaceField.zeros(grid), np.zeros(grid.shape))
+
+
 # ---------------------------------------------------------------------------
 # block preconditioner
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 """Config parsing, snapshot/timeseries formats, output layout, CLI contract."""
+import configparser
 import hashlib
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chbsim import cli
 from chbsim.core import FaceField, State, make_grid
 from chbsim.io import (
+    _CHOICES,
+    _SECTIONS,
+    _semantic_errors,
     OUTPUT_ROOT_ENV,
     ConfigError,
     OutputLock,
@@ -105,6 +113,18 @@ def test_config_rejects_inadmissible_parameters(tmp_path):
         load_config(path)
 
 
+def assert_one_error_and_no_output(path, name, out, capsys) -> str:
+    """load_config and `chbsim run` report `path` in one error naming `name`,
+    and the run leaves no output directory behind; returns the error."""
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert len(exc.value.errors) == 1 and name in exc.value.errors[0]
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"chbsim: {exc.value}\n"
+    assert not out.exists()
+    return exc.value.errors[0]
+
+
 @pytest.mark.parametrize("line, name", [
     ("stabilization_s = -1", "stabilization"),
     ("stabilization_s = nan", "stabilization"),
@@ -114,20 +134,50 @@ def test_config_rejects_inadmissible_parameters(tmp_path):
     ("max_iters = 0", "max_iters"),
     ("dt = nan", "dt"),
     ("t_end = nan", "t_end"),
+    ("t_end = inf", "t_end"),
+    ("lx = inf", "lx"),
+    ("nu = inf", "nu"),
+    ("sigma_inf = 1 nan 1 1", "sigma_inf"),
+    ("viscosity = inf", "viscosity"),
+    ("gamma0 = inf", "gamma0"),
 ])
 def test_config_rejects_bad_step_and_solver_settings_before_any_output(
         tmp_path, monkeypatch, capsys, line, name):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
     key = line.split()[0]
     kept = [row for row in SMALL_RUN.splitlines() if not row.startswith(key + " ")]
-    section = "[time]" if key in ("dt", "t_end") else "[solver]"
+    section = next(f"[{s}]" for s, attrs in _SECTIONS.items()
+                   if key in (a.lower() for a in attrs))
     kept.insert(kept.index(section) + 1, line)
     path = write_small_config(tmp_path, text="\n".join(kept) + "\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config(path)
-    assert len(exc.value.errors) == 1 and name in exc.value.errors[0]
-    assert cli.main(["run", str(path)]) == 1
-    assert name in capsys.readouterr().err
+    assert_one_error_and_no_output(path, name, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[time]\ndt = 1e-3\ndt = 2e-3\n", "[line 3]"),       # repeated key
+    ("[domain]\nnx = 8\n\n[domain]\nny = 8\n", "[line 4]"),  # repeated section
+    ("nx = 8\n[domain]\n", "line: 1"),                   # key before any section
+], ids=["repeated key", "repeated section", "no section header"])
+def test_config_reports_malformed_files_in_one_line(
+        tmp_path, monkeypatch, capsys, text, where):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    path = write_small_config(tmp_path, text=text)
+    error = assert_one_error_and_no_output(path, where, tmp_path / "out", capsys)
+    assert str(path) in error and "\n" not in error
+
+
+def test_non_finite_initial_fields_are_rejected_before_any_output(
+        tmp_path, monkeypatch, capsys):
+    # the parser cannot see this: 1e308 times a sum of two cosines overflows
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    text = SMALL_RUN.replace("phi0_amplitude = 0.2", "phi0_amplitude = 1e308")
+    cfg = load_config(write_small_config(tmp_path, text=text))
+    with pytest.raises(ConfigError, match="non-finite"):
+        run_from_config(cfg)
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["run", str(tmp_path / "run.ini")]) == 1
+    assert capsys.readouterr().err == ("chbsim: invalid configuration:\n"
+                                       "  initial fields contain non-finite values\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -143,6 +193,111 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "round.ini"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+# ---------------------------------------------------------------------------
+# config properties
+# ---------------------------------------------------------------------------
+
+FIELDS = {f.name: f for f in fields(RunConfig)}
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+MODES = st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99)),
+                 max_size=3).map(tuple)
+# a value of each field that save_config can write; directory names keep to
+# characters the INI format carries unchanged (it strips blanks around a
+# value and cuts it at a " #" or " ;" inline comment)
+FIELD_VALUES = {
+    "float": st.one_of(FLOATS, st.floats(0.01, 10.0)),
+    "int": st.integers(0, 2 ** 40),
+    "bool": st.booleans(),
+    "potential": st.sampled_from(_CHOICES["potential"]),
+    "source": st.sampled_from(_CHOICES["source"]),
+    "phi0": st.sampled_from(_CHOICES["phi0"]),
+    "sigma0": st.sampled_from(_CHOICES["sigma0"]),
+    "directory": st.from_regex(r"[A-Za-z0-9_./-]{1,12}", fullmatch=True),
+    "sigma_inf": st.tuples(FLOATS, FLOATS, FLOATS, FLOATS),
+    "mobility": st.tuples(FLOATS, FLOATS),
+    "nutrient_mobility": st.tuples(FLOATS, FLOATS),
+    "viscosity": st.tuples(FLOATS, FLOATS),
+    "bulk_viscosity": st.tuples(FLOATS, FLOATS),
+    "gamma0": st.none() | FLOATS,
+    "phi0_center": st.tuples(FLOATS, FLOATS),
+    "phi0_modes": MODES,
+    "sigma0_modes": MODES,
+    "formats": st.lists(st.sampled_from(("csv", "vtk")), min_size=1,
+                        max_size=3).map(tuple),
+}
+CHANGES = st.lists(st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda name: st.tuples(st.just(name), FIELD_VALUES[
+        name if name in FIELD_VALUES else FIELDS[name].type])),
+    max_size=4).map(dict)
+KEYS = [(section, attr.lower()) for section, attrs in _SECTIONS.items()
+        for attr in attrs]
+NUMBER = st.one_of(st.floats().map(repr), st.integers().map(str),
+                   st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400"]))
+TEXT = st.one_of(st.text(), NUMBER, st.lists(NUMBER, min_size=1, max_size=4)
+                 .map(" ".join))
+PROPERTY = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def load_one(tmp_path, section, key, text):
+    """The config of a file setting one key, or None if load_config rejects it."""
+    path = tmp_path / "one.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+    try:
+        return load_config(path)
+    except ConfigError:
+        return None
+
+
+def test_every_field_has_one_lower_case_key_in_one_section(tmp_path):
+    path = tmp_path / "full.ini"
+    save_config(RunConfig(), path)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str                    # keep the keys as written
+    parser.read(path, encoding="utf-8")
+    keys = [key for section in parser.sections() for key in parser[section]]
+    assert sorted(keys) == sorted(name.lower() for name in FIELDS)
+
+
+@PROPERTY
+@given(changes=CHANGES)
+def test_saved_configs_load_back_unchanged(tmp_path, changes):
+    cfg = replace(RunConfig(), **changes)
+    path = tmp_path / "saved.ini"
+    save_config(cfg, path)
+    errors = _semantic_errors(cfg)
+    if errors:
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.errors == errors
+    else:
+        assert load_config(path) == cfg
+
+
+@PROPERTY
+@given(key=st.sampled_from(KEYS), text=TEXT)
+def test_any_value_gives_a_config_or_a_config_error(tmp_path, key, text):
+    cfg = load_one(tmp_path, *key, text)
+    assert cfg is None or isinstance(cfg, RunConfig)
+
+
+def floats_in(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from floats_in(item)
+    elif isinstance(value, float):
+        yield value
+
+
+@PROPERTY
+@given(key=st.sampled_from(KEYS), text=TEXT)
+def test_loaded_configs_hold_only_finite_floats(tmp_path, key, text):
+    cfg = load_one(tmp_path, *key, text)
+    if cfg is not None:
+        values = [getattr(cfg, name) for name in FIELDS]
+        assert all(math.isfinite(v) for v in floats_in(tuple(values)))
 
 
 def test_initial_field_presets():
