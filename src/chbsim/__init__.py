@@ -13,10 +13,8 @@ from .core import (
     State,
     extrapolate_to_walls,
     face_to_center,
-    integrate_boundary,
     integrate_cell,
     make_grid,
-    state_zeros,
 )
 from .constitutive import (
     CoefficientSpec,
@@ -38,7 +36,6 @@ from .elliptic import (
     SolverOptions,
     StencilOperator,
     apply_neumann_laplacian,
-    apply_robin_diffusion,
     face_gradient,
     harmonic_face_coefficients,
     solve_general,
@@ -73,6 +70,7 @@ from .diagnostics import (
     mass_balances,
     norm_estimates,
     old_level,
+    time_level,
     weak_residuals,
 )
 from .galerkin import (

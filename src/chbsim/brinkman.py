@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constitutive import ModelParams, ModelSpec, nutrient_energy, viscosities
+from .constitutive import ModelSpec, viscosities
 from .core import FaceField, Grid
 from .elliptic import (
     SolveReport,
@@ -318,14 +318,13 @@ def energy_parts(problem: BrinkmanProblem, v: FaceField,
 
 
 def capillary_force(phi: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
-                    params: ModelParams, grid: Grid) -> FaceField:
+                    n_sigma: np.ndarray, grid: Grid) -> FaceField:
     """Momentum forcing mu grad(phi) + N_sigma grad(sigma) at faces.
 
     Interior faces use centered differences and arithmetic face averages of
     the scalar prefactors; wall faces carry zero force (exact for phi by the
     Neumann condition, first-order for sigma).
     """
-    _, n_sigma, _ = nutrient_energy(phi, sigma, params)
     fu = np.zeros((grid.nx + 1, grid.ny))
     fw = np.zeros((grid.nx, grid.ny + 1))
     mu_f = 0.5 * (mu[1:, :] + mu[:-1, :])
@@ -340,10 +339,12 @@ def capillary_force(phi: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
 
 
 def brinkman_problem(phi: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
-                     gamma_v: np.ndarray, model: ModelSpec) -> BrinkmanProblem:
-    """The model's Brinkman problem at (phi, sigma, mu), with divergence gamma_v."""
+                     n_sigma: np.ndarray, gamma_v: np.ndarray,
+                     model: ModelSpec) -> BrinkmanProblem:
+    """The model's Brinkman problem at (phi, sigma, mu) with N_sigma(phi, sigma)
+    given, and divergence gamma_v."""
     eta, lam = viscosities(phi, model.mobvis)
-    force = capillary_force(phi, sigma, mu, model.params, model.grid)
+    force = capillary_force(phi, sigma, mu, n_sigma, model.grid)
     return BrinkmanProblem(model.grid, eta, lam, model.params.nu, force, gamma_v)
 
 

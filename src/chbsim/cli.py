@@ -5,7 +5,6 @@ Subcommands:
   verify                     built-in acceptance suite (ten checks)
   mms                        manufactured-solution convergence tables
   galerkin <config> --k ...  spectral runs with the k-sweep bound report
-  oracle                     dense-vs-Krylov Brinkman comparison
 
 Exit code 0 iff everything requested passed; 2 for usage errors such as a
 missing config file, an unknown criterion number or a mode cutoff the grid
@@ -41,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gal.add_argument("config", help="path to the INI config")
     p_gal.add_argument("--k", default="1,5,15,30",
                        help="comma-separated mode cutoffs")
-
-    sub.add_parser("oracle", help="dense-vs-Krylov Brinkman comparison")
     return parser
 
 
@@ -162,14 +159,6 @@ def _cmd_galerkin(args, parser) -> int:
     return 0 if ok else 1
 
 
-def _cmd_oracle() -> int:
-    cache = verify.Cache()
-    results = [verify.criterion_1(cache), verify.criterion_2(cache)]
-    for res in results:
-        print(res.line())
-    return 0 if all(r.passed for r in results) else 1
-
-
 def main(argv: list | None = None) -> int:
     parser = _build_parser()
     try:
@@ -185,8 +174,6 @@ def main(argv: list | None = None) -> int:
             return _cmd_mms()
         if args.command == "galerkin":
             return _cmd_galerkin(args, parser)
-        if args.command == "oracle":
-            return _cmd_oracle()
     except io.ConfigError as exc:
         print(f"chbsim: {exc}", file=sys.stderr)
         return 1

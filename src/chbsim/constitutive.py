@@ -59,8 +59,6 @@ class PotentialSpec:
       r1, r2   lower growth bound psi(t) >= r1 t^2 - r2
       q        polynomial-growth exponent of psi'' (case 2); 0 when bounded
       r4       bound for |psi'| <= r4 (1+|t|) and |psi''| <= r4 (case 1 only)
-      stabilization_bound  minimal admissible Eyre parameter, sup psi''/2 on
-                           the expected range [-(1+delta_cap), 1+delta_cap]
     """
 
     kind: str                 # "quartic" | "quadratic_growth"
@@ -83,11 +81,6 @@ class PotentialSpec:
     @property
     def cap(self) -> float:
         return 1.0 + self.delta_cap
-
-    @property
-    def stabilization_bound(self) -> float:
-        # sup of psi'' over [-cap, cap] is 3*cap^2 - 1 for both variants.
-        return 0.5 * (3.0 * self.cap ** 2 - 1.0)
 
 
 def _quartic(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

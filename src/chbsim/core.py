@@ -51,18 +51,6 @@ class Grid:
         y = (np.arange(self.ny) + 0.5) * self.hy
         return np.meshgrid(x, y, indexing="ij")
 
-    def xface_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of vertical faces (u locations), shape (nx+1, ny)."""
-        x = np.arange(self.nx + 1) * self.hx
-        y = (np.arange(self.ny) + 0.5) * self.hy
-        return np.meshgrid(x, y, indexing="ij")
-
-    def yface_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of horizontal faces (w locations), shape (nx, ny+1)."""
-        x = (np.arange(self.nx) + 0.5) * self.hx
-        y = np.arange(self.ny + 1) * self.hy
-        return np.meshgrid(x, y, indexing="ij")
-
 
 def make_grid(Lx: float, Ly: float, nx: int, ny: int) -> Grid:
     if not (Lx > 0.0 and Ly > 0.0):
@@ -114,11 +102,6 @@ class State:
         return bool(ok) and self.v.all_finite()
 
 
-def state_zeros(grid: Grid, t: float = 0.0) -> State:
-    z = lambda: np.zeros(grid.shape)  # noqa: E731
-    return State(t, z(), z(), z(), z(), FaceField.zeros(grid))
-
-
 @dataclass
 class EdgeTraces:
     """Values sampled along the four walls at edge-cell midpoints."""
@@ -138,13 +121,6 @@ class EdgeTraces:
 def integrate_cell(values: np.ndarray, grid: Grid) -> float:
     """Midpoint-rule integral of a cell field over the domain."""
     return float(np.sum(values)) * grid.cell_area
-
-
-def integrate_boundary(traces: EdgeTraces, grid: Grid) -> float:
-    """Midpoint-rule integral of wall traces over the boundary."""
-    lr = (float(np.sum(traces.left)) + float(np.sum(traces.right))) * grid.hy
-    bt = (float(np.sum(traces.bottom)) + float(np.sum(traces.top))) * grid.hx
-    return lr + bt
 
 
 def extrapolate_to_walls(field: np.ndarray, grid: Grid) -> EdgeTraces:

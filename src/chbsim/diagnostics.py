@@ -1,14 +1,15 @@
 """Run diagnostics: energy, per-step budget, mass ledgers, norms, Gronwall.
 
-The time stepper's three stages, the mass ledgers and the energy budget read
-one record of a step's old-level coefficients (`old_level`).  The budget
-routine mirrors the scheme's own quadratures term by term (same face
-coefficients, same upwind fluxes, same wall traces), so its residual
-contains only the time-discretization remainder and the Krylov floors, and
-shrinks linearly with the step size.  The weak-form residuals at the bottom
-of the module deliberately do NOT mirror the scheme: they test snapshots
-against smooth cosine test functions with centered differences, which makes
-them an independent consistency probe.
+Each time level is evaluated once, into a `time_level` record, and a step
+adds its old-level coefficients to it (`old_level`); the stages, the mass
+ledgers and the energy budget read those records.  The budget routine
+mirrors the scheme's own quadratures term by term (same face coefficients,
+same upwind fluxes, same wall traces), so its residual contains only the
+time-discretization remainder and the Krylov floors, and shrinks linearly
+with the step size.  The weak-form residuals at the bottom of the module
+deliberately do NOT mirror the scheme: they test snapshots against smooth
+cosine test functions with centered differences, which makes them an
+independent consistency probe.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    EdgeTraces,
     FaceField,
     Grid,
     State,
@@ -57,25 +57,27 @@ def _grad_sq(f: np.ndarray, grid: Grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Old-level record, free energy and its per-step budget
+# Time-level records, free energy and its per-step budget
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OldLevel:
-    """The coefficients of one step taken at the old time level t_n."""
+class TimeLevel:
+    """What the fields of one time level alone determine, evaluated once."""
 
-    state: State               # the old fields
-    src: SourceTerms           # sources of (phi_n, sigma_n, mu_n)
-    m_faces: FaceField         # harmonic face mobility m(phi_n)
-    flow: BrinkmanProblem      # eta, lam of phi_n, capillary force, Gamma_v
+    state: State
+    dpsi: np.ndarray           # psi'(phi)
+    n_sigma: np.ndarray        # N_sigma(phi, sigma)
+    energy: float              # free energy E, see `energy`
 
 
-def old_level(state: State, model: ModelSpec) -> OldLevel:
-    """Evaluate the old-level coefficients of the step leaving `state`."""
-    src = sources(state.phi, state.sigma, state.mu, model.source, model.params)
-    m_faces = harmonic_face_coefficients(model.mobvis.m(state.phi), model.grid)
-    flow = brinkman_problem(state.phi, state.sigma, state.mu, src.gamma_v, model)
-    return OldLevel(state, src, m_faces, flow)
+def time_level(state: State, model: ModelSpec) -> TimeLevel:
+    """The record of the level `state`."""
+    g = model.grid
+    eps = model.params.epsilon
+    psi, dpsi = potential_eval(state.phi, model.potential)
+    nut, n_sigma, _ = nutrient_energy(state.phi, state.sigma, model.params)
+    bulk = integrate_cell(psi / eps + nut, g)
+    return TimeLevel(state, dpsi, n_sigma, float(bulk + 0.5 * eps * _grad_sq(state.phi, g)))
 
 
 def energy(state: State, model: ModelSpec) -> float:
@@ -85,12 +87,26 @@ def energy(state: State, model: ModelSpec) -> float:
     with the gradient measured on faces (zero at the walls), matching the
     stencil the time stepper dissipates.
     """
-    g = model.grid
-    eps = model.params.epsilon
-    psi, _ = potential_eval(state.phi, model.potential)
-    nut, _, _ = nutrient_energy(state.phi, state.sigma, model.params)
-    bulk = integrate_cell(psi / eps + nut, g)
-    return float(bulk + 0.5 * eps * _grad_sq(state.phi, g))
+    return time_level(state, model).energy
+
+
+@dataclass(frozen=True)
+class OldLevel(TimeLevel):
+    """A time level with the coefficients of the step that leaves it."""
+
+    src: SourceTerms                # sources of (phi_n, sigma_n, mu_n)
+    m_faces: FaceField              # harmonic face mobility m(phi_n)
+    flow: BrinkmanProblem | None    # of (phi_n, sigma_n, mu_n); None with the flow off
+
+
+def old_level(level: TimeLevel, model: ModelSpec, flow: bool) -> OldLevel:
+    """Evaluate the old-level coefficients of the step leaving `level`."""
+    st = level.state
+    src = sources(st.phi, st.sigma, st.mu, model.source, model.params)
+    m_faces = harmonic_face_coefficients(model.mobvis.m(st.phi), model.grid)
+    problem = (brinkman_problem(st.phi, st.sigma, st.mu, level.n_sigma, src.gamma_v, model)
+               if flow else None)
+    return OldLevel(**vars(level), src=src, m_faces=m_faces, flow=problem)
 
 
 @dataclass
@@ -118,17 +134,15 @@ class EnergyBudget:
         return max(1.0, abs(self.e_after))
 
 
-def energy_budget(old: OldLevel, new: State, dt: float, model: ModelSpec) -> EnergyBudget:
+def energy_budget(old: OldLevel, new_level: TimeLevel, n_faces: FaceField, dt: float,
+                  model: ModelSpec) -> EnergyBudget:
     """Recompute every term of the step energy identity, by its own quadratures,
-    from the step's old-level record and the new state.  The time levels are
-    the scheme's: mobilities m(phi_n) and n(phi'), old fields convected by the
-    new velocity, sources Lambda(old) - theta(old) mu', sigma' wall traces."""
+    from the records of both levels and the face mobility n(phi').  The time
+    levels are the scheme's: mobilities m(phi_n) and n(phi'), old fields
+    convected by the new velocity, sources Lambda(old) - theta(old) mu',
+    sigma' wall traces; with the flow off v = p = 0, and so is the flow part."""
     g, p = model.grid, model.params
-    e0 = energy(old.state, model)
-    e1 = energy(new, model)
-
-    _, n_cell = mobilities(new.phi, model.mobvis)
-    n_faces = harmonic_face_coefficients(n_cell, g)
+    new, nsig = new_level.state, new_level.n_sigma
 
     gmu = face_gradient(new.mu, g)
     diss_mu = (float(np.sum(old.m_faces.u * gmu.u ** 2))
@@ -139,7 +153,6 @@ def energy_budget(old: OldLevel, new: State, dt: float, model: ModelSpec) -> Ene
     diss_nsigma = (float(np.sum(n_faces.u * gnh.u ** 2))
                    + float(np.sum(n_faces.w * gnh.w ** 2))) * g.cell_area
 
-    _, nsig, _ = nutrient_energy(new.phi, new.sigma, p)
     tr = extrapolate_to_walls(new.sigma, g)
     sinf = p.sigma_inf.as_traces(g)
     one_minus_phi = 1.0 - new.phi
@@ -159,12 +172,15 @@ def energy_budget(old: OldLevel, new: State, dt: float, model: ModelSpec) -> Ene
     src_phi_mu = integrate_cell(gamma_phi * new.mu, g)
     src_sigma_n = -integrate_cell(gamma_sig * nsig, g)
 
-    parts = energy_parts(old.flow, new.v, new.p)
-    diss_visc = parts["dissipation"]
-    conv_work = (parts["force_work"] + parts["pressure_work"]
-                 - integrate_cell(upwind_div(old.state.phi, new.v, g) * new.mu, g)
-                 - integrate_cell(upwind_div(old.state.sigma, new.v, g) * nsig, g))
+    diss_visc = conv_work = 0.0
+    if old.flow is not None:
+        parts = energy_parts(old.flow, new.v, new.p)
+        diss_visc = parts["dissipation"]
+        conv_work = (parts["force_work"] + parts["pressure_work"]
+                     - integrate_cell(upwind_div(old.state.phi, new.v, g) * new.mu, g)
+                     - integrate_cell(upwind_div(old.state.sigma, new.v, g) * nsig, g))
 
+    e0, e1 = old.energy, new_level.energy
     residual = ((e1 - e0) / dt + diss_mu + diss_nsigma + diss_visc + bnd_sigma_sq
                 - src_phi_mu - src_sigma_n - income - conv_work)
     return EnergyBudget(e0, e1, diss_mu, diss_nsigma, diss_visc, bnd_sigma_sq,

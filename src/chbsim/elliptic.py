@@ -8,7 +8,7 @@ a -> M^-1 a) with fixed-order reductions, so repeated runs are bit-identical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -98,14 +98,6 @@ def robin_influx(f: np.ndarray, b: float, sigma_inf: EdgeTraces,
     lr = float(np.sum(sigma_inf.left - tr.left) + np.sum(sigma_inf.right - tr.right))
     bt = float(np.sum(sigma_inf.bottom - tr.bottom) + np.sum(sigma_inf.top - tr.top))
     return b * (lr * grid.hy + bt * grid.hx)
-
-
-def apply_robin_diffusion(f: np.ndarray, coeff_faces: FaceField, b: float,
-                          sigma_inf: EdgeTraces, grid: Grid) -> tuple[np.ndarray, float]:
-    """Diffusion with Robin walls; returns the field and the total wall income
-    (which the field integrates to, exactly, by telescoping)."""
-    out = robin_linear(f, coeff_faces, b, grid) + robin_source(b, sigma_inf, grid)
-    return out, robin_influx(f, b, sigma_inf, grid)
 
 
 # ---------------------------------------------------------------------------

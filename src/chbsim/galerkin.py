@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FaceField, Grid, State, face_to_center, integrate_cell
+from .core import FaceField, Grid, State, face_to_center
 from .constitutive import (
     ModelSpec,
     SourceTerms,
@@ -265,17 +265,6 @@ def spectral_to_grid(state: SpectralState,
             synthesize(state.c, basis))
 
 
-def spectral_energy(a: np.ndarray, c: np.ndarray, basis: SpectralBasis,
-                    model: ModelSpec) -> float:
-    """Free energy of the synthesized pair, gradient term summed spectrally."""
-    prm = model.params
-    phi_g, sig_g = synthesize(a, basis), synthesize(c, basis)
-    psi, _ = potential_eval(phi_g, model.potential)
-    n_val, _, _ = nutrient_energy(phi_g, sig_g, prm)
-    bulk = integrate_cell(psi / prm.epsilon + n_val, basis.grid)
-    return bulk + 0.5 * prm.epsilon * float(np.sum(basis.eigenvalues * a * a))
-
-
 # ---------------------------------------------------------------------------
 # Time integration
 # ---------------------------------------------------------------------------
@@ -295,26 +284,6 @@ class GalerkinResult:
     c: np.ndarray                 # (steps+1, k)
     states: list[State]           # synthesized samples with the stage-1 flow
     flow_iterations: int
-
-
-def stability_timestep(basis: SpectralBasis, model: ModelSpec) -> float:
-    """Conservative explicit-stability estimate for the RK4 march.
-
-    Bounds the stiffest linearized rate by the fourth-order surface term
-    plus the destabilizing well curvature and the cross/chemo couplings,
-    all at the largest eigenvalue; RK4's real-axis stability reach ~2.8
-    is taken with a safety factor 0.9.
-    """
-    prm = model.params
-    lam = float(np.max(basis.eigenvalues))
-    if lam == 0.0:
-        return np.inf
-    curv = 2.0 * model.potential.stabilization_bound  # sup |psi''| scale
-    m_hi, n_hi = model.mobvis.m.hi, model.mobvis.n.hi
-    rate = (m_hi * lam * (prm.epsilon * lam + curv / prm.epsilon + prm.chi_phi)
-            + n_hi * lam * (prm.chi_sigma + prm.chi_phi)
-            + prm.b * basis.grid.perimeter / basis.grid.area)
-    return 0.9 * 2.8 / rate
 
 
 def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
@@ -351,7 +320,9 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
             raise SpectralBlowup(f"coefficient blow-up at t={t:g}")
         st = stage(aa, cc, basis, model)
         if flow:
-            problem = brinkman_problem(st.phi, st.sigma, st.mu, st.src.gamma_v, model)
+            problem = brinkman_problem(
+                st.phi, st.sigma, st.mu, nutrient_energy(st.phi, st.sigma, model.params)[1],
+                st.src.gamma_v, model)
             sol = solve_brinkman(problem, SolverOptions(
                 tol=FLOW_TOL, max_iters=FLOW_MAX_ITERS, x0=warm))
             if not sol.report.converged:

@@ -4,11 +4,13 @@ Configs are sectioned key=value text (INI).  Each key is the name of a
 `RunConfig` field in lower case, and its section is fixed; unknown
 sections or keys are rejected so typos cannot silently fall back to
 defaults.  Every key has a default, so even an empty file is a valid
-configuration.  Every number must be finite.  A malformed file (a repeated
-key or section, a key above the first section, a value that does not
-parse) raises `ConfigError` with one line per problem before any output is
-made.  Floats are written with `repr`, which round-trips bit exactly,
-making save -> load the identity and reruns byte-identical.
+configuration.  Every number must be finite, and so must t_end / dt.  A
+malformed file (not UTF-8, a repeated key or section, a key above the first
+section, a value that does not parse, an inline comment on the output
+directory line, whose name could hold one) raises `ConfigError` with one
+line per problem before any output is made.  Floats are written with
+`repr`, which round-trips bit exactly, making save -> load the identity and
+reruns byte-identical; a value the file cannot carry is refused.
 
 Snapshots come in two flavours: CSV (one row per cell, the bit-exact
 archival format) and legacy-VTK structured points (ASCII, for viewers).
@@ -20,6 +22,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -336,14 +339,22 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
+    raw = configparser.ConfigParser(interpolation=None)   # values with their comments
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
+        text = path.read_text(encoding="utf-8")
+        for each in (parser, raw):
+            each.read_string(text, source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path} is not UTF-8 text: {exc.reason}"]) from None
     except configparser.Error as exc:
         # its message names the file and the line, spread over several lines
         raise ConfigError([" ".join(str(exc).split())]) from None
 
     errors: list[str] = []
+    directory = raw.get("output", "directory", fallback=None)
+    if directory is not None and directory != parser["output"]["directory"]:
+        errors.append(f"[output] directory: {directory!r} holds an inline comment, which "
+                      f"would cut the name to {parser['output']['directory']!r}")
     values: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -377,6 +388,8 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
                           f"got {getattr(cfg, name)!r}")
     if cfg.dt > 0.0 and not cfg.t_end >= cfg.dt:
         errors.append(f"t_end={cfg.t_end} is shorter than one step dt={cfg.dt}")
+    if cfg.dt > 0.0 and not math.isfinite(cfg.t_end / cfg.dt):
+        errors.append(f"t_end={cfg.t_end} / dt={cfg.dt} overflows the step count")
     if cfg.snapshot_every < 0:
         errors.append("snapshot_every must be >= 0")
     if not cfg.formats:
@@ -398,15 +411,32 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
     return errors
 
 
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    """Write the full canonical file; load(save(cfg)) == cfg."""
-    lines = []
+# what a config line cannot carry: blanks at either end of the value, a line
+# break, or a comment ('#' or ';' at its start or after a blank)
+_UNWRITABLE = re.compile(r"^\s|\s$|[\r\n]|(^|\s)[#;]")
+
+
+def _config_text(cfg: RunConfig) -> str:
+    """The full canonical file of `cfg`; raises `ConfigError` for a value
+    the file cannot carry."""
+    lines, errors = [], []
     for section, attrs in _SECTIONS.items():
         lines.append(f"[{section}]")
         for attr in attrs:
-            lines.append(f"{attr.lower()} = {_CODECS[attr][1](getattr(cfg, attr))}")
+            text = _CODECS[attr][1](getattr(cfg, attr))
+            if _UNWRITABLE.search(text):
+                errors.append(f"[{section}] {attr.lower()}: a config file cannot carry "
+                              f"{text!r} (blanks at an end, a line break or a comment)")
+            lines.append(f"{attr.lower()} = {text}")
         lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    if errors:
+        raise ConfigError(errors)
+    return "\n".join(lines)
+
+
+def save_config(cfg: RunConfig, path: str | Path) -> None:
+    """Write the full canonical file; load(save(cfg)) == cfg."""
+    Path(path).write_text(_config_text(cfg), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +639,15 @@ def _write_outputs(result: RunResult, cfg: RunConfig, outdir: Path) -> None:
 
 def run_from_config(cfg: RunConfig) -> tuple[RunResult, Path]:
     """Full simulation with all outputs; partial outputs survive a failed step."""
-    state0 = cfg.initial_state()   # a ConfigError here leaves no output behind
+    # an error in any of these leaves no output behind
+    state0, text, n_steps = cfg.initial_state(), _config_text(cfg), cfg.n_steps
     specs = cfg.sim_spec()
     outdir = resolve_output_dir(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     with OutputLock(outdir):
-        save_config(cfg, outdir / "config.ini")
+        (outdir / "config.ini").write_text(text, encoding="utf-8")
         try:
-            result = run(state0, cfg.n_steps, specs)
+            result = run(state0, n_steps, specs)
         except StepFailure as exc:
             if exc.partial is not None:
                 _write_outputs(exc.partial, cfg, outdir)

@@ -20,8 +20,12 @@ One step from t_n advances in three stages that share one old-level record:
         in the cross-diffusion flux and explicit upwind convection.
 
 After (ii) and (iii) the field is shifted by a spatial constant (of the order
-of the Krylov tolerance) chosen so the integral mass ledgers close exactly;
-the ledgers and energy budget read the same `diagnostics.old_level` record.
+of the Krylov tolerance) chosen so the integral mass ledgers close exactly.
+Each level's psi', N_sigma and energy are evaluated once, into the
+`diagnostics.TimeLevel` record that `run` (t = 0) or `step` (the new level)
+builds; a step adds the sources, face mobility and, with the flow on, the
+Brinkman problem to it (`diagnostics.old_level`), and n(phi') is computed
+once for the nutrient update and the budget.
 """
 from __future__ import annotations
 
@@ -184,8 +188,7 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField, dt: float,
     ones = FaceField.ones(g)
     theta = old.src.theta_phi
 
-    _, dpsi = potential_eval(phi_n, model.potential)
-    c_lin = dpsi / eps - (s / eps) * phi_n - p.chi_phi * sigma_n
+    c_lin = old.dpsi / eps - (s / eps) * phi_n - p.chi_phi * sigma_n
 
     def a_eps(f: np.ndarray) -> np.ndarray:
         return (s / eps) * f - eps * apply_neumann_laplacian(f, ones, g)
@@ -223,20 +226,19 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField, dt: float,
 
 
 def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
-                  phi_new: np.ndarray, mu_new: np.ndarray, dt: float,
-                  specs: SimSpec) -> tuple[np.ndarray, SolveReport]:
+                  phi_new: np.ndarray, mu_new: np.ndarray, n_faces: FaceField,
+                  dt: float, specs: SimSpec) -> tuple[np.ndarray, SolveReport]:
     """Advance the nutrient; returns (sigma', solver report).
 
     Implicit diffusion chi_sigma div(n(phi') grad sigma') with Robin walls,
     the cross flux -chi_phi div(n(phi') grad phi') and the sources evaluated
-    with the fresh mu', convection explicit upwind.
+    with the fresh mu', convection explicit upwind; `n_faces` is n(phi') on
+    the faces.
     """
     model, sc = specs.model, specs.scheme
     g, p = model.grid, model.params
     sigma_n = old.state.sigma
 
-    _, n_cell = mobilities(phi_new, model.mobvis)
-    n_faces = harmonic_face_coefficients(n_cell, g)
     chi_faces = FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w)
     gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * mu_new
     sinf = p.sigma_inf.as_traces(g)
@@ -264,19 +266,20 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
     return sigma_new, rep
 
 
-def step(state: State, dt: float, specs: SimSpec,
-         prev: State | None = None) -> tuple[State, StepReport]:
-    """One full step from one old-level record: flow, phase, nutrient, ledgers, budget.
+def step(level: diagnostics.TimeLevel, dt: float, specs: SimSpec,
+         prev: State | None = None) -> tuple[diagnostics.TimeLevel, StepReport]:
+    """One full step from the record of the level it leaves: flow, phase,
+    nutrient, ledgers, budget; returns the record of the new level.
 
-    `prev`, the level before `state`, only moves the start of the flow solve
+    `prev`, the level before `level`, only moves the start of the flow solve
     (see `solve_flow`); pass it only when both levels hold solved flows."""
     model = specs.model
     g = model.grid
-    old = diagnostics.old_level(state, model)
+    old = diagnostics.old_level(level, model, specs.scheme.flow)
 
     flow_report = None
     div_residual = 0.0
-    if specs.scheme.flow:
+    if old.flow is not None:
         sol = solve_flow(old, specs, prev)
         v_new, p_new = sol.v, sol.p
         flow_report = sol.report
@@ -285,17 +288,18 @@ def step(state: State, dt: float, specs: SimSpec,
         v_new, p_new = FaceField.zeros(g), np.zeros(g.shape)
 
     phi_new, mu_new, phase_rep = step_phase(old, v_new, dt, specs)
-    sigma_new, nut_rep = step_nutrient(old, v_new, phi_new, mu_new, dt, specs)
+    n_faces = harmonic_face_coefficients(mobilities(phi_new, model.mobvis)[1], g)
+    sigma_new, nut_rep = step_nutrient(old, v_new, phi_new, mu_new, n_faces, dt, specs)
 
-    new = State(t=state.t + dt, phi=phi_new, mu=mu_new, sigma=sigma_new,
-                p=p_new, v=v_new)
-    ledger = diagnostics.mass_balances(old, new, dt, model)
+    new = diagnostics.time_level(State(t=old.state.t + dt, phi=phi_new, mu=mu_new,
+                                       sigma=sigma_new, p=p_new, v=v_new), model)
+    ledger = diagnostics.mass_balances(old, new.state, dt, model)
     report = StepReport(
-        t=new.t, dt=dt, flow=flow_report, phase=phase_rep, nutrient=nut_rep,
+        t=new.state.t, dt=dt, flow=flow_report, phase=phase_rep, nutrient=nut_rep,
         div_residual=div_residual,
         phi_min=float(np.min(phi_new)), phi_max=float(np.max(phi_new)),
         ledger_phi=ledger.phi_residual, ledger_sigma=ledger.sigma_residual,
-        budget=diagnostics.energy_budget(old, new, dt, model))
+        budget=diagnostics.energy_budget(old, new, n_faces, dt, model))
     return new, report
 
 
@@ -325,11 +329,12 @@ class RunResult:
         return self.states[-1]
 
 
-def _initial_row(state: State, model: ModelSpec) -> dict:
+def _initial_row(level: diagnostics.TimeLevel, model: ModelSpec) -> dict:
     g = model.grid
+    state = level.state
     return {
         "t": state.t,
-        "energy": diagnostics.energy(state, model),
+        "energy": level.energy,
         "mass_phi": integrate_cell(state.phi, g),
         "mass_sigma": integrate_cell(state.sigma, g),
         "diss_mu": 0.0, "diss_nsigma": 0.0, "diss_visc": 0.0,
@@ -349,14 +354,15 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
     """
     model, sc = specs.model, specs.scheme
     g = model.grid
-    state = state0
-    rows = [_initial_row(state0, model)]
+    level = diagnostics.time_level(state0, model)
+    rows = [_initial_row(level, model)]
     reports: list[StepReport] = []
     states = [state0.copy()]
-    prev = None  # the level before `state`, once its flow is a solution too
+    prev = None  # the level before `level`, once its flow is a solution too
     try:
         for k in range(n_steps):
-            new, rep = step(state, sc.dt, specs, prev)
+            new_level, rep = step(level, sc.dt, specs, prev)
+            new = new_level.state
             rows.append({
                 "t": new.t,
                 "energy": rep.budget.e_after,
@@ -376,14 +382,14 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
                 "cg_iters_total": rep.iterations_total,
             })
             reports.append(rep)
-            prev = state if k > 0 else None  # the t = 0 rest flow is no solution
-            state = new
+            prev = level.state if k > 0 else None  # the t = 0 rest flow is no solution
+            level = new_level
             last = k == n_steps - 1
             if (sc.snapshot_every > 0 and (k + 1) % sc.snapshot_every == 0) or last:
-                states.append(state.copy())
+                states.append(new.copy())
     except StepFailure as exc:
-        if states[-1].t != state.t:
-            states.append(state.copy())
+        if states[-1].t != level.state.t:
+            states.append(level.state.copy())
         exc.partial = RunResult(rows, reports, states)
         raise
     return RunResult(rows, reports, states)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from chbsim import brinkman, elliptic
-from chbsim.constitutive import ModelParams
+from chbsim.constitutive import ModelParams, nutrient_energy
 from chbsim.core import FaceField, make_grid
 from chbsim.elliptic import (
     SolverOptions,
@@ -431,8 +431,9 @@ def test_robustness_sweep_converges(contrast, nu, lam):
 def test_capillary_force_of_uniform_fields_vanishes():
     grid = make_grid(1.0, 1.0, 8, 8)
     params = ModelParams(epsilon=0.1, chi_sigma=1.0, chi_phi=0.5, nu=1.0, b=0.0)
-    f = capillary_force(np.full(grid.shape, 0.4), np.full(grid.shape, 0.9),
-                        np.full(grid.shape, -1.2), params, grid)
+    phi, sigma = np.full(grid.shape, 0.4), np.full(grid.shape, 0.9)
+    _, n_sigma, _ = nutrient_energy(phi, sigma, params)
+    f = capillary_force(phi, sigma, np.full(grid.shape, -1.2), n_sigma, grid)
     np.testing.assert_allclose(f.u, 0.0, atol=1e-14)
     np.testing.assert_allclose(f.w, 0.0, atol=1e-14)
 
@@ -441,20 +442,19 @@ def test_capillary_force_walls_are_force_free():
     grid = make_grid(1.0, 1.0, 8, 8)
     params = ModelParams(epsilon=0.1, chi_sigma=1.0, chi_phi=0.5, nu=1.0, b=1.0)
     rng = np.random.default_rng(13)
-    f = capillary_force(rng.standard_normal(grid.shape),
-                        rng.standard_normal(grid.shape),
-                        rng.standard_normal(grid.shape), params, grid)
+    phi, sigma = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    _, n_sigma, _ = nutrient_energy(phi, sigma, params)
+    f = capillary_force(phi, sigma, rng.standard_normal(grid.shape), n_sigma, grid)
     assert np.all(f.u[0, :] == 0.0) and np.all(f.u[-1, :] == 0.0)
     assert np.all(f.w[:, 0] == 0.0) and np.all(f.w[:, -1] == 0.0)
     assert np.any(f.u[1:-1, :] != 0.0)
 
 
 def test_capillary_force_linear_phase_gradient():
-    # phi = x with constant mu: force is mu * grad(phi) = mu along x
+    # phi = x with constant mu and sigma = 0: force is mu * grad(phi) = mu along x
     grid = make_grid(1.0, 1.0, 8, 8)
-    params = ModelParams(epsilon=0.1, chi_sigma=1.0, chi_phi=0.0, nu=1.0, b=0.0)
     x, _ = grid.cell_centers()
     f = capillary_force(x, np.zeros(grid.shape), np.full(grid.shape, 2.0),
-                        params, grid)
+                        np.ones(grid.shape), grid)
     np.testing.assert_allclose(f.u[1:-1, :], 2.0, atol=1e-13)
     np.testing.assert_allclose(f.w, 0.0, atol=1e-14)

@@ -3,14 +3,12 @@ import numpy as np
 import pytest
 
 from chbsim.core import (
-    EdgeTraces,
     FaceField,
+    State,
     extrapolate_to_walls,
     face_to_center,
-    integrate_boundary,
     integrate_cell,
     make_grid,
-    state_zeros,
 )
 
 
@@ -49,23 +47,6 @@ def test_integrate_cell_cosine_refined_oracle():
     assert abs(coarse - refined) <= 1e-3
 
 
-def test_integrate_boundary_constants():
-    g = make_grid(1.0, 1.0, 16, 16)
-    ones = EdgeTraces.from_constants(1.0, 1.0, 1.0, 1.0, g)
-    zeros = EdgeTraces.from_constants(0.0, 0.0, 0.0, 0.0, g)
-    assert integrate_boundary(ones, g) == pytest.approx(4.0, abs=1e-14)
-    assert integrate_boundary(zeros, g) == 0.0
-
-
-def test_integrate_boundary_linear_trace():
-    # sigma(x, y) = y: contour integral over the unit-square boundary is
-    # 0.5 (left) + 0.5 (right) + 0 (bottom) + 1 (top) = 2
-    g = make_grid(1.0, 1.0, 64, 64)
-    x, y = g.cell_centers()
-    tr = extrapolate_to_walls(y, g)
-    assert abs(integrate_boundary(tr, g) - 2.0) <= 1e-2
-
-
 def test_extrapolated_traces_exact_for_linears():
     g = make_grid(1.0, 1.0, 8, 8)
     x, y = g.cell_centers()
@@ -81,7 +62,7 @@ def test_extrapolated_traces_exact_for_linears():
 
 def test_state_and_face_containers():
     g = make_grid(1.0, 2.0, 8, 4)
-    st = state_zeros(g)
+    st = State(0.0, *(np.zeros(g.shape) for _ in range(4)), FaceField.zeros(g))
     assert st.phi.shape == (8, 4) and st.v.u.shape == (9, 4) \
         and st.v.w.shape == (8, 5)
     assert st.all_finite()
@@ -91,8 +72,8 @@ def test_state_and_face_containers():
 
 def test_face_to_center_average_is_exact_for_linears():
     g = make_grid(1.0, 1.0, 8, 8)
-    xu, _ = g.xface_coords()
-    _, yw = g.yface_coords()
+    xu = np.repeat(np.arange(g.nx + 1)[:, None] * g.hx, g.ny, axis=1)  # x of u faces
+    yw = np.repeat(np.arange(g.ny + 1)[None, :] * g.hy, g.nx, axis=0)  # y of w faces
     v = FaceField(3.0 * xu + 1.0, -2.0 * yw)
     vx, vy = face_to_center(v)
     x, y = g.cell_centers()

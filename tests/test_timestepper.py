@@ -18,7 +18,7 @@ from chbsim.constitutive import (
     sources,
 )
 from chbsim.core import FaceField, integrate_cell, make_grid
-from chbsim.diagnostics import energy_budget, mass_balances, old_level
+from chbsim.diagnostics import energy_budget, mass_balances, old_level, time_level
 from chbsim.elliptic import (
     StencilOperator,
     apply_neumann_laplacian,
@@ -33,14 +33,13 @@ from chbsim.timestepper import (
     SchemeOptions,
     SimSpec,
     StepFailure,
-    chemical_potential,
     initial_state,
     phase_inverse,
     run,
     step,
     step_phase,
 )
-from chbsim import brinkman, constitutive, timestepper, verify
+from chbsim import brinkman, constitutive, diagnostics, timestepper, verify
 
 
 def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0, nu=1.0,
@@ -60,6 +59,17 @@ def specs_for(model, dt, **kw):
     return SimSpec(model, SchemeOptions(dt=dt, **kw))
 
 
+def step_from(state, dt, specs):
+    """One step from a state: the new state and the step report."""
+    new, rep = step(time_level(state, specs.model), dt, specs)
+    return new.state, rep
+
+
+def old_record(state, model):
+    """The flow-free old-level record of the step leaving `state`."""
+    return old_level(time_level(state, model), model, False)
+
+
 def disc_phase(grid, radius=0.3, eps=0.1):
     x, y = grid.cell_centers()
     r = np.hypot(x - 0.5, y - 0.5)
@@ -75,7 +85,7 @@ def test_uniform_state_is_a_fixed_point():
     phi_bar, sig_bar = 0.3, 1.0  # sigma at the ambient value
     state = initial_state(np.full(model.grid.shape, phi_bar),
                           np.full(model.grid.shape, sig_bar), model)
-    new, rep = step(state, 1e-3, specs_for(model, 1e-3, flow=False))
+    new, rep = step_from(state, 1e-3, specs_for(model, 1e-3, flow=False))
     np.testing.assert_allclose(new.phi, phi_bar, atol=1e-13)
     np.testing.assert_allclose(new.sigma, sig_bar, atol=1e-13)
     _, dpsi = potential_eval(np.array(phi_bar), model.potential)
@@ -105,7 +115,7 @@ def test_uniform_tumour_grows_at_the_lima_rate():
     dt, sig_bar = 2e-3, 1.0
     state = initial_state(np.ones(model.grid.shape),
                           np.full(model.grid.shape, sig_bar), model)
-    phi_new, _, _ = step_phase(old_level(state, model), FaceField.zeros(model.grid),
+    phi_new, _, _ = step_phase(old_record(state, model), FaceField.zeros(model.grid),
                                dt, specs_for(model, dt))
     np.testing.assert_allclose(phi_new, 1.0 + dt * (0.4 * sig_bar - 0.1),
                                atol=1e-13)
@@ -160,7 +170,7 @@ def test_phase_step_matches_dense_block_solve(variant):
     phi_oracle = sol[:n].reshape(g.shape)
     mu_oracle = sol[n:].reshape(g.shape)
 
-    phi_new, mu_new, rep = step_phase(old_level(state, model), v_new, dt,
+    phi_new, mu_new, rep = step_phase(old_record(state, model), v_new, dt,
                                       specs_for(model, dt))
     assert rep.converged
     np.testing.assert_allclose(phi_new, phi_oracle, atol=1e-8)
@@ -202,12 +212,12 @@ def test_constant_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     # in both cases the phase preconditioner is the exact inverse
     state, model = constant_mobility_state(source)
     specs = specs_for(model, 1e-3, flow=False)
-    new, rep = step(state, 1e-3, specs)
+    new, rep = step_from(state, 1e-3, specs)
     assert rep.phase.converged and rep.phase.iterations <= 2
     assert abs(rep.ledger_phi) <= 1e-11
 
     monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: None)
-    plain, plain_rep = step(state, 1e-3, specs)
+    plain, plain_rep = step_from(state, 1e-3, specs)
     assert plain_rep.phase.iterations > 10
     assert (np.linalg.norm(new.phi - plain.phi)
             <= 1e-10 * np.linalg.norm(plain.phi))
@@ -224,7 +234,7 @@ def variable_mobility_step(n, contrast, source):
                         source=SOURCES[source])
     state = initial_state(disc_phase(model.grid), np.full(model.grid.shape, 0.8), model)
     specs = specs_for(model, 1e-3, flow=False)
-    new, rep = step(state, 1e-3, specs)
+    new, rep = step_from(state, 1e-3, specs)
     return state, specs, new, rep
 
 
@@ -234,7 +244,7 @@ def test_variable_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     assert rep.phase.converged and abs(rep.ledger_phi) <= 1e-11
 
     monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: None)
-    plain, plain_rep = step(state, 1e-3, specs)
+    plain, plain_rep = step_from(state, 1e-3, specs)
     assert plain_rep.phase.converged
     assert 3 * rep.phase.iterations <= plain_rep.phase.iterations
     assert (np.linalg.norm(new.phi - plain.phi)
@@ -267,7 +277,7 @@ def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
     monkeypatch.setattr(timestepper, "phase_inverse", spy_inverse)
     monkeypatch.setattr(timestepper, "solve_general", spy_general)
     monkeypatch.setattr(timestepper, "solve_spd", no_cg, raising=False)
-    _, _, rep = step_phase(old_level(state, model), FaceField.zeros(model.grid), 1e-3,
+    _, _, rep = step_phase(old_record(state, model), FaceField.zeros(model.grid), 1e-3,
                            specs_for(model, 1e-3, flow=False))
     assert len(built) == 1 and len(used) == 1 and used[0] is built[0]
     assert rep.converged
@@ -306,7 +316,7 @@ def test_nutrient_step_matches_dense_solve():
     phi_n = np.tanh(2.0 * np.cos(np.pi * x))
     sigma_n = 0.5 + 0.2 * np.cos(np.pi * y)
     state = initial_state(phi_n, sigma_n, model)
-    new, _ = step(state, dt, specs_for(model, dt, flow=False))
+    new, _ = step_from(state, dt, specs_for(model, dt, flow=False))
 
     _, n_cell = mobilities(new.phi, model.mobvis)
     n_faces = harmonic_face_coefficients(n_cell, g)
@@ -347,7 +357,7 @@ def test_robin_wall_income_matches_mass_gain():
     g = model.grid
     dt = 1e-3
     state = initial_state(np.zeros(g.shape), np.zeros(g.shape), model)
-    new, rep = step(state, dt, specs_for(model, dt, flow=False))
+    new, rep = step_from(state, dt, specs_for(model, dt, flow=False))
     gain = integrate_cell(new.sigma, g) - 0.0
     # income b * perimeter * sigma_inf, reduced slightly by the implicit
     # rise of the wall trace within the step
@@ -380,13 +390,17 @@ def flow_model_with_lima_sources():
 
 
 def test_old_level_coefficients_are_evaluated_once_per_step(monkeypatch):
-    # the three stages, the mass ledgers and the energy budget share one
-    # evaluation of the sources, the viscosities and the capillary force
+    # psi', N_sigma and the energy of each level are evaluated once, when the
+    # level is produced (t = 0 by `run`); the sources, the face mobilities
+    # and, with the flow on, the viscosities and the capillary force once per
+    # step, shared by the three stages, the mass ledgers and the energy budget
     model = flow_model_with_lima_sources()
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
     calls = {}
     for origin, name in [(constitutive, "sources"), (constitutive, "viscosities"),
-                         (brinkman, "capillary_force")]:
+                         (constitutive, "mobilities"), (constitutive, "potential_eval"),
+                         (constitutive, "nutrient_energy"), (brinkman, "capillary_force"),
+                         (diagnostics, "energy")]:
         original = getattr(origin, name)
         calls[name] = 0
 
@@ -398,24 +412,34 @@ def test_old_level_coefficients_are_evaluated_once_per_step(monkeypatch):
             if ((key == "chbsim" or key.startswith("chbsim."))
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, counted)
-    run(state, 1, specs_for(model, 1e-4, flow=True))
-    assert calls == {"sources": 1, "viscosities": 1, "capillary_force": 1}
+    n = 3
+    for flow in (True, False):
+        calls.update(dict.fromkeys(calls, 0))
+        run(state, n, specs_for(model, 1e-4, flow=flow))
+        per_flow_step = n if flow else 0
+        assert calls == {"sources": n, "mobilities": n, "potential_eval": n + 1,
+                         "nutrient_energy": n + 1, "viscosities": per_flow_step,
+                         "capillary_force": per_flow_step, "energy": 0}, flow
 
 
 def test_rebuilt_old_level_records_reproduce_the_step_diagnostics():
-    # every step's budget and ledgers, recomputed from the saved levels,
-    # equal the run's own bit for bit: the record is built from the old level
+    # every step's budget and ledgers, recomputed from records rebuilt from
+    # the saved levels, equal the run's own bit for bit, with the flow on
+    # and off: each record is built from its level alone
     model = flow_model_with_lima_sources()
     dt = 1e-4
     state0 = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
-    res = run(state0, 3, specs_for(model, dt, flow=True, snapshot_every=1))
-    assert len(res.states) == len(res.reports) + 1 == 4
-    for prev, new, rep in zip(res.states, res.states[1:], res.reports):
-        old = old_level(prev, model)
-        assert energy_budget(old, new, dt, model) == rep.budget
-        ledger = mass_balances(old, new, dt, model)
-        assert ledger.phi_residual == rep.ledger_phi
-        assert ledger.sigma_residual == rep.ledger_sigma
+    for flow in (True, False):
+        res = run(state0, 3, specs_for(model, dt, flow=flow, snapshot_every=1))
+        assert len(res.states) == len(res.reports) + 1 == 4
+        for prev, new, rep in zip(res.states, res.states[1:], res.reports):
+            old = old_level(time_level(prev, model), model, flow)
+            n_faces = harmonic_face_coefficients(mobilities(new.phi, model.mobvis)[1],
+                                                 model.grid)
+            assert energy_budget(old, time_level(new, model), n_faces, dt, model) == rep.budget
+            ledger = mass_balances(old, new, dt, model)
+            assert ledger.phi_residual == rep.ledger_phi
+            assert ledger.sigma_residual == rep.ledger_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +483,13 @@ def test_flow_solve_starts_from_the_extrapolated_flow():
     n_steps, dt = 10, 1e-4
     spec = specs_for(model, dt, s=2.0, snapshot_every=1)
     res = run(state0, n_steps, spec)
-    plain = [state0]
+    plain = [time_level(state0, model)]
     plain_its = []
     for _ in range(n_steps):
         new, rep = step(plain[-1], dt, spec)
         plain.append(new)
         plain_its.append(rep.flow.iterations)
+    plain = [level.state for level in plain]
 
     def fields(st):
         return (st.phi, st.mu, st.sigma, st.p, st.v.u, st.v.w)
@@ -509,7 +534,7 @@ def test_phase_abort_guard_trips_on_explosion():
     model = build_model()
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
     with pytest.raises(StepFailure, match="range explosion"):
-        step(state, 1e-3, specs_for(model, 1e-3, flow=False, phi_abort=0.5))
+        step_from(state, 1e-3, specs_for(model, 1e-3, flow=False, phi_abort=0.5))
 
 
 # ---------------------------------------------------------------------------
