@@ -79,8 +79,6 @@ from .galerkin import (
     SpectralState,
     build_basis,
     integrate,
-    project_initial,
-    spectral_to_grid,
 )
 from .io import (
     RunConfig,

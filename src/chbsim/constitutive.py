@@ -57,7 +57,6 @@ class PotentialSpec:
 
     Reported constants:
       r1, r2   lower growth bound psi(t) >= r1 t^2 - r2
-      q        polynomial-growth exponent of psi'' (case 2); 0 when bounded
       r4       bound for |psi'| <= r4 (1+|t|) and |psi''| <= r4 (case 1 only)
     """
 
@@ -65,17 +64,16 @@ class PotentialSpec:
     delta_cap: float = 0.2
     r1: float = 0.125
     r2: float = 0.5
-    q: float = 2.0
     r4: float | None = None
 
     @classmethod
     def quartic(cls) -> "PotentialSpec":
-        return cls(kind="quartic", q=2.0, r4=None)
+        return cls(kind="quartic")
 
     @classmethod
     def quadratic_growth(cls, delta_cap: float = 0.2) -> "PotentialSpec":
         a = 1.0 + delta_cap
-        return cls(kind="quadratic_growth", delta_cap=delta_cap, q=0.0,
+        return cls(kind="quadratic_growth", delta_cap=delta_cap,
                    r4=3.0 * a * a - 1.0)
 
     @property
@@ -399,7 +397,7 @@ def validate_params(params: ModelParams, potential: PotentialSpec,
     add("epsilon_condition", lhs > rhs,
         f"1/eps = {lhs:.6g} vs 2 chi_phi^2/(chi_sigma R1) = {rhs:.6g}")
 
-    # Case consistency: the quartic (q=2, case 2) needs theta_phi strictly
+    # Case consistency: the quartic (case 2) needs theta_phi strictly
     # positive, unless theta_phi vanishes identically (no mu-coupling at all).
     if potential.kind == "quartic":
         ok = source_spec.theta_identically_zero() or source_spec.theta_strictly_positive()

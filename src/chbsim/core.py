@@ -78,9 +78,6 @@ class FaceField:
     def copy(self) -> "FaceField":
         return FaceField(self.u.copy(), self.w.copy())
 
-    def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.w)))
-
 
 @dataclass
 class State:
@@ -96,10 +93,6 @@ class State:
     def copy(self) -> "State":
         return State(self.t, self.phi.copy(), self.mu.copy(), self.sigma.copy(),
                      self.p.copy(), self.v.copy())
-
-    def all_finite(self) -> bool:
-        ok = all(np.all(np.isfinite(f)) for f in (self.phi, self.mu, self.sigma, self.p))
-        return bool(ok) and self.v.all_finite()
 
 
 @dataclass

@@ -130,11 +130,6 @@ def project(field: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     return np.tensordot(basis.values, field, axes=2) * vol
 
 
-def project_initial(phi0: np.ndarray, sigma0: np.ndarray,
-                    basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
-    return project(phi0, basis), project(sigma0, basis)
-
-
 # ---------------------------------------------------------------------------
 # State, matrices, right-hand side
 # ---------------------------------------------------------------------------
@@ -143,7 +138,6 @@ def project_initial(phi0: np.ndarray, sigma0: np.ndarray,
 class SpectralState:
     t: float
     a: np.ndarray   # phase coefficients
-    b: np.ndarray   # chemical-potential coefficients (derived from a, c)
     c: np.ndarray   # nutrient coefficients
 
 
@@ -256,13 +250,6 @@ def rhs(a: np.ndarray, b: np.ndarray, c: np.ndarray, mats: GalerkinMatrices,
     dc = (mats.s_n @ (prm.chi_phi * a - prm.chi_sigma * c) - mats.f_vec
           - conv @ c + prm.b * (mats.sig_vec - mats.m_bnd @ c))
     return da, dc
-
-
-def spectral_to_grid(state: SpectralState,
-                     basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Synthesized (phi, mu, sigma) grid fields."""
-    return (synthesize(state.a, basis), synthesize(state.b, basis),
-            synthesize(state.c, basis))
 
 
 # ---------------------------------------------------------------------------

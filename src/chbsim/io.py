@@ -72,7 +72,7 @@ class RunConfig:
     # [time]
     dt: float = 1e-3
     t_end: float = 1e-2
-    snapshot_every: int = 0
+    snapshot_every: int = SchemeOptions.snapshot_every
     # [model]
     epsilon: float = 0.1
     chi_sigma: float = 1.0
@@ -95,13 +95,13 @@ class RunConfig:
     source_rho_min: float = 1e-3
     c_gamma_v: float = 0.0
     gamma0: float | None = None
-    # [solver]
-    phase_tol: float = 1e-12
-    nutrient_tol: float = 1e-12
-    flow_tol: float = 1e-11
-    max_iters: int = 40000
-    stabilization_s: float = 2.0
-    flow: bool = True
+    # [solver], defaulting to the scheme's own settings
+    phase_tol: float = SchemeOptions.phase_tol
+    nutrient_tol: float = SchemeOptions.nutrient_tol
+    flow_tol: float = SchemeOptions.flow_tol
+    max_iters: int = SchemeOptions.max_iters
+    stabilization_s: float = SchemeOptions.s
+    flow: bool = SchemeOptions.flow
     # [init]
     phi0: str = "uniform"
     phi0_value: float = 0.0

@@ -53,6 +53,8 @@ from .elliptic import (
 from .brinkman import BrinkmanSolution, _pack, solve_brinkman
 from . import diagnostics
 
+PHI_ABORT = 10.0   # a step whose max |phi'| exceeds this fails: range explosion
+
 
 @dataclass
 class SchemeOptions:
@@ -66,7 +68,6 @@ class SchemeOptions:
     flow_tol: float = 1e-11
     max_iters: int = 40000
     snapshot_every: int = 0      # keep every k-th state in the run record (0: ends only)
-    phi_abort: float = 10.0      # range-explosion guard
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
@@ -219,7 +220,7 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField, dt: float,
     phi_new = phi_new - mismatch / g.area
 
     peak = float(np.max(np.abs(phi_new)))
-    if not np.isfinite(peak) or peak > sc.phi_abort:
+    if not np.isfinite(peak) or peak > PHI_ABORT:
         raise StepFailure(
             f"phase range explosion at t={old.state.t:g}: max|phi| = {peak:g}")
     return phi_new, mu_new, rep

@@ -4,13 +4,18 @@ Each criterion function returns a CriterionResult with a one-line detail
 string; `run_all` shares expensive simulation runs between criteria through
 a cache.  The checks are intentionally strict — tolerances are asserted,
 never adjusted to the observed values.
+
+Every simulated scenario is a `RunConfig` (`DECAY`, `DISC`, `COUPLED`,
+`GALERKIN`, and criterion 10's rerun config): its model, initial fields and
+scheme come from the config, variants are `dataclasses.replace` copies, and
+`save_config` writes any of them out as an INI file.
 """
 from __future__ import annotations
 
 import os
 import tempfile
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,6 @@ import numpy as np
 from .core import EdgeTraces, FaceField, Grid, make_grid
 from .constitutive import (
     CoefficientSpec,
-    EdgeValues,
     MobilityViscositySpec,
     ModelParams,
     ModelSpec,
@@ -40,7 +44,7 @@ from .elliptic import (
     solve_spd,
 )
 from .brinkman import BrinkmanProblem, dense_oracle_solve, solve_brinkman
-from .timestepper import RunResult, SchemeOptions, SimSpec, initial_state, run
+from .timestepper import RunResult, initial_state, run
 from . import diagnostics, galerkin, io
 
 
@@ -71,6 +75,12 @@ def _fit_order(hs, errors) -> float:
     """Least-squares slope of log error against log spacing."""
     return float(np.polyfit(np.log(np.asarray(hs)),
                             np.log(np.asarray(errors)), 1)[0])
+
+
+def _run(cfg: io.RunConfig, phi: np.ndarray, sigma: np.ndarray) -> RunResult:
+    """The run `cfg` declares, started from (phi, sigma)."""
+    specs = cfg.sim_spec()
+    return run(initial_state(phi, sigma, specs.model), cfg.n_steps, specs)
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +139,16 @@ def criterion_2(cache: Cache) -> CriterionResult:
 # 3. Pure gradient flow: energy decays every step
 # ---------------------------------------------------------------------------
 
+# flow-free, source-free gradient flow of a four-mode cosine perturbation
+DECAY = io.RunConfig(
+    nx=64, ny=64, dt=1e-3, t_end=0.5, sigma_inf=(0.0,) * 4,
+    mobility=(5e-3, 5e-3), stabilization_s=1.7, flow=False,
+    phi0="cosine_perturbation", phi0_amplitude=0.05,
+    phi0_modes=((1, 0), (0, 1), (1, 1), (2, 1)), sigma0_value=0.0)
+
+
 def _decay_run() -> tuple[RunResult, ModelSpec]:
-    g = make_grid(1.0, 1.0, 64, 64)
-    params = ModelParams(epsilon=0.1, chi_sigma=1.0, chi_phi=0.0, nu=1.0,
-                         b=0.0, sigma_inf=EdgeValues.constant(0.0))
-    model = ModelSpec(grid=g, params=params, potential=PotentialSpec.quartic(),
-                      mobvis=MobilityViscositySpec.constants(m=0.005, n=1.0),
-                      source=SourceSpec.none())
-    x, y = g.cell_centers()
-    phi0 = 0.05 * (np.cos(np.pi * x) + np.cos(np.pi * y)
-                   + np.cos(np.pi * x) * np.cos(np.pi * y)
-                   + np.cos(2 * np.pi * x) * np.cos(np.pi * y))
-    state0 = initial_state(phi0, np.zeros(g.shape), model)
-    scheme = SchemeOptions(dt=1e-3, s=1.7, flow=False)
-    return run(state0, 500, SimSpec(model=model, scheme=scheme)), model
+    return _run(DECAY, *DECAY.initial_fields()), DECAY.model_spec()
 
 
 def criterion_3(cache: Cache) -> CriterionResult:
@@ -154,7 +160,7 @@ def criterion_3(cache: Cache) -> CriterionResult:
                 for e0, e1 in zip(energies, energies[1:]))
     passed = worst <= 0.0 and elapsed < 60.0
     return CriterionResult(3, "gradient-flow energy decay", passed,
-                           f"500 steps, max uphill slack = {worst:.3e} "
+                           f"{DECAY.n_steps} steps, max uphill slack = {worst:.3e} "
                            f"(<= 0), E: {energies[0]:.6f} -> {energies[-1]:.6f}, "
                            f"{elapsed:.1f}s")
 
@@ -185,29 +191,17 @@ def criterion_4(cache: Cache) -> CriterionResult:
 # 5. Energy-budget residual small and shrinking with dt
 # ---------------------------------------------------------------------------
 
+# tanh disc with Lima sources under strong friction, coupled flow; the
+# budget runs start it from the steady nutrient, not from sigma0
+DISC = io.RunConfig(
+    nx=64, ny=64, dt=1e-4, t_end=5e-3, chi_phi=0.5, nu=1000.0, b=1.0,
+    mobility=(5e-4, 5e-4), nutrient_mobility=(0.05, 0.05), source="lima",
+    source_P=0.05, source_A=0.01, source_C=0.025, c_gamma_v=0.05,
+    phi0="tanh_disc")
+
+
 def _disc_model() -> ModelSpec:
-    g = make_grid(1.0, 1.0, 64, 64)
-    params = ModelParams(epsilon=0.1, chi_sigma=1.0, chi_phi=0.5, nu=1000.0,
-                         b=1.0, sigma_inf=EdgeValues.constant(1.0))
-    mobvis = MobilityViscositySpec(m=CoefficientSpec.constant(5e-4),
-                                   n=CoefficientSpec.constant(0.05),
-                                   eta=CoefficientSpec.constant(1.0),
-                                   lam=CoefficientSpec.constant(0.0))
-    source = SourceSpec.lima(P=0.05, A=0.01, C=0.025, c_gamma_v=0.05)
-    return ModelSpec(grid=g, params=params, potential=PotentialSpec.quartic(),
-                     mobvis=mobvis, source=source)
-
-
-def _disc_phase(model: ModelSpec, radius: float = 0.25) -> np.ndarray:
-    g = model.grid
-    x, y = g.cell_centers()
-    dist = np.sqrt((x - 0.5) ** 2 + (y - 0.5) ** 2)
-    return np.tanh((radius - dist) / (np.sqrt(2.0) * model.params.epsilon))
-
-
-def _disc_state(model: ModelSpec):
-    return initial_state(_disc_phase(model), np.full(model.grid.shape, 1.0),
-                         model)
+    return DISC.model_spec()
 
 
 def _steady_nutrient(phi: np.ndarray, model: ModelSpec) -> np.ndarray:
@@ -242,27 +236,15 @@ def _budget_runs() -> tuple[tuple[RunResult, RunResult], ModelSpec,
     the projection shock of an arbitrary initial guess.
     """
     model = _disc_model()
-    phi0 = _disc_phase(model)
-    sigma0 = _steady_nutrient(phi0, model)
-    relax_model = dc_replace(
-        model, mobvis=dc_replace(model.mobvis,
-                                 m=CoefficientSpec.constant(1e-2)))
-    relax = run(initial_state(phi0, sigma0, relax_model), 100,
-                SimSpec(model=relax_model,
-                        scheme=SchemeOptions(dt=2e-4, s=2.0, flow=True)))
-    settle = run(initial_state(relax.final_state.phi,
-                               relax.final_state.sigma, model), 20,
-                 SimSpec(model=model,
-                         scheme=SchemeOptions(dt=1e-4, s=2.0, flow=True)))
+    phi0, _ = DISC.initial_fields()
+    relax = _run(replace(DISC, mobility=(1e-2, 1e-2), dt=2e-4, t_end=2e-2),
+                 phi0, _steady_nutrient(phi0, model))
+    settle = _run(replace(DISC, t_end=2e-3),
+                  relax.final_state.phi, relax.final_state.sigma)
     prepared = settle.final_state
-    horizon = 5e-3
-    runs = []
-    for dt in (1e-4, 5e-5):
-        state0 = initial_state(prepared.phi, prepared.sigma, model)
-        scheme = SchemeOptions(dt=dt, s=2.0, flow=True)
-        n_steps = int(round(horizon / dt))
-        runs.append(run(state0, n_steps, SimSpec(model=model, scheme=scheme)))
-    return (runs[0], runs[1]), model, (relax, settle)
+    coarse, fine = (_run(cfg, prepared.phi, prepared.sigma)
+                    for cfg in (DISC, replace(DISC, dt=5e-5)))
+    return (coarse, fine), model, (relax, settle)
 
 
 def _max_scaled_residual(result: RunResult) -> float:
@@ -341,29 +323,22 @@ def robin_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
     return hs, errs, _fit_order(hs, errs)
 
 
-def _coupled_model() -> ModelSpec:
-    g = make_grid(1.0, 1.0, 32, 32)
-    params = ModelParams(epsilon=0.1, chi_sigma=1.0, chi_phi=0.25, nu=10.0,
-                         b=0.5, sigma_inf=EdgeValues.constant(1.0))
-    mobvis = MobilityViscositySpec.constants(m=0.01, n=0.01, eta=1.0, lam=0.1)
-    source = SourceSpec.lima(P=0.5, A=0.1, C=0.2, c_gamma_v=0.05)
-    return ModelSpec(grid=g, params=params, potential=PotentialSpec.quartic(),
-                     mobvis=mobvis, source=source)
+# tanh disc with Lima sources and bulk viscosity, coupled flow; run to a
+# fixed horizon at dt, dt/2 and dt/4
+COUPLED = io.RunConfig(
+    nx=32, ny=32, dt=2e-4, t_end=2e-3, chi_phi=0.25, nu=10.0, b=0.5,
+    mobility=(0.01, 0.01), nutrient_mobility=(0.01, 0.01),
+    bulk_viscosity=(0.1, 0.1), source="lima", source_P=0.5, source_A=0.1,
+    source_C=0.2, c_gamma_v=0.05, phi0="tanh_disc")
 
 
 def coupled_dt_convergence() -> tuple[list, list, float]:
     """Self-convergence of the full step at a fixed short horizon."""
-    model = _coupled_model()
-    state0 = _disc_state(model)
-    horizon = 2e-3
-    finals = []
-    dts = (2e-4, 1e-4, 5e-5)
-    for dt in dts:
-        scheme = SchemeOptions(dt=dt, s=2.0, flow=True)
-        result = run(state0, int(round(horizon / dt)),
-                     SimSpec(model=model, scheme=scheme))
-        finals.append(result.final_state.phi)
-    g = model.grid
+    phi0, sigma0 = COUPLED.initial_fields()
+    dts = (COUPLED.dt, COUPLED.dt / 2, COUPLED.dt / 4)
+    finals = [_run(replace(COUPLED, dt=dt), phi0, sigma0).final_state.phi
+              for dt in dts]
+    g = COUPLED.grid()
     gaps = [_l2(finals[0] - finals[1], g), _l2(finals[1] - finals[2], g)]
     order = float(np.log2(gaps[0] / gaps[1]))
     return list(dts), gaps, order
@@ -388,14 +363,16 @@ def criterion_6(cache: Cache) -> CriterionResult:
 GALERKIN_KS = (1, 5, 15, 30)
 
 
+# the sweep's model, step and horizon; its initial fields, with two
+# amplitudes in phi, are `_galerkin_table`'s, which a config cannot carry
+GALERKIN = io.RunConfig(
+    nx=32, ny=32, dt=5e-4, t_end=2e-2, chi_phi=0.25, nu=10.0, b=0.5,
+    mobility=(0.05, 0.05), nutrient_mobility=(0.05, 0.05), source="lima",
+    source_P=0.5, source_A=0.1, source_C=0.2, c_gamma_v=0.05)
+
+
 def _galerkin_model() -> ModelSpec:
-    g = make_grid(1.0, 1.0, 32, 32)
-    params = ModelParams(epsilon=0.1, chi_sigma=1.0, chi_phi=0.25, nu=10.0,
-                         b=0.5, sigma_inf=EdgeValues.constant(1.0))
-    mobvis = MobilityViscositySpec.constants(m=0.05, n=0.05, eta=1.0, lam=0.0)
-    source = SourceSpec.lima(P=0.5, A=0.1, C=0.2, c_gamma_v=0.05)
-    return ModelSpec(grid=g, params=params, potential=PotentialSpec.quartic(),
-                     mobvis=mobvis, source=source)
+    return GALERKIN.model_spec()
 
 
 def galerkin_sweep(model: ModelSpec, phi0: np.ndarray, sigma0: np.ndarray,
@@ -404,8 +381,8 @@ def galerkin_sweep(model: ModelSpec, phi0: np.ndarray, sigma0: np.ndarray,
     table = {}
     for k in ks:
         basis = galerkin.build_basis(k, model.grid)
-        a0, c0 = galerkin.project_initial(phi0, sigma0, basis)
-        st0 = galerkin.SpectralState(t=0.0, a=a0, b=np.zeros(k), c=c0)
+        st0 = galerkin.SpectralState(t=0.0, a=galerkin.project(phi0, basis),
+                                     c=galerkin.project(sigma0, basis))
         res = galerkin.integrate(st0, dt, steps, model, basis,
                                  flow=True, sample_every=1)
         table[k] = diagnostics.norm_estimates(res.states, model).as_dict()
@@ -432,7 +409,8 @@ def _galerkin_table() -> dict:
     phi0 = (-0.2 + 0.1 * np.cos(np.pi * x) * np.cos(np.pi * y)
             + 0.05 * np.cos(np.pi * x))
     sigma0 = 0.9 + 0.05 * np.cos(np.pi * y)
-    return galerkin_sweep(model, phi0, sigma0, GALERKIN_KS, dt=5e-4, steps=40)
+    return galerkin_sweep(model, phi0, sigma0, GALERKIN_KS, dt=GALERKIN.dt,
+                          steps=GALERKIN.n_steps)
 
 
 def criterion_7(cache: Cache) -> CriterionResult:

@@ -65,9 +65,9 @@ def test_state_and_face_containers():
     st = State(0.0, *(np.zeros(g.shape) for _ in range(4)), FaceField.zeros(g))
     assert st.phi.shape == (8, 4) and st.v.u.shape == (9, 4) \
         and st.v.w.shape == (8, 5)
-    assert st.all_finite()
-    st.phi[0, 0] = np.nan
-    assert not st.all_finite()
+    twin = st.copy()
+    twin.phi[0, 0] = twin.v.u[0, 0] = twin.v.w[0, 0] = 1.0
+    assert st.phi[0, 0] == st.v.u[0, 0] == st.v.w[0, 0] == 0.0
 
 
 def test_face_to_center_average_is_exact_for_linears():

@@ -26,9 +26,7 @@ from chbsim.galerkin import (
     chemical_coeffs,
     integrate,
     project,
-    project_initial,
     rhs,
-    spectral_to_grid,
     stage,
     synthesize,
 )
@@ -93,9 +91,8 @@ def test_project_synthesize_round_trip():
     coeffs = rng.standard_normal(basis.k)
     back = project(synthesize(coeffs, basis), basis)
     np.testing.assert_allclose(back, coeffs, atol=1e-10)
-    a, c = project_initial(basis.values[2], basis.values[4], basis)
-    np.testing.assert_allclose(a, np.eye(basis.k)[2], atol=1e-10)
-    np.testing.assert_allclose(c, np.eye(basis.k)[4], atol=1e-10)
+    np.testing.assert_allclose(project(basis.values[2], basis), np.eye(basis.k)[2],
+                               atol=1e-10)
 
 
 def test_projection_satisfies_the_bessel_inequality():
@@ -107,15 +104,12 @@ def test_projection_satisfies_the_bessel_inequality():
     assert float(np.sum(coeffs ** 2)) <= integrate_cell(f * f, grid) + 1e-8
 
 
-def test_spectral_to_grid_returns_the_synthesized_fields():
+def test_synthesize_returns_the_mode_sums():
     grid = make_grid(1.0, 1.0, 16, 16)
     basis = build_basis(2, grid)
-    state = SpectralState(t=0.0, a=np.array([0.5, 0.0]),
-                          b=np.array([0.0, 1.0]), c=np.array([0.0, 0.0]))
-    phi, mu, sig = spectral_to_grid(state, basis)
-    np.testing.assert_allclose(phi, 0.5)
-    np.testing.assert_allclose(mu, basis.values[1])
-    np.testing.assert_allclose(sig, 0.0)
+    np.testing.assert_allclose(synthesize(np.array([0.5, 0.0]), basis), 0.5)
+    np.testing.assert_allclose(synthesize(np.array([0.0, 1.0]), basis), basis.values[1])
+    np.testing.assert_allclose(synthesize(np.array([0.0, 0.0]), basis), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +209,7 @@ def test_single_mode_relaxes_on_the_exact_exponential():
     model = build_model(nx=16, ny=16, b=1.0)
     basis = build_basis(1, model.grid)
     c0 = 0.25
-    state0 = SpectralState(0.0, np.array([0.4]), np.zeros(1), np.array([c0]))
+    state0 = SpectralState(0.0, np.array([0.4]), np.array([c0]))
     res = integrate(state0, 1e-3, 500, model, basis, flow=False)
     t_end = float(res.times[-1])
     assert t_end == pytest.approx(0.5)
@@ -229,7 +223,7 @@ def test_uniform_spectral_state_is_stationary():
     basis = build_basis(6, model.grid)
     a0 = np.array([0.3, 0, 0, 0, 0, 0.0])
     c0 = np.array([0.8, 0, 0, 0, 0, 0.0])
-    res = integrate(SpectralState(0.0, a0, np.zeros(6), c0), 1e-3, 20,
+    res = integrate(SpectralState(0.0, a0, c0), 1e-3, 20,
                     model, basis, flow=False)
     np.testing.assert_allclose(res.a[-1], a0, atol=1e-12)
     np.testing.assert_allclose(res.c[-1], c0, atol=1e-12)
@@ -240,8 +234,8 @@ def test_rk4_is_fourth_order_by_richardson():
     basis = build_basis(6, model.grid)
     x, y = model.grid.cell_centers()
     phi0 = np.tanh(2.0 * np.cos(np.pi * x) * np.cos(np.pi * y))
-    a0, c0 = project_initial(phi0, np.full(model.grid.shape, 0.8), basis)
-    state0 = SpectralState(0.0, a0, np.zeros(basis.k), c0)
+    state0 = SpectralState(0.0, project(phi0, basis),
+                           project(np.full(model.grid.shape, 0.8), basis))
     horizon = 0.016
     finals = []
     for dt in (4e-3, 2e-3, 1e-3):
@@ -258,7 +252,7 @@ def test_free_energy_decays_for_the_closed_relaxation():
     basis = build_basis(6, model.grid)
     rng = np.random.default_rng(21)
     a0 = 0.2 * rng.standard_normal(6)
-    state0 = SpectralState(0.0, a0, np.zeros(6), np.zeros(6))
+    state0 = SpectralState(0.0, a0, np.zeros(6))
     res = integrate(state0, 2e-3, 50, model, basis, flow=False)
     e_start = energy(res.states[0], model)
     e_end = energy(res.states[-1], model)
@@ -270,10 +264,10 @@ def test_oversized_timestep_raises_blowup():
     model = build_model()
     basis = build_basis(6, model.grid)
     x, y = model.grid.cell_centers()
-    a0, c0 = project_initial(np.tanh(3.0 * np.cos(2 * np.pi * x)),
-                             np.ones(model.grid.shape), basis)
+    a0 = project(np.tanh(3.0 * np.cos(2 * np.pi * x)), basis)
+    c0 = project(np.ones(model.grid.shape), basis)
     with pytest.raises(SpectralBlowup):
-        integrate(SpectralState(0.0, a0, np.zeros(6), c0), 5.0, 50,
+        integrate(SpectralState(0.0, a0, c0), 5.0, 50,
                   model, basis, flow=False)
 
 
@@ -299,9 +293,9 @@ def _flow_run(monkeypatch=None, counted=()):
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, tallied)
     basis = build_basis(4, model.grid)
-    a0, c0 = project_initial(phi0, np.ones(model.grid.shape), basis)
-    res = integrate(SpectralState(0.0, a0, np.zeros(4), c0), 1e-4, 3,
-                    model, basis, flow=True)
+    state0 = SpectralState(0.0, project(phi0, basis),
+                           project(np.ones(model.grid.shape), basis))
+    res = integrate(state0, 1e-4, 3, model, basis, flow=True)
     return res, model, basis, calls
 
 
@@ -324,22 +318,22 @@ def test_sampled_states_hold_the_synthesized_recorded_coefficients():
     assert len(res.states) == len(res.times) == 4
     for s, t, a, c in zip(res.states, res.times, res.a, res.c):
         b = chemical_coeffs(a, c, synthesize(a, basis), basis, model)
-        phi, mu, sigma = spectral_to_grid(SpectralState(t, a, b, c), basis)
         assert s.t == t
-        assert np.array_equal(s.phi, phi)
-        assert np.array_equal(s.mu, mu)
-        assert np.array_equal(s.sigma, sigma)
+        assert np.array_equal(s.phi, synthesize(a, basis))
+        assert np.array_equal(s.mu, synthesize(b, basis))
+        assert np.array_equal(s.sigma, synthesize(c, basis))
 
 
 def test_integrate_records_flow_samples():
     model = build_model(nx=16, ny=16)
     basis = build_basis(4, model.grid)
     x, y = model.grid.cell_centers()
-    a0, c0 = project_initial(0.5 * np.cos(np.pi * x) * np.cos(np.pi * y),
-                             np.ones(model.grid.shape), basis)
-    res = integrate(SpectralState(0.0, a0, np.zeros(4), c0), 1e-4, 4,
-                    model, basis, flow=True, sample_every=2)
+    phi0 = 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    state0 = SpectralState(0.0, project(phi0, basis),
+                           project(np.ones(model.grid.shape), basis))
+    res = integrate(state0, 1e-4, 4, model, basis, flow=True, sample_every=2)
     assert isinstance(res, GalerkinResult)
     assert res.flow_iterations > 0
-    assert all(s.all_finite() for s in res.states)
+    assert all(np.all(np.isfinite(f)) for s in res.states
+               for f in (s.phi, s.mu, s.sigma, s.p, s.v.u, s.v.w))
     assert res.states[-1].t == pytest.approx(4e-4)

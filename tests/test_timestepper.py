@@ -473,15 +473,15 @@ def test_flow_solve_starts_from_the_extrapolated_flow():
     # criterion-4/5 disc at 32^2, relaxed flow-free first as the disc_flow
     # benchmark workload does; `run` hands `step` the previous level from
     # the third step on, a plain `step` loop starts every solve from x_n
-    model = dc_replace(verify._disc_model(), grid=make_grid(1.0, 1.0, 32, 32))
-    phi = verify._disc_phase(model)
-    relax_model = dc_replace(model, mobvis=dc_replace(
-        model.mobvis, m=CoefficientSpec.constant(1e-2)))
-    phi = run(initial_state(phi, verify._steady_nutrient(phi, model), relax_model),
-              10, specs_for(relax_model, 2e-3, s=2.0, flow=False)).final_state.phi
+    cfg = dc_replace(verify.DISC, nx=32, ny=32, t_end=1e-3)
+    model = cfg.model_spec()
+    phi, _ = cfg.initial_fields()
+    relax = dc_replace(cfg, mobility=(1e-2, 1e-2), dt=2e-3, t_end=2e-2, flow=False)
+    phi = run(initial_state(phi, verify._steady_nutrient(phi, model), relax.model_spec()),
+              relax.n_steps, relax.sim_spec()).final_state.phi
     state0 = initial_state(phi, verify._steady_nutrient(phi, model), model)
-    n_steps, dt = 10, 1e-4
-    spec = specs_for(model, dt, s=2.0, snapshot_every=1)
+    n_steps, dt = cfg.n_steps, cfg.dt
+    spec = dc_replace(cfg, snapshot_every=1).sim_spec()
     res = run(state0, n_steps, spec)
     plain = [time_level(state0, model)]
     plain_its = []
@@ -530,11 +530,12 @@ def test_scheme_options_validation():
         SchemeOptions(dt=1e-3, s=-1.0)
 
 
-def test_phase_abort_guard_trips_on_explosion():
+def test_phase_abort_guard_trips_on_explosion(monkeypatch):
     model = build_model()
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    monkeypatch.setattr(timestepper, "PHI_ABORT", 0.5)
     with pytest.raises(StepFailure, match="range explosion"):
-        step_from(state, 1e-3, specs_for(model, 1e-3, flow=False, phi_abort=0.5))
+        step_from(state, 1e-3, specs_for(model, 1e-3, flow=False))
 
 
 # ---------------------------------------------------------------------------
