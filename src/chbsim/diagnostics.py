@@ -36,15 +36,12 @@ from .constitutive import (
     viscosities,
 )
 from .elliptic import (
-    SolverOptions,
-    StencilOperator,
     advective_boundary_flux,
     apply_neumann_laplacian,
     face_gradient,
     harmonic_face_coefficients,
     neumann_multiplier,
     robin_influx,
-    solve_spd,
     upwind_div,
 )
 from .brinkman import (BrinkmanProblem, _face_volumes, brinkman_problem, energy_parts,
@@ -113,9 +110,9 @@ def old_level(level: TimeLevel, model: ModelSpec, flow: bool) -> OldLevel:
 class EnergyBudget:
     """One step of the discrete energy identity.
 
-    residual = (e_after - e_before)/dt + dissipation - sources - boundary
-    income - convective work; all terms are quadratures of the fields the
-    step actually produced.
+    budget_residual = (e_after - e_before)/dt + dissipation - sources -
+    boundary income - convective work; all terms are quadratures of the
+    fields the step actually produced.
     """
 
     e_before: float
@@ -128,10 +125,7 @@ class EnergyBudget:
     src_sigma_n: float    # -int Gamma_sigma' N_sigma'
     bnd_income: float     # b * wall quadrature of (sigma_inf N_sigma' - trace chi_phi (1-phi'))
     conv_work: float      # force/pressure work minus upwind transport pairings
-    residual: float
-
-    def scale(self) -> float:
-        return max(1.0, abs(self.e_after))
+    budget_residual: float
 
 
 def energy_budget(old: OldLevel, new_level: TimeLevel, n_faces: FaceField, dt: float,
@@ -263,18 +257,9 @@ def _trapez(values: np.ndarray, times: np.ndarray) -> float:
 
 
 def _dual_proxy(rate: np.ndarray, grid: Grid) -> float:
-    """|| grad (-lap + I)^{-1} rate ||_{L^2}, one CG solve preconditioned by
-    the exact cosine-transform inverse."""
-    ones = FaceField.ones(grid)
-
-    def apply(f: np.ndarray) -> np.ndarray:
-        return f - apply_neumann_laplacian(f, ones, grid)
-
-    op = StencilOperator(apply, grid.shape, symmetric=True)
-    x, rep = solve_spd(op, rate, SolverOptions(tol=1e-11, max_iters=10000),
-                       precond=neumann_multiplier(grid, lambda kappa: 1.0 / (1.0 + kappa)))
-    if not rep.converged:
-        raise RuntimeError(f"dual-norm solve stalled: {rep}")
+    """|| grad (-lap + I)^{-1} rate ||_{L^2}, the inverse applied exactly in
+    the cosine basis."""
+    x = neumann_multiplier(grid, lambda kappa: 1.0 / (1.0 + kappa))(rate)
     return float(np.sqrt(_grad_sq(x, grid)))
 
 

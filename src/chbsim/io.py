@@ -40,7 +40,7 @@ from .constitutive import (
     validate_params,
 )
 from .timestepper import (
-    ROW_FIELDS,
+    COLUMNS,
     RunResult,
     SchemeOptions,
     SimSpec,
@@ -561,32 +561,27 @@ def _write_snapshot_vtk(header: SnapshotHeader, cols: dict, grid: Grid,
 # Time series
 # ---------------------------------------------------------------------------
 
-def write_timeseries(rows: list, path: str | Path) -> None:
-    """CSV with exactly the 16 canonical diagnostic columns."""
-    lines = [",".join(ROW_FIELDS)]
+def write_timeseries(rows: list[dict], path: str | Path) -> None:
+    """CSV with exactly the `timestepper.COLUMNS`, each written by its type
+    (floats with `repr`, so reading back is bit exact)."""
+    lines = [",".join(COLUMNS)]
     for row in rows:
-        cells = []
-        for name in ROW_FIELDS:
-            v = row[name]
-            cells.append(str(v) if isinstance(v, (int, np.integer))
-                         else repr(float(v)))
-        lines.append(",".join(cells))
+        lines.append(",".join(str(row[name]) if kind is int else repr(float(row[name]))
+                              for name, kind in COLUMNS.items()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_timeseries(path: str | Path) -> list:
+def read_timeseries(path: str | Path) -> list[dict]:
+    """The rows of a `write_timeseries` file; other columns or a short row
+    are refused."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
-    names = text[0].split(",")
-    rows = []
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        toks = line.split(",")
-        row = {}
-        for name, tok in zip(names, toks):
-            row[name] = int(tok) if name == "cg_iters_total" else float(tok)
-        rows.append(row)
-    return rows
+    if not text or text[0].split(",") != list(COLUMNS):
+        raise ValueError(f"{path}: the columns are not {list(COLUMNS)}")
+    rows = [line.split(",") for line in text[1:] if line.strip()]
+    if any(len(cells) != len(COLUMNS) for cells in rows):
+        raise ValueError(f"{path}: a row does not hold {len(COLUMNS)} cells")
+    return [{name: kind(cell) for (name, kind), cell in zip(COLUMNS.items(), cells)}
+            for cells in rows]
 
 
 # ---------------------------------------------------------------------------

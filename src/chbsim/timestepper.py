@@ -29,7 +29,7 @@ once for the nutrient update and the budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -96,18 +96,9 @@ class StepReport:
     phase: SolveReport
     nutrient: SolveReport
     div_residual: float
-    phi_min: float
-    phi_max: float
     ledger_phi: float
     ledger_sigma: float
     budget: diagnostics.EnergyBudget
-
-    @property
-    def iterations_total(self) -> int:
-        total = self.phase.iterations + self.nutrient.iterations
-        if self.flow is not None:
-            total += self.flow.iterations
-        return total
 
 
 class StepFailure(RuntimeError):
@@ -174,7 +165,7 @@ def phase_inverse(grid: Grid, dt: float, s: float, eps: float, m: float,
         1.0 + dt * (m * kappa + theta) * (s / eps + eps * kappa)))
 
 
-def step_phase(old: diagnostics.OldLevel, v_new: FaceField, dt: float,
+def step_phase(old: diagnostics.OldLevel, v_new: FaceField,
                specs: SimSpec) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Advance the phase field; returns (phi', mu', solver report).
 
@@ -183,7 +174,7 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField, dt: float,
     parts of mu'; afterwards mu' is evaluated from phi' exactly.
     """
     model, sc = specs.model, specs.scheme
-    g, p = model.grid, model.params
+    g, p, dt = model.grid, model.params, sc.dt
     eps, s = p.epsilon, sc.s
     phi_n, sigma_n = old.state.phi, old.state.sigma
     ones = FaceField.ones(g)
@@ -228,7 +219,7 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField, dt: float,
 
 def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
                   phi_new: np.ndarray, mu_new: np.ndarray, n_faces: FaceField,
-                  dt: float, specs: SimSpec) -> tuple[np.ndarray, SolveReport]:
+                  specs: SimSpec) -> tuple[np.ndarray, SolveReport]:
     """Advance the nutrient; returns (sigma', solver report).
 
     Implicit diffusion chi_sigma div(n(phi') grad sigma') with Robin walls,
@@ -237,7 +228,7 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
     the faces.
     """
     model, sc = specs.model, specs.scheme
-    g, p = model.grid, model.params
+    g, p, dt = model.grid, model.params, sc.dt
     sigma_n = old.state.sigma
 
     chi_faces = FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w)
@@ -267,14 +258,14 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
     return sigma_new, rep
 
 
-def step(level: diagnostics.TimeLevel, dt: float, specs: SimSpec,
+def step(level: diagnostics.TimeLevel, specs: SimSpec,
          prev: State | None = None) -> tuple[diagnostics.TimeLevel, StepReport]:
     """One full step from the record of the level it leaves: flow, phase,
     nutrient, ledgers, budget; returns the record of the new level.
 
     `prev`, the level before `level`, only moves the start of the flow solve
     (see `solve_flow`); pass it only when both levels hold solved flows."""
-    model = specs.model
+    model, dt = specs.model, specs.scheme.dt
     g = model.grid
     old = diagnostics.old_level(level, model, specs.scheme.flow)
 
@@ -288,9 +279,9 @@ def step(level: diagnostics.TimeLevel, dt: float, specs: SimSpec,
     else:
         v_new, p_new = FaceField.zeros(g), np.zeros(g.shape)
 
-    phi_new, mu_new, phase_rep = step_phase(old, v_new, dt, specs)
+    phi_new, mu_new, phase_rep = step_phase(old, v_new, specs)
     n_faces = harmonic_face_coefficients(mobilities(phi_new, model.mobvis)[1], g)
-    sigma_new, nut_rep = step_nutrient(old, v_new, phi_new, mu_new, n_faces, dt, specs)
+    sigma_new, nut_rep = step_nutrient(old, v_new, phi_new, mu_new, n_faces, specs)
 
     new = diagnostics.time_level(State(t=old.state.t + dt, phi=phi_new, mu=mu_new,
                                        sigma=sigma_new, p=p_new, v=v_new), model)
@@ -298,7 +289,6 @@ def step(level: diagnostics.TimeLevel, dt: float, specs: SimSpec,
     report = StepReport(
         t=new.state.t, dt=dt, flow=flow_report, phase=phase_rep, nutrient=nut_rep,
         div_residual=div_residual,
-        phi_min=float(np.min(phi_new)), phi_max=float(np.max(phi_new)),
         ledger_phi=ledger.phi_residual, ledger_sigma=ledger.sigma_residual,
         budget=diagnostics.energy_budget(old, new, n_faces, dt, model))
     return new, report
@@ -308,42 +298,45 @@ def step(level: diagnostics.TimeLevel, dt: float, specs: SimSpec,
 # Fixed-step march
 # ---------------------------------------------------------------------------
 
-ROW_FIELDS = (
-    "t", "energy", "mass_phi", "mass_sigma", "diss_mu", "diss_nsigma",
-    "diss_visc", "bnd_sigma_sq", "src_phi_mu", "src_sigma_N", "bnd_income",
-    "budget_residual", "div_residual", "phi_min", "phi_max", "cg_iters_total",
-)
+_SOLVES = ("flow", "phase", "nutrient")   # StepReport's solver reports
+_BUDGET_TERMS = tuple(f.name for f in fields(diagnostics.EnergyBudget)
+                      if f.name not in ("e_before", "e_after"))
+# The time-series columns and their types, declared once: the level's own
+# quantities, the terms of its step's energy budget, each solver's iterations.
+COLUMNS: dict[str, type] = {
+    "t": float, "energy": float, "mass_phi": float, "mass_sigma": float,
+    **dict.fromkeys(_BUDGET_TERMS, float),
+    "div_residual": float, "phi_min": float, "phi_max": float,
+    **{f"{solve}_iters": int for solve in _SOLVES},
+}
 
 
 @dataclass
 class RunResult:
-    rows: list[dict]                 # one diagnostics row per time level
+    rows: list[dict]                 # one COLUMNS row per time level
     reports: list[StepReport]
     states: list[State]              # sampled per snapshot_every, ends included
-
-    @property
-    def budgets(self) -> list[diagnostics.EnergyBudget]:
-        return [rep.budget for rep in self.reports]
 
     @property
     def final_state(self) -> State:
         return self.states[-1]
 
 
-def _initial_row(level: diagnostics.TimeLevel, model: ModelSpec) -> dict:
-    g = model.grid
-    state = level.state
-    return {
-        "t": state.t,
-        "energy": level.energy,
-        "mass_phi": integrate_cell(state.phi, g),
-        "mass_sigma": integrate_cell(state.sigma, g),
-        "diss_mu": 0.0, "diss_nsigma": 0.0, "diss_visc": 0.0,
-        "bnd_sigma_sq": 0.0, "src_phi_mu": 0.0, "src_sigma_N": 0.0,
-        "bnd_income": 0.0, "budget_residual": 0.0, "div_residual": 0.0,
-        "phi_min": float(np.min(state.phi)), "phi_max": float(np.max(state.phi)),
-        "cg_iters_total": 0,
-    }
+def _row(level: diagnostics.TimeLevel, model: ModelSpec,
+         rep: StepReport | None = None) -> dict:
+    """The time-series row of `level`, reached by the step `rep` reports;
+    without one (t = 0) every rate, residual and count is zero."""
+    g, st = model.grid, level.state
+    row = {name: kind() for name, kind in COLUMNS.items()}
+    row.update(t=st.t, energy=level.energy, mass_phi=integrate_cell(st.phi, g),
+               mass_sigma=integrate_cell(st.sigma, g),
+               phi_min=float(np.min(st.phi)), phi_max=float(np.max(st.phi)))
+    if rep is not None:
+        row.update({name: getattr(rep.budget, name) for name in _BUDGET_TERMS},
+                   div_residual=rep.div_residual)
+        row.update({f"{solve}_iters": report.iterations for solve in _SOLVES
+                    if (report := getattr(rep, solve)) is not None})
+    return row
 
 
 def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
@@ -354,40 +347,21 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
     StepFailure so callers can keep what was completed.
     """
     model, sc = specs.model, specs.scheme
-    g = model.grid
     level = diagnostics.time_level(state0, model)
-    rows = [_initial_row(level, model)]
+    rows = [_row(level, model)]
     reports: list[StepReport] = []
     states = [state0.copy()]
     prev = None  # the level before `level`, once its flow is a solution too
     try:
         for k in range(n_steps):
-            new_level, rep = step(level, sc.dt, specs, prev)
-            new = new_level.state
-            rows.append({
-                "t": new.t,
-                "energy": rep.budget.e_after,
-                "mass_phi": integrate_cell(new.phi, g),
-                "mass_sigma": integrate_cell(new.sigma, g),
-                "diss_mu": rep.budget.diss_mu,
-                "diss_nsigma": rep.budget.diss_nsigma,
-                "diss_visc": rep.budget.diss_visc,
-                "bnd_sigma_sq": rep.budget.bnd_sigma_sq,
-                "src_phi_mu": rep.budget.src_phi_mu,
-                "src_sigma_N": rep.budget.src_sigma_n,
-                "bnd_income": rep.budget.bnd_income,
-                "budget_residual": rep.budget.residual,
-                "div_residual": rep.div_residual,
-                "phi_min": rep.phi_min,
-                "phi_max": rep.phi_max,
-                "cg_iters_total": rep.iterations_total,
-            })
+            new_level, rep = step(level, specs, prev)
+            rows.append(_row(new_level, model, rep))
             reports.append(rep)
             prev = level.state if k > 0 else None  # the t = 0 rest flow is no solution
             level = new_level
             last = k == n_steps - 1
             if (sc.snapshot_every > 0 and (k + 1) % sc.snapshot_every == 0) or last:
-                states.append(new.copy())
+                states.append(level.state.copy())
     except StepFailure as exc:
         if states[-1].t != level.state.t:
             states.append(level.state.copy())

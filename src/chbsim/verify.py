@@ -535,11 +535,9 @@ def criterion_9(cache: Cache) -> CriterionResult:
     u = energy - energy.min() + 1.0
     diss = np.array([row["diss_mu"] + row["diss_nsigma"] + row["diss_visc"]
                      + row["bnd_sigma_sq"] for row in rows])
-    gain = np.array([row["src_phi_mu"] + row["src_sigma_N"]
-                     + row["bnd_income"] + row["budget_residual"]
+    gain = np.array([row["src_phi_mu"] + row["src_sigma_n"]
+                     + row["bnd_income"] + row["budget_residual"] + row["conv_work"]
                      for row in rows])
-    conv = np.array([b.conv_work for b in coarse.budgets])
-    gain[1:] += conv
     # left-endpoint rates: the step ending at t_k carries rate index k-1
     v_rate = np.zeros_like(u)
     rhs_rate = np.zeros_like(u)

@@ -90,7 +90,7 @@ def test_budget_of_a_stationary_state_is_identically_zero():
                       time_level(new, model), n_faces, 1e-3, model)
     assert b.e_after == b.e_before
     for term in (b.diss_mu, b.diss_nsigma, b.diss_visc, b.src_phi_mu,
-                 b.src_sigma_n, b.conv_work, b.residual):
+                 b.src_sigma_n, b.conv_work, b.budget_residual):
         assert term == pytest.approx(0.0, abs=1e-12)
     # the two wall terms are separately nonzero at the ambient equilibrium
     # (sigma' = sigma_inf) and cancel exactly in the residual
@@ -105,22 +105,23 @@ def test_relaxation_step_dissipates_energy():
     state = initial_state(0.4 * np.cos(np.pi * x) * np.cos(np.pi * y),
                           np.zeros(g.shape), model)
     specs = SimSpec(model, SchemeOptions(dt=1e-4, flow=False))
-    _, rep = step(time_level(state, model), 1e-4, specs)
+    _, rep = step(time_level(state, model), specs)
     b = rep.budget
     assert b.diss_mu > 0.0
     assert b.diss_nsigma >= 0.0
     assert b.e_after < b.e_before
     # no sources, no walls, no flow: decay rate equals the dissipation up to
     # the one-step remainder
-    assert abs(b.residual) < 0.05 * b.scale()
+    assert abs(b.budget_residual) < 0.05 * max(1.0, abs(b.e_after))
 
 
 def test_prepared_run_closes_the_budget_tightly(budget_runs):
     (coarse, fine), _, _ = budget_runs
     for res in (coarse, fine):
-        assert res.budgets
-        for b in res.budgets:
-            assert abs(b.residual) <= 1e-6 * b.scale()
+        assert res.reports
+        for rep in res.reports:
+            b = rep.budget
+            assert abs(b.budget_residual) <= 1e-6 * max(1.0, abs(b.e_after))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def test_step_ledgers_close_after_the_conservation_shift():
                           model)
     specs = SimSpec(model, SchemeOptions(dt=1e-3, flow=False))
     level = time_level(state, model)
-    new, _ = step(level, 1e-3, specs)
+    new, _ = step(level, specs)
     led = mass_balances(old_level(level, model, False), new.state, 1e-3, model)
     assert abs(led.phi_residual) < 1e-13 * g.area
     assert abs(led.sigma_residual) < 1e-13 * g.area

@@ -28,7 +28,7 @@ from chbsim.io import (
     write_snapshot,
     write_timeseries,
 )
-from chbsim.timestepper import ROW_FIELDS, initial_state, run
+from chbsim.timestepper import COLUMNS, run
 
 
 SMALL_RUN = """
@@ -482,7 +482,7 @@ def test_timeseries_header_only_when_empty(tmp_path):
     path = tmp_path / "ts.csv"
     write_timeseries([], path)
     text = path.read_text(encoding="utf-8")
-    assert text == ",".join(ROW_FIELDS) + "\n"
+    assert text == ",".join(COLUMNS) + "\n"
     assert read_timeseries(path) == []
 
 
@@ -493,10 +493,40 @@ def test_timeseries_round_trip(tmp_path):
     back = read_timeseries(path)
     assert len(back) == 3  # initial level plus two steps
     for row, orig in zip(back, result.rows):
-        assert set(row) == set(ROW_FIELDS)
-        for name in ROW_FIELDS:
+        assert list(row) == list(orig) == list(COLUMNS)
+        for name, kind in COLUMNS.items():
             assert row[name] == orig[name], name
-        assert isinstance(row["cg_iters_total"], int)
+            assert type(row[name]) is type(orig[name]) is kind, name
+
+
+def test_flow_on_timeseries_rederives_its_budget_residual(tmp_path, monkeypatch):
+    # every term of the step energy identity is a column: the file alone, with
+    # the config's dt and the previous row's energy, closes each step's
+    # budget_residual bit for bit
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    text = SMALL_RUN.replace("flow = off", "flow = on")
+    _, outdir = run_from_config(load_config(write_small_config(tmp_path, text=text)))
+    dt = load_config(outdir / "config.ini").dt
+    rows = read_timeseries(outdir / "timeseries.csv")
+    assert len(rows) == 3
+    for prev, row in zip(rows, rows[1:]):
+        assert row["conv_work"] != 0.0 and row["flow_iters"] > 0
+        assert row["budget_residual"] == (
+            (row["energy"] - prev["energy"]) / dt + row["diss_mu"] + row["diss_nsigma"]
+            + row["diss_visc"] + row["bnd_sigma_sq"] - row["src_phi_mu"]
+            - row["src_sigma_n"] - row["bnd_income"] - row["conv_work"])
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "columns"),
+    ("t,energy,cg_iters_total\n0.0,1.0,0\n", "columns"),
+    (",".join(COLUMNS) + "\n0.0,1.0\n", "cells"),
+])
+def test_timeseries_of_another_layout_is_rejected(tmp_path, text, match):
+    path = tmp_path / "ts.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        read_timeseries(path)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +595,19 @@ def test_cli_run_completes_a_small_simulation(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "completed 2 steps" in out
     assert (tmp_path / "out" / "demo" / "timeseries.csv").exists()
+
+
+def test_cli_run_that_stalls_keeps_the_initial_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    text = SMALL_RUN.replace("flow = off", "flow = off\nmax_iters = 1\nphase_tol = 1e-14")
+    assert cli.main(["run", str(write_small_config(tmp_path, text=text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted: ") and "solve stalled at t=0" in err
+    outdir = tmp_path / "out" / "demo"
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "config.ini", "snap_000000.csv", "timeseries.csv"]
+    rows = read_timeseries(outdir / "timeseries.csv")
+    assert len(rows) == 1 and rows[0]["t"] == 0.0
 
 
 def test_cli_run_reports_config_errors(tmp_path, capsys):

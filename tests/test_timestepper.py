@@ -59,9 +59,9 @@ def specs_for(model, dt, **kw):
     return SimSpec(model, SchemeOptions(dt=dt, **kw))
 
 
-def step_from(state, dt, specs):
+def step_from(state, specs):
     """One step from a state: the new state and the step report."""
-    new, rep = step(time_level(state, specs.model), dt, specs)
+    new, rep = step(time_level(state, specs.model), specs)
     return new.state, rep
 
 
@@ -85,7 +85,7 @@ def test_uniform_state_is_a_fixed_point():
     phi_bar, sig_bar = 0.3, 1.0  # sigma at the ambient value
     state = initial_state(np.full(model.grid.shape, phi_bar),
                           np.full(model.grid.shape, sig_bar), model)
-    new, rep = step_from(state, 1e-3, specs_for(model, 1e-3, flow=False))
+    new, rep = step_from(state, specs_for(model, 1e-3, flow=False))
     np.testing.assert_allclose(new.phi, phi_bar, atol=1e-13)
     np.testing.assert_allclose(new.sigma, sig_bar, atol=1e-13)
     _, dpsi = potential_eval(np.array(phi_bar), model.potential)
@@ -116,7 +116,7 @@ def test_uniform_tumour_grows_at_the_lima_rate():
     state = initial_state(np.ones(model.grid.shape),
                           np.full(model.grid.shape, sig_bar), model)
     phi_new, _, _ = step_phase(old_record(state, model), FaceField.zeros(model.grid),
-                               dt, specs_for(model, dt))
+                               specs_for(model, dt))
     np.testing.assert_allclose(phi_new, 1.0 + dt * (0.4 * sig_bar - 0.1),
                                atol=1e-13)
 
@@ -170,7 +170,7 @@ def test_phase_step_matches_dense_block_solve(variant):
     phi_oracle = sol[:n].reshape(g.shape)
     mu_oracle = sol[n:].reshape(g.shape)
 
-    phi_new, mu_new, rep = step_phase(old_record(state, model), v_new, dt,
+    phi_new, mu_new, rep = step_phase(old_record(state, model), v_new,
                                       specs_for(model, dt))
     assert rep.converged
     np.testing.assert_allclose(phi_new, phi_oracle, atol=1e-8)
@@ -212,12 +212,12 @@ def test_constant_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     # in both cases the phase preconditioner is the exact inverse
     state, model = constant_mobility_state(source)
     specs = specs_for(model, 1e-3, flow=False)
-    new, rep = step_from(state, 1e-3, specs)
+    new, rep = step_from(state, specs)
     assert rep.phase.converged and rep.phase.iterations <= 2
     assert abs(rep.ledger_phi) <= 1e-11
 
     monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: None)
-    plain, plain_rep = step_from(state, 1e-3, specs)
+    plain, plain_rep = step_from(state, specs)
     assert plain_rep.phase.iterations > 10
     assert (np.linalg.norm(new.phi - plain.phi)
             <= 1e-10 * np.linalg.norm(plain.phi))
@@ -234,7 +234,7 @@ def variable_mobility_step(n, contrast, source):
                         source=SOURCES[source])
     state = initial_state(disc_phase(model.grid), np.full(model.grid.shape, 0.8), model)
     specs = specs_for(model, 1e-3, flow=False)
-    new, rep = step_from(state, 1e-3, specs)
+    new, rep = step_from(state, specs)
     return state, specs, new, rep
 
 
@@ -244,7 +244,7 @@ def test_variable_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     assert rep.phase.converged and abs(rep.ledger_phi) <= 1e-11
 
     monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: None)
-    plain, plain_rep = step_from(state, 1e-3, specs)
+    plain, plain_rep = step_from(state, specs)
     assert plain_rep.phase.converged
     assert 3 * rep.phase.iterations <= plain_rep.phase.iterations
     assert (np.linalg.norm(new.phi - plain.phi)
@@ -277,7 +277,7 @@ def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
     monkeypatch.setattr(timestepper, "phase_inverse", spy_inverse)
     monkeypatch.setattr(timestepper, "solve_general", spy_general)
     monkeypatch.setattr(timestepper, "solve_spd", no_cg, raising=False)
-    _, _, rep = step_phase(old_record(state, model), FaceField.zeros(model.grid), 1e-3,
+    _, _, rep = step_phase(old_record(state, model), FaceField.zeros(model.grid),
                            specs_for(model, 1e-3, flow=False))
     assert len(built) == 1 and len(used) == 1 and used[0] is built[0]
     assert rep.converged
@@ -316,7 +316,7 @@ def test_nutrient_step_matches_dense_solve():
     phi_n = np.tanh(2.0 * np.cos(np.pi * x))
     sigma_n = 0.5 + 0.2 * np.cos(np.pi * y)
     state = initial_state(phi_n, sigma_n, model)
-    new, _ = step_from(state, dt, specs_for(model, dt, flow=False))
+    new, _ = step_from(state, specs_for(model, dt, flow=False))
 
     _, n_cell = mobilities(new.phi, model.mobvis)
     n_faces = harmonic_face_coefficients(n_cell, g)
@@ -357,7 +357,7 @@ def test_robin_wall_income_matches_mass_gain():
     g = model.grid
     dt = 1e-3
     state = initial_state(np.zeros(g.shape), np.zeros(g.shape), model)
-    new, rep = step_from(state, dt, specs_for(model, dt, flow=False))
+    new, rep = step_from(state, specs_for(model, dt, flow=False))
     gain = integrate_cell(new.sigma, g) - 0.0
     # income b * perimeter * sigma_inf, reduced slightly by the implicit
     # rise of the wall trace within the step
@@ -480,13 +480,13 @@ def test_flow_solve_starts_from_the_extrapolated_flow():
     phi = run(initial_state(phi, verify._steady_nutrient(phi, model), relax.model_spec()),
               relax.n_steps, relax.sim_spec()).final_state.phi
     state0 = initial_state(phi, verify._steady_nutrient(phi, model), model)
-    n_steps, dt = cfg.n_steps, cfg.dt
+    n_steps = cfg.n_steps
     spec = dc_replace(cfg, snapshot_every=1).sim_spec()
     res = run(state0, n_steps, spec)
     plain = [time_level(state0, model)]
     plain_its = []
     for _ in range(n_steps):
-        new, rep = step(plain[-1], dt, spec)
+        new, rep = step(plain[-1], spec)
         plain.append(new)
         plain_its.append(rep.flow.iterations)
     plain = [level.state for level in plain]
@@ -535,7 +535,7 @@ def test_phase_abort_guard_trips_on_explosion(monkeypatch):
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
     monkeypatch.setattr(timestepper, "PHI_ABORT", 0.5)
     with pytest.raises(StepFailure, match="range explosion"):
-        step_from(state, 1e-3, specs_for(model, 1e-3, flow=False))
+        step_from(state, specs_for(model, 1e-3, flow=False))
 
 
 # ---------------------------------------------------------------------------
