@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gal = sub.add_parser("galerkin",
                            help="spectral k-sweep with bound report")
     p_gal.add_argument("config", help="path to the INI config")
-    p_gal.add_argument("--k", default="1,5,15,30",
+    p_gal.add_argument("--k", default=",".join(map(str, verify.GALERKIN_KS)),
                        help="comma-separated mode cutoffs")
     return parser
 
@@ -94,35 +94,36 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _print_order_table(title: str, ns, hs, errs, order, bracket) -> bool:
+def _print_order(order: float, bracket: tuple[float, float]) -> bool:
+    ok = bracket[0] <= order <= bracket[1]
+    print(f"  fitted order = {order:.3f} (expected within {list(bracket)}) "
+          f"{'ok' if ok else 'FAIL'}")
+    return ok
+
+
+def _print_order_table(title: str, ns, hs, errs, order) -> bool:
     print(title)
     print("  nx        h             L2 error")
     for n, h, e in zip(ns, hs, errs):
         print(f"  {n:<8d}  {h:<12.6g}  {e:.6e}")
-    lo, hi = bracket
-    ok = lo <= order <= hi
-    print(f"  fitted order = {order:.3f} (expected within [{lo}, {hi}]) "
-          f"{'ok' if ok else 'FAIL'}")
-    return ok
+    return _print_order(order, verify.SPACE_ORDER)
 
 
 def _cmd_mms() -> int:
     sizes = (16, 32, 64, 128)
     hs, errs, order = verify.poisson_convergence(sizes)
     ok = _print_order_table("Neumann-Poisson manufactured solution",
-                            sizes, hs, errs, order, (1.8, 2.2))
+                            sizes, hs, errs, order)
     hs, errs, order = verify.robin_convergence(sizes)
     ok &= _print_order_table("Robin-diffusion manufactured solution",
-                             sizes, hs, errs, order, (1.8, 2.2))
+                             sizes, hs, errs, order)
     dts, gaps, order = verify.coupled_dt_convergence()
     print("coupled one-step self-convergence (fixed horizon)")
     print("  dt            |phi(dt) - phi(dt/2)|_L2")
     for dt, gap in zip(dts[:-1], gaps):
         print(f"  {dt:<12.6g}  {gap:.6e}")
-    ok_t = 0.8 <= order <= 1.2
-    print(f"  fitted order = {order:.3f} (expected within [0.8, 1.2]) "
-          f"{'ok' if ok_t else 'FAIL'}")
-    return 0 if (ok and ok_t) else 1
+    ok &= _print_order(order, verify.TIME_ORDER)
+    return 0 if ok else 1
 
 
 def _cmd_galerkin(args, parser) -> int:

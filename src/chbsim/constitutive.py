@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, EdgeTraces
+from .core import Grid
 
 # Caps for the sampling box on which source growth constants are reported.
 PHI_CAP = 2.0
@@ -30,10 +30,6 @@ class EdgeValues:
     def constant(cls, value: float) -> "EdgeValues":
         v = float(value)
         return cls(v, v, v, v)
-
-    def as_traces(self, grid: Grid) -> EdgeTraces:
-        return EdgeTraces.from_constants(self.left, self.right, self.bottom,
-                                         self.top, grid)
 
 
 @dataclass(frozen=True)

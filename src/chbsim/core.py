@@ -104,12 +104,6 @@ class EdgeTraces:
     bottom: np.ndarray  # shape (nx,), wall y = 0
     top: np.ndarray     # shape (nx,), wall y = Ly
 
-    @classmethod
-    def from_constants(cls, left: float, right: float, bottom: float, top: float,
-                       grid: Grid) -> "EdgeTraces":
-        return cls(np.full(grid.ny, float(left)), np.full(grid.ny, float(right)),
-                   np.full(grid.nx, float(bottom)), np.full(grid.nx, float(top)))
-
 
 def integrate_cell(values: np.ndarray, grid: Grid) -> float:
     """Midpoint-rule integral of a cell field over the domain."""

@@ -7,8 +7,8 @@ mirrors the scheme's own quadratures term by term (same face coefficients,
 same upwind fluxes, same wall traces), so its residual contains only the
 time-discretization remainder and the Krylov floors, and shrinks linearly
 with the step size.  The weak-form residuals at the bottom of the module
-deliberately do NOT mirror the scheme: they test snapshots against smooth
-cosine test functions with centered differences, which makes them an
+deliberately do NOT mirror the scheme: they test snapshots against the
+spectral route's cosine basis with centered differences, which makes them an
 independent consistency probe.
 """
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .elliptic import (
 )
 from .brinkman import (BrinkmanProblem, _face_volumes, brinkman_problem, energy_parts,
                        strain_rates)
+from .galerkin import build_basis
 
 
 def _grad_sq(f: np.ndarray, grid: Grid) -> float:
@@ -148,7 +149,7 @@ def energy_budget(old: OldLevel, new_level: TimeLevel, n_faces: FaceField, dt: f
                    + float(np.sum(n_faces.w * gnh.w ** 2))) * g.cell_area
 
     tr = extrapolate_to_walls(new.sigma, g)
-    sinf = p.sigma_inf.as_traces(g)
+    sinf = p.sigma_inf
     one_minus_phi = 1.0 - new.phi
     income = p.b * (
         float(np.sum(sinf.left * nsig[0, :] - tr.left * p.chi_phi * one_minus_phi[0, :])) * g.hy
@@ -212,14 +213,13 @@ def mass_balances(old: OldLevel, new: State, dt: float, model: ModelSpec) -> Bal
     prev, src = old.state, old.src
     gamma_phi = src.lambda_phi - src.theta_phi * new.mu
     gamma_sig = src.lambda_sigma - src.theta_sigma * new.mu
-    sinf = p.sigma_inf.as_traces(g)
 
     phi_change = integrate_cell(new.phi, g) - integrate_cell(prev.phi, g)
     phi_expected = dt * (integrate_cell(gamma_phi, g)
                          - advective_boundary_flux(prev.phi, new.v, g))
     sigma_change = integrate_cell(new.sigma, g) - integrate_cell(prev.sigma, g)
     sigma_expected = dt * (-integrate_cell(gamma_sig, g)
-                           + robin_influx(new.sigma, p.b, sinf, g)
+                           + robin_influx(new.sigma, p.b, p.sigma_inf, g)
                            - advective_boundary_flux(prev.sigma, new.v, g))
     return BalanceLedger(phi_change, phi_expected, sigma_change, sigma_expected)
 
@@ -378,20 +378,15 @@ def gronwall_bound(times: np.ndarray, alpha: np.ndarray | float,
 # Weak-form residual probe
 # ---------------------------------------------------------------------------
 
-def _test_modes(count: int) -> list[tuple[int, int]]:
-    pairs = [(i, j) for i in range(count + 2) for j in range(count + 2)
-             if (i, j) != (0, 0)]
-    pairs.sort(key=lambda ij: (ij[0] ** 2 + ij[1] ** 2, ij[0], ij[1]))
-    return pairs[:count]
-
-
 @dataclass
 class WeakResiduals:
-    """Residuals of the weak-form equations against cosine test functions.
+    """Residuals of the weak-form equations against the Galerkin route's
+    orthonormal cosine basis (`galerkin.build_basis`).
 
     Rows follow the sample list (intervals for the time-dependent equations,
-    samples for the algebraic ones); columns follow the test list, constant
-    test first.  `div` is the plain L^2 norm of div(v) - Gamma_v per sample.
+    samples for the algebraic ones); columns follow the basis, in eigenvalue
+    order with the constant test first, and x / y alternate in `momentum`.
+    `div` is the plain L^2 norm of div(v) - Gamma_v per sample.
     """
 
     phi: np.ndarray       # (n_samples-1, n_tests)
@@ -414,44 +409,32 @@ def _centered_gradient(f: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarra
 
 def weak_residuals(states: Sequence[State], model: ModelSpec,
                    n_modes: int = 5) -> WeakResiduals:
-    """Test the snapshots against 1 + n_modes cosine test functions.
+    """Test the snapshots against the first 1 + n_modes functions w_m of
+    `galerkin.build_basis`, which raises on a grid too coarse for them.
 
+    The tests are orthonormal, w_m = kappa_m cos(i pi x / Lx) cos(j pi y / Ly),
+    so column m is kappa_m times the residual against the plain cosine, and
+    they come in eigenvalue order (not i^2 + j^2 order on a non-square domain).
     Deliberately not the scheme's discretization: analytic test gradients,
     centered convection v . grad q, cell-centered coefficient products.  The
-    constant test of the phase equation reproduces the mass-ledger rate.
+    constant test w_0 = 1/sqrt(|Omega|) of the phase equation reproduces the
+    mass-ledger rate, scaled by w_0.
     """
     g, p = model.grid, model.params
-    x2, y2 = g.cell_centers()
-    xs = (np.arange(g.nx) + 0.5) * g.hx
-    ys = (np.arange(g.ny) + 0.5) * g.hy
-    vol = g.cell_area
+    basis = build_basis(1 + n_modes, g)
+    sinf = p.sigma_inf
 
-    tests = [(np.ones(g.shape), np.zeros(g.shape), np.zeros(g.shape), (0, 0))]
-    for (i, j) in _test_modes(n_modes):
-        kx, ky = i * np.pi / g.Lx, j * np.pi / g.Ly
-        w = np.cos(kx * x2) * np.cos(ky * y2)
-        wx = -kx * np.sin(kx * x2) * np.cos(ky * y2)
-        wy = -ky * np.cos(kx * x2) * np.sin(ky * y2)
-        tests.append((w, wx, wy, (i, j)))
+    def pair(f: np.ndarray, flux_x: np.ndarray, flux_y: np.ndarray) -> np.ndarray:
+        """<f, w_m> + <(flux_x, flux_y), grad w_m> for every test at once."""
+        return (np.tensordot(basis.values, f, axes=2)
+                + np.tensordot(basis.grad_x, flux_x, axes=2)
+                + np.tensordot(basis.grad_y, flux_y, axes=2)) * g.cell_area
 
-    # wall values of each test for the Robin pairing
-    def edge_values(i: int, j: int) -> tuple[np.ndarray, ...]:
-        kx, ky = i * np.pi / g.Lx, j * np.pi / g.Ly
-        left = np.cos(ky * ys)                      # x = 0
-        right = np.cos(kx * g.Lx) * np.cos(ky * ys)
-        bottom = np.cos(kx * xs)                    # y = 0
-        top = np.cos(ky * g.Ly) * np.cos(kx * xs)
-        return left, right, bottom, top
-
-    edge_vals = [edge_values(i, j) for (_, _, _, (i, j)) in tests]
-    sinf = p.sigma_inf.as_traces(g)
-
-    nt = len(tests)
     ns = len(states)
-    r_phi = np.zeros((max(ns - 1, 0), nt))
-    r_sigma = np.zeros((max(ns - 1, 0), nt))
-    r_mu = np.zeros((ns, nt))
-    r_mom = np.zeros((ns, 2 * nt))
+    r_phi = np.zeros((max(ns - 1, 0), basis.k))
+    r_sigma = np.zeros((max(ns - 1, 0), basis.k))
+    r_mu = np.zeros((ns, basis.k))
+    r_mom = np.zeros((ns, 2 * basis.k))
     r_div = np.zeros(ns)
 
     for k, s in enumerate(states):
@@ -473,26 +456,16 @@ def weak_residuals(states: Sequence[State], model: ModelSpec,
             cnt[sl] += 1.0
         dxy_cells = mean4 / cnt
         div_v = dxx + dyy
-        fx = s.mu * gpx + nsig * gsx
-        fy = s.mu * gpy + nsig * gsy
+        bulk = lam * div_v - s.p
 
         r_div[k] = float(np.sqrt(integrate_cell((div_v - src.gamma_v) ** 2, g)))
-        for m, (w, wx, wy, _) in enumerate(tests):
-            r_mu[k, m] = (integrate_cell((s.mu - dpsi / p.epsilon
-                                          + p.chi_phi * s.sigma) * w, g)
-                          - p.epsilon * float(np.sum(gpx * wx + gpy * wy)) * vol)
-            mom_x = (float(np.sum(2.0 * eta * (dxx * wx + dxy_cells * wy))) * vol
-                     + float(np.sum(lam * div_v * wx)) * vol
-                     + p.nu * float(np.sum(vx * w)) * vol
-                     - float(np.sum(s.p * wx)) * vol
-                     - float(np.sum(fx * w)) * vol)
-            mom_y = (float(np.sum(2.0 * eta * (dyy * wy + dxy_cells * wx))) * vol
-                     + float(np.sum(lam * div_v * wy)) * vol
-                     + p.nu * float(np.sum(vy * w)) * vol
-                     - float(np.sum(s.p * wy)) * vol
-                     - float(np.sum(fy * w)) * vol)
-            r_mom[k, 2 * m] = mom_x
-            r_mom[k, 2 * m + 1] = mom_y
+        r_mu[k] = pair(s.mu - dpsi / p.epsilon + p.chi_phi * s.sigma,
+                       -p.epsilon * gpx, -p.epsilon * gpy)
+        mom_x = pair(p.nu * vx - (s.mu * gpx + nsig * gsx),
+                     2.0 * eta * dxx + bulk, 2.0 * eta * dxy_cells)
+        mom_y = pair(p.nu * vy - (s.mu * gpy + nsig * gsy),
+                     2.0 * eta * dxy_cells, 2.0 * eta * dyy + bulk)
+        r_mom[k] = np.stack([mom_x, mom_y], axis=1).ravel()
 
         if k == 0:
             continue
@@ -500,30 +473,18 @@ def weak_residuals(states: Sequence[State], model: ModelSpec,
         h = s.t - older.t
         if h <= 0.0:
             raise ValueError("sample times must be strictly increasing")
-        dphi = (s.phi - older.phi) / h
-        dsig = (s.sigma - older.sigma) / h
         m_cell, n_cell = mobilities(s.phi, model.mobvis)
+        r_phi[k - 1] = pair((s.phi - older.phi) / h + vx * gpx + vy * gpy
+                            + s.phi * src.gamma_v - src.gamma_phi,
+                            m_cell * gmx, m_cell * gmy)
         tr = extrapolate_to_walls(s.sigma, g)
-        for m, (w, wx, wy, _) in enumerate(tests):
-            el, er, eb, et = edge_vals[m]
-            r_phi[k - 1, m] = (
-                integrate_cell(dphi * w, g)
-                + integrate_cell((vx * gpx + vy * gpy) * w, g)
-                + integrate_cell(s.phi * src.gamma_v * w, g)
-                + float(np.sum(m_cell * (gmx * wx + gmy * wy))) * vol
-                - integrate_cell(src.gamma_phi * w, g))
-            robin = p.b * (float(np.sum((sinf.left - tr.left) * el)
-                                 + np.sum((sinf.right - tr.right) * er)) * g.hy
-                           + float(np.sum((sinf.bottom - tr.bottom) * eb)
-                                   + np.sum((sinf.top - tr.top) * et)) * g.hx)
-            flux_x = n_cell * (p.chi_sigma * gsx - p.chi_phi * gpx)
-            flux_y = n_cell * (p.chi_sigma * gsy - p.chi_phi * gpy)
-            r_sigma[k - 1, m] = (
-                integrate_cell(dsig * w, g)
-                + integrate_cell((vx * gsx + vy * gsy) * w, g)
-                + integrate_cell(s.sigma * src.gamma_v * w, g)
-                + float(np.sum(flux_x * wx + flux_y * wy)) * vol
-                - robin
-                + integrate_cell(src.gamma_sigma * w, g))
+        robin = p.b * ((basis.edge_left @ (sinf.left - tr.left)
+                        + basis.edge_right @ (sinf.right - tr.right)) * g.hy
+                       + (basis.edge_bottom @ (sinf.bottom - tr.bottom)
+                          + basis.edge_top @ (sinf.top - tr.top)) * g.hx)
+        r_sigma[k - 1] = pair((s.sigma - older.sigma) / h + vx * gsx + vy * gsy
+                              + s.sigma * src.gamma_v + src.gamma_sigma,
+                              n_cell * (p.chi_sigma * gsx - p.chi_phi * gpx),
+                              n_cell * (p.chi_sigma * gsy - p.chi_phi * gpy)) - robin
 
     return WeakResiduals(r_phi, r_mu, r_sigma, r_mom, r_div)

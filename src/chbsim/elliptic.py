@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .constitutive import EdgeValues
 from .core import EdgeTraces, FaceField, Grid, extrapolate_to_walls
 
 
@@ -81,8 +82,9 @@ def robin_linear(f: np.ndarray, coeff_faces: FaceField, b: float,
     return (fu[1:, :] - fu[:-1, :]) / grid.hx + (fw[:, 1:] - fw[:, :-1]) / grid.hy
 
 
-def robin_source(b: float, sigma_inf: EdgeTraces, grid: Grid) -> np.ndarray:
-    """Constant inflow part of the Robin flux, b*sigma_inf per unit wall."""
+def robin_source(b: float, sigma_inf: EdgeValues | EdgeTraces, grid: Grid) -> np.ndarray:
+    """Constant inflow part of the Robin flux, b*sigma_inf per unit wall;
+    sigma_inf holds one value per wall or one per wall cell."""
     src = np.zeros(grid.shape)
     src[0, :] += b * sigma_inf.left / grid.hx
     src[-1, :] += b * sigma_inf.right / grid.hx
@@ -91,9 +93,10 @@ def robin_source(b: float, sigma_inf: EdgeTraces, grid: Grid) -> np.ndarray:
     return src
 
 
-def robin_influx(f: np.ndarray, b: float, sigma_inf: EdgeTraces,
+def robin_influx(f: np.ndarray, b: float, sigma_inf: EdgeValues | EdgeTraces,
                  grid: Grid) -> float:
-    """Total Robin boundary income: integral of b (sigma_inf - f_wall)."""
+    """Total Robin boundary income: integral of b (sigma_inf - f_wall), with
+    sigma_inf as in `robin_source`."""
     tr = extrapolate_to_walls(f, grid)
     lr = float(np.sum(sigma_inf.left - tr.left) + np.sum(sigma_inf.right - tr.right))
     bt = float(np.sum(sigma_inf.bottom - tr.bottom) + np.sum(sigma_inf.top - tr.top))

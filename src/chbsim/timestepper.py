@@ -90,8 +90,6 @@ class SimSpec:
 
 @dataclass
 class StepReport:
-    t: float
-    dt: float
     flow: SolveReport | None
     phase: SolveReport
     nutrient: SolveReport
@@ -233,13 +231,12 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
 
     chi_faces = FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w)
     gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * mu_new
-    sinf = p.sigma_inf.as_traces(g)
 
     def apply(f: np.ndarray) -> np.ndarray:
         return f - dt * robin_linear(f, chi_faces, p.b, g)
 
     conv = upwind_div(sigma_n, v_new, g)
-    rhs = sigma_n + dt * (robin_source(p.b, sinf, g)
+    rhs = sigma_n + dt * (robin_source(p.b, p.sigma_inf, g)
                           - p.chi_phi * apply_neumann_laplacian(phi_new, n_faces, g)
                           - gamma_sig - conv)
     opts = SolverOptions(tol=sc.nutrient_tol, max_iters=sc.max_iters, x0=sigma_n.copy())
@@ -250,7 +247,7 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
     # extrapolated wall trace by the same constant, hence the denominator
     mismatch = (integrate_cell(sigma_new, g) - integrate_cell(sigma_n, g)
                 - dt * (-integrate_cell(gamma_sig, g)
-                        + robin_influx(sigma_new, p.b, sinf, g)
+                        + robin_influx(sigma_new, p.b, p.sigma_inf, g)
                         - advective_boundary_flux(sigma_n, v_new, g)))
     sigma_new = sigma_new - mismatch / (g.area + dt * p.b * g.perimeter)
     if not np.all(np.isfinite(sigma_new)):
@@ -287,7 +284,7 @@ def step(level: diagnostics.TimeLevel, specs: SimSpec,
                                        sigma=sigma_new, p=p_new, v=v_new), model)
     ledger = diagnostics.mass_balances(old, new.state, dt, model)
     report = StepReport(
-        t=new.state.t, dt=dt, flow=flow_report, phase=phase_rep, nutrient=nut_rep,
+        flow=flow_report, phase=phase_rep, nutrient=nut_rep,
         div_residual=div_residual,
         ledger_phi=ledger.phi_residual, ledger_sigma=ledger.sigma_residual,
         budget=diagnostics.energy_budget(old, new, n_faces, dt, model))

@@ -24,12 +24,13 @@ from chbsim.diagnostics import (
     weak_residuals,
 )
 from chbsim.elliptic import harmonic_face_coefficients
+from chbsim.galerkin import build_basis
 from chbsim.timestepper import SchemeOptions, SimSpec, initial_state, run, step
 
 
 def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0,
-                m=1e-3, source=None):
-    grid = make_grid(1.0, 1.0, nx, ny)
+                m=1e-3, source=None, lx=1.0):
+    grid = make_grid(lx, 1.0, nx, ny)
     params = ModelParams(epsilon=eps, chi_sigma=1.0, chi_phi=chi_phi, nu=1.0,
                          b=b, sigma_inf=EdgeValues.constant(1.0))
     mobvis = MobilityViscositySpec(m=CoefficientSpec.constant(m),
@@ -275,6 +276,19 @@ def test_weak_residuals_vanish_on_the_uniform_equilibrium():
         assert value == pytest.approx(0.0, abs=1e-11), name
     assert res.phi.shape == (1, 5)
     assert res.momentum.shape == (2, 10)
+
+
+def test_weak_residuals_test_against_the_orthonormal_galerkin_basis():
+    # with phi = sigma = 0 and v = 0 the mu residual of mu = w_m is the
+    # column <w_m, w_n>: the m-th unit vector, since midpoint quadrature is
+    # exact on the basis; the 2 x 1 domain orders its modes by eigenvalue
+    model = build_model(nx=32, ny=16, lx=2.0)
+    basis = build_basis(6, model.grid)
+    for m in range(6):
+        state = uniform_state(model)
+        state.mu = basis.values[m].copy()
+        res = weak_residuals([state], model)
+        np.testing.assert_allclose(res.mu[0], np.eye(6)[m], rtol=0.0, atol=1e-13)
 
 
 def test_weak_constant_test_tracks_the_mass_rate():

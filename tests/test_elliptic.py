@@ -1,9 +1,12 @@
 """Face-based operators, Robin walls, upwind advection and Krylov solvers."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chbsim import elliptic
-from chbsim.core import EdgeTraces, FaceField, make_grid, integrate_cell
+from chbsim.constitutive import EdgeValues
+from chbsim.core import FaceField, make_grid, integrate_cell
 from chbsim.elliptic import (
     SolverOptions,
     StencilOperator,
@@ -23,6 +26,12 @@ from chbsim.elliptic import (
     solve_spd,
     upwind_div,
 )
+
+
+# small random grids for the property tests
+SIDES = st.integers(4, 12)
+LENGTHS = st.floats(1.0, 2.0)
+SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 def unit_faces(grid):
@@ -58,9 +67,11 @@ def test_laplacian_cosine_eigenfunction():
     np.testing.assert_allclose(out, -lam * f, atol=1e-11)
 
 
-def test_laplacian_matches_its_dense_matrix_and_is_symmetric():
-    grid = make_grid(1.0, 2.0, 6, 7)
-    rng = np.random.default_rng(11)
+@settings(max_examples=10, deadline=None)
+@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, seed=SEEDS)
+def test_laplacian_matches_its_dense_matrix_and_is_symmetric(nx, ny, lx, ly, seed):
+    grid = make_grid(lx, ly, nx, ny)
+    rng = np.random.default_rng(seed)
     c = harmonic_face_coefficients(rng.uniform(0.5, 2.0, grid.shape), grid)
     op = StencilOperator(lambda f: -apply_neumann_laplacian(f, c, grid),
                          grid.shape, symmetric=True, nullspace="constants")
@@ -85,7 +96,7 @@ def test_harmonic_faces_recover_constant_coefficient():
 
 def test_robin_equilibrium_at_ambient_value():
     grid = make_grid(1.0, 1.0, 16, 16)
-    sinf = EdgeTraces.from_constants(1.3, 1.3, 1.3, 1.3, grid)
+    sinf = EdgeValues.constant(1.3)
     f = np.full(grid.shape, 1.3)
     out = robin_linear(f, unit_faces(grid), 0.8, grid) + robin_source(0.8, sinf, grid)
     np.testing.assert_allclose(out, 0.0, atol=1e-13)
@@ -103,7 +114,7 @@ def test_robin_with_zero_permeability_is_neumann():
 
 def test_robin_source_integrates_to_perimeter_income():
     grid = make_grid(1.0, 1.0, 16, 16)
-    sinf = EdgeTraces.from_constants(1.0, 1.0, 1.0, 1.0, grid)
+    sinf = EdgeValues.constant(1.0)
     src = robin_source(1.0, sinf, grid)
     assert integrate_cell(src, grid) == pytest.approx(grid.perimeter)
     # income of a zero field is the same total
@@ -115,7 +126,7 @@ def test_robin_field_integrates_to_reported_income():
     rng = np.random.default_rng(17)
     f = rng.standard_normal(grid.shape)
     c = harmonic_face_coefficients(rng.uniform(0.5, 2.0, grid.shape), grid)
-    sinf = EdgeTraces.from_constants(0.7, 1.1, 0.2, 0.9, grid)
+    sinf = EdgeValues(0.7, 1.1, 0.2, 0.9)
     out = robin_linear(f, c, 1.4, grid) + robin_source(1.4, sinf, grid)
     # the interior fluxes telescope: the field integrates to the wall income
     assert integrate_cell(out, grid) == pytest.approx(robin_influx(f, 1.4, sinf, grid),
@@ -161,9 +172,11 @@ def test_upwind_constant_q_in_divergence_free_flow():
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
-def test_upwind_divergence_telescopes_to_boundary_flux():
-    grid = make_grid(1.5, 1.0, 9, 11)
-    rng = np.random.default_rng(23)
+@settings(max_examples=10, deadline=None)
+@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, seed=SEEDS)
+def test_upwind_divergence_telescopes_to_boundary_flux(nx, ny, lx, ly, seed):
+    grid = make_grid(lx, ly, nx, ny)
+    rng = np.random.default_rng(seed)
     q = rng.standard_normal(grid.shape)
     v = FaceField(rng.standard_normal((grid.nx + 1, grid.ny)),
                   rng.standard_normal((grid.nx, grid.ny + 1)))

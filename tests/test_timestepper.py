@@ -325,7 +325,7 @@ def test_nutrient_step_matches_dense_solve():
         lambda f: f - dt * robin_linear(f, chi_faces, p.b, g), g.shape))
     src = sources(phi_n, sigma_n, state.mu, model.source, p)
     gamma_sig = src.lambda_sigma - src.theta_sigma * new.mu
-    rhs = sigma_n + dt * (robin_source(p.b, p.sigma_inf.as_traces(g), g)
+    rhs = sigma_n + dt * (robin_source(p.b, p.sigma_inf, g)
                           - p.chi_phi * apply_neumann_laplacian(new.phi, n_faces, g)
                           - gamma_sig)
     sigma_oracle = np.linalg.solve(mat, rhs.ravel()).reshape(g.shape)
