@@ -23,7 +23,9 @@ import configparser
 import math
 import os
 import re
+import time
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -458,46 +460,47 @@ class SnapshotHeader:
     version: int = SNAPSHOT_VERSION
 
 
-def _snapshot_columns(state: State, grid: Grid) -> dict:
+def _snapshot_text(state: State) -> dict:
+    """The `repr` of every value of each `SNAPSHOT_FIELDS` column, in (i, j)
+    order: each value is formatted once, and every writer reads this table."""
     vx, vy = face_to_center(state.v)
-    return {"phi": state.phi, "mu": state.mu, "sigma": state.sigma,
-            "p": state.p, "vx": vx, "vy": vy}
+    cols = (state.phi, state.mu, state.sigma, state.p, vx, vy)
+    return {name: list(map(repr, np.asarray(col, dtype=float).ravel().tolist()))
+            for name, col in zip(SNAPSHOT_FIELDS, cols)}
 
 
 def write_snapshot(state: State, grid: Grid, path: str | Path,
-                   fmt: str = "csv") -> SnapshotHeader:
+                   fmt: str = "csv", text: dict | None = None) -> SnapshotHeader:
+    """Write one snapshot file.  `text` is `_snapshot_text(state)`, which a
+    caller writing several formats of one state passes to each of them."""
+    if fmt not in _CHUNKS:
+        raise ValueError(f"unknown snapshot format {fmt!r}")
     header = SnapshotHeader(time=state.t, lx=grid.Lx, ly=grid.Ly,
                             nx=grid.nx, ny=grid.ny)
-    cols = _snapshot_columns(state, grid)
-    if fmt == "csv":
-        _write_snapshot_csv(header, cols, grid, Path(path))
-    elif fmt == "vtk":
-        _write_snapshot_vtk(header, cols, grid, Path(path))
-    else:
-        raise ValueError(f"unknown snapshot format {fmt!r}")
+    text = _snapshot_text(state) if text is None else text
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.writelines(_CHUNKS[fmt](header, text, grid))   # one write per chunk
     return header
 
 
-def _write_snapshot_csv(header: SnapshotHeader, cols: dict, grid: Grid,
-                        path: Path) -> None:
+def _csv_chunks(header: SnapshotHeader, text: dict, grid: Grid):
     x, y = grid.cell_centers()
-    lines = [
+    yield "\n".join([
         f"# chbsim-snapshot {header.version}",
         f"# t = {float(header.time)!r}",
         f"# grid = {float(header.lx)!r} {float(header.ly)!r} {header.nx} {header.ny}",
         "# fields = " + " ".join(header.fields),
         "i,j,x,y," + ",".join(header.fields),
-    ]
+    ]) + "\n"
     # x varies with i only and y with j only (an 'ij' meshgrid)
     xs = list(map(repr, x[:, 0].tolist()))
     ys = list(map(repr, y[0, :].tolist()))
-    prefixes = [f"{i},{j},{xv},{yv}," for i, xv in enumerate(xs)
-                for j, yv in enumerate(ys)]
+    prefixes = (f"{i},{j},{xv},{yv}" for i, xv in enumerate(xs)
+                for j, yv in enumerate(ys))
     # one row per cell in (i, j) order, one column per field
-    rows = np.stack([np.asarray(cols[name], dtype=float) for name in header.fields],
-                    axis=-1).reshape(grid.nx * grid.ny, -1).tolist()
-    lines.extend(prefix + ",".join(map(repr, row)) for prefix, row in zip(prefixes, rows))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = map(",".join, zip(prefixes, *(text[name] for name in header.fields)))
+    for _ in range(grid.nx):   # the cells of one grid row i per chunk
+        yield "\n".join(islice(rows, grid.ny)) + "\n"
 
 
 def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, dict]:
@@ -536,9 +539,8 @@ def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, dict]:
     return header, arrays
 
 
-def _write_snapshot_vtk(header: SnapshotHeader, cols: dict, grid: Grid,
-                        path: Path) -> None:
-    lines = [
+def _vtk_chunks(header: SnapshotHeader, text: dict, grid: Grid):
+    yield "\n".join([
         "# vtk DataFile Version 3.0",
         f"chbsim snapshot t={float(header.time)!r} v{header.version}",
         "ASCII",
@@ -547,14 +549,13 @@ def _write_snapshot_vtk(header: SnapshotHeader, cols: dict, grid: Grid,
         "ORIGIN 0 0 0",
         f"SPACING {float(grid.hx)!r} {float(grid.hy)!r} 1.0",
         f"CELL_DATA {grid.nx * grid.ny}",
-    ]
-    for name in header.fields:
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        # VTK cell order: x varies fastest
-        flat = np.asarray(cols[name], dtype=float).ravel(order="F")
-        lines.extend(map(repr, flat.tolist()))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ]) + "\n"
+    for name in header.fields:   # one field block per chunk; x varies fastest in VTK
+        yield "\n".join(chain([f"SCALARS {name} double 1", "LOOKUP_TABLE default"],
+                              *(text[name][j::grid.ny] for j in range(grid.ny)))) + "\n"
+
+
+_CHUNKS = {"csv": _csv_chunks, "vtk": _vtk_chunks}
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +602,8 @@ def resolve_output_dir(directory: str | Path) -> Path:
 
 
 class OutputLock:
-    """Exclusive lock sentinel: one live run per output directory."""
+    """Exclusive lock sentinel: one live run per output directory.  The
+    sentinel holds the pid and the start time of the run that made it."""
 
     def __init__(self, directory: Path) -> None:
         self.path = directory / "run.lock"
@@ -610,10 +612,15 @@ class OutputLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            try:
+                owner = self.path.read_text(encoding="utf-8").strip() or "owner not recorded"
+            except (OSError, UnicodeDecodeError):   # released meanwhile, or not ours
+                owner = "owner unreadable"
             raise RuntimeError(
-                f"output directory {self.path.parent} is locked by another "
-                f"run (remove {self.path.name} if that run is dead)") from None
-        os.close(fd)
+                f"output directory {self.path.parent} is locked by another run "
+                f"({owner}; remove {self.path.name} if that run is dead)") from None
+        with os.fdopen(fd, "w", encoding="utf-8") as lock:
+            lock.write(f"pid {os.getpid()}, started {time.strftime('%Y-%m-%d %H:%M:%S %z')}\n")
         return self
 
     def __exit__(self, *exc) -> None:
@@ -628,8 +635,10 @@ def _write_outputs(result: RunResult, cfg: RunConfig, outdir: Path) -> None:
     write_timeseries(result.rows, outdir / "timeseries.csv")
     for state in result.states:
         step = int(round(state.t / cfg.dt))
+        text = _snapshot_text(state)
         for fmt in cfg.formats:
-            write_snapshot(state, grid, outdir / f"snap_{step:06d}.{fmt}", fmt)
+            write_snapshot(state, grid, outdir / f"snap_{step:06d}.{fmt}", fmt, text)
+        del text   # one table alive at a time: free it before the next is built
 
 
 def run_from_config(cfg: RunConfig) -> tuple[RunResult, Path]:

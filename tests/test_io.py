@@ -2,20 +2,26 @@
 import configparser
 import hashlib
 import math
+import os
+import re
 from dataclasses import fields, replace
+from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chbsim import cli
-from chbsim.core import FaceField, State, make_grid
+from chbsim.core import FaceField, Grid, State, face_to_center, make_grid
 from chbsim.io import (
     _CHOICES,
     _SECTIONS,
     _semantic_errors,
+    _snapshot_text,
     OUTPUT_ROOT_ENV,
+    SNAPSHOT_FIELDS,
     ConfigError,
     OutputLock,
     RunConfig,
@@ -474,6 +480,74 @@ def test_snapshot_bytes_are_unchanged(fmt, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SNAPSHOT_SHA256[fmt]
 
 
+def test_both_formats_from_one_shared_table_keep_their_bytes(tmp_path):
+    # as run_from_config writes them: each value formatted once, in (i, j)
+    # order, and read by both writers; the 7x5 grid shows any C/F order slip
+    grid, state = fixed_snapshot_state()
+    text = _snapshot_text(state)
+    for fmt in ("csv", "vtk"):
+        path = tmp_path / f"snap.{fmt}"
+        write_snapshot(state, grid, path, fmt, text)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SNAPSHOT_SHA256[fmt], fmt
+
+
+def test_run_snapshots_equal_files_written_one_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    cfg = replace(load_config(write_small_config(tmp_path)), formats=("csv", "vtk"))
+    result, outdir = run_from_config(cfg)
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    for step, state in enumerate(result.states):         # snapshot_every = 1
+        for fmt in cfg.formats:
+            write_snapshot(state, cfg.grid(), alone / f"snap_{step:06d}.{fmt}", fmt)
+    names = sorted(p.name for p in alone.iterdir())
+    assert len(names) == 6
+    assert sorted(p.name for p in outdir.glob("snap_*")) == names
+    for name in names:
+        assert (outdir / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+# finite values, with the signed zero, subnormals and the far ends of the range
+VALUES = st.one_of(st.floats(-1e300, 1e300),
+                   st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e-300, -1e-300,
+                                    1e300, -1e300]))
+
+
+@st.composite
+def snapshot_states(draw):
+    nx, ny = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    field = lambda shape: draw(arrays(np.float64, shape, elements=VALUES))
+    state = State(t=draw(st.floats(0.0, 1e3)), phi=field((nx, ny)), mu=field((nx, ny)),
+                  sigma=field((nx, ny)), p=field((nx, ny)),
+                  v=FaceField(field((nx + 1, ny)), field((nx, ny + 1))))
+    return Grid(1.0, 1.0, nx, ny), state        # below make_grid's 4-cell floor
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=snapshot_states())
+def test_snapshot_files_read_back_bit_exactly(tmp_path, drawn):
+    grid, state = drawn
+    vx, vy = face_to_center(state.v)
+    want = dict(zip(SNAPSHOT_FIELDS, (state.phi, state.mu, state.sigma, state.p, vx, vy)))
+    text = _snapshot_text(state)
+    write_snapshot(state, grid, tmp_path / "snap.csv", "csv", text)
+    write_snapshot(state, grid, tmp_path / "snap.vtk", "vtk", text)
+    header, back = read_snapshot(tmp_path / "snap.csv")
+    assert header.time == state.t
+    for name in SNAPSHOT_FIELDS:      # bytes, so -0.0 must come back as -0.0
+        assert back[name].tobytes() == want[name].tobytes(), name
+    lines = (tmp_path / "snap.vtk").read_text(encoding="utf-8").splitlines()
+    n = grid.nx * grid.ny
+    assert len(lines) == 8 + len(SNAPSHOT_FIELDS) * (2 + n)
+    for name in SNAPSHOT_FIELDS:
+        k = lines.index(f"SCALARS {name} double 1")
+        assert lines[k + 1] == "LOOKUP_TABLE default"
+        # VTK cell order: x varies fastest
+        block = np.array([float(v) for v in lines[k + 2:k + 2 + n]])
+        assert block.reshape(grid.ny, grid.nx).T.tobytes() == want[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # timeseries
 # ---------------------------------------------------------------------------
@@ -546,14 +620,36 @@ def test_output_root_redirects_relative_paths(tmp_path, monkeypatch):
 
 def test_output_lock_is_exclusive(tmp_path):
     with OutputLock(tmp_path):
-        assert (tmp_path / "run.lock").exists()
-        with pytest.raises(RuntimeError, match="locked"):
+        # the sentinel names its run, and the refusal quotes it
+        owner = (tmp_path / "run.lock").read_text(encoding="utf-8").strip()
+        pid, started = re.fullmatch(r"pid (\d+), started (.+)", owner).groups()
+        assert int(pid) == os.getpid()
+        datetime.strptime(started, "%Y-%m-%d %H:%M:%S %z")
+        with pytest.raises(RuntimeError, match=re.escape(f"locked by another run ({owner};")):
             with OutputLock(tmp_path):
                 pass
     assert not (tmp_path / "run.lock").exists()
     # a fresh lock works again after release
     with OutputLock(tmp_path):
         pass
+
+
+@pytest.mark.parametrize("held, quoted", [
+    ("pid 4242, started 2026-01-01 00:00:00 +0000\n",
+     "pid 4242, started 2026-01-01 00:00:00 +0000"),
+    ("", "owner not recorded"),                 # a sentinel that holds no owner
+])
+def test_a_run_into_a_locked_directory_is_refused(tmp_path, monkeypatch, held, quoted):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = load_config(write_small_config(tmp_path))
+    outdir = tmp_path / cfg.directory
+    outdir.mkdir()
+    (outdir / "run.lock").write_text(held, encoding="utf-8")
+    with pytest.raises(RuntimeError, match=re.escape(f"locked by another run ({quoted};")):
+        run_from_config(cfg)
+    # nothing written, and the other run's lock is left in place
+    assert [p.name for p in outdir.iterdir()] == ["run.lock"]
+    assert (outdir / "run.lock").read_text(encoding="utf-8") == held
 
 
 def test_run_from_config_layout_and_rerun_identity(tmp_path, monkeypatch):
