@@ -4,9 +4,11 @@ The phase and nutrient fields are expanded in the first k eigenfunctions
 w_m(x, y) = kappa_m cos(i pi x / Lx) cos(j pi y / Ly) and the PDE system is
 projected onto the span, yielding an ODE system in the coefficient vectors
 which is marched with classical RK4.  Velocity and pressure are NOT spectral:
-every stage re-solves the staggered Brinkman system on the grid.  A stage
-synthesizes its fields and evaluates psi' and the sources once, into a `Stage`
-record that the flow solve, the assembly and the sampled States all read.
+every stage re-solves the staggered Brinkman system on the grid, started from
+the best mix of the flows of the last FLOW_WINDOW solved stages (a
+`ProjectedStart`).  A stage synthesizes its fields and evaluates psi' and the
+sources once, into a `Stage` record that the flow solve, the assembly and the
+sampled States all read.
 
 Midpoint quadrature at the cell centers is exact for products of admissible
 modes (combined index below twice the cell count per direction), so the Gram
@@ -33,7 +35,7 @@ from .constitutive import (
     sources,
 )
 from .elliptic import SolverOptions
-from .brinkman import _pack, brinkman_problem, solve_brinkman
+from .brinkman import _pack, brinkman_problem, brinkman_rhs, solve_brinkman
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +222,9 @@ def assemble_matrices(st: Stage, v: FaceField, model: ModelSpec,
     vx, vy = (comp.reshape(p) for comp in face_to_center(v))
     gam_v = src.gamma_v.reshape(p)
 
-    c_mat = vol * (vals @ (gx * vx + gy * vy).T)
+    wind = gx * vx                   # grad w_i . v, one (k, p) temporary
+    wind += gy * vy
+    c_mat = vol * (vals @ wind.T)
     d_mat = vol * (vals @ (vals * gam_v).T)
 
     sinf = prm.sigma_inf
@@ -258,6 +262,77 @@ def rhs(a: np.ndarray, b: np.ndarray, c: np.ndarray, mats: GalerkinMatrices,
 
 FLOW_TOL = 1e-10         # relative tolerance of every stage's Brinkman solve
 FLOW_MAX_ITERS = 40000
+FLOW_WINDOW = 8          # solved stages a flow solve's projected start mixes
+_COLLAPSE = 1e-10        # relative norm below which a stored rhs adds nothing
+
+
+class ProjectedStart:
+    """Start for a sequence of flow solves (Fischer, CMAME 163, 1998).
+
+    Holds the last FLOW_WINDOW solved pairs (x_i, b_i), x_i the packed flow
+    and b_i its `brinkman_rhs`; the start for a new rhs b is X c, with c
+    minimising ||b - B c||_2.  Only the stored b_i are used, so the start
+    costs no operator apply and stays defined when the operator changes
+    between solves.  B is orthonormalised newest first by modified
+    Gram-Schmidt done twice; a column whose norm collapses below _COLLAPSE
+    of its own (b_i in the span of the newer ones) is left out, so the
+    newest nonzero b_i always counts and c stays bounded.  All buffers are
+    allocated here, once.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._x = np.empty((FLOW_WINDOW, n))
+        self._b = np.empty((FLOW_WINDOW, n))
+        self._q = np.empty((FLOW_WINDOW, n))            # orthonormal columns of B
+        self._r = np.empty((FLOW_WINDOW, FLOW_WINDOW))  # B = Q R on the kept columns
+        self._tmp = np.empty(n)
+        self._slots: list[int] = []       # buffer rows, newest first
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def add(self, x: np.ndarray, b: np.ndarray) -> None:
+        """Store a solved pair, dropping the oldest one when full."""
+        full = len(self._slots) == FLOW_WINDOW
+        slot = self._slots.pop() if full else len(self._slots)
+        self._x[slot] = x
+        self._b[slot] = b
+        self._slots.insert(0, slot)
+
+    def start(self, b: np.ndarray) -> np.ndarray | None:
+        """X c for the stored pairs, or None while none is stored."""
+        if not self._slots:
+            return None
+        q, r, tmp = self._q, self._r, self._tmp
+        kept: list[int] = []
+        for slot in self._slots:
+            j = len(kept)
+            v = q[j]
+            v[:] = self._b[slot]
+            floor = _COLLAPSE * float(np.linalg.norm(v))
+            r[:j, j] = 0.0
+            for _ in range(2):
+                for i in range(j):
+                    h = float(np.dot(q[i], v))
+                    np.multiply(q[i], h, out=tmp)
+                    v -= tmp
+                    r[i, j] += h
+            norm = float(np.linalg.norm(v))
+            if not norm > floor:
+                continue
+            v /= norm
+            r[j, j] = norm
+            kept.append(slot)
+        m = len(kept)
+        y = q[:m] @ b
+        c = np.empty(m)
+        for j in range(m - 1, -1, -1):
+            c[j] = (y[j] - r[j, j + 1:m] @ c[j + 1:]) / r[j, j]
+        x0 = np.zeros(self._x.shape[1])
+        for cj, slot in zip(c, kept):
+            np.multiply(self._x[slot], cj, out=tmp)
+            x0 += tmp
+        return x0
 
 
 class SpectralBlowup(RuntimeError):
@@ -279,7 +354,8 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     """Classical RK4 march of the coefficient ODEs.
 
     Every stage re-solves the grid Brinkman system from its `Stage` record
-    to FLOW_TOL (warm-started from the previous stage).  Aborts when
+    to FLOW_TOL, started by a `ProjectedStart` over this call's last
+    FLOW_WINDOW solved stages (nothing is kept between calls).  Aborts when
     ||a|| + ||c|| exceeds 1e6.  Samples the stage-1 record of a step as a
     State (with that stage's velocity and pressure) every `sample_every`
     steps; the final state is always sampled, without assembling its
@@ -296,13 +372,14 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     times = np.empty(steps + 1)
     a_hist[0], c_hist[0], times[0] = a, c, t
     states: list[State] = []
-    warm: np.ndarray | None = None
+    n_flow = (g.nx + 1) * g.ny + g.nx * (g.ny + 1) + g.nx * g.ny  # packed (u, w, p)
+    window = ProjectedStart(n_flow) if flow else None
     flow_iters = 0
 
     def evaluate(aa: np.ndarray, cc: np.ndarray,
                  record: float | None) -> tuple[Stage, FaceField]:
         """The stage record and its flow; sampled when `record` is a time."""
-        nonlocal warm, flow_iters
+        nonlocal flow_iters
         if float(np.linalg.norm(aa)) + float(np.linalg.norm(cc)) > 1e6:
             raise SpectralBlowup(f"coefficient blow-up at t={t:g}")
         st = stage(aa, cc, basis, model)
@@ -310,14 +387,15 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
             problem = brinkman_problem(
                 st.phi, st.sigma, st.mu, nutrient_energy(st.phi, st.sigma, model.params)[1],
                 st.src.gamma_v, model)
+            b = brinkman_rhs(problem)
             sol = solve_brinkman(problem, SolverOptions(
-                tol=FLOW_TOL, max_iters=FLOW_MAX_ITERS, x0=warm))
+                tol=FLOW_TOL, max_iters=FLOW_MAX_ITERS, x0=window.start(b)))
             if not sol.report.converged:
                 raise SpectralBlowup(
                     f"spectral-route flow solve stalled: rel residual "
                     f"{sol.report.rel_residual:.3e}")
             v, p = sol.v, sol.p
-            warm = _pack(v.u, v.w, p)
+            window.add(_pack(v.u, v.w, p), b)
             flow_iters += sol.report.iterations
         else:
             v, p = FaceField.zeros(g), np.zeros(g.shape)

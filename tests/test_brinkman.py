@@ -1,6 +1,8 @@
 """Brinkman saddle solver against the loop-assembled dense oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chbsim import brinkman, elliptic
 from chbsim.constitutive import ModelParams, nutrient_energy
@@ -259,10 +261,21 @@ def block_calls(monkeypatch):
     return calls
 
 
-def test_block_preconditioner_is_symmetric_positive_definite():
-    grid = make_grid(1.0, 1.5, 7, 5)  # hx != hy
-    force, gamma_v = random_data(grid, 3)
-    prob = problem(grid, nu=2.0, eta=0.8, lam=0.3, force=force, gamma_v=gamma_v)
+# drawn grids up to 12^2 (hx != hy in general) and coefficients
+SIDES = st.integers(4, 12)
+LENGTHS = st.floats(0.5, 2.0)
+FRICTIONS = st.floats(1e-2, 1e3)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=10, deadline=None)
+@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, nu=FRICTIONS,
+       eta=st.floats(0.1, 10.0), lam=st.floats(0.0, 2.0), seed=SEEDS)
+def test_block_preconditioner_is_symmetric_positive_definite(nx, ny, lx, ly, nu,
+                                                            eta, lam, seed):
+    grid = make_grid(lx, ly, nx, ny)
+    force, gamma_v = random_data(grid, seed)
+    prob = problem(grid, nu=nu, eta=eta, lam=lam, force=force, gamma_v=gamma_v)
     n = brinkman_rhs(prob).size
     mat = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
                                             (n,), symmetric=True))
@@ -311,12 +324,17 @@ def disc_problem(grid, contrast, nu, lam, seed=11):
                            force, gamma_v)
 
 
-def test_rescaled_block_preconditioner_is_symmetric_positive_definite():
-    grid = make_grid(1.0, 1.5, 7, 5)  # hx != hy
-    rng = np.random.default_rng(5)
-    force, gamma_v = random_data(grid, 3)
-    prob = BrinkmanProblem(grid, rng.uniform(0.5, 50.0, grid.shape),
-                           rng.uniform(0.0, 2.0, grid.shape), 2.0, force, gamma_v)
+@settings(max_examples=10, deadline=None)
+@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, nu=FRICTIONS,
+       contrast=st.floats(1.0, 1e3), seed=SEEDS)
+def test_rescaled_block_preconditioner_is_symmetric_positive_definite(
+        nx, ny, lx, ly, nu, contrast, seed):
+    # cell-wise random eta in [0.5, 0.5 contrast] and lam in [0, 2]
+    grid = make_grid(lx, ly, nx, ny)
+    rng = np.random.default_rng(seed)
+    force, gamma_v = random_data(grid, seed)
+    prob = BrinkmanProblem(grid, rng.uniform(0.5, 0.5 * contrast, grid.shape),
+                           rng.uniform(0.0, 2.0, grid.shape), nu, force, gamma_v)
     n = brinkman_rhs(prob).size
     mat = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
                                             (n,), symmetric=True))

@@ -21,6 +21,7 @@ from chbsim.elliptic import (
     robin_influx,
     robin_linear,
     robin_source,
+    separable_inverse,
     solve_general,
     solve_minres,
     solve_spd,
@@ -459,23 +460,64 @@ def test_solve_minres_indefinite_diagonal():
         solve_minres(StencilOperator(lambda x: d * x, d.shape, symmetric=False), rhs)
 
 
+def stiffness_and_mass(n, kind):
+    """Dense unit-spacing 1D stiffness K and diagonal mass M of a
+    `laplacian_basis` kind on n >= 2 cells, assembled entry by entry."""
+    size = n + 1 if kind == "node" else n
+    k = 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
+    k[0, 0] = k[-1, -1] = 3.0 if kind == "dirichlet" else 1.0
+    weight = np.ones(size)
+    if kind == "node":
+        weight[[0, -1]] = 0.5
+    return k, np.diag(weight)
+
+
 @pytest.mark.parametrize("n", [2, 7])
 def test_laplacian_bases_diagonalize_the_1d_stiffness(n):
-    def stiffness(size, end):
-        k = 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
-        k[0, 0] = k[-1, -1] = end
-        return k
-
-    for kind, k, weight in (("cell", stiffness(n, 1.0), np.ones(n)),
-                            ("dirichlet", stiffness(n, 3.0), np.ones(n)),
-                            ("node", stiffness(n + 1, 1.0),
-                             np.r_[0.5, np.ones(n - 1), 0.5])):
+    for kind in ("cell", "dirichlet", "node"):
+        k, m = stiffness_and_mass(n, kind)
         q, lam = laplacian_basis(n, kind)
-        m = np.diag(weight)
-        np.testing.assert_allclose(q.T @ m @ q, np.eye(len(weight)), atol=1e-14)
+        np.testing.assert_allclose(q.T @ m @ q, np.eye(len(m)), atol=1e-14)
         np.testing.assert_allclose(m @ q @ np.diag(lam) @ q.T @ m, k, atol=1e-14)
     with pytest.raises(ValueError):
         laplacian_basis(n, "edge")
+
+
+KINDS = st.sampled_from(("cell", "dirichlet", "node"))
+WEIGHTS = st.floats(0.1, 10.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(nx=st.integers(2, 12), ny=st.integers(2, 12), kind_x=KINDS, kind_y=KINDS,
+       ax=WEIGHTS, ay=WEIGHTS, shift=WEIGHTS, seed=SEEDS)
+def test_separable_inverse_matches_a_dense_solve(nx, ny, kind_x, kind_y, ax, ay,
+                                                 shift, seed):
+    # ax Kx (x) My + ay Mx (x) Ky + shift Mx (x) My is diagonal in the tensor
+    # basis, with entries ax lam_x + ay lam_y + shift
+    (qx, lx), (qy, ly) = laplacian_basis(nx, kind_x), laplacian_basis(ny, kind_y)
+    (kx, mx), (ky, my) = stiffness_and_mass(nx, kind_x), stiffness_and_mass(ny, kind_y)
+    mat = ax * np.kron(kx, my) + ay * np.kron(mx, ky) + shift * np.kron(mx, my)
+    inv = separable_inverse(qx, qy, 1.0 / (ax * lx[:, None] + ay * ly[None, :] + shift))
+    r = np.random.default_rng(seed).standard_normal((len(lx), len(ly)))
+    want = np.linalg.solve(mat, r.ravel())
+    np.testing.assert_allclose(inv(r).ravel(), want, rtol=0.0,
+                               atol=1e-11 * np.max(np.abs(want)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, alpha=st.floats(1e-3, 1.0),
+       seed=SEEDS)
+def test_neumann_multiplier_matches_a_dense_solve(nx, ny, lx, ly, alpha, seed):
+    # symbol 1 / (1 + alpha kappa) is the inverse of I - alpha Lap
+    grid = make_grid(lx, ly, nx, ny)
+    lap = materialize_dense(StencilOperator(
+        lambda f: apply_neumann_laplacian(f, unit_faces(grid), grid),
+        grid.shape, symmetric=True))
+    r = np.random.default_rng(seed).standard_normal(grid.shape)
+    got = neumann_multiplier(grid, lambda kappa: 1.0 / (1.0 + alpha * kappa))(r)
+    want = np.linalg.solve(np.eye(grid.nx * grid.ny) - alpha * lap, r.ravel())
+    np.testing.assert_allclose(got.ravel(), want, rtol=0.0,
+                               atol=1e-11 * np.max(np.abs(want)))
 
 
 def test_face_gradient_walls_are_zero():

@@ -14,10 +14,21 @@ from chbsim.constitutive import (
     PotentialSpec,
     SourceSpec,
 )
+from chbsim.brinkman import (
+    BrinkmanProblem,
+    _pack,
+    brinkman_operator,
+    brinkman_rhs,
+    solve_brinkman,
+)
 from chbsim.core import FaceField, integrate_cell, make_grid
 from chbsim.diagnostics import energy
+from chbsim.elliptic import SolverOptions
 from chbsim.galerkin import (
+    FLOW_TOL,
+    FLOW_WINDOW,
     GalerkinResult,
+    ProjectedStart,
     SpectralBlowup,
     SpectralState,
     assemble_matrices,
@@ -33,13 +44,13 @@ from chbsim.galerkin import (
 
 
 def build_model(nx=32, ny=32, Lx=1.0, Ly=1.0, b=1.0, chi_phi=0.5,
-                m=1e-2, source=None):
+                m=1e-2, source=None, eta=CoefficientSpec.constant(1.0)):
     grid = make_grid(Lx, Ly, nx, ny)
     params = ModelParams(epsilon=0.1, chi_sigma=1.0, chi_phi=chi_phi, nu=1.0,
                          b=b, sigma_inf=EdgeValues.constant(1.0))
     mobvis = MobilityViscositySpec(m=CoefficientSpec.constant(m),
                                    n=CoefficientSpec.constant(0.05),
-                                   eta=CoefficientSpec.constant(1.0),
+                                   eta=eta,
                                    lam=CoefficientSpec.constant(0.0))
     return ModelSpec(grid, params, PotentialSpec.quartic(), mobvis,
                      source or SourceSpec.none())
@@ -337,3 +348,121 @@ def test_integrate_records_flow_samples():
     assert all(np.all(np.isfinite(f)) for s in res.states
                for f in (s.phi, s.mu, s.sigma, s.p, s.v.u, s.v.w))
     assert res.states[-1].t == pytest.approx(4e-4)
+
+
+def test_repeated_integrations_are_bit_identical():
+    # the projected start keeps nothing between integrate calls
+    first, _, _, _ = _flow_run()
+    again, _, _, _ = _flow_run()
+    assert first.flow_iterations == again.flow_iterations > 0
+    assert np.array_equal(first.a, again.a)
+    assert np.array_equal(first.c, again.c)
+
+
+def test_viscosity_contrast_converges_at_every_stage(monkeypatch):
+    # eta from 1 to 10 across phi in [-1, 1]: the operator changes between
+    # the stages whose flows the projected start mixes
+    model = build_model(nx=16, ny=16, eta=CoefficientSpec(1.0, 10.0),
+                        source=SourceSpec.lima(P=0.3, A=0.1, C=0.2, c_gamma_v=0.1))
+    x, y = model.grid.cell_centers()
+    basis = build_basis(4, model.grid)
+    state0 = SpectralState(0.0, project(np.cos(np.pi * x) * np.cos(np.pi * y), basis),
+                           project(np.ones(model.grid.shape), basis))
+    reports, etas = [], []
+
+    def spy(problem, opts):
+        sol = solve_brinkman(problem, opts)
+        reports.append(sol.report)
+        etas.append(float(np.ptp(problem.eta)))
+        return sol
+    monkeypatch.setattr(galerkin, "solve_brinkman", spy)
+    steps = 5
+    res = integrate(state0, 1e-4, steps, model, basis, flow=True)
+    assert len(reports) == 4 * steps + 1
+    assert min(etas) > 8.0
+    assert all(r.converged and r.rel_residual <= FLOW_TOL for r in reports)
+    assert res.flow_iterations == sum(r.iterations for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# projected start of the flow solves
+# ---------------------------------------------------------------------------
+
+def _flow_problems(weights, seed=5):
+    """Brinkman problems on 10x10 sharing one operator (eta from 1 to 4 across
+    x): problem i has force and divergence sum_j weights[i][j] (f_j, g_j)
+    over fixed random data (f_j, g_j)."""
+    grid = make_grid(1.0, 1.0, 10, 10)
+    x, _ = grid.cell_centers()
+    eta = 2.5 + 1.5 * np.tanh(4.0 * (x - 0.5))
+    rng = np.random.default_rng(seed)
+    weights = np.asarray(weights, dtype=float)
+    data = [(rng.standard_normal((11, 10)), rng.standard_normal((10, 11)),
+             0.1 * rng.standard_normal(grid.shape)) for _ in range(weights.shape[1])]
+    return [BrinkmanProblem(grid, eta, np.zeros(grid.shape), 1.0,
+                            FaceField(sum(c * d[0] for c, d in zip(row, data)),
+                                      sum(c * d[1] for c, d in zip(row, data))),
+                            sum(c * d[2] for c, d in zip(row, data)))
+            for row in weights]
+
+
+def _solved_pair(problem, x0=None):
+    sol = solve_brinkman(problem, SolverOptions(tol=1e-12, max_iters=5000, x0=x0))
+    assert sol.report.converged
+    return _pack(sol.v.u, sol.v.w, sol.p), brinkman_rhs(problem), sol.report
+
+
+def test_projected_start_solves_a_rhs_in_the_stored_span():
+    *stored, combined = _flow_problems(
+        [np.eye(3)[0], np.eye(3)[1], np.eye(3)[2], [0.3, -0.7, 1.1]])
+    window = ProjectedStart(brinkman_rhs(combined).size)
+    assert window.start(brinkman_rhs(combined)) is None
+    for prob in stored:
+        window.add(*_solved_pair(prob)[:2])
+    x0 = window.start(brinkman_rhs(combined))
+    sol = solve_brinkman(combined, SolverOptions(tol=FLOW_TOL, max_iters=5000, x0=x0))
+    assert sol.report.converged
+    assert sol.report.iterations == 0
+
+
+def test_projected_start_of_a_repeated_pair_is_finite_and_the_window_bounded():
+    probs = _flow_problems(np.eye(2 * FLOW_WINDOW + 1))
+    x, b, _ = _solved_pair(probs[0])
+    window = ProjectedStart(b.size)
+    window.add(x, b)
+    window.add(x, b)  # the second copy collapses in the Gram-Schmidt pass
+    x0 = window.start(b)
+    assert np.all(np.isfinite(x0))
+    np.testing.assert_allclose(x0, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
+    exact = ProjectedStart(4)  # here the second copy collapses to exactly 0
+    exact.add(np.arange(1.0, 5.0), np.array([2.0, 0.0, 0.0, 0.0]))
+    exact.add(np.arange(1.0, 5.0), np.array([2.0, 0.0, 0.0, 0.0]))
+    assert np.array_equal(exact.start(np.array([1.0, 0.0, 0.0, 0.0])),
+                          [0.5, 1.0, 1.5, 2.0])
+    for prob in probs[1:]:
+        window.add(*_solved_pair(prob)[:2])
+        assert len(window) <= FLOW_WINDOW
+        assert np.all(np.isfinite(window.start(b)))
+    assert len(window) == FLOW_WINDOW
+
+
+def test_projected_start_is_never_worse_than_the_newest_flow():
+    # a smooth drift of the data, as between RK4 stages, long enough for the
+    # window to slide; with one operator A, ||b - A x0|| <= ||b - A x_newest||
+    times = 0.1 * np.arange(2 * FLOW_WINDOW)
+    probs = _flow_problems([[1.0, t, t * t, np.sin(3.0 * t)] for t in times])
+    op = brinkman_operator(probs[0])
+    window = ProjectedStart(brinkman_rhs(probs[0]).size)
+    newest = None
+    gains = []
+    for prob in probs:
+        b = brinkman_rhs(prob)
+        x0 = window.start(b)
+        if newest is not None:
+            start_res = np.linalg.norm(b - op.apply(x0))
+            newest_res = np.linalg.norm(b - op.apply(newest))
+            assert start_res <= newest_res + 1e-9 * np.linalg.norm(b)
+            gains.append(start_res / newest_res)
+        newest, b_solved, _ = _solved_pair(prob, x0)
+        window.add(newest, b_solved)
+    assert min(gains) < 1e-3  # four data vectors span every later rhs
