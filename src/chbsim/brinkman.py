@@ -48,6 +48,7 @@ class BrinkmanProblem:
     vu: np.ndarray = field(init=False, repr=False, compare=False)   # u-face volumes
     vw: np.ndarray = field(init=False, repr=False, compare=False)   # w-face volumes
     eta_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    rhs: np.ndarray = field(init=False, repr=False, compare=False)  # packed (u, w, p)
 
     def __post_init__(self) -> None:
         if not (np.all(np.isfinite(self.eta)) and np.all(np.isfinite(self.lam))):
@@ -60,6 +61,8 @@ class BrinkmanProblem:
             raise ValueError("viscosity fields must be cell fields")
         self.vu, self.vw = _face_volumes(self.grid)
         self.eta_nodes = _node_eta(self.eta)
+        self.rhs = _pack(self.force.u * self.vu, self.force.w * self.vw,
+                         -self.gamma_v * self.grid.cell_area)
 
 
 @dataclass
@@ -168,11 +171,6 @@ def brinkman_operator(problem: BrinkmanProblem) -> StencilOperator:
     return StencilOperator(apply=apply, shape=(n,), symmetric=True)
 
 
-def brinkman_rhs(problem: BrinkmanProblem) -> np.ndarray:
-    return _pack(problem.force.u * problem.vu, problem.force.w * problem.vw,
-                 -problem.gamma_v * problem.grid.cell_area)
-
-
 def apply_brinkman(problem: BrinkmanProblem, v: FaceField,
                    p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Momentum residual operator in PDE units plus the cell divergence.
@@ -266,9 +264,8 @@ def solve_brinkman(problem: BrinkmanProblem,
     if not problem.nu > 0.0:
         raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
     opts = opts or SolverOptions(tol=1e-11, max_iters=20000)
-    op = brinkman_operator(problem)
-    rhs = brinkman_rhs(problem)
-    x, report = solve_minres(op, rhs, opts, precond=_block_preconditioner(problem))
+    x, report = solve_minres(brinkman_operator(problem), problem.rhs, opts,
+                             precond=_block_preconditioner(problem))
     return _solution(problem, x, report)
 
 

@@ -35,7 +35,7 @@ from .constitutive import (
     sources,
 )
 from .elliptic import SolverOptions
-from .brinkman import _pack, brinkman_problem, brinkman_rhs, solve_brinkman
+from .brinkman import _pack, brinkman_problem, solve_brinkman
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ class ProjectedStart:
     """Start for a sequence of flow solves (Fischer, CMAME 163, 1998).
 
     Holds the last FLOW_WINDOW solved pairs (x_i, b_i), x_i the packed flow
-    and b_i its `brinkman_rhs`; the start for a new rhs b is X c, with c
+    and b_i its `BrinkmanProblem.rhs`; the start for a new rhs b is X c, with c
     minimising ||b - B c||_2.  Only the stored b_i are used, so the start
     costs no operator apply and stays defined when the operator changes
     between solves.  B is orthonormalised newest first by modified
@@ -349,17 +349,15 @@ class GalerkinResult:
 
 
 def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
-              basis: SpectralBasis, *, flow: bool = True,
-              sample_every: int = 1) -> GalerkinResult:
+              basis: SpectralBasis, *, flow: bool = True) -> GalerkinResult:
     """Classical RK4 march of the coefficient ODEs.
 
     Every stage re-solves the grid Brinkman system from its `Stage` record
     to FLOW_TOL, started by a `ProjectedStart` over this call's last
     FLOW_WINDOW solved stages (nothing is kept between calls).  Aborts when
-    ||a|| + ||c|| exceeds 1e6.  Samples the stage-1 record of a step as a
-    State (with that stage's velocity and pressure) every `sample_every`
-    steps; the final state is always sampled, without assembling its
-    matrices.
+    ||a|| + ||c|| exceeds 1e6.  Samples the stage-1 record of every step as
+    a State (with that stage's velocity and pressure), and the final state,
+    without assembling its matrices.
     """
     if dt <= 0.0 or steps < 0:
         raise ValueError("need dt > 0 and steps >= 0")
@@ -387,15 +385,14 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
             problem = brinkman_problem(
                 st.phi, st.sigma, st.mu, nutrient_energy(st.phi, st.sigma, model.params)[1],
                 st.src.gamma_v, model)
-            b = brinkman_rhs(problem)
             sol = solve_brinkman(problem, SolverOptions(
-                tol=FLOW_TOL, max_iters=FLOW_MAX_ITERS, x0=window.start(b)))
+                tol=FLOW_TOL, max_iters=FLOW_MAX_ITERS, x0=window.start(problem.rhs)))
             if not sol.report.converged:
                 raise SpectralBlowup(
                     f"spectral-route flow solve stalled: rel residual "
                     f"{sol.report.rel_residual:.3e}")
             v, p = sol.v, sol.p
-            window.add(_pack(v.u, v.w, p), b)
+            window.add(_pack(v.u, v.w, p), problem.rhs)
             flow_iters += sol.report.iterations
         else:
             v, p = FaceField.zeros(g), np.zeros(g.shape)
@@ -410,8 +407,7 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
         return rhs(aa, st.b, cc, assemble_matrices(st, v, model, basis), model)
 
     for n in range(steps):
-        record = t if (sample_every > 0 and n % sample_every == 0) else None
-        k1a, k1c = derivative(a, c, record)
+        k1a, k1c = derivative(a, c, t)
         k2a, k2c = derivative(a + 0.5 * dt * k1a, c + 0.5 * dt * k1c, None)
         k3a, k3c = derivative(a + 0.5 * dt * k2a, c + 0.5 * dt * k2c, None)
         k4a, k4c = derivative(a + dt * k3a, c + dt * k3c, None)

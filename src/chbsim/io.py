@@ -98,10 +98,6 @@ class RunConfig:
     c_gamma_v: float = 0.0
     gamma0: float | None = None
     # [solver], defaulting to the scheme's own settings
-    phase_tol: float = SchemeOptions.phase_tol
-    nutrient_tol: float = SchemeOptions.nutrient_tol
-    flow_tol: float = SchemeOptions.flow_tol
-    max_iters: int = SchemeOptions.max_iters
     stabilization_s: float = SchemeOptions.s
     flow: bool = SchemeOptions.flow
     # [init]
@@ -161,9 +157,6 @@ class RunConfig:
 
     def scheme(self) -> SchemeOptions:
         return SchemeOptions(dt=self.dt, s=self.stabilization_s, flow=self.flow,
-                             phase_tol=self.phase_tol,
-                             nutrient_tol=self.nutrient_tol,
-                             flow_tol=self.flow_tol, max_iters=self.max_iters,
                              snapshot_every=self.snapshot_every)
 
     def sim_spec(self) -> SimSpec:
@@ -297,8 +290,7 @@ _SECTIONS = {
                      "viscosity", "bulk_viscosity", "source", "source_P",
                      "source_A", "source_C", "source_p0", "source_rho_min",
                      "c_gamma_v", "gamma0"),
-    "solver": ("phase_tol", "nutrient_tol", "flow_tol", "max_iters",
-               "stabilization_s", "flow"),
+    "solver": ("stabilization_s", "flow"),
     "init": ("phi0", "phi0_value", "phi0_center", "phi0_radius",
              "phi0_amplitude", "phi0_modes", "sigma0", "sigma0_value",
              "sigma0_amplitude", "sigma0_modes"),

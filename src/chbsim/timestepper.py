@@ -54,19 +54,20 @@ from .brinkman import BrinkmanSolution, _pack, solve_brinkman
 from . import diagnostics
 
 PHI_ABORT = 10.0   # a step whose max |phi'| exceeds this fails: range explosion
+# Krylov policy of the three solves of a step: relative tolerances, iteration cap
+PHASE_TOL = 1e-12
+NUTRIENT_TOL = 1e-12
+FLOW_TOL = 1e-11
+MAX_ITERS = 40000
 
 
 @dataclass
 class SchemeOptions:
-    """Scheme knobs: step size, stabilization, solver settings, cadence."""
+    """Scheme knobs: step size, stabilization, flow on or off, cadence."""
 
     dt: float
     s: float = 2.0               # stabilization, >= sup psi''/2 on the visited range
     flow: bool = True            # solve the Brinkman system (else v = 0, p = 0)
-    phase_tol: float = 1e-12
-    nutrient_tol: float = 1e-12
-    flow_tol: float = 1e-11
-    max_iters: int = 40000
     snapshot_every: int = 0      # keep every k-th state in the run record (0: ends only)
 
     def __post_init__(self) -> None:
@@ -74,12 +75,6 @@ class SchemeOptions:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.s >= 0.0:
             raise ValueError(f"stabilization s must be non-negative, got {self.s}")
-        for name in ("phase_tol", "nutrient_tol", "flow_tol"):
-            tol = getattr(self, name)
-            if not (np.isfinite(tol) and tol > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -139,17 +134,14 @@ def initial_state(phi0: np.ndarray, sigma0: np.ndarray, model: ModelSpec) -> Sta
 # Stage solvers
 # ---------------------------------------------------------------------------
 
-def solve_flow(old: diagnostics.OldLevel, specs: SimSpec,
-               prev: State | None = None) -> BrinkmanSolution:
+def solve_flow(old: diagnostics.OldLevel, prev: State | None = None) -> BrinkmanSolution:
     """Solve the old level's Brinkman problem, warm-started from its flow x_n,
     or from the linear extrapolation 2 x_n - x_{n-1} when the level before
     it, `prev`, is given (its flow must be a solution too)."""
     x0 = _pack(old.state.v.u, old.state.v.w, old.state.p)
     if prev is not None:
         x0 = 2.0 * x0 - _pack(prev.v.u, prev.v.w, prev.p)
-    opts = SolverOptions(tol=specs.scheme.flow_tol, max_iters=specs.scheme.max_iters,
-                         x0=x0)
-    sol = solve_brinkman(old.flow, opts)
+    sol = solve_brinkman(old.flow, SolverOptions(tol=FLOW_TOL, max_iters=MAX_ITERS, x0=x0))
     _require_converged("flow", old.state.t, sol.report)
     return sol
 
@@ -195,7 +187,7 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField,
     # the largest theta; when both are constant it is the exact inverse (both
     # factors are polynomials in the Neumann Laplacian): one iteration.
     op = StencilOperator(apply, g.shape)
-    opts = SolverOptions(tol=sc.phase_tol, max_iters=sc.max_iters, x0=phi_n.copy())
+    opts = SolverOptions(tol=PHASE_TOL, max_iters=MAX_ITERS, x0=phi_n.copy())
     precond = phase_inverse(g, dt, s, eps, model.mobvis.m.hi, float(np.max(theta)))
     phi_new, rep = solve_general(op, rhs, opts, precond=precond)
     _require_converged("phase", old.state.t, rep)
@@ -239,7 +231,7 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
     rhs = sigma_n + dt * (robin_source(p.b, p.sigma_inf, g)
                           - p.chi_phi * apply_neumann_laplacian(phi_new, n_faces, g)
                           - gamma_sig - conv)
-    opts = SolverOptions(tol=sc.nutrient_tol, max_iters=sc.max_iters, x0=sigma_n.copy())
+    opts = SolverOptions(tol=NUTRIENT_TOL, max_iters=MAX_ITERS, x0=sigma_n.copy())
     sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, opts)
     _require_converged("nutrient", old.state.t, rep)
 
@@ -269,7 +261,7 @@ def step(level: diagnostics.TimeLevel, specs: SimSpec,
     flow_report = None
     div_residual = 0.0
     if old.flow is not None:
-        sol = solve_flow(old, specs, prev)
+        sol = solve_flow(old, prev)
         v_new, p_new = sol.v, sol.p
         flow_report = sol.report
         div_residual = sol.divergence_residual

@@ -389,8 +389,7 @@ def galerkin_sweep(model: ModelSpec, phi0: np.ndarray, sigma0: np.ndarray,
         basis = galerkin.build_basis(k, model.grid)
         st0 = galerkin.SpectralState(t=0.0, a=galerkin.project(phi0, basis),
                                      c=galerkin.project(sigma0, basis))
-        res = galerkin.integrate(st0, dt, steps, model, basis,
-                                 flow=True, sample_every=1)
+        res = galerkin.integrate(st0, dt, steps, model, basis, flow=True)
         table[k] = diagnostics.norm_estimates(res.states, model).as_dict()
     return table
 

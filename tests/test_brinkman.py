@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chbsim import brinkman, elliptic
 from chbsim.constitutive import ModelParams, nutrient_energy
@@ -18,7 +19,6 @@ from chbsim.brinkman import (
     BrinkmanProblem,
     apply_brinkman,
     brinkman_operator,
-    brinkman_rhs,
     capillary_force,
     dense_oracle_solve,
     divergence,
@@ -38,6 +38,21 @@ def problem(grid, nu=1.0, eta=1.0, lam=0.0, force=None, gamma_v=None):
         force if force is not None else FaceField.zeros(grid),
         gamma_v if gamma_v is not None else np.zeros(grid.shape),
     )
+
+
+def random_data(grid, seed):
+    rng = np.random.default_rng(seed)
+    force = FaceField(rng.standard_normal((grid.nx + 1, grid.ny)),
+                      rng.standard_normal((grid.nx, grid.ny + 1)))
+    return force, 0.5 * rng.standard_normal(grid.shape)
+
+
+# drawn grids (hx != hy in general) and coefficients; preconditioner tests
+# draw sides up to 12, the dense loop-assembled oracle up to 8
+SIDES = st.integers(4, 12)
+LENGTHS = st.floats(0.5, 2.0)
+FRICTIONS = st.floats(1e-2, 1e3)
+SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -80,23 +95,27 @@ def test_strain_rates_of_linear_shear():
     np.testing.assert_allclose(divergence(v, grid), 0.0, atol=1e-14)
 
 
-def test_operator_matches_loop_assembled_matrix():
-    grid = make_grid(1.0, 1.5, 6, 5)
-    rng = np.random.default_rng(101)
-    prob = BrinkmanProblem(grid,
-                           rng.uniform(0.5, 2.0, grid.shape),
-                           rng.uniform(0.0, 1.0, grid.shape),
-                           1.7,
-                           FaceField(rng.standard_normal((grid.nx + 1, grid.ny)),
-                                     rng.standard_normal((grid.nx, grid.ny + 1))),
-                           rng.standard_normal(grid.shape))
+@st.composite
+def saddle_problems(draw):
+    """Drawn grids up to 8^2 with cell-wise eta in [0.1, 100] and lam in [0, 2]."""
+    grid = make_grid(draw(LENGTHS), draw(LENGTHS), draw(st.integers(4, 8)),
+                     draw(st.integers(4, 8)))
+    eta, lam = (draw(arrays(float, grid.shape, elements=st.floats(lo, hi)))
+                for lo, hi in ((0.1, 100.0), (0.0, 2.0)))
+    force, gamma_v = random_data(grid, draw(SEEDS))
+    return BrinkmanProblem(grid, eta, lam, draw(FRICTIONS), force, gamma_v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(prob=saddle_problems(), seed=SEEDS)
+def test_operator_matches_loop_assembled_matrix(prob, seed):
     mat, rhs = loop_assemble_dense(prob)
-    op = brinkman_operator(prob)
-    n = mat.shape[0]
-    x = rng.standard_normal(n)
-    np.testing.assert_allclose(op.apply(x), mat @ x, atol=1e-11)
-    np.testing.assert_allclose(brinkman_rhs(prob), rhs, atol=1e-13)
-    np.testing.assert_allclose(mat, mat.T, atol=1e-11)  # saddle symmetry
+    scale = np.max(np.abs(mat))
+    x = np.random.default_rng(seed).standard_normal(mat.shape[0])
+    np.testing.assert_allclose(brinkman_operator(prob).apply(x), mat @ x,
+                               rtol=0.0, atol=1e-13 * scale * np.max(np.abs(x)))
+    np.testing.assert_allclose(prob.rhs, rhs, rtol=0.0, atol=1e-15 * np.max(np.abs(rhs)))
+    assert np.max(np.abs(mat - mat.T)) <= 1e-15 * scale  # saddle symmetry
 
 
 def test_operator_apply_keeps_the_evaluation_order():
@@ -241,13 +260,6 @@ def test_problem_rejects_non_finite_viscosity(bad):
 # block preconditioner
 # ---------------------------------------------------------------------------
 
-def random_data(grid, seed):
-    rng = np.random.default_rng(seed)
-    force = FaceField(rng.standard_normal((grid.nx + 1, grid.ny)),
-                      rng.standard_normal((grid.nx, grid.ny + 1)))
-    return force, 0.5 * rng.standard_normal(grid.shape)
-
-
 @pytest.fixture
 def block_calls(monkeypatch):
     """Counts the solves that build the cosine-transform block preconditioner."""
@@ -261,13 +273,6 @@ def block_calls(monkeypatch):
     return calls
 
 
-# drawn grids up to 12^2 (hx != hy in general) and coefficients
-SIDES = st.integers(4, 12)
-LENGTHS = st.floats(0.5, 2.0)
-FRICTIONS = st.floats(1e-2, 1e3)
-SEEDS = st.integers(0, 2 ** 32 - 1)
-
-
 @settings(max_examples=10, deadline=None)
 @given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, nu=FRICTIONS,
        eta=st.floats(0.1, 10.0), lam=st.floats(0.0, 2.0), seed=SEEDS)
@@ -276,7 +281,7 @@ def test_block_preconditioner_is_symmetric_positive_definite(nx, ny, lx, ly, nu,
     grid = make_grid(lx, ly, nx, ny)
     force, gamma_v = random_data(grid, seed)
     prob = problem(grid, nu=nu, eta=eta, lam=lam, force=force, gamma_v=gamma_v)
-    n = brinkman_rhs(prob).size
+    n = prob.rhs.size
     mat = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
                                             (n,), symmetric=True))
     assert np.max(np.abs(mat - mat.T)) <= 1e-14 * np.max(np.abs(mat))
@@ -335,7 +340,7 @@ def test_rescaled_block_preconditioner_is_symmetric_positive_definite(
     force, gamma_v = random_data(grid, seed)
     prob = BrinkmanProblem(grid, rng.uniform(0.5, 0.5 * contrast, grid.shape),
                            rng.uniform(0.0, 2.0, grid.shape), nu, force, gamma_v)
-    n = brinkman_rhs(prob).size
+    n = prob.rhs.size
     mat = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
                                             (n,), symmetric=True))
     assert np.max(np.abs(mat - mat.T)) <= 1e-14 * np.max(np.abs(mat))
@@ -349,7 +354,7 @@ def test_constant_coefficients_skip_the_rescaling(block_calls):
     apply = brinkman._block_preconditioner(prob)
     assert len(block_calls) == 1  # no reference problem was built
     # and the rescaling would not change a bit: s is exactly 1
-    a = np.random.default_rng(9).standard_normal(brinkman_rhs(prob).size)
+    a = np.random.default_rng(9).standard_normal(prob.rhs.size)
     s = np.sqrt(brinkman._jacobi_diagonal(prob) / brinkman._jacobi_diagonal(prob))
     assert np.array_equal(apply(a), s * apply(s * a))
 
@@ -413,7 +418,7 @@ def test_viscosity_contrast_uses_the_rescaled_block_and_beats_jacobi(
     sol = solve_brinkman(prob)
     assert block_calls
     assert sol.report.converged and sol.divergence_residual < 1e-8
-    _, jac = solve_minres(brinkman_operator(prob), brinkman_rhs(prob),
+    _, jac = solve_minres(brinkman_operator(prob), prob.rhs,
                           SolverOptions(tol=1e-11, max_iters=20000),
                           precond=jacobi(brinkman._jacobi_diagonal(prob)))
     assert jac.converged

@@ -6,6 +6,7 @@ import os
 import re
 from dataclasses import fields, replace
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chbsim import cli
+from chbsim import cli, timestepper
 from chbsim.core import FaceField, Grid, State, face_to_center, make_grid
 from chbsim.io import (
     _CHOICES,
@@ -96,6 +97,14 @@ def test_config_parses_sections_and_shorthands(tmp_path):
     assert cfg.n_steps == 2
 
 
+def test_readme_example_config_loads_and_round_trips(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = load_config(write_small_config(tmp_path, text=example))
+    save_config(cfg, tmp_path / "saved.ini")
+    assert load_config(tmp_path / "saved.ini") == cfg
+
+
 def test_config_rejects_unknown_sections_and_keys(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[domain]\nnx = 8\nwidth = 3\n\n[physics]\nq = 1\n",
@@ -134,10 +143,7 @@ def assert_one_error_and_no_output(path, name, out, capsys) -> str:
 @pytest.mark.parametrize("line, name", [
     ("stabilization_s = -1", "stabilization"),
     ("stabilization_s = nan", "stabilization"),
-    ("phase_tol = 0", "phase_tol"),
-    ("nutrient_tol = -1e-12", "nutrient_tol"),
-    ("flow_tol = inf", "flow_tol"),
-    ("max_iters = 0", "max_iters"),
+    ("phase_tol = 1e-12", "unknown key 'phase_tol' in section [solver]"),
     ("dt = nan", "dt"),
     ("t_end = nan", "t_end"),
     ("t_end = inf", "t_end"),
@@ -154,8 +160,9 @@ def test_config_rejects_bad_step_and_solver_settings_before_any_output(
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
     key = line.split()[0]
     kept = [row for row in SMALL_RUN.splitlines() if not row.startswith(key + " ")]
-    section = next(f"[{s}]" for s, attrs in _SECTIONS.items()
-                   if key in (a.lower() for a in attrs))
+    # a key no section holds (a removed solver setting) goes to [solver]
+    section = next((f"[{s}]" for s, attrs in _SECTIONS.items()
+                    if key in (a.lower() for a in attrs)), "[solver]")
     kept.insert(kept.index(section) + 1, line)
     path = write_small_config(tmp_path, text="\n".join(kept) + "\n")
     assert_one_error_and_no_output(path, name, tmp_path / "out", capsys)
@@ -695,8 +702,8 @@ def test_cli_run_completes_a_small_simulation(tmp_path, monkeypatch, capsys):
 
 def test_cli_run_that_stalls_keeps_the_initial_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
-    text = SMALL_RUN.replace("flow = off", "flow = off\nmax_iters = 1\nphase_tol = 1e-14")
-    assert cli.main(["run", str(write_small_config(tmp_path, text=text))]) == 1
+    monkeypatch.setattr(timestepper, "MAX_ITERS", 1)
+    assert cli.main(["run", str(write_small_config(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run aborted: ") and "solve stalled at t=0" in err
     outdir = tmp_path / "out" / "demo"

@@ -501,9 +501,9 @@ def test_flow_solve_starts_from_the_extrapolated_flow():
     its = [rep.flow.iterations for rep in res.reports]
     assert all(a <= 0.75 * b for a, b in zip(its[3:], plain_its[3:])), (its, plain_its)
     # the same fields to the benchmark's reference tolerance: three solves
-    # per step, each stopped at <= 10 tol (flow_tol, the loosest), times a
+    # per step, each stopped at <= 10 tol (FLOW_TOL, the loosest), times a
     # condition number of 1e3
-    tol = n_steps * 3 * 10.0 * spec.scheme.flow_tol * 1e3
+    tol = n_steps * 3 * 10.0 * timestepper.FLOW_TOL * 1e3
     for a, b in zip(fields(res.final_state), fields(plain[-1])):
         assert np.max(np.abs(a - b)) <= tol * max(1.0, float(np.max(np.abs(b))))
     again = run(state0, n_steps, spec)
@@ -511,12 +511,12 @@ def test_flow_solve_starts_from_the_extrapolated_flow():
                for a, b in zip(fields(again.final_state), fields(res.final_state)))
 
 
-def test_step_failure_carries_the_partial_record():
+def test_step_failure_carries_the_partial_record(monkeypatch):
     model = build_model()
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    monkeypatch.setattr(timestepper, "MAX_ITERS", 1)
     with pytest.raises(StepFailure) as exc:
-        run(state, 3, specs_for(model, 1e-3, flow=False, max_iters=1,
-                                phase_tol=1e-14))
+        run(state, 3, specs_for(model, 1e-3, flow=False))
     partial = exc.value.partial
     assert partial is not None
     assert len(partial.rows) == 1 and not partial.reports
