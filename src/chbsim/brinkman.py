@@ -20,7 +20,8 @@ A dense loop-assembled oracle covers small grids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,13 +186,15 @@ def apply_brinkman(problem: BrinkmanProblem, v: FaceField,
     return au / problem.vu, aw / problem.vw, -ap / g.cell_area
 
 
-def _jacobi_diagonal(problem: BrinkmanProblem) -> np.ndarray:
+def _jacobi_diagonal(problem: BrinkmanProblem, ce=None, en=None) -> np.ndarray:
     """Positive diagonal: diag(A) on velocities and a SIMPLE-style Schur
-    surrogate diag(G^T diag(A)^-1 G) on the pressure."""
+    surrogate diag(G^T diag(A)^-1 G) on the pressure.  ce = 2 eta + lam at
+    cells and en = eta at interior nodes default to the problem's own; the
+    constant-viscosity reference of `_block_preconditioner` passes constants."""
     g = problem.grid
     hx, hy = g.hx, g.hy
-    ce = 2.0 * problem.eta + problem.lam
-    en = problem.eta_nodes
+    if ce is None:
+        ce, en = 2.0 * problem.eta + problem.lam, problem.eta_nodes
 
     du = problem.nu * problem.vu.copy()
     du[1:, :] += ce * hy / hx
@@ -229,15 +232,9 @@ def _block_preconditioner(problem: BrinkmanProblem):
     faces carry p itself, so G^T diag(vu, vw)^-1 G = -vol Lap_D exactly and
     the surrogate is exact in the friction limit.
     """
-    if float(np.ptp(problem.eta)) != 0.0 or float(np.ptp(problem.lam)) != 0.0:
-        ref = replace(problem, eta=np.full_like(problem.eta, np.min(problem.eta)),
-                      lam=np.full_like(problem.lam, np.min(problem.lam)))
-        s = np.sqrt(_jacobi_diagonal(ref) / _jacobi_diagonal(problem))
-        inner = _block_preconditioner(ref)
-        return lambda a: s * inner(s * a)
     g = problem.grid
-    eta, nu = float(problem.eta.flat[0]), problem.nu
-    ce = 2.0 * eta + float(problem.lam.flat[0])
+    eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
+    ce = 2.0 * eta + lam
     kinds = ("node", "cell", "dirichlet")
     (qxn, lxn), (qxc, lxc), (qxd, lxd) = (laplacian_basis(g.nx, k) for k in kinds)
     (qyn, lyn), (qyc, lyc), (qyd, lyd) = (laplacian_basis(g.ny, k) for k in kinds)
@@ -254,16 +251,18 @@ def _block_preconditioner(problem: BrinkmanProblem):
     def apply(x: np.ndarray) -> np.ndarray:
         u, w, p = _unpack(x, g)
         return _pack(inv_u(u), inv_w(w), inv_p(p))
-    return apply
+
+    if float(np.max(problem.eta)) == eta and float(np.max(problem.lam)) == lam:
+        return apply
+    s = np.sqrt(_jacobi_diagonal(problem, ce, eta) / _jacobi_diagonal(problem))
+    return lambda a: s * apply(s * a)
 
 
-def solve_brinkman(problem: BrinkmanProblem,
-                   opts: SolverOptions | None = None) -> BrinkmanSolution:
+def solve_brinkman(problem: BrinkmanProblem, opts: SolverOptions) -> BrinkmanSolution:
     """Solve the saddle system with MINRES and `_block_preconditioner`.
     Requires nu > 0: without friction its velocity blocks are singular."""
     if not problem.nu > 0.0:
         raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
-    opts = opts or SolverOptions(tol=1e-11, max_iters=20000)
     x, report = solve_minres(brinkman_operator(problem), problem.rhs, opts,
                              precond=_block_preconditioner(problem))
     return _solution(problem, x, report)
@@ -276,6 +275,83 @@ def _solution(problem: BrinkmanProblem, x: np.ndarray,
     v = FaceField(u, w)
     div_res = float(np.max(np.abs(divergence(v, problem.grid) - problem.gamma_v)))
     return BrinkmanSolution(v, p, report, div_res)
+
+
+# ---------------------------------------------------------------------------
+# Start of a sequence of solves
+# ---------------------------------------------------------------------------
+
+_COLLAPSE = 1e-10   # relative norm below which a new rhs adds nothing to a window
+
+
+class ProjectedStart:
+    """Start for a sequence of Brinkman solves (Fischer, CMAME 163, 1998).
+
+    Holds up to `size` solved pairs (x_i, b_i), x_i the packed flow and b_i
+    its `BrinkmanProblem.rhs`, oldest first; the start for a new rhs b is
+    X c, with c minimising ||b - B c||_2.  Only the stored b_i are used, so
+    the start costs no operator apply and stays defined when the operator
+    changes between solves.  The pairs are kept as B = Q R (Q orthonormal,
+    R upper triangular) and X R^-1, so the start is (X R^-1)(Q^T b): 2 size
+    stored vectors of length n, O(size n) work per start and per update.  A full window first
+    lets its oldest pair go, by Givens rotations that restore the triangle
+    of R without its first column, applied alike to Q and X R^-1.  A new b
+    is then orthogonalised against Q twice (classical Gram-Schmidt); one
+    whose remainder falls below _COLLAPSE of its norm lies in the stored
+    span and is not stored.  The buffer is allocated once, at the first pair.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._r = np.zeros((size, size))
+        self._qx: np.ndarray | None = None   # row i: column i of Q, then of X R^-1
+        self._m = 0
+
+    def __len__(self) -> int:
+        return self._m
+
+    def start(self, b: np.ndarray) -> np.ndarray | None:
+        """X c for the stored pairs, or None while none is stored."""
+        if not self._m:
+            return None
+        qx = self._qx[:self._m]
+        return (qx[:, :b.size] @ b) @ qx[:, b.size:]
+
+    def add(self, x: np.ndarray, b: np.ndarray) -> None:
+        """Store a solved pair, dropping the oldest one when full."""
+        size, n = len(self._r), b.size
+        if self._qx is None:
+            self._qx = np.empty((size, 2 * n))
+        if self._m == size:
+            self._drop_oldest()
+        m, r, qx = self._m, self._r, self._qx
+        q = qx[:m, :n]
+        v = b.copy()
+        r[:m, m] = 0.0
+        for _ in range(2):
+            h = q @ v
+            v -= h @ q
+            r[:m, m] += h
+        norm = float(np.linalg.norm(v))
+        if not norm > _COLLAPSE * float(np.linalg.norm(b)):
+            return
+        np.divide(v, norm, out=qx[m, :n])
+        np.divide(x - r[:m, m] @ qx[:m, n:], norm, out=qx[m, n:])
+        r[m, m] = norm
+        self._m = m + 1
+
+    def _drop_oldest(self) -> None:
+        m, r, qx = self._m, self._r, self._qx
+        r[:m, :m - 1] = r[:m, 1:m]   # upper Hessenberg once the first column goes
+        for j in range(m - 1):
+            a, c = float(r[j, j]), float(r[j + 1, j])
+            h = math.hypot(a, c)
+            rot = np.array(((a / h, c / h), (-c / h, a / h)))
+            r[j:j + 2, j:m - 1] = rot @ r[j:j + 2, j:m - 1]
+            r[j + 1, j] = 0.0
+            qx[j:j + 2] = rot @ qx[j:j + 2]
+        r[m - 1] = 0.0
+        r[:, m - 1] = 0.0
+        self._m = m - 1
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .constitutive import (
     sources,
 )
 from .elliptic import SolverOptions
-from .brinkman import _pack, brinkman_problem, solve_brinkman
+from .brinkman import ProjectedStart, _pack, brinkman_problem, solve_brinkman
 
 
 # ---------------------------------------------------------------------------
@@ -263,76 +263,6 @@ def rhs(a: np.ndarray, b: np.ndarray, c: np.ndarray, mats: GalerkinMatrices,
 FLOW_TOL = 1e-10         # relative tolerance of every stage's Brinkman solve
 FLOW_MAX_ITERS = 40000
 FLOW_WINDOW = 8          # solved stages a flow solve's projected start mixes
-_COLLAPSE = 1e-10        # relative norm below which a stored rhs adds nothing
-
-
-class ProjectedStart:
-    """Start for a sequence of flow solves (Fischer, CMAME 163, 1998).
-
-    Holds the last FLOW_WINDOW solved pairs (x_i, b_i), x_i the packed flow
-    and b_i its `BrinkmanProblem.rhs`; the start for a new rhs b is X c, with c
-    minimising ||b - B c||_2.  Only the stored b_i are used, so the start
-    costs no operator apply and stays defined when the operator changes
-    between solves.  B is orthonormalised newest first by modified
-    Gram-Schmidt done twice; a column whose norm collapses below _COLLAPSE
-    of its own (b_i in the span of the newer ones) is left out, so the
-    newest nonzero b_i always counts and c stays bounded.  All buffers are
-    allocated here, once.
-    """
-
-    def __init__(self, n: int) -> None:
-        self._x = np.empty((FLOW_WINDOW, n))
-        self._b = np.empty((FLOW_WINDOW, n))
-        self._q = np.empty((FLOW_WINDOW, n))            # orthonormal columns of B
-        self._r = np.empty((FLOW_WINDOW, FLOW_WINDOW))  # B = Q R on the kept columns
-        self._tmp = np.empty(n)
-        self._slots: list[int] = []       # buffer rows, newest first
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def add(self, x: np.ndarray, b: np.ndarray) -> None:
-        """Store a solved pair, dropping the oldest one when full."""
-        full = len(self._slots) == FLOW_WINDOW
-        slot = self._slots.pop() if full else len(self._slots)
-        self._x[slot] = x
-        self._b[slot] = b
-        self._slots.insert(0, slot)
-
-    def start(self, b: np.ndarray) -> np.ndarray | None:
-        """X c for the stored pairs, or None while none is stored."""
-        if not self._slots:
-            return None
-        q, r, tmp = self._q, self._r, self._tmp
-        kept: list[int] = []
-        for slot in self._slots:
-            j = len(kept)
-            v = q[j]
-            v[:] = self._b[slot]
-            floor = _COLLAPSE * float(np.linalg.norm(v))
-            r[:j, j] = 0.0
-            for _ in range(2):
-                for i in range(j):
-                    h = float(np.dot(q[i], v))
-                    np.multiply(q[i], h, out=tmp)
-                    v -= tmp
-                    r[i, j] += h
-            norm = float(np.linalg.norm(v))
-            if not norm > floor:
-                continue
-            v /= norm
-            r[j, j] = norm
-            kept.append(slot)
-        m = len(kept)
-        y = q[:m] @ b
-        c = np.empty(m)
-        for j in range(m - 1, -1, -1):
-            c[j] = (y[j] - r[j, j + 1:m] @ c[j + 1:]) / r[j, j]
-        x0 = np.zeros(self._x.shape[1])
-        for cj, slot in zip(c, kept):
-            np.multiply(self._x[slot], cj, out=tmp)
-            x0 += tmp
-        return x0
 
 
 class SpectralBlowup(RuntimeError):
@@ -370,8 +300,7 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     times = np.empty(steps + 1)
     a_hist[0], c_hist[0], times[0] = a, c, t
     states: list[State] = []
-    n_flow = (g.nx + 1) * g.ny + g.nx * (g.ny + 1) + g.nx * g.ny  # packed (u, w, p)
-    window = ProjectedStart(n_flow) if flow else None
+    window = ProjectedStart(FLOW_WINDOW)
     flow_iters = 0
 
     def evaluate(aa: np.ndarray, cc: np.ndarray,

@@ -23,6 +23,7 @@ import configparser
 import math
 import os
 import re
+import socket
 import time
 from dataclasses import dataclass, fields
 from itertools import chain, islice
@@ -593,26 +594,76 @@ def resolve_output_dir(directory: str | Path) -> Path:
     return p
 
 
+_OWNER = re.compile(r"pid (\d{1,9}) on (\S+), started ")
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether a process `pid` exists on this host; True where no probe
+    that sends nothing is available."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)   # signal 0: an existence check that sends nothing
+    except ProcessLookupError:
+        return False
+    except PermissionError:   # exists, owned by another user
+        pass
+    return True
+
+
 class OutputLock:
     """Exclusive lock sentinel: one live run per output directory.  The
-    sentinel holds the pid and the start time of the run that made it."""
+    sentinel holds the pid, the host and the start time of the run that made
+    it; a sentinel whose run no longer exists on this host is taken over."""
 
     def __init__(self, directory: Path) -> None:
         self.path = directory / "run.lock"
 
-    def __enter__(self) -> "OutputLock":
+    def _owner(self, path: Path | None = None) -> str:
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            return (path or self.path).read_text(encoding="utf-8").strip() \
+                or "owner not recorded"
+        except (OSError, UnicodeDecodeError):   # released meanwhile, or not ours
+            return "owner unreadable"
+
+    def _refusal(self, owner: str) -> RuntimeError:
+        return RuntimeError(
+            f"output directory {self.path.parent} is locked by another run "
+            f"({owner}; remove {self.path.name} if that run is dead)")
+
+    def _clear_dead(self, owner: str) -> bool:
+        """Remove the sentinel when `owner` is a run of this host that no
+        longer exists and the sentinel still names it.  It is moved aside
+        first, so of two runs taking over at once only one removes it."""
+        found = _OWNER.match(owner)
+        if not found or found[2] != socket.gethostname() or _pid_alive(int(found[1])):
+            return False
+        aside = self.path.with_name(f"{self.path.name}.{os.getpid()}")
+        try:
+            os.rename(self.path, aside)
+        except FileNotFoundError:   # the other run moved it first
+            return True
+        if self._owner(aside) == owner:
+            aside.unlink()
+            return True
+        os.replace(aside, self.path)   # a live run's fresh sentinel: put it back
+        return False
+
+    def __enter__(self) -> "OutputLock":
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+        try:
+            fd = os.open(self.path, flags)
         except FileExistsError:
+            owner = self._owner()
+            if not self._clear_dead(owner):
+                raise self._refusal(owner) from None
             try:
-                owner = self.path.read_text(encoding="utf-8").strip() or "owner not recorded"
-            except (OSError, UnicodeDecodeError):   # released meanwhile, or not ours
-                owner = "owner unreadable"
-            raise RuntimeError(
-                f"output directory {self.path.parent} is locked by another run "
-                f"({owner}; remove {self.path.name} if that run is dead)") from None
+                fd = os.open(self.path, flags)
+            except FileExistsError:   # another run took the directory over first
+                raise self._refusal(self._owner()) from None
         with os.fdopen(fd, "w", encoding="utf-8") as lock:
-            lock.write(f"pid {os.getpid()}, started {time.strftime('%Y-%m-%d %H:%M:%S %z')}\n")
+            lock.write(f"pid {os.getpid()} on {socket.gethostname()}, "
+                       f"started {time.strftime('%Y-%m-%d %H:%M:%S %z')}\n")
         return self
 
     def __exit__(self, *exc) -> None:

@@ -4,8 +4,9 @@ One step from t_n advances in three stages that share one old-level record:
 
   (i)   Brinkman solve with capillary forcing assembled from the old fields,
         giving the velocity and pressure used by both transport equations;
-        warm-started from 2 x_n - x_{n-1}, the flows of the two previous
-        levels, from the third step of a run on (from x_n before that);
+        in a run, started from the best mix of the last FLOW_WINDOW solved
+        flows for this rhs (`brinkman.ProjectedStart`), from the old flow
+        x_n while none is solved yet;
   (ii)  phase update with the stabilized linear splitting: psi'(phi_n) kept
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of
         the sources implicit.  The chemical potential is eliminated from the
@@ -50,7 +51,7 @@ from .elliptic import (
     solve_general,
     upwind_div,
 )
-from .brinkman import BrinkmanSolution, _pack, solve_brinkman
+from .brinkman import BrinkmanSolution, ProjectedStart, _pack, solve_brinkman
 from . import diagnostics
 
 PHI_ABORT = 10.0   # a step whose max |phi'| exceeds this fails: range explosion
@@ -59,6 +60,7 @@ PHASE_TOL = 1e-12
 NUTRIENT_TOL = 1e-12
 FLOW_TOL = 1e-11
 MAX_ITERS = 40000
+FLOW_WINDOW = 4    # solved flows a run's projected start of the flow solve mixes
 
 
 @dataclass
@@ -134,15 +136,18 @@ def initial_state(phi0: np.ndarray, sigma0: np.ndarray, model: ModelSpec) -> Sta
 # Stage solvers
 # ---------------------------------------------------------------------------
 
-def solve_flow(old: diagnostics.OldLevel, prev: State | None = None) -> BrinkmanSolution:
-    """Solve the old level's Brinkman problem, warm-started from its flow x_n,
-    or from the linear extrapolation 2 x_n - x_{n-1} when the level before
-    it, `prev`, is given (its flow must be a solution too)."""
-    x0 = _pack(old.state.v.u, old.state.v.w, old.state.p)
-    if prev is not None:
-        x0 = 2.0 * x0 - _pack(prev.v.u, prev.v.w, prev.p)
+def solve_flow(old: diagnostics.OldLevel, window: ProjectedStart | None) -> BrinkmanSolution:
+    """Solve the old level's Brinkman problem, started from the projected
+    start of `window` for its rhs, or from the old flow x_n while the window
+    is empty or not given; the solution joins the window."""
+    rhs = old.flow.rhs
+    x0 = window.start(rhs) if window is not None else None
+    if x0 is None:
+        x0 = _pack(old.state.v.u, old.state.v.w, old.state.p)
     sol = solve_brinkman(old.flow, SolverOptions(tol=FLOW_TOL, max_iters=MAX_ITERS, x0=x0))
     _require_converged("flow", old.state.t, sol.report)
+    if window is not None:
+        window.add(_pack(sol.v.u, sol.v.w, sol.p), rhs)
     return sol
 
 
@@ -248,12 +253,12 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
 
 
 def step(level: diagnostics.TimeLevel, specs: SimSpec,
-         prev: State | None = None) -> tuple[diagnostics.TimeLevel, StepReport]:
+         window: ProjectedStart | None = None) -> tuple[diagnostics.TimeLevel, StepReport]:
     """One full step from the record of the level it leaves: flow, phase,
     nutrient, ledgers, budget; returns the record of the new level.
 
-    `prev`, the level before `level`, only moves the start of the flow solve
-    (see `solve_flow`); pass it only when both levels hold solved flows."""
+    `window`, the solved flows of the steps before, only moves the start of
+    the flow solve (see `solve_flow`)."""
     model, dt = specs.model, specs.scheme.dt
     g = model.grid
     old = diagnostics.old_level(level, model, specs.scheme.flow)
@@ -261,7 +266,7 @@ def step(level: diagnostics.TimeLevel, specs: SimSpec,
     flow_report = None
     div_residual = 0.0
     if old.flow is not None:
-        sol = solve_flow(old, prev)
+        sol = solve_flow(old, window)
         v_new, p_new = sol.v, sol.p
         flow_report = sol.report
         div_residual = sol.divergence_residual
@@ -332,22 +337,22 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
     """March n_steps fixed steps, collecting one diagnostics row per level.
 
     The row at t = 0 carries the initial energy and masses with zero rates.
-    On a failed step the partial record is attached to the raised
-    StepFailure so callers can keep what was completed.
+    Each flow solve starts from the run's last FLOW_WINDOW solved flows (the
+    t = 0 rest flow is no solution and never joins them).  On a failed step
+    the partial record is attached to the raised StepFailure so callers can
+    keep what was completed.
     """
     model, sc = specs.model, specs.scheme
     level = diagnostics.time_level(state0, model)
     rows = [_row(level, model)]
     reports: list[StepReport] = []
     states = [state0.copy()]
-    prev = None  # the level before `level`, once its flow is a solution too
+    window = ProjectedStart(FLOW_WINDOW)
     try:
         for k in range(n_steps):
-            new_level, rep = step(level, specs, prev)
-            rows.append(_row(new_level, model, rep))
+            level, rep = step(level, specs, window)
+            rows.append(_row(level, model, rep))
             reports.append(rep)
-            prev = level.state if k > 0 else None  # the t = 0 rest flow is no solution
-            level = new_level
             last = k == n_steps - 1
             if (sc.snapshot_every > 0 and (k + 1) % sc.snapshot_every == 0) or last:
                 states.append(level.state.copy())

@@ -53,6 +53,7 @@ SIDES = st.integers(4, 12)
 LENGTHS = st.floats(0.5, 2.0)
 FRICTIONS = st.floats(1e-2, 1e3)
 SEEDS = st.integers(0, 2 ** 32 - 1)
+OPTS = SolverOptions(tol=1e-11, max_iters=20000)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,7 @@ def test_operator_apply_keeps_the_evaluation_order():
 
 def test_zero_data_gives_zero_flow():
     grid = make_grid(1.0, 1.0, 8, 8)
-    sol = solve_brinkman(problem(grid))
+    sol = solve_brinkman(problem(grid), OPTS)
     np.testing.assert_allclose(sol.v.u, 0.0, atol=1e-13)
     np.testing.assert_allclose(sol.v.w, 0.0, atol=1e-13)
     np.testing.assert_allclose(sol.p, 0.0, atol=1e-13)
@@ -170,7 +171,7 @@ def test_constant_force_drives_uniform_darcy_flow():
     force = FaceField(np.full((grid.nx + 1, grid.ny), c),
                       np.zeros((grid.nx, grid.ny + 1)))
     prob = problem(grid, nu=nu, force=force)
-    sol = solve_brinkman(prob)
+    sol = solve_brinkman(prob, OPTS)
     assert sol.report.converged
     np.testing.assert_allclose(sol.v.u, c / nu, atol=1e-10)
     np.testing.assert_allclose(sol.v.w, 0.0, atol=1e-10)
@@ -185,7 +186,7 @@ def test_krylov_solution_matches_dense_oracle():
     x, y = grid.cell_centers()
     gamma_v = 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
     prob = problem(grid, nu=1.0, eta=0.8, lam=0.2, gamma_v=gamma_v)
-    krylov = solve_brinkman(prob)
+    krylov = solve_brinkman(prob, OPTS)
     direct = dense_oracle_solve(prob)
     assert krylov.report.converged
     np.testing.assert_allclose(krylov.v.u, direct.v.u, atol=1e-8)
@@ -201,8 +202,8 @@ def test_resolve_is_deterministic():
     rng = np.random.default_rng(7)
     force = FaceField(rng.standard_normal((grid.nx + 1, grid.ny)),
                       rng.standard_normal((grid.nx, grid.ny + 1)))
-    a = solve_brinkman(problem(grid, force=force))
-    b = solve_brinkman(problem(grid, force=force))
+    a = solve_brinkman(problem(grid, force=force), OPTS)
+    b = solve_brinkman(problem(grid, force=force), OPTS)
     assert np.array_equal(a.v.u, b.v.u) and np.array_equal(a.p, b.p)
 
 
@@ -214,7 +215,7 @@ def test_energy_identity_holds_for_the_solution():
     force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
     prob = problem(grid, nu=1.0, eta=0.5, lam=0.3, force=force,
                    gamma_v=0.1 * np.cos(np.pi * x) * np.cos(np.pi * y))
-    sol = solve_brinkman(prob)
+    sol = solve_brinkman(prob, OPTS)
     parts = energy_parts(prob, sol.v, sol.p)
     assert parts["dissipation"] >= 0.0
     lhs = parts["dissipation"]
@@ -312,7 +313,7 @@ def test_block_iterations_do_not_grow_with_the_grid(block_calls, nu):
         force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
         prob = problem(grid, nu=nu, force=force,
                        gamma_v=0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
-        sol = solve_brinkman(prob)
+        sol = solve_brinkman(prob, OPTS)
         assert sol.report.converged
         iters.append(sol.report.iterations)
     assert len(block_calls) == 2
@@ -398,7 +399,7 @@ def test_detached_estimate_restarts_from_the_true_residual(monkeypatch):
 def test_rescaled_block_iterations_do_not_grow_with_the_grid(nu):
     iters = []
     for n in (16, 64):
-        sol = solve_brinkman(disc_problem(make_grid(1.0, 1.0, n, n), 100.0, nu, 0.0))
+        sol = solve_brinkman(disc_problem(make_grid(1.0, 1.0, n, n), 100.0, nu, 0.0), OPTS)
         assert sol.report.converged
         iters.append(sol.report.iterations)
     assert iters[1] <= 1.5 * iters[0], iters
@@ -415,7 +416,7 @@ def test_viscosity_contrast_uses_the_rescaled_block_and_beats_jacobi(
     force, gamma_v = random_data(grid, 17)
     prob = BrinkmanProblem(grid, 1.0 + 99.0 * inside, np.zeros(grid.shape), 1.0,
                            force, gamma_v)
-    sol = solve_brinkman(prob)
+    sol = solve_brinkman(prob, OPTS)
     assert block_calls
     assert sol.report.converged and sol.divergence_residual < 1e-8
     _, jac = solve_minres(brinkman_operator(prob), prob.rhs,
@@ -428,7 +429,7 @@ def test_viscosity_contrast_uses_the_rescaled_block_and_beats_jacobi(
 
 def test_solve_brinkman_rejects_zero_friction():
     with pytest.raises(ValueError):
-        solve_brinkman(problem(make_grid(1.0, 1.0, 6, 6), nu=0.0))
+        solve_brinkman(problem(make_grid(1.0, 1.0, 6, 6), nu=0.0), OPTS)
 
 
 # Not strict: the floor lands on either side of the test from one data set to
@@ -447,6 +448,38 @@ def test_robustness_sweep_converges(contrast, nu, lam):
     sol = solve_brinkman(disc_problem(make_grid(1.0, 1.0, 32, 32), contrast, nu, lam),
                          SolverOptions(tol=1e-11, max_iters=20000))
     assert sol.report.converged, sol.report
+
+
+# ---------------------------------------------------------------------------
+# projected start of a sequence of solves
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.sampled_from([1, 2, 4, 8]), n=st.integers(16, 60), seed=SEEDS,
+       data=st.data())
+def test_projected_start_equals_a_least_squares_start_over_the_kept_pairs(
+        size, n, seed, data):
+    # 3 size random pairs, one of them a copy of an earlier one; a copy of a
+    # pair still in the window lies in its span and is not stored
+    rng = np.random.default_rng(seed)
+    pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(3 * size)]
+    at = data.draw(st.integers(1, len(pairs)), label="copy at")
+    pairs.insert(at, pairs[data.draw(st.integers(0, at - 1), label="copy of")])
+    window = brinkman.ProjectedStart(size)
+    assert window.start(pairs[0][1]) is None
+    kept = []
+    for x, b in pairs:
+        window.add(x, b)
+        if len(kept) == size:
+            kept.pop(0)
+        if not any(b is old for _, old in kept):
+            kept.append((x, b))
+        assert len(window) == len(kept) <= size
+        xs, bs = (np.array(col).T for col in zip(*kept))
+        for rhs in (rng.standard_normal(n), b):
+            want = xs @ np.linalg.lstsq(bs, rhs, rcond=None)[0]
+            got = window.start(rhs)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

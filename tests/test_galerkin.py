@@ -16,6 +16,7 @@ from chbsim.constitutive import (
 )
 from chbsim.brinkman import (
     BrinkmanProblem,
+    ProjectedStart,
     _pack,
     brinkman_operator,
     solve_brinkman,
@@ -27,7 +28,6 @@ from chbsim.galerkin import (
     FLOW_TOL,
     FLOW_WINDOW,
     GalerkinResult,
-    ProjectedStart,
     SpectralBlowup,
     SpectralState,
     assemble_matrices,
@@ -415,7 +415,7 @@ def _solved_pair(problem, x0=None):
 def test_projected_start_solves_a_rhs_in_the_stored_span():
     *stored, combined = _flow_problems(
         [np.eye(3)[0], np.eye(3)[1], np.eye(3)[2], [0.3, -0.7, 1.1]])
-    window = ProjectedStart(combined.rhs.size)
+    window = ProjectedStart(FLOW_WINDOW)
     assert window.start(combined.rhs) is None
     for prob in stored:
         window.add(*_solved_pair(prob)[:2])
@@ -428,13 +428,13 @@ def test_projected_start_solves_a_rhs_in_the_stored_span():
 def test_projected_start_of_a_repeated_pair_is_finite_and_the_window_bounded():
     probs = _flow_problems(np.eye(2 * FLOW_WINDOW + 1))
     x, b, _ = _solved_pair(probs[0])
-    window = ProjectedStart(b.size)
+    window = ProjectedStart(FLOW_WINDOW)
     window.add(x, b)
     window.add(x, b)  # the second copy collapses in the Gram-Schmidt pass
     x0 = window.start(b)
     assert np.all(np.isfinite(x0))
     np.testing.assert_allclose(x0, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
-    exact = ProjectedStart(4)  # here the second copy collapses to exactly 0
+    exact = ProjectedStart(FLOW_WINDOW)  # here the second copy collapses to exactly 0
     exact.add(np.arange(1.0, 5.0), np.array([2.0, 0.0, 0.0, 0.0]))
     exact.add(np.arange(1.0, 5.0), np.array([2.0, 0.0, 0.0, 0.0]))
     assert np.array_equal(exact.start(np.array([1.0, 0.0, 0.0, 0.0])),
@@ -452,7 +452,7 @@ def test_projected_start_is_never_worse_than_the_newest_flow():
     times = 0.1 * np.arange(2 * FLOW_WINDOW)
     probs = _flow_problems([[1.0, t, t * t, np.sin(3.0 * t)] for t in times])
     op = brinkman_operator(probs[0])
-    window = ProjectedStart(probs[0].rhs.size)
+    window = ProjectedStart(FLOW_WINDOW)
     newest = None
     gains = []
     for prob in probs:

@@ -4,6 +4,9 @@ import hashlib
 import math
 import os
 import re
+import socket
+import subprocess
+import sys
 from dataclasses import fields, replace
 from datetime import datetime
 from pathlib import Path
@@ -629,8 +632,9 @@ def test_output_lock_is_exclusive(tmp_path):
     with OutputLock(tmp_path):
         # the sentinel names its run, and the refusal quotes it
         owner = (tmp_path / "run.lock").read_text(encoding="utf-8").strip()
-        pid, started = re.fullmatch(r"pid (\d+), started (.+)", owner).groups()
+        pid, host, started = re.fullmatch(r"pid (\d+) on (\S+), started (.+)", owner).groups()
         assert int(pid) == os.getpid()
+        assert host == socket.gethostname()
         datetime.strptime(started, "%Y-%m-%d %H:%M:%S %z")
         with pytest.raises(RuntimeError, match=re.escape(f"locked by another run ({owner};")):
             with OutputLock(tmp_path):
@@ -641,10 +645,24 @@ def test_output_lock_is_exclusive(tmp_path):
         pass
 
 
+def reaped_pid():
+    """The pid of a child process that has exited and been reaped."""
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True, timeout=60)
+    return int(child.stdout)
+
+
+LIVE_OWNER = f"pid {os.getpid()} on {socket.gethostname()}, started 2026-01-01 00:00:00 +0000"
+# above any pid_max, so no such process; its host is not this one
+REMOTE_OWNER = f"pid 999999999 on other.{socket.gethostname()}, started 2026-01-01 00:00:00 +0000"
+
+
 @pytest.mark.parametrize("held, quoted", [
-    ("pid 4242, started 2026-01-01 00:00:00 +0000\n",
+    ("pid 4242, started 2026-01-01 00:00:00 +0000\n",   # no host: cannot be checked
      "pid 4242, started 2026-01-01 00:00:00 +0000"),
     ("", "owner not recorded"),                 # a sentinel that holds no owner
+    pytest.param(LIVE_OWNER + "\n", LIVE_OWNER, id="live-pid-on-this-host"),
+    pytest.param(REMOTE_OWNER + "\n", REMOTE_OWNER, id="pid-of-another-host"),
 ])
 def test_a_run_into_a_locked_directory_is_refused(tmp_path, monkeypatch, held, quoted):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
@@ -657,6 +675,25 @@ def test_a_run_into_a_locked_directory_is_refused(tmp_path, monkeypatch, held, q
     # nothing written, and the other run's lock is left in place
     assert [p.name for p in outdir.iterdir()] == ["run.lock"]
     assert (outdir / "run.lock").read_text(encoding="utf-8") == held
+
+
+def test_a_dead_runs_lock_on_this_host_is_taken_over(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    cfg = load_config(write_small_config(tmp_path))
+    outdir = tmp_path / cfg.directory
+    outdir.mkdir()
+    held = f"pid {reaped_pid()} on {socket.gethostname()}, started 2026-01-01 00:00:00 +0000\n"
+    # a sentinel that a live run wrote after the dead one's was read is put back
+    (outdir / "run.lock").write_text(LIVE_OWNER + "\n", encoding="utf-8")
+    assert not OutputLock(outdir)._clear_dead(held.strip())
+    assert [p.name for p in outdir.iterdir()] == ["run.lock"]
+    assert (outdir / "run.lock").read_text(encoding="utf-8") == LIVE_OWNER + "\n"
+    (outdir / "run.lock").write_text(held, encoding="utf-8")
+    result, _ = run_from_config(cfg)
+    assert len(result.rows) == 3
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(
+        ["config.ini", "timeseries.csv", "snap_000000.csv", "snap_000001.csv",
+         "snap_000002.csv"])   # the dead run's sentinel is gone, and no copy of it
 
 
 def test_run_from_config_layout_and_rerun_identity(tmp_path, monkeypatch):
