@@ -68,8 +68,9 @@ class BrinkmanProblem:
 
 @dataclass
 class BrinkmanSolution:
-    v: FaceField
-    p: np.ndarray
+    x: np.ndarray   # packed (u, w, p) as the solver returned it
+    v: FaceField    # views into x
+    p: np.ndarray   # view into x
     report: SolveReport
     divergence_residual: float  # max-norm of div(v) - gamma_v
 
@@ -125,37 +126,65 @@ def _unpack(x: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return u, w, p
 
 
+def _times(a: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
+    """a * c written into out, or a itself when c == 1 (the product is a)."""
+    return a if c == 1.0 else np.multiply(a, c, out=out)
+
+
 def _saddle_apply(problem: BrinkmanProblem):
     """(u, w, p, au, aw, ap) -> writes the volume-weighted residual blocks
-    (Av + Gp, G^T v) into au, aw, ap; symmetric. 2 eta at cells and nodes
-    is computed once here, not on every apply."""
+    (Av + Gp, G^T v) into au, aw, ap; symmetric.
+
+    With the plain differences dx = u[1:] - u[:-1] and dy = w[:, 1:] -
+    w[:, :-1] at cells, and su = u[1:-1, 1:] - u[1:-1, :-1] and sw = w[1:,
+    1:-1] - w[:-1, 1:-1] at interior nodes, let d = hy/hx dx + dy = hy div v.
+    The cell stresses times the face lengths are
+        pxx = 2 eta hy/hx dx + lam d - hy p,
+        pyy = 2 eta hx/hy dy + hx/hy (lam d) - hx/hy (hy p),
+    the node shear times hx is qx = eta_n hx/hy (su + hy/hx sw), times hy
+    it is hy/hx qx, and ap = -hx d = -vol div v.  The coefficient arrays
+    are folded once here, every intermediate goes to a scratch array
+    allocated once here, and on square cells the unit scalings are skipped.
+    Where hx, hy and hy/hx are powers of two, every scaling is exact and the
+    bits are those of the unfolded formula."""
     g = problem.grid
-    hx, hy, vol = g.hx, g.hy, g.cell_area
-    two_eta = 2.0 * problem.eta
-    two_eta_nodes = 2.0 * problem.eta_nodes
+    hx, hy = g.hx, g.hy
+    ryx, rxy = hy / hx, hx / hy
+    cxx, cyy = problem.eta * (2.0 * ryx), problem.eta * (2.0 * rxy)
+    cn, lam = problem.eta_nodes * rxy, problem.lam
+    nvu, nvw = problem.nu * problem.vu, problem.nu * problem.vw
+    dx, dy, d, hp, pxx, pyy, tmp = (np.empty(g.shape) for _ in range(7))
+    su, sw, qx, qy = (np.empty((g.nx - 1, g.ny - 1)) for _ in range(4))
 
     def apply(u, w, p, au, aw, ap) -> None:
-        dxx, dyy, dxy = strain_rates(FaceField(u, w), g)
-        div = dxx + dyy
-        pxx = (two_eta * dxx + problem.lam * div - p) * hy
-        pyy = (two_eta * dyy + problem.lam * div - p) * hx
-        qn = two_eta_nodes * dxy
+        np.subtract(u[1:, :], u[:-1, :], out=dx)
+        np.subtract(w[:, 1:], w[:, :-1], out=dy)
+        np.add(_times(dx, ryx, d), dy, out=d)
+        np.multiply(d, -hx, out=ap)
+        np.multiply(lam, d, out=d)
+        np.multiply(p, hy, out=hp)
+        np.add(np.multiply(cxx, dx, out=pxx), d, out=pxx)
+        np.subtract(pxx, hp, out=pxx)
+        np.add(np.multiply(cyy, dy, out=pyy), _times(d, rxy, tmp), out=pyy)
+        np.subtract(pyy, _times(hp, rxy, tmp), out=pyy)
 
-        np.multiply(problem.nu * u, problem.vu, out=au)
+        np.subtract(u[1:-1, 1:], u[1:-1, :-1], out=su)
+        np.subtract(w[1:, 1:-1], w[:-1, 1:-1], out=sw)
+        np.add(su, _times(sw, ryx, sw), out=su)
+        np.multiply(cn, su, out=qx)
+        qh = _times(qx, ryx, qy)
+
+        np.multiply(nvu, u, out=au)
         au[1:, :] += pxx
         au[:-1, :] -= pxx
-        qh = qn * hx
-        au[1:-1, 1:] += qh
-        au[1:-1, :-1] -= qh
+        au[1:-1, 1:] += qx
+        au[1:-1, :-1] -= qx
 
-        np.multiply(problem.nu * w, problem.vw, out=aw)
+        np.multiply(nvw, w, out=aw)
         aw[:, 1:] += pyy
         aw[:, :-1] -= pyy
-        qh = qn * hy
         aw[1:, 1:-1] += qh
         aw[:-1, 1:-1] -= qh
-
-        np.multiply(-div, vol, out=ap)
     return apply
 
 
@@ -249,13 +278,21 @@ def _block_preconditioner(problem: BrinkmanProblem):
                                          + ce) / vol)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        u, w, p = _unpack(x, g)
-        return _pack(inv_u(u), inv_w(w), inv_p(p))
+        out = np.empty(x.size)
+        for inv, r, o in zip((inv_u, inv_w, inv_p), _unpack(x, g), _unpack(out, g)):
+            inv(r, out=o)
+        return out
 
     if float(np.max(problem.eta)) == eta and float(np.max(problem.lam)) == lam:
         return apply
     s = np.sqrt(_jacobi_diagonal(problem, ce, eta) / _jacobi_diagonal(problem))
-    return lambda a: s * apply(s * a)
+    sa = np.empty(s.size)
+
+    def rescaled(a: np.ndarray) -> np.ndarray:
+        out = apply(np.multiply(s, a, out=sa))
+        out *= s
+        return out
+    return rescaled
 
 
 def solve_brinkman(problem: BrinkmanProblem, opts: SolverOptions) -> BrinkmanSolution:
@@ -270,11 +307,11 @@ def solve_brinkman(problem: BrinkmanProblem, opts: SolverOptions) -> BrinkmanSol
 
 def _solution(problem: BrinkmanProblem, x: np.ndarray,
               report: SolveReport) -> BrinkmanSolution:
-    """Unpack x and measure its divergence residual."""
+    """Unpack x into views and measure its divergence residual."""
     u, w, p = _unpack(x, problem.grid)
     v = FaceField(u, w)
     div_res = float(np.max(np.abs(divergence(v, problem.grid) - problem.gamma_v)))
-    return BrinkmanSolution(v, p, report, div_res)
+    return BrinkmanSolution(x, v, p, report, div_res)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +333,12 @@ class ProjectedStart:
     stored vectors of length n, O(size n) work per start and per update.  A full window first
     lets its oldest pair go, by Givens rotations that restore the triangle
     of R without its first column, applied alike to Q and X R^-1.  A new b
-    is then orthogonalised against Q twice (classical Gram-Schmidt); one
-    whose remainder falls below _COLLAPSE of its norm lies in the stored
-    span and is not stored.  The buffer is allocated once, at the first pair.
+    is then orthogonalised against Q by classical Gram-Schmidt, in the free
+    row of the buffer; a second pass runs only when the first keeps less
+    than 1/sqrt(2) of the norm of b ("twice is enough": Parlett-Kahan;
+    Giraud, Langou & Rozloznik, 2005).  One whose remainder falls below
+    _COLLAPSE of its norm lies in the stored span and is not stored.  The
+    buffer is allocated once, at the first pair.
     """
 
     def __init__(self, size: int) -> None:
@@ -324,18 +364,21 @@ class ProjectedStart:
         if self._m == size:
             self._drop_oldest()
         m, r, qx = self._m, self._r, self._qx
-        q = qx[:m, :n]
-        v = b.copy()
-        r[:m, m] = 0.0
-        for _ in range(2):
+        q, v, y = qx[:m, :n], qx[m, :n], qx[m, n:]   # the new row is the free one
+        h = q @ b
+        r[:m, m] = h
+        np.subtract(b, h @ q, out=v)
+        norm_b, norm = float(np.linalg.norm(b)), float(np.linalg.norm(v))
+        if norm < norm_b / math.sqrt(2.0):
             h = q @ v
             v -= h @ q
             r[:m, m] += h
-        norm = float(np.linalg.norm(v))
-        if not norm > _COLLAPSE * float(np.linalg.norm(b)):
+            norm = float(np.linalg.norm(v))
+        if not norm > _COLLAPSE * norm_b:
             return
-        np.divide(v, norm, out=qx[m, :n])
-        np.divide(x - r[:m, m] @ qx[:m, n:], norm, out=qx[m, n:])
+        v /= norm
+        np.subtract(x, r[:m, m] @ qx[:m, n:], out=y)
+        y /= norm
         r[m, m] = norm
         self._m = m + 1
 

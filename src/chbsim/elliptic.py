@@ -137,7 +137,8 @@ def advective_boundary_flux(q: np.ndarray, v: FaceField, grid: Grid) -> float:
 
 @dataclass
 class StencilOperator:
-    """Linear operator acting on ndarrays of a fixed shape."""
+    """Linear operator acting on ndarrays of a fixed shape.  `apply`
+    returns a new array, which MINRES updates in place."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     shape: tuple[int, ...]
@@ -343,6 +344,8 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
     from r; so does a recurrence whose estimate reached zero (a lucky
     breakdown that left round-off above the goal). The target is never
     tighter than the gap measured at r1 itself asks for.
+    x is updated in place, and so are y, v and the three w vectors, whose
+    buffers rotate; r1 is left as it is.
     Returns (x, rhs - A x, iterations, target)."""
     y = minv(r1)
     beta1_sq = _dot(r1, y)
@@ -354,8 +357,8 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
     dbar = epsln = 0.0
     phibar = beta
     cs, sn = -1.0, 0.0
-    w = np.zeros_like(x)
-    w2 = np.zeros_like(x)
+    v, tmp = np.empty_like(x), np.empty_like(x)
+    w1, w2, w = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
     r2 = r1
     r, res = r1, _norm(r1)   # last measured true residual and its norm
     target = max(target, 0.5 * phibar * goal / res)
@@ -375,12 +378,12 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
         if it >= budget or target < 1e-280:
             break
         it += 1
-        v = y / beta
+        np.divide(y, beta, out=v)
         y = op.apply(v)
         if it >= 2:
-            y = y - (beta / oldb) * r1
+            y -= np.multiply(r1, beta / oldb, out=tmp)
         alfa = _dot(v, y)
-        y = y - (alfa / beta) * r2
+        y -= np.multiply(r2, alfa / beta, out=tmp)
         r1 = r2
         r2 = y
         y = minv(r2)
@@ -399,10 +402,11 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
         sn = beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        w1, w2, w = w2, w, w1   # w = (v - oldeps w1 - delta w2) / gamma
+        np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w /= gamma
+        x += np.multiply(w, phi, out=tmp)
         moved = True
     if moved:
         r = rhs - op.apply(x)
@@ -498,10 +502,22 @@ def laplacian_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray
-                      ) -> Callable[[np.ndarray], np.ndarray]:
+                      ) -> Callable[..., np.ndarray]:
     """r -> qx ((qx^T r qy) * scale) qy^T: the symmetric operator that is
-    diagonal, with entries `scale`, in the tensor basis of qx and qy."""
-    return lambda r: qx @ ((qx.T @ r @ qy) * scale) @ qy.T
+    diagonal, with entries `scale`, in the tensor basis of qx and qy.
+
+    The returned `apply(r, out=None)` writes into `out` when given and into
+    a new array otherwise; its intermediate products go to two scratch
+    arrays allocated here, in the order of the formula (`np.dot`: the same
+    BLAS products as `@`, with less overhead per call)."""
+    qxt, qyt = qx.T, qy.T
+    a = np.empty((len(qx), len(qy)))
+    b = np.empty_like(a)
+
+    def apply(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        np.multiply(np.dot(np.dot(qxt, r, out=a), qy, out=b), scale, out=b)
+        return np.dot(np.dot(qx, b, out=a), qyt, out=out)
+    return apply
 
 
 def neumann_multiplier(grid: Grid, symbol: Callable[[np.ndarray], np.ndarray]

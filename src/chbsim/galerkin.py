@@ -35,7 +35,7 @@ from .constitutive import (
     sources,
 )
 from .elliptic import SolverOptions
-from .brinkman import ProjectedStart, _pack, brinkman_problem, solve_brinkman
+from .brinkman import ProjectedStart, brinkman_problem, solve_brinkman
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
                     f"spectral-route flow solve stalled: rel residual "
                     f"{sol.report.rel_residual:.3e}")
             v, p = sol.v, sol.p
-            window.add(_pack(v.u, v.w, p), problem.rhs)
+            window.add(sol.x, problem.rhs)
             flow_iters += sol.report.iterations
         else:
             v, p = FaceField.zeros(g), np.zeros(g.shape)

@@ -147,7 +147,7 @@ def solve_flow(old: diagnostics.OldLevel, window: ProjectedStart | None) -> Brin
     sol = solve_brinkman(old.flow, SolverOptions(tol=FLOW_TOL, max_iters=MAX_ITERS, x0=x0))
     _require_converged("flow", old.state.t, sol.report)
     if window is not None:
-        window.add(_pack(sol.v.u, sol.v.w, sol.p), rhs)
+        window.add(sol.x, rhs)
     return sol
 
 

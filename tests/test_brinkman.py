@@ -120,10 +120,51 @@ def test_operator_matches_loop_assembled_matrix(prob, seed):
 
 
 def test_operator_apply_keeps_the_evaluation_order():
-    # the apply writes into one output vector with hoisted 2 eta factors; its
-    # bits must equal the plain formula evaluated term by term
+    # the apply folds hx, hy, 2 eta, eta at the nodes and nu into
+    # coefficient arrays and writes through scratch arrays; its bits must
+    # equal the folded formula evaluated term by term (eta below 1, so that
+    # the pressure terms show in the bits)
     grid = make_grid(1.0, 1.5, 7, 5)
     rng = np.random.default_rng(103)
+    prob = BrinkmanProblem(grid, rng.uniform(0.01, 1.0, grid.shape),
+                           rng.uniform(0.0, 1.0, grid.shape), 1.7,
+                           FaceField.zeros(grid), np.zeros(grid.shape))
+    op = brinkman_operator(prob)
+    x = rng.standard_normal(op.shape)
+    u, w, p = brinkman._unpack(x, grid)
+    hx, hy = grid.hx, grid.hy
+    dx = u[1:, :] - u[:-1, :]
+    dy = w[:, 1:] - w[:, :-1]
+    d = dx * (hy / hx) + dy
+    ap = d * -hx
+    lam_d = prob.lam * d
+    pxx = (prob.eta * (2.0 * hy / hx)) * dx + lam_d - p * hy
+    pyy = (prob.eta * (2.0 * hx / hy)) * dy + lam_d * (hx / hy) - (p * hy) * (hx / hy)
+    su = u[1:-1, 1:] - u[1:-1, :-1]
+    sw = w[1:, 1:-1] - w[:-1, 1:-1]
+    qx = (prob.eta_nodes * (hx / hy)) * (su + sw * (hy / hx))
+    qy = qx * (hy / hx)
+    au = (prob.nu * prob.vu) * u
+    au[1:, :] += pxx
+    au[:-1, :] -= pxx
+    au[1:-1, 1:] += qx
+    au[1:-1, :-1] -= qx
+    aw = (prob.nu * prob.vw) * w
+    aw[:, 1:] += pyy
+    aw[:, :-1] -= pyy
+    aw[1:, 1:-1] += qy
+    aw[:-1, 1:-1] -= qy
+    assert np.array_equal(op.apply(x), np.concatenate([au.ravel(), aw.ravel(), ap.ravel()]))
+    mom_u, mom_w, div_v = apply_brinkman(prob, FaceField(u, w), p)
+    assert np.array_equal(mom_u, au / prob.vu) and np.array_equal(mom_w, aw / prob.vw)
+    assert np.array_equal(div_v, -ap / grid.cell_area)
+
+
+def test_operator_apply_on_power_of_two_spacings_keeps_the_unfolded_bits():
+    # hx = 1/8, hy = 1/16: every folded scaling is exact, so the apply
+    # reproduces the plain strain-rate formula bit for bit
+    grid = make_grid(1.0, 0.5, 8, 8)
+    rng = np.random.default_rng(107)
     prob = BrinkmanProblem(grid, rng.uniform(1.0, 100.0, grid.shape),
                            rng.uniform(0.0, 1.0, grid.shape), 1.7,
                            FaceField.zeros(grid), np.zeros(grid.shape))
@@ -148,9 +189,25 @@ def test_operator_apply_keeps_the_evaluation_order():
     aw[:-1, 1:-1] -= qn * hy
     ap = -div * grid.cell_area
     assert np.array_equal(op.apply(x), np.concatenate([au.ravel(), aw.ravel(), ap.ravel()]))
-    mom_u, mom_w, div_v = apply_brinkman(prob, FaceField(u, w), p)
-    assert np.array_equal(mom_u, au / prob.vu) and np.array_equal(mom_w, aw / prob.vw)
-    assert np.array_equal(div_v, -ap / grid.cell_area)
+
+
+@pytest.mark.parametrize("contrast, lam", [(1.0, 0.0), (100.0, 0.3)])
+def test_operator_and_preconditioner_return_fresh_arrays(contrast, lam):
+    # both reuse scratch arrays from call to call (the preconditioner at
+    # constant and at variable viscosity); what a call returns must not be
+    # one of them, and no call may write into its input
+    prob = disc_problem(make_grid(1.0, 1.5, 9, 7), contrast, 2.0, lam)
+    rng = np.random.default_rng(5)
+    for apply in (brinkman_operator(prob).apply, brinkman._block_preconditioner(prob)):
+        a, b = rng.standard_normal((2, prob.rhs.size))
+        a_in, b_in = a.copy(), b.copy()
+        first = apply(a)
+        kept = first.copy()
+        second = apply(b)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(a, a_in) and np.array_equal(b, b_in)
+        assert np.array_equal(apply(a), kept)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +484,25 @@ def test_viscosity_contrast_uses_the_rescaled_block_and_beats_jacobi(
         (sol.report.iterations, jac.iterations)
 
 
+def test_solve_minres_leaves_rhs_and_start_alone():
+    prob = disc_problem(make_grid(1.0, 1.5, 9, 7), 100.0, 2.0, 0.3)
+    x0 = np.random.default_rng(6).standard_normal(prob.rhs.size)
+    rhs, start = prob.rhs.copy(), x0.copy()
+    x, rep = solve_minres(brinkman_operator(prob), prob.rhs,
+                          SolverOptions(tol=1e-11, max_iters=5000, x0=x0),
+                          precond=brinkman._block_preconditioner(prob))
+    assert rep.converged and not np.shares_memory(x, x0)
+    assert np.array_equal(prob.rhs, rhs) and np.array_equal(x0, start)
+
+
+def test_solution_views_the_packed_vector_the_solver_returned():
+    prob = disc_problem(make_grid(1.0, 1.5, 9, 7), 10.0, 2.0, 0.3)
+    sol = solve_brinkman(prob, OPTS)
+    assert sol.report.converged
+    assert all(np.shares_memory(a, sol.x) for a in (sol.v.u, sol.v.w, sol.p))
+    assert np.array_equal(sol.x, brinkman._pack(sol.v.u, sol.v.w, sol.p))
+
+
 def test_solve_brinkman_rejects_zero_friction():
     with pytest.raises(ValueError):
         solve_brinkman(problem(make_grid(1.0, 1.0, 6, 6), nu=0.0), OPTS)
@@ -459,22 +535,38 @@ def test_robustness_sweep_converges(contrast, nu, lam):
        data=st.data())
 def test_projected_start_equals_a_least_squares_start_over_the_kept_pairs(
         size, n, seed, data):
-    # 3 size random pairs, one of them a copy of an earlier one; a copy of a
-    # pair still in the window lies in its span and is not stored
+    # 3 size random pairs, one of them a copy of an earlier one, and one
+    # within 1e-3 of a mix of the pairs the window keeps when it comes (x
+    # near the same mix of the kept x as b of the kept b, as for x = A^-1 b);
+    # a copy of a pair still in the window lies in its span and is not
+    # stored, the near one is stored after a second Gram-Schmidt pass
     rng = np.random.default_rng(seed)
     pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(3 * size)]
     at = data.draw(st.integers(1, len(pairs)), label="copy at")
     pairs.insert(at, pairs[data.draw(st.integers(0, at - 1), label="copy of")])
+    near_at = data.draw(st.integers(2, len(pairs)), label="near at")
+    pairs.insert(near_at, None)
     window = brinkman.ProjectedStart(size)
     assert window.start(pairs[0][1]) is None
     kept = []
-    for x, b in pairs:
+    for pair in pairs:
+        if pair is None:
+            stay = kept[1:] if len(kept) == size else kept
+            if not stay:
+                continue
+            mix = rng.standard_normal(len(stay))
+            pair = tuple(near + 1e-3 * np.linalg.norm(near) / np.linalg.norm(off) * off
+                         for near, off in ((np.array(col).T @ mix, rng.standard_normal(n))
+                                           for col in zip(*stay)))
+        x, b = pair
         window.add(x, b)
         if len(kept) == size:
             kept.pop(0)
         if not any(b is old for _, old in kept):
             kept.append((x, b))
         assert len(window) == len(kept) <= size
+        q = window._qx[:len(window), :n]   # one pass would leave ~1e-13 here
+        assert np.max(np.abs(q @ q.T - np.eye(len(window)))) <= 1e-14
         xs, bs = (np.array(col).T for col in zip(*kept))
         for rhs in (rng.standard_normal(n), b):
             want = xs @ np.linalg.lstsq(bs, rhs, rcond=None)[0]

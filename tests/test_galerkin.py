@@ -17,7 +17,6 @@ from chbsim.constitutive import (
 from chbsim.brinkman import (
     BrinkmanProblem,
     ProjectedStart,
-    _pack,
     brinkman_operator,
     solve_brinkman,
 )
@@ -409,7 +408,7 @@ def _flow_problems(weights, seed=5):
 def _solved_pair(problem, x0=None):
     sol = solve_brinkman(problem, SolverOptions(tol=1e-12, max_iters=5000, x0=x0))
     assert sol.report.converged
-    return _pack(sol.v.u, sol.v.w, sol.p), problem.rhs, sol.report
+    return sol.x, problem.rhs, sol.report
 
 
 def test_projected_start_solves_a_rhs_in_the_stored_span():
