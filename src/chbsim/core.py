@@ -107,7 +107,7 @@ class EdgeTraces:
 
 def integrate_cell(values: np.ndarray, grid: Grid) -> float:
     """Midpoint-rule integral of a cell field over the domain."""
-    return float(np.sum(values)) * grid.cell_area
+    return float(values.sum()) * grid.cell_area
 
 
 def extrapolate_to_walls(field: np.ndarray, grid: Grid) -> EdgeTraces:

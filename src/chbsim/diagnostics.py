@@ -36,13 +36,14 @@ from .constitutive import (
     viscosities,
 )
 from .elliptic import (
-    advective_boundary_flux,
+    Transport,
     apply_neumann_laplacian,
     face_gradient,
     harmonic_face_coefficients,
     neumann_multiplier,
     robin_influx,
     upwind_div,
+    upwind_transport,
 )
 from .brinkman import (BrinkmanProblem, _face_volumes, brinkman_problem, energy_parts,
                        strain_rates)
@@ -51,7 +52,7 @@ from .galerkin import build_basis
 
 def _grad_sq(f: np.ndarray, grid: Grid) -> float:
     g = face_gradient(f, grid)
-    return (float(np.sum(g.u ** 2)) + float(np.sum(g.w ** 2))) * grid.cell_area
+    return (float((g.u ** 2).sum()) + float((g.w ** 2).sum())) * grid.cell_area
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,21 @@ def old_level(level: TimeLevel, model: ModelSpec, flow: bool) -> OldLevel:
     return OldLevel(**vars(level), src=src, m_faces=m_faces, flow=problem)
 
 
+@dataclass(frozen=True)
+class Convection:
+    """The upwind transport of a step's old phi and sigma by its new velocity:
+    one flux pass each, read by both stages, the ledgers and the budget."""
+
+    phi: Transport
+    sigma: Transport
+
+
+def convection(state: State, v: FaceField, grid: Grid) -> Convection:
+    """The upwind transport of `state`'s phi and sigma by the velocity v."""
+    return Convection(upwind_transport(state.phi, v, grid),
+                      upwind_transport(state.sigma, v, grid))
+
+
 @dataclass
 class EnergyBudget:
     """One step of the discrete energy identity.
@@ -129,10 +145,11 @@ class EnergyBudget:
     budget_residual: float
 
 
-def energy_budget(old: OldLevel, new_level: TimeLevel, n_faces: FaceField, dt: float,
-                  model: ModelSpec) -> EnergyBudget:
+def energy_budget(old: OldLevel, new_level: TimeLevel, n_faces: FaceField,
+                  conv: Convection, dt: float, model: ModelSpec) -> EnergyBudget:
     """Recompute every term of the step energy identity, by its own quadratures,
-    from the records of both levels and the face mobility n(phi').  The time
+    from the records of both levels, the face mobility n(phi') and the step's
+    upwind transport `conv` of the old fields by the new velocity.  The time
     levels are the scheme's: mobilities m(phi_n) and n(phi'), old fields
     convected by the new velocity, sources Lambda(old) - theta(old) mu',
     sigma' wall traces; with the flow off v = p = 0, and so is the flow part."""
@@ -140,26 +157,26 @@ def energy_budget(old: OldLevel, new_level: TimeLevel, n_faces: FaceField, dt: f
     new, nsig = new_level.state, new_level.n_sigma
 
     gmu = face_gradient(new.mu, g)
-    diss_mu = (float(np.sum(old.m_faces.u * gmu.u ** 2))
-               + float(np.sum(old.m_faces.w * gmu.w ** 2))) * g.cell_area
+    diss_mu = (float((old.m_faces.u * gmu.u ** 2).sum())
+               + float((old.m_faces.w * gmu.w ** 2).sum())) * g.cell_area
 
     nhat = p.chi_sigma * new.sigma - p.chi_phi * new.phi
     gnh = face_gradient(nhat, g)
-    diss_nsigma = (float(np.sum(n_faces.u * gnh.u ** 2))
-                   + float(np.sum(n_faces.w * gnh.w ** 2))) * g.cell_area
+    diss_nsigma = (float((n_faces.u * gnh.u ** 2).sum())
+                   + float((n_faces.w * gnh.w ** 2).sum())) * g.cell_area
 
     tr = extrapolate_to_walls(new.sigma, g)
     sinf = p.sigma_inf
     one_minus_phi = 1.0 - new.phi
     income = p.b * (
-        float(np.sum(sinf.left * nsig[0, :] - tr.left * p.chi_phi * one_minus_phi[0, :])) * g.hy
-        + float(np.sum(sinf.right * nsig[-1, :] - tr.right * p.chi_phi * one_minus_phi[-1, :])) * g.hy
-        + float(np.sum(sinf.bottom * nsig[:, 0] - tr.bottom * p.chi_phi * one_minus_phi[:, 0])) * g.hx
-        + float(np.sum(sinf.top * nsig[:, -1] - tr.top * p.chi_phi * one_minus_phi[:, -1])) * g.hx
+        float((sinf.left * nsig[0, :] - tr.left * p.chi_phi * one_minus_phi[0, :]).sum()) * g.hy
+        + float((sinf.right * nsig[-1, :] - tr.right * p.chi_phi * one_minus_phi[-1, :]).sum()) * g.hy
+        + float((sinf.bottom * nsig[:, 0] - tr.bottom * p.chi_phi * one_minus_phi[:, 0]).sum()) * g.hx
+        + float((sinf.top * nsig[:, -1] - tr.top * p.chi_phi * one_minus_phi[:, -1]).sum()) * g.hx
     )
     bnd_sigma_sq = p.b * p.chi_sigma * (
-        float(np.sum(tr.left * new.sigma[0, :]) + np.sum(tr.right * new.sigma[-1, :])) * g.hy
-        + float(np.sum(tr.bottom * new.sigma[:, 0]) + np.sum(tr.top * new.sigma[:, -1])) * g.hx
+        float((tr.left * new.sigma[0, :]).sum() + (tr.right * new.sigma[-1, :]).sum()) * g.hy
+        + float((tr.bottom * new.sigma[:, 0]).sum() + (tr.top * new.sigma[:, -1]).sum()) * g.hx
     )
 
     gamma_phi = old.src.lambda_phi - old.src.theta_phi * new.mu
@@ -172,8 +189,8 @@ def energy_budget(old: OldLevel, new_level: TimeLevel, n_faces: FaceField, dt: f
         parts = energy_parts(old.flow, new.v, new.p)
         diss_visc = parts["dissipation"]
         conv_work = (parts["force_work"] + parts["pressure_work"]
-                     - integrate_cell(upwind_div(old.state.phi, new.v, g) * new.mu, g)
-                     - integrate_cell(upwind_div(old.state.sigma, new.v, g) * nsig, g))
+                     - integrate_cell(conv.phi.div * new.mu, g)
+                     - integrate_cell(conv.sigma.div * nsig, g))
 
     e0, e1 = old.energy, new_level.energy
     residual = ((e1 - e0) / dt + diss_mu + diss_nsigma + diss_visc + bnd_sigma_sq
@@ -202,8 +219,10 @@ class BalanceLedger:
         return self.sigma_change - self.sigma_expected
 
 
-def mass_balances(old: OldLevel, new: State, dt: float, model: ModelSpec) -> BalanceLedger:
-    """Integral ledgers of one step, with the scheme's own flux conventions.
+def mass_balances(old: OldLevel, new: State, conv: Convection, dt: float,
+                  model: ModelSpec) -> BalanceLedger:
+    """Integral ledgers of one step, with the scheme's own flux conventions;
+    `conv` is the step's upwind transport of the old fields by new.v.
 
     phi:   d(int phi)   = dt [ int (Lambda - theta mu') - outward upwind flux ]
     sigma: d(int sigma) = dt [ -int Gamma_sigma' + Robin income(sigma')
@@ -215,12 +234,11 @@ def mass_balances(old: OldLevel, new: State, dt: float, model: ModelSpec) -> Bal
     gamma_sig = src.lambda_sigma - src.theta_sigma * new.mu
 
     phi_change = integrate_cell(new.phi, g) - integrate_cell(prev.phi, g)
-    phi_expected = dt * (integrate_cell(gamma_phi, g)
-                         - advective_boundary_flux(prev.phi, new.v, g))
+    phi_expected = dt * (integrate_cell(gamma_phi, g) - conv.phi.outflow)
     sigma_change = integrate_cell(new.sigma, g) - integrate_cell(prev.sigma, g)
     sigma_expected = dt * (-integrate_cell(gamma_sig, g)
                            + robin_influx(new.sigma, p.b, p.sigma_inf, g)
-                           - advective_boundary_flux(prev.sigma, new.v, g))
+                           - conv.sigma.outflow)
     return BalanceLedger(phi_change, phi_expected, sigma_change, sigma_expected)
 
 

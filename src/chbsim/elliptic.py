@@ -1,10 +1,11 @@
 """Finite-difference operators and iterative solvers on the cell grid.
 
 Operators are conservative flux-difference stencils with mirror ghosts
-(zero-flux walls) or Robin wall fluxes; coefficients live on faces via
-harmonic means of the adjacent cells. Solvers are matrix-free Krylov
-iterations (CG / BiCGStab / MINRES, each with the same preconditioner hook
-a -> M^-1 a) with fixed-order reductions, so repeated runs are bit-identical.
+(zero-flux walls) or Robin wall fluxes, built once per coefficient field
+(`diffusion_stencil`); coefficients live on faces via harmonic means of the
+adjacent cells. Solvers are matrix-free Krylov iterations (CG / BiCGStab /
+MINRES, each with the same preconditioner hook a -> M^-1 a) with fixed-order
+reductions, so repeated runs are bit-identical.
 """
 from __future__ import annotations
 
@@ -53,13 +54,58 @@ def face_gradient(f: np.ndarray, grid: Grid) -> FaceField:
     return FaceField(gx, gy)
 
 
+def diffusion_stencil(coeff_faces: FaceField | float, grid: Grid,
+                      b: float | None = None) -> Callable[..., np.ndarray]:
+    """f -> div(c grad f) for the face coefficients c (or one number c on
+    every face), built once per c.
+
+    With b None the walls carry no flux (mirror ghosts, as `face_gradient`);
+    with a number b each wall carries the Robin flux with sigma_inf = 0, i.e.
+    outward flux -b * f_wall, f_wall the extrapolated trace (as
+    `extrapolate_to_walls`).  The mesh factors are folded into the face
+    coefficients, c / h^2 on interior faces and b / h on the walls, so the
+    result equals the `face_gradient` formula bit for bit when hx and hy are
+    powers of two (barring underflow) and to round-off otherwise.  The face
+    fluxes go to scratch arrays allocated here; `apply(f, out=None)` writes
+    into `out` when given and into a new array otherwise.
+    """
+    nx, ny = grid.shape
+    if isinstance(coeff_faces, FaceField):
+        cu, cw = coeff_faces.u[1:-1, :], coeff_faces.w[:, 1:-1]
+    else:
+        cu = cw = float(coeff_faces)
+    ku, kw = cu / grid.hx ** 2, cw / grid.hy ** 2
+    fu = np.zeros((nx + 1, ny))   # wall fluxes stay zero without Robin walls
+    fw = np.zeros((nx, ny + 1))
+    dw = np.empty((nx, ny))
+    inner_u, inner_w = fu[1:-1, :], fw[:, 1:-1]
+    # each Robin wall: its flux slot, its nearest and next cells, and b / h
+    # signed so that the axis flux is F = b (0 - trace) n_out
+    walls = () if b is None else (
+        (fu[0, :], np.s_[0, :], np.s_[1, :], b / grid.hx),
+        (fu[-1, :], np.s_[-1, :], np.s_[-2, :], -b / grid.hx),
+        (fw[:, 0], np.s_[:, 0], np.s_[:, 1], b / grid.hy),
+        (fw[:, -1], np.s_[:, -1], np.s_[:, -2], -b / grid.hy))
+
+    def apply(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        np.subtract(f[1:, :], f[:-1, :], out=inner_u)
+        np.multiply(inner_u, ku, out=inner_u)
+        np.subtract(f[:, 1:], f[:, :-1], out=inner_w)
+        np.multiply(inner_w, kw, out=inner_w)
+        for flux, near, next_, scale in walls:   # trace 1.5 f_near - 0.5 f_next
+            np.multiply(f[near], 1.5, out=flux)
+            flux -= 0.5 * f[next_]
+            flux *= scale
+        out = np.subtract(fu[1:, :], fu[:-1, :], out=out)
+        out += np.subtract(fw[:, 1:], fw[:, :-1], out=dw)
+        return out
+    return apply
+
+
 def apply_neumann_laplacian(f: np.ndarray, coeff_faces: FaceField,
                             grid: Grid) -> np.ndarray:
     """div(c grad f) with zero-flux walls. Conservative: integrates to zero."""
-    g = face_gradient(f, grid)
-    fu = coeff_faces.u * g.u
-    fw = coeff_faces.w * g.w
-    return (fu[1:, :] - fu[:-1, :]) / grid.hx + (fw[:, 1:] - fw[:, :-1]) / grid.hy
+    return diffusion_stencil(coeff_faces, grid)(f)
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +116,7 @@ def robin_linear(f: np.ndarray, coeff_faces: FaceField, b: float,
                  grid: Grid) -> np.ndarray:
     """div(c grad f) whose wall flux is the Robin term with sigma_inf = 0,
     i.e. outward flux -b * f_wall, f_wall the extrapolated trace."""
-    g = face_gradient(f, grid)
-    fu = coeff_faces.u * g.u
-    fw = coeff_faces.w * g.w
-    tr = extrapolate_to_walls(f, grid)
-    # flux component along the axis at each wall: F.n_out = b(0 - trace)
-    fu[0, :] = b * tr.left          # F_x = -b(0 - trace) at x=0
-    fu[-1, :] = -b * tr.right       # F_x = +b(0 - trace) at x=Lx
-    fw[:, 0] = b * tr.bottom
-    fw[:, -1] = -b * tr.top
-    return (fu[1:, :] - fu[:-1, :]) / grid.hx + (fw[:, 1:] - fw[:, :-1]) / grid.hy
+    return diffusion_stencil(coeff_faces, grid, b)(f)
 
 
 def robin_source(b: float, sigma_inf: EdgeValues | EdgeTraces, grid: Grid) -> np.ndarray:
@@ -98,8 +135,8 @@ def robin_influx(f: np.ndarray, b: float, sigma_inf: EdgeValues | EdgeTraces,
     """Total Robin boundary income: integral of b (sigma_inf - f_wall), with
     sigma_inf as in `robin_source`."""
     tr = extrapolate_to_walls(f, grid)
-    lr = float(np.sum(sigma_inf.left - tr.left) + np.sum(sigma_inf.right - tr.right))
-    bt = float(np.sum(sigma_inf.bottom - tr.bottom) + np.sum(sigma_inf.top - tr.top))
+    lr = float((sigma_inf.left - tr.left).sum() + (sigma_inf.right - tr.right).sum())
+    bt = float((sigma_inf.bottom - tr.bottom).sum() + (sigma_inf.top - tr.top).sum())
     return b * (lr * grid.hy + bt * grid.hx)
 
 
@@ -107,28 +144,32 @@ def robin_influx(f: np.ndarray, b: float, sigma_inf: EdgeValues | EdgeTraces,
 # Upwind advection
 # ---------------------------------------------------------------------------
 
-def _upwind_fluxes(q: np.ndarray, v: FaceField) -> tuple[np.ndarray, np.ndarray]:
-    # ghost cells copy the interior value, so wall fluxes use the adjacent cell
+@dataclass(frozen=True)
+class Transport:
+    """One upwind pass of q by the face velocity v: the cell divergence
+    div(q v) and the net outward flux through the walls, both from the same
+    face fluxes, so integrate_cell(div) equals `outflow` up to round-off."""
+
+    div: np.ndarray
+    outflow: float
+
+
+def upwind_transport(q: np.ndarray, v: FaceField, grid: Grid) -> Transport:
+    """First-order upwind transport of q by v in conservative form; ghost
+    cells copy the interior value, so wall fluxes use the adjacent cell."""
     qx = np.concatenate([q[:1, :], q, q[-1:, :]], axis=0)
     qy = np.concatenate([q[:, :1], q, q[:, -1:]], axis=1)
     fu = v.u * np.where(v.u >= 0.0, qx[:-1, :], qx[1:, :])
     fw = v.w * np.where(v.w >= 0.0, qy[:, :-1], qy[:, 1:])
-    return fu, fw
+    div = (fu[1:, :] - fu[:-1, :]) / grid.hx + (fw[:, 1:] - fw[:, :-1]) / grid.hy
+    lr = float(fu[-1, :].sum() - fu[0, :].sum()) * grid.hy
+    bt = float(fw[:, -1].sum() - fw[:, 0].sum()) * grid.hx
+    return Transport(div, lr + bt)
 
 
 def upwind_div(q: np.ndarray, v: FaceField, grid: Grid) -> np.ndarray:
     """First-order upwind div(q v) in conservative form."""
-    fu, fw = _upwind_fluxes(q, v)
-    return (fu[1:, :] - fu[:-1, :]) / grid.hx + (fw[:, 1:] - fw[:, :-1]) / grid.hy
-
-
-def advective_boundary_flux(q: np.ndarray, v: FaceField, grid: Grid) -> float:
-    """Net outward advective flux of q through the walls, with the same upwind
-    convention as upwind_div, so integrate_cell(upwind_div) == this exactly."""
-    fu, fw = _upwind_fluxes(q, v)
-    lr = float(np.sum(fu[-1, :]) - np.sum(fu[0, :])) * grid.hy
-    bt = float(np.sum(fw[:, -1]) - np.sum(fw[:, 0])) * grid.hx
-    return lr + bt
+    return upwind_transport(q, v, grid).div
 
 
 # ---------------------------------------------------------------------------

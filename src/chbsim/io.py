@@ -26,6 +26,7 @@ import re
 import socket
 import time
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
 
@@ -476,8 +477,19 @@ def write_snapshot(state: State, grid: Grid, path: str | Path,
     return header
 
 
-def _csv_chunks(header: SnapshotHeader, text: dict, grid: Grid):
+@lru_cache(maxsize=4)
+def _csv_prefixes(grid: Grid) -> tuple[str, ...]:
+    """The "i,j,x,y" start of every CSV row in (i, j) order, built once per
+    grid and shared by all of its snapshots."""
     x, y = grid.cell_centers()
+    # x varies with i only and y with j only (an 'ij' meshgrid)
+    xs = list(map(repr, x[:, 0].tolist()))
+    ys = list(map(repr, y[0, :].tolist()))
+    return tuple(f"{i},{j},{xv},{yv}" for i, xv in enumerate(xs)
+                 for j, yv in enumerate(ys))
+
+
+def _csv_chunks(header: SnapshotHeader, text: dict, grid: Grid):
     yield "\n".join([
         f"# chbsim-snapshot {header.version}",
         f"# t = {float(header.time)!r}",
@@ -485,13 +497,9 @@ def _csv_chunks(header: SnapshotHeader, text: dict, grid: Grid):
         "# fields = " + " ".join(header.fields),
         "i,j,x,y," + ",".join(header.fields),
     ]) + "\n"
-    # x varies with i only and y with j only (an 'ij' meshgrid)
-    xs = list(map(repr, x[:, 0].tolist()))
-    ys = list(map(repr, y[0, :].tolist()))
-    prefixes = (f"{i},{j},{xv},{yv}" for i, xv in enumerate(xs)
-                for j, yv in enumerate(ys))
     # one row per cell in (i, j) order, one column per field
-    rows = map(",".join, zip(prefixes, *(text[name] for name in header.fields)))
+    rows = map(",".join, zip(_csv_prefixes(grid),
+                             *(text[name] for name in header.fields)))
     for _ in range(grid.nx):   # the cells of one grid row i per chunk
         yield "\n".join(islice(rows, grid.ny)) + "\n"
 

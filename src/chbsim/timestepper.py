@@ -26,7 +26,9 @@ Each level's psi', N_sigma and energy are evaluated once, into the
 `diagnostics.TimeLevel` record that `run` (t = 0) or `step` (the new level)
 builds; a step adds the sources, face mobility and, with the flow on, the
 Brinkman problem to it (`diagnostics.old_level`), and n(phi') is computed
-once for the nutrient update and the budget.
+once for the nutrient update and the budget.  The upwind transport of phi_n
+and of sigma_n by the new velocity is one flux pass each
+(`diagnostics.convection`), read by both stages, the ledgers and the budget.
 """
 from __future__ import annotations
 
@@ -41,15 +43,13 @@ from .elliptic import (
     SolveReport,
     SolverOptions,
     StencilOperator,
-    advective_boundary_flux,
-    apply_neumann_laplacian,
+    Transport,
+    diffusion_stencil,
     harmonic_face_coefficients,
     neumann_multiplier,
     robin_influx,
-    robin_linear,
     robin_source,
     solve_general,
-    upwind_div,
 )
 from .brinkman import BrinkmanSolution, ProjectedStart, _pack, solve_brinkman
 from . import diagnostics
@@ -116,7 +116,7 @@ def chemical_potential(phi: np.ndarray, sigma: np.ndarray,
     """Diagnostic mu(phi, sigma) = psi'(phi)/eps - eps lap(phi) - chi_phi sigma."""
     eps = model.params.epsilon
     _, dpsi = potential_eval(phi, model.potential)
-    lap = apply_neumann_laplacian(phi, FaceField.ones(model.grid), model.grid)
+    lap = diffusion_stencil(1.0, model.grid)(phi)
     return dpsi / eps - eps * lap - model.params.chi_phi * sigma
 
 
@@ -160,34 +160,43 @@ def phase_inverse(grid: Grid, dt: float, s: float, eps: float, m: float,
         1.0 + dt * (m * kappa + theta) * (s / eps + eps * kappa)))
 
 
-def step_phase(old: diagnostics.OldLevel, v_new: FaceField,
+def step_phase(old: diagnostics.OldLevel, conv: Transport,
                specs: SimSpec) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Advance the phase field; returns (phi', mu', solver report).
 
     Solves  phi' + dt L_m[(s/eps) phi' - eps lap phi' + c] = rhs  where
     L_m = -div(m(phi_n) grad .) + theta_phi and c collects the explicit
-    parts of mu'; afterwards mu' is evaluated from phi' exactly.
+    parts of mu'; afterwards mu' is evaluated from phi' exactly.  `conv` is
+    the upwind transport of phi_n by the new velocity.
     """
     model, sc = specs.model, specs.scheme
     g, p, dt = model.grid, model.params, sc.dt
     eps, s = p.epsilon, sc.s
     phi_n, sigma_n = old.state.phi, old.state.sigma
-    ones = FaceField.ones(g)
     theta = old.src.theta_phi
+    lap = diffusion_stencil(1.0, g)
+    lap_m = diffusion_stencil(old.m_faces, g)
+    a_buf, l_buf, tmp = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
 
     c_lin = old.dpsi / eps - (s / eps) * phi_n - p.chi_phi * sigma_n
 
     def a_eps(f: np.ndarray) -> np.ndarray:
-        return (s / eps) * f - eps * apply_neumann_laplacian(f, ones, g)
+        """(s/eps) f - eps lap f, in a scratch array."""
+        lap(f, out=a_buf)
+        np.multiply(a_buf, eps, out=a_buf)
+        return np.subtract(np.multiply(f, s / eps, out=tmp), a_buf, out=a_buf)
 
     def l_m(f: np.ndarray) -> np.ndarray:
-        return -apply_neumann_laplacian(f, old.m_faces, g) + theta * f
+        """-div(m grad f) + theta f, in a scratch array."""
+        lap_m(f, out=l_buf)
+        return np.subtract(np.multiply(theta, f, out=tmp), l_buf, out=l_buf)
 
     def apply(f: np.ndarray) -> np.ndarray:
-        return f + dt * l_m(a_eps(f))
+        lf = l_m(a_eps(f))
+        lf *= dt
+        return np.add(f, lf)
 
-    conv = upwind_div(phi_n, v_new, g)
-    rhs = phi_n + dt * (old.src.lambda_phi - conv) - dt * l_m(c_lin)
+    rhs = phi_n + dt * (old.src.lambda_phi - conv.div) - dt * l_m(c_lin)
     # The preconditioner inverts the operator at the upper mobility bound and
     # the largest theta; when both are constant it is the exact inverse (both
     # factors are polynomials in the Neumann Laplacian): one iteration.
@@ -201,8 +210,7 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField,
     # constant shift closing the integral ledger exactly
     gamma_new = old.src.lambda_phi - theta * mu_new
     mismatch = (integrate_cell(phi_new, g) - integrate_cell(phi_n, g)
-                - dt * (integrate_cell(gamma_new, g)
-                        - advective_boundary_flux(phi_n, v_new, g)))
+                - dt * (integrate_cell(gamma_new, g) - conv.outflow))
     phi_new = phi_new - mismatch / g.area
 
     peak = float(np.max(np.abs(phi_new)))
@@ -212,30 +220,35 @@ def step_phase(old: diagnostics.OldLevel, v_new: FaceField,
     return phi_new, mu_new, rep
 
 
-def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
+def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
                   phi_new: np.ndarray, mu_new: np.ndarray, n_faces: FaceField,
                   specs: SimSpec) -> tuple[np.ndarray, SolveReport]:
     """Advance the nutrient; returns (sigma', solver report).
 
     Implicit diffusion chi_sigma div(n(phi') grad sigma') with Robin walls,
     the cross flux -chi_phi div(n(phi') grad phi') and the sources evaluated
-    with the fresh mu', convection explicit upwind; `n_faces` is n(phi') on
-    the faces.
+    with the fresh mu', convection explicit upwind; `conv` is the upwind
+    transport of sigma_n by the new velocity, `n_faces` is n(phi') on the
+    faces.
     """
     model, sc = specs.model, specs.scheme
     g, p, dt = model.grid, model.params, sc.dt
     sigma_n = old.state.sigma
 
-    chi_faces = FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w)
     gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * mu_new
+    rhs = sigma_n + dt * (robin_source(p.b, p.sigma_inf, g)
+                          - p.chi_phi * diffusion_stencil(n_faces, g)(phi_new)
+                          - gamma_sig - conv.div)
+
+    robin = diffusion_stencil(FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w),
+                              g, p.b)
+    r_buf = np.empty(g.shape)
 
     def apply(f: np.ndarray) -> np.ndarray:
-        return f - dt * robin_linear(f, chi_faces, p.b, g)
+        robin(f, out=r_buf)
+        np.multiply(r_buf, dt, out=r_buf)
+        return np.subtract(f, r_buf)
 
-    conv = upwind_div(sigma_n, v_new, g)
-    rhs = sigma_n + dt * (robin_source(p.b, p.sigma_inf, g)
-                          - p.chi_phi * apply_neumann_laplacian(phi_new, n_faces, g)
-                          - gamma_sig - conv)
     opts = SolverOptions(tol=NUTRIENT_TOL, max_iters=MAX_ITERS, x0=sigma_n.copy())
     sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, opts)
     _require_converged("nutrient", old.state.t, rep)
@@ -245,7 +258,7 @@ def step_nutrient(old: diagnostics.OldLevel, v_new: FaceField,
     mismatch = (integrate_cell(sigma_new, g) - integrate_cell(sigma_n, g)
                 - dt * (-integrate_cell(gamma_sig, g)
                         + robin_influx(sigma_new, p.b, p.sigma_inf, g)
-                        - advective_boundary_flux(sigma_n, v_new, g)))
+                        - conv.outflow))
     sigma_new = sigma_new - mismatch / (g.area + dt * p.b * g.perimeter)
     if not np.all(np.isfinite(sigma_new)):
         raise StepFailure(f"nutrient field lost finiteness at t={old.state.t:g}")
@@ -273,18 +286,19 @@ def step(level: diagnostics.TimeLevel, specs: SimSpec,
     else:
         v_new, p_new = FaceField.zeros(g), np.zeros(g.shape)
 
-    phi_new, mu_new, phase_rep = step_phase(old, v_new, specs)
+    conv = diagnostics.convection(old.state, v_new, g)
+    phi_new, mu_new, phase_rep = step_phase(old, conv.phi, specs)
     n_faces = harmonic_face_coefficients(mobilities(phi_new, model.mobvis)[1], g)
-    sigma_new, nut_rep = step_nutrient(old, v_new, phi_new, mu_new, n_faces, specs)
+    sigma_new, nut_rep = step_nutrient(old, conv.sigma, phi_new, mu_new, n_faces, specs)
 
     new = diagnostics.time_level(State(t=old.state.t + dt, phi=phi_new, mu=mu_new,
                                        sigma=sigma_new, p=p_new, v=v_new), model)
-    ledger = diagnostics.mass_balances(old, new.state, dt, model)
+    ledger = diagnostics.mass_balances(old, new.state, conv, dt, model)
     report = StepReport(
         flow=flow_report, phase=phase_rep, nutrient=nut_rep,
         div_residual=div_residual,
         ledger_phi=ledger.phi_residual, ledger_sigma=ledger.sigma_residual,
-        budget=diagnostics.energy_budget(old, new, n_faces, dt, model))
+        budget=diagnostics.energy_budget(old, new, n_faces, conv, dt, model))
     return new, report
 
 

@@ -14,6 +14,7 @@ from chbsim.constitutive import (
 from chbsim.constitutive import mobilities
 from chbsim.core import make_grid
 from chbsim.diagnostics import (
+    convection,
     energy,
     energy_budget,
     gronwall_bound,
@@ -88,7 +89,8 @@ def test_budget_of_a_stationary_state_is_identically_zero():
     new = uniform_state(model, phi=0.3, sigma=1.0, t=1e-3)
     n_faces = harmonic_face_coefficients(mobilities(new.phi, model.mobvis)[1], model.grid)
     b = energy_budget(old_level(time_level(prev, model), model, True),
-                      time_level(new, model), n_faces, 1e-3, model)
+                      time_level(new, model), n_faces, convection(prev, new.v, model.grid),
+                      1e-3, model)
     assert b.e_after == b.e_before
     for term in (b.diss_mu, b.diss_nsigma, b.diss_visc, b.src_phi_mu,
                  b.src_sigma_n, b.conv_work, b.budget_residual):
@@ -134,8 +136,8 @@ def test_mass_balance_conventions():
     g = model.grid
     prev = uniform_state(model, phi=0.0, sigma=0.0)
     new = uniform_state(model, phi=0.2, sigma=0.0, t=1e-3)
-    led = mass_balances(old_level(time_level(prev, model), model, False), new, 1e-3,
-                        model)
+    led = mass_balances(old_level(time_level(prev, model), model, False), new,
+                        convection(prev, new.v, g), 1e-3, model)
     assert led.phi_change == pytest.approx(0.2 * g.area)
     assert led.phi_expected == pytest.approx(0.0)  # no sources, no flow
     assert led.phi_residual == pytest.approx(0.2 * g.area)
@@ -153,7 +155,8 @@ def test_step_ledgers_close_after_the_conservation_shift():
     specs = SimSpec(model, SchemeOptions(dt=1e-3, flow=False))
     level = time_level(state, model)
     new, _ = step(level, specs)
-    led = mass_balances(old_level(level, model, False), new.state, 1e-3, model)
+    led = mass_balances(old_level(level, model, False), new.state,
+                        convection(state, new.state.v, g), 1e-3, model)
     assert abs(led.phi_residual) < 1e-13 * g.area
     assert abs(led.sigma_residual) < 1e-13 * g.area
 

@@ -3,15 +3,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chbsim import elliptic
 from chbsim.constitutive import EdgeValues
-from chbsim.core import FaceField, make_grid, integrate_cell
+from chbsim.core import FaceField, extrapolate_to_walls, make_grid, integrate_cell
 from chbsim.elliptic import (
     SolverOptions,
     StencilOperator,
-    advective_boundary_flux,
     apply_neumann_laplacian,
+    diffusion_stencil,
     face_gradient,
     harmonic_face_coefficients,
     jacobi,
@@ -26,6 +27,7 @@ from chbsim.elliptic import (
     solve_minres,
     solve_spd,
     upwind_div,
+    upwind_transport,
 )
 
 
@@ -160,7 +162,7 @@ def test_upwind_zero_velocity_and_constant_transport():
                      np.zeros((grid.nx, grid.ny + 1)))
     out = upwind_div(np.ones(grid.shape), wind, grid)
     np.testing.assert_allclose(out, 0.0, atol=1e-14)
-    assert advective_boundary_flux(np.ones(grid.shape), wind, grid) == pytest.approx(0.0)
+    assert upwind_transport(np.ones(grid.shape), wind, grid).outflow == pytest.approx(0.0)
 
 
 def test_upwind_constant_q_in_divergence_free_flow():
@@ -171,18 +173,6 @@ def test_upwind_constant_q_in_divergence_free_flow():
     np.testing.assert_allclose(div, 0.0, atol=1e-12)
     out = upwind_div(np.full(grid.shape, 1.7), v, grid)
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-@settings(max_examples=10, deadline=None)
-@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, seed=SEEDS)
-def test_upwind_divergence_telescopes_to_boundary_flux(nx, ny, lx, ly, seed):
-    grid = make_grid(lx, ly, nx, ny)
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(grid.shape)
-    v = FaceField(rng.standard_normal((grid.nx + 1, grid.ny)),
-                  rng.standard_normal((grid.nx, grid.ny + 1)))
-    total = integrate_cell(upwind_div(q, v, grid), grid)
-    assert total == pytest.approx(advective_boundary_flux(q, v, grid), abs=1e-12)
 
 
 def test_upwind_picks_the_upstream_cell():
@@ -196,6 +186,128 @@ def test_upwind_picks_the_upstream_cell():
     assert out[2, 2] == pytest.approx(-1.0 / grid.hx)  # and arrives downstream
     v.u[2, 2] = -1.0  # reversed wind carries cell (2,2)'s value, which is zero
     np.testing.assert_allclose(upwind_div(q, v, grid), 0.0, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Fused kernels against the face-gradient formulas they replaced
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def diffusion_oracle(f, c, grid, b=None):
+    """div(c grad f) from `face_gradient`, with zero-flux walls (b None) or
+    the Robin walls of sigma_inf = 0: the unfused formula, step by step."""
+    g = face_gradient(f, grid)
+    fu = c.u * g.u
+    fw = c.w * g.w
+    if b is not None:
+        tr = extrapolate_to_walls(f, grid)
+        fu[0, :] = b * tr.left
+        fu[-1, :] = -b * tr.right
+        fw[:, 0] = b * tr.bottom
+        fw[:, -1] = -b * tr.top
+    return (fu[1:, :] - fu[:-1, :]) / grid.hx + (fw[:, 1:] - fw[:, :-1]) / grid.hy
+
+
+def upwind_oracle(q, v, grid):
+    """Face fluxes, divergence and outward wall flux of the unfused upwind pass."""
+    qx = np.concatenate([q[:1, :], q, q[-1:, :]], axis=0)
+    qy = np.concatenate([q[:, :1], q, q[:, -1:]], axis=1)
+    fu = v.u * np.where(v.u >= 0.0, qx[:-1, :], qx[1:, :])
+    fw = v.w * np.where(v.w >= 0.0, qy[:, :-1], qy[:, 1:])
+    div = (fu[1:, :] - fu[:-1, :]) / grid.hx + (fw[:, 1:] - fw[:, :-1]) / grid.hy
+    lr = float(np.sum(fu[-1, :]) - np.sum(fu[0, :])) * grid.hy
+    bt = float(np.sum(fw[:, -1]) - np.sum(fw[:, 0])) * grid.hx
+    return fu, fw, div, lr + bt
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@st.composite
+def grids(draw):
+    """Grids up to 12^2 whose spacings are powers of two (flag True) or not."""
+    nx, ny = draw(SIDES), draw(SIDES)
+    if draw(st.booleans()):
+        lx, ly = (n * 2.0 ** draw(st.integers(-5, 1)) for n in (nx, ny))
+        return make_grid(lx, ly, nx, ny), True
+    return make_grid(draw(LENGTHS), draw(LENGTHS), nx, ny), False
+
+
+COEFFS = st.floats(1e-3, 1e3)
+WALLS = st.none() | st.just(0.0) | st.floats(1e-3, 10.0)
+# field values kept clear of underflow, where a power-of-two scaling rounds too
+VALUES = st.floats(-10.0, 10.0).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=grids(), b=WALLS, data=st.data())
+def test_diffusion_stencil_equals_the_face_gradient_formula(drawn, b, data):
+    # bit for bit on power-of-two spacings, where folding 1/h^2 into the face
+    # coefficients rounds nothing, and to round-off elsewhere
+    grid, exact = drawn
+    nx, ny = grid.shape
+    if data.draw(st.booleans()):
+        c = FaceField(data.draw(arrays(float, (nx + 1, ny), elements=COEFFS)),
+                      data.draw(arrays(float, (nx, ny + 1), elements=COEFFS)))
+        stencil = diffusion_stencil(c, grid, b)
+    else:   # one number on every face
+        c0 = data.draw(COEFFS)
+        c = FaceField(np.full((nx + 1, ny), c0), np.full((nx, ny + 1), c0))
+        stencil = diffusion_stencil(c0, grid, b)
+    f = data.draw(arrays(float, grid.shape, elements=VALUES))
+    want = diffusion_oracle(f, c, grid, b)
+    got = stencil(f)
+    if exact:
+        np.testing.assert_array_equal(bits(got), bits(want))
+    else:
+        walls = 0.0 if b is None else b / grid.hx + b / grid.hy
+        scale = (c.u.max() / grid.hx ** 2 + c.w.max() / grid.hy ** 2 + walls) * 4.0
+        assert np.max(np.abs(got - want)) <= 16 * EPS * scale * max(1.0, np.abs(f).max())
+    # the wrappers are the kernel, and so is an apply into `out`
+    legacy = (apply_neumann_laplacian(f, c, grid) if b is None
+              else robin_linear(f, c, b, grid))
+    np.testing.assert_array_equal(bits(legacy), bits(got))
+    out = np.empty(grid.shape)
+    assert stencil(f, out=out) is out
+    np.testing.assert_array_equal(bits(out), bits(got))
+
+
+def test_diffusion_stencil_returns_a_fresh_array_per_apply():
+    # Krylov solvers keep the results of earlier applies alive
+    grid = make_grid(1.0, 1.0, 8, 6)
+    rng = np.random.default_rng(11)
+    c = harmonic_face_coefficients(rng.uniform(0.5, 2.0, grid.shape), grid)
+    for b in (None, 1.5):
+        stencil = diffusion_stencil(c, grid, b)
+        f, g = rng.standard_normal((2,) + grid.shape)
+        first = stencil(f)
+        kept = first.copy()
+        second = stencil(g)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=grids(), data=st.data())
+def test_upwind_divergence_telescopes_to_boundary_flux(drawn, data):
+    # one pass gives the unfused divergence and wall flux bit for bit
+    grid, _ = drawn
+    nx, ny = grid.shape
+    q = data.draw(arrays(float, grid.shape, elements=VALUES))
+    v = FaceField(data.draw(arrays(float, (nx + 1, ny), elements=VALUES)),
+                  data.draw(arrays(float, (nx, ny + 1), elements=VALUES)))
+    fu, fw, div, outflow = upwind_oracle(q, v, grid)
+    tr = upwind_transport(q, v, grid)
+    np.testing.assert_array_equal(bits(tr.div), bits(div))
+    assert tr.outflow == outflow
+    np.testing.assert_array_equal(bits(upwind_div(q, v, grid)), bits(div))
+    # the divergence telescopes to the wall flux; in floating point up to the
+    # rounding of the cell differences and of the two sums
+    size = float(np.abs(fu).sum()) * grid.hy + float(np.abs(fw).sum()) * grid.hx
+    assert abs(integrate_cell(tr.div, grid) - tr.outflow) <= 32 * EPS * size
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import re
+import shutil
 import socket
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +23,7 @@ from chbsim.core import FaceField, Grid, State, face_to_center, make_grid
 from chbsim.io import (
     _CHOICES,
     _SECTIONS,
+    _csv_prefixes,
     _semantic_errors,
     _snapshot_text,
     OUTPUT_ROOT_ENV,
@@ -517,6 +519,17 @@ def test_run_snapshots_equal_files_written_one_at_a_time(tmp_path, monkeypatch):
         assert (outdir / name).read_bytes() == (alone / name).read_bytes(), name
 
 
+def test_csv_row_prefixes_are_built_once_per_grid(tmp_path):
+    grid = make_grid(1.0, 0.5, 6, 4)
+    state = State(0.0, *np.zeros((4,) + grid.shape), FaceField.zeros(grid))
+    _csv_prefixes.cache_clear()
+    for k in range(3):
+        write_snapshot(replace(state, t=0.1 * k), make_grid(1.0, 0.5, 6, 4),
+                       tmp_path / f"snap_{k}.csv")
+    assert _csv_prefixes.cache_info().misses == 1
+    assert len(_csv_prefixes(grid)) == grid.nx * grid.ny
+
+
 # finite values, with the signed zero, subnormals and the far ends of the range
 VALUES = st.one_of(st.floats(-1e300, 1e300),
                    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e-300, -1e-300,
@@ -800,3 +813,105 @@ def test_cli_usage_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("chbsim: error:") and captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# whole runs across the admitted config space
+# ---------------------------------------------------------------------------
+
+def _scaled(lo_range, contrast):
+    """A (lo, hi) coefficient pair: lo log-uniform in 10**lo_range, hi = lo
+    times a contrast up to `contrast` (1: constant)."""
+    return st.tuples(st.floats(*lo_range), st.sampled_from([1.0, contrast])
+                     | st.floats(1.0, contrast)).map(lambda t: (10.0 ** t[0],
+                                                                10.0 ** t[0] * t[1]))
+
+
+# growth rates bounded away from zero: a volume source needs a positive clamp
+_C_GAMMA_V = st.just(0.0) | st.floats(0.01, 0.2)
+_SOURCES = {
+    "none": st.fixed_dictionaries({}),
+    "lima": st.fixed_dictionaries({
+        "source_P": st.floats(0.01, 1.0), "source_A": st.floats(0.0, 0.5),
+        "source_C": st.floats(0.0, 0.5), "c_gamma_v": _C_GAMMA_V}),
+    "hawkins": st.fixed_dictionaries({
+        "source_p0": st.floats(0.01, 1.0), "c_gamma_v": _C_GAMMA_V}),
+    "hawkins_positive": st.fixed_dictionaries({
+        "source_p0": st.floats(0.01, 1.0), "source_rho_min": st.floats(1e-3, 0.5),
+        "c_gamma_v": _C_GAMMA_V}),
+}
+
+
+@st.composite
+def admitted_runs(draw):
+    """Two-step runs on grids up to 12^2 from every corner the parser admits:
+    variable mobilities and viscosities, Robin walls with b >= 0, the flow on
+    and off, both potentials and every source kind that goes with each."""
+    potential = draw(st.sampled_from(["quartic", "quadratic_growth"]))
+    # the quartic needs theta_phi identically zero or strictly positive
+    kinds = (["none", "lima", "hawkins_positive"] if potential == "quartic"
+             else sorted(_SOURCES))
+    source = draw(st.sampled_from(kinds))
+    lx, ly = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    dt = draw(st.floats(1e-5, 1e-3))
+    disc = draw(st.booleans())
+    init = (dict(phi0="tanh_disc",
+                 phi0_center=(lx * draw(st.floats(0.2, 0.8)), ly * draw(st.floats(0.2, 0.8))),
+                 phi0_radius=min(lx, ly) * draw(st.floats(0.1, 0.35)))
+            if disc else
+            dict(phi0="cosine_perturbation", phi0_value=draw(st.floats(-0.5, 0.5)),
+                 phi0_amplitude=draw(st.floats(0.0, 0.4))))
+    return RunConfig(
+        lx=lx, ly=ly, nx=draw(st.integers(4, 12)), ny=draw(st.integers(4, 12)),
+        dt=dt, t_end=2.0 * dt,
+        epsilon=draw(st.floats(0.05, 0.3)), chi_sigma=draw(st.floats(0.5, 2.0)),
+        chi_phi=draw(st.floats(0.0, 0.3)), nu=10.0 ** draw(st.floats(-2.0, 3.0)),
+        b=draw(st.just(0.0) | st.floats(0.0, 5.0)),
+        sigma_inf=draw(st.tuples(*[st.floats(0.0, 2.0)] * 4)),
+        potential=potential, delta_cap=draw(st.floats(0.05, 0.5)),
+        mobility=draw(_scaled((-4.0, -2.0), 100.0)),
+        nutrient_mobility=draw(_scaled((-2.0, 0.0), 10.0)),
+        viscosity=draw(_scaled((-1.0, 1.0), 100.0)),
+        bulk_viscosity=draw(st.just((0.0, 0.0)) | _scaled((-2.0, 0.0), 10.0)),
+        source=source, **draw(_SOURCES[source]),
+        flow=draw(st.booleans()),
+        sigma0="cosine", sigma0_value=draw(st.floats(0.0, 1.5)),
+        sigma0_amplitude=draw(st.floats(0.0, 0.5)), **init)
+
+
+# A draw on a known defect, kept so that the StepFailure end is always run:
+# its first flow solve stops at a relative residual of ~1.2e-10, just above
+# the 10 tol = 1e-10 test (found by a 3000-draw sweep of this strategy).
+_ROUND_OFF_FLOOR = RunConfig(nx=8, ny=8, dt=1e-3, t_end=2e-3, nu=0.0401,
+                             viscosity=(3.16, 316.0), phi0="cosine_perturbation",
+                             phi0_value=0.5, phi0_amplitude=0.0782)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=admitted_runs())
+@example(cfg=_ROUND_OFF_FLOOR).via(
+    "FOUND: flow solve round-off floor, eta contrast 100 at nu ~ 1e-2 ends around "
+    "the 10 tol test")
+def test_admitted_whole_runs_end_finite_with_closed_ledgers_or_one_step_failure(
+        tmp_path, cfg):
+    # the parser decides what is admissible: every draw must load back as it
+    # was saved, then run to its end or fail one step with partial outputs
+    path = tmp_path / "drawn.ini"
+    outdir = tmp_path / "drawn"
+    shutil.rmtree(outdir, ignore_errors=True)   # tmp_path outlives one draw
+    cfg = replace(cfg, directory=str(outdir))
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+    try:
+        result, _ = run_from_config(cfg)
+    except timestepper.StepFailure as exc:
+        assert exc.partial is not None
+        assert len(read_timeseries(outdir / "timeseries.csv")) == len(exc.partial.rows)
+        return
+    assert len(result.reports) == cfg.n_steps == 2
+    final = result.final_state
+    for field in (final.phi, final.mu, final.sigma, final.p, final.v.u, final.v.w):
+        assert np.all(np.isfinite(field))
+    for rep in result.reports:
+        assert abs(rep.ledger_phi) <= 1e-11 and abs(rep.ledger_sigma) <= 1e-11

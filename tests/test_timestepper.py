@@ -18,7 +18,7 @@ from chbsim.constitutive import (
     sources,
 )
 from chbsim.core import FaceField, integrate_cell, make_grid
-from chbsim.diagnostics import energy_budget, mass_balances, old_level, time_level
+from chbsim.diagnostics import convection, energy_budget, mass_balances, old_level, time_level
 from chbsim.elliptic import (
     StencilOperator,
     apply_neumann_laplacian,
@@ -28,6 +28,7 @@ from chbsim.elliptic import (
     robin_source,
     solve_general,
     upwind_div,
+    upwind_transport,
 )
 from chbsim.timestepper import (
     SchemeOptions,
@@ -39,7 +40,7 @@ from chbsim.timestepper import (
     step,
     step_phase,
 )
-from chbsim import brinkman, constitutive, diagnostics, timestepper, verify
+from chbsim import brinkman, constitutive, diagnostics, elliptic, timestepper, verify
 
 
 def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0, nu=1.0,
@@ -115,8 +116,8 @@ def test_uniform_tumour_grows_at_the_lima_rate():
     dt, sig_bar = 2e-3, 1.0
     state = initial_state(np.ones(model.grid.shape),
                           np.full(model.grid.shape, sig_bar), model)
-    phi_new, _, _ = step_phase(old_record(state, model), FaceField.zeros(model.grid),
-                               specs_for(model, dt))
+    still = upwind_transport(state.phi, FaceField.zeros(model.grid), model.grid)
+    phi_new, _, _ = step_phase(old_record(state, model), still, specs_for(model, dt))
     np.testing.assert_allclose(phi_new, 1.0 + dt * (0.4 * sig_bar - 0.1),
                                atol=1e-13)
 
@@ -170,8 +171,8 @@ def test_phase_step_matches_dense_block_solve(variant):
     phi_oracle = sol[:n].reshape(g.shape)
     mu_oracle = sol[n:].reshape(g.shape)
 
-    phi_new, mu_new, rep = step_phase(old_record(state, model), v_new,
-                                      specs_for(model, dt))
+    phi_new, mu_new, rep = step_phase(old_record(state, model),
+                                      upwind_transport(phi_n, v_new, g), specs_for(model, dt))
     assert rep.converged
     np.testing.assert_allclose(phi_new, phi_oracle, atol=1e-8)
     np.testing.assert_allclose(mu_new, mu_oracle, atol=1e-7)
@@ -277,7 +278,8 @@ def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
     monkeypatch.setattr(timestepper, "phase_inverse", spy_inverse)
     monkeypatch.setattr(timestepper, "solve_general", spy_general)
     monkeypatch.setattr(timestepper, "solve_spd", no_cg, raising=False)
-    _, _, rep = step_phase(old_record(state, model), FaceField.zeros(model.grid),
+    still = upwind_transport(state.phi, FaceField.zeros(model.grid), model.grid)
+    _, _, rep = step_phase(old_record(state, model), still,
                            specs_for(model, 1e-3, flow=False))
     assert len(built) == 1 and len(used) == 1 and used[0] is built[0]
     assert rep.converged
@@ -422,6 +424,30 @@ def test_old_level_coefficients_are_evaluated_once_per_step(monkeypatch):
                          "capillary_force": per_flow_step, "energy": 0}, flow
 
 
+def test_each_step_makes_one_upwind_pass_per_transported_field(monkeypatch):
+    # phi_n and sigma_n are transported by the new velocity once each per
+    # step, with the flow on and off; both stages, the mass ledgers and the
+    # energy budget read those two passes
+    model = flow_model_with_lima_sources()
+    state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    original = elliptic.upwind_transport
+    passes = []
+
+    def counted(q, v, grid):
+        passes.append(q)
+        return original(q, v, grid)
+
+    for key, module in list(sys.modules.items()):
+        if ((key == "chbsim" or key.startswith("chbsim."))
+                and getattr(module, "upwind_transport", None) is original):
+            monkeypatch.setattr(module, "upwind_transport", counted)
+    n = 3
+    for flow in (True, False):
+        passes.clear()
+        run(state, n, specs_for(model, 1e-4, flow=flow))
+        assert len(passes) == 2 * n, flow
+
+
 def test_rebuilt_old_level_records_reproduce_the_step_diagnostics():
     # every step's budget and ledgers, recomputed from records rebuilt from
     # the saved levels, equal the run's own bit for bit, with the flow on
@@ -436,8 +462,10 @@ def test_rebuilt_old_level_records_reproduce_the_step_diagnostics():
             old = old_level(time_level(prev, model), model, flow)
             n_faces = harmonic_face_coefficients(mobilities(new.phi, model.mobvis)[1],
                                                  model.grid)
-            assert energy_budget(old, time_level(new, model), n_faces, dt, model) == rep.budget
-            ledger = mass_balances(old, new, dt, model)
+            conv = convection(prev, new.v, model.grid)
+            assert (energy_budget(old, time_level(new, model), n_faces, conv, dt, model)
+                    == rep.budget)
+            ledger = mass_balances(old, new, conv, dt, model)
             assert ledger.phi_residual == rep.ledger_phi
             assert ledger.sigma_residual == rep.ledger_sigma
 
