@@ -17,6 +17,14 @@ preconditioner with cosine-transform velocity blocks and a Cahouet-Chabard
 pressure block (sine transform) keeps the iteration count independent of the
 grid; variable viscosity rescales it, cell by cell, by the Jacobi diagonals.
 A dense loop-assembled oracle covers small grids.
+
+The matrix-free apply keeps every array at w's row stride ny + 1, so each
+x- or y-shift is a flat offset (ny + 1 or 1) and every operation runs on
+contiguous memory.  u and p are copied into zero-padded buffers and au and
+ap out of two more; the cell arrays carry a dead slot at j = ny and the node
+arrays wall slots at j = 0 and j = ny, set before each scatter that reads
+them to the signed zero that leaves every real face's bits as the slice
+formula gives them.
 """
 from __future__ import annotations
 
@@ -131,9 +139,14 @@ def _times(a: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
     return a if c == 1.0 else np.multiply(a, c, out=out)
 
 
+# the node wall slots (i, ny), (i + 1, 0) before the scatters into au: the
+# first is subtracted from au[i, ny - 1], the second added to au[i + 1, 0]
+_KEEP_AU = np.array((0.0, -0.0))
+
+
 def _saddle_apply(problem: BrinkmanProblem):
     """(u, w, p, au, aw, ap) -> writes the volume-weighted residual blocks
-    (Av + Gp, G^T v) into au, aw, ap; symmetric.
+    (Av + Gp, G^T v) into au, aw, ap; symmetric.  aw must be C-contiguous.
 
     With the plain differences dx = u[1:] - u[:-1] and dy = w[:, 1:] -
     w[:, :-1] at cells, and su = u[1:-1, 1:] - u[1:-1, :-1] and sw = w[1:,
@@ -146,45 +159,94 @@ def _saddle_apply(problem: BrinkmanProblem):
     are folded once here, every intermediate goes to a scratch array
     allocated once here, and on square cells the unit scalings are skipped.
     Where hx, hy and hy/hx are powers of two, every scaling is exact and the
-    bits are those of the unfolded formula."""
+    bits are those of the unfolded formula.
+
+    Every array here has w's row stride s = ny + 1: a y-neighbour is the
+    flat offset 1, an x-neighbour the flat offset s, and each difference and
+    each scatter is one contiguous operation on flat views (a strided 2-D
+    operand would go through numpy's iterator buffer on every call).  u and
+    p are copied once per apply into zero-padded buffers, and au and ap are
+    copied out of two more.  The slots (i, ny) of the cell arrays are dead
+    and the slots (i, 0) and (i, ny) of the node arrays are walls.  The
+    scatters put some of them into the padded column of au and the rest
+    onto real faces, so before each such scatter they are set to the signed
+    zero that leaves every value as it is (x + -0.0 and x - 0.0 are x, also
+    for x = -0.0).  Each real element sees the operations of the slice
+    formula in its order, so the bits are its bits."""
     g = problem.grid
+    nx, ny = g.shape
     hx, hy = g.hx, g.hy
     ryx, rxy = hy / hx, hx / hy
-    cxx, cyy = problem.eta * (2.0 * ryx), problem.eta * (2.0 * rxy)
-    cn, lam = problem.eta_nodes * rxy, problem.lam
-    nvu, nvw = problem.nu * problem.vu, problem.nu * problem.vw
-    dx, dy, d, hp, pxx, pyy, tmp = (np.empty(g.shape) for _ in range(7))
-    su, sw, qx, qy = (np.empty((g.nx - 1, g.ny - 1)) for _ in range(4))
+    s = ny + 1
+    nc = nx * s - 1                  # cell slots: all but the last, dead one
+    k0, k1 = s + 1, (nx - 1) * s + ny   # node slots (1, 1) .. (nx - 1, ny - 1)
+
+    def padded(rows: int, real: np.ndarray | None = None) -> np.ndarray:
+        a = np.zeros((rows, s))
+        if real is not None:
+            a[:, :real.shape[1]] = real
+        return a
+
+    cxx = padded(nx, problem.eta * (2.0 * ryx)).reshape(-1)[:nc]
+    cyy = padded(nx, problem.eta * (2.0 * rxy)).reshape(-1)[:nc]
+    lam = padded(nx, problem.lam).reshape(-1)[:nc]
+    cn = padded(nx + 1)
+    cn[1:-1, 1:-1] = problem.eta_nodes * rxy
+    cn = cn.reshape(-1)[k0:k1]
+    nvu = padded(nx + 1, problem.nu * problem.vu).reshape(-1)
+    nvw = (problem.nu * problem.vw).reshape(-1)
+    u_pad, p_pad, au_pad, ap_pad = padded(nx + 1), padded(nx), padded(nx + 1), padded(nx)
+    uf, pf, auf, apf = (a.reshape(-1) for a in (u_pad, p_pad, au_pad, ap_pad))
+    dx, dy, d, hp, pxx, pyy, tmp = (np.empty(nc) for _ in range(7))
+    su, sw, qx, qy = (np.empty(k1 - k0) for _ in range(4))
+    dead = pyy[ny::s]   # the dead slots of pyy that the scatters put onto w faces
+
+    def walls(q: np.ndarray) -> np.ndarray:
+        """Wall slot pairs (i, ny), (i + 1, 0) of a node array."""
+        return q[ny - 1:ny - 1 + (nx - 2) * s].reshape(nx - 2, s)[:, :2]
+
+    qx_walls, qy_walls = walls(qx), walls(qy)
+    qh_walls = qx_walls if ryx == 1.0 else qy_walls
 
     def apply(u, w, p, au, aw, ap) -> None:
-        np.subtract(u[1:, :], u[:-1, :], out=dx)
-        np.subtract(w[:, 1:], w[:, :-1], out=dy)
+        u_pad[:, :ny] = u
+        p_pad[:, :ny] = p
+        w, aw = w.reshape(-1), aw.reshape(-1)
+        np.subtract(uf[s:s + nc], uf[:nc], out=dx)
+        np.subtract(w[1:], w[:-1], out=dy)
         np.add(_times(dx, ryx, d), dy, out=d)
-        np.multiply(d, -hx, out=ap)
+        np.multiply(d, -hx, out=apf[:nc])
         np.multiply(lam, d, out=d)
-        np.multiply(p, hy, out=hp)
+        np.multiply(pf[:nc], hy, out=hp)
         np.add(np.multiply(cxx, dx, out=pxx), d, out=pxx)
         np.subtract(pxx, hp, out=pxx)
         np.add(np.multiply(cyy, dy, out=pyy), _times(d, rxy, tmp), out=pyy)
         np.subtract(pyy, _times(hp, rxy, tmp), out=pyy)
 
-        np.subtract(u[1:-1, 1:], u[1:-1, :-1], out=su)
-        np.subtract(w[1:, 1:-1], w[:-1, 1:-1], out=sw)
+        np.subtract(uf[k0:k1], uf[k0 - 1:k1 - 1], out=su)
+        np.subtract(w[k0:k1], w[k0 - s:k1 - s], out=sw)
         np.add(su, _times(sw, ryx, sw), out=su)
         np.multiply(cn, su, out=qx)
+        qx_walls[...] = _KEEP_AU
         qh = _times(qx, ryx, qy)
 
-        np.multiply(nvu, u, out=au)
-        au[1:, :] += pxx
-        au[:-1, :] -= pxx
-        au[1:-1, 1:] += qx
-        au[1:-1, :-1] -= qx
+        np.multiply(nvu, uf, out=auf)
+        auf[s:s + nc] += pxx
+        auf[:nc] -= pxx
+        auf[k0:k1] += qx
+        auf[k0 - 1:k1 - 1] -= qx
+        au[...] = au_pad[:, :ny]
 
         np.multiply(nvw, w, out=aw)
-        aw[:, 1:] += pyy
-        aw[:, :-1] -= pyy
-        aw[1:, 1:-1] += qh
-        aw[:-1, 1:-1] -= qh
+        dead[...] = -0.0
+        aw[1:] += pyy
+        dead[...] = 0.0
+        aw[:-1] -= pyy
+        qh_walls[...] = -0.0
+        aw[k0:k1] += qh
+        qh_walls[...] = 0.0
+        aw[k0 - s:k1 - s] -= qh
+        ap[...] = ap_pad[:, :ny]
     return apply
 
 

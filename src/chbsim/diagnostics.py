@@ -111,7 +111,8 @@ def old_level(level: TimeLevel, model: ModelSpec, flow: bool) -> OldLevel:
 @dataclass(frozen=True)
 class Convection:
     """The upwind transport of a step's old phi and sigma by its new velocity:
-    one flux pass each, read by both stages, the ledgers and the budget."""
+    one flux pass each, read by both stages, the ledgers and the budget (with
+    the flow off, zero divergence and outflow, and no pass)."""
 
     phi: Transport
     sigma: Transport

@@ -3,9 +3,13 @@
 Operators are conservative flux-difference stencils with mirror ghosts
 (zero-flux walls) or Robin wall fluxes, built once per coefficient field
 (`diffusion_stencil`); coefficients live on faces via harmonic means of the
-adjacent cells. Solvers are matrix-free Krylov iterations (CG / BiCGStab /
-MINRES, each with the same preconditioner hook a -> M^-1 a) with fixed-order
-reductions, so repeated runs are bit-identical.
+adjacent cells. The stencil keeps its y-fluxes in the flat cell layout, so
+their differences are contiguous offsets of 1; the slots where that offset
+crosses a row end are walls held at +0.0, and Robin walls recompute the
+first and last cell columns from their own fluxes. Solvers are matrix-free
+Krylov iterations (CG / BiCGStab / MINRES, each with the same
+preconditioner hook a -> M^-1 a) with fixed-order reductions, so repeated
+runs are bit-identical.
 """
 from __future__ import annotations
 
@@ -32,14 +36,20 @@ def harmonic_face_coefficients(cell_coeff: np.ndarray, grid: Grid) -> FaceField:
     c = np.asarray(cell_coeff, dtype=float)
     if np.any(c <= 0.0):
         raise ValueError("face coefficients need strictly positive cell values")
-    u = np.empty((grid.nx + 1, grid.ny))
-    w = np.empty((grid.nx, grid.ny + 1))
-    a, b = c[:-1, :], c[1:, :]
-    u[1:-1, :] = 2.0 * a * b / (a + b)
+    nx, ny = grid.shape
+    u = np.empty((nx + 1, ny))
+    w = np.empty((nx, ny + 1))
+    flat, den, along_y = c.reshape(-1), np.empty(c.size), np.empty(c.size)
+    # ((2 a) b) / (a + b) at the flat offsets ny (the x-faces, written in u)
+    # and 1 (the y-faces; the copy into w leaves out the row-crossing slots)
+    for face, k in ((u[1:-1, :].reshape(-1), ny), (along_y[:-1], 1)):
+        a, b = flat[:-k], flat[k:]
+        np.multiply(2.0, a, out=face)
+        face *= b
+        face /= np.add(a, b, out=den[:face.size])
+    w[:, 1:-1] = along_y.reshape(nx, ny)[:, :-1]
     u[0, :] = c[0, :]
     u[-1, :] = c[-1, :]
-    a, b = c[:, :-1], c[:, 1:]
-    w[:, 1:-1] = 2.0 * a * b / (a + b)
     w[:, 0] = c[:, 0]
     w[:, -1] = c[:, -1]
     return FaceField(u, w)
@@ -68,36 +78,55 @@ def diffusion_stencil(coeff_faces: FaceField | float, grid: Grid,
     powers of two (barring underflow) and to round-off otherwise.  The face
     fluxes go to scratch arrays allocated here; `apply(f, out=None)` writes
     into `out` when given and into a new array otherwise.
+
+    The y-fluxes live in the flat cell layout, so each of their differences
+    is one contiguous operation at offset 1: slot k holds the face below
+    flat cell k, and the slots k = i ny, where the offset crosses a row
+    end, are walls held at +0.0, the zero-flux wall of both rows.  With
+    Robin walls the first and last cell columns take their y-difference
+    from the wall fluxes instead, so every sum is formed as in the face
+    formula.
     """
     nx, ny = grid.shape
+    n = nx * ny
     if isinstance(coeff_faces, FaceField):
-        cu, cw = coeff_faces.u[1:-1, :], coeff_faces.w[:, 1:-1]
+        cu = coeff_faces.u[1:-1, :]
+        cw = np.zeros((nx, ny))
+        cw[:, 1:] = coeff_faces.w[:, 1:-1]
+        cw = cw.reshape(-1)[1:]
     else:
         cu = cw = float(coeff_faces)
     ku, kw = cu / grid.hx ** 2, cw / grid.hy ** 2
     fu = np.zeros((nx + 1, ny))   # wall fluxes stay zero without Robin walls
-    fw = np.zeros((nx, ny + 1))
-    dw = np.empty((nx, ny))
-    inner_u, inner_w = fu[1:-1, :], fw[:, 1:-1]
+    fy = np.zeros(n + 1)          # the y-fluxes in the flat cell layout
+    dy = np.empty((nx, ny))
+    inner_u, inner_y, walls_y = fu[1:-1, :], fy[1:n], fy[ny:n:ny]
+    fb, ft = np.empty(nx), np.empty(nx)   # Robin fluxes of the bottom and top walls
     # each Robin wall: its flux slot, its nearest and next cells, and b / h
     # signed so that the axis flux is F = b (0 - trace) n_out
     walls = () if b is None else (
         (fu[0, :], np.s_[0, :], np.s_[1, :], b / grid.hx),
         (fu[-1, :], np.s_[-1, :], np.s_[-2, :], -b / grid.hx),
-        (fw[:, 0], np.s_[:, 0], np.s_[:, 1], b / grid.hy),
-        (fw[:, -1], np.s_[:, -1], np.s_[:, -2], -b / grid.hy))
+        (fb, np.s_[:, 0], np.s_[:, 1], b / grid.hy),
+        (ft, np.s_[:, -1], np.s_[:, -2], -b / grid.hy))
 
     def apply(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.subtract(f[1:, :], f[:-1, :], out=inner_u)
         np.multiply(inner_u, ku, out=inner_u)
-        np.subtract(f[:, 1:], f[:, :-1], out=inner_w)
-        np.multiply(inner_w, kw, out=inner_w)
+        flat = f.reshape(-1)
+        np.subtract(flat[1:], flat[:-1], out=inner_y)
+        np.multiply(inner_y, kw, out=inner_y)
+        walls_y[...] = 0.0
         for flux, near, next_, scale in walls:   # trace 1.5 f_near - 0.5 f_next
             np.multiply(f[near], 1.5, out=flux)
             flux -= 0.5 * f[next_]
             flux *= scale
         out = np.subtract(fu[1:, :], fu[:-1, :], out=out)
-        out += np.subtract(fw[:, 1:], fw[:, :-1], out=dw)
+        np.subtract(fy[1:], fy[:-1], out=dy.reshape(-1))
+        if walls:
+            np.subtract(fy[1:n:ny], fb, out=dy[:, 0])
+            np.subtract(ft, fy[ny - 1:n:ny], out=dy[:, -1])
+        out += dy
         return out
     return apply
 

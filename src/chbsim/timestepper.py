@@ -28,7 +28,8 @@ builds; a step adds the sources, face mobility and, with the flow on, the
 Brinkman problem to it (`diagnostics.old_level`), and n(phi') is computed
 once for the nutrient update and the budget.  The upwind transport of phi_n
 and of sigma_n by the new velocity is one flux pass each
-(`diagnostics.convection`), read by both stages, the ledgers and the budget.
+(`diagnostics.convection`), read by both stages, the ledgers and the budget;
+with the flow off v = 0, so both are zero and no pass is made.
 """
 from __future__ import annotations
 
@@ -283,10 +284,11 @@ def step(level: diagnostics.TimeLevel, specs: SimSpec,
         v_new, p_new = sol.v, sol.p
         flow_report = sol.report
         div_residual = sol.divergence_residual
-    else:
+        conv = diagnostics.convection(old.state, v_new, g)
+    else:   # v = 0 transports nothing: no upwind pass
         v_new, p_new = FaceField.zeros(g), np.zeros(g.shape)
-
-    conv = diagnostics.convection(old.state, v_new, g)
+        still = Transport(np.zeros(g.shape), 0.0)
+        conv = diagnostics.Convection(still, still)
     phi_new, mu_new, phase_rep = step_phase(old, conv.phi, specs)
     n_faces = harmonic_face_coefficients(mobilities(phi_new, model.mobvis)[1], g)
     sigma_new, nut_rep = step_nutrient(old, conv.sigma, phi_new, mu_new, n_faces, specs)
