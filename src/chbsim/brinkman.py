@@ -14,8 +14,10 @@ and the normal traction (including the pressure) is the natural boundary
 condition of the Lagrangian. The first-order system is symmetric indefinite
 by construction and solved with preconditioned MINRES (nu > 0): a block-diagonal
 preconditioner with cosine-transform velocity blocks and a Cahouet-Chabard
-pressure block (sine transform) keeps the iteration count independent of the
-grid; variable viscosity rescales it, cell by cell, by the Jacobi diagonals.
+pressure block keeps the iteration count independent of the grid; variable
+viscosity rescales it, cell by cell, by the Jacobi diagonals. The pressure
+block is a constant plus a sine-transform correction on the few lowest modes
+where the friction term is not negligible (all of them when nu is large).
 A dense loop-assembled oracle covers small grids.
 
 The matrix-free apply keeps every array at w's row stride ny + 1, so each
@@ -304,6 +306,10 @@ def _jacobi_diagonal(problem: BrinkmanProblem, ce=None, en=None) -> np.ndarray:
     return _pack(du, dw, dp)
 
 
+# relative size below which nu (-Lap_D)^-1 is dropped from the pressure block
+_PRESSURE_EPS = 1e-2
+
+
 def _block_preconditioner(problem: BrinkmanProblem):
     """Block-diagonal SPD preconditioner for nu > 0.
 
@@ -321,7 +327,14 @@ def _block_preconditioner(problem: BrinkmanProblem):
     (nu (-Lap_D)^-1 + 2 eta + lam) / vol. Lap_D is the cell Laplacian with
     zero wall values (DST-II on both axes): with traction walls the wall
     faces carry p itself, so G^T diag(vu, vw)^-1 G = -vol Lap_D exactly and
-    the surrogate is exact in the friction limit.
+    the surrogate is exact in the friction limit.  It is applied as
+    ce / vol r, ce = 2 eta + lam, plus the DST-II correction nu / (kappa vol)
+    on the smallest rectangle of modes (mx, my) that holds every mode with
+    nu / kappa > _PRESSURE_EPS ce; nu / kappa falls along both axes, so the
+    rectangle is the first mx by my modes.  A mode outside it gets ce / vol,
+    within a factor [1 / (1 + _PRESSURE_EPS), 1] of its surrogate value, so
+    the block stays SPD; an empty rectangle leaves (ce / vol) I, and where
+    nu is large the rectangle is the whole grid.
     """
     g = problem.grid
     eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
@@ -336,13 +349,22 @@ def _block_preconditioner(problem: BrinkmanProblem):
         nu + ce * kx * lxn[:, None] + eta * ky * lyc[None, :])))
     inv_w = separable_inverse(qxc, qyn, 1.0 / (vol * (
         nu + eta * kx * lxc[:, None] + ce * ky * lyn[None, :])))
-    inv_p = separable_inverse(qxd, qyd, (nu / (kx * lxd[:, None] + ky * lyd[None, :])
-                                         + ce) / vol)
+    low = nu / (kx * lxd[:, None] + ky * lyd[None, :])
+    kept = low > _PRESSURE_EPS * ce
+    mx, my = int(np.count_nonzero(kept[:, 0])), int(np.count_nonzero(kept[0, :]))
+    inv_low = separable_inverse(qxd[:, :mx], qyd[:, :my],
+                                low[:mx, :my] / vol) if mx else None
+    cp = ce / vol
+    corr = np.empty(g.shape)
 
     def apply(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.size)
-        for inv, r, o in zip((inv_u, inv_w, inv_p), _unpack(x, g), _unpack(out, g)):
-            inv(r, out=o)
+        (ru, rw, rp), (zu, zw, zp) = _unpack(x, g), _unpack(out, g)
+        inv_u(ru, out=zu)
+        inv_w(rw, out=zw)
+        np.multiply(rp, cp, out=zp)
+        if inv_low is not None:
+            zp += inv_low(rp, out=corr)
         return out
 
     if float(np.max(problem.eta)) == eta and float(np.max(problem.lam)) == lam:

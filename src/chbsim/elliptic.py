@@ -102,13 +102,14 @@ def diffusion_stencil(coeff_faces: FaceField | float, grid: Grid,
     dy = np.empty((nx, ny))
     inner_u, inner_y, walls_y = fu[1:-1, :], fy[1:n], fy[ny:n:ny]
     fb, ft = np.empty(nx), np.empty(nx)   # Robin fluxes of the bottom and top walls
-    # each Robin wall: its flux slot, its nearest and next cells, and b / h
-    # signed so that the axis flux is F = b (0 - trace) n_out
+    half_x, half_y = np.empty(ny), np.empty(nx)   # 0.5 f_next along a wall
+    # each Robin wall: its flux slot, its nearest and next cells, a scratch
+    # row and b / h signed so that the axis flux is F = b (0 - trace) n_out
     walls = () if b is None else (
-        (fu[0, :], np.s_[0, :], np.s_[1, :], b / grid.hx),
-        (fu[-1, :], np.s_[-1, :], np.s_[-2, :], -b / grid.hx),
-        (fb, np.s_[:, 0], np.s_[:, 1], b / grid.hy),
-        (ft, np.s_[:, -1], np.s_[:, -2], -b / grid.hy))
+        (fu[0, :], np.s_[0, :], np.s_[1, :], half_x, b / grid.hx),
+        (fu[-1, :], np.s_[-1, :], np.s_[-2, :], half_x, -b / grid.hx),
+        (fb, np.s_[:, 0], np.s_[:, 1], half_y, b / grid.hy),
+        (ft, np.s_[:, -1], np.s_[:, -2], half_y, -b / grid.hy))
 
     def apply(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.subtract(f[1:, :], f[:-1, :], out=inner_u)
@@ -117,9 +118,9 @@ def diffusion_stencil(coeff_faces: FaceField | float, grid: Grid,
         np.subtract(flat[1:], flat[:-1], out=inner_y)
         np.multiply(inner_y, kw, out=inner_y)
         walls_y[...] = 0.0
-        for flux, near, next_, scale in walls:   # trace 1.5 f_near - 0.5 f_next
+        for flux, near, next_, half, scale in walls:   # trace 1.5 f_near - 0.5 f_next
             np.multiply(f[near], 1.5, out=flux)
-            flux -= 0.5 * f[next_]
+            flux -= np.multiply(f[next_], 0.5, out=half)
             flux *= scale
         out = np.subtract(fu[1:, :], fu[:-1, :], out=out)
         np.subtract(fy[1:], fy[:-1], out=dy.reshape(-1))
@@ -448,7 +449,7 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
         if it >= budget or target < 1e-280:
             break
         it += 1
-        np.divide(y, beta, out=v)
+        np.multiply(y, 1.0 / beta, out=v)
         y = op.apply(v)
         if it >= 2:
             y -= np.multiply(r1, beta / oldb, out=tmp)
@@ -475,7 +476,7 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
         w1, w2, w = w2, w, w1   # w = (v - oldeps w1 - delta w2) / gamma
         np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
         w -= np.multiply(w2, delta, out=tmp)
-        w /= gamma
+        w *= 1.0 / gamma
         x += np.multiply(w, phi, out=tmp)
         moved = True
     if moved:
@@ -499,14 +500,16 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray,
 
     The recurrence tracks the residual in the preconditioner norm, whose gap
     to the plain norm can reach sqrt(cond(M)). One recurrence serves the
-    whole solve: its estimate first runs to tol times the preconditioned
-    norm of rhs, and each time it meets its target the true residual is
-    measured once; the target is then tightened by the observed gap and the
-    recurrence continues until ||rhs - A x|| <= tol * ||rhs||. Only when the
-    estimate has come loose from the true residual (it fell less than 100x
-    between two measurements, as on long ill-conditioned solves) is the
-    recurrence restarted from the true residual, at most 8 times. The report
-    reuses the last measured residual."""
+    whole solve: its estimate first runs to half of tol * ||rhs|| times the
+    gap measured at its first residual (the bound `_minres_cycle` sets), and
+    each time it meets its target the true residual is measured once; the
+    target is then tightened by the observed gap and the recurrence
+    continues until ||rhs - A x|| <= tol * ||rhs||. Only when the estimate
+    has come loose from the true residual (it fell less than 100x between
+    two measurements, as on long ill-conditioned solves) is the recurrence
+    restarted from the true residual, at most 8 times. The preconditioner
+    is applied once per iteration and once per recurrence started, and the
+    report reuses the last measured residual."""
     opts = opts or SolverOptions()
     if not op.symmetric:
         raise ValueError("solve_minres requires a symmetric operator")
@@ -514,8 +517,7 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray,
 
     x = np.zeros_like(rhs) if opts.x0 is None else opts.x0.copy()
     goal = opts.tol * _norm(rhs)
-    # tolerance scales with the rhs, not the (possibly warm-started) residual
-    target = opts.tol * np.sqrt(max(_dot(rhs, minv(rhs)), 0.0))
+    target = 0.0
     it_total = 0
     r = rhs - op.apply(x)
     for _ in range(8):
@@ -576,17 +578,23 @@ def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray
     """r -> qx ((qx^T r qy) * scale) qy^T: the symmetric operator that is
     diagonal, with entries `scale`, in the tensor basis of qx and qy.
 
-    The returned `apply(r, out=None)` writes into `out` when given and into
-    a new array otherwise; its intermediate products go to two scratch
-    arrays allocated here, in the order of the formula (`np.dot`: the same
-    BLAS products as `@`, with less overhead per call)."""
-    qxt, qyt = qx.T, qy.T
-    a = np.empty((len(qx), len(qy)))
-    b = np.empty_like(a)
+    qx (nx by mx) and qy (ny by my) may be the first mx and my columns of a
+    basis; scale is mx by my, and the operator is zero on the other modes.
+    qx, qy and their transposes are held C-contiguous (copied here where
+    they are not), so no BLAS product takes a transposed or strided
+    operand.  The returned
+    `apply(r, out=None)` writes into `out` when given and into a new array
+    otherwise; its intermediate products go to three scratch arrays
+    allocated here, in the order of the formula (`np.dot`: the same BLAS
+    products as `@`, with less overhead per call)."""
+    qx, qy = np.ascontiguousarray(qx), np.ascontiguousarray(qy)
+    qxt, qyt = np.ascontiguousarray(qx.T), np.ascontiguousarray(qy.T)
+    (nx, mx), (ny, my) = qx.shape, qy.shape
+    a, b, c = np.empty((mx, ny)), np.empty((mx, my)), np.empty((nx, my))
 
     def apply(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.multiply(np.dot(np.dot(qxt, r, out=a), qy, out=b), scale, out=b)
-        return np.dot(np.dot(qx, b, out=a), qyt, out=out)
+        return np.dot(np.dot(qx, b, out=c), qyt, out=out)
     return apply
 
 

@@ -521,6 +521,97 @@ def test_rescaled_block_path_matches_dense_oracle(block_calls, contrast, nu, lam
         np.testing.assert_allclose(a, b, atol=1e-10 * np.max(np.abs(b)))
 
 
+EPS = brinkman._PRESSURE_EPS
+LOG_FRICTIONS = st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+def pressure_block(prob):
+    """The pressure block of the constant-coefficient block preconditioner,
+    densely: its p output for each unit p input."""
+    apply = brinkman._block_preconditioner(prob)
+    n, m = prob.rhs.size, prob.grid.nx * prob.grid.ny
+    e, cols = np.zeros(n), []
+    for k in range(n - m, n):
+        e[k] = 1.0
+        cols.append(apply(e)[n - m:])
+        e[k] = 0.0
+    return np.array(cols).T
+
+
+def full_pressure_modes(prob):
+    """Q and s of the full Cahouet-Chabard block Q diag(s) Q^T =
+    (nu (-Lap_D)^-1 + 2 eta + lam) / vol, Q the DST-II tensor basis."""
+    g = prob.grid
+    (qx, lx), (qy, ly) = (elliptic.laplacian_basis(n, "dirichlet") for n in g.shape)
+    kappa = lx[:, None] / g.hx ** 2 + ly[None, :] / g.hy ** 2
+    ce = 2.0 * float(prob.eta[0, 0]) + float(prob.lam[0, 0])
+    return np.kron(qx, qy), ((prob.nu / kappa + ce) / g.cell_area).ravel()
+
+
+@settings(max_examples=15, deadline=None)
+@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, nu=LOG_FRICTIONS,
+       eta=st.floats(0.1, 10.0), lam=st.floats(0.0, 2.0))
+def test_low_rank_pressure_block_is_spd_and_within_eps_of_the_full_block(
+        nx, ny, lx, ly, nu, eta, lam):
+    # the dropped modes get ce / vol in place of (nu / kappa + ce) / vol
+    # with nu / kappa <= EPS ce: the generalized eigenvalues of the new
+    # block against the full one lie in [1 / (1 + EPS), 1]
+    prob = problem(make_grid(lx, ly, nx, ny), nu=nu, eta=eta, lam=lam)
+    new = pressure_block(prob)
+    assert np.max(np.abs(new - new.T)) <= 1e-14 * np.max(np.abs(new))
+    assert np.min(np.linalg.eigvalsh(new)) > 0.0
+    q, s = full_pressure_modes(prob)
+    root = q * s ** -0.5        # P_full^(-1/2) = Q diag(s^(-1/2)) Q^T
+    ratio = np.linalg.eigvalsh(root.T @ new @ root)
+    assert ratio.min() >= (1.0 - 1e-12) / (1.0 + EPS), ratio.min()
+    assert ratio.max() <= 1.0 + 1e-12, ratio.max()
+
+
+def test_low_rank_pressure_block_keeps_every_mode_at_large_friction():
+    prob = problem(make_grid(1.0, 1.5, 8, 6), nu=1e3, eta=0.8, lam=0.3)
+    q, s = full_pressure_modes(prob)
+    full = (q * s) @ q.T
+    np.testing.assert_allclose(pressure_block(prob), full, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(full)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, eta=st.floats(1.0, 10.0),
+       lam=st.floats(0.0, 2.0))
+def test_low_rank_pressure_block_without_kept_modes_is_a_multiple_of_identity(
+        nx, ny, lx, ly, eta, lam):
+    # nu / kappa <= 1e-2 / (pi^2 (1 / lx^2 + 1 / ly^2)) < EPS (2 eta + lam)
+    grid = make_grid(lx, ly, nx, ny)
+    new = pressure_block(problem(grid, nu=1e-2, eta=eta, lam=lam))
+    assert np.array_equal(new, (2.0 * eta + lam) / grid.cell_area * np.eye(nx * ny))
+
+
+@pytest.mark.parametrize("contrast, nu, start", [
+    (1.0, 1e3, False), (100.0, 1.0, True), (10.0, 1e-2, False)])
+def test_minres_applies_the_preconditioner_once_per_iteration_and_recurrence(
+        monkeypatch, contrast, nu, start):
+    # the last case restarts its recurrence (see the test below); no other
+    # apply, e.g. one for the preconditioned norm of rhs, may be made
+    cycles, applies = [], []
+    original = elliptic._minres_cycle
+
+    def spy(*args):
+        cycles.append(args)
+        return original(*args)
+    monkeypatch.setattr(elliptic, "_minres_cycle", spy)
+    prob = disc_problem(make_grid(1.0, 1.5, 8, 6), contrast, nu, 0.3)
+    block = brinkman._block_preconditioner(prob)
+
+    def counted(a):
+        applies.append(a)
+        return block(a)
+    x0 = np.random.default_rng(4).standard_normal(prob.rhs.size) if start else None
+    _, rep = solve_minres(brinkman_operator(prob), prob.rhs,
+                          SolverOptions(tol=1e-12, max_iters=5000, x0=x0), precond=counted)
+    assert rep.converged and cycles
+    assert len(applies) == rep.iterations + len(cycles)
+
+
 def test_detached_estimate_restarts_from_the_true_residual(monkeypatch):
     # at nu = 1e-2 the preconditioned-norm estimate keeps falling after the
     # true residual has stalled; the check sees the true residual fall less

@@ -700,6 +700,28 @@ def test_separable_inverse_matches_a_dense_solve(nx, ny, kind_x, kind_y, ax, ay,
                                atol=1e-11 * np.max(np.abs(want)))
 
 
+@settings(max_examples=20, deadline=None)
+@given(nx=st.integers(2, 12), ny=st.integers(2, 12), kind_x=KINDS, kind_y=KINDS,
+       data=st.data(), seed=SEEDS)
+def test_separable_inverse_on_leading_modes_matches_the_dense_formula(
+        nx, ny, kind_x, kind_y, data, seed):
+    # the first mx, my columns of the bases: qx ((qx^T r qy) * scale) qy^T
+    (qx, _), (qy, _) = laplacian_basis(nx, kind_x), laplacian_basis(ny, kind_y)
+    mx = data.draw(st.integers(1, qx.shape[1]))
+    my = data.draw(st.integers(1, qy.shape[1]))
+    bx, by = qx[:, :mx], qy[:, :my]
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 10.0, (mx, my))
+    r = rng.standard_normal((len(qx), len(qy)))
+    want = bx @ (scale * (bx.T @ r @ by)) @ by.T
+    inv = separable_inverse(bx, by, scale)
+    out = np.empty_like(r)
+    assert inv(r, out=out) is out
+    for got in (out, inv(r)):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+
 @settings(max_examples=10, deadline=None)
 @given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, alpha=st.floats(1e-3, 1.0),
        seed=SEEDS)
