@@ -7,7 +7,7 @@ mass ledgers, norm estimates, Gronwall bounds).
 """
 
 from .core import (
-    EdgeTraces,
+    EdgeValues,
     FaceField,
     Grid,
     State,
@@ -18,7 +18,6 @@ from .core import (
 )
 from .constitutive import (
     CoefficientSpec,
-    EdgeValues,
     MobilityViscositySpec,
     ModelParams,
     ModelSpec,
@@ -40,7 +39,6 @@ from .elliptic import (
     harmonic_face_coefficients,
     solve_general,
     solve_spd,
-    upwind_div,
 )
 from .brinkman import (
     BrinkmanProblem,

@@ -265,20 +265,6 @@ def brinkman_operator(problem: BrinkmanProblem) -> StencilOperator:
     return StencilOperator(apply=apply, shape=(n,), symmetric=True)
 
 
-def apply_brinkman(problem: BrinkmanProblem, v: FaceField,
-                   p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momentum residual operator in PDE units plus the cell divergence.
-
-    Returns (mom_u, mom_w, div_v); for the exact solution mom == force and
-    div_v == gamma_v. At wall faces the discrete momentum includes the weak
-    traction terms, so a constant pressure shows up there (and nowhere else).
-    """
-    g = problem.grid
-    au, aw, ap = np.empty(v.u.shape), np.empty(v.w.shape), np.empty(g.shape)
-    _saddle_apply(problem)(v.u, v.w, p, au, aw, ap)
-    return au / problem.vu, aw / problem.vw, -ap / g.cell_area
-
-
 def _jacobi_diagonal(problem: BrinkmanProblem, ce=None, en=None) -> np.ndarray:
     """Positive diagonal: diag(A) on velocities and a SIMPLE-style Schur
     surrogate diag(G^T diag(A)^-1 G) on the pressure.  ce = 2 eta + lam at

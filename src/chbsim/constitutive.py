@@ -10,26 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid
+from .core import EdgeValues, Grid
 
 # Caps for the sampling box on which source growth constants are reported.
 PHI_CAP = 2.0
 SIGMA_CAP = 2.0
-
-
-@dataclass(frozen=True)
-class EdgeValues:
-    """Per-wall constants (left, right, bottom, top), e.g. ambient nutrient."""
-
-    left: float
-    right: float
-    bottom: float
-    top: float
-
-    @classmethod
-    def constant(cls, value: float) -> "EdgeValues":
-        v = float(value)
-        return cls(v, v, v, v)
 
 
 @dataclass(frozen=True)
@@ -331,10 +316,6 @@ class Check:
 @dataclass
 class ValidationReport:
     checks: list[Check]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]

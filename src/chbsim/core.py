@@ -95,14 +95,20 @@ class State:
                      self.p.copy(), self.v.copy())
 
 
-@dataclass
-class EdgeTraces:
-    """Values sampled along the four walls at edge-cell midpoints."""
+@dataclass(frozen=True)
+class EdgeValues:
+    """One value per wall (e.g. the ambient nutrient) or one per wall cell
+    (e.g. a trace sampled at the edge-cell midpoints)."""
 
-    left: np.ndarray    # shape (ny,), wall x = 0
-    right: np.ndarray   # shape (ny,), wall x = Lx
-    bottom: np.ndarray  # shape (nx,), wall y = 0
-    top: np.ndarray     # shape (nx,), wall y = Ly
+    left: float | np.ndarray    # wall x = 0;  per cell: shape (ny,)
+    right: float | np.ndarray   # wall x = Lx; per cell: shape (ny,)
+    bottom: float | np.ndarray  # wall y = 0;  per cell: shape (nx,)
+    top: float | np.ndarray     # wall y = Ly; per cell: shape (nx,)
+
+    @classmethod
+    def constant(cls, value: float) -> "EdgeValues":
+        v = float(value)
+        return cls(v, v, v, v)
 
 
 def integrate_cell(values: np.ndarray, grid: Grid) -> float:
@@ -110,7 +116,7 @@ def integrate_cell(values: np.ndarray, grid: Grid) -> float:
     return float(values.sum()) * grid.cell_area
 
 
-def extrapolate_to_walls(field: np.ndarray, grid: Grid) -> EdgeTraces:
+def extrapolate_to_walls(field: np.ndarray, grid: Grid) -> EdgeValues:
     """Wall traces by linear extrapolation from the two nearest cell centers.
 
     The wall sits half a cell outside the first center, so the second-order
@@ -118,7 +124,7 @@ def extrapolate_to_walls(field: np.ndarray, grid: Grid) -> EdgeTraces:
     """
     if grid.nx < 2 or grid.ny < 2:
         raise ValueError("trace extrapolation needs at least two cells per direction")
-    return EdgeTraces(
+    return EdgeValues(
         left=1.5 * field[0, :] - 0.5 * field[1, :],
         right=1.5 * field[-1, :] - 0.5 * field[-2, :],
         bottom=1.5 * field[:, 0] - 0.5 * field[:, 1],

@@ -42,7 +42,6 @@ from .elliptic import (
     harmonic_face_coefficients,
     neumann_multiplier,
     robin_influx,
-    upwind_div,
     upwind_transport,
 )
 from .brinkman import (BrinkmanProblem, _face_volumes, brinkman_problem, energy_parts,
@@ -315,7 +314,7 @@ def norm_estimates(states: Sequence[State], model: ModelSpec) -> NormEstimates:
         gradsq = (float(np.sum(dxx ** 2)) + float(np.sum(dyy ** 2))
                   + float(np.sum(dudy ** 2)) + float(np.sum(dwdx ** 2))) * vol
         v_h1_sq.append(vsq + gradsq)
-        dphiv = upwind_div(s.phi, s.v, g)
+        dphiv = upwind_transport(s.phi, s.v, g).div
         div_l32_sq.append(integrate_cell(np.abs(dphiv) ** 1.5, g) ** (4.0 / 3.0))
 
     dual_sq = 0.0
@@ -413,12 +412,6 @@ class WeakResiduals:
     sigma: np.ndarray     # (n_samples-1, n_tests)
     momentum: np.ndarray  # (n_samples,   2*n_tests)
     div: np.ndarray       # (n_samples,)
-
-    def max_abs(self) -> dict[str, float]:
-        return {name: float(np.max(np.abs(arr))) if arr.size else 0.0
-                for name, arr in [("phi", self.phi), ("mu", self.mu),
-                                  ("sigma", self.sigma),
-                                  ("momentum", self.momentum), ("div", self.div)]}
 
 
 def _centered_gradient(f: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

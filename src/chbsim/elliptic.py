@@ -19,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constitutive import EdgeValues
-from .core import EdgeTraces, FaceField, Grid, extrapolate_to_walls
+from .core import EdgeValues, FaceField, Grid, extrapolate_to_walls
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +33,7 @@ def harmonic_face_coefficients(cell_coeff: np.ndarray, grid: Grid) -> FaceField:
     use it, so the choice only matters for bookkeeping. Requires coeff > 0.
     """
     c = np.asarray(cell_coeff, dtype=float)
-    if np.any(c <= 0.0):
+    if not np.all(c > 0.0):   # a NaN cell fails too
         raise ValueError("face coefficients need strictly positive cell values")
     nx, ny = grid.shape
     u = np.empty((nx + 1, ny))
@@ -139,17 +138,10 @@ def apply_neumann_laplacian(f: np.ndarray, coeff_faces: FaceField,
 
 
 # ---------------------------------------------------------------------------
-# Robin-wall diffusion (nutrient)
+# Robin-wall income (nutrient); the linear part is diffusion_stencil(c, grid, b)
 # ---------------------------------------------------------------------------
 
-def robin_linear(f: np.ndarray, coeff_faces: FaceField, b: float,
-                 grid: Grid) -> np.ndarray:
-    """div(c grad f) whose wall flux is the Robin term with sigma_inf = 0,
-    i.e. outward flux -b * f_wall, f_wall the extrapolated trace."""
-    return diffusion_stencil(coeff_faces, grid, b)(f)
-
-
-def robin_source(b: float, sigma_inf: EdgeValues | EdgeTraces, grid: Grid) -> np.ndarray:
+def robin_source(b: float, sigma_inf: EdgeValues, grid: Grid) -> np.ndarray:
     """Constant inflow part of the Robin flux, b*sigma_inf per unit wall;
     sigma_inf holds one value per wall or one per wall cell."""
     src = np.zeros(grid.shape)
@@ -160,7 +152,7 @@ def robin_source(b: float, sigma_inf: EdgeValues | EdgeTraces, grid: Grid) -> np
     return src
 
 
-def robin_influx(f: np.ndarray, b: float, sigma_inf: EdgeValues | EdgeTraces,
+def robin_influx(f: np.ndarray, b: float, sigma_inf: EdgeValues,
                  grid: Grid) -> float:
     """Total Robin boundary income: integral of b (sigma_inf - f_wall), with
     sigma_inf as in `robin_source`."""
@@ -197,11 +189,6 @@ def upwind_transport(q: np.ndarray, v: FaceField, grid: Grid) -> Transport:
     return Transport(div, lr + bt)
 
 
-def upwind_div(q: np.ndarray, v: FaceField, grid: Grid) -> np.ndarray:
-    """First-order upwind div(q v) in conservative form."""
-    return upwind_transport(q, v, grid).div
-
-
 # ---------------------------------------------------------------------------
 # Matrix-free operators and Krylov solvers
 # ---------------------------------------------------------------------------
@@ -217,10 +204,13 @@ class StencilOperator:
     nullspace: str = "none"  # "none" | "constants"
 
 
+MAX_ITERS = 40000   # the iteration cap of every Krylov solve
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-10          # relative to ||rhs||
-    max_iters: int = 5000
+    max_iters: int = MAX_ITERS
     x0: np.ndarray | None = None
 
 
@@ -484,19 +474,12 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
     return x, r, it, target
 
 
-def jacobi(diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Diagonal (Jacobi) preconditioner a -> a / diag; entries must be > 0."""
-    if np.any(diag <= 0.0):
-        raise ValueError("preconditioner diagonal must be positive")
-    return lambda a: a / diag
-
-
 def solve_minres(op: StencilOperator, rhs: np.ndarray,
                  opts: SolverOptions | None = None,
                  precond: Callable[[np.ndarray], np.ndarray] | None = None
                  ) -> tuple[np.ndarray, SolveReport]:
     """MINRES for symmetric indefinite stencils, with an optional SPD
-    preconditioner `precond` (a -> M^-1 a, e.g. `jacobi(diag)`).
+    preconditioner `precond` (a -> M^-1 a).
 
     The recurrence tracks the residual in the preconditioner norm, whose gap
     to the plain norm can reach sqrt(cond(M)). One recurrence serves the

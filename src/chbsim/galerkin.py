@@ -261,7 +261,6 @@ def rhs(a: np.ndarray, b: np.ndarray, c: np.ndarray, mats: GalerkinMatrices,
 # ---------------------------------------------------------------------------
 
 FLOW_TOL = 1e-10         # relative tolerance of every stage's Brinkman solve
-FLOW_MAX_ITERS = 40000
 FLOW_WINDOW = 8          # solved stages a flow solve's projected start mixes
 
 
@@ -315,7 +314,7 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
                 st.phi, st.sigma, st.mu, nutrient_energy(st.phi, st.sigma, model.params)[1],
                 st.src.gamma_v, model)
             sol = solve_brinkman(problem, SolverOptions(
-                tol=FLOW_TOL, max_iters=FLOW_MAX_ITERS, x0=window.start(problem.rhs)))
+                tol=FLOW_TOL, x0=window.start(problem.rhs)))
             if not sol.report.converged:
                 raise SpectralBlowup(
                     f"spectral-route flow solve stalled: rel residual "

@@ -41,6 +41,7 @@ import numpy as np
 from .core import FaceField, Grid, State, integrate_cell
 from .constitutive import ModelSpec, mobilities, potential_eval
 from .elliptic import (
+    MAX_ITERS,
     SolveReport,
     SolverOptions,
     StencilOperator,
@@ -56,11 +57,11 @@ from .brinkman import BrinkmanSolution, ProjectedStart, _pack, solve_brinkman
 from . import diagnostics
 
 PHI_ABORT = 10.0   # a step whose max |phi'| exceeds this fails: range explosion
-# Krylov policy of the three solves of a step: relative tolerances, iteration cap
+# Krylov policy of the three solves of a step: relative tolerances; the
+# iteration cap is elliptic.MAX_ITERS, passed by name so a test can lower it
 PHASE_TOL = 1e-12
 NUTRIENT_TOL = 1e-12
 FLOW_TOL = 1e-11
-MAX_ITERS = 40000
 FLOW_WINDOW = 4    # solved flows a run's projected start of the flow solve mixes
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EdgeTraces, FaceField, Grid, make_grid
+from .core import EdgeValues, FaceField, Grid, make_grid
 from .constitutive import (
     CoefficientSpec,
     MobilityViscositySpec,
@@ -37,8 +37,8 @@ from .elliptic import (
     SolverOptions,
     StencilOperator,
     apply_neumann_laplacian,
+    diffusion_stencil,
     harmonic_face_coefficients,
-    robin_linear,
     robin_source,
     solve_general,
     solve_spd,
@@ -101,7 +101,7 @@ def criterion_1(cache: Cache) -> CriterionResult:
         gamma_v = 0.5 * rng.standard_normal(g.shape)
         problem = BrinkmanProblem(g, eta, lam, nu=2.0, force=force,
                                   gamma_v=gamma_v)
-        sol = solve_brinkman(problem, SolverOptions(tol=1e-12, max_iters=60000))
+        sol = solve_brinkman(problem, SolverOptions(tol=1e-12))
         ora = dense_oracle_solve(problem)
         gap = max(float(np.max(np.abs(sol.v.u - ora.v.u))),
                   float(np.max(np.abs(sol.v.w - ora.v.w))),
@@ -126,7 +126,7 @@ def criterion_2(cache: Cache) -> CriterionResult:
     force = FaceField(np.full((17, 16), c), np.zeros((16, 17)))
     problem = BrinkmanProblem(g, np.full(g.shape, 1.0), np.full(g.shape, 0.3),
                               nu=nu, force=force, gamma_v=np.zeros(g.shape))
-    sol = solve_brinkman(problem, SolverOptions(tol=1e-13, max_iters=60000))
+    sol = solve_brinkman(problem, SolverOptions(tol=1e-13))
     err = max(float(np.max(np.abs(sol.v.u - c / nu))),
               float(np.max(np.abs(sol.v.w))),
               float(np.max(np.abs(sol.p))))
@@ -214,13 +214,12 @@ def _steady_nutrient(phi: np.ndarray, model: ModelSpec) -> np.ndarray:
     chi_faces = FaceField(params.chi_sigma * n_faces.u,
                           params.chi_sigma * n_faces.w)
     consumption = model.source.C * np.clip(0.5 * (1.0 + phi), 0.0, 1.0)
-    op = StencilOperator(
-        lambda f: -robin_linear(f, chi_faces, params.b, g), g.shape)
+    robin = diffusion_stencil(chi_faces, g, params.b)
+    op = StencilOperator(lambda f: -robin(f), g.shape)
     rhs = (robin_source(params.b, params.sigma_inf, g)
            - params.chi_phi * apply_neumann_laplacian(phi, n_faces, g)
            - consumption)
-    sigma, _ = solve_general(op, rhs, SolverOptions(tol=1e-13,
-                                                    max_iters=40000))
+    sigma, _ = solve_general(op, rhs, SolverOptions(tol=1e-13))
     return sigma
 
 
@@ -292,7 +291,7 @@ def poisson_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         op = StencilOperator(
             lambda f, g=g, ones=ones: -apply_neumann_laplacian(f, ones, g),
             g.shape, symmetric=True, nullspace="constants")
-        u, rep = solve_spd(op, rhs, SolverOptions(tol=1e-12, max_iters=20000))
+        u, rep = solve_spd(op, rhs, SolverOptions(tol=1e-12))
         exact0 = exact - np.mean(exact)
         errs.append(_l2(u - exact0, g))
         hs.append(g.hx)
@@ -314,16 +313,14 @@ def robin_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         rhs_f = exact + 2.0 * np.pi ** 2 * (exact - 2.0)
         xs = (np.arange(g.nx) + 0.5) * g.hx
         ys = (np.arange(g.ny) + 0.5) * g.hy
-        traces = EdgeTraces(left=np.cos(np.pi * ys) + 2.0,
+        traces = EdgeValues(left=np.cos(np.pi * ys) + 2.0,
                             right=np.cos(np.pi * 1.0) * np.cos(np.pi * ys) + 2.0,
                             bottom=np.cos(np.pi * xs) + 2.0,
                             top=np.cos(np.pi * xs) * np.cos(np.pi * 1.0) + 2.0)
-        ones = FaceField.ones(g)
-        op = StencilOperator(
-            lambda f, g=g, ones=ones: f - robin_linear(f, ones, 1.0, g),
-            g.shape)
+        robin = diffusion_stencil(FaceField.ones(g), g, 1.0)
+        op = StencilOperator(lambda f, robin=robin: f - robin(f), g.shape)
         rhs = rhs_f + robin_source(1.0, traces, g)
-        u, rep = solve_general(op, rhs, SolverOptions(tol=1e-12, max_iters=20000))
+        u, rep = solve_general(op, rhs, SolverOptions(tol=1e-12))
         errs.append(_l2(u - exact, g))
         hs.append(g.hx)
     return hs, errs, _fit_order(hs, errs)

@@ -191,7 +191,7 @@ def test_epsilon_condition_three_cases():
     # same with eps = 0.1: 10 < 16
     rep = validate_params(params(eps=0.1, chi_p=1.0), quartic, mv_ok(), src)
     assert not rep["epsilon_condition"].passed
-    assert not rep.ok
+    assert rep.failures()
 
 
 def test_validator_rejects_bad_coefficient_bounds():
@@ -234,7 +234,7 @@ def test_validator_positivity_and_growth():
     rep = validate_params(params(), PotentialSpec.quartic(), mv_ok(),
                           SourceSpec.none())
     assert rep["positivity"].passed and rep["potential_growth"].passed
-    assert rep.ok
+    assert not rep.failures()
     bad = ModelParams(epsilon=-1.0, chi_sigma=1.0, chi_phi=0.0, nu=1.0, b=0.0)
     rep = validate_params(bad, PotentialSpec.quartic(), mv_ok(), SourceSpec.none())
     assert not rep["positivity"].passed

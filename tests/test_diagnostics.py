@@ -42,6 +42,13 @@ def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0,
                      source or SourceSpec.none())
 
 
+def max_abs(res):
+    """Largest |entry| of each weak-residual table (0 for an empty one)."""
+    return {name: float(np.max(np.abs(arr))) if arr.size else 0.0
+            for name, arr in [("phi", res.phi), ("mu", res.mu), ("sigma", res.sigma),
+                              ("momentum", res.momentum), ("div", res.div)]}
+
+
 def uniform_state(model, phi=0.0, sigma=0.0, t=0.0):
     s = initial_state(np.full(model.grid.shape, float(phi)),
                       np.full(model.grid.shape, float(sigma)), model)
@@ -275,7 +282,7 @@ def test_weak_residuals_vanish_on_the_uniform_equilibrium():
     a = uniform_state(model, phi=0.3, sigma=1.0)
     b = uniform_state(model, phi=0.3, sigma=1.0, t=1e-3)
     res = weak_residuals([a, b], model, n_modes=4)
-    for name, value in res.max_abs().items():
+    for name, value in max_abs(res).items():
         assert value == pytest.approx(0.0, abs=1e-11), name
     assert res.phi.shape == (1, 5)
     assert res.momentum.shape == (2, 10)
@@ -323,7 +330,7 @@ def test_weak_residuals_shrink_under_refinement():
         specs = SimSpec(model, SchemeOptions(dt=dt, snapshot_every=1))
         states = run(state, steps, specs).states
         res = weak_residuals(states, model)
-        out = res.max_abs()
+        out = max_abs(res)
         # the t = 0 sample is the rest state before any flow solve, so its
         # momentum/divergence rows measure the initial force, not the scheme
         out["momentum"] = float(np.max(np.abs(res.momentum[1:])))

@@ -22,12 +22,11 @@ from chbsim.diagnostics import convection, energy_budget, mass_balances, old_lev
 from chbsim.elliptic import (
     StencilOperator,
     apply_neumann_laplacian,
+    diffusion_stencil,
     harmonic_face_coefficients,
     materialize_dense,
-    robin_linear,
     robin_source,
     solve_general,
-    upwind_div,
     upwind_transport,
 )
 from chbsim.timestepper import (
@@ -166,7 +165,7 @@ def test_phase_step_matches_dense_block_solve(variant):
 
     _, dpsi = potential_eval(phi_n, model.potential)
     c_lin = dpsi / eps - (s / eps) * phi_n - p.chi_phi * sigma_n
-    top = phi_n + dt * (src.lambda_phi - upwind_div(phi_n, v_new, g))
+    top = phi_n + dt * (src.lambda_phi - upwind_transport(phi_n, v_new, g).div)
     sol = np.linalg.solve(block, np.concatenate([top.ravel(), c_lin.ravel()]))
     phi_oracle = sol[:n].reshape(g.shape)
     mu_oracle = sol[n:].reshape(g.shape)
@@ -323,8 +322,8 @@ def test_nutrient_step_matches_dense_solve():
     _, n_cell = mobilities(new.phi, model.mobvis)
     n_faces = harmonic_face_coefficients(n_cell, g)
     chi_faces = FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w)
-    mat = materialize_dense(StencilOperator(
-        lambda f: f - dt * robin_linear(f, chi_faces, p.b, g), g.shape))
+    robin = diffusion_stencil(chi_faces, g, p.b)
+    mat = materialize_dense(StencilOperator(lambda f: f - dt * robin(f), g.shape))
     src = sources(phi_n, sigma_n, state.mu, model.source, p)
     gamma_sig = src.lambda_sigma - src.theta_sigma * new.mu
     rhs = sigma_n + dt * (robin_source(p.b, p.sigma_inf, g)
