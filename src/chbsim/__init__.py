@@ -32,7 +32,6 @@ from .constitutive import (
 )
 from .elliptic import (
     SolveReport,
-    SolverOptions,
     StencilOperator,
     apply_neumann_laplacian,
     face_gradient,

@@ -39,7 +39,6 @@ from .constitutive import ModelSpec, viscosities
 from .core import FaceField, Grid
 from .elliptic import (
     SolveReport,
-    SolverOptions,
     StencilOperator,
     laplacian_basis,
     separable_inverse,
@@ -70,7 +69,7 @@ class BrinkmanProblem:
             raise ValueError("bulk viscosity must be non-negative")
         if self.eta.shape != self.grid.shape or self.lam.shape != self.grid.shape:
             raise ValueError("viscosity fields must be cell fields")
-        self.vu, self.vw = _face_volumes(self.grid)
+        self.vu, self.vw = face_volumes(self.grid)
         self.eta_nodes = _node_eta(self.eta)
         self.rhs = _pack(self.force.u * self.vu, self.force.w * self.vw,
                          -self.gamma_v * self.grid.cell_area)
@@ -89,7 +88,7 @@ class BrinkmanSolution:
 # Geometry helpers
 # ---------------------------------------------------------------------------
 
-def _face_volumes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def face_volumes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Control volumes of u- and w-faces (halved on the walls)."""
     vu = np.full((grid.nx + 1, grid.ny), grid.cell_area)
     vu[0, :] *= 0.5
@@ -365,12 +364,14 @@ def _block_preconditioner(problem: BrinkmanProblem):
     return rescaled
 
 
-def solve_brinkman(problem: BrinkmanProblem, opts: SolverOptions) -> BrinkmanSolution:
-    """Solve the saddle system with MINRES and `_block_preconditioner`.
+def solve_brinkman(problem: BrinkmanProblem, tol: float,
+                   x0: np.ndarray | None = None) -> BrinkmanSolution:
+    """Solve the saddle system with MINRES and `_block_preconditioner` to the
+    relative tolerance tol, from the packed start x0 (zero when not given).
     Requires nu > 0: without friction its velocity blocks are singular."""
     if not problem.nu > 0.0:
         raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
-    x, report = solve_minres(brinkman_operator(problem), problem.rhs, opts,
+    x, report = solve_minres(brinkman_operator(problem), problem.rhs, tol, x0,
                              precond=_block_preconditioner(problem))
     return _solution(problem, x, report)
 
@@ -418,6 +419,14 @@ class ProjectedStart:
 
     def __len__(self) -> int:
         return self._m
+
+    def solve(self, problem: BrinkmanProblem, tol: float) -> BrinkmanSolution:
+        """`solve_brinkman` to tol from the start for problem.rhs (zero while
+        no pair is stored); a converged solution joins the window."""
+        sol = solve_brinkman(problem, tol, self.start(problem.rhs))
+        if sol.report.converged:
+            self.add(sol.x, problem.rhs)
+        return sol
 
     def start(self, b: np.ndarray) -> np.ndarray | None:
         """X c for the stored pairs, or None while none is stored."""

@@ -44,7 +44,7 @@ from .elliptic import (
     robin_influx,
     upwind_transport,
 )
-from .brinkman import (BrinkmanProblem, _face_volumes, brinkman_problem, energy_parts,
+from .brinkman import (BrinkmanProblem, brinkman_problem, energy_parts, face_volumes,
                        strain_rates)
 from .galerkin import build_basis
 
@@ -289,7 +289,7 @@ def norm_estimates(states: Sequence[State], model: ModelSpec) -> NormEstimates:
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     vol = g.cell_area
-    vu, vw = _face_volumes(g)
+    vu, vw = face_volumes(g)
 
     h1_phi, lap_phi_sq = [], []
     l2_sig, h1_sig_sq, h1_mu_sq = [], [], []

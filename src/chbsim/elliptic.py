@@ -204,14 +204,7 @@ class StencilOperator:
     nullspace: str = "none"  # "none" | "constants"
 
 
-MAX_ITERS = 40000   # the iteration cap of every Krylov solve
-
-
-@dataclass
-class SolverOptions:
-    tol: float = 1e-10          # relative to ||rhs||
-    max_iters: int = MAX_ITERS
-    x0: np.ndarray | None = None
+MAX_ITERS = 40000   # the iteration cap of every Krylov solve, read at each call
 
 
 @dataclass
@@ -243,8 +236,8 @@ def _project_mean(a: np.ndarray) -> np.ndarray:
     return a - a.mean()
 
 
-def solve_spd(op: StencilOperator, rhs: np.ndarray,
-              opts: SolverOptions | None = None,
+def solve_spd(op: StencilOperator, rhs: np.ndarray, tol: float,
+              x0: np.ndarray | None = None,
               precond: Callable[[np.ndarray], np.ndarray] | None = None
               ) -> tuple[np.ndarray, SolveReport]:
     """Conjugate gradients for symmetric positive (semi-)definite stencils,
@@ -258,8 +251,11 @@ def solve_spd(op: StencilOperator, rhs: np.ndarray,
         residuals) are projected to zero mean.
     rhs : ndarray
         Right-hand side, same shape as the operator domain.
-    opts : SolverOptions
-        Relative tolerance, iteration cap and optional warm start.
+    tol : float
+        Relative tolerance: the iteration stops at ||r|| <= tol * ||rhs||,
+        or after MAX_ITERS iterations.
+    x0 : ndarray, optional
+        Start, copied (zero when not given).
     precond : callable, optional
         Applied to each residual; the stopping test stays on the plain
         residual norm ||r|| <= tol * ||rhs||. Without it the iteration is
@@ -269,7 +265,6 @@ def solve_spd(op: StencilOperator, rhs: np.ndarray,
     -------
     (x, SolveReport) with the true residual recomputed after the solve.
     """
-    opts = opts or SolverOptions()
     if not op.symmetric:
         raise ValueError("solve_spd requires a symmetric operator")
     singular = op.nullspace == "constants"
@@ -283,7 +278,7 @@ def solve_spd(op: StencilOperator, rhs: np.ndarray,
         return z, _dot(r, z)
 
     b = _project_mean(rhs) if singular else rhs
-    x = np.zeros_like(rhs) if opts.x0 is None else opts.x0.copy()
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
     if singular:
         x = _project_mean(x)
     r = b - op.apply(x)
@@ -293,9 +288,9 @@ def solve_spd(op: StencilOperator, rhs: np.ndarray,
     z, rz = preconditioned(r, rs)
     p = z.copy()
     nb = _norm(b)
-    target = (opts.tol * nb) ** 2 if nb > 0.0 else 0.0
+    target = (tol * nb) ** 2 if nb > 0.0 else 0.0
     it = 0
-    while rs > target and rz > 0.0 and it < opts.max_iters:
+    while rs > target and rz > 0.0 and it < MAX_ITERS:
         ap = op.apply(p)
         denom = _dot(p, ap)
         if denom <= 0.0:
@@ -312,11 +307,11 @@ def solve_spd(op: StencilOperator, rhs: np.ndarray,
         it += 1
     if singular:
         x = _project_mean(x)
-    return x, _true_report(b, b - op.apply(x), it, opts.tol)
+    return x, _true_report(b, b - op.apply(x), it, tol)
 
 
-def solve_general(op: StencilOperator, rhs: np.ndarray,
-                  opts: SolverOptions | None = None,
+def solve_general(op: StencilOperator, rhs: np.ndarray, tol: float,
+                  x0: np.ndarray | None = None,
                   precond: Callable[[np.ndarray], np.ndarray] | None = None
                   ) -> tuple[np.ndarray, SolveReport]:
     """BiCGStab for nonsymmetric stencil systems, with an optional right
@@ -332,21 +327,20 @@ def solve_general(op: StencilOperator, rhs: np.ndarray,
     true residual rhs - A x, recomputed at every exit, fails the report's
     own test (rel > 10 tol); at most 10 restarts. Reports that true residual.
     """
-    opts = opts or SolverOptions()
     minv = precond if precond is not None else (lambda a: a)
-    x = np.zeros_like(rhs) if opts.x0 is None else opts.x0.copy()
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
     r = rhs - op.apply(x)
     nb = _norm(rhs)
-    target = opts.tol * nb if nb > 0.0 else 0.0
+    target = tol * nb if nb > 0.0 else 0.0
     it = 0
     restarts = 0
-    while _norm(r) > target and it < opts.max_iters and restarts < 10:
+    while _norm(r) > target and it < MAX_ITERS and restarts < 10:
         r_hat = r.copy()
         rho = alpha = omega = 1.0
         v = np.zeros_like(r)
         p = np.zeros_like(r)
         broke = False
-        while it < opts.max_iters:
+        while it < MAX_ITERS:
             rho_new = _dot(r_hat, r)
             if abs(rho_new) < 1e-300:
                 broke = True
@@ -384,10 +378,10 @@ def solve_general(op: StencilOperator, rhs: np.ndarray,
             if _norm(r) <= target:
                 break
         r = rhs - op.apply(x)
-        if not broke and _true_report(rhs, r, it, opts.tol).converged:
+        if not broke and _true_report(rhs, r, it, tol).converged:
             break
         restarts += 1
-    return x, _true_report(rhs, r, it, opts.tol)
+    return x, _true_report(rhs, r, it, tol)
 
 
 def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
@@ -474,8 +468,8 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
     return x, r, it, target
 
 
-def solve_minres(op: StencilOperator, rhs: np.ndarray,
-                 opts: SolverOptions | None = None,
+def solve_minres(op: StencilOperator, rhs: np.ndarray, tol: float,
+                 x0: np.ndarray | None = None,
                  precond: Callable[[np.ndarray], np.ndarray] | None = None
                  ) -> tuple[np.ndarray, SolveReport]:
     """MINRES for symmetric indefinite stencils, with an optional SPD
@@ -493,13 +487,12 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray,
     restarted from the true residual, at most 8 times. The preconditioner
     is applied once per iteration and once per recurrence started, and the
     report reuses the last measured residual."""
-    opts = opts or SolverOptions()
     if not op.symmetric:
         raise ValueError("solve_minres requires a symmetric operator")
     minv = precond if precond is not None else (lambda a: a)
 
-    x = np.zeros_like(rhs) if opts.x0 is None else opts.x0.copy()
-    goal = opts.tol * _norm(rhs)
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    goal = tol * _norm(rhs)
     target = 0.0
     it_total = 0
     r = rhs - op.apply(x)
@@ -507,12 +500,12 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray,
         res = _norm(r)
         if res <= goal or res <= 1e-300:
             break
-        if it_total >= opts.max_iters or goal < 1e-280:
+        if it_total >= MAX_ITERS or goal < 1e-280:
             break
         x, r, it, target = _minres_cycle(op, rhs, x, r, minv, target, goal,
-                                         opts.max_iters - it_total)
+                                         MAX_ITERS - it_total)
         it_total += it
-    return x, _true_report(rhs, r, it_total, opts.tol)
+    return x, _true_report(rhs, r, it_total, tol)
 
 
 # ---------------------------------------------------------------------------

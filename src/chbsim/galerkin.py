@@ -34,8 +34,7 @@ from .constitutive import (
     potential_eval,
     sources,
 )
-from .elliptic import SolverOptions
-from .brinkman import ProjectedStart, brinkman_problem, solve_brinkman
+from .brinkman import ProjectedStart, brinkman_problem
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +312,12 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
             problem = brinkman_problem(
                 st.phi, st.sigma, st.mu, nutrient_energy(st.phi, st.sigma, model.params)[1],
                 st.src.gamma_v, model)
-            sol = solve_brinkman(problem, SolverOptions(
-                tol=FLOW_TOL, x0=window.start(problem.rhs)))
+            sol = window.solve(problem, FLOW_TOL)
             if not sol.report.converged:
                 raise SpectralBlowup(
                     f"spectral-route flow solve stalled: rel residual "
                     f"{sol.report.rel_residual:.3e}")
             v, p = sol.v, sol.p
-            window.add(sol.x, problem.rhs)
             flow_iters += sol.report.iterations
         else:
             v, p = FaceField.zeros(g), np.zeros(g.shape)

@@ -4,7 +4,8 @@ Configs are sectioned key=value text (INI).  Each key is the name of a
 `RunConfig` field in lower case, and its section is fixed; unknown
 sections or keys are rejected so typos cannot silently fall back to
 defaults.  Every key has a default, so even an empty file is a valid
-configuration.  Every number must be finite, and so must t_end / dt.  A
+configuration.  Every number must be finite, and so must t_end / dt,
+which must be a whole number of steps to 1e-9 (relative).  A
 malformed file (not UTF-8, a repeated key or section, a key above the first
 section, a value that does not parse, an inline comment on the output
 directory line, whose name could hold one) raises `ConfigError` with one
@@ -386,6 +387,12 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
         errors.append(f"t_end={cfg.t_end} is shorter than one step dt={cfg.dt}")
     if cfg.dt > 0.0 and not math.isfinite(cfg.t_end / cfg.dt):
         errors.append(f"t_end={cfg.t_end} / dt={cfg.dt} overflows the step count")
+    elif cfg.dt > 0.0 and cfg.t_end >= cfg.dt:
+        ratio = cfg.t_end / cfg.dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            errors.append(f"t_end={cfg.t_end} is not a whole number of steps dt={cfg.dt}; "
+                          f"the nearest whole-step horizons are "
+                          f"{math.floor(ratio) * cfg.dt!r} and {math.ceil(ratio) * cfg.dt!r}")
     if cfg.snapshot_every < 0:
         errors.append("snapshot_every must be >= 0")
     if not cfg.formats:

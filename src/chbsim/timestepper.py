@@ -3,10 +3,10 @@
 One step from t_n advances in three stages that share one old-level record:
 
   (i)   Brinkman solve with capillary forcing assembled from the old fields,
-        giving the velocity and pressure used by both transport equations;
-        in a run, started from the best mix of the last FLOW_WINDOW solved
-        flows for this rhs (`brinkman.ProjectedStart`), from the old flow
-        x_n while none is solved yet;
+        giving the velocity and pressure used by both transport equations,
+        started from the best mix of the run's last FLOW_WINDOW solved
+        flows for this rhs (`brinkman.ProjectedStart`), from zero while
+        none is solved yet;
   (ii)  phase update with the stabilized linear splitting: psi'(phi_n) kept
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of
         the sources implicit.  The chemical potential is eliminated from the
@@ -39,11 +39,9 @@ from typing import Callable
 import numpy as np
 
 from .core import FaceField, Grid, State, integrate_cell
-from .constitutive import ModelSpec, mobilities, potential_eval
+from .constitutive import ModelSpec, potential_eval
 from .elliptic import (
-    MAX_ITERS,
     SolveReport,
-    SolverOptions,
     StencilOperator,
     Transport,
     diffusion_stencil,
@@ -53,12 +51,11 @@ from .elliptic import (
     robin_source,
     solve_general,
 )
-from .brinkman import BrinkmanSolution, ProjectedStart, _pack, solve_brinkman
+from .brinkman import BrinkmanSolution, ProjectedStart
 from . import diagnostics
 
 PHI_ABORT = 10.0   # a step whose max |phi'| exceeds this fails: range explosion
-# Krylov policy of the three solves of a step: relative tolerances; the
-# iteration cap is elliptic.MAX_ITERS, passed by name so a test can lower it
+# relative tolerances of the three solves of a step
 PHASE_TOL = 1e-12
 NUTRIENT_TOL = 1e-12
 FLOW_TOL = 1e-11
@@ -138,18 +135,11 @@ def initial_state(phi0: np.ndarray, sigma0: np.ndarray, model: ModelSpec) -> Sta
 # Stage solvers
 # ---------------------------------------------------------------------------
 
-def solve_flow(old: diagnostics.OldLevel, window: ProjectedStart | None) -> BrinkmanSolution:
-    """Solve the old level's Brinkman problem, started from the projected
-    start of `window` for its rhs, or from the old flow x_n while the window
-    is empty or not given; the solution joins the window."""
-    rhs = old.flow.rhs
-    x0 = window.start(rhs) if window is not None else None
-    if x0 is None:
-        x0 = _pack(old.state.v.u, old.state.v.w, old.state.p)
-    sol = solve_brinkman(old.flow, SolverOptions(tol=FLOW_TOL, max_iters=MAX_ITERS, x0=x0))
+def solve_flow(old: diagnostics.OldLevel, window: ProjectedStart) -> BrinkmanSolution:
+    """Solve the old level's Brinkman problem through `window`
+    (`ProjectedStart.solve`); a stalled solve fails the step."""
+    sol = window.solve(old.flow, FLOW_TOL)
     _require_converged("flow", old.state.t, sol.report)
-    if window is not None:
-        window.add(sol.x, rhs)
     return sol
 
 
@@ -203,9 +193,8 @@ def step_phase(old: diagnostics.OldLevel, conv: Transport,
     # the largest theta; when both are constant it is the exact inverse (both
     # factors are polynomials in the Neumann Laplacian): one iteration.
     op = StencilOperator(apply, g.shape)
-    opts = SolverOptions(tol=PHASE_TOL, max_iters=MAX_ITERS, x0=phi_n.copy())
     precond = phase_inverse(g, dt, s, eps, model.mobvis.m.hi, float(np.max(theta)))
-    phi_new, rep = solve_general(op, rhs, opts, precond=precond)
+    phi_new, rep = solve_general(op, rhs, PHASE_TOL, phi_n, precond=precond)
     _require_converged("phase", old.state.t, rep)
     mu_new = a_eps(phi_new) + c_lin
 
@@ -251,8 +240,8 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
         np.multiply(r_buf, dt, out=r_buf)
         return np.subtract(f, r_buf)
 
-    opts = SolverOptions(tol=NUTRIENT_TOL, max_iters=MAX_ITERS, x0=sigma_n.copy())
-    sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, opts)
+    sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, NUTRIENT_TOL,
+                                   sigma_n)
     _require_converged("nutrient", old.state.t, rep)
 
     # constant shift closing the sigma ledger exactly; the shift moves the
@@ -268,7 +257,7 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
 
 
 def step(level: diagnostics.TimeLevel, specs: SimSpec,
-         window: ProjectedStart | None = None) -> tuple[diagnostics.TimeLevel, StepReport]:
+         window: ProjectedStart) -> tuple[diagnostics.TimeLevel, StepReport]:
     """One full step from the record of the level it leaves: flow, phase,
     nutrient, ledgers, budget; returns the record of the new level.
 
@@ -291,7 +280,7 @@ def step(level: diagnostics.TimeLevel, specs: SimSpec,
         still = Transport(np.zeros(g.shape), 0.0)
         conv = diagnostics.Convection(still, still)
     phi_new, mu_new, phase_rep = step_phase(old, conv.phi, specs)
-    n_faces = harmonic_face_coefficients(mobilities(phi_new, model.mobvis)[1], g)
+    n_faces = harmonic_face_coefficients(model.mobvis.n(phi_new), g)
     sigma_new, nut_rep = step_nutrient(old, conv.sigma, phi_new, mu_new, n_faces, specs)
 
     new = diagnostics.time_level(State(t=old.state.t + dt, phi=phi_new, mu=mu_new,
@@ -354,10 +343,9 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
     """March n_steps fixed steps, collecting one diagnostics row per level.
 
     The row at t = 0 carries the initial energy and masses with zero rates.
-    Each flow solve starts from the run's last FLOW_WINDOW solved flows (the
-    t = 0 rest flow is no solution and never joins them).  On a failed step
-    the partial record is attached to the raised StepFailure so callers can
-    keep what was completed.
+    Each flow solve starts from the run's last FLOW_WINDOW solved flows, the
+    first from zero.  On a failed step the partial record is attached to the
+    raised StepFailure so callers can keep what was completed.
     """
     model, sc = specs.model, specs.scheme
     level = diagnostics.time_level(state0, model)

@@ -29,12 +29,10 @@ from .constitutive import (
     PotentialSpec,
     SourceSpec,
     gamma_v_clamp,
-    mobilities,
     sources,
     validate_params,
 )
 from .elliptic import (
-    SolverOptions,
     StencilOperator,
     apply_neumann_laplacian,
     diffusion_stencil,
@@ -101,7 +99,7 @@ def criterion_1(cache: Cache) -> CriterionResult:
         gamma_v = 0.5 * rng.standard_normal(g.shape)
         problem = BrinkmanProblem(g, eta, lam, nu=2.0, force=force,
                                   gamma_v=gamma_v)
-        sol = solve_brinkman(problem, SolverOptions(tol=1e-12))
+        sol = solve_brinkman(problem, 1e-12)
         ora = dense_oracle_solve(problem)
         gap = max(float(np.max(np.abs(sol.v.u - ora.v.u))),
                   float(np.max(np.abs(sol.v.w - ora.v.w))),
@@ -126,7 +124,7 @@ def criterion_2(cache: Cache) -> CriterionResult:
     force = FaceField(np.full((17, 16), c), np.zeros((16, 17)))
     problem = BrinkmanProblem(g, np.full(g.shape, 1.0), np.full(g.shape, 0.3),
                               nu=nu, force=force, gamma_v=np.zeros(g.shape))
-    sol = solve_brinkman(problem, SolverOptions(tol=1e-13))
+    sol = solve_brinkman(problem, 1e-13)
     err = max(float(np.max(np.abs(sol.v.u - c / nu))),
               float(np.max(np.abs(sol.v.w))),
               float(np.max(np.abs(sol.p))))
@@ -209,8 +207,7 @@ def _steady_nutrient(phi: np.ndarray, model: ModelSpec) -> np.ndarray:
     and wall supply for a frozen phase field (zero velocity)."""
     g = model.grid
     params = model.params
-    _, n_cell = mobilities(phi, model.mobvis)
-    n_faces = harmonic_face_coefficients(n_cell, g)
+    n_faces = harmonic_face_coefficients(model.mobvis.n(phi), g)
     chi_faces = FaceField(params.chi_sigma * n_faces.u,
                           params.chi_sigma * n_faces.w)
     consumption = model.source.C * np.clip(0.5 * (1.0 + phi), 0.0, 1.0)
@@ -219,7 +216,7 @@ def _steady_nutrient(phi: np.ndarray, model: ModelSpec) -> np.ndarray:
     rhs = (robin_source(params.b, params.sigma_inf, g)
            - params.chi_phi * apply_neumann_laplacian(phi, n_faces, g)
            - consumption)
-    sigma, _ = solve_general(op, rhs, SolverOptions(tol=1e-13))
+    sigma, _ = solve_general(op, rhs, 1e-13)
     return sigma
 
 
@@ -291,7 +288,7 @@ def poisson_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         op = StencilOperator(
             lambda f, g=g, ones=ones: -apply_neumann_laplacian(f, ones, g),
             g.shape, symmetric=True, nullspace="constants")
-        u, rep = solve_spd(op, rhs, SolverOptions(tol=1e-12))
+        u, rep = solve_spd(op, rhs, 1e-12)
         exact0 = exact - np.mean(exact)
         errs.append(_l2(u - exact0, g))
         hs.append(g.hx)
@@ -320,7 +317,7 @@ def robin_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         robin = diffusion_stencil(FaceField.ones(g), g, 1.0)
         op = StencilOperator(lambda f, robin=robin: f - robin(f), g.shape)
         rhs = rhs_f + robin_source(1.0, traces, g)
-        u, rep = solve_general(op, rhs, SolverOptions(tol=1e-12))
+        u, rep = solve_general(op, rhs, 1e-12)
         errs.append(_l2(u - exact, g))
         hs.append(g.hx)
     return hs, errs, _fit_order(hs, errs)

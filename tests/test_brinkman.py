@@ -9,7 +9,6 @@ from chbsim import brinkman, elliptic
 from chbsim.constitutive import ModelParams, nutrient_energy
 from chbsim.core import FaceField, make_grid
 from chbsim.elliptic import (
-    SolverOptions,
     StencilOperator,
     materialize_dense,
     solve_minres,
@@ -62,7 +61,7 @@ SIDES = st.integers(4, 12)
 LENGTHS = st.floats(0.5, 2.0)
 FRICTIONS = st.floats(1e-2, 1e3)
 SEEDS = st.integers(0, 2 ** 32 - 1)
-OPTS = SolverOptions(tol=1e-11, max_iters=20000)
+TOL = 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def test_operator_and_preconditioner_return_fresh_arrays(contrast, lam):
 
 def test_zero_data_gives_zero_flow():
     grid = make_grid(1.0, 1.0, 8, 8)
-    sol = solve_brinkman(problem(grid), OPTS)
+    sol = solve_brinkman(problem(grid), TOL)
     np.testing.assert_allclose(sol.v.u, 0.0, atol=1e-13)
     np.testing.assert_allclose(sol.v.w, 0.0, atol=1e-13)
     np.testing.assert_allclose(sol.p, 0.0, atol=1e-13)
@@ -328,7 +327,7 @@ def test_constant_force_drives_uniform_darcy_flow():
     force = FaceField(np.full((grid.nx + 1, grid.ny), c),
                       np.zeros((grid.nx, grid.ny + 1)))
     prob = problem(grid, nu=nu, force=force)
-    sol = solve_brinkman(prob, OPTS)
+    sol = solve_brinkman(prob, TOL)
     assert sol.report.converged
     np.testing.assert_allclose(sol.v.u, c / nu, atol=1e-10)
     np.testing.assert_allclose(sol.v.w, 0.0, atol=1e-10)
@@ -343,7 +342,7 @@ def test_krylov_solution_matches_dense_oracle():
     x, y = grid.cell_centers()
     gamma_v = 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
     prob = problem(grid, nu=1.0, eta=0.8, lam=0.2, gamma_v=gamma_v)
-    krylov = solve_brinkman(prob, OPTS)
+    krylov = solve_brinkman(prob, TOL)
     direct = dense_oracle_solve(prob)
     assert krylov.report.converged
     np.testing.assert_allclose(krylov.v.u, direct.v.u, atol=1e-8)
@@ -359,8 +358,8 @@ def test_resolve_is_deterministic():
     rng = np.random.default_rng(7)
     force = FaceField(rng.standard_normal((grid.nx + 1, grid.ny)),
                       rng.standard_normal((grid.nx, grid.ny + 1)))
-    a = solve_brinkman(problem(grid, force=force), OPTS)
-    b = solve_brinkman(problem(grid, force=force), OPTS)
+    a = solve_brinkman(problem(grid, force=force), TOL)
+    b = solve_brinkman(problem(grid, force=force), TOL)
     assert np.array_equal(a.v.u, b.v.u) and np.array_equal(a.p, b.p)
 
 
@@ -372,7 +371,7 @@ def test_energy_identity_holds_for_the_solution():
     force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
     prob = problem(grid, nu=1.0, eta=0.5, lam=0.3, force=force,
                    gamma_v=0.1 * np.cos(np.pi * x) * np.cos(np.pi * y))
-    sol = solve_brinkman(prob, OPTS)
+    sol = solve_brinkman(prob, TOL)
     parts = energy_parts(prob, sol.v, sol.p)
     assert parts["dissipation"] >= 0.0
     lhs = parts["dissipation"]
@@ -452,7 +451,7 @@ def test_block_path_matches_dense_oracle(block_calls, nu, lam):
     grid = make_grid(1.0, 1.5, 8, 6)
     force, gamma_v = random_data(grid, 11)
     prob = problem(grid, nu=nu, eta=0.8, lam=lam, force=force, gamma_v=gamma_v)
-    krylov = solve_brinkman(prob, SolverOptions(tol=1e-13, max_iters=5000))
+    krylov = solve_brinkman(prob, 1e-13)
     direct = dense_oracle_solve(prob)
     assert block_calls and krylov.report.converged
     for a, b in ((krylov.v.u, direct.v.u), (krylov.v.w, direct.v.w),
@@ -470,7 +469,7 @@ def test_block_iterations_do_not_grow_with_the_grid(block_calls, nu):
         force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
         prob = problem(grid, nu=nu, force=force,
                        gamma_v=0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
-        sol = solve_brinkman(prob, OPTS)
+        sol = solve_brinkman(prob, TOL)
         assert sol.report.converged
         iters.append(sol.report.iterations)
     assert len(block_calls) == 2
@@ -522,7 +521,7 @@ def test_constant_coefficients_skip_the_rescaling(block_calls):
 ] + [(10.0, 1e-2, 0.0), (10.0, 1e-2, 0.3)])
 def test_rescaled_block_path_matches_dense_oracle(block_calls, contrast, nu, lam):
     prob = disc_problem(make_grid(1.0, 1.5, 8, 6), contrast, nu, lam)
-    krylov = solve_brinkman(prob, SolverOptions(tol=1e-12, max_iters=5000))
+    krylov = solve_brinkman(prob, 1e-12)
     direct = dense_oracle_solve(prob)
     assert block_calls and krylov.report.converged
     for a, b in ((krylov.v.u, direct.v.u), (krylov.v.w, direct.v.w),
@@ -615,8 +614,7 @@ def test_minres_applies_the_preconditioner_once_per_iteration_and_recurrence(
         applies.append(a)
         return block(a)
     x0 = np.random.default_rng(4).standard_normal(prob.rhs.size) if start else None
-    _, rep = solve_minres(brinkman_operator(prob), prob.rhs,
-                          SolverOptions(tol=1e-12, max_iters=5000, x0=x0), precond=counted)
+    _, rep = solve_minres(brinkman_operator(prob), prob.rhs, 1e-12, x0, precond=counted)
     assert rep.converged and cycles
     assert len(applies) == rep.iterations + len(cycles)
 
@@ -634,7 +632,7 @@ def test_detached_estimate_restarts_from_the_true_residual(monkeypatch):
         return original(*args)
     monkeypatch.setattr(elliptic, "_minres_cycle", spy)
     prob = disc_problem(make_grid(1.0, 1.5, 8, 6), 10.0, 1e-2, 0.0)
-    krylov = solve_brinkman(prob, SolverOptions(tol=1e-12, max_iters=5000))
+    krylov = solve_brinkman(prob, 1e-12)
     direct = dense_oracle_solve(prob)
     assert len(cycles) >= 2 and krylov.report.converged, krylov.report
     assert krylov.report.iterations <= 1000, krylov.report
@@ -647,7 +645,7 @@ def test_detached_estimate_restarts_from_the_true_residual(monkeypatch):
 def test_rescaled_block_iterations_do_not_grow_with_the_grid(nu):
     iters = []
     for n in (16, 64):
-        sol = solve_brinkman(disc_problem(make_grid(1.0, 1.0, n, n), 100.0, nu, 0.0), OPTS)
+        sol = solve_brinkman(disc_problem(make_grid(1.0, 1.0, n, n), 100.0, nu, 0.0), TOL)
         assert sol.report.converged
         iters.append(sol.report.iterations)
     assert iters[1] <= 1.5 * iters[0], iters
@@ -664,11 +662,10 @@ def test_viscosity_contrast_uses_the_rescaled_block_and_beats_jacobi(
     force, gamma_v = random_data(grid, 17)
     prob = BrinkmanProblem(grid, 1.0 + 99.0 * inside, np.zeros(grid.shape), 1.0,
                            force, gamma_v)
-    sol = solve_brinkman(prob, OPTS)
+    sol = solve_brinkman(prob, TOL)
     assert block_calls
     assert sol.report.converged and sol.divergence_residual < 1e-8
-    _, jac = solve_minres(brinkman_operator(prob), prob.rhs,
-                          SolverOptions(tol=1e-11, max_iters=20000),
+    _, jac = solve_minres(brinkman_operator(prob), prob.rhs, 1e-11,
                           precond=lambda a, d=brinkman._jacobi_diagonal(prob): a / d)
     assert jac.converged
     assert sol.report.iterations <= ratio * jac.iterations, \
@@ -679,8 +676,7 @@ def test_solve_minres_leaves_rhs_and_start_alone():
     prob = disc_problem(make_grid(1.0, 1.5, 9, 7), 100.0, 2.0, 0.3)
     x0 = np.random.default_rng(6).standard_normal(prob.rhs.size)
     rhs, start = prob.rhs.copy(), x0.copy()
-    x, rep = solve_minres(brinkman_operator(prob), prob.rhs,
-                          SolverOptions(tol=1e-11, max_iters=5000, x0=x0),
+    x, rep = solve_minres(brinkman_operator(prob), prob.rhs, 1e-11, x0,
                           precond=brinkman._block_preconditioner(prob))
     assert rep.converged and not np.shares_memory(x, x0)
     assert np.array_equal(prob.rhs, rhs) and np.array_equal(x0, start)
@@ -688,7 +684,7 @@ def test_solve_minres_leaves_rhs_and_start_alone():
 
 def test_solution_views_the_packed_vector_the_solver_returned():
     prob = disc_problem(make_grid(1.0, 1.5, 9, 7), 10.0, 2.0, 0.3)
-    sol = solve_brinkman(prob, OPTS)
+    sol = solve_brinkman(prob, TOL)
     assert sol.report.converged
     assert all(np.shares_memory(a, sol.x) for a in (sol.v.u, sol.v.w, sol.p))
     assert np.array_equal(sol.x, brinkman._pack(sol.v.u, sol.v.w, sol.p))
@@ -696,7 +692,7 @@ def test_solution_views_the_packed_vector_the_solver_returned():
 
 def test_solve_brinkman_rejects_zero_friction():
     with pytest.raises(ValueError):
-        solve_brinkman(problem(make_grid(1.0, 1.0, 6, 6), nu=0.0), OPTS)
+        solve_brinkman(problem(make_grid(1.0, 1.0, 6, 6), nu=0.0), TOL)
 
 
 # Not strict: the floor lands on either side of the test from one data set to
@@ -713,7 +709,7 @@ _STALL = pytest.mark.xfail(strict=False, reason=(
     for c in (1.0, 10.0, 100.0) for nu in (1e-2, 1.0, 1e3)])
 def test_robustness_sweep_converges(contrast, nu, lam):
     sol = solve_brinkman(disc_problem(make_grid(1.0, 1.0, 32, 32), contrast, nu, lam),
-                         SolverOptions(tol=1e-11, max_iters=20000))
+                         1e-11)
     assert sol.report.converged, sol.report
 
 
@@ -763,6 +759,30 @@ def test_projected_start_equals_a_least_squares_start_over_the_kept_pairs(
             want = xs @ np.linalg.lstsq(bs, rhs, rcond=None)[0]
             got = window.start(rhs)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_window_solve_is_a_solve_from_the_start_then_an_add():
+    grid = make_grid(1.0, 1.5, 9, 7)
+    window, by_hand = brinkman.ProjectedStart(2), brinkman.ProjectedStart(2)
+    for seed in range(4):   # the third solve makes the windows slide
+        prob = disc_problem(grid, 10.0, 2.0, 0.3, seed)
+        sol = window.solve(prob, TOL)
+        want = solve_brinkman(prob, TOL, by_hand.start(prob.rhs))
+        by_hand.add(want.x, prob.rhs)
+        assert sol.report == want.report and sol.report.converged
+        assert np.array_equal(sol.x, want.x)
+        assert len(window) == len(by_hand)
+    assert np.array_equal(window.start(prob.rhs), by_hand.start(prob.rhs))
+
+
+def test_window_keeps_no_stalled_solve(monkeypatch):
+    grid = make_grid(1.0, 1.5, 9, 7)
+    window = brinkman.ProjectedStart(4)
+    window.solve(disc_problem(grid, 10.0, 2.0, 0.3, 1), TOL)
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 1)
+    sol = window.solve(disc_problem(grid, 10.0, 2.0, 0.3, 2), TOL)
+    assert not sol.report.converged and sol.report.iterations == 1
+    assert len(window) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from chbsim import elliptic
 from chbsim.constitutive import EdgeValues
 from chbsim.core import FaceField, extrapolate_to_walls, make_grid, integrate_cell
 from chbsim.elliptic import (
-    SolverOptions,
     StencilOperator,
     apply_neumann_laplacian,
     diffusion_stencil,
@@ -422,14 +421,14 @@ def test_solve_spd_identity_and_constant_shift():
     rng = np.random.default_rng(31)
     rhs = rng.standard_normal(grid.shape)
     ident = StencilOperator(lambda f: f, grid.shape, symmetric=True)
-    x, rep = solve_spd(ident, rhs)
+    x, rep = solve_spd(ident, rhs, 1e-10)
     assert rep.converged
     np.testing.assert_allclose(x, rhs, atol=1e-12)
     # (I - alpha L) keeps constants fixed
     c = unit_faces(grid)
     op = StencilOperator(lambda f: f - 0.1 * apply_neumann_laplacian(f, c, grid),
                          grid.shape, symmetric=True)
-    x, rep = solve_spd(op, np.full(grid.shape, 2.0))
+    x, rep = solve_spd(op, np.full(grid.shape, 2.0), 1e-10)
     assert rep.converged
     np.testing.assert_allclose(x, 2.0, atol=1e-9)
 
@@ -439,7 +438,7 @@ def test_solve_spd_matches_dense_solution():
     rng = np.random.default_rng(41)
     op = spd_operator(grid, rng)
     rhs = rng.standard_normal(grid.shape)
-    x, rep = solve_spd(op, rhs, SolverOptions(tol=1e-12))
+    x, rep = solve_spd(op, rhs, 1e-12)
     assert rep.converged and rep.rel_residual <= 1e-10
     dense = np.linalg.solve(materialize_dense(op), rhs.ravel())
     np.testing.assert_allclose(x.ravel(), dense, atol=1e-8)
@@ -453,7 +452,7 @@ def test_solve_spd_singular_neumann_system():
                          grid.shape, symmetric=True, nullspace="constants")
     rhs = rng.standard_normal(grid.shape)
     rhs -= rhs.mean()
-    x, rep = solve_spd(op, rhs)
+    x, rep = solve_spd(op, rhs, 1e-10)
     assert rep.converged
     assert abs(x.mean()) < 1e-12  # gauge fixed to zero mean
     np.testing.assert_allclose(op.apply(x), rhs, atol=1e-8)
@@ -464,9 +463,9 @@ def test_solve_spd_identity_preconditioner_is_plain_cg():
     rng = np.random.default_rng(61)
     op = spd_operator(grid, rng)
     rhs = rng.standard_normal(grid.shape)
-    opts = SolverOptions(tol=1e-12, x0=rng.standard_normal(grid.shape))
-    x_plain, rep_plain = solve_spd(op, rhs, opts)
-    x_ident, rep_ident = solve_spd(op, rhs, opts, precond=lambda a: a.copy())
+    x0 = rng.standard_normal(grid.shape)
+    x_plain, rep_plain = solve_spd(op, rhs, 1e-12, x0)
+    x_ident, rep_ident = solve_spd(op, rhs, 1e-12, x0, precond=lambda a: a.copy())
     assert rep_plain.converged and rep_plain.iterations > 5
     assert np.array_equal(x_ident, x_plain)
     assert rep_ident == rep_plain
@@ -484,8 +483,8 @@ def test_preconditioned_cg_on_the_singular_neumann_system():
     rhs = rng.standard_normal(grid.shape)
     rhs -= rhs.mean()
     scale = jacobi(cell)
-    x_plain, rep_plain = solve_spd(op, rhs, SolverOptions(tol=1e-12))
-    x, rep = solve_spd(op, rhs, SolverOptions(tol=1e-12),
+    x_plain, rep_plain = solve_spd(op, rhs, 1e-12)
+    x, rep = solve_spd(op, rhs, 1e-12,
                        precond=lambda a: scale(a) + 5.0)
     assert rep.converged and rep.rel_residual <= 1e-11
     assert abs(x.mean()) < 1e-12
@@ -518,7 +517,7 @@ def test_solve_minres_continues_one_recurrence_past_the_norm_gap(monkeypatch):
     monkeypatch.setattr(elliptic, "_minres_cycle", counted_cycle)
     op = StencilOperator(apply, d.shape, symmetric=True)
     rhs = rng.standard_normal(d.shape)
-    x, rep = solve_minres(op, rhs, SolverOptions(tol=1e-12), precond=jacobi(m))
+    x, rep = solve_minres(op, rhs, 1e-12, precond=jacobi(m))
     assert rep.converged
     np.testing.assert_allclose(x, rhs / d, atol=1e-9)
     assert len(cycles) == 1
@@ -540,14 +539,14 @@ def test_solve_minres_lucky_breakdown_applies_the_last_update():
     rng = np.random.default_rng(73)
     d = rng.uniform(1.0, 5.0, 50)
     op = StencilOperator(lambda x: d * x, d.shape, symmetric=True)
-    x, rep = solve_minres(op, rng.standard_normal(d.shape), SolverOptions(tol=1e-12),
+    x, rep = solve_minres(op, rng.standard_normal(d.shape), 1e-12,
                           precond=jacobi(d))
     assert rep.converged and rep.iterations == 1 and rep.rel_residual <= 1e-12
     # powers of two summing to 64 = 8^2, rhs = d: every operation is exact,
     # so the breakdown is bsq == 0 exactly, not a round-off remainder
     d = np.array([1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
     op = StencilOperator(lambda x: d * x, d.shape, symmetric=True)
-    x, rep = solve_minres(op, d.copy(), SolverOptions(tol=1e-12), precond=jacobi(d))
+    x, rep = solve_minres(op, d.copy(), 1e-12, precond=jacobi(d))
     assert rep.converged and rep.iterations == 1 and rep.rel_residual <= 1e-12
     assert np.array_equal(x, np.ones_like(d))
 
@@ -557,9 +556,8 @@ def test_solve_general_agrees_with_cg_on_symmetric_systems():
     rng = np.random.default_rng(47)
     op = spd_operator(grid, rng)
     rhs = rng.standard_normal(grid.shape)
-    opts = SolverOptions(tol=1e-13)
-    x_cg, _ = solve_spd(op, rhs, opts)
-    x_bi, rep = solve_general(op, rhs, opts)
+    x_cg, _ = solve_spd(op, rhs, 1e-13)
+    x_bi, rep = solve_general(op, rhs, 1e-13)
     assert rep.converged
     np.testing.assert_allclose(x_bi, x_cg, atol=1e-10)
 
@@ -595,7 +593,7 @@ def test_solve_general_nonsymmetric_composition_vs_dense():
     mat = materialize_dense(op)
     assert np.max(np.abs(mat - mat.T)) > 1e-8  # genuinely nonsymmetric
     rhs = rng.standard_normal(grid.shape)
-    x, rep = solve_general(op, rhs, SolverOptions(tol=1e-12))
+    x, rep = solve_general(op, rhs, 1e-12)
     assert rep.converged
     np.testing.assert_allclose(x.ravel(), np.linalg.solve(mat, rhs.ravel()),
                                atol=1e-8)
@@ -606,9 +604,9 @@ def test_solve_general_identity_preconditioner_is_plain_bicgstab():
     rng = np.random.default_rng(59)
     op = phase_like_operator(grid)
     rhs = rng.standard_normal(grid.shape)
-    opts = SolverOptions(tol=1e-12, x0=rng.standard_normal(grid.shape))
-    x_plain, rep_plain = solve_general(op, rhs, opts)
-    x_ident, rep_ident = solve_general(op, rhs, opts, precond=lambda a: a.copy())
+    x0 = rng.standard_normal(grid.shape)
+    x_plain, rep_plain = solve_general(op, rhs, 1e-12, x0)
+    x_ident, rep_ident = solve_general(op, rhs, 1e-12, x0, precond=lambda a: a.copy())
     assert rep_plain.converged and rep_plain.iterations > 5
     assert np.array_equal(x_ident, x_plain)
     assert rep_ident == rep_plain
@@ -626,9 +624,8 @@ def test_preconditioned_bicgstab_matches_dense_solve():
     precond = neumann_multiplier(grid, lambda kappa: 1.0 / (
         1.0 + DT * (0.95 * kappa + 0.3) * (S / EPS + EPS * kappa)))
     rhs = rng.standard_normal(grid.shape)
-    opts = SolverOptions(tol=1e-12)
-    _, rep_plain = solve_general(op, rhs, opts)
-    x, rep = solve_general(op, rhs, opts, precond=precond)
+    _, rep_plain = solve_general(op, rhs, 1e-12)
+    x, rep = solve_general(op, rhs, 1e-12, precond=precond)
     assert rep.converged and rep.rel_residual <= 1e-11
     assert rep.iterations <= rep_plain.iterations // 2
     np.testing.assert_allclose(x.ravel(), np.linalg.solve(mat, rhs.ravel()),
@@ -644,7 +641,7 @@ def test_solve_general_restarts_when_the_true_residual_fails():
     a = np.diag(np.logspace(0, 6, n)) + rng.standard_normal((n, n))
     rhs = rng.standard_normal(n)
     op = StencilOperator(lambda x: a @ x, (n,))
-    x, rep = solve_general(op, rhs, SolverOptions(tol=1e-14))
+    x, rep = solve_general(op, rhs, 1e-14)
     assert rep.converged and rep.rel_residual <= 1e-13
     np.testing.assert_allclose(np.linalg.norm(rhs - a @ x), rep.residual, rtol=1e-12)
 
@@ -655,12 +652,12 @@ def test_solve_minres_indefinite_diagonal():
     rng.shuffle(d)
     op = StencilOperator(lambda x: d * x, d.shape, symmetric=True)
     rhs = rng.standard_normal(d.shape)
-    x, rep = solve_minres(op, rhs, SolverOptions(tol=1e-12),
+    x, rep = solve_minres(op, rhs, 1e-12,
                           precond=jacobi(np.abs(d)))
     assert rep.converged
     np.testing.assert_allclose(x, rhs / d, atol=1e-9)
     with pytest.raises(ValueError):
-        solve_minres(StencilOperator(lambda x: d * x, d.shape, symmetric=False), rhs)
+        solve_minres(StencilOperator(lambda x: d * x, d.shape, symmetric=False), rhs, 1e-12)
 
 
 def stiffness_and_mass(n, kind):

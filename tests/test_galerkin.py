@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from chbsim import constitutive, galerkin
+from chbsim import brinkman, constitutive, galerkin
 from chbsim.constitutive import (
     CoefficientSpec,
     EdgeValues,
@@ -22,7 +22,6 @@ from chbsim.brinkman import (
 )
 from chbsim.core import FaceField, integrate_cell, make_grid
 from chbsim.diagnostics import energy
-from chbsim.elliptic import SolverOptions
 from chbsim.galerkin import (
     FLOW_TOL,
     FLOW_WINDOW,
@@ -369,12 +368,12 @@ def test_viscosity_contrast_converges_at_every_stage(monkeypatch):
                            project(np.ones(model.grid.shape), basis))
     reports, etas = [], []
 
-    def spy(problem, opts):
-        sol = solve_brinkman(problem, opts)
+    def spy(problem, tol, x0=None):
+        sol = solve_brinkman(problem, tol, x0)
         reports.append(sol.report)
         etas.append(float(np.ptp(problem.eta)))
         return sol
-    monkeypatch.setattr(galerkin, "solve_brinkman", spy)
+    monkeypatch.setattr(brinkman, "solve_brinkman", spy)
     steps = 5
     res = integrate(state0, 1e-4, steps, model, basis, flow=True)
     assert len(reports) == 4 * steps + 1
@@ -406,7 +405,7 @@ def _flow_problems(weights, seed=5):
 
 
 def _solved_pair(problem, x0=None):
-    sol = solve_brinkman(problem, SolverOptions(tol=1e-12, max_iters=5000, x0=x0))
+    sol = solve_brinkman(problem, 1e-12, x0)
     assert sol.report.converged
     return sol.x, problem.rhs, sol.report
 
@@ -419,7 +418,7 @@ def test_projected_start_solves_a_rhs_in_the_stored_span():
     for prob in stored:
         window.add(*_solved_pair(prob)[:2])
     x0 = window.start(combined.rhs)
-    sol = solve_brinkman(combined, SolverOptions(tol=FLOW_TOL, max_iters=5000, x0=x0))
+    sol = solve_brinkman(combined, FLOW_TOL, x0)
     assert sol.report.converged
     assert sol.report.iterations == 0
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used there, and
-every function and class it defines is used by the program or the benchmark."""
+"""Source hygiene: every name a library module imports is used there, no
+module imports a private name of another, and every function and class it
+defines is used by the program or the benchmark."""
 import ast
 import re
 from pathlib import Path
@@ -44,6 +45,26 @@ def test_modules_use_every_name_they_import(path):
 def test_the_scan_sees_an_unused_import():
     source = "import os\nfrom numpy import array, zeros as z\n\nz(3)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: array"]
+
+
+def private_imports(source: str) -> list[str]:
+    """The `_name`s a module imports from a chbsim module."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "chbsim")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = [f"{path.stem}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in private_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_scan_sees_a_private_import():
+    source = ("from .a import _x, y\nfrom chbsim.b import _z\n"
+              "from numpy import _w\nfrom . import c\n")
+    assert private_imports(source) == ["_x", "_z"]
 
 
 def unread_definitions(sources: dict[str, str], bench_text: str) -> list[str]:

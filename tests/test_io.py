@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chbsim import cli, timestepper
+from chbsim import cli, elliptic, timestepper
 from chbsim.core import FaceField, Grid, State, face_to_center, make_grid
 from chbsim.io import (
     _CHOICES,
@@ -133,6 +133,22 @@ def test_config_rejects_inadmissible_parameters(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("t_end, nearest", [
+    ("2.5e-3", "0.002 and 0.003"),    # int(round(2.5)) made 2 steps
+    ("1.05e-2", "0.01 and 0.011"),    # and 10.5 made 10
+])
+def test_config_rejects_a_horizon_that_is_no_whole_number_of_steps(tmp_path, t_end, nearest):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[time]\ndt = 1e-3\nt_end = {t_end}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert len(exc.value.errors) == 1
+    assert "not a whole number of steps" in exc.value.errors[0]
+    assert nearest in exc.value.errors[0]
+    path.write_text("[time]\ndt = 1e-4\nt_end = 5e-3\n", encoding="utf-8")
+    assert load_config(path).n_steps == 50
+
+
 def assert_one_error_and_no_output(path, name, out, capsys) -> str:
     """load_config and `chbsim run` report `path` in one error naming `name`,
     and the run leaves no output directory behind; returns the error."""
@@ -158,6 +174,7 @@ def assert_one_error_and_no_output(path, name, out, capsys) -> str:
     ("viscosity = inf", "viscosity"),
     ("gamma0 = inf", "gamma0"),
     ("t_end = 1.7e308", "overflows the step count"),       # 1.7e311 steps of dt = 1e-3
+    ("t_end = 2.5e-3", "not a whole number of steps"),
     ("directory = runs #2", "inline comment"),
 ])
 def test_config_rejects_bad_step_and_solver_settings_before_any_output(
@@ -752,7 +769,7 @@ def test_cli_run_completes_a_small_simulation(tmp_path, monkeypatch, capsys):
 
 def test_cli_run_that_stalls_keeps_the_initial_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
-    monkeypatch.setattr(timestepper, "MAX_ITERS", 1)
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 1)
     assert cli.main(["run", str(write_small_config(tmp_path))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run aborted: ") and "solve stalled at t=0" in err

@@ -29,7 +29,9 @@ from chbsim.elliptic import (
     solve_general,
     upwind_transport,
 )
+from chbsim.brinkman import ProjectedStart
 from chbsim.timestepper import (
+    FLOW_WINDOW,
     SchemeOptions,
     SimSpec,
     StepFailure,
@@ -61,7 +63,7 @@ def specs_for(model, dt, **kw):
 
 def step_from(state, specs):
     """One step from a state: the new state and the step report."""
-    new, rep = step(time_level(state, specs.model), specs)
+    new, rep = step(time_level(state, specs.model), specs, ProjectedStart(FLOW_WINDOW))
     return new.state, rep
 
 
@@ -267,9 +269,9 @@ def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
         built.append(phase_inverse(*args))
         return built[-1]
 
-    def spy_general(op, rhs, opts=None, precond=None):
+    def spy_general(op, rhs, tol, x0=None, precond=None):
         used.append(precond)
-        return solve_general(op, rhs, opts, precond=precond)
+        return solve_general(op, rhs, tol, x0, precond=precond)
 
     def no_cg(*args, **kwargs):
         raise AssertionError("step_phase called solve_spd")
@@ -392,12 +394,20 @@ def flow_model_with_lima_sources():
 
 def test_old_level_coefficients_are_evaluated_once_per_step(monkeypatch):
     # psi', N_sigma and the energy of each level are evaluated once, when the
-    # level is produced (t = 0 by `run`); the sources, the face mobilities
-    # and, with the flow on, the viscosities and the capillary force once per
+    # level is produced (t = 0 by `run`); the sources, m(phi_n), n(phi') and,
+    # with the flow on, the viscosities and the capillary force once per
     # step, shared by the three stages, the mass ledgers and the energy budget
     model = flow_model_with_lima_sources()
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
-    calls = {}
+    calls = {"m": 0, "n": 0}
+    coefficient = constitutive.CoefficientSpec.__call__
+
+    def evaluated(spec, phi):
+        for name in ("m", "n"):
+            calls[name] += spec is getattr(model.mobvis, name)
+        return coefficient(spec, phi)
+
+    monkeypatch.setattr(constitutive.CoefficientSpec, "__call__", evaluated)
     for origin, name in [(constitutive, "sources"), (constitutive, "viscosities"),
                          (constitutive, "mobilities"), (constitutive, "potential_eval"),
                          (constitutive, "nutrient_energy"), (brinkman, "capillary_force"),
@@ -418,8 +428,9 @@ def test_old_level_coefficients_are_evaluated_once_per_step(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         run(state, n, specs_for(model, 1e-4, flow=flow))
         per_flow_step = n if flow else 0
-        assert calls == {"sources": n, "mobilities": n, "potential_eval": n + 1,
-                         "nutrient_energy": n + 1, "viscosities": per_flow_step,
+        assert calls == {"m": n, "n": n, "sources": n, "mobilities": 0,
+                         "potential_eval": n + 1, "nutrient_energy": n + 1,
+                         "viscosities": per_flow_step,
                          "capillary_force": per_flow_step, "energy": 0}, flow
 
 
@@ -496,10 +507,11 @@ def test_rerun_is_bitwise_deterministic():
     assert a.rows[-1]["energy"] == b.rows[-1]["energy"]
 
 
-def test_flow_solve_starts_from_the_projected_flow():
+def test_flow_solve_starts_from_the_projected_flow(monkeypatch):
     # criterion-4/5 disc at 32^2, relaxed flow-free first as the disc_flow
     # benchmark workload does; `run` starts each flow solve from its window
-    # of solved flows, a plain `step` loop starts every solve from x_n
+    # of solved flows, the reference loop below starts every solve from the
+    # old flow x_n
     cfg = dc_replace(verify.DISC, nx=32, ny=32, t_end=1e-3)
     model = cfg.model_spec()
     phi, _ = cfg.initial_fields()
@@ -510,19 +522,26 @@ def test_flow_solve_starts_from_the_projected_flow():
     n_steps = cfg.n_steps
     spec = dc_replace(cfg, snapshot_every=1).sim_spec()
     res = run(state0, n_steps, spec)
+    def from_old_flow(old, window):
+        x0 = brinkman._pack(old.state.v.u, old.state.v.w, old.state.p)
+        return brinkman.solve_brinkman(old.flow, timestepper.FLOW_TOL, x0)
+
     plain = [time_level(state0, model)]
     plain_its = []
-    for _ in range(n_steps):
-        new, rep = step(plain[-1], spec)
-        plain.append(new)
-        plain_its.append(rep.flow.iterations)
+    with monkeypatch.context() as patch:
+        patch.setattr(timestepper, "solve_flow", from_old_flow)
+        for _ in range(n_steps):
+            new, rep = step(plain[-1], spec, ProjectedStart(FLOW_WINDOW))
+            assert rep.flow.converged
+            plain.append(new)
+            plain_its.append(rep.flow.iterations)
     plain = [level.state for level in plain]
 
     def fields(st):
         return (st.phi, st.mu, st.sigma, st.p, st.v.u, st.v.w)
 
-    # step 1 starts from x_n: the t = 0 rest flow is no solution, and the
-    # window is still empty
+    # step 1 of the run starts from zero, with its window still empty, and
+    # x_n of the t = 0 rest state is zero
     assert all(np.array_equal(a, b) for a, b in zip(fields(res.states[1]), fields(plain[1])))
     its = [rep.flow.iterations for rep in res.reports]
     assert all(a <= 0.75 * b for a, b in zip(its[3:], plain_its[3:])), (its, plain_its)
@@ -542,7 +561,7 @@ def test_flow_solve_starts_from_the_projected_flow():
 def test_step_failure_carries_the_partial_record(monkeypatch):
     model = build_model()
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
-    monkeypatch.setattr(timestepper, "MAX_ITERS", 1)
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 1)
     with pytest.raises(StepFailure) as exc:
         run(state, 3, specs_for(model, 1e-3, flow=False))
     partial = exc.value.partial
