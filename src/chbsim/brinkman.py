@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import ModelSpec, viscosities
-from .core import FaceField, Grid
+from .core import FaceField, Grid, LastBuild, bits
 from .elliptic import (
     SolveReport,
     StencilOperator,
@@ -365,14 +365,20 @@ def _block_preconditioner(problem: BrinkmanProblem):
 
 
 def solve_brinkman(problem: BrinkmanProblem, tol: float,
-                   x0: np.ndarray | None = None) -> BrinkmanSolution:
+                   x0: np.ndarray | None = None,
+                   built: LastBuild | None = None) -> BrinkmanSolution:
     """Solve the saddle system with MINRES and `_block_preconditioner` to the
     relative tolerance tol, from the packed start x0 (zero when not given).
+    `built` holds the operator and preconditioner of an earlier solve: they
+    are reused while the grid, nu and the bits of eta and lam are the ones
+    they were built from, and rebuilt otherwise (always, without `built`).
     Requires nu > 0: without friction its velocity blocks are singular."""
     if not problem.nu > 0.0:
         raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
-    x, report = solve_minres(brinkman_operator(problem), problem.rhs, tol, x0,
-                             precond=_block_preconditioner(problem))
+    op, precond = (built or LastBuild()).get(
+        bits(problem.grid, problem.nu, problem.eta, problem.lam),
+        lambda: (brinkman_operator(problem), _block_preconditioner(problem)))
+    x, report = solve_minres(op, problem.rhs, tol, x0, precond=precond)
     return _solution(problem, x, report)
 
 
@@ -410,20 +416,28 @@ class ProjectedStart:
     Giraud, Langou & Rozloznik, 2005).  One whose remainder falls below
     _COLLAPSE of its norm lies in the stored span and is not stored.  The
     buffer is allocated once, at the first pair.
+
+    Beside the window it holds the operator and block preconditioner of its
+    last solve (a `LastBuild`), which the next solve reuses while the grid,
+    nu and the bits of eta and lam are unchanged: once per run at constant
+    viscosities, once per solve where eta follows phi.  Both end with the
+    window, that is with the run.
     """
 
     def __init__(self, size: int) -> None:
         self._r = np.zeros((size, size))
         self._qx: np.ndarray | None = None   # row i: column i of Q, then of X R^-1
         self._m = 0
+        self._built = LastBuild()
 
     def __len__(self) -> int:
         return self._m
 
     def solve(self, problem: BrinkmanProblem, tol: float) -> BrinkmanSolution:
         """`solve_brinkman` to tol from the start for problem.rhs (zero while
-        no pair is stored); a converged solution joins the window."""
-        sol = solve_brinkman(problem, tol, self.start(problem.rhs))
+        no pair is stored), with the operator and preconditioner this window
+        last built; a converged solution joins the window."""
+        sol = solve_brinkman(problem, tol, self.start(problem.rhs), self._built)
         if sol.report.converged:
             self.add(sol.x, problem.rhs)
         return sol

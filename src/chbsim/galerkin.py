@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FaceField, Grid, State, face_to_center
+from .core import FaceField, Grid, LastBuild, State, bits, face_to_center
 from .constitutive import (
     ModelSpec,
     SourceTerms,
@@ -202,18 +202,48 @@ def boundary_mass(basis: SpectralBasis) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+class RunMatrices:
+    """The parts of the stage matrices that one `integrate` call builds once.
+
+    sig_vec, the wall pairing <sigma_inf, w_j>, depends only on the basis
+    and sigma_inf and is built here.  The phase and nutrient stiffness
+    matrices sit in one `LastBuild` slot each, rebuilt only when m(phi) or
+    n(phi) differs bit for bit from the field of the last build: once per
+    run at constant mobilities.
+    """
+
+    def __init__(self, model: ModelSpec, basis: SpectralBasis) -> None:
+        g, sinf = basis.grid, model.params.sigma_inf
+        self.basis = basis
+        self.sig_vec = g.hy * (sinf.left * basis.edge_left.sum(axis=1)
+                               + sinf.right * basis.edge_right.sum(axis=1))
+        self.sig_vec += g.hx * (sinf.bottom * basis.edge_bottom.sum(axis=1)
+                                + sinf.top * basis.edge_top.sum(axis=1))
+        self._s_m, self._s_n = LastBuild(), LastBuild()
+
+    def stiffness(self, m_cell: np.ndarray,
+                  n_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The m- and n-weighted stiffness matrices, rebuilt where changed."""
+        basis = self.basis
+        return (self._s_m.get(bits(m_cell), lambda: _weighted_stiffness(m_cell, basis)),
+                self._s_n.get(bits(n_cell), lambda: _weighted_stiffness(n_cell, basis)))
+
+
 def assemble_matrices(st: Stage, v: FaceField, model: ModelSpec,
-                      basis: SpectralBasis) -> GalerkinMatrices:
+                      run: RunMatrices) -> GalerkinMatrices:
     """All projections by the shared midpoint quadrature.
 
     Nonlinearities are read from the stage's grid fields and sources; the
     convection matrix uses the face velocity averaged to the cell centers.
+    The wall pairing and the stiffness matrices come from `run`, which
+    builds them once per run and once more for each new mobility field.
     """
-    g, prm = basis.grid, model.params
+    basis = run.basis
+    g = basis.grid
     k, p = basis.k, g.nx * g.ny
     vol = g.cell_area
     src = st.src
-    m_cell, n_cell = mobilities(st.phi, model.mobvis)
+    s_m, s_n = run.stiffness(*mobilities(st.phi, model.mobvis))
 
     vals = basis.values.reshape(k, p)
     gx = basis.grad_x.reshape(k, p)
@@ -226,21 +256,15 @@ def assemble_matrices(st: Stage, v: FaceField, model: ModelSpec,
     c_mat = vol * (vals @ wind.T)
     d_mat = vol * (vals @ (vals * gam_v).T)
 
-    sinf = prm.sigma_inf
-    sig_vec = g.hy * (sinf.left * basis.edge_left.sum(axis=1)
-                      + sinf.right * basis.edge_right.sum(axis=1))
-    sig_vec += g.hx * (sinf.bottom * basis.edge_bottom.sum(axis=1)
-                       + sinf.top * basis.edge_top.sum(axis=1))
-
     return GalerkinMatrices(
-        s_m=_weighted_stiffness(m_cell, basis),
-        s_n=_weighted_stiffness(n_cell, basis),
+        s_m=s_m,
+        s_n=s_n,
         m_bnd=basis.m_bnd,
         c_mat=c_mat,
         d_mat=d_mat,
         g_vec=project(src.lambda_phi - src.theta_phi * st.mu, basis),
         f_vec=project(src.lambda_sigma - src.theta_sigma * st.mu, basis),
-        sig_vec=sig_vec,
+        sig_vec=run.sig_vec,
     )
 
 
@@ -282,7 +306,10 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
 
     Every stage re-solves the grid Brinkman system from its `Stage` record
     to FLOW_TOL, started by a `ProjectedStart` over this call's last
-    FLOW_WINDOW solved stages (nothing is kept between calls).  Aborts when
+    FLOW_WINDOW solved stages, with the operator and preconditioner that
+    window last built while eta and lam keep their bits.  The wall pairing
+    is built once and the stiffness matrices once per mobility field, in a
+    `RunMatrices`; nothing is kept between calls.  Aborts when
     ||a|| + ||c|| exceeds 1e6.  Samples the stage-1 record of every step as
     a State (with that stage's velocity and pressure), and the final state,
     without assembling its matrices.
@@ -299,6 +326,7 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     a_hist[0], c_hist[0], times[0] = a, c, t
     states: list[State] = []
     window = ProjectedStart(FLOW_WINDOW)
+    run = RunMatrices(model, basis)
     flow_iters = 0
 
     def evaluate(aa: np.ndarray, cc: np.ndarray,
@@ -329,7 +357,7 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     def derivative(aa: np.ndarray, cc: np.ndarray,
                    record: float | None) -> tuple[np.ndarray, np.ndarray]:
         st, v = evaluate(aa, cc, record)
-        return rhs(aa, st.b, cc, assemble_matrices(st, v, model, basis), model)
+        return rhs(aa, st.b, cc, assemble_matrices(st, v, model, run), model)
 
     for n in range(steps):
         k1a, k1c = derivative(a, c, t)

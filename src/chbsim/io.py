@@ -700,7 +700,13 @@ def _write_outputs(result: RunResult, cfg: RunConfig, outdir: Path) -> None:
 
 
 def run_from_config(cfg: RunConfig) -> tuple[RunResult, Path]:
-    """Full simulation with all outputs; partial outputs survive a failed step."""
+    """Full simulation with all outputs; partial outputs survive a failed step.
+
+    `cfg` gets the checks `load_config` makes, so a config built in code that
+    no file could carry raises `ConfigError` before any output exists."""
+    errors = _semantic_errors(cfg)
+    if errors:
+        raise ConfigError(errors)
     # an error in any of these leaves no output behind
     state0, text, n_steps = cfg.initial_state(), _config_text(cfg), cfg.n_steps
     specs = cfg.sim_spec()

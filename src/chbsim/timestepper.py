@@ -6,7 +6,8 @@ One step from t_n advances in three stages that share one old-level record:
         giving the velocity and pressure used by both transport equations,
         started from the best mix of the run's last FLOW_WINDOW solved
         flows for this rhs (`brinkman.ProjectedStart`), from zero while
-        none is solved yet;
+        none is solved yet, with the operator and preconditioner the window
+        last built while the viscosity fields keep their bits;
   (ii)  phase update with the stabilized linear splitting: psi'(phi_n) kept
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of
         the sources implicit.  The chemical potential is eliminated from the

@@ -785,6 +785,40 @@ def test_window_keeps_no_stalled_solve(monkeypatch):
     assert len(window) == 1
 
 
+def test_window_rebuilds_its_operator_when_a_coefficient_changes_a_bit(monkeypatch):
+    # the window keeps its own copy of the bits of eta and lam: an eta
+    # changed in place and a lam of -0.0 in place of 0.0 are new fields, an
+    # equal copy is not; every solve has the bits of a fresh build's
+    built = []
+    for name in ("brinkman_operator", "_block_preconditioner"):
+        original = getattr(brinkman, name)
+        monkeypatch.setattr(brinkman, name, lambda prob, _f=original, _n=name:
+                            built.append(_n) or _f(prob))
+    grid = make_grid(1.0, 1.5, 9, 7)
+    force, gamma_v = random_data(grid, 3)
+    eta, lam = disc_problem(grid, 10.0, 2.0, 0.0).eta, np.zeros(grid.shape)
+    window = brinkman.ProjectedStart(4)
+
+    def builds(eta_now, lam_now, nu=2.0):
+        """Operator and preconditioner builds of one window solve."""
+        prob = BrinkmanProblem(grid, eta_now, lam_now, nu, force, gamma_v)
+        x0, before = window.start(prob.rhs), len(built)
+        sol = window.solve(prob, TOL)
+        made = built[before:]
+        assert made in ([], ["brinkman_operator", "_block_preconditioner"])
+        fresh = solve_brinkman(prob, TOL, x0)
+        assert sol.report == fresh.report and sol.x.tobytes() == fresh.x.tobytes()
+        return len(made) // 2
+
+    assert builds(eta, lam) == 1
+    assert builds(eta.copy(), lam.copy()) == 0
+    eta[4, 3] *= 1.0 + 2.0 ** -52
+    assert builds(eta, lam) == 1
+    assert builds(eta, np.full(grid.shape, -0.0)) == 1
+    assert builds(eta, -lam) == 0
+    assert builds(eta, -lam, nu=3.0) == 1
+
+
 # ---------------------------------------------------------------------------
 # capillary force
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Spectral route: basis quality, assembled matrices, RK4 integration."""
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chbsim import brinkman, constitutive, galerkin
+from chbsim import brinkman, constitutive, core, galerkin
 from chbsim.constitutive import (
     CoefficientSpec,
     EdgeValues,
@@ -26,6 +27,7 @@ from chbsim.galerkin import (
     FLOW_TOL,
     FLOW_WINDOW,
     GalerkinResult,
+    RunMatrices,
     SpectralBlowup,
     SpectralState,
     assemble_matrices,
@@ -128,7 +130,8 @@ def test_stiffness_with_constant_mobility_is_diagonal():
     model = build_model()
     basis = build_basis(8, model.grid)
     st = stage(np.zeros(8), np.zeros(8), basis, model)
-    mats = assemble_matrices(st, FaceField.zeros(model.grid), model, basis)
+    mats = assemble_matrices(st, FaceField.zeros(model.grid), model,
+                             RunMatrices(model, basis))
     np.testing.assert_allclose(mats.s_m, 1e-2 * np.diag(basis.eigenvalues),
                                atol=1e-9)
     np.testing.assert_allclose(mats.s_n, 0.05 * np.diag(basis.eigenvalues),
@@ -152,7 +155,7 @@ def test_convection_matrix_against_trig_quadrature():
     cvel = 0.37
     v = FaceField(np.full((g.nx + 1, g.ny), cvel), np.zeros((g.nx, g.ny + 1)))
     st = stage(np.zeros(5), np.zeros(5), basis, model)
-    mats = assemble_matrices(st, v, model, basis)
+    mats = assemble_matrices(st, v, model, RunMatrices(model, basis))
 
     xs = (np.arange(g.nx) + 0.5) * g.hx
     ys = (np.arange(g.ny) + 0.5) * g.hy
@@ -183,7 +186,7 @@ def test_rhs_assembles_the_coefficient_odes():
     psi = 0.1 * np.sin(np.pi * xs)[:, None] * np.sin(np.pi * xs)[None, :]
     v = FaceField((psi[:, 1:] - psi[:, :-1]) / model.grid.hy,
                   -(psi[1:, :] - psi[:-1, :]) / model.grid.hx)
-    mats = assemble_matrices(st, v, model, basis)
+    mats = assemble_matrices(st, v, model, RunMatrices(model, basis))
     da, dc = rhs(a, b, c, mats, model)
     prm = model.params
     conv = mats.c_mat + mats.d_mat
@@ -199,7 +202,8 @@ def test_zero_state_without_boundary_data_is_stationary():
     basis = build_basis(4, model.grid)
     z = np.zeros(4)
     st = stage(z, z, basis, model)
-    mats = assemble_matrices(st, FaceField.zeros(model.grid), model, basis)
+    mats = assemble_matrices(st, FaceField.zeros(model.grid), model,
+                             RunMatrices(model, basis))
     da, dc = rhs(z, st.b, z, mats, model)
     np.testing.assert_allclose(da, 0.0, atol=1e-14)
     np.testing.assert_allclose(dc, 0.0, atol=1e-14)
@@ -321,6 +325,51 @@ def test_stage_fields_and_sources_are_evaluated_once_per_stage(monkeypatch):
     assert calls["boundary_mass"] == 1
 
 
+BUILDS = [(brinkman, "brinkman_operator"), (brinkman, "_block_preconditioner"),
+          (galerkin, "_weighted_stiffness")]
+
+
+def test_a_run_builds_its_flow_operator_and_stiffness_matrices_once(monkeypatch):
+    # constant eta, lam and mobilities: one build of each per integrate call
+    # (13 flow solves, 12 of them in RK4 stages that assemble), one stiffness
+    # matrix per role, and no bit changes when every stage builds afresh (a
+    # slot that never finds its key)
+    res, _, _, calls = _flow_run(monkeypatch, BUILDS)
+    assert calls == {"brinkman_operator": 1, "_block_preconditioner": 1,
+                     "_weighted_stiffness": 2}
+    monkeypatch.setattr(core.LastBuild, "get", lambda self, key, build: build())
+    fresh, _, _, calls = _flow_run(monkeypatch, BUILDS)
+    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13,
+                     "_weighted_stiffness": 24}
+    assert res.flow_iterations == fresh.flow_iterations
+    assert res.a.tobytes() == fresh.a.tobytes() and res.c.tobytes() == fresh.c.tobytes()
+    for a, b in zip(res.states, fresh.states, strict=True):
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(
+            (a.phi, a.mu, a.sigma, a.p, a.v.u, a.v.w), (b.phi, b.mu, b.sigma, b.p, b.v.u, b.v.w)))
+
+
+def test_variable_coefficients_are_rebuilt_at_every_stage(monkeypatch):
+    # eta and m follow phi, n stays constant: the flow operator is built for
+    # each of the 13 flow solves, the phase stiffness at each of the 12 RK4
+    # stages (the closing sample assembles nothing), the nutrient stiffness
+    # once
+    model = build_model(nx=16, ny=16, eta=CoefficientSpec(1.0, 10.0))
+    model = replace(model, mobvis=replace(model.mobvis, m=CoefficientSpec(1e-2, 2e-2)))
+    calls = {name: 0 for _, name in BUILDS}
+    for origin, name in BUILDS:
+        def tallied(*args, _name=name, _original=getattr(origin, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(origin, name, tallied)
+    x, y = model.grid.cell_centers()
+    basis = build_basis(4, model.grid)
+    state0 = SpectralState(0.0, project(0.5 * np.cos(np.pi * x) * np.cos(np.pi * y), basis),
+                           project(np.ones(model.grid.shape), basis))
+    integrate(state0, 1e-4, 3, model, basis, flow=True)
+    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13,
+                     "_weighted_stiffness": 12 + 1}
+
+
 def test_sampled_states_hold_the_synthesized_recorded_coefficients():
     res, model, basis, _ = _flow_run()
     assert len(res.states) == len(res.times) == 4
@@ -368,8 +417,8 @@ def test_viscosity_contrast_converges_at_every_stage(monkeypatch):
                            project(np.ones(model.grid.shape), basis))
     reports, etas = [], []
 
-    def spy(problem, tol, x0=None):
-        sol = solve_brinkman(problem, tol, x0)
+    def spy(problem, tol, *args):
+        sol = solve_brinkman(problem, tol, *args)
         reports.append(sol.report)
         etas.append(float(np.ptp(problem.eta)))
         return sol

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chbsim import cli, elliptic, timestepper
+from chbsim import cli, elliptic, timestepper, verify
 from chbsim.core import FaceField, Grid, State, face_to_center, make_grid
 from chbsim.io import (
     _CHOICES,
@@ -236,6 +236,28 @@ def test_directory_names_a_config_file_cannot_carry_are_refused(
         run_from_config(cfg)
     assert not (tmp_path / "out").exists()
 
+
+def test_run_from_config_checks_a_config_built_in_code(tmp_path, monkeypatch):
+    # 2.5 steps: load_config refuses it, and so must a run of the same
+    # config built in code, before any output exists (it used to make 2
+    # steps and write a config.ini that load_config refuses)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="not a whole number of steps") as exc:
+        run_from_config(RunConfig(nx=8, ny=8, dt=1e-3, t_end=2.5e-3))
+    assert len(exc.value.errors) == 1
+    assert not (tmp_path / "out").exists()
+    # every scenario config passes the same check, the benchmark's
+    # hetero_io run (its radius drawn within 0.25 +- 0.001) included
+    hetero = RunConfig(
+        nx=64, ny=64, dt=1e-4, t_end=5e-4, snapshot_every=1, epsilon=0.1,
+        chi_sigma=1.0, chi_phi=0.5, nu=10.0, b=1.0, mobility=(1e-3, 5e-3),
+        nutrient_mobility=(0.05, 0.05), viscosity=(1.0, 100.0),
+        bulk_viscosity=(0.0, 0.5), source="lima", source_P=0.05, source_A=0.01,
+        source_C=0.025, c_gamma_v=0.05, phi0="tanh_disc", phi0_radius=0.2505,
+        sigma0="cosine", sigma0_value=1.0, sigma0_amplitude=0.05,
+        formats=("csv", "vtk"), directory="run")
+    for cfg in (verify.DECAY, verify.DISC, verify.COUPLED, verify.GALERKIN, hetero):
+        assert _semantic_errors(cfg) == []
 
 def test_save_load_round_trip(tmp_path):
     cfg = RunConfig(lx=2.0, nx=16, ny=8, dt=5e-4, t_end=1e-3,

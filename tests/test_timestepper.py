@@ -41,7 +41,7 @@ from chbsim.timestepper import (
     step,
     step_phase,
 )
-from chbsim import brinkman, constitutive, diagnostics, elliptic, timestepper, verify
+from chbsim import brinkman, constitutive, core, diagnostics, elliptic, io, timestepper, verify
 
 
 def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0, nu=1.0,
@@ -557,6 +557,50 @@ def test_flow_solve_starts_from_the_projected_flow(monkeypatch):
     assert all(np.array_equal(a, b) for st_a, st_b in zip(again.states, res.states)
                for a, b in zip(fields(st_a), fields(st_b)))
 
+
+# the benchmark's hetero_io run at 16^2: eta and lam follow phi, so every
+# step brings new viscosity fields
+HETERO_16 = io.RunConfig(
+    nx=16, ny=16, dt=1e-4, t_end=3e-4, epsilon=0.1, chi_sigma=1.0, chi_phi=0.5,
+    nu=10.0, b=1.0, mobility=(1e-3, 5e-3), nutrient_mobility=(0.05, 0.05),
+    viscosity=(1.0, 100.0), bulk_viscosity=(0.0, 0.5), source="lima",
+    source_P=0.05, source_A=0.01, source_C=0.025, c_gamma_v=0.05,
+    phi0="tanh_disc", phi0_radius=0.25, sigma0="cosine", sigma0_value=1.0,
+    sigma0_amplitude=0.05)
+
+
+def _counted_run(cfg, monkeypatch):
+    """`run` of cfg with one snapshot per step, and the operator and
+    preconditioner builds it made."""
+    calls = {"brinkman_operator": 0, "_block_preconditioner": 0}
+    for name in calls:
+        def tallied(prob, _name=name, _original=getattr(brinkman, name)):
+            calls[_name] += 1
+            return _original(prob)
+        monkeypatch.setattr(brinkman, name, tallied)
+    spec = dc_replace(cfg, snapshot_every=1).sim_spec()
+    return run(cfg.initial_state(), cfg.n_steps, spec), calls
+
+
+@pytest.mark.parametrize("cfg, builds", [
+    (dc_replace(verify.DISC, nx=16, ny=16, t_end=3e-4), 1),  # constant eta, lam
+    (HETERO_16, 3),                                         # one per step
+], ids=["disc", "hetero_io"])
+def test_a_run_builds_its_flow_operator_once_per_viscosity_field(
+        cfg, builds, monkeypatch):
+    # reuse changes no bit: the same run with every solve building afresh
+    # (a window that never finds its key) repeats every level and row
+    res, calls = _counted_run(cfg, monkeypatch)
+    assert calls == {"brinkman_operator": builds, "_block_preconditioner": builds}
+    monkeypatch.setattr(core.LastBuild, "get", lambda self, key, build: build())
+    fresh, calls = _counted_run(cfg, monkeypatch)
+    assert calls == {"brinkman_operator": 3, "_block_preconditioner": 3}
+    assert res.rows == fresh.rows
+    assert [r.flow for r in res.reports] == [r.flow for r in fresh.reports]
+    for a, b in zip(res.states, fresh.states, strict=True):
+        assert all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                   for f in ("phi", "mu", "sigma", "p"))
+        assert a.v.u.tobytes() == b.v.u.tobytes() and a.v.w.tobytes() == b.v.w.tobytes()
 
 def test_step_failure_carries_the_partial_record(monkeypatch):
     model = build_model()
