@@ -12,13 +12,16 @@ and div live at cell centers, the shear dxy at interior nodes; omitting the
 shear energy at wall nodes imposes the tangential traction condition weakly,
 and the normal traction (including the pressure) is the natural boundary
 condition of the Lagrangian. The first-order system is symmetric indefinite
-by construction and solved with preconditioned MINRES (nu > 0): a block-diagonal
-preconditioner with cosine-transform velocity blocks and a Cahouet-Chabard
-pressure block keeps the iteration count independent of the grid; variable
-viscosity rescales it, cell by cell, by the Jacobi diagonals. The pressure
-block is a constant plus a sine-transform correction on the few lowest modes
-where the friction term is not negligible (all of them when nu is large).
-A dense loop-assembled oracle covers small grids.
+by construction and solved with preconditioned MINRES (nu > 0) and a
+block-diagonal preconditioner whose iteration count does not grow with the
+grid. Its velocity part is, at constant viscosities, the exact inverse of
+the velocity block: a 2 x 2 solve per sine/cosine mode on the interior faces
+and a capacitance solve on the wall faces. With variable viscosity it is
+separate cosine-transform u and w blocks of a constant reference, rescaled
+cell by cell by the Jacobi diagonals. Its Cahouet-Chabard pressure part is a
+constant plus a sine-transform correction on the few lowest modes where the
+friction term is not negligible (all of them when nu is large). A dense
+loop-assembled oracle covers small grids.
 
 The matrix-free apply keeps every array at w's row stride ny + 1, so each
 x- or y-shift is a flat offset (ny + 1 or 1) and every operation runs on
@@ -109,8 +112,9 @@ def strain_rates(v: FaceField, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def divergence(v: FaceField, grid: Grid) -> np.ndarray:
-    dxx, dyy, _ = strain_rates(v, grid)
-    return dxx + dyy
+    """dxx + dyy at cells: the normal strains of `strain_rates`, without
+    its node shear."""
+    return (v.u[1:, :] - v.u[:-1, :]) / grid.hx + (v.w[:, 1:] - v.w[:, :-1]) / grid.hy
 
 
 def _node_eta(eta: np.ndarray) -> np.ndarray:
@@ -295,66 +299,253 @@ def _jacobi_diagonal(problem: BrinkmanProblem, ce=None, en=None) -> np.ndarray:
 _PRESSURE_EPS = 1e-2
 
 
-def _block_preconditioner(problem: BrinkmanProblem):
-    """Block-diagonal SPD preconditioner for nu > 0.
+def _sine_basis(n: int) -> np.ndarray:
+    """DST-I on the n + 1 nodes of an axis, in the frame of its n cell
+    modes: q[i, k] = sqrt(2 / n) sin(pi k i / n).  The wall rows i = 0, n
+    and the column k = 0 are zero, so q maps the n - 1 interior modes to
+    node values that vanish on the walls; its columns k >= 1 are
+    orthonormal."""
+    q = math.sqrt(2.0 / n) * np.sin(np.pi * np.outer(np.arange(n + 1), np.arange(n)) / n)
+    q[[0, n], :] = 0.0
+    q[:, 0] = 0.0
+    return q
 
-    Variable eta or lam: P of the reference problem with constant eta, lam =
-    their minima, rescaled as a -> s P(s a) with s = sqrt(d_ref / d) from the
-    Jacobi diagonals (cell-wise viscosity weights, as in Grinevich &
-    Olshanskii, SISC 31, 2009); SPD by construction. Its iteration counts stay
-    flat with the grid for smooth viscosity profiles, not across a sharp jump.
 
-    Constant eta and lam: velocity blocks vu (nu + (2 eta + lam) Lx + eta Ly)
-    for u, where Lx is the node Laplacian along x (DCT-I, half weight at the
-    walls) and Ly the cell Laplacian along y (DCT-II); w is the mirror image.
-    They drop the u-w coupling and treat the wall rows as interior ones.
-    Pressure block (Cahouet-Chabard): the inverse Schur surrogate
-    (nu (-Lap_D)^-1 + 2 eta + lam) / vol. Lap_D is the cell Laplacian with
-    zero wall values (DST-II on both axes): with traction walls the wall
-    faces carry p itself, so G^T diag(vu, vw)^-1 G = -vol Lap_D exactly and
-    the surrogate is exact in the friction limit.  It is applied as
-    ce / vol r, ce = 2 eta + lam, plus the DST-II correction nu / (kappa vol)
-    on the smallest rectangle of modes (mx, my) that holds every mode with
-    nu / kappa > _PRESSURE_EPS ce; nu / kappa falls along both axes, so the
-    rectangle is the first mx by my modes.  A mode outside it gets ce / vol,
-    within a factor [1 / (1 + _PRESSURE_EPS), 1] of its surrogate value, so
-    the block stays SPD; an empty rectangle leaves (ce / vol) I, and where
-    nu is large the rectangle is the whole grid.
-    """
-    g = problem.grid
-    eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
-    ce = 2.0 * eta + lam
-    kinds = ("node", "cell", "dirichlet")
-    (qxn, lxn), (qxc, lxc), (qxd, lxd) = (laplacian_basis(g.nx, k) for k in kinds)
-    (qyn, lyn), (qyc, lyc), (qyd, lyd) = (laplacian_basis(g.ny, k) for k in kinds)
-    kx, ky = 1.0 / g.hx ** 2, 1.0 / g.hy ** 2
-    vol = g.cell_area
+def _velocity_block(grid: Grid, eta: float, lam: float, nu: float):
+    """In-place apply (ru, rw, zu, zw) of the exact inverse of the velocity
+    block A_vv at constant eta, lam and nu > 0.
 
+    Interior faces (u for i = 1..nx-1, w for j = 1..ny-1): with the wall
+    faces held at zero, A_vv is the free-slip operator, since the traction
+    walls leave out the shear at the wall nodes.  In the orthonormal bases
+    u: DST-I(x) x DCT-II(y) and w: DCT-II(x) x DST-I(y) it is one 2 x 2
+    block per mode (k, l), M = vol ((nu + eta |s|^2) I + (eta + lam) s s^T)
+    with s = (2 sin(pi k / 2 nx) / hx, 2 sin(pi l / 2 ny) / hy), inverted in
+    closed form.  Both components share one nx by ny mode frame: the sine
+    bases are padded with a zero mode (k = 0 for u, l = 0 for w), and the
+    u modes with l = 0 and the w modes with k = 0 decouple because s has a
+    zero entry there.
+
+    Wall faces (u on the x-walls L and R, w on the y-walls B and T): they
+    are eliminated by their capacitance matrix S = A_BB - A_BI A_II^-1 A_IB
+    (Buzbee, Dorr, George & Golub, SINUM 8, 1971; Proskurowski & Widlund,
+    Math. Comp. 30, 1976).  A wall face couples only to the face next to it
+    (u at i = 1 or nx - 1, w at j = 1 or ny - 1), through lam to the faces
+    of its wall cell (w at i = 0 or nx - 1, u at j = 0 or ny - 1), and to
+    the wall face across a corner.  So A_IB maps the cosine mode l of L or R
+    (Cy) to column l of the mode frame and the mode k of B or T (Cx) to row
+    k, and S in those modes is built from elementwise products of the mode
+    arrays, with no transform and no probing.  The wall modes are taken as
+    (L + R, L - R) / sqrt(2) and (B + T, B - T) / sqrt(2): S commutes with
+    the two mirror reflections, so in these modes it splits into four
+    parity blocks of about (nx + ny) / 2 rows, each inverted once and kept.
+
+    An apply: one forward transform pair, the 2 x 2 mix, the wall traces of
+    the interior solve (products with two rows or columns), the solve with
+    S, the spectral correction by A_IB of the wall values, the mix again and
+    one inverse transform pair."""
+    nx, ny = grid.shape
+    hx, hy, vol = grid.hx, grid.hy, grid.cell_area
+    ce, b = 2.0 * eta + lam, eta + lam
+    cx, cy = laplacian_basis(nx, "cell")[0], laplacian_basis(ny, "cell")[0]
+    sx_b, sy_b = _sine_basis(nx), _sine_basis(ny)
+    sx = 2.0 * np.sin(0.5 * np.pi * np.arange(nx) / nx)[:, None] / hx
+    sy = 2.0 * np.sin(0.5 * np.pi * np.arange(ny) / ny)[None, :] / hy
+
+    # M^-1 per mode: [[a + b sy^2, -b sx sy], [-b sx sy, a + b sx^2]] / det,
+    # its off-diagonal held twice so that a mix multiplies contiguous arrays
+    a = nu + eta * (sx ** 2 + sy ** 2)
+    det = vol * a * (a + b * (sx ** 2 + sy ** 2))
+    m_diag = np.stack([(a + b * sy ** 2) / det, (a + b * sx ** 2) / det])
+    m_off = np.stack(2 * [-b * sx * sy / det])
+
+    def form(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """f^T M^-1 g per mode, f and g (u, w) pairs of mode arrays."""
+        return f[0] * (m_diag[0] * g[0] + m_off[0] * g[1]) \
+            + f[1] * (m_off[0] * g[0] + m_diag[1] * g[1])
+
+    # A_IB in the mode frame, for the wall modes L + R, L - R (index l):
+    # a_lr[c, wall, k] * lr_scale[c, l], and B + T, B - T (index k):
+    # bt_scale[c, k] * b_bt[c, l, wall]; c = 0 for u, 1 for w
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    c1, c2 = -ce * hy / hx, -ce * hx / hy
+    a_lr = h2 @ np.stack([c1 * sx_b[[1, nx - 1]], lam * hy * np.stack([-cx[0], cx[nx - 1]])])
+    lr_scale = np.stack([np.ones((1, ny)), sy])
+    b_bt = np.stack([lam * hx * np.stack([-cy[0], cy[ny - 1]], axis=1),
+                     c2 * sy_b[[1, ny - 1]].T]) @ h2
+    bt_scale = np.stack([sx, np.ones((nx, 1))])
+    lift_lr = [[a_lr[c, p][:, None] * lr_scale[c] for c in range(2)] for p in range(2)]
+    lift_bt = [[bt_scale[c] * b_bt[c, :, r] for c in range(2)] for r in range(2)]
+
+    # S in the wall modes, ordered as the apply holds them: L + R, L - R
+    # (ny each), then B + T and B - T interleaved (an nx by 2 array).  A_BB
+    # is diagonal but for the two wall faces at each corner, coupled by
+    # +lam (L-B, R-T) or -lam (L-T, R-B): lam y_corner x_corner in the modes.
+    # L + R and B + T are odd under x -> -x and y -> -y, L - R and B - T
+    # even; the mode l of L, R has parity (-1)^l under y -> -y, the mode k
+    # of B, T (-1)^k under x -> -x.  So L + R (L - R) meets only the odd
+    # (even) k, and B + T (B - T) only the odd (even) l: S splits into the
+    # four classes (L +- R, B +- T), whose inverses are kept as the blocks
+    # of one (4, n_c, n_c) array, zero-padded to the largest class.
+    n_lr, n_b = 2 * ny, 2 * ny + 2 * nx
+    x_corner = h2 @ np.stack([cx[0], -cx[nx - 1]])
+    y_corner = h2 @ np.stack([cy[0], -cy[ny - 1]])
+    n_c = (ny + 1) // 2 + (nx + 1) // 2
+    s_inv = np.zeros((4, n_c, n_c))
+    classes = np.full((4, n_c), n_b)     # wall-mode index of each class row
+    d_lr = [ce * hy / hx + 0.5 * nu * vol - form(f, f).sum(axis=0) for f in lift_lr]
+    d_bt = [ce * hx / hy + 0.5 * nu * vol - form(f, f).sum(axis=1) for f in lift_bt]
+    for p in range(2):
+        for r in range(2):
+            ls, ks = np.arange(1 - r, ny, 2), np.arange(1 - p, nx, 2)
+            cross = lam * np.outer(y_corner[r], x_corner[p]) - form(lift_lr[p], lift_bt[r]).T
+            block = np.diag(np.concatenate([d_lr[p][ls], d_bt[r][ks]]))
+            block[:len(ls), len(ls):] = cross[np.ix_(ls, ks)]
+            block[len(ls):, :len(ls)] = block[:len(ls), len(ls):].T
+            inv, size = np.linalg.inv(block), len(block)
+            s_inv[2 * p + r, :size, :size] = 0.5 * (inv + inv.T)
+            classes[2 * p + r, :size] = np.concatenate([p * ny + ls, n_lr + 2 * ks + r])
+
+    # A_IB of the wall values z: lift_cols[c] @ lift_rows[c] in the mode
+    # frame, with z_lr * lr_scale in rows 0, 1 of lift_rows and z_bt *
+    # bt_scale in columns 2, 3 of lift_cols, written by each apply
+    lift_cols, lift_rows = np.empty((2, nx, 4)), np.empty((2, 4, ny))
+    lift_cols[:, :, :2] = a_lr.transpose(0, 2, 1)
+    lift_rows[:, 2:] = b_bt.transpose(0, 2, 1)
+
+    sxt, cxt, cyt, syt = (np.ascontiguousarray(q.T) for q in (sx_b, cx, cy, sy_b))
+    rh, yh, tmp = (np.empty((2, nx, ny)) for _ in range(3))
+    # the transforms' intermediates share tmp, which the mixes use only
+    # between the forward and the inverse pair
+    t_u, t_w, s_u = tmp[0], tmp.reshape(-1)[:nx * (ny + 1)].reshape(nx, ny + 1), \
+        tmp.reshape(-1)[:(nx + 1) * ny].reshape(nx + 1, ny)
+    pt, qt = np.empty((2, 2, ny)), np.empty((2, nx, 2))
+    # the wall vectors, with one more slot: zero in g, where the padding
+    # rows of the classes read, and dead in zb, where they write
+    trace, g, zb = np.empty(n_b), np.zeros(n_b + 1), np.empty(n_b + 1)
+    g_c, z_c = np.empty((4, n_c, 1)), np.empty((4, n_c, 1))
+    t_lr, t_bt = trace[:n_lr].reshape(2, ny), trace[n_lr:].reshape(nx, 2)
+    g_lr, g_bt = g[:n_lr].reshape(2, ny), g[n_lr:n_b].reshape(nx, 2)
+    z_lr, z_bt = zb[:n_lr].reshape(2, ny), zb[n_lr:n_b].reshape(nx, 2)
+    w_lr, w_bt, v_lr, v_bt = np.empty((2, ny)), np.empty((nx, 2)), np.empty((2, ny)), \
+        np.empty((nx, 2))
+
+    def mix(src: np.ndarray, dst: np.ndarray) -> None:
+        np.multiply(m_diag, src, out=dst)
+        dst += np.multiply(m_off, src[::-1], out=tmp)
+
+    def apply(ru, rw, zu, zw) -> None:
+        np.dot(np.dot(sxt, ru, out=t_u), cy, out=rh[0])
+        np.dot(np.dot(cxt, rw, out=t_w), sy_b, out=rh[1])
+        mix(rh, yh)
+        np.multiply(np.matmul(a_lr, yh, out=pt), lr_scale, out=pt)
+        np.add(pt[0], pt[1], out=t_lr)
+        np.multiply(np.matmul(yh, b_bt, out=qt), bt_scale, out=qt)
+        np.add(qt[0], qt[1], out=t_bt)
+        np.dot(h2, np.dot(ru[::nx], cy, out=v_lr), out=g_lr)
+        np.dot(np.dot(cxt, rw[:, ::ny], out=v_bt), h2, out=g_bt)
+        np.subtract(g[:n_b], trace, out=g[:n_b])
+        zb[classes] = np.matmul(s_inv, np.take(g, classes[..., None], out=g_c), out=z_c)[..., 0]
+        np.multiply(z_bt, bt_scale, out=lift_cols[:, :, 2:])
+        np.multiply(z_lr, lr_scale, out=lift_rows[:, :2])
+        np.subtract(rh, np.matmul(lift_cols, lift_rows, out=tmp), out=rh)
+        mix(rh, yh)
+        np.dot(np.dot(sx_b, yh[0], out=s_u), cyt, out=zu)
+        np.dot(np.dot(cx, yh[1], out=t_u), syt, out=zw)
+        zu[::nx] = np.dot(h2, np.dot(z_lr, cyt, out=v_lr), out=w_lr)
+        zw[:, ::ny] = np.dot(np.dot(cx, z_bt, out=v_bt), h2, out=w_bt)
+    return apply
+
+
+def _scalar_velocity_blocks(grid: Grid, eta: float, lam: float, nu: float):
+    """In-place apply (ru, rw, zu, zw) of separate u and w blocks: vu (nu +
+    (2 eta + lam) Lx + eta Ly)^-1 for u, where Lx is the node Laplacian
+    along x (DCT-I, half weight at the walls) and Ly the cell Laplacian
+    along y (DCT-II), and its mirror image for w.  They drop the u-w
+    coupling and treat the wall rows as interior ones; the rescaled block
+    of variable viscosities uses them as its constant reference."""
+    (qxn, lxn), (qxc, lxc) = (laplacian_basis(grid.nx, k) for k in ("node", "cell"))
+    (qyn, lyn), (qyc, lyc) = (laplacian_basis(grid.ny, k) for k in ("node", "cell"))
+    kx, ky = 1.0 / grid.hx ** 2, 1.0 / grid.hy ** 2
+    vol, ce = grid.cell_area, 2.0 * eta + lam
     inv_u = separable_inverse(qxn, qyc, 1.0 / (vol * (
         nu + ce * kx * lxn[:, None] + eta * ky * lyc[None, :])))
     inv_w = separable_inverse(qxc, qyn, 1.0 / (vol * (
         nu + eta * kx * lxc[:, None] + ce * ky * lyn[None, :])))
+
+    def apply(ru, rw, zu, zw) -> None:
+        inv_u(ru, out=zu)
+        inv_w(rw, out=zw)
+    return apply
+
+
+def _pressure_block(grid: Grid, eta: float, lam: float, nu: float):
+    """In-place apply (rp, zp) of the Cahouet-Chabard pressure block: the
+    inverse Schur surrogate (nu (-Lap_D)^-1 + 2 eta + lam) / vol. Lap_D is
+    the cell Laplacian with zero wall values (DST-II on both axes): with
+    traction walls the wall faces carry p itself, so G^T diag(vu, vw)^-1 G
+    = -vol Lap_D exactly and the surrogate is exact in the friction limit.
+    It is applied as ce / vol r, ce = 2 eta + lam, plus the DST-II
+    correction nu / (kappa vol) on the smallest rectangle of modes (mx, my)
+    that holds every mode with nu / kappa > _PRESSURE_EPS ce; nu / kappa
+    falls along both axes, so the rectangle is the first mx by my modes.  A
+    mode outside it gets ce / vol, within a factor [1 / (1 + _PRESSURE_EPS),
+    1] of its surrogate value, so the block stays SPD; an empty rectangle
+    leaves (ce / vol) I, and where nu is large the rectangle is the whole
+    grid."""
+    (qxd, lxd), (qyd, lyd) = (laplacian_basis(n, "dirichlet") for n in grid.shape)
+    kx, ky = 1.0 / grid.hx ** 2, 1.0 / grid.hy ** 2
+    ce = 2.0 * eta + lam
     low = nu / (kx * lxd[:, None] + ky * lyd[None, :])
     kept = low > _PRESSURE_EPS * ce
     mx, my = int(np.count_nonzero(kept[:, 0])), int(np.count_nonzero(kept[0, :]))
     inv_low = separable_inverse(qxd[:, :mx], qyd[:, :my],
-                                low[:mx, :my] / vol) if mx else None
-    cp = ce / vol
-    corr = np.empty(g.shape)
+                                low[:mx, :my] / grid.cell_area) if mx else None
+    cp = ce / grid.cell_area
+    corr = np.empty(grid.shape)
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.size)
-        (ru, rw, rp), (zu, zw, zp) = _unpack(x, g), _unpack(out, g)
-        inv_u(ru, out=zu)
-        inv_w(rw, out=zw)
+    def apply(rp, zp) -> None:
         np.multiply(rp, cp, out=zp)
         if inv_low is not None:
             zp += inv_low(rp, out=corr)
-        return out
+    return apply
 
+
+def _compose(grid: Grid, velocity, pressure):
+    """The block-diagonal apply x -> (velocity(ru, rw), pressure(rp)),
+    packed into a new array."""
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size)
+        (ru, rw, rp), (zu, zw, zp) = _unpack(x, grid), _unpack(out, grid)
+        velocity(ru, rw, zu, zw)
+        pressure(rp, zp)
+        return out
+    return apply
+
+
+def _block_preconditioner(problem: BrinkmanProblem):
+    """Block-diagonal SPD preconditioner for nu > 0: a velocity part and the
+    pressure part `_pressure_block`, composed by `_compose`.
+
+    Constant eta and lam: the velocity part is `_velocity_block`, the exact
+    inverse of the velocity block A_vv, u-w coupling and wall faces
+    included.
+
+    Variable eta or lam: the composition of `_scalar_velocity_blocks` and
+    `_pressure_block` for the reference problem with constant eta, lam =
+    their minima, rescaled as a -> s P(s a) with s = sqrt(d_ref / d) from
+    the Jacobi diagonals (cell-wise viscosity weights, as in Grinevich &
+    Olshanskii, SISC 31, 2009); SPD by construction. Its iteration counts
+    stay flat with the grid for smooth viscosity profiles, not across a
+    sharp jump.
+    """
+    g = problem.grid
+    eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
+    pressure = _pressure_block(g, eta, lam, nu)
     if float(np.max(problem.eta)) == eta and float(np.max(problem.lam)) == lam:
-        return apply
-    s = np.sqrt(_jacobi_diagonal(problem, ce, eta) / _jacobi_diagonal(problem))
+        return _compose(g, _velocity_block(g, eta, lam, nu), pressure)
+    apply = _compose(g, _scalar_velocity_blocks(g, eta, lam, nu), pressure)
+    s = np.sqrt(_jacobi_diagonal(problem, 2.0 * eta + lam, eta) / _jacobi_diagonal(problem))
     sa = np.empty(s.size)
 
     def rescaled(a: np.ndarray) -> np.ndarray:

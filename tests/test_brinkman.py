@@ -1,11 +1,13 @@
 """Brinkman saddle solver against the loop-assembled dense oracle."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chbsim import brinkman, elliptic
+from chbsim import brinkman, diagnostics, elliptic, io, verify
 from chbsim.constitutive import ModelParams, nutrient_energy
 from chbsim.core import FaceField, make_grid
 from chbsim.elliptic import (
@@ -102,6 +104,13 @@ def test_strain_rates_of_linear_shear():
     np.testing.assert_allclose(dyy, 0.0, atol=1e-14)
     np.testing.assert_allclose(dxy, 0.5, atol=1e-13)
     np.testing.assert_allclose(divergence(v, grid), 0.0, atol=1e-14)
+
+
+def test_divergence_is_the_sum_of_the_normal_strains_bit_for_bit():
+    grid = make_grid(1.0, 1.5, 9, 7)
+    force, _ = random_data(grid, 21)   # any face field
+    dxx, dyy, _ = strain_rates(force, grid)
+    assert np.array_equal(divergence(force, grid), dxx + dyy)
 
 
 @st.composite
@@ -337,6 +346,45 @@ def test_constant_force_drives_uniform_darcy_flow():
     assert sol.divergence_residual < 1e-10
 
 
+def manufactured_flow(grid, eta, lam, nu, k):
+    """(problem, u, w, p) of the manufactured flow at constant eta and lam:
+    u = sin(pi x) cos(pi y), w = cos(pi x) sin(pi y) and
+    p = (2 eta + 2 lam) pi cos(pi x) cos(pi y) + k sin(pi x) sin(pi y), on
+    the unit square.  The shear strain and the normal traction vanish on
+    every wall, gamma_v = div v = 2 pi cos(pi x) cos(pi y), and the force is
+    f_u = (2 eta pi^2 + nu) sin(pi x) cos(pi y) + k pi cos(pi x) sin(pi y),
+    f_w its mirror image."""
+    pi = np.pi
+    xc, yc = grid.cell_centers()
+    xu, yu = np.arange(grid.nx + 1)[:, None] * grid.hx, yc[:1, :]
+    xw, yw = xc[:, :1], np.arange(grid.ny + 1)[None, :] * grid.hy
+    u = np.sin(pi * xu) * np.cos(pi * yu)
+    w = np.cos(pi * xw) * np.sin(pi * yw)
+    p = (2.0 * eta + 2.0 * lam) * pi * np.cos(pi * xc) * np.cos(pi * yc) \
+        + k * np.sin(pi * xc) * np.sin(pi * yc)
+    force = FaceField((2.0 * eta * pi ** 2 + nu) * u + k * pi * np.cos(pi * xu) * np.sin(pi * yu),
+                      (2.0 * eta * pi ** 2 + nu) * w + k * pi * np.sin(pi * xw) * np.cos(pi * yw))
+    gamma_v = 2.0 * pi * np.cos(pi * xc) * np.cos(pi * yc)
+    return problem(grid, nu=nu, eta=eta, lam=lam, force=force, gamma_v=gamma_v), u, w, p
+
+
+@pytest.mark.parametrize("eta, lam, nu, k", [(1.0, 0.0, 1.0, 0.0), (1.0, 0.5, 10.0, 3.0)])
+def test_manufactured_flow_converges_at_second_order(eta, lam, nu, k):
+    # solve_brinkman above the dense oracle's 12^2: L2 errors of u, w (face
+    # volumes) and p (cells) halve twice per halving of h
+    errors = []
+    for n in (16, 32, 64):
+        prob, u, w, p = manufactured_flow(make_grid(1.0, 1.0, n, n), eta, lam, nu, k)
+        sol = solve_brinkman(prob, 1e-12)
+        assert sol.report.converged, sol.report
+        errors.append([np.sqrt(np.sum((sol.v.u - u) ** 2 * prob.vu)),
+                       np.sqrt(np.sum((sol.v.w - w) ** 2 * prob.vw)),
+                       np.sqrt(np.sum((sol.p - p) ** 2) * prob.grid.cell_area)])
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    lo, hi = verify.SPACE_ORDER
+    assert np.all((orders > lo) & (orders < hi)), orders
+
+
 def test_krylov_solution_matches_dense_oracle():
     grid = make_grid(1.0, 1.0, 8, 8)
     x, y = grid.cell_centers()
@@ -443,6 +491,92 @@ def test_block_preconditioner_is_symmetric_positive_definite(nx, ny, lx, ly, nu,
                                             (n,), symmetric=True))
     assert np.max(np.abs(mat - mat.T)) <= 1e-14 * np.max(np.abs(mat))
     assert np.min(np.linalg.eigvalsh(mat)) > 0.0
+
+
+def velocity_rows(prob, mat):
+    """The velocity block of a packed dense matrix of prob's unknowns."""
+    nv = prob.vu.size + prob.vw.size
+    return mat[:nv, :nv]
+
+
+def assert_inverts_the_velocity_block(prob):
+    # at constant viscosities the velocity part is A_vv^-1 itself and the
+    # pressure part does not touch the velocities: |P A - I| is round-off,
+    # of order eps cond(A) for a backward-stable inverse
+    n = prob.rhs.size
+    pre = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
+                                            (n,), symmetric=True))
+    a = velocity_rows(prob, loop_assemble_dense(prob)[0])
+    nv = len(a)
+    assert not np.any(pre[:nv, nv:]) and not np.any(pre[nv:, :nv])
+    residual = np.max(np.abs(velocity_rows(prob, pre) @ a - np.eye(nv)))
+    assert residual <= 64 * np.finfo(float).eps * np.linalg.cond(a), residual
+
+
+@pytest.mark.parametrize("nx, ny", [(8, 6), (7, 9)])
+@pytest.mark.parametrize("lam", [0.0, 0.4])
+@pytest.mark.parametrize("nu", [1e-2, 1.0, 1e3])
+def test_velocity_block_inverts_the_constant_coefficient_velocity_block(nx, ny, lam, nu):
+    # hx = 1/8 or 1/7 against hy = 1/4 or 1/6; odd sides put a face on
+    # each mirror line
+    assert_inverts_the_velocity_block(
+        problem(make_grid(1.0, 1.5, nx, ny), nu=nu, eta=0.8, lam=lam))
+
+
+@settings(max_examples=10, deadline=None)
+@given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, log_nu=st.floats(-2.0, 3.0),
+       eta=st.floats(0.1, 10.0), lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+def test_velocity_block_inverts_drawn_velocity_blocks(nx, ny, lx, ly, log_nu, eta, lam):
+    assert_inverts_the_velocity_block(
+        problem(make_grid(lx, ly, nx, ny), nu=10.0 ** log_nu, eta=eta, lam=lam))
+
+
+# the benchmark's hetero_io config: eta and lam follow phi
+HETERO_IO = io.RunConfig(
+    nx=64, ny=64, dt=1e-4, t_end=5e-4, epsilon=0.1, chi_sigma=1.0, chi_phi=0.5,
+    nu=10.0, b=1.0, mobility=(1e-3, 5e-3), nutrient_mobility=(0.05, 0.05),
+    viscosity=(1.0, 100.0), bulk_viscosity=(0.0, 0.5), source="lima",
+    source_P=0.05, source_A=0.01, source_C=0.025, c_gamma_v=0.05,
+    phi0="tanh_disc", phi0_radius=0.25, sigma0="cosine", sigma0_value=1.0,
+    sigma0_amplitude=0.05)
+
+
+def first_flow(cfg):
+    """The Brinkman problem of cfg's first step."""
+    model = cfg.model_spec()
+    level = diagnostics.time_level(cfg.initial_state(), model)
+    return diagnostics.old_level(level, model, True).flow
+
+
+@pytest.mark.parametrize("cfg", [replace(c, nx=20, ny=20)
+                                 for c in (verify.DISC, verify.COUPLED, HETERO_IO)],
+                         ids=["disc", "coupled", "hetero_io"])
+def test_exact_blocks_through_the_composition_take_three_iterations(cfg):
+    # With A_vv^-1 and the exact Schur inverse (G^T A_vv^-1 G)^-1 as the
+    # velocity and pressure parts, the preconditioned saddle matrix has the
+    # three eigenvalues 1 and (1 +- sqrt 5) / 2, so MINRES ends after 3
+    # iterations.  Left out: an off-centre disc at nu = 1e-2, where the net
+    # capillary force meets friction alone in a nearly rigid slide, A_vv is
+    # nearly singular, and rounding spreads the three eigenvalues (19
+    # iterations with both parts exact at 20^2).
+    prob = first_flow(cfg)
+    mat = loop_assemble_dense(prob)[0]
+    nv = prob.vu.size + prob.vw.size
+    a_inv = np.linalg.inv(mat[:nv, :nv])
+    g = mat[:nv, nv:]
+    s_inv = np.linalg.inv(g.T @ a_inv @ g)
+
+    def velocity(ru, rw, zu, zw):
+        z = a_inv @ np.concatenate([ru.ravel(), rw.ravel()])
+        zu[...] = z[:zu.size].reshape(zu.shape)
+        zw[...] = z[zu.size:].reshape(zw.shape)
+
+    def pressure(rp, zp):
+        zp[...] = (s_inv @ rp.ravel()).reshape(zp.shape)
+
+    _, rep = solve_minres(brinkman_operator(prob), prob.rhs, TOL,
+                          precond=brinkman._compose(prob.grid, velocity, pressure))
+    assert rep.converged and rep.iterations <= 3, rep
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])
