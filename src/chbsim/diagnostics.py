@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    EdgeValues,
     FaceField,
     Grid,
     State,
@@ -46,7 +47,7 @@ from .elliptic import (
 )
 from .brinkman import (BrinkmanProblem, brinkman_problem, energy_parts, face_volumes,
                        strain_rates)
-from .galerkin import build_basis
+from .galerkin import build_basis, wall_pairing
 
 
 def _grad_sq(f: np.ndarray, grid: Grid) -> float:
@@ -490,10 +491,9 @@ def weak_residuals(states: Sequence[State], model: ModelSpec,
                             + s.phi * src.gamma_v - src.gamma_phi,
                             m_cell * gmx, m_cell * gmy)
         tr = extrapolate_to_walls(s.sigma, g)
-        robin = p.b * ((basis.edge_left @ (sinf.left - tr.left)
-                        + basis.edge_right @ (sinf.right - tr.right)) * g.hy
-                       + (basis.edge_bottom @ (sinf.bottom - tr.bottom)
-                          + basis.edge_top @ (sinf.top - tr.top)) * g.hx)
+        robin = p.b * wall_pairing(EdgeValues(
+            sinf.left - tr.left, sinf.right - tr.right,
+            sinf.bottom - tr.bottom, sinf.top - tr.top), basis)
         r_sigma[k - 1] = pair((s.sigma - older.sigma) / h + vx * gsx + vy * gsy
                               + s.sigma * src.gamma_v + src.gamma_sigma,
                               n_cell * (p.chi_sigma * gsx - p.chi_phi * gpx),

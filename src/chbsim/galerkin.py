@@ -7,25 +7,28 @@ which is marched with classical RK4.  Velocity and pressure are NOT spectral:
 every stage re-solves the staggered Brinkman system on the grid, started from
 the best mix of the flows of the last FLOW_WINDOW solved stages (a
 `ProjectedStart`).  A stage synthesizes its fields and evaluates psi' and the
-sources once, into a `Stage` record that the flow solve, the assembly and the
-sampled States all read.
+sources once, into a `Stage` record that the flow solve, the projections and
+the sampled States all read.
 
-Midpoint quadrature at the cell centers is exact for products of admissible
-modes (combined index below twice the cell count per direction), so the Gram
-matrix is the identity and the stiffness matrix is exactly diag(lambda_m) up
-to rounding.  We enforce at least 8 cells per shortest wavelength, which
-keeps all assembled quadratures in that exact regime with margin.
+A stage's coefficient derivatives are the quadrature pairings of its fluxes
+and sources with the modes and their gradients (`assemble_matrices`); no
+k x k matrix is formed.  Midpoint quadrature at the cell centers is exact
+for products of admissible modes (combined index below twice the cell count
+per direction), so the Gram matrix is the identity and the stiffness
+pairing is exactly diag(lambda_m) up to rounding.  We enforce at least 8
+cells per shortest wavelength, which keeps all these quadratures in that
+exact regime with margin.
 
 Nonlinear terms (psi', mobilities, sources, convection products) are
 evaluated by collocation on the same grid and projected back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FaceField, Grid, LastBuild, State, bits, face_to_center
+from .core import EdgeValues, FaceField, Grid, State, face_to_center
 from .constitutive import (
     ModelSpec,
     SourceTerms,
@@ -61,10 +64,6 @@ class SpectralBasis:
     edge_right: np.ndarray            # (k, ny)
     edge_bottom: np.ndarray           # (k, nx)
     edge_top: np.ndarray              # (k, nx)
-    m_bnd: np.ndarray = field(init=False)  # (k, k) boundary mass, built once
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m_bnd", boundary_mass(self))
 
 
 def build_basis(k: int, grid: Grid) -> SpectralBasis:
@@ -132,7 +131,7 @@ def project(field: np.ndarray, basis: SpectralBasis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# State, matrices, right-hand side
+# State, stages, right-hand side
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -155,6 +154,8 @@ def chemical_coeffs(a: np.ndarray, c: np.ndarray, phi: np.ndarray,
 class Stage:
     """One RK4 stage at coefficients (a, c), evaluated once."""
 
+    a: np.ndarray          # phase and nutrient coefficients
+    c: np.ndarray
     b: np.ndarray          # chemical-potential coefficients
     phi: np.ndarray        # the synthesized a, b and c
     mu: np.ndarray
@@ -168,114 +169,54 @@ def stage(a: np.ndarray, c: np.ndarray, basis: SpectralBasis,
     phi, sigma = synthesize(a, basis), synthesize(c, basis)
     b = chemical_coeffs(a, c, phi, basis, model)
     mu = synthesize(b, basis)
-    return Stage(b, phi, mu, sigma, sources(phi, sigma, mu, model.source, model.params))
+    return Stage(a, c, b, phi, mu, sigma, sources(phi, sigma, mu, model.source, model.params))
 
 
-@dataclass
-class GalerkinMatrices:
-    s_m: np.ndarray      # phase-mobility-weighted stiffness
-    s_n: np.ndarray      # nutrient-mobility-weighted stiffness
-    m_bnd: np.ndarray    # boundary mass matrix
-    c_mat: np.ndarray    # convection, (C)_{ji} = <(grad w_i . v), w_j>
-    d_mat: np.ndarray    # volume-source mass, (D)_{ji} = <Gamma_v w_i, w_j>
-    g_vec: np.ndarray    # <Gamma_phi, w_j>
-    f_vec: np.ndarray    # <Gamma_sigma, w_j>
-    sig_vec: np.ndarray  # boundary data, <sigma_inf, w_j>_{boundary}
-
-
-def _weighted_stiffness(weight: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+def wall_pairing(values: EdgeValues, basis: SpectralBasis) -> np.ndarray:
+    """<values, w_j> over the boundary by the midpoint rule of each wall,
+    for values given per wall cell."""
     g = basis.grid
-    p = g.nx * g.ny
-    gx = basis.grad_x.reshape(basis.k, p)
-    gy = basis.grad_y.reshape(basis.k, p)
-    w = weight.reshape(p) * g.cell_area
-    mat = (gx * w) @ gx.T + (gy * w) @ gy.T
-    return 0.5 * (mat + mat.T)
-
-
-def boundary_mass(basis: SpectralBasis) -> np.ndarray:
-    g = basis.grid
-    mat = (basis.edge_left @ basis.edge_left.T
-           + basis.edge_right @ basis.edge_right.T) * g.hy
-    mat += (basis.edge_bottom @ basis.edge_bottom.T
-            + basis.edge_top @ basis.edge_top.T) * g.hx
-    return 0.5 * (mat + mat.T)
-
-
-class RunMatrices:
-    """The parts of the stage matrices that one `integrate` call builds once.
-
-    sig_vec, the wall pairing <sigma_inf, w_j>, depends only on the basis
-    and sigma_inf and is built here.  The phase and nutrient stiffness
-    matrices sit in one `LastBuild` slot each, rebuilt only when m(phi) or
-    n(phi) differs bit for bit from the field of the last build: once per
-    run at constant mobilities.
-    """
-
-    def __init__(self, model: ModelSpec, basis: SpectralBasis) -> None:
-        g, sinf = basis.grid, model.params.sigma_inf
-        self.basis = basis
-        self.sig_vec = g.hy * (sinf.left * basis.edge_left.sum(axis=1)
-                               + sinf.right * basis.edge_right.sum(axis=1))
-        self.sig_vec += g.hx * (sinf.bottom * basis.edge_bottom.sum(axis=1)
-                                + sinf.top * basis.edge_top.sum(axis=1))
-        self._s_m, self._s_n = LastBuild(), LastBuild()
-
-    def stiffness(self, m_cell: np.ndarray,
-                  n_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The m- and n-weighted stiffness matrices, rebuilt where changed."""
-        basis = self.basis
-        return (self._s_m.get(bits(m_cell), lambda: _weighted_stiffness(m_cell, basis)),
-                self._s_n.get(bits(n_cell), lambda: _weighted_stiffness(n_cell, basis)))
+    return ((basis.edge_left @ values.left + basis.edge_right @ values.right) * g.hy
+            + (basis.edge_bottom @ values.bottom + basis.edge_top @ values.top) * g.hx)
 
 
 def assemble_matrices(st: Stage, v: FaceField, model: ModelSpec,
-                      run: RunMatrices) -> GalerkinMatrices:
-    """All projections by the shared midpoint quadrature.
+                      basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient derivatives (da/dt, dc/dt) of the stage under the flow v.
 
-    Nonlinearities are read from the stage's grid fields and sources; the
-    convection matrix uses the face velocity averaged to the cell centers.
-    The wall pairing and the stiffness matrices come from `run`, which
-    builds them once per run and once more for each new mobility field.
+    The name is kept from when this built the stage matrices: the bench's
+    `galerkin.assemble_ms` span looks it up.  Every term is one pairing with
+    the basis by the shared midpoint quadrature.  The gradients of phi,
+    sigma, mu and chi_phi phi - chi_sigma sigma are the analytic ones of the
+    modes; the nonlinearities are read from the stage's grid fields and
+    sources, and v is the face velocity averaged to the cell centers:
+
+        da_j = <Gamma_phi - v . grad phi - phi Gamma_v, w_j> - <m grad mu, grad w_j>
+        dc_j = -<Gamma_sigma + v . grad sigma + sigma Gamma_v, w_j>
+               + <n grad(chi_phi phi - chi_sigma sigma), grad w_j>
+               + b <sigma_inf - sigma, w_j>_boundary
+
+    with sigma on the walls the exact trace of the modes.
     """
-    basis = run.basis
-    g = basis.grid
+    g, prm, src = basis.grid, model.params, st.src
     k, p = basis.k, g.nx * g.ny
-    vol = g.cell_area
-    src = st.src
-    s_m, s_n = run.stiffness(*mobilities(st.phi, model.mobvis))
-
     vals = basis.values.reshape(k, p)
     gx = basis.grad_x.reshape(k, p)
     gy = basis.grad_y.reshape(k, p)
+    coeffs = np.stack([st.a, st.c, st.b, prm.chi_phi * st.a - prm.chi_sigma * st.c])
+    dx, dy = coeffs @ gx, coeffs @ gy        # rows: phi, sigma, mu, chemotaxis
+    m_cell, n_cell = (f.reshape(p) for f in mobilities(st.phi, model.mobvis))
     vx, vy = (comp.reshape(p) for comp in face_to_center(v))
-    gam_v = src.gamma_v.reshape(p)
-
-    wind = gx * vx                   # grad w_i . v, one (k, p) temporary
-    wind += gy * vy
-    c_mat = vol * (vals @ wind.T)
-    d_mat = vol * (vals @ (vals * gam_v).T)
-
-    return GalerkinMatrices(
-        s_m=s_m,
-        s_n=s_n,
-        m_bnd=basis.m_bnd,
-        c_mat=c_mat,
-        d_mat=d_mat,
-        g_vec=project(src.lambda_phi - src.theta_phi * st.mu, basis),
-        f_vec=project(src.lambda_sigma - src.theta_sigma * st.mu, basis),
-        sig_vec=run.sig_vec,
-    )
-
-
-def rhs(a: np.ndarray, b: np.ndarray, c: np.ndarray, mats: GalerkinMatrices,
-        model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient derivatives (da/dt, dc/dt) from assembled matrices."""
-    prm = model.params
-    conv = mats.c_mat + mats.d_mat
-    da = -(mats.s_m @ b) + mats.g_vec - conv @ a
-    dc = (mats.s_n @ (prm.chi_phi * a - prm.chi_sigma * c) - mats.f_vec
-          - conv @ c + prm.b * (mats.sig_vec - mats.m_bnd @ c))
+    cell = (np.stack([src.gamma_phi, -src.gamma_sigma]).reshape(2, p)
+            - (vx * dx[:2] + vy * dy[:2])
+            - np.stack([st.phi, st.sigma]).reshape(2, p) * src.gamma_v.reshape(p))
+    flux_x = np.stack([-m_cell * dx[2], n_cell * dx[3]])
+    flux_y = np.stack([-m_cell * dy[2], n_cell * dy[3]])
+    da, dc = (cell @ vals.T + flux_x @ gx.T + flux_y @ gy.T) * g.cell_area
+    sinf = prm.sigma_inf
+    dc += prm.b * wall_pairing(EdgeValues(
+        sinf.left - st.c @ basis.edge_left, sinf.right - st.c @ basis.edge_right,
+        sinf.bottom - st.c @ basis.edge_bottom, sinf.top - st.c @ basis.edge_top), basis)
     return da, dc
 
 
@@ -307,12 +248,10 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     Every stage re-solves the grid Brinkman system from its `Stage` record
     to FLOW_TOL, started by a `ProjectedStart` over this call's last
     FLOW_WINDOW solved stages, with the operator and preconditioner that
-    window last built while eta and lam keep their bits.  The wall pairing
-    is built once and the stiffness matrices once per mobility field, in a
-    `RunMatrices`; nothing is kept between calls.  Aborts when
-    ||a|| + ||c|| exceeds 1e6.  Samples the stage-1 record of every step as
-    a State (with that stage's velocity and pressure), and the final state,
-    without assembling its matrices.
+    window last built while eta and lam keep their bits; nothing is kept
+    between calls.  Aborts when ||a|| + ||c|| exceeds 1e6.  Samples the
+    stage-1 record of every step as a State (with that stage's velocity and
+    pressure), and the final state, without taking its derivatives.
     """
     if dt <= 0.0 or steps < 0:
         raise ValueError("need dt > 0 and steps >= 0")
@@ -326,7 +265,6 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     a_hist[0], c_hist[0], times[0] = a, c, t
     states: list[State] = []
     window = ProjectedStart(FLOW_WINDOW)
-    run = RunMatrices(model, basis)
     flow_iters = 0
 
     def evaluate(aa: np.ndarray, cc: np.ndarray,
@@ -356,8 +294,7 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
 
     def derivative(aa: np.ndarray, cc: np.ndarray,
                    record: float | None) -> tuple[np.ndarray, np.ndarray]:
-        st, v = evaluate(aa, cc, record)
-        return rhs(aa, st.b, cc, assemble_matrices(st, v, model, run), model)
+        return assemble_matrices(*evaluate(aa, cc, record), model, basis)
 
     for n in range(steps):
         k1a, k1c = derivative(a, c, t)

@@ -516,13 +516,18 @@ def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, dict]:
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or not text[0].startswith("# chbsim-snapshot"):
         raise ValueError(f"{path}: not a snapshot file")
-    version = int(text[0].split()[-1])
-    time = float(text[1].split("=", 1)[1])
-    gl, gly, gnx, gny = text[2].split("=", 1)[1].split()
-    fields = tuple(text[3].split("=", 1)[1].split())
-    header = SnapshotHeader(time=time, lx=float(gl), ly=float(gly),
-                            nx=int(gnx), ny=int(gny), fields=fields,
-                            version=version)
+    try:
+        time = float(text[1].split("=", 1)[1])
+        gl, gly, gnx, gny = text[2].split("=", 1)[1].split()
+        header = SnapshotHeader(time=time, lx=float(gl), ly=float(gly),
+                                nx=int(gnx), ny=int(gny),
+                                fields=tuple(text[3].split("=", 1)[1].split()),
+                                version=int(text[0].split()[-1]))
+        if min(header.nx, header.ny) < 1:
+            raise ValueError(f"a {header.nx}x{header.ny} grid")
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed snapshot header ({exc})") from None
+    fields = header.fields
     arrays = {name: np.empty((header.nx, header.ny)) for name in fields}
     seen = np.zeros((header.nx, header.ny), dtype=bool)
     for line in text[5:]:

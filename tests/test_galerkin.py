@@ -1,4 +1,4 @@
-"""Spectral route: basis quality, assembled matrices, RK4 integration."""
+"""Spectral route: basis quality, projected derivatives, RK4 integration."""
 import sys
 from dataclasses import replace
 
@@ -27,18 +27,17 @@ from chbsim.galerkin import (
     FLOW_TOL,
     FLOW_WINDOW,
     GalerkinResult,
-    RunMatrices,
     SpectralBlowup,
     SpectralState,
+    Stage,
     assemble_matrices,
-    boundary_mass,
     build_basis,
     chemical_coeffs,
     integrate,
     project,
-    rhs,
     stage,
     synthesize,
+    wall_pairing,
 )
 
 
@@ -123,39 +122,49 @@ def test_synthesize_returns_the_mode_sums():
 
 
 # ---------------------------------------------------------------------------
-# assembled matrices
+# projected derivatives
 # ---------------------------------------------------------------------------
 
 def test_stiffness_with_constant_mobility_is_diagonal():
-    model = build_model()
+    # a hand-built stage with a = b = e_j, no sources and no flow: only the
+    # stiffness pairings act, da = -m lambda_j e_j, dc = n chi_phi lambda_j e_j
+    model = build_model(b=0.0)
     basis = build_basis(8, model.grid)
-    st = stage(np.zeros(8), np.zeros(8), basis, model)
-    mats = assemble_matrices(st, FaceField.zeros(model.grid), model,
-                             RunMatrices(model, basis))
-    np.testing.assert_allclose(mats.s_m, 1e-2 * np.diag(basis.eigenvalues),
-                               atol=1e-9)
-    np.testing.assert_allclose(mats.s_n, 0.05 * np.diag(basis.eigenvalues),
-                               atol=1e-9)
-    np.testing.assert_allclose(mats.d_mat, 0.0, atol=1e-14)  # no volume source
+    z = np.zeros(8)
+    for j in range(8):
+        e = np.eye(8)[j]
+        phi = synthesize(e, basis)
+        src = constitutive.sources(phi, 0.0 * phi, phi, model.source, model.params)
+        st = Stage(a=e, c=z, b=e, phi=phi, mu=phi, sigma=0.0 * phi, src=src)
+        da, dc = assemble_matrices(st, FaceField.zeros(model.grid), model, basis)
+        lam = basis.eigenvalues[j]
+        np.testing.assert_allclose(da, -1e-2 * lam * e, atol=1e-9)
+        np.testing.assert_allclose(dc, 0.05 * model.params.chi_phi * lam * e, atol=1e-9)
 
 
 def test_boundary_mass_of_the_constant_mode():
     grid = make_grid(1.0, 1.0, 16, 16)
     basis = build_basis(1, grid)
-    m = boundary_mass(basis)
-    assert m[0, 0] == pytest.approx(grid.perimeter / grid.area)
+    traces = EdgeValues(basis.edge_left[0], basis.edge_right[0],
+                        basis.edge_bottom[0], basis.edge_top[0])
+    assert wall_pairing(traces, basis)[0] == pytest.approx(grid.perimeter / grid.area)
 
 
 def test_convection_matrix_against_trig_quadrature():
     # constant rightward wind; the oracle re-evaluates every mode with its
-    # analytic gradient from scratch and sums the quadrature by explicit loops
+    # analytic gradient from scratch and sums the quadrature by explicit loops.
+    # Column s of the convection matrix is what the wind takes off da at the
+    # stage a = e_s
     model = build_model(nx=16, ny=16)
     g = model.grid
     basis = build_basis(5, g)
     cvel = 0.37
     v = FaceField(np.full((g.nx + 1, g.ny), cvel), np.zeros((g.nx, g.ny + 1)))
-    st = stage(np.zeros(5), np.zeros(5), basis, model)
-    mats = assemble_matrices(st, v, model, RunMatrices(model, basis))
+    c_mat = np.empty((5, 5))
+    for s_ in range(5):
+        st = stage(np.eye(5)[s_], np.zeros(5), basis, model)
+        c_mat[:, s_] = -(assemble_matrices(st, v, model, basis)[0]
+                         - assemble_matrices(st, FaceField.zeros(g), model, basis)[0])
 
     xs = (np.arange(g.nx) + 0.5) * g.hx
     ys = (np.arange(g.ny) + 0.5) * g.hy
@@ -172,39 +181,68 @@ def test_convection_matrix_against_trig_quadrature():
                         * np.cos(j2 * np.pi * ys[iy])
                     acc += w_r * cvel * dwx
             expect[r, s_] = acc * g.cell_area
-    np.testing.assert_allclose(mats.c_mat, expect, atol=1e-10)
+    np.testing.assert_allclose(c_mat, expect, atol=1e-10)
 
 
 def test_rhs_assembles_the_coefficient_odes():
-    model = build_model(source=SourceSpec.lima(P=0.3, A=0.1, C=0.2, c_gamma_v=0.1))
-    basis = build_basis(6, model.grid)
+    # the reference assembles the k x k Galerkin matrices and applies them:
+    # da = -S_m b + G - (C + D) a and
+    # dc = S_n (chi_phi a - chi_sigma c) - F - (C + D) c + b (Sig - M c),
+    # with phase and nutrient mobilities that follow phi, a volume source
+    # and a Robin exchange with a different sigma_inf on every wall, on a
+    # domain whose cells are not square
+    model = build_model(nx=32, ny=24, Ly=1.5, b=1.5,
+                        source=SourceSpec.lima(P=0.3, A=0.1, C=0.2, c_gamma_v=0.1))
+    model = replace(
+        model,
+        params=replace(model.params, sigma_inf=EdgeValues(1.0, 0.8, 1.2, 0.9)),
+        mobvis=replace(model.mobvis, m=CoefficientSpec(1e-2, 3e-2),
+                       n=CoefficientSpec(0.05, 0.08)))
+    g, prm = model.grid, model.params
+    k = 6
+    basis = build_basis(k, g)
     rng = np.random.default_rng(9)
-    a, c = 0.3 * rng.standard_normal(6), 0.3 * rng.standard_normal(6)
+    a, c = 0.3 * rng.standard_normal(k), 0.3 * rng.standard_normal(k)
     st = stage(a, c, basis, model)
-    b = st.b
-    xs = np.linspace(0.0, 1.0, model.grid.nx + 1)
-    psi = 0.1 * np.sin(np.pi * xs)[:, None] * np.sin(np.pi * xs)[None, :]
-    v = FaceField((psi[:, 1:] - psi[:, :-1]) / model.grid.hy,
-                  -(psi[1:, :] - psi[:-1, :]) / model.grid.hx)
-    mats = assemble_matrices(st, v, model, RunMatrices(model, basis))
-    da, dc = rhs(a, b, c, mats, model)
-    prm = model.params
-    conv = mats.c_mat + mats.d_mat
-    np.testing.assert_allclose(da, -mats.s_m @ b + mats.g_vec - conv @ a,
-                               atol=1e-13)
-    np.testing.assert_allclose(
-        dc, mats.s_n @ (prm.chi_phi * a - prm.chi_sigma * c) - mats.f_vec
-        - conv @ c + prm.b * (mats.sig_vec - mats.m_bnd @ c), atol=1e-13)
+    xs, ys = np.linspace(0.0, 1.0, g.nx + 1), np.linspace(0.0, 1.5, g.ny + 1)
+    psi = 0.1 * np.sin(np.pi * xs)[:, None] * np.sin(np.pi * ys / 1.5)[None, :]
+    v = FaceField((psi[:, 1:] - psi[:, :-1]) / g.hy,
+                  -(psi[1:, :] - psi[:-1, :]) / g.hx)
+    da, dc = assemble_matrices(st, v, model, basis)
+
+    vol = g.cell_area
+    vals, gx, gy = (f.reshape(k, -1) for f in (basis.values, basis.grad_x, basis.grad_y))
+    m_cell, n_cell = (f.ravel() for f in constitutive.mobilities(st.phi, model.mobvis))
+    assert np.ptp(m_cell) > 0.0 and np.ptp(n_cell) > 0.0
+    s_m = vol * ((gx * m_cell) @ gx.T + (gy * m_cell) @ gy.T)
+    s_n = vol * ((gx * n_cell) @ gx.T + (gy * n_cell) @ gy.T)
+    vx, vy = (f.ravel() for f in core.face_to_center(v))
+    gam_v = st.src.gamma_v.ravel()
+    assert np.ptp(gam_v) > 0.0
+    conv = vol * (vals @ (gx * vx + gy * vy).T + vals @ (vals * gam_v).T)
+    g_vec = project(st.src.lambda_phi - st.src.theta_phi * st.mu, basis)
+    f_vec = project(st.src.lambda_sigma - st.src.theta_sigma * st.mu, basis)
+    edges = ((basis.edge_left, basis.edge_right, g.hy),
+             (basis.edge_bottom, basis.edge_top, g.hx))
+    m_bnd = sum(h * (lo @ lo.T + hi @ hi.T) for lo, hi, h in edges)
+    sinf = prm.sigma_inf
+    sig_vec = (g.hy * (sinf.left * basis.edge_left.sum(axis=1)
+                       + sinf.right * basis.edge_right.sum(axis=1))
+               + g.hx * (sinf.bottom * basis.edge_bottom.sum(axis=1)
+                         + sinf.top * basis.edge_top.sum(axis=1)))
+    da_ref = -(s_m @ st.b) + g_vec - conv @ a
+    dc_ref = (s_n @ (prm.chi_phi * a - prm.chi_sigma * c) - f_vec - conv @ c
+              + prm.b * (sig_vec - m_bnd @ c))
+    for got, want in ((da, da_ref), (dc, dc_ref)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_zero_state_without_boundary_data_is_stationary():
     model = build_model(b=0.0)
     basis = build_basis(4, model.grid)
     z = np.zeros(4)
-    st = stage(z, z, basis, model)
-    mats = assemble_matrices(st, FaceField.zeros(model.grid), model,
-                             RunMatrices(model, basis))
-    da, dc = rhs(z, st.b, z, mats, model)
+    da, dc = assemble_matrices(stage(z, z, basis, model), FaceField.zeros(model.grid),
+                               model, basis)
     np.testing.assert_allclose(da, 0.0, atol=1e-14)
     np.testing.assert_allclose(dc, 0.0, atol=1e-14)
 
@@ -312,35 +350,32 @@ def _flow_run(monkeypatch=None, counted=()):
 
 
 def test_stage_fields_and_sources_are_evaluated_once_per_stage(monkeypatch):
-    # the flow solve, the assembly and the samples share one stage record:
-    # 3 steps of 4 stages plus the closing sample are 13 stages, and the
-    # boundary mass is built once, with the basis
+    # the flow solve, the projections and the samples share one stage
+    # record: 3 steps of 4 stages plus the closing sample are 13 stages, and
+    # the mobilities are evaluated once in each of the 12 RK4 stages (the
+    # closing sample takes no derivatives)
     _, _, _, calls = _flow_run(monkeypatch, [
         (constitutive, "sources"), (constitutive, "potential_eval"),
-        (galerkin, "synthesize"), (galerkin, "boundary_mass")])
+        (constitutive, "mobilities"), (galerkin, "synthesize")])
     stages = 4 * 3 + 1
     assert calls["sources"] == stages
     assert calls["potential_eval"] == stages
+    assert calls["mobilities"] == stages - 1
     assert calls["synthesize"] <= 3 * stages
-    assert calls["boundary_mass"] == 1
 
 
-BUILDS = [(brinkman, "brinkman_operator"), (brinkman, "_block_preconditioner"),
-          (galerkin, "_weighted_stiffness")]
+BUILDS = [(brinkman, "brinkman_operator"), (brinkman, "_block_preconditioner")]
 
 
-def test_a_run_builds_its_flow_operator_and_stiffness_matrices_once(monkeypatch):
-    # constant eta, lam and mobilities: one build of each per integrate call
-    # (13 flow solves, 12 of them in RK4 stages that assemble), one stiffness
-    # matrix per role, and no bit changes when every stage builds afresh (a
-    # slot that never finds its key)
+def test_a_run_builds_its_flow_operator_once(monkeypatch):
+    # constant eta and lam: one build of each per integrate call (13 flow
+    # solves), and no bit changes when every stage builds afresh (a slot
+    # that never finds its key)
     res, _, _, calls = _flow_run(monkeypatch, BUILDS)
-    assert calls == {"brinkman_operator": 1, "_block_preconditioner": 1,
-                     "_weighted_stiffness": 2}
+    assert calls == {"brinkman_operator": 1, "_block_preconditioner": 1}
     monkeypatch.setattr(core.LastBuild, "get", lambda self, key, build: build())
     fresh, _, _, calls = _flow_run(monkeypatch, BUILDS)
-    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13,
-                     "_weighted_stiffness": 24}
+    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13}
     assert res.flow_iterations == fresh.flow_iterations
     assert res.a.tobytes() == fresh.a.tobytes() and res.c.tobytes() == fresh.c.tobytes()
     for a, b in zip(res.states, fresh.states, strict=True):
@@ -349,10 +384,8 @@ def test_a_run_builds_its_flow_operator_and_stiffness_matrices_once(monkeypatch)
 
 
 def test_variable_coefficients_are_rebuilt_at_every_stage(monkeypatch):
-    # eta and m follow phi, n stays constant: the flow operator is built for
-    # each of the 13 flow solves, the phase stiffness at each of the 12 RK4
-    # stages (the closing sample assembles nothing), the nutrient stiffness
-    # once
+    # eta and m follow phi: the flow operator is built for each of the 13
+    # flow solves
     model = build_model(nx=16, ny=16, eta=CoefficientSpec(1.0, 10.0))
     model = replace(model, mobvis=replace(model.mobvis, m=CoefficientSpec(1e-2, 2e-2)))
     calls = {name: 0 for _, name in BUILDS}
@@ -366,8 +399,7 @@ def test_variable_coefficients_are_rebuilt_at_every_stage(monkeypatch):
     state0 = SpectralState(0.0, project(0.5 * np.cos(np.pi * x) * np.cos(np.pi * y), basis),
                            project(np.ones(model.grid.shape), basis))
     integrate(state0, 1e-4, 3, model, basis, flow=True)
-    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13,
-                     "_weighted_stiffness": 12 + 1}
+    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13}
 
 
 def test_sampled_states_hold_the_synthesized_recorded_coefficients():

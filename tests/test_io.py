@@ -469,6 +469,27 @@ def test_snapshot_reader_rejects_a_truncated_file(tmp_path):
         read_snapshot(path)
 
 
+HEADER = ["# chbsim-snapshot 1", "# t = 0.5", "# grid = 1.0 1.0 4 4", "# fields = phi"]
+
+
+@pytest.mark.parametrize("header", [
+    HEADER[:1],                                  # stops after the version line
+    HEADER[:2],                                  # ... after the time
+    HEADER[:3],                                  # ... after the grid
+    [HEADER[0], HEADER[1], "# grid 1.0 1.0 4 4", HEADER[3]],  # a line without "="
+    [HEADER[0], "# t = soon", *HEADER[2:]],      # a value that is no number
+    [*HEADER[:2], "# grid = 1.0 1.0 4", HEADER[3]],           # three grid entries
+    [*HEADER[:2], "# grid = 1.0 1.0 -1 4", HEADER[3]],        # no cells
+    ["# chbsim-snapshot one", *HEADER[1:]],      # a version that is no number
+])
+def test_snapshot_reader_rejects_a_malformed_header(tmp_path, header):
+    # each used to escape as an IndexError or a ValueError without the path
+    path = tmp_path / "snap.csv"
+    path.write_text("\n".join(header) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed snapshot header")):
+        read_snapshot(path)
+
+
 @pytest.mark.parametrize("index, match", [("-1", "outside the 4x4 grid"),
                                           ("4", "outside the 4x4 grid"),
                                           ("0", "appears twice")])
