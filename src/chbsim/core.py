@@ -19,8 +19,8 @@ import numpy as np
 class Grid:
     Lx: float  # domain size in x, > 0
     Ly: float  # domain size in y, > 0
-    nx: int    # cells in x, >= 2
-    ny: int    # cells in y, >= 2
+    nx: int    # cells in x, >= 4 (make_grid)
+    ny: int    # cells in y, >= 4 (make_grid)
 
     @property
     def hx(self) -> float:

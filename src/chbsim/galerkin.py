@@ -86,37 +86,25 @@ def build_basis(k: int, grid: Grid) -> SpectralBasis:
     pairs = [(np.pi ** 2 * ((i / g.Lx) ** 2 + (j / g.Ly) ** 2), i, j)
              for i in range(imax + 1) for j in range(jmax + 1)]
     pairs.sort()
-    chosen = pairs[:k]
+    lams, i, j = (np.array(col) for col in zip(*pairs[:k]))
 
-    xs = (np.arange(g.nx) + 0.5) * g.hx
-    ys = (np.arange(g.ny) + 0.5) * g.hy
-    x2, y2 = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.empty((k, g.nx, g.ny))
-    gx = np.empty((k, g.nx, g.ny))
-    gy = np.empty((k, g.nx, g.ny))
-    e_l = np.empty((k, g.ny))
-    e_r = np.empty((k, g.ny))
-    e_b = np.empty((k, g.nx))
-    e_t = np.empty((k, g.nx))
-    lams = np.empty(k)
-    modes = []
-    for m, (lam, i, j) in enumerate(chosen):
-        kx, ky = i * np.pi / g.Lx, j * np.pi / g.Ly
-        kap = np.sqrt((2.0 if i else 1.0) * (2.0 if j else 1.0) / (g.Lx * g.Ly))
-        cx, cy = np.cos(kx * x2), np.cos(ky * y2)
-        vals[m] = kap * cx * cy
-        gx[m] = -kap * kx * np.sin(kx * x2) * cy
-        gy[m] = -kap * ky * cx * np.sin(ky * y2)
-        e_l[m] = kap * np.cos(ky * ys)                      # x = 0
-        e_r[m] = kap * np.cos(kx * g.Lx) * np.cos(ky * ys)  # x = Lx
-        e_b[m] = kap * np.cos(kx * xs)                      # y = 0
-        e_t[m] = kap * np.cos(kx * xs) * np.cos(ky * g.Ly)  # y = Ly
-        lams[m] = lam
-        modes.append((i, j))
-    return SpectralBasis(grid=g, k=k, modes=tuple(modes), eigenvalues=lams,
-                         values=vals, grad_x=gx, grad_y=gy,
-                         edge_left=e_l, edge_right=e_r,
-                         edge_bottom=e_b, edge_top=e_t)
+    # per axis, one row per wavenumber: cos and sin at the cell centers and
+    # cos at the far wall; a mode is the product of an x row and a y row
+    wx, wy = np.arange(imax + 1) * np.pi / g.Lx, np.arange(jmax + 1) * np.pi / g.Ly
+    xs, ys = (np.arange(g.nx) + 0.5) * g.hx, (np.arange(g.ny) + 0.5) * g.hy
+    cos_x, sin_x, far_x = np.cos(np.outer(wx, xs)), np.sin(np.outer(wx, xs)), np.cos(wx * g.Lx)
+    cos_y, sin_y, far_y = np.cos(np.outer(wy, ys)), np.sin(np.outer(wy, ys)), np.cos(wy * g.Ly)
+    kap = np.sqrt(np.where(i, 2.0, 1.0) * np.where(j, 2.0, 1.0) / (g.Lx * g.Ly))
+    cx, cy = kap[:, None] * cos_x[i], cos_y[j]
+    return SpectralBasis(
+        grid=g, k=k, modes=tuple(zip(i.tolist(), j.tolist())), eigenvalues=lams,
+        values=cx[:, :, None] * cy[:, None, :],
+        grad_x=((-kap * wx[i])[:, None] * sin_x[i])[:, :, None] * cy[:, None, :],
+        grad_y=((-kap * wy[j])[:, None] * cos_x[i])[:, :, None] * sin_y[j][:, None, :],
+        edge_left=kap[:, None] * cy,                     # x = 0
+        edge_right=(kap * far_x[i])[:, None] * cy,       # x = Lx
+        edge_bottom=cx,                                  # y = 0
+        edge_top=cx * far_y[j][:, None])                 # y = Ly
 
 
 def synthesize(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:

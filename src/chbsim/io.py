@@ -170,6 +170,8 @@ class RunConfig:
         return int(round(self.t_end / self.dt))
 
     def initial_fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """phi0 and sigma0 at the cell centers; a non-finite value, which the
+        parser cannot see, is a ConfigError."""
         g = self.grid()
         x, y = g.cell_centers()
 
@@ -180,28 +182,27 @@ class RunConfig:
                         * np.cos(j * np.pi * y / g.Ly))
             return out
 
-        if self.phi0 == "uniform":
-            phi = np.full(g.shape, self.phi0_value)
-        elif self.phi0 == "tanh_disc":
-            cx, cy = self.phi0_center
-            dist = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
-            phi = np.tanh((self.phi0_radius - dist)
-                          / (np.sqrt(2.0) * self.epsilon))
-        else:  # cosine_perturbation
-            phi = self.phi0_value + self.phi0_amplitude * mix(self.phi0_modes)
+        with np.errstate(over="ignore", invalid="ignore"):   # reported below
+            if self.phi0 == "uniform":
+                phi = np.full(g.shape, self.phi0_value)
+            elif self.phi0 == "tanh_disc":
+                cx, cy = self.phi0_center
+                dist = np.sqrt((x - cx) ** 2 + (y - cy) ** 2)
+                phi = np.tanh((self.phi0_radius - dist)
+                              / (np.sqrt(2.0) * self.epsilon))
+            else:  # cosine_perturbation
+                phi = self.phi0_value + self.phi0_amplitude * mix(self.phi0_modes)
 
-        if self.sigma0 == "uniform":
-            sigma = np.full(g.shape, self.sigma0_value)
-        else:  # cosine
-            sigma = self.sigma0_value + self.sigma0_amplitude * mix(self.sigma0_modes)
+            if self.sigma0 == "uniform":
+                sigma = np.full(g.shape, self.sigma0_value)
+            else:  # cosine
+                sigma = self.sigma0_value + self.sigma0_amplitude * mix(self.sigma0_modes)
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(sigma))):
+            raise ConfigError(["initial fields contain non-finite values"])
         return phi, sigma
 
     def initial_state(self) -> State:
-        with np.errstate(over="ignore", invalid="ignore"):   # reported below
-            phi, sigma = self.initial_fields()
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(sigma))):
-            raise ConfigError(["initial fields contain non-finite values"])
-        return initial_state(phi, sigma, self.model_spec())
+        return initial_state(*self.initial_fields(), self.model_spec())
 
 
 # ---------------------------------------------------------------------------
@@ -512,40 +513,55 @@ def _csv_chunks(header: SnapshotHeader, text: dict, grid: Grid):
 
 
 def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, dict]:
-    """Read a CSV snapshot back; values reproduce the written fields bit-exactly."""
+    """Read a CSV snapshot back; values reproduce the written fields bit-exactly.
+
+    The version must be SNAPSHOT_VERSION, lines 2 to 4 the t, grid and fields
+    entries, and line 5 the columns "i,j,x,y," and the fields; any other file
+    is refused with one ValueError that names it."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or not text[0].startswith("# chbsim-snapshot"):
         raise ValueError(f"{path}: not a snapshot file")
     try:
-        time = float(text[1].split("=", 1)[1])
-        gl, gly, gnx, gny = text[2].split("=", 1)[1].split()
-        header = SnapshotHeader(time=time, lx=float(gl), ly=float(gly),
-                                nx=int(gnx), ny=int(gny),
-                                fields=tuple(text[3].split("=", 1)[1].split()),
-                                version=int(text[0].split()[-1]))
+        version = int(text[0].removeprefix("# chbsim-snapshot"))
+        if version != SNAPSHOT_VERSION:
+            raise ValueError(f"version {version}, not {SNAPSHOT_VERSION}")
+        entries = [line.split(" = ", 1) for line in text[1:4]]
+        if [entry[0] for entry in entries] != ["# t", "# grid", "# fields"]:
+            raise ValueError("lines 2 to 4 are not the t, grid and fields entries")
+        time, grid, fields = (entry[1] for entry in entries)
+        gl, gly, gnx, gny = grid.split()
+        header = SnapshotHeader(time=float(time), lx=float(gl), ly=float(gly),
+                                nx=int(gnx), ny=int(gny), fields=tuple(fields.split()),
+                                version=version)
         if min(header.nx, header.ny) < 1:
             raise ValueError(f"a {header.nx}x{header.ny} grid")
-    except (IndexError, ValueError) as exc:
+        columns = "i,j,x,y," + ",".join(header.fields)
+        if text[4:5] != [columns]:
+            raise ValueError(f"the column line is not {columns}")
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed snapshot header ({exc})") from None
     fields = header.fields
     arrays = {name: np.empty((header.nx, header.ny)) for name in fields}
     seen = np.zeros((header.nx, header.ny), dtype=bool)
-    for line in text[5:]:
+    for number, line in enumerate(text[5:], start=6):
         if not line.strip():
             continue
         toks = line.split(",")
-        i, j = int(toks[0]), int(toks[1])
-        if not (0 <= i < header.nx and 0 <= j < header.ny):
-            raise ValueError(f"{path}: cell ({i}, {j}) lies outside the "
-                             f"{header.nx}x{header.ny} grid")
-        if seen[i, j]:
-            raise ValueError(f"{path}: cell ({i}, {j}) appears twice")
-        if len(toks) != 4 + len(fields):
-            raise ValueError(f"{path}: cell ({i}, {j}) has {len(toks) - 4} "
-                             f"values for {len(fields)} fields")
-        seen[i, j] = True
-        for name, tok in zip(fields, toks[4:]):
-            arrays[name][i, j] = float(tok)
+        try:
+            i, j = map(int, toks[:2])
+            if not (0 <= i < header.nx and 0 <= j < header.ny):
+                raise ValueError(f"cell ({i}, {j}) lies outside the "
+                                 f"{header.nx}x{header.ny} grid")
+            if seen[i, j]:
+                raise ValueError(f"cell ({i}, {j}) appears twice")
+            if len(toks) != 4 + len(fields):
+                raise ValueError(f"cell ({i}, {j}) has {len(toks) - 4} "
+                                 f"values for {len(fields)} fields")
+            seen[i, j] = True
+            for name, tok in zip(fields, toks[4:]):
+                arrays[name][i, j] = float(tok)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
     if not seen.all():
         raise ValueError(f"{path}: {int(np.count_nonzero(~seen))} of "
                          f"{seen.size} cells missing")
@@ -586,16 +602,19 @@ def write_timeseries(rows: list[dict], path: str | Path) -> None:
 
 
 def read_timeseries(path: str | Path) -> list[dict]:
-    """The rows of a `write_timeseries` file; other columns or a short row
-    are refused."""
+    """The rows of a `write_timeseries` file; other columns, a short row or a
+    cell that is no value of its column's type are refused."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or text[0].split(",") != list(COLUMNS):
         raise ValueError(f"{path}: the columns are not {list(COLUMNS)}")
     rows = [line.split(",") for line in text[1:] if line.strip()]
     if any(len(cells) != len(COLUMNS) for cells in rows):
         raise ValueError(f"{path}: a row does not hold {len(COLUMNS)} cells")
-    return [{name: kind(cell) for (name, kind), cell in zip(COLUMNS.items(), cells)}
-            for cells in rows]
+    try:
+        return [{name: kind(cell) for (name, kind), cell in zip(COLUMNS.items(), cells)}
+                for cells in rows]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

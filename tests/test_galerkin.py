@@ -85,6 +85,50 @@ def test_basis_guard_rejects_underresolved_modes():
         build_basis(0, grid)
 
 
+def per_mode_basis(k, g):
+    """The basis evaluated one mode at a time on the full grid: the oracle
+    `build_basis`'s per-axis tables must reproduce bit for bit."""
+    imax, jmax = g.nx // 4, g.ny // 4
+    pairs = sorted((np.pi ** 2 * ((i / g.Lx) ** 2 + (j / g.Ly) ** 2), i, j)
+                   for i in range(imax + 1) for j in range(jmax + 1))[:k]
+    xs = (np.arange(g.nx) + 0.5) * g.hx
+    ys = (np.arange(g.ny) + 0.5) * g.hy
+    x2, y2 = np.meshgrid(xs, ys, indexing="ij")
+    arrays = {name: [] for name in ("values", "grad_x", "grad_y", "edge_left",
+                                    "edge_right", "edge_bottom", "edge_top")}
+    for lam, i, j in pairs:
+        kx, ky = i * np.pi / g.Lx, j * np.pi / g.Ly
+        kap = np.sqrt((2.0 if i else 1.0) * (2.0 if j else 1.0) / (g.Lx * g.Ly))
+        cx, cy = np.cos(kx * x2), np.cos(ky * y2)
+        arrays["values"].append(kap * cx * cy)
+        arrays["grad_x"].append(-kap * kx * np.sin(kx * x2) * cy)
+        arrays["grad_y"].append(-kap * ky * cx * np.sin(ky * y2))
+        arrays["edge_left"].append(kap * np.cos(ky * ys))
+        arrays["edge_right"].append(kap * np.cos(kx * g.Lx) * np.cos(ky * ys))
+        arrays["edge_bottom"].append(kap * np.cos(kx * xs))
+        arrays["edge_top"].append(kap * np.cos(kx * xs) * np.cos(ky * g.Ly))
+    arrays = {name: np.array(rows) for name, rows in arrays.items()}
+    arrays["eigenvalues"] = np.array([lam for lam, _, _ in pairs])
+    return tuple((i, j) for _, i, j in pairs), arrays
+
+
+@pytest.mark.parametrize("Lx, Ly, nx, ny", [
+    (1.0, 1.0, 8, 8), (1.0, 1.0, 32, 32), (2.0, 1.0, 32, 16),
+    (1.0, 3.0, 12, 20), (0.7, 4.3, 37, 9), (2.5, 0.3, 20, 44),
+])
+def test_basis_matches_the_per_mode_evaluation_bit_for_bit(Lx, Ly, nx, ny):
+    g = make_grid(Lx, Ly, nx, ny)
+    for k in range(1, (nx // 4 + 1) * (ny // 4 + 1) + 1):
+        basis = build_basis(k, g)
+        modes, arrays = per_mode_basis(k, g)
+        assert basis.modes == modes
+        for name, want in arrays.items():
+            got = getattr(basis, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, name)
+        for name in ("values", "grad_x", "grad_y"):
+            assert getattr(basis, name).flags.c_contiguous, (k, name)
+
+
 def test_project_constant_field():
     grid = make_grid(2.0, 1.0, 32, 16)
     basis = build_basis(3, grid)

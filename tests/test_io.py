@@ -214,9 +214,11 @@ def test_non_finite_initial_fields_are_rejected_before_any_output(
     with pytest.raises(ConfigError, match="non-finite"):
         run_from_config(cfg)
     assert not (tmp_path / "out").exists()
-    assert cli.main(["run", str(tmp_path / "run.ini")]) == 1
-    assert capsys.readouterr().err == ("chbsim: invalid configuration:\n"
-                                       "  initial fields contain non-finite values\n")
+    for argv in (["run", str(tmp_path / "run.ini")],
+                 ["galerkin", str(tmp_path / "run.ini"), "--k", "1,4"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == ("chbsim: invalid configuration:\n"
+                                           "  initial fields contain non-finite values\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -481,6 +483,9 @@ HEADER = ["# chbsim-snapshot 1", "# t = 0.5", "# grid = 1.0 1.0 4 4", "# fields 
     [*HEADER[:2], "# grid = 1.0 1.0 4", HEADER[3]],           # three grid entries
     [*HEADER[:2], "# grid = 1.0 1.0 -1 4", HEADER[3]],        # no cells
     ["# chbsim-snapshot one", *HEADER[1:]],      # a version that is no number
+    ["# chbsim-snapshot 2", *HEADER[1:]],        # a version this reader does not read
+    [HEADER[0], "# energy = 3.0", *HEADER[2:]],  # another key where t belongs
+    [*HEADER, "not,a,header"],                   # a column line other than the fields'
 ])
 def test_snapshot_reader_rejects_a_malformed_header(tmp_path, header):
     # each used to escape as an IndexError or a ValueError without the path
@@ -492,14 +497,25 @@ def test_snapshot_reader_rejects_a_malformed_header(tmp_path, header):
 
 @pytest.mark.parametrize("index, match", [("-1", "outside the 4x4 grid"),
                                           ("4", "outside the 4x4 grid"),
-                                          ("0", "appears twice")])
+                                          ("0", "appears twice"),
+                                          ("a", "invalid literal for int")])
 def test_snapshot_reader_rejects_bad_cell_indices(tmp_path, index, match):
     # the last row, cell (3, 3), relabelled: -1 used to overwrite row 3
-    # in place, 0 overwrote cell (0, 3) and left (3, 3) unread
+    # in place, 0 overwrote cell (0, 3) and left (3, 3) unread, and a
+    # raised a ValueError without the path
     path, lines = small_snapshot_lines(tmp_path)
     last = ",".join([index] + lines[-1].split(",")[1:])
     path.write_text("\n".join(lines[:-1] + [last]) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {len(lines)}: ") + ".*" + match):
+        read_snapshot(path)
+
+
+def test_snapshot_reader_names_the_file_of_a_value_that_is_no_number(tmp_path):
+    path, lines = small_snapshot_lines(tmp_path)
+    last = ",".join(lines[-1].split(",")[:4] + ["abc"] + lines[-1].split(",")[5:])
+    path.write_text("\n".join(lines[:-1] + [last]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line {len(lines)}: could not convert string to float: 'abc'")):
         read_snapshot(path)
 
 
@@ -678,11 +694,13 @@ def test_flow_on_timeseries_rederives_its_budget_residual(tmp_path, monkeypatch)
     ("", "columns"),
     ("t,energy,cg_iters_total\n0.0,1.0,0\n", "columns"),
     (",".join(COLUMNS) + "\n0.0,1.0\n", "cells"),
+    pytest.param(",".join(COLUMNS) + "\n" + ",".join(["soon"] + ["0"] * (len(COLUMNS) - 1)),
+                 "could not convert string to float: 'soon'", id="a cell that is no number"),
 ])
 def test_timeseries_of_another_layout_is_rejected(tmp_path, text, match):
     path = tmp_path / "ts.csv"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + match):
         read_timeseries(path)
 
 
