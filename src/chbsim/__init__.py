@@ -37,7 +37,6 @@ from .elliptic import (
     face_gradient,
     harmonic_face_coefficients,
     solve_general,
-    solve_spd,
 )
 from .brinkman import (
     BrinkmanProblem,

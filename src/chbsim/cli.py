@@ -137,7 +137,7 @@ def _cmd_galerkin(args, parser) -> int:
     model = cfg.model_spec()
     try:
         for k in ks:
-            galerkin.build_basis(k, model.grid)
+            galerkin.check_cutoff(k, model.grid)
     except ValueError as exc:
         return _usage_error(f"--k: {exc}")
     phi0, sigma0 = cfg.initial_fields()

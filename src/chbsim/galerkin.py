@@ -66,23 +66,33 @@ class SpectralBasis:
     edge_top: np.ndarray              # (k, nx)
 
 
-def build_basis(k: int, grid: Grid) -> SpectralBasis:
-    """Enumerate modes by eigenvalue and evaluate them on the grid.
+def check_cutoff(k: int, grid: Grid) -> tuple[int, int]:
+    """The largest mode indices (imax, jmax) of the grid, once the cutoff k
+    is checked against the modes they admit; raises ValueError otherwise.
 
     Modes with index i need 8 grid cells per wavelength 2 Lx / i, i.e.
-    i <= nx / 4 (same in y); asking for more modes than that admits raises.
-    The constant mode comes first, normalized to 1/sqrt(|Omega|) so the
-    quadrature Gram matrix is the identity.
+    i <= nx / 4 (same in y), so the grid admits (imax + 1) (jmax + 1) modes.
     """
     if k < 1:
         raise ValueError(f"need at least one mode, got k={k}")
-    g = grid
-    imax, jmax = g.nx // 4, g.ny // 4
+    imax, jmax = grid.nx // 4, grid.ny // 4
     admissible = (imax + 1) * (jmax + 1)
     if k > admissible:
         raise ValueError(
-            f"k={k} exceeds the quadrature resolution of a {g.nx}x{g.ny} grid: "
+            f"k={k} exceeds the quadrature resolution of a {grid.nx}x{grid.ny} grid: "
             f"only {admissible} modes keep >= 8 cells per wavelength")
+    return imax, jmax
+
+
+def build_basis(k: int, grid: Grid) -> SpectralBasis:
+    """Enumerate modes by eigenvalue and evaluate them on the grid.
+
+    Asking for more modes than the grid admits raises (`check_cutoff`).
+    The constant mode comes first, normalized to 1/sqrt(|Omega|) so the
+    quadrature Gram matrix is the identity.
+    """
+    imax, jmax = check_cutoff(k, grid)
+    g = grid
     pairs = [(np.pi ** 2 * ((i / g.Lx) ** 2 + (j / g.Ly) ** 2), i, j)
              for i in range(imax + 1) for j in range(jmax + 1)]
     pairs.sort()

@@ -516,8 +516,9 @@ def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, dict]:
     """Read a CSV snapshot back; values reproduce the written fields bit-exactly.
 
     The version must be SNAPSHOT_VERSION, lines 2 to 4 the t, grid and fields
-    entries, and line 5 the columns "i,j,x,y," and the fields; any other file
-    is refused with one ValueError that names it."""
+    entries (t finite, the domain lengths finite and positive, the field
+    names distinct), and line 5 the columns "i,j,x,y," and the fields; any
+    other file is refused with one ValueError that names it."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or not text[0].startswith("# chbsim-snapshot"):
         raise ValueError(f"{path}: not a snapshot file")
@@ -535,6 +536,12 @@ def read_snapshot(path: str | Path) -> tuple[SnapshotHeader, dict]:
                                 version=version)
         if min(header.nx, header.ny) < 1:
             raise ValueError(f"a {header.nx}x{header.ny} grid")
+        if not all(0.0 < length < math.inf for length in (header.lx, header.ly)):
+            raise ValueError(f"a {gl} by {gly} domain")
+        if not math.isfinite(header.time):
+            raise ValueError(f"t = {time}")
+        if len(set(header.fields)) < len(header.fields):
+            raise ValueError(f"the fields {fields} repeat a name")
         columns = "i,j,x,y," + ",".join(header.fields)
         if text[4:5] != [columns]:
             raise ValueError(f"the column line is not {columns}")

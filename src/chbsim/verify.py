@@ -33,13 +33,14 @@ from .constitutive import (
     validate_params,
 )
 from .elliptic import (
+    SolveReport,
     StencilOperator,
     apply_neumann_laplacian,
     diffusion_stencil,
     harmonic_face_coefficients,
     robin_source,
     solve_general,
-    solve_spd,
+    solve_minres,
 )
 from .brinkman import BrinkmanProblem, dense_oracle_solve, solve_brinkman
 from .timestepper import RunResult, initial_state, run
@@ -63,6 +64,16 @@ class Cache(dict):
         if key not in self:
             self[key] = builder()
         return self[key]
+
+
+def _solved(solve: str, g: Grid, x: np.ndarray, rep: SolveReport) -> np.ndarray:
+    """x, once its report says the solve converged: a stalled study or
+    steady-state solve raises instead of handing on a wrong field."""
+    if not rep.converged:
+        raise RuntimeError(f"{solve} solve stalled on the {g.nx}x{g.ny} grid: "
+                           f"rel residual {rep.rel_residual:.3e} after "
+                           f"{rep.iterations} iterations")
+    return x
 
 
 def _l2(field: np.ndarray, g: Grid) -> float:
@@ -216,8 +227,7 @@ def _steady_nutrient(phi: np.ndarray, model: ModelSpec) -> np.ndarray:
     rhs = (robin_source(params.b, params.sigma_inf, g)
            - params.chi_phi * apply_neumann_laplacian(phi, n_faces, g)
            - consumption)
-    sigma, _ = solve_general(op, rhs, 1e-13)
-    return sigma
+    return _solved("steady nutrient", g, *solve_general(op, rhs, 1e-13))
 
 
 def _budget_runs() -> tuple[tuple[RunResult, RunResult], ModelSpec,
@@ -287,8 +297,9 @@ def poisson_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         ones = FaceField.ones(g)
         op = StencilOperator(
             lambda f, g=g, ones=ones: -apply_neumann_laplacian(f, ones, g),
-            g.shape, symmetric=True, nullspace="constants")
-        u, rep = solve_spd(op, rhs, 1e-12)
+            g.shape, symmetric=True)
+        # rhs has zero mean, so every MINRES iterate from zero has too
+        u = _solved("Poisson", g, *solve_minres(op, rhs, 1e-12))
         exact0 = exact - np.mean(exact)
         errs.append(_l2(u - exact0, g))
         hs.append(g.hx)
@@ -317,7 +328,7 @@ def robin_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         robin = diffusion_stencil(FaceField.ones(g), g, 1.0)
         op = StencilOperator(lambda f, robin=robin: f - robin(f), g.shape)
         rhs = rhs_f + robin_source(1.0, traces, g)
-        u, rep = solve_general(op, rhs, 1e-12)
+        u = _solved("Robin", g, *solve_general(op, rhs, 1e-12))
         errs.append(_l2(u - exact, g))
         hs.append(g.hx)
     return hs, errs, _fit_order(hs, errs)

@@ -22,7 +22,6 @@ from chbsim.elliptic import (
     separable_inverse,
     solve_general,
     solve_minres,
-    solve_spd,
     upwind_transport,
 )
 
@@ -78,7 +77,7 @@ def test_laplacian_matches_its_dense_matrix_and_is_symmetric(nx, ny, lx, ly, see
     rng = np.random.default_rng(seed)
     c = harmonic_face_coefficients(rng.uniform(0.5, 2.0, grid.shape), grid)
     op = StencilOperator(lambda f: -apply_neumann_laplacian(f, c, grid),
-                         grid.shape, symmetric=True, nullspace="constants")
+                         grid.shape, symmetric=True)
     mat = materialize_dense(op)
     np.testing.assert_allclose(mat, mat.T, atol=1e-13)
     x = rng.standard_normal(grid.shape)
@@ -416,80 +415,23 @@ def spd_operator(grid, rng, shift=1.0):
     return StencilOperator(apply, grid.shape, symmetric=True)
 
 
-def test_solve_spd_identity_and_constant_shift():
-    grid = make_grid(1.0, 1.0, 8, 8)
-    rng = np.random.default_rng(31)
-    rhs = rng.standard_normal(grid.shape)
-    ident = StencilOperator(lambda f: f, grid.shape, symmetric=True)
-    x, rep = solve_spd(ident, rhs, 1e-10)
-    assert rep.converged
-    np.testing.assert_allclose(x, rhs, atol=1e-12)
-    # (I - alpha L) keeps constants fixed
-    c = unit_faces(grid)
-    op = StencilOperator(lambda f: f - 0.1 * apply_neumann_laplacian(f, c, grid),
-                         grid.shape, symmetric=True)
-    x, rep = solve_spd(op, np.full(grid.shape, 2.0), 1e-10)
-    assert rep.converged
-    np.testing.assert_allclose(x, 2.0, atol=1e-9)
-
-
-def test_solve_spd_matches_dense_solution():
-    grid = make_grid(1.0, 1.0, 8, 8)
-    rng = np.random.default_rng(41)
-    op = spd_operator(grid, rng)
-    rhs = rng.standard_normal(grid.shape)
-    x, rep = solve_spd(op, rhs, 1e-12)
-    assert rep.converged and rep.rel_residual <= 1e-10
-    dense = np.linalg.solve(materialize_dense(op), rhs.ravel())
-    np.testing.assert_allclose(x.ravel(), dense, atol=1e-8)
-
-
-def test_solve_spd_singular_neumann_system():
+def test_solve_minres_singular_neumann_system():
+    # the pure-Neumann system is singular; from zero, on a zero-mean rhs,
+    # every MINRES iterate stays in the operator's range, so the solution is
+    # the zero-mean one (the pseudo-inverse solution) without a projection
     grid = make_grid(1.0, 1.0, 8, 8)
     rng = np.random.default_rng(43)
     c = harmonic_face_coefficients(rng.uniform(0.5, 2.0, grid.shape), grid)
     op = StencilOperator(lambda f: -apply_neumann_laplacian(f, c, grid),
-                         grid.shape, symmetric=True, nullspace="constants")
+                         grid.shape, symmetric=True)
     rhs = rng.standard_normal(grid.shape)
     rhs -= rhs.mean()
-    x, rep = solve_spd(op, rhs, 1e-10)
+    x, rep = solve_minres(op, rhs, 1e-10)
     assert rep.converged
     assert abs(x.mean()) < 1e-12  # gauge fixed to zero mean
     np.testing.assert_allclose(op.apply(x), rhs, atol=1e-8)
-
-
-def test_solve_spd_identity_preconditioner_is_plain_cg():
-    grid = make_grid(1.0, 1.0, 8, 8)
-    rng = np.random.default_rng(61)
-    op = spd_operator(grid, rng)
-    rhs = rng.standard_normal(grid.shape)
-    x0 = rng.standard_normal(grid.shape)
-    x_plain, rep_plain = solve_spd(op, rhs, 1e-12, x0)
-    x_ident, rep_ident = solve_spd(op, rhs, 1e-12, x0, precond=lambda a: a.copy())
-    assert rep_plain.converged and rep_plain.iterations > 5
-    assert np.array_equal(x_ident, x_plain)
-    assert rep_ident == rep_plain
-
-
-def test_preconditioned_cg_on_the_singular_neumann_system():
-    # the preconditioner adds a constant to every residual; PCG must project
-    # it away, or the search directions leave the zero-mean subspace
-    grid = make_grid(1.0, 1.0, 8, 8)
-    rng = np.random.default_rng(67)
-    cell = rng.uniform(0.5, 2.0, grid.shape)
-    c = harmonic_face_coefficients(cell, grid)
-    op = StencilOperator(lambda f: -apply_neumann_laplacian(f, c, grid),
-                         grid.shape, symmetric=True, nullspace="constants")
-    rhs = rng.standard_normal(grid.shape)
-    rhs -= rhs.mean()
-    scale = jacobi(cell)
-    x_plain, rep_plain = solve_spd(op, rhs, 1e-12)
-    x, rep = solve_spd(op, rhs, 1e-12,
-                       precond=lambda a: scale(a) + 5.0)
-    assert rep.converged and rep.rel_residual <= 1e-11
-    assert abs(x.mean()) < 1e-12
-    np.testing.assert_allclose(op.apply(x), rhs, atol=1e-10)
-    np.testing.assert_allclose(x, x_plain, atol=1e-9)
+    pinv = np.linalg.pinv(materialize_dense(op))
+    np.testing.assert_allclose(x.ravel(), pinv @ rhs.ravel(), atol=1e-8)
 
 
 def test_solve_minres_continues_one_recurrence_past_the_norm_gap(monkeypatch):
@@ -551,15 +493,15 @@ def test_solve_minres_lucky_breakdown_applies_the_last_update():
     assert np.array_equal(x, np.ones_like(d))
 
 
-def test_solve_general_agrees_with_cg_on_symmetric_systems():
+def test_solve_general_agrees_with_minres_on_symmetric_systems():
     grid = make_grid(1.0, 1.0, 8, 8)
     rng = np.random.default_rng(47)
     op = spd_operator(grid, rng)
     rhs = rng.standard_normal(grid.shape)
-    x_cg, _ = solve_spd(op, rhs, 1e-13)
+    x_mr, _ = solve_minres(op, rhs, 1e-13)
     x_bi, rep = solve_general(op, rhs, 1e-13)
     assert rep.converged
-    np.testing.assert_allclose(x_bi, x_cg, atol=1e-10)
+    np.testing.assert_allclose(x_bi, x_mr, atol=1e-10)
 
 
 DT, S, EPS = 1e-3, 2.0, 0.1

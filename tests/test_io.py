@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chbsim import cli, elliptic, timestepper, verify
+from chbsim import cli, elliptic, galerkin, timestepper, verify
 from chbsim.core import FaceField, Grid, State, face_to_center, make_grid
 from chbsim.io import (
     _CHOICES,
@@ -486,6 +486,14 @@ HEADER = ["# chbsim-snapshot 1", "# t = 0.5", "# grid = 1.0 1.0 4 4", "# fields 
     ["# chbsim-snapshot 2", *HEADER[1:]],        # a version this reader does not read
     [HEADER[0], "# energy = 3.0", *HEADER[2:]],  # another key where t belongs
     [*HEADER, "not,a,header"],                   # a column line other than the fields'
+    # each below has the column line its fields ask for
+    [*HEADER[:3], "# fields = phi phi", "i,j,x,y,phi,phi"],   # a field named twice
+    [HEADER[0], "# t = nan", *HEADER[2:], "i,j,x,y,phi"],     # a time that is no number
+    [HEADER[0], "# t = inf", *HEADER[2:], "i,j,x,y,phi"],     # ... or not finite
+    [*HEADER[:2], "# grid = inf 1.0 4 4", HEADER[3], "i,j,x,y,phi"],  # a length not finite
+    [*HEADER[:2], "# grid = 1.0 nan 4 4", HEADER[3], "i,j,x,y,phi"],  # ... or no number
+    [*HEADER[:2], "# grid = 1.0 0.0 4 4", HEADER[3], "i,j,x,y,phi"],  # ... or not positive
+    [*HEADER[:2], "# grid = -1.0 1.0 4 4", HEADER[3], "i,j,x,y,phi"],
 ])
 def test_snapshot_reader_rejects_a_malformed_header(tmp_path, header):
     # each used to escape as an IndexError or a ValueError without the path
@@ -873,6 +881,23 @@ def test_cli_galerkin_sweep_small(tmp_path, capsys):
     assert cli.main(["galerkin", str(path), "--k", "1,4"]) == 1
     assert "FAIL" in capsys.readouterr().out
     assert cli.main(["galerkin", str(path), "--k", " "]) == 2
+
+
+def test_cli_galerkin_builds_each_basis_once(tmp_path, monkeypatch, capsys):
+    # --k is checked by the rule build_basis applies, without building a basis
+    built = []
+    build = galerkin.build_basis
+
+    def counted(k, grid):
+        built.append(k)
+        return build(k, grid)
+
+    monkeypatch.setattr(galerkin, "build_basis", counted)
+    text = SMALL_RUN.replace("nx = 8", "nx = 16").replace("ny = 8", "ny = 16")
+    path = write_small_config(tmp_path, text=text)
+    assert cli.main(["galerkin", str(path), "--k", "1,4,9"]) == 0
+    assert built == [1, 4, 9]
+    assert "k=9" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

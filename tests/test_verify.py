@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from chbsim import cli, verify
+from chbsim import cli, elliptic, verify
 from chbsim.constitutive import (
     CoefficientSpec,
     EdgeValues,
@@ -55,3 +55,30 @@ def test_a_saved_scenario_runs_from_the_command_line(tmp_path, monkeypatch, caps
     rows = read_timeseries(tmp_path / "out" / "decay" / "timeseries.csv")
     direct = run(verify.DECAY.initial_state(), 5, verify.DECAY.sim_spec())
     assert [row["energy"] for row in rows] == [row["energy"] for row in direct.rows]
+
+
+@pytest.mark.parametrize("solve, study", [
+    ("Poisson solve stalled on the 8x8 grid",
+     lambda: verify.poisson_convergence((8, 16))),
+    ("Robin solve stalled on the 8x8 grid",
+     lambda: verify.robin_convergence((8, 16))),
+    ("steady nutrient solve stalled on the 64x64 grid",
+     lambda: verify._steady_nutrient(verify.DISC.initial_fields()[0],
+                                     verify._disc_model())),
+], ids=["poisson", "robin", "steady_nutrient"])
+def test_a_stalled_study_solve_raises(monkeypatch, solve, study):
+    # a stalled solve used to reach criterion 6 as an order outside its
+    # bracket, and criterion 5 and the disc_flow inputs as a wrong field
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 0)
+    with pytest.raises(RuntimeError, match=f"^{solve}: rel residual 1.000e[+]00 "
+                       "after 0 iterations$"):
+        study()
+
+
+def test_a_stalled_poisson_solve_fails_criterion_6_and_mms(monkeypatch, capsys):
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 0)
+    [res] = verify.run_all(indices=[6])
+    assert not res.passed
+    assert "Poisson solve stalled on the 16x16 grid" in res.detail
+    assert cli.main(["mms"]) == 1
+    assert "chbsim: error: Poisson solve stalled on the 16x16 grid" in capsys.readouterr().err
