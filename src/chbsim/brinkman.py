@@ -12,16 +12,18 @@ and div live at cell centers, the shear dxy at interior nodes; omitting the
 shear energy at wall nodes imposes the tangential traction condition weakly,
 and the normal traction (including the pressure) is the natural boundary
 condition of the Lagrangian. The first-order system is symmetric indefinite
-by construction and solved with preconditioned MINRES (nu > 0) and a
-block-diagonal preconditioner whose iteration count does not grow with the
-grid. Its velocity part is, at constant viscosities, the exact inverse of
-the velocity block: a 2 x 2 solve per sine/cosine mode on the interior faces
-and a capacitance solve on the wall faces. With variable viscosity it is
-separate cosine-transform u and w blocks of a constant reference, rescaled
-cell by cell by the Jacobi diagonals. Its Cahouet-Chabard pressure part is a
-constant plus a sine-transform correction on the few lowest modes where the
-friction term is not negligible (all of them when nu is large). A dense
-loop-assembled oracle covers small grids.
+by construction and solved with preconditioned MINRES (nu > 0). At constant
+viscosities the whole saddle system has an exact inverse: a 3 x 3 solve per
+sine/cosine mode on the interior faces and pressure modes, and a
+capacitance solve on the wall faces and the constant pressure. Each solve
+starts from it, so MINRES has nothing left to do unless rounding leaves the
+start above the tolerance. The block-diagonal preconditioner is separate
+cosine-transform u and w blocks of a constant reference (the minimum
+viscosities), rescaled cell by cell by the Jacobi diagonals where the
+viscosities vary, and a Cahouet-Chabard pressure part: a constant plus a
+sine-transform correction on the few lowest modes where the friction term
+is not negligible (all of them when nu is large). A dense loop-assembled
+oracle covers small grids.
 
 The matrix-free apply keeps every array at w's row stride ny + 1, so each
 x- or y-shift is a flat offset (ny + 1 or 1) and every operation runs on
@@ -299,162 +301,224 @@ def _jacobi_diagonal(problem: BrinkmanProblem, ce=None, en=None) -> np.ndarray:
 _PRESSURE_EPS = 1e-2
 
 
-def _sine_basis(n: int) -> np.ndarray:
-    """DST-I on the n + 1 nodes of an axis, in the frame of its n cell
-    modes: q[i, k] = sqrt(2 / n) sin(pi k i / n).  The wall rows i = 0, n
-    and the column k = 0 are zero, so q maps the n - 1 interior modes to
-    node values that vanish on the walls; its columns k >= 1 are
-    orthonormal."""
-    q = math.sqrt(2.0 / n) * np.sin(np.pi * np.outer(np.arange(n + 1), np.arange(n)) / n)
-    q[[0, n], :] = 0.0
-    q[:, 0] = 0.0
-    return q
+def _trig_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal DCT-II on the n cells of an axis, c[j, k] = sqrt((2
+    - [k = 0]) / n) cos(pi k (j + 1/2) / n), and the DST-I on its n + 1
+    nodes in the frame of its n cell modes, s[i, k] = sqrt(2 / n) sin(pi k
+    i / n).  The wall rows i = 0, n and the column k = 0 of s are zero, so s
+    maps the n - 1 interior modes to node values that vanish on the walls.
+    Each angle is reduced in integers to pi m / 2n, 0 <= m < 4n, before its
+    cosine or sine is taken, so the columns are orthonormal to a few eps at
+    any n; reducing k (j + 1/2) pi / n in floating point (as
+    `laplacian_basis` does) costs about n eps."""
+    j, k = np.arange(n + 1)[:, None], np.arange(n)[None, :]
+    angle = np.pi / (2 * n)
+    c = math.sqrt(2.0 / n) * np.cos(angle * (k * (2 * j[:n] + 1) % (4 * n)))
+    c[:, 0] = math.sqrt(1.0 / n)
+    s = math.sqrt(2.0 / n) * np.sin(angle * (2 * k * j % (4 * n)))
+    s[[0, n], :] = 0.0
+    s[:, 0] = 0.0
+    return c, s
 
 
-def _velocity_block(grid: Grid, eta: float, lam: float, nu: float):
-    """In-place apply (ru, rw, zu, zw) of the exact inverse of the velocity
-    block A_vv at constant eta, lam and nu > 0.
+def _saddle_inverse(grid: Grid, eta: float, lam: float, nu: float):
+    """Apply x -> K^-1 x, packed in and out, of the exact inverse of the
+    whole saddle matrix K at constant eta, lam and nu > 0.
 
-    Interior faces (u for i = 1..nx-1, w for j = 1..ny-1): with the wall
-    faces held at zero, A_vv is the free-slip operator, since the traction
-    walls leave out the shear at the wall nodes.  In the orthonormal bases
-    u: DST-I(x) x DCT-II(y) and w: DCT-II(x) x DST-I(y) it is one 2 x 2
-    block per mode (k, l), M = vol ((nu + eta |s|^2) I + (eta + lam) s s^T)
-    with s = (2 sin(pi k / 2 nx) / hx, 2 sin(pi l / 2 ny) / hy), inverted in
-    closed form.  Both components share one nx by ny mode frame: the sine
-    bases are padded with a zero mode (k = 0 for u, l = 0 for w), and the
-    u modes with l = 0 and the w modes with k = 0 decouple because s has a
-    zero entry there.
+    Interior faces and pressure modes (u for i = 1..nx-1, w for j = 1..ny-1,
+    p but its constant mode): with the wall faces and the constant pressure
+    held at zero, A_vv is the free-slip operator, since the traction walls
+    leave out the shear at the wall nodes.  In the orthonormal bases u:
+    DST-I(x) x DCT-II(y), w: DCT-II(x) x DST-I(y) and p: DCT-II(x) x
+    DCT-II(y) the system is one 3 x 3 block [[M, g], [g^T, 0]] per mode (k,
+    l), M = vol ((nu + eta |s|^2) I + (eta + lam) s s^T) and g = -vol s with
+    s = (2 sin(pi k / 2 nx) / hx, 2 sin(pi l / 2 ny) / hy).  Its inverse,
+    through sigma = g^T M^-1 g = vol |s|^2 / (a + (eta + lam) |s|^2), a =
+    nu + eta |s|^2, is in closed form:
+        v = (r_v - s (s . r_v) / |s|^2) / (vol a) - s r_p / (vol |s|^2),
+        p = -((s . r_v) + (a + (eta + lam) |s|^2) r_p) / (vol |s|^2).
+    All three share one nx by ny mode frame: the sine bases are padded with
+    a zero mode (k = 0 for u, l = 0 for w), where s has a zero entry and the
+    padding decouples; the mode (0, 0) is set to zero.
 
-    Wall faces (u on the x-walls L and R, w on the y-walls B and T): they
-    are eliminated by their capacitance matrix S = A_BB - A_BI A_II^-1 A_IB
-    (Buzbee, Dorr, George & Golub, SINUM 8, 1971; Proskurowski & Widlund,
-    Math. Comp. 30, 1976).  A wall face couples only to the face next to it
-    (u at i = 1 or nx - 1, w at j = 1 or ny - 1), through lam to the faces
-    of its wall cell (w at i = 0 or nx - 1, u at j = 0 or ny - 1), and to
-    the wall face across a corner.  So A_IB maps the cosine mode l of L or R
-    (Cy) to column l of the mode frame and the mode k of B or T (Cx) to row
-    k, and S in those modes is built from elementwise products of the mode
-    arrays, with no transform and no probing.  The wall modes are taken as
-    (L + R, L - R) / sqrt(2) and (B + T, B - T) / sqrt(2): S commutes with
-    the two mirror reflections, so in these modes it splits into four
-    parity blocks of about (nx + ny) / 2 rows, each inverted once and kept.
+    Wall faces (u on the x-walls L and R, w on the y-walls B and T) and the
+    constant pressure mode p0: they are eliminated by their capacitance
+    matrix S = K_BB - K_BI K_II^-1 K_IB (Buzbee, Dorr, George & Golub, SINUM
+    8, 1971; Proskurowski & Widlund, Math. Comp. 30, 1976).  A wall face
+    couples only to the face next to it (u at i = 1 or nx - 1, w at j = 1 or
+    ny - 1), through lam and p to the faces and the pressure of its wall
+    cell, and to the wall face across a corner.  So K_IB maps the cosine
+    mode l of L or R (Cy) to column l of the mode frame and the mode k of B
+    or T (Cx) to row k, and S in those modes is built from elementwise
+    products of the mode arrays, with no transform and no probing.  The wall
+    modes are taken as (L + R, L - R) / sqrt(2) and (B + T, B - T) /
+    sqrt(2): S commutes with the two mirror reflections, so in these modes
+    it splits into four parity classes of about (nx + ny) / 2 rows.  p0
+    touches only the modes l = 0 of L - R and k = 0 of B - T (its K_BI is
+    the mode (0, 0) of their lifts), so it borders their class with a zero
+    diagonal.  In each class the wall modes of L and R decouple from each
+    other (a wall mode's lift fills one column), so the class is inverted
+    once through the Schur complement of that diagonal.
 
-    An apply: one forward transform pair, the 2 x 2 mix, the wall traces of
-    the interior solve (products with two rows or columns), the solve with
-    S, the spectral correction by A_IB of the wall values, the mix again and
-    one inverse transform pair."""
+    An apply: six transform products, which also gather the wall modes
+    (the x basis of u carries L +- R as two extra columns; B +- T are read
+    off the x-transformed w), the per-mode solve, the wall traces of it
+    (products with two rows or columns), the solve with S, the spectral
+    correction by K_IB of the wall values, the per-mode solve again and six
+    inverse products, which also write the walls.  The last product of u
+    runs along x, where its rounding costs least."""
     nx, ny = grid.shape
     hx, hy, vol = grid.hx, grid.hy, grid.cell_area
-    ce, b = 2.0 * eta + lam, eta + lam
-    cx, cy = laplacian_basis(nx, "cell")[0], laplacian_basis(ny, "cell")[0]
-    sx_b, sy_b = _sine_basis(nx), _sine_basis(ny)
+    ce = 2.0 * eta + lam
+    (cx, sx_b), (cy, sy_b) = _trig_bases(nx), _trig_bases(ny)
     sx = 2.0 * np.sin(0.5 * np.pi * np.arange(nx) / nx)[:, None] / hx
     sy = 2.0 * np.sin(0.5 * np.pi * np.arange(ny) / ny)[None, :] / hy
-
-    # M^-1 per mode: [[a + b sy^2, -b sx sy], [-b sx sy, a + b sx^2]] / det,
-    # its off-diagonal held twice so that a mix multiplies contiguous arrays
-    a = nu + eta * (sx ** 2 + sy ** 2)
-    det = vol * a * (a + b * (sx ** 2 + sy ** 2))
-    m_diag = np.stack([(a + b * sy ** 2) / det, (a + b * sx ** 2) / det])
-    m_off = np.stack(2 * [-b * sx * sy / det])
-
-    def form(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """f^T M^-1 g per mode, f and g (u, w) pairs of mode arrays."""
-        return f[0] * (m_diag[0] * g[0] + m_off[0] * g[1]) \
-            + f[1] * (m_off[0] * g[0] + m_diag[1] * g[1])
-
-    # A_IB in the mode frame, for the wall modes L + R, L - R (index l):
-    # a_lr[c, wall, k] * lr_scale[c, l], and B + T, B - T (index k):
-    # bt_scale[c, k] * b_bt[c, l, wall]; c = 0 for u, 1 for w
     h2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    c1, c2 = -ce * hy / hx, -ce * hx / hy
-    a_lr = h2 @ np.stack([c1 * sx_b[[1, nx - 1]], lam * hy * np.stack([-cx[0], cx[nx - 1]])])
-    lr_scale = np.stack([np.ones((1, ny)), sy])
-    b_bt = np.stack([lam * hx * np.stack([-cy[0], cy[ny - 1]], axis=1),
-                     c2 * sy_b[[1, ny - 1]].T]) @ h2
-    bt_scale = np.stack([sx, np.ones((nx, 1))])
-    lift_lr = [[a_lr[c, p][:, None] * lr_scale[c] for c in range(2)] for p in range(2)]
-    lift_bt = [[bt_scale[c] * b_bt[c, :, r] for c in range(2)] for r in range(2)]
 
-    # S in the wall modes, ordered as the apply holds them: L + R, L - R
-    # (ny each), then B + T and B - T interleaved (an nx by 2 array).  A_BB
-    # is diagonal but for the two wall faces at each corner, coupled by
-    # +lam (L-B, R-T) or -lam (L-T, R-B): lam y_corner x_corner in the modes.
-    # L + R and B + T are odd under x -> -x and y -> -y, L - R and B - T
-    # even; the mode l of L, R has parity (-1)^l under y -> -y, the mode k
-    # of B, T (-1)^k under x -> -x.  So L + R (L - R) meets only the odd
-    # (even) k, and B + T (B - T) only the odd (even) l: S splits into the
-    # four classes (L +- R, B +- T), whose inverses are kept as the blocks
-    # of one (4, n_c, n_c) array, zero-padded to the largest class.
-    n_lr, n_b = 2 * ny, 2 * ny + 2 * nx
+    # the per-mode solve on (u, w, p) stacks of full mode arrays (a
+    # broadcast operand costs more than a full one); 1 / |s|^2 is zero at
+    # the mode (0, 0).  q = ((s . r_v) / a + r_p) / (vol |s|^2) gives y_v =
+    # r_v / (vol a) - s q, and y_p is formed next to it.
+    s_v = np.stack(np.broadcast_arrays(sx, sy))
+    s2 = s_v[0] ** 2 + s_v[1] ** 2
+    inv_s2 = 1.0 / np.where(s2 > 0.0, s2, np.inf)
+    a = nu + eta * s2
+    ia = 1.0 / (vol * a)
+    c_t = np.stack([-inv_s2 / vol, ia * inv_s2])                      # t -> (y_p, q)
+    c_p = np.stack([-(a + (eta + lam) * s2) * inv_s2 / vol, inv_s2 / vol])   # r_p -> (y_p, q)
+    t, tmp = np.empty((nx, ny)), np.empty((2, nx, ny))
+
+    def mix(r: np.ndarray, y: np.ndarray) -> None:
+        """y[:3] = K_II^-1 r per mode, r a (u, w, p) stack; y[3] is q."""
+        np.add(*np.multiply(s_v, r[:2], out=tmp), out=t)
+        np.add(np.multiply(c_t, t, out=y[2:]), np.multiply(c_p, r[2], out=tmp), out=y[2:])
+        np.subtract(np.multiply(r[:2], ia, out=y[:2]), np.multiply(s_v, y[3], out=tmp),
+                    out=y[:2])
+
+    # K_IB in the mode frame, component c = u, w, p: for the wall modes L +
+    # R, L - R (index l) a_lr[c, wall, k] * lr_scale[c, l], and for B + T, B
+    # - T (index k) bt_scale[c, k] * b_bt[c, l, wall]
+    c1, c2 = -ce * hy / hx, -ce * hx / hy
+    a_lr = h2 @ np.stack([c1 * sx_b[[1, nx - 1]], lam * hy * np.stack([-cx[0], cx[nx - 1]]),
+                          hy * np.stack([cx[0], -cx[nx - 1]])])
+    lr_scale = np.stack([np.ones((1, ny)), sy, np.ones((1, ny))])
+    b_bt = np.stack([lam * hx * np.stack([-cy[0], cy[ny - 1]], axis=1),
+                     c2 * sy_b[[1, ny - 1]].T, hx * np.stack([cy[0], -cy[ny - 1]], axis=1)]) @ h2
+    bt_scale = np.stack([sx, np.ones((nx, 1)), np.ones((nx, 1))])
+    lift_lr = [a_lr[:, p, :, None] * lr_scale for p in range(2)]
+    lift_bt = [bt_scale * b_bt[:, None, :, r] for r in range(2)]
+
+    def solved(f: np.ndarray) -> np.ndarray:
+        y = np.empty((4, nx, ny))
+        mix(f, y)
+        return y[:3]
+    k_lr, k_bt = [solved(f) for f in lift_lr], [solved(f) for f in lift_bt]
+
+    # The forward frames lie in one flat array: f_lr (L + R and L - R, 2 by
+    # ny), the (u, w, p) mode stack, f_bt (B + T and B - T, nx by 2) and one
+    # more slot, zero, where the padding rows of the classes read.  The
+    # output frames z_lr, the stack with q as a fourth array, and z_bt lie
+    # alike in another, where the padding rows write.
+    n_m = nx * ny
+    n_bt, n_zbt = 2 * ny + 3 * n_m, 2 * ny + 4 * n_m
+    fwd, bwd = np.zeros(n_bt + 2 * nx + 1), np.empty(n_zbt + 2 * nx + 1)
+    f_lr, f_m, f_bt = (fwd[:2 * ny].reshape(2, ny), fwd[2 * ny:n_bt].reshape(3, nx, ny),
+                       fwd[n_bt:-1].reshape(nx, 2))
+    z_lr, z_m, z_bt = (bwd[:2 * ny].reshape(2, ny), bwd[2 * ny:n_zbt].reshape(4, nx, ny),
+                       bwd[n_zbt:-1].reshape(nx, 2))
+
+    # S in the wall modes.  K_BB is diagonal but for the two wall faces at
+    # each corner, coupled by +lam (L-B, R-T) or -lam (L-T, R-B): lam
+    # y_corner x_corner in the modes, and for p0.  L + R and B + T are odd
+    # under x -> -x and y -> -y, L - R, B - T and p0 even; the mode l of L,
+    # R has parity (-1)^l under y -> -y, the mode k of B, T (-1)^k under x ->
+    # -x.  So L + R (L - R) meets only the odd (even) k, and B + T (B - T)
+    # only the odd (even) l: S splits into the four classes (L +- R, B +-
+    # T), p0 in (L - R, B - T), whose inverses are kept as the blocks of one
+    # (4, n_c, n_c) array, zero-padded to the largest class.  The rows of a
+    # class read fwd and write bwd at the slots in `gather` and `scatter`.
     x_corner = h2 @ np.stack([cx[0], -cx[nx - 1]])
     y_corner = h2 @ np.stack([cy[0], -cy[ny - 1]])
-    n_c = (ny + 1) // 2 + (nx + 1) // 2
+    d_lr = [ce * hy / hx + 0.5 * nu * vol - np.sum(f * y, axis=(0, 1))
+            for f, y in zip(lift_lr, k_lr)]
+    d_bt = [ce * hx / hy + 0.5 * nu * vol - np.sum(f * y, axis=(0, 2))
+            for f, y in zip(lift_bt, k_bt)]
+    n_c = (ny + 1) // 2 + (nx + 1) // 2 + 1
     s_inv = np.zeros((4, n_c, n_c))
-    classes = np.full((4, n_c), n_b)     # wall-mode index of each class row
-    d_lr = [ce * hy / hx + 0.5 * nu * vol - form(f, f).sum(axis=0) for f in lift_lr]
-    d_bt = [ce * hx / hy + 0.5 * nu * vol - form(f, f).sum(axis=1) for f in lift_bt]
+    gather, scatter = np.full((4, n_c), fwd.size - 1), np.full((4, n_c), bwd.size - 1)
     for p in range(2):
         for r in range(2):
             ls, ks = np.arange(1 - r, ny, 2), np.arange(1 - p, nx, 2)
-            cross = lam * np.outer(y_corner[r], x_corner[p]) - form(lift_lr[p], lift_bt[r]).T
-            block = np.diag(np.concatenate([d_lr[p][ls], d_bt[r][ks]]))
-            block[:len(ls), len(ls):] = cross[np.ix_(ls, ks)]
-            block[len(ls):, :len(ls)] = block[:len(ls), len(ls):].T
-            inv, size = np.linalg.inv(block), len(block)
-            s_inv[2 * p + r, :size, :size] = 0.5 * (inv + inv.T)
-            classes[2 * p + r, :size] = np.concatenate([p * ny + ls, n_lr + 2 * ks + r])
+            cross = lam * np.outer(y_corner[r], x_corner[p]) \
+                - np.sum(lift_lr[p] * k_bt[r], axis=0).T
+            w, e = cross[np.ix_(ls, ks)], np.diag(d_bt[r][ks])
+            if p == r == 1:   # p0, coupled to the l = 0 and k = 0 rows
+                w = np.column_stack([w, (ls == 0) * a_lr[2, 1, 0]])
+                border = (ks == 0) * b_bt[2, 0, 1]
+                e = np.block([[e, border[:, None]], [border, 0.0]])
+            size, n = len(ls) + len(e), len(ls) + len(ks)
+            s_inv[2 * p + r, :size, :size] = _bordered_inverse(d_lr[p][ls], w, e)
+            gather[2 * p + r, :n] = np.r_[p * ny + ls, n_bt + 2 * ks + r]
+            scatter[2 * p + r, :n] = np.r_[p * ny + ls, n_zbt + 2 * ks + r]
+    gather[3, n_c - 1] = 2 * ny + 2 * n_m   # p0; set after the mix, not scattered
 
-    # A_IB of the wall values z: lift_cols[c] @ lift_rows[c] in the mode
-    # frame, with z_lr * lr_scale in rows 0, 1 of lift_rows and z_bt *
-    # bt_scale in columns 2, 3 of lift_cols, written by each apply
-    lift_cols, lift_rows = np.empty((2, nx, 4)), np.empty((2, 4, ny))
-    lift_cols[:, :, :2] = a_lr.transpose(0, 2, 1)
+    # the sine basis of u along x with the wall modes L +- R as two extra
+    # columns, first
+    ext_x = np.zeros((nx + 1, nx + 2))
+    ext_x[[0, nx], :2], ext_x[:, 2:] = h2, sx_b
+    ext_xt, cxt, cyt, syt = (np.ascontiguousarray(m.T) for m in (ext_x, cx, cy, sy_b))
+    # K_IB of the wall values z: lift_cols[c]^T @ lift_rows[c] in the mode
+    # frame, with z_lr * lr_scale in rows 0, 1 of lift_rows and z_bt^T *
+    # bt_scale^T in rows 2, 3 of lift_cols, written by each apply
+    lift_cols, lift_rows = np.empty((3, 4, nx)), np.empty((3, 4, ny))
+    lift_cols[:, :2] = a_lr
     lift_rows[:, 2:] = b_bt.transpose(0, 2, 1)
-
-    sxt, cxt, cyt, syt = (np.ascontiguousarray(q.T) for q in (sx_b, cx, cy, sy_b))
-    rh, yh, tmp = (np.empty((2, nx, ny)) for _ in range(3))
-    # the transforms' intermediates share tmp, which the mixes use only
-    # between the forward and the inverse pair
-    t_u, t_w, s_u = tmp[0], tmp.reshape(-1)[:nx * (ny + 1)].reshape(nx, ny + 1), \
-        tmp.reshape(-1)[:(nx + 1) * ny].reshape(nx + 1, ny)
-    pt, qt = np.empty((2, 2, ny)), np.empty((2, nx, 2))
-    # the wall vectors, with one more slot: zero in g, where the padding
-    # rows of the classes read, and dead in zb, where they write
-    trace, g, zb = np.empty(n_b), np.zeros(n_b + 1), np.empty(n_b + 1)
+    bt_row = bt_scale.transpose(0, 2, 1)
+    t_u, t_w, t_p = np.empty((nx + 2, ny)), np.empty((nx, ny + 1)), np.empty((nx, ny))
+    w_bt = np.empty((nx, 2))
+    y1, lifted = np.empty((4, nx, ny)), np.empty((3, nx, ny))
+    pt, qt = np.empty((3, 2, ny)), np.empty((3, nx, 2))
+    tr_lr, tr_bt = np.empty((2, ny)), np.empty((nx, 2))
     g_c, z_c = np.empty((4, n_c, 1)), np.empty((4, n_c, 1))
-    t_lr, t_bt = trace[:n_lr].reshape(2, ny), trace[n_lr:].reshape(nx, 2)
-    g_lr, g_bt = g[:n_lr].reshape(2, ny), g[n_lr:n_b].reshape(nx, 2)
-    z_lr, z_bt = zb[:n_lr].reshape(2, ny), zb[n_lr:n_b].reshape(nx, 2)
-    w_lr, w_bt, v_lr, v_bt = np.empty((2, ny)), np.empty((nx, 2)), np.empty((2, ny)), \
-        np.empty((nx, 2))
+    f_u, z_u = fwd[:2 * ny + n_m].reshape(nx + 2, ny), bwd[:2 * ny + n_m].reshape(nx + 2, ny)
 
-    def mix(src: np.ndarray, dst: np.ndarray) -> None:
-        np.multiply(m_diag, src, out=dst)
-        dst += np.multiply(m_off, src[::-1], out=tmp)
-
-    def apply(ru, rw, zu, zw) -> None:
-        np.dot(np.dot(sxt, ru, out=t_u), cy, out=rh[0])
-        np.dot(np.dot(cxt, rw, out=t_w), sy_b, out=rh[1])
-        mix(rh, yh)
-        np.multiply(np.matmul(a_lr, yh, out=pt), lr_scale, out=pt)
-        np.add(pt[0], pt[1], out=t_lr)
-        np.multiply(np.matmul(yh, b_bt, out=qt), bt_scale, out=qt)
-        np.add(qt[0], qt[1], out=t_bt)
-        np.dot(h2, np.dot(ru[::nx], cy, out=v_lr), out=g_lr)
-        np.dot(np.dot(cxt, rw[:, ::ny], out=v_bt), h2, out=g_bt)
-        np.subtract(g[:n_b], trace, out=g[:n_b])
-        zb[classes] = np.matmul(s_inv, np.take(g, classes[..., None], out=g_c), out=z_c)[..., 0]
-        np.multiply(z_bt, bt_scale, out=lift_cols[:, :, 2:])
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.size)
+        (bu, bw, bp), (zu, zw, zp) = _unpack(x, grid), _unpack(out, grid)
+        np.dot(np.dot(ext_xt, bu, out=t_u), cy, out=f_u)
+        np.dot(np.dot(cxt, bw, out=t_w), sy_b, out=f_m[1])
+        np.dot(t_w[:, ::ny], h2, out=f_bt)
+        np.dot(np.dot(cxt, bp, out=t_p), cy, out=f_m[2])
+        mix(f_m, y1)
+        np.multiply(np.matmul(a_lr, y1[:3], out=pt), lr_scale, out=pt)
+        np.subtract(f_lr, np.add.reduce(pt, axis=0, out=tr_lr), out=f_lr)
+        np.multiply(np.matmul(y1[:3], b_bt, out=qt), bt_scale, out=qt)
+        np.subtract(f_bt, np.add.reduce(qt, axis=0, out=tr_bt), out=f_bt)
+        bwd[scatter] = np.matmul(s_inv, np.take(fwd, gather[..., None], out=g_c),
+                                 out=z_c)[..., 0]
+        np.multiply(z_bt.T, bt_row, out=lift_cols[:, 2:])
         np.multiply(z_lr, lr_scale, out=lift_rows[:, :2])
-        np.subtract(rh, np.matmul(lift_cols, lift_rows, out=tmp), out=rh)
-        mix(rh, yh)
-        np.dot(np.dot(sx_b, yh[0], out=s_u), cyt, out=zu)
-        np.dot(np.dot(cx, yh[1], out=t_u), syt, out=zw)
-        zu[::nx] = np.dot(h2, np.dot(z_lr, cyt, out=v_lr), out=w_lr)
-        zw[:, ::ny] = np.dot(np.dot(cx, z_bt, out=v_bt), h2, out=w_bt)
+        np.subtract(f_m, np.matmul(lift_cols.transpose(0, 2, 1), lift_rows, out=lifted),
+                    out=f_m)
+        mix(f_m, z_m)
+        z_m[2, 0, 0] = z_c[3, n_c - 1, 0]   # p0, which the mix set to zero
+        np.dot(ext_x, np.dot(z_u, cyt, out=t_u), out=zu)
+        np.dot(z_m[1], syt, out=t_w)
+        t_w[:, ::ny] = np.dot(z_bt, h2, out=w_bt)
+        np.dot(cx, t_w, out=zw)
+        np.dot(np.dot(cx, z_m[2], out=t_p), cyt, out=zp)
+        return out
     return apply
+
+
+def _bordered_inverse(d: np.ndarray, w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The inverse of [[diag(d), w], [w^T, e]], through the Schur complement
+    t = e - w^T diag(d)^-1 w of the diagonal block: one inverse of the size
+    of e."""
+    f = w / d[:, None]
+    ti = np.linalg.inv(e - w.T @ f)
+    ft = f @ ti
+    return np.block([[np.diag(1.0 / d) + ft @ f.T, -ft], [-ft.T, ti]])
 
 
 def _scalar_velocity_blocks(grid: Grid, eta: float, lam: float, nu: float):
@@ -524,27 +588,24 @@ def _compose(grid: Grid, velocity, pressure):
 
 
 def _block_preconditioner(problem: BrinkmanProblem):
-    """Block-diagonal SPD preconditioner for nu > 0: a velocity part and the
-    pressure part `_pressure_block`, composed by `_compose`.
+    """Block-diagonal SPD preconditioner for nu > 0: the composition
+    (`_compose`) of `_scalar_velocity_blocks` and `_pressure_block` for the
+    reference problem with constant eta, lam = their minima.
 
-    Constant eta and lam: the velocity part is `_velocity_block`, the exact
-    inverse of the velocity block A_vv, u-w coupling and wall faces
-    included.
-
-    Variable eta or lam: the composition of `_scalar_velocity_blocks` and
-    `_pressure_block` for the reference problem with constant eta, lam =
-    their minima, rescaled as a -> s P(s a) with s = sqrt(d_ref / d) from
-    the Jacobi diagonals (cell-wise viscosity weights, as in Grinevich &
-    Olshanskii, SISC 31, 2009); SPD by construction. Its iteration counts
-    stay flat with the grid for smooth viscosity profiles, not across a
-    sharp jump.
+    Where eta or lam varies it is rescaled as a -> s P(s a) with s =
+    sqrt(d_ref / d) from the Jacobi diagonals (cell-wise viscosity weights,
+    as in Grinevich & Olshanskii, SISC 31, 2009); SPD by construction. Its
+    iteration counts stay flat with the grid for smooth viscosity profiles,
+    not across a sharp jump.  At constant viscosities s would be exactly 1
+    and the rescaling is left out; there it serves only the iterations that
+    follow an exact start which missed (`solve_brinkman`).
     """
     g = problem.grid
     eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
-    pressure = _pressure_block(g, eta, lam, nu)
-    if float(np.max(problem.eta)) == eta and float(np.max(problem.lam)) == lam:
-        return _compose(g, _velocity_block(g, eta, lam, nu), pressure)
-    apply = _compose(g, _scalar_velocity_blocks(g, eta, lam, nu), pressure)
+    apply = _compose(g, _scalar_velocity_blocks(g, eta, lam, nu),
+                     _pressure_block(g, eta, lam, nu))
+    if _constant(problem):
+        return apply
     s = np.sqrt(_jacobi_diagonal(problem, 2.0 * eta + lam, eta) / _jacobi_diagonal(problem))
     sa = np.empty(s.size)
 
@@ -555,20 +616,39 @@ def _block_preconditioner(problem: BrinkmanProblem):
     return rescaled
 
 
+def _constant(problem: BrinkmanProblem) -> bool:
+    """Whether eta and lam each take one value on every cell."""
+    return bool(np.ptp(problem.eta) == 0.0 and np.ptp(problem.lam) == 0.0)
+
+
+def _build(problem: BrinkmanProblem):
+    """(operator, block preconditioner, exact inverse or None): the exact
+    inverse `_saddle_inverse` is built at constant viscosities only."""
+    exact = _saddle_inverse(problem.grid, float(problem.eta[0, 0]), float(problem.lam[0, 0]),
+                            problem.nu) if _constant(problem) else None
+    return brinkman_operator(problem), _block_preconditioner(problem), exact
+
+
 def solve_brinkman(problem: BrinkmanProblem, tol: float,
                    x0: np.ndarray | None = None,
                    built: LastBuild | None = None) -> BrinkmanSolution:
     """Solve the saddle system with MINRES and `_block_preconditioner` to the
     relative tolerance tol, from the packed start x0 (zero when not given).
-    `built` holds the operator and preconditioner of an earlier solve: they
-    are reused while the grid, nu and the bits of eta and lam are the ones
-    they were built from, and rebuilt otherwise (always, without `built`).
-    Requires nu > 0: without friction its velocity blocks are singular."""
+    At constant eta and lam the start is first made exact: x0 + K^-1 (rhs -
+    A x0), or K^-1 rhs without x0, with the exact inverse K^-1 of
+    `_saddle_inverse`, and MINRES takes no iteration unless rounding leaves
+    that start above tol (its own true-residual test decides).
+    `built` holds the operator, preconditioner and exact inverse of an
+    earlier solve: they are reused while the grid, nu and the bits of eta
+    and lam are the ones they were built from, and rebuilt otherwise
+    (always, without `built`).  Requires nu > 0: without friction its
+    velocity blocks are singular."""
     if not problem.nu > 0.0:
         raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
-    op, precond = (built or LastBuild()).get(
-        bits(problem.grid, problem.nu, problem.eta, problem.lam),
-        lambda: (brinkman_operator(problem), _block_preconditioner(problem)))
+    op, precond, exact = (built or LastBuild()).get(
+        bits(problem.grid, problem.nu, problem.eta, problem.lam), lambda: _build(problem))
+    if exact is not None:
+        x0 = exact(problem.rhs) if x0 is None else x0 + exact(problem.rhs - op.apply(x0))
     x, report = solve_minres(op, problem.rhs, tol, x0, precond=precond)
     return _solution(problem, x, report)
 
@@ -608,11 +688,13 @@ class ProjectedStart:
     _COLLAPSE of its norm lies in the stored span and is not stored.  The
     buffer is allocated once, at the first pair.
 
-    Beside the window it holds the operator and block preconditioner of its
-    last solve (a `LastBuild`), which the next solve reuses while the grid,
-    nu and the bits of eta and lam are unchanged: once per run at constant
-    viscosities, once per solve where eta follows phi.  Both end with the
-    window, that is with the run.
+    Beside the window it holds the operator, block preconditioner and exact
+    inverse (None where eta or lam varies) of its last solve (a
+    `LastBuild`), which the next solve reuses while the grid, nu and the
+    bits of eta and lam are unchanged: once per run at constant viscosities,
+    once per solve where eta follows phi.  At constant viscosities the solve
+    starts from the exact inverse, so the window is neither read nor
+    filled.  Everything ends with the window, that is with the run.
     """
 
     def __init__(self, size: int) -> None:
@@ -625,9 +707,13 @@ class ProjectedStart:
         return self._m
 
     def solve(self, problem: BrinkmanProblem, tol: float) -> BrinkmanSolution:
-        """`solve_brinkman` to tol from the start for problem.rhs (zero while
-        no pair is stored), with the operator and preconditioner this window
-        last built; a converged solution joins the window."""
+        """`solve_brinkman` to tol with the operator, preconditioner and
+        exact inverse this window last built.  At constant viscosities it
+        starts from K^-1 rhs and leaves the window alone; otherwise it starts
+        from the start for problem.rhs (zero while no pair is stored), and a
+        converged solution joins the window."""
+        if _constant(problem):
+            return solve_brinkman(problem, tol, None, self._built)
         sol = solve_brinkman(problem, tol, self.start(problem.rhs), self._built)
         if sol.report.converged:
             self.add(sol.x, problem.rhs)
@@ -829,5 +915,6 @@ def dense_oracle_solve(problem: BrinkmanProblem) -> BrinkmanSolution:
         raise np.linalg.LinAlgError(
             f"Brinkman saddle matrix is numerically singular (cond={cond:.3g})")
     x = np.linalg.solve(mat, rhs)
-    report = SolveReport(True, 0, float(np.linalg.norm(rhs - mat @ x)), 0.0)
+    res, norm_b = float(np.linalg.norm(rhs - mat @ x)), float(np.linalg.norm(rhs))
+    report = SolveReport(True, 0, res, res / norm_b if norm_b > 0.0 else 0.0)
     return _solution(problem, x, report)

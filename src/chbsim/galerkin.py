@@ -4,9 +4,9 @@ The phase and nutrient fields are expanded in the first k eigenfunctions
 w_m(x, y) = kappa_m cos(i pi x / Lx) cos(j pi y / Ly) and the PDE system is
 projected onto the span, yielding an ODE system in the coefficient vectors
 which is marched with classical RK4.  Velocity and pressure are NOT spectral:
-every stage re-solves the staggered Brinkman system on the grid, started from
-the best mix of the flows of the last FLOW_WINDOW solved stages (a
-`ProjectedStart`).  A stage synthesizes its fields and evaluates psi' and the
+every stage re-solves the staggered Brinkman system on the grid through a
+`ProjectedStart`: from the exact solve at constant viscosities, otherwise
+from the best mix of the flows of the last FLOW_WINDOW solved stages.  A stage synthesizes its fields and evaluates psi' and the
 sources once, into a `Stage` record that the flow solve, the projections and
 the sampled States all read.
 
@@ -244,8 +244,9 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
     """Classical RK4 march of the coefficient ODEs.
 
     Every stage re-solves the grid Brinkman system from its `Stage` record
-    to FLOW_TOL, started by a `ProjectedStart` over this call's last
-    FLOW_WINDOW solved stages, with the operator and preconditioner that
+    to FLOW_TOL through a `ProjectedStart` over this call's last
+    FLOW_WINDOW solved stages (from the exact solve at constant
+    viscosities), with the operator, preconditioner and exact inverse that
     window last built while eta and lam keep their bits; nothing is kept
     between calls.  Aborts when ||a|| + ||c|| exceeds 1e6.  Samples the
     stage-1 record of every step as a State (with that stage's velocity and

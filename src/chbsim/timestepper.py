@@ -4,9 +4,10 @@ One step from t_n advances in three stages that share one old-level record:
 
   (i)   Brinkman solve with capillary forcing assembled from the old fields,
         giving the velocity and pressure used by both transport equations,
-        started from the best mix of the run's last FLOW_WINDOW solved
-        flows for this rhs (`brinkman.ProjectedStart`), from zero while
-        none is solved yet, with the operator and preconditioner the window
+        through the run's `brinkman.ProjectedStart`: from the exact solve at
+        constant viscosities, otherwise from the best mix of the run's last
+        FLOW_WINDOW solved flows for this rhs (zero while none is solved
+        yet), with the operator, preconditioner and exact inverse the window
         last built while the viscosity fields keep their bits;
   (ii)  phase update with the stabilized linear splitting: psi'(phi_n) kept
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chbsim import brinkman, diagnostics, elliptic, io, verify
+from chbsim import brinkman, diagnostics, elliptic, io, timestepper, verify
 from chbsim.constitutive import ModelParams, nutrient_energy
 from chbsim.core import FaceField, make_grid
 from chbsim.elliptic import (
@@ -493,41 +493,36 @@ def test_block_preconditioner_is_symmetric_positive_definite(nx, ny, lx, ly, nu,
     assert np.min(np.linalg.eigvalsh(mat)) > 0.0
 
 
-def velocity_rows(prob, mat):
-    """The velocity block of a packed dense matrix of prob's unknowns."""
-    nv = prob.vu.size + prob.vw.size
-    return mat[:nv, :nv]
+def saddle_inverse(prob):
+    """The exact inverse of prob's constant-coefficient saddle matrix, densely."""
+    apply = brinkman._saddle_inverse(prob.grid, float(prob.eta[0, 0]),
+                                     float(prob.lam[0, 0]), prob.nu)
+    return materialize_dense(StencilOperator(apply, (prob.rhs.size,)))
 
 
-def assert_inverts_the_velocity_block(prob):
-    # at constant viscosities the velocity part is A_vv^-1 itself and the
-    # pressure part does not touch the velocities: |P A - I| is round-off,
-    # of order eps cond(A) for a backward-stable inverse
-    n = prob.rhs.size
-    pre = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
-                                            (n,), symmetric=True))
-    a = velocity_rows(prob, loop_assemble_dense(prob)[0])
-    nv = len(a)
-    assert not np.any(pre[:nv, nv:]) and not np.any(pre[nv:, :nv])
-    residual = np.max(np.abs(velocity_rows(prob, pre) @ a - np.eye(nv)))
+def assert_inverts_the_saddle_matrix(prob):
+    # |K^-1 A - I| is round-off, of order eps cond(A) for a backward-stable
+    # inverse
+    a = loop_assemble_dense(prob)[0]
+    residual = np.max(np.abs(saddle_inverse(prob) @ a - np.eye(len(a))))
     assert residual <= 64 * np.finfo(float).eps * np.linalg.cond(a), residual
 
 
 @pytest.mark.parametrize("nx, ny", [(8, 6), (7, 9)])
 @pytest.mark.parametrize("lam", [0.0, 0.4])
 @pytest.mark.parametrize("nu", [1e-2, 1.0, 1e3])
-def test_velocity_block_inverts_the_constant_coefficient_velocity_block(nx, ny, lam, nu):
+def test_saddle_inverse_inverts_the_constant_coefficient_saddle_matrix(nx, ny, lam, nu):
     # hx = 1/8 or 1/7 against hy = 1/4 or 1/6; odd sides put a face on
     # each mirror line
-    assert_inverts_the_velocity_block(
+    assert_inverts_the_saddle_matrix(
         problem(make_grid(1.0, 1.5, nx, ny), nu=nu, eta=0.8, lam=lam))
 
 
 @settings(max_examples=10, deadline=None)
 @given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, log_nu=st.floats(-2.0, 3.0),
        eta=st.floats(0.1, 10.0), lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
-def test_velocity_block_inverts_drawn_velocity_blocks(nx, ny, lx, ly, log_nu, eta, lam):
-    assert_inverts_the_velocity_block(
+def test_saddle_inverse_inverts_drawn_saddle_matrices(nx, ny, lx, ly, log_nu, eta, lam):
+    assert_inverts_the_saddle_matrix(
         problem(make_grid(lx, ly, nx, ny), nu=10.0 ** log_nu, eta=eta, lam=lam))
 
 
@@ -579,6 +574,31 @@ def test_exact_blocks_through_the_composition_take_three_iterations(cfg):
     assert rep.converged and rep.iterations <= 3, rep
 
 
+@pytest.mark.parametrize("cfg", [verify.DISC, verify.COUPLED, verify.GALERKIN],
+                         ids=["disc", "coupled", "galerkin"])
+def test_constant_viscosity_first_flows_take_no_minres_iteration(cfg):
+    # the exact start K^-1 rhs already meets the run's flow tolerance
+    prob = first_flow(cfg)
+    assert brinkman._constant(prob)
+    sol = solve_brinkman(prob, timestepper.FLOW_TOL)
+    assert sol.report.converged and sol.report.iterations == 0, sol.report
+
+
+def test_exact_start_that_misses_is_finished_by_minres():
+    # off-centre disc at constant eta, nu = 1e-2 and tol 1e-12: rounding
+    # leaves the exact start at a relative residual of ~2e-12 here, and MINRES
+    # with the block preconditioner goes on from it (23 iterations when this
+    # was written) to the solution that MINRES from zero finds
+    prob = disc_problem(make_grid(1.0, 1.0, 16, 16), 1.0, 1e-2, 0.0)
+    assert brinkman._constant(prob)
+    sol = solve_brinkman(prob, 1e-12)
+    assert sol.report.converged, sol.report
+    x, rep = solve_minres(brinkman_operator(prob), prob.rhs, 1e-12,
+                          precond=brinkman._block_preconditioner(prob))
+    assert rep.converged
+    np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=1e-9 * np.max(np.abs(x)))
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 @pytest.mark.parametrize("nu", [1e-2, 1.0, 1e3])
 def test_block_path_matches_dense_oracle(block_calls, nu, lam):
@@ -607,6 +627,25 @@ def test_block_iterations_do_not_grow_with_the_grid(block_calls, nu):
         assert sol.report.converged
         iters.append(sol.report.iterations)
     assert len(block_calls) == 2
+    assert iters[1] <= 1.5 * iters[0], iters
+
+
+@pytest.mark.parametrize("nu", [1.0, 1e3])
+def test_block_preconditioner_iterations_from_zero_do_not_grow_with_the_grid(nu):
+    # the test above now counts the iterations after the exact start; the
+    # block preconditioner, which serves a start that misses, runs from zero
+    iters = []
+    for n in (16, 64):
+        grid = make_grid(1.0, 1.0, n, n)
+        x, y = grid.cell_centers()
+        force = FaceField(np.zeros((n + 1, n)), np.zeros((n, n + 1)))
+        force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
+        prob = problem(grid, nu=nu, force=force,
+                       gamma_v=0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        _, rep = solve_minres(brinkman_operator(prob), prob.rhs, TOL,
+                              precond=brinkman._block_preconditioner(prob))
+        assert rep.converged
+        iters.append(rep.iterations)
     assert iters[1] <= 1.5 * iters[0], iters
 
 
@@ -917,6 +956,36 @@ def test_window_keeps_no_stalled_solve(monkeypatch):
     sol = window.solve(disc_problem(grid, 10.0, 2.0, 0.3, 2), TOL)
     assert not sol.report.converged and sol.report.iterations == 1
     assert len(window) == 1
+
+
+def test_constant_viscosity_window_stores_nothing():
+    # each solve starts from K^-1 rhs, as a fresh solve does, and the window
+    # neither reads nor keeps a pair
+    grid = make_grid(1.0, 1.5, 9, 7)
+    window = brinkman.ProjectedStart(4)
+    for seed in range(3):
+        force, gamma_v = random_data(grid, seed)
+        prob = problem(grid, nu=2.0, eta=0.8, lam=0.3, force=force, gamma_v=gamma_v)
+        sol, fresh = window.solve(prob, TOL), solve_brinkman(prob, TOL)
+        assert sol.report == fresh.report and sol.report.converged
+        assert sol.x.tobytes() == fresh.x.tobytes()
+        assert len(window) == 0
+
+
+def test_variable_viscosity_solve_never_builds_the_exact_inverse(monkeypatch):
+    built = []
+    original = brinkman._saddle_inverse
+    monkeypatch.setattr(brinkman, "_saddle_inverse",
+                        lambda *args: built.append(args) or original(*args))
+    grid = make_grid(1.0, 1.5, 9, 7)
+    window = brinkman.ProjectedStart(4)
+    for seed in range(2):
+        assert window.solve(disc_problem(grid, 10.0, 2.0, 0.3, seed), TOL).report.converged
+    # eta constant but lam varying is variable too
+    assert solve_brinkman(disc_problem(grid, 1.0, 2.0, 0.3), TOL).report.converged
+    assert built == [] and len(window) == 2
+    assert solve_brinkman(problem(grid, nu=2.0, eta=0.8, lam=0.3), TOL).report.converged
+    assert len(built) == 1
 
 
 def test_window_rebuilds_its_operator_when_a_coefficient_changes_a_bit(monkeypatch):
