@@ -437,7 +437,7 @@ solve_spd = solve_minres
 
 
 # ---------------------------------------------------------------------------
-# Trigonometric eigenbases of the 1D Laplacians
+# Eigenbases of the 1D Laplacians and the separable inverses built on them
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
@@ -477,27 +477,31 @@ def laplacian_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return q, lam
 
 
-def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray
+def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray,
+                      px: np.ndarray | None = None, py: np.ndarray | None = None
                       ) -> Callable[..., np.ndarray]:
-    """r -> qx ((qx^T r qy) * scale) qy^T: the symmetric operator that is
-    diagonal, with entries `scale`, in the tensor basis of qx and qy.
+    """r -> qx ((px^T r py) * scale) qy^T: the operator that is diagonal,
+    with entries `scale`, in the tensor basis of qx and qy whose dual
+    (biorthogonal) basis is px, py; without px and py the basis is
+    orthonormal (px = qx, py = qy) and the operator symmetric.
 
     qx (nx by mx) and qy (ny by my) may be the first mx and my columns of a
     basis; scale is mx by my, and the operator is zero on the other modes.
-    qx, qy and their transposes are held C-contiguous (copied here where
-    they are not), so no BLAS product takes a transposed or strided
-    operand.  The returned
-    `apply(r, out=None)` writes into `out` when given and into a new array
-    otherwise; its intermediate products go to three scratch arrays
-    allocated here, in the order of the formula (`np.dot`: the same BLAS
-    products as `@`, with less overhead per call)."""
-    qx, qy = np.ascontiguousarray(qx), np.ascontiguousarray(qy)
-    qxt, qyt = np.ascontiguousarray(qx.T), np.ascontiguousarray(qy.T)
+    The four factors are held C-contiguous (copied here where they are
+    not), so no BLAS product takes a transposed or strided operand.  The
+    returned `apply(r, out=None)` writes into `out` when given and into a
+    new array otherwise; its intermediate products go to three scratch
+    arrays allocated here, in the order of the formula (`np.dot`: the same
+    BLAS products as `@`, with less overhead per call)."""
+    px = qx if px is None else px
+    py = qy if py is None else py
+    qx, py = np.ascontiguousarray(qx), np.ascontiguousarray(py)
+    pxt, qyt = np.ascontiguousarray(px.T), np.ascontiguousarray(qy.T)
     (nx, mx), (ny, my) = qx.shape, qy.shape
     a, b, c = np.empty((mx, ny)), np.empty((mx, my)), np.empty((nx, my))
 
     def apply(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        np.multiply(np.dot(np.dot(qxt, r, out=a), qy, out=b), scale, out=b)
+        np.multiply(np.dot(np.dot(pxt, r, out=a), py, out=b), scale, out=b)
         return np.dot(np.dot(qx, b, out=c), qyt, out=out)
     return apply
 
@@ -510,6 +514,47 @@ def neumann_multiplier(grid: Grid, symbol: Callable[[np.ndarray], np.ndarray]
     qy, ly = laplacian_basis(grid.ny, "cell")
     return separable_inverse(qx, qy, symbol(lx[:, None] / grid.hx ** 2
                                             + ly[None, :] / grid.hy ** 2))
+
+
+@lru_cache(maxsize=32)
+def robin_basis(n: int, k: float, w: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenbasis (left, right, lam) of the 1D operator that
+    `diffusion_stencil` applies along one axis of n cells, with the face
+    coefficient k = c / h^2 inside and the Robin weight w = b / h on the
+    two walls (w = 0: zero-flux walls).
+
+    The wall rows read the trace 1.5 f_0 - 0.5 f_1, so the tridiagonal
+    matrix a is not symmetric; the diagonal similarity d a d^-1 with
+    (d_{j+1} / d_j)^2 = a_{j,j+1} / a_{j+1,j} is, and splits as q diag(lam)
+    q^T (`np.linalg.eigh`). Then a = left diag(lam) right^T with left =
+    d^-1 q and right = d q, and right^T left = I (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964). lam < 0 when w > 0; at w = 0 the constants
+    give lam = 0 up to round-off. The arrays are cached and read-only."""
+    diag = np.full(n, -2.0 * k)
+    diag[[0, -1]] = -k - 1.5 * w
+    upper, lower = np.full(n - 1, k), np.full(n - 1, k)
+    upper[0] = lower[-1] = k + 0.5 * w     # a[0, 1] and a[n-1, n-2]
+    d = np.concatenate(([1.0], np.cumprod(np.sqrt(upper / lower))))
+    off = np.sqrt(upper * lower)
+    lam, q = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    left, right = q / d[:, None], q * d[:, None]
+    for a in (left, right, lam):
+        a.setflags(write=False)
+    return left, right, lam
+
+
+def robin_inverse(grid: Grid, alpha: float, beta: float, c: float,
+                  b: float) -> Callable[..., np.ndarray]:
+    """r -> (alpha - beta div(c grad))^-1 r for one number c on every face
+    and Robin walls b (b = 0: zero-flux walls), the operator
+    alpha f - beta * diffusion_stencil(c, grid, b)(f); needs alpha > 0 or
+    b > 0. It is separable in the `robin_basis` pairs of the two axes
+    (cached), so an apply is four BLAS products (`separable_inverse`)."""
+    lx, rx, ex = robin_basis(grid.nx, c / grid.hx ** 2, b / grid.hx)
+    ly, ry, ey = robin_basis(grid.ny, c / grid.hy ** 2, b / grid.hy)
+    scale = 1.0 / (alpha - beta * (ex[:, None] + ey[None, :]))
+    return separable_inverse(lx, ly, scale, rx, ry)
 
 
 def materialize_dense(op: StencilOperator) -> np.ndarray:

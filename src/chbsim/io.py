@@ -330,6 +330,9 @@ _CHOICES = {
     "phi0": ("uniform", "tanh_disc", "cosine_perturbation"),
     "sigma0": ("uniform", "cosine"),
 }
+# the largest |1 + delta_cap| of the quadratic-growth potential: below it the
+# quartic and its C^2 continuation at the cap, at most 1.5 cap^4, are finite
+CAP_LIMIT = float(np.finfo(float).max / 4.0) ** 0.25
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -398,6 +401,9 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
         errors.append("snapshot_every must be >= 0")
     if not cfg.formats:
         errors.append("need at least one output format")
+    if cfg.potential == "quadratic_growth" and not abs(1.0 + cfg.delta_cap) <= CAP_LIMIT:
+        errors.append(f"delta_cap={cfg.delta_cap!r} puts the cap 1 + delta_cap beyond "
+                      f"+-{CAP_LIMIT:.3e}, where psi overflows")
     for build in (cfg.grid, cfg.scheme):
         try:
             build()

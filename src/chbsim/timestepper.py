@@ -13,14 +13,19 @@ One step from t_n advances in three stages that share one old-level record:
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of
         the sources implicit.  The chemical potential is eliminated from the
         two-field block and the single-field system is solved with BiCGStab,
-        right-preconditioned by the cosine-transform inverse of the
-        constant-coefficient operator at the upper mobility bound and the
-        largest theta_phi; at constant mobility and theta_phi that inverse
-        is exact and one iteration suffices.
+        started from and right-preconditioned by the cosine-transform
+        inverse of the constant-coefficient operator at the upper mobility
+        bound and the largest theta_phi; at constant mobility and theta_phi
+        that inverse is exact, and the true-residual check at the start
+        ends the solve with no iteration.
         mu' is then evaluated exactly from phi', so the constitutive relation
         holds to machine precision;
   (iii) nutrient update with implicit Robin-wall diffusion, the fresh phi'
-        in the cross-diffusion flux and explicit upwind convection.
+        in the cross-diffusion flux and explicit upwind convection, solved
+        with plain BiCGStab started from the separable inverse of the
+        diffusion at the upper nutrient-mobility bound
+        (`elliptic.robin_inverse`); at constant nutrient mobility that
+        start is exact and no iteration is made.
 
 After (ii) and (iii) the field is shifted by a spatial constant (of the order
 of the Krylov tolerance) chosen so the integral mass ledgers close exactly.
@@ -50,6 +55,7 @@ from .elliptic import (
     harmonic_face_coefficients,
     neumann_multiplier,
     robin_influx,
+    robin_inverse,
     robin_source,
     solve_general,
 )
@@ -191,12 +197,13 @@ def step_phase(old: diagnostics.OldLevel, conv: Transport,
         return np.add(f, lf)
 
     rhs = phi_n + dt * (old.src.lambda_phi - conv.div) - dt * l_m(c_lin)
-    # The preconditioner inverts the operator at the upper mobility bound and
-    # the largest theta; when both are constant it is the exact inverse (both
-    # factors are polynomials in the Neumann Laplacian): one iteration.
+    # The start and the preconditioner invert the operator at the upper
+    # mobility bound and the largest theta; when both are constant that is
+    # the exact inverse (both factors are polynomials in the Neumann
+    # Laplacian), and the start already meets the tolerance.
     op = StencilOperator(apply, g.shape)
     precond = phase_inverse(g, dt, s, eps, model.mobvis.m.hi, float(np.max(theta)))
-    phi_new, rep = solve_general(op, rhs, PHASE_TOL, phi_n, precond=precond)
+    phi_new, rep = solve_general(op, rhs, PHASE_TOL, precond(rhs), precond=precond)
     _require_converged("phase", old.state.t, rep)
     mu_new = a_eps(phi_new) + c_lin
 
@@ -242,8 +249,11 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
         np.multiply(r_buf, dt, out=r_buf)
         return np.subtract(f, r_buf)
 
+    # started from the inverse at the upper nutrient-mobility bound, exact
+    # when n is constant
+    start = robin_inverse(g, 1.0, dt, p.chi_sigma * model.mobvis.n.hi, p.b)
     sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, NUTRIENT_TOL,
-                                   sigma_n)
+                                   start(rhs))
     _require_converged("nutrient", old.state.t, rep)
 
     # constant shift closing the sigma ledger exactly; the shift moves the

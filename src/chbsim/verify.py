@@ -38,6 +38,7 @@ from .elliptic import (
     apply_neumann_laplacian,
     diffusion_stencil,
     harmonic_face_coefficients,
+    robin_inverse,
     robin_source,
     solve_general,
     solve_minres,
@@ -220,7 +221,9 @@ def _disc_model() -> ModelSpec:
 
 def _steady_nutrient(phi: np.ndarray, model: ModelSpec) -> np.ndarray:
     """Nutrient field balancing diffusion, active transport, consumption
-    and wall supply for a frozen phase field (zero velocity)."""
+    and wall supply for a frozen phase field (zero velocity); the solve
+    starts from the steady Robin inverse at the upper nutrient-mobility
+    bound, exact at constant nutrient mobility."""
     g = model.grid
     params = model.params
     n_faces = harmonic_face_coefficients(model.mobvis.n(phi), g)
@@ -232,7 +235,9 @@ def _steady_nutrient(phi: np.ndarray, model: ModelSpec) -> np.ndarray:
     rhs = (robin_source(params.b, params.sigma_inf, g)
            - params.chi_phi * apply_neumann_laplacian(phi, n_faces, g)
            - consumption)
-    return _solved("steady nutrient", g, *solve_general(op, rhs, 1e-13))
+    start = robin_inverse(g, 0.0, 1.0, params.chi_sigma * model.mobvis.n.hi, params.b)
+    return _solved("steady nutrient", g,
+                   *solve_general(op, rhs, 1e-13, start(rhs)))
 
 
 def _budget_runs() -> tuple[tuple[RunResult, RunResult], ModelSpec,
@@ -333,7 +338,8 @@ def robin_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
         robin = diffusion_stencil(FaceField.ones(g), g, 1.0)
         op = StencilOperator(lambda f, robin=robin: f - robin(f), g.shape)
         rhs = rhs_f + robin_source(1.0, traces, g)
-        u = _solved("Robin", g, *solve_general(op, rhs, 1e-12))
+        start = robin_inverse(g, 1.0, 1.0, 1.0, 1.0)   # exact here
+        u = _solved("Robin", g, *solve_general(op, rhs, 1e-12, start(rhs)))
         errs.append(_l2(u - exact, g))
         hs.append(g.hx)
     return hs, errs, _fit_order(hs, errs)

@@ -17,7 +17,9 @@ from chbsim.elliptic import (
     laplacian_basis,
     materialize_dense,
     neumann_multiplier,
+    robin_basis,
     robin_influx,
+    robin_inverse,
     robin_source,
     separable_inverse,
     solve_general,
@@ -682,6 +684,40 @@ def test_neumann_multiplier_matches_a_dense_solve(nx, ny, lx, ly, alpha, seed):
     want = np.linalg.solve(np.eye(grid.nx * grid.ny) - alpha * lap, r.ravel())
     np.testing.assert_allclose(got.ravel(), want, rtol=0.0,
                                atol=1e-11 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("sides", [(9, 6, 1.0, 0.5), (7, 11, 1.3, 0.7)])
+@pytest.mark.parametrize("alpha, beta, c, b", [
+    (1.0, 0.3, 0.7, 0.0),     # zero-flux walls
+    (1.0, 0.3, 0.7, 1.0),     # Robin walls
+    (1.0, 1e-4, 0.05, 2.5),   # a nutrient step's shape
+    (0.0, 1.0, 0.05, 1.0),    # steady: alpha = 0, the Robin walls alone keep it regular
+], ids=["neumann", "robin", "step", "steady"])
+def test_robin_inverse_matches_the_dense_inverse(sides, alpha, beta, c, b):
+    nx, ny, lx, ly = sides   # hx != hy
+    grid = make_grid(lx, ly, nx, ny)
+    robin = diffusion_stencil(c, grid, b)
+    mat = materialize_dense(StencilOperator(lambda f: alpha * f - beta * robin(f),
+                                            grid.shape))
+    inv = robin_inverse(grid, alpha, beta, c, b)
+    got = materialize_dense(StencilOperator(inv, grid.shape))
+    want = np.linalg.inv(mat)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    r = np.random.default_rng(3).standard_normal(grid.shape)
+    out = np.empty_like(r)
+    assert inv(r, out=out) is out and np.array_equal(out, inv(r))
+
+
+@pytest.mark.parametrize("n", [4, 9, 64])
+@pytest.mark.parametrize("k, w", [(1.0, 0.0), (81.0, 9.0), (204.8, 64.0)])
+def test_robin_basis_pair_is_biorthogonal(n, k, w):
+    # right^T left = I: the diagonal similarity cancels up to a few ulps
+    left, right, lam = robin_basis(n, k, w)
+    gap = np.max(np.abs(right.T @ left - np.eye(n)))
+    assert gap <= 8 * np.finfo(float).eps
+    # negative definite with Robin walls; zero-flux walls keep the constants
+    top = np.max(lam)
+    assert top < 0.0 if w > 0.0 else abs(top) <= 16 * np.finfo(float).eps * k
 
 
 def test_face_gradient_walls_are_zero():

@@ -356,6 +356,19 @@ def test_saved_configs_load_back_unchanged(tmp_path, changes):
         assert load_config(path) == cfg
 
 
+@pytest.mark.parametrize("delta_cap", [1.158e77, -1.158e77])
+def test_a_cap_beyond_the_float_range_is_refused(tmp_path, delta_cap):
+    # hypothesis once drew 1.158e77: psi's quartic at the cap overflowed
+    # inside the check, instead of the check refusing the config
+    cfg = RunConfig(potential="quadratic_growth", delta_cap=delta_cap)
+    path = tmp_path / "saved.ini"
+    save_config(cfg, path)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == [f"delta_cap={delta_cap!r} puts the cap 1 + delta_cap "
+                                "beyond +-8.188e+76, where psi overflows"]
+
+
 DIRECTORIES = st.one_of(st.text(st.sampled_from("ab/._-#; \t\n\r"), max_size=8),
                         st.text(max_size=8))
 
@@ -839,8 +852,10 @@ def test_cli_run_completes_a_small_simulation(tmp_path, monkeypatch, capsys):
 
 def test_cli_run_that_stalls_keeps_the_initial_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
-    monkeypatch.setattr(elliptic, "MAX_ITERS", 1)
-    assert cli.main(["run", str(write_small_config(tmp_path))]) == 1
+    monkeypatch.setattr(elliptic, "MAX_ITERS", 0)
+    # variable mobility: the phase start is inexact, and no iteration is allowed
+    text = SMALL_RUN.replace("mobility = 1e-3", "mobility = 1e-3 2e-3")
+    assert cli.main(["run", str(write_small_config(tmp_path, text=text))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run aborted: ") and "solve stalled at t=0" in err
     outdir = tmp_path / "out" / "demo"

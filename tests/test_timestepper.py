@@ -218,7 +218,8 @@ def test_constant_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     assert rep.phase.converged and rep.phase.iterations <= 2
     assert abs(rep.ledger_phi) <= 1e-11
 
-    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: None)
+    # the plain path: the identity as start map and preconditioner
+    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: lambda a: a)
     plain, plain_rep = step_from(state, specs)
     assert plain_rep.phase.iterations > 10
     assert (np.linalg.norm(new.phi - plain.phi)
@@ -245,7 +246,7 @@ def test_variable_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     state, specs, new, rep = variable_mobility_step(32, 2.0, source)
     assert rep.phase.converged and abs(rep.ledger_phi) <= 1e-11
 
-    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: None)
+    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: lambda a: a)
     plain, plain_rep = step_from(state, specs)
     assert plain_rep.phase.converged
     assert 3 * rep.phase.iterations <= plain_rep.phase.iterations
@@ -253,10 +254,34 @@ def test_variable_mobility_phase_solve_is_preconditioned(source, monkeypatch):
             <= 1e-10 * np.linalg.norm(plain.phi))
 
 
+@pytest.mark.parametrize("n_bounds", [(0.05, 0.05), (0.01, 0.05), (0.005, 0.5)],
+                         ids=["constant", "contrast5", "contrast100"])
+def test_nutrient_solve_starts_from_the_robin_inverse(n_bounds, monkeypatch):
+    # the start inverts the diffusion at the upper nutrient-mobility bound:
+    # exact at constant n (no iteration), and at variable n no more
+    # iterations than from the old start sigma_n
+    model = build_model(nx=32, ny=32, source=SOURCES["lima"])
+    model = dc_replace(model, mobvis=dc_replace(model.mobvis, n=CoefficientSpec(*n_bounds)))
+    state = initial_state(disc_phase(model.grid), np.full(model.grid.shape, 0.8), model)
+    specs = specs_for(model, 1e-3, flow=False)
+    new, rep = step_from(state, specs)
+    assert rep.nutrient.converged and abs(rep.ledger_sigma) <= 1e-11
+    if n_bounds[0] == n_bounds[1]:
+        assert rep.nutrient.iterations == 0
+
+    monkeypatch.setattr(timestepper, "robin_inverse",
+                        lambda *args: lambda rhs: state.sigma.copy())
+    old, old_rep = step_from(state, specs)
+    assert old_rep.nutrient.converged
+    assert rep.nutrient.iterations <= old_rep.nutrient.iterations
+    assert (np.linalg.norm(new.sigma - old.sigma)
+            <= 1e-10 * np.linalg.norm(old.sigma))
+
+
 @pytest.mark.parametrize("case", ["lima", "hawkins_positive_floor", "variable"])
 def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
-    # constant and variable mobility alike: BiCGStab with the one
-    # preconditioner the step builds
+    # constant and variable mobility alike: BiCGStab started from and
+    # preconditioned by the one inverse the step builds
     if case == "variable":
         model = build_model(nx=32, ny=32, m=CoefficientSpec(1e-3, 2e-3),
                             source=SOURCES["lima"])
@@ -271,6 +296,7 @@ def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
 
     def spy_general(op, rhs, tol, x0=None, precond=None):
         used.append(precond)
+        assert np.array_equal(x0, precond(rhs))
         return solve_general(op, rhs, tol, x0, precond=precond)
 
     monkeypatch.setattr(timestepper, "phase_inverse", spy_inverse)
@@ -280,8 +306,8 @@ def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
                            specs_for(model, 1e-3, flow=False))
     assert len(built) == 1 and len(used) == 1 and used[0] is built[0]
     assert rep.converged
-    if case != "variable":
-        assert rep.iterations == 1
+    if case != "variable":   # the exact start leaves only the residual check
+        assert rep.iterations == 0
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -623,7 +649,8 @@ def test_a_run_builds_its_flow_operator_once_per_viscosity_field(
         assert a.v.u.tobytes() == b.v.u.tobytes() and a.v.w.tobytes() == b.v.w.tobytes()
 
 def test_step_failure_carries_the_partial_record(monkeypatch):
-    model = build_model()
+    # variable mobility: the phase start is inexact, so one iteration stalls
+    model = build_model(m=CoefficientSpec(1e-3, 2e-3))
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
     monkeypatch.setattr(elliptic, "MAX_ITERS", 1)
     with pytest.raises(StepFailure) as exc:
