@@ -16,8 +16,9 @@ by construction and solved with preconditioned MINRES (nu > 0). At constant
 viscosities the whole saddle system has an exact inverse: a 3 x 3 solve per
 sine/cosine mode on the interior faces and pressure modes, and a
 capacitance solve on the wall faces and the constant pressure. Each solve
-starts from it, so MINRES has nothing left to do unless rounding leaves the
-start above the tolerance. The block-diagonal preconditioner is separate
+starts from it, refined once where rounding leaves it above the tolerance,
+and only a start that still misses builds the block preconditioner for
+MINRES. The block-diagonal preconditioner is separate
 cosine-transform u and w blocks of a constant reference (the minimum
 viscosities), rescaled cell by cell by the Jacobi diagonals where the
 viscosities vary, and a Cahouet-Chabard pressure part: a constant plus a
@@ -48,6 +49,7 @@ from .elliptic import (
     laplacian_basis,
     separable_inverse,
     solve_minres,
+    trig_table,
 )
 
 
@@ -301,24 +303,15 @@ def _jacobi_diagonal(problem: BrinkmanProblem, ce=None, en=None) -> np.ndarray:
 _PRESSURE_EPS = 1e-2
 
 
-def _trig_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal DCT-II on the n cells of an axis, c[j, k] = sqrt((2
-    - [k = 0]) / n) cos(pi k (j + 1/2) / n), and the DST-I on its n + 1
-    nodes in the frame of its n cell modes, s[i, k] = sqrt(2 / n) sin(pi k
-    i / n).  The wall rows i = 0, n and the column k = 0 of s are zero, so s
-    maps the n - 1 interior modes to node values that vanish on the walls.
-    Each angle is reduced in integers to pi m / 2n, 0 <= m < 4n, before its
-    cosine or sine is taken, so the columns are orthonormal to a few eps at
-    any n; reducing k (j + 1/2) pi / n in floating point (as
-    `laplacian_basis` does) costs about n eps."""
-    j, k = np.arange(n + 1)[:, None], np.arange(n)[None, :]
-    angle = np.pi / (2 * n)
-    c = math.sqrt(2.0 / n) * np.cos(angle * (k * (2 * j[:n] + 1) % (4 * n)))
-    c[:, 0] = math.sqrt(1.0 / n)
-    s = math.sqrt(2.0 / n) * np.sin(angle * (2 * k * j % (4 * n)))
+def _node_sines(n: int) -> np.ndarray:
+    """The DST-I on the n + 1 nodes of an axis in the frame of its n cell
+    modes, s[i, k] = sqrt(2 / n) sin(pi k i / n), read off `trig_table`.
+    The wall rows i = 0, n and the column k = 0 are zero, so s maps the n - 1
+    interior modes to node values that vanish on the walls."""
+    s = np.sqrt(2.0 / n) * trig_table(n)[1][np.outer(2 * np.arange(n + 1), np.arange(n)) % (4 * n)]
     s[[0, n], :] = 0.0
     s[:, 0] = 0.0
-    return c, s
+    return s
 
 
 def _saddle_inverse(grid: Grid, eta: float, lam: float, nu: float):
@@ -357,8 +350,10 @@ def _saddle_inverse(grid: Grid, eta: float, lam: float, nu: float):
     touches only the modes l = 0 of L - R and k = 0 of B - T (its K_BI is
     the mode (0, 0) of their lifts), so it borders their class with a zero
     diagonal.  In each class the wall modes of L and R decouple from each
-    other (a wall mode's lift fills one column), so the class is inverted
-    once through the Schur complement of that diagonal.
+    other (a wall mode's lift fills one column), so the four classes, padded
+    to one size, are inverted at once through the Schur complements of those
+    diagonals.  A lift meets only the modes of its parity, so one mode array
+    holds the lifts of L +- R, another those of B +- T.
 
     An apply: six transform products, which also gather the wall modes
     (the x basis of u carries L +- R as two extra columns; B +- T are read
@@ -370,7 +365,7 @@ def _saddle_inverse(grid: Grid, eta: float, lam: float, nu: float):
     nx, ny = grid.shape
     hx, hy, vol = grid.hx, grid.hy, grid.cell_area
     ce = 2.0 * eta + lam
-    (cx, sx_b), (cy, sy_b) = _trig_bases(nx), _trig_bases(ny)
+    (cx, sx_b), (cy, sy_b) = ((laplacian_basis(n, "cell")[0], _node_sines(n)) for n in grid.shape)
     sx = 2.0 * np.sin(0.5 * np.pi * np.arange(nx) / nx)[:, None] / hx
     sy = 2.0 * np.sin(0.5 * np.pi * np.arange(ny) / ny)[None, :] / hy
     h2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -405,15 +400,17 @@ def _saddle_inverse(grid: Grid, eta: float, lam: float, nu: float):
     b_bt = np.stack([lam * hx * np.stack([-cy[0], cy[ny - 1]], axis=1),
                      c2 * sy_b[[1, ny - 1]].T, hx * np.stack([cy[0], -cy[ny - 1]], axis=1)]) @ h2
     bt_scale = np.stack([sx, np.ones((nx, 1)), np.ones((nx, 1))])
-    lift_lr = [a_lr[:, p, :, None] * lr_scale for p in range(2)]
-    lift_bt = [bt_scale * b_bt[:, None, :, r] for r in range(2)]
 
-    def solved(f: np.ndarray) -> np.ndarray:
-        y = np.empty((4, nx, ny))
-        mix(f, y)
-        return y[:3]
-    k_lr, k_bt = [solved(f) for f in lift_lr], [solved(f) for f in lift_bt]
-
+    # S in the wall modes.  K_BB is diagonal but for the two wall faces at
+    # each corner, coupled by +lam (L-B, R-T) or -lam (L-T, R-B): lam
+    # y_corner x_corner in the modes, and for p0.  L + R and B + T are odd
+    # under x -> -x and y -> -y, L - R, B - T and p0 even; the mode l of L,
+    # R has parity (-1)^l under y -> -y, the mode k of B, T (-1)^k under x ->
+    # -x.  So L + R (L - R) meets only the odd (even) k, and B + T (B - T)
+    # only the odd (even) l: mode k meets the wall k_wall[k].
+    x_corner = h2 @ np.stack([cx[0], -cx[nx - 1]])
+    y_corner = h2 @ np.stack([cy[0], -cy[ny - 1]])
+    k_wall, l_wall = (np.arange(nx) + 1) % 2, (np.arange(ny) + 1) % 2
     # The forward frames lie in one flat array: f_lr (L + R and L - R, 2 by
     # ny), the (u, w, p) mode stack, f_bt (B + T and B - T, nx by 2) and one
     # more slot, zero, where the padding rows of the classes read.  The
@@ -426,40 +423,41 @@ def _saddle_inverse(grid: Grid, eta: float, lam: float, nu: float):
                        fwd[n_bt:-1].reshape(nx, 2))
     z_lr, z_m, z_bt = (bwd[:2 * ny].reshape(2, ny), bwd[2 * ny:n_zbt].reshape(4, nx, ny),
                        bwd[n_zbt:-1].reshape(nx, 2))
+    y1, lifted = np.empty((4, nx, ny)), np.empty((3, nx, ny))
 
-    # S in the wall modes.  K_BB is diagonal but for the two wall faces at
-    # each corner, coupled by +lam (L-B, R-T) or -lam (L-T, R-B): lam
-    # y_corner x_corner in the modes, and for p0.  L + R and B + T are odd
-    # under x -> -x and y -> -y, L - R, B - T and p0 even; the mode l of L,
-    # R has parity (-1)^l under y -> -y, the mode k of B, T (-1)^k under x ->
-    # -x.  So L + R (L - R) meets only the odd (even) k, and B + T (B - T)
-    # only the odd (even) l: S splits into the four classes (L +- R, B +-
-    # T), p0 in (L - R, B - T), whose inverses are kept as the blocks of one
-    # (4, n_c, n_c) array, zero-padded to the largest class.  The rows of a
-    # class read fwd and write bwd at the slots in `gather` and `scatter`.
-    x_corner = h2 @ np.stack([cx[0], -cx[nx - 1]])
-    y_corner = h2 @ np.stack([cy[0], -cy[ny - 1]])
-    d_lr = [ce * hy / hx + 0.5 * nu * vol - np.sum(f * y, axis=(0, 1))
-            for f, y in zip(lift_lr, k_lr)]
-    d_bt = [ce * hx / hy + 0.5 * nu * vol - np.sum(f * y, axis=(0, 2))
-            for f, y in zip(lift_bt, k_bt)]
-    n_c = (ny + 1) // 2 + (nx + 1) // 2 + 1
-    s_inv = np.zeros((4, n_c, n_c))
-    gather, scatter = np.full((4, n_c), fwd.size - 1), np.full((4, n_c), bwd.size - 1)
-    for p in range(2):
-        for r in range(2):
-            ls, ks = np.arange(1 - r, ny, 2), np.arange(1 - p, nx, 2)
-            cross = lam * np.outer(y_corner[r], x_corner[p]) \
-                - np.sum(lift_lr[p] * k_bt[r], axis=0).T
-            w, e = cross[np.ix_(ls, ks)], np.diag(d_bt[r][ks])
-            if p == r == 1:   # p0, coupled to the l = 0 and k = 0 rows
-                w = np.column_stack([w, (ls == 0) * a_lr[2, 1, 0]])
-                border = (ks == 0) * b_bt[2, 0, 1]
-                e = np.block([[e, border[:, None]], [border, 0.0]])
-            size, n = len(ls) + len(e), len(ls) + len(ks)
-            s_inv[2 * p + r, :size, :size] = _bordered_inverse(d_lr[p][ls], w, e)
-            gather[2 * p + r, :n] = np.r_[p * ny + ls, n_bt + 2 * ks + r]
-            scatter[2 * p + r, :n] = np.r_[p * ny + ls, n_zbt + 2 * ks + r]
+    # the lifts and their per-mode solves, in stacks the apply overwrites
+    np.multiply(a_lr[:, k_wall, np.arange(nx), None], lr_scale, out=lifted)
+    np.multiply(bt_scale, b_bt[:, np.arange(ny), l_wall][:, None, :], out=f_m)
+    mix(lifted, y1)
+    mix(f_m, z_m)
+    own_lr, own_bt = (np.einsum("ckl,ckl->kl", f, y[:3]) for f, y in ((lifted, y1), (f_m, z_m)))
+    d_lr = np.ones((2, ny + 1))                  # column ny: padding
+    d_lr[:, :ny] = ce * hy / hx + 0.5 * nu * vol - np.eye(2)[k_wall].T @ own_lr
+    d_bt = np.ones((2, nx + 2))                  # column nx: padding, nx + 1: p0
+    d_bt[:, :nx] = ce * hx / hy + 0.5 * nu * vol - (own_bt @ np.eye(2)[l_wall]).T
+    d_bt[1, nx + 1] = 0.0
+    cross = np.zeros((ny + 1, nx + 2))           # row ny, column nx: padding, nx + 1: p0
+    cross[:ny, :nx] = (lam * np.outer(x_corner[k_wall, np.arange(nx)],
+                                      y_corner[l_wall, np.arange(ny)])
+                       - np.einsum("ckl,ckl->kl", lifted, z_m[:3])).T
+    cross[0, nx + 1] = a_lr[2, 1, 0]
+
+    # class 2 p + r holds the modes l = 1 - r, 3 - r, ... of L +- R, then k =
+    # 1 - p, 3 - p, ... of B +- T, and p0 last in class 3; a slot past the
+    # grid is padding, unit on the diagonal of S, and reads and writes the
+    # last slot of fwd (zero) and bwd
+    n_l, n_k = (ny + 1) // 2, (nx + 1) // 2 + 1
+    p, r = np.arange(4)[:, None] // 2, np.arange(4)[:, None] % 2
+    ls, ks = 1 - r + 2 * np.arange(n_l), 1 - p + 2 * np.arange(n_k)
+    li, ki = np.minimum(ls, ny), np.minimum(ks, nx)
+    ki[3, -1] = nx + 1
+    e = d_bt[r, ki][:, :, None] * np.eye(n_k)
+    e[3, 0, -1] = e[3, -1, 0] = b_bt[2, 0, 1]
+    s_inv = _bordered_inverse(d_lr[p, li], cross[li[:, :, None], ki[:, None, :]], e)
+    n_c = n_l + n_k
+    gather, scatter = (np.concatenate([np.where(ls < ny, p * ny + ls, pad),
+                                       np.where(ks < nx, start + 2 * ks + r, pad)], axis=1)
+                       for start, pad in ((n_bt, fwd.size - 1), (n_zbt, bwd.size - 1)))
     gather[3, n_c - 1] = 2 * ny + 2 * n_m   # p0; set after the mix, not scattered
 
     # the sine basis of u along x with the wall modes L +- R as two extra
@@ -476,7 +474,6 @@ def _saddle_inverse(grid: Grid, eta: float, lam: float, nu: float):
     bt_row = bt_scale.transpose(0, 2, 1)
     t_u, t_w, t_p = np.empty((nx + 2, ny)), np.empty((nx, ny + 1)), np.empty((nx, ny))
     w_bt = np.empty((nx, 2))
-    y1, lifted = np.empty((4, nx, ny)), np.empty((3, nx, ny))
     pt, qt = np.empty((3, 2, ny)), np.empty((3, nx, 2))
     tr_lr, tr_bt = np.empty((2, ny)), np.empty((nx, 2))
     g_c, z_c = np.empty((4, n_c, 1)), np.empty((4, n_c, 1))
@@ -512,13 +509,18 @@ def _saddle_inverse(grid: Grid, eta: float, lam: float, nu: float):
 
 
 def _bordered_inverse(d: np.ndarray, w: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The inverse of [[diag(d), w], [w^T, e]], through the Schur complement
-    t = e - w^T diag(d)^-1 w of the diagonal block: one inverse of the size
-    of e."""
-    f = w / d[:, None]
-    ti = np.linalg.inv(e - w.T @ f)
+    """The inverses of a stack of matrices [[diag(d), w], [w^T, e]] (d: (b,
+    n), w: (b, n, m), e: (b, m, m)), through the Schur complement t = e - w^T
+    diag(d)^-1 w of the diagonal block: one batched inverse of the size of
+    e."""
+    n, f = d.shape[1], w / d[..., None]
+    ti = np.linalg.inv(e - w.transpose(0, 2, 1) @ f)
     ft = f @ ti
-    return np.block([[np.diag(1.0 / d) + ft @ f.T, -ft], [-ft.T, ti]])
+    out = np.empty((len(d), n + e.shape[1], n + e.shape[1]))
+    out[:, :n, :n] = ft @ f.transpose(0, 2, 1)
+    out[:, np.arange(n), np.arange(n)] += 1.0 / d
+    out[:, :n, n:], out[:, n:, :n], out[:, n:, n:] = -ft, -ft.transpose(0, 2, 1), ti
+    return out
 
 
 def _scalar_velocity_blocks(grid: Grid, eta: float, lam: float, nu: float):
@@ -598,7 +600,8 @@ def _block_preconditioner(problem: BrinkmanProblem):
     iteration counts stay flat with the grid for smooth viscosity profiles,
     not across a sharp jump.  At constant viscosities s would be exactly 1
     and the rescaling is left out; there it serves only the iterations that
-    follow an exact start which missed (`solve_brinkman`).
+    follow an exact start which missed after its refinement, and
+    `solve_brinkman` builds it only then.
     """
     g = problem.grid
     eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
@@ -621,12 +624,14 @@ def _constant(problem: BrinkmanProblem) -> bool:
     return bool(np.ptp(problem.eta) == 0.0 and np.ptp(problem.lam) == 0.0)
 
 
-def _build(problem: BrinkmanProblem):
-    """(operator, block preconditioner, exact inverse or None): the exact
-    inverse `_saddle_inverse` is built at constant viscosities only."""
-    exact = _saddle_inverse(problem.grid, float(problem.eta[0, 0]), float(problem.lam[0, 0]),
-                            problem.nu) if _constant(problem) else None
-    return brinkman_operator(problem), _block_preconditioner(problem), exact
+def _build(problem: BrinkmanProblem) -> list:
+    """[operator, block preconditioner, exact inverse]: at constant
+    viscosities `_saddle_inverse` and no preconditioner yet (`solve_brinkman`
+    builds it at its first apply), otherwise no exact inverse."""
+    if _constant(problem):
+        return [brinkman_operator(problem), None, _saddle_inverse(
+            problem.grid, float(problem.eta[0, 0]), float(problem.lam[0, 0]), problem.nu)]
+    return [brinkman_operator(problem), _block_preconditioner(problem), None]
 
 
 def solve_brinkman(problem: BrinkmanProblem, tol: float,
@@ -636,20 +641,27 @@ def solve_brinkman(problem: BrinkmanProblem, tol: float,
     relative tolerance tol, from the packed start x0 (zero when not given).
     At constant eta and lam the start is first made exact: x0 + K^-1 (rhs -
     A x0), or K^-1 rhs without x0, with the exact inverse K^-1 of
-    `_saddle_inverse`, and MINRES takes no iteration unless rounding leaves
-    that start above tol (its own true-residual test decides).
-    `built` holds the operator, preconditioner and exact inverse of an
-    earlier solve: they are reused while the grid, nu and the bits of eta
-    and lam are the ones they were built from, and rebuilt otherwise
-    (always, without `built`).  Requires nu > 0: without friction its
-    velocity blocks are singular."""
+    `_saddle_inverse`.  A start that rounding leaves above tol is refined
+    once, x0 += K^-1 (rhs - A x0) (`solve_minres`'s `refine`), and MINRES
+    iterates only if that still misses; the preconditioner is built at its
+    first apply, so a start that meets tol builds none.
+    `built` holds the `_build` of an earlier solve: it is reused while the
+    grid, nu and the bits of eta and lam are the ones it was built from, and
+    rebuilt otherwise (always, without `built`).  Requires nu > 0: without
+    friction its velocity blocks are singular."""
     if not problem.nu > 0.0:
         raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
-    op, precond, exact = (built or LastBuild()).get(
+    kept = (built or LastBuild()).get(
         bits(problem.grid, problem.nu, problem.eta, problem.lam), lambda: _build(problem))
+    op, exact = kept[0], kept[2]
+
+    def precond(a: np.ndarray) -> np.ndarray:
+        if kept[1] is None:
+            kept[1] = _block_preconditioner(problem)
+        return kept[1](a)
     if exact is not None:
         x0 = exact(problem.rhs) if x0 is None else x0 + exact(problem.rhs - op.apply(x0))
-    x, report = solve_minres(op, problem.rhs, tol, x0, precond=precond)
+    x, report = solve_minres(op, problem.rhs, tol, x0, precond=precond, refine=exact)
     return _solution(problem, x, report)
 
 
@@ -688,8 +700,7 @@ class ProjectedStart:
     _COLLAPSE of its norm lies in the stored span and is not stored.  The
     buffer is allocated once, at the first pair.
 
-    Beside the window it holds the operator, block preconditioner and exact
-    inverse (None where eta or lam varies) of its last solve (a
+    Beside the window it holds the `_build` of its last solve (a
     `LastBuild`), which the next solve reuses while the grid, nu and the
     bits of eta and lam are unchanged: once per run at constant viscosities,
     once per solve where eta follows phi.  At constant viscosities the solve

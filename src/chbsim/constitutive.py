@@ -31,10 +31,29 @@ class ModelParams:
 # Double-well potential
 # ---------------------------------------------------------------------------
 
+# the largest cap 1 + delta_cap of the quadratic-growth potential: below it the
+# quartic and its C^2 continuation at the cap, at most 1.5 cap^4, are finite
+CAP_LIMIT = float(np.finfo(float).max / 4.0) ** 0.25
+
+
+def cap_error(delta_cap: float) -> str | None:
+    """Why the quadratic-growth cap 1 + delta_cap is refused, or None when it
+    lies in [1, CAP_LIMIT].  Below 1 the wells at +-1 leave the quartic
+    region, and below 1 / sqrt(3) the continuation's psi'' = 3 cap^2 - 1 is
+    negative, so psi loses its lower bound r1 t^2 - r2; above CAP_LIMIT psi
+    overflows at the cap."""
+    if 0.0 <= delta_cap and 1.0 + delta_cap <= CAP_LIMIT:
+        return None
+    return (f"delta_cap={delta_cap!r} puts the cap 1 + delta_cap outside [1, "
+            f"{CAP_LIMIT:.3e}]: below 1 the wells at +-1 leave the quartic, above "
+            f"it psi overflows")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Double-well potential, either the plain quartic or its C^2 truncation
-    to quadratic growth outside |t| <= 1 + delta_cap.
+    to quadratic growth outside |t| <= 1 + delta_cap; a quadratic-growth
+    spec with a cap that `cap_error` refuses raises ValueError.
 
     Reported constants:
       r1, r2   lower growth bound psi(t) >= r1 t^2 - r2
@@ -46,6 +65,10 @@ class PotentialSpec:
     r1: float = 0.125
     r2: float = 0.5
     r4: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind == "quadratic_growth" and (error := cap_error(self.delta_cap)):
+            raise ValueError(error)
 
     @classmethod
     def quartic(cls) -> "PotentialSpec":

@@ -391,9 +391,17 @@ def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
     return x, r, it, target
 
 
+def _misses(r: np.ndarray, goal: float) -> bool:
+    """Whether the residual r misses the goal ||r|| <= tol ||rhs|| that
+    MINRES iterates to."""
+    res = _norm(r)
+    return res > goal and res > 1e-300
+
+
 def solve_minres(op: StencilOperator, rhs: np.ndarray, tol: float,
                  x0: np.ndarray | None = None,
-                 precond: Callable[[np.ndarray], np.ndarray] | None = None
+                 precond: Callable[[np.ndarray], np.ndarray] | None = None,
+                 refine: Callable[[np.ndarray], np.ndarray] | None = None
                  ) -> tuple[np.ndarray, SolveReport]:
     """MINRES for symmetric indefinite stencils, with an optional SPD
     preconditioner `precond` (a -> M^-1 a).
@@ -409,7 +417,12 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray, tol: float,
     two measurements, as on long ill-conditioned solves) is the recurrence
     restarted from the true residual, at most 8 times. The preconditioner
     is applied once per iteration and once per recurrence started, and the
-    report reuses the last measured residual."""
+    report reuses the last measured residual.
+    `refine` (a -> K^-1 a, an inverse exact up to rounding) corrects a
+    start that misses the goal once, x += K^-1 (rhs - A x), before any
+    iteration, at one more operator apply; the recurrence then runs only if
+    the corrected start still misses. A start that meets the goal costs the
+    one apply that measures it."""
     if not op.symmetric:
         raise ValueError("solve_minres requires a symmetric operator")
     minv = precond if precond is not None else (lambda a: a)
@@ -419,11 +432,11 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray, tol: float,
     target = 0.0
     it_total = 0
     r = rhs - op.apply(x)
+    if refine is not None and _misses(r, goal):
+        x += refine(r)
+        r = rhs - op.apply(x)
     for _ in range(8):
-        res = _norm(r)
-        if res <= goal or res <= 1e-300:
-            break
-        if it_total >= MAX_ITERS or goal < 1e-280:
+        if not _misses(r, goal) or it_total >= MAX_ITERS or goal < 1e-280:
             break
         x, r, it, target = _minres_cycle(op, rhs, x, r, minv, target, goal,
                                          MAX_ITERS - it_total)
@@ -441,6 +454,20 @@ solve_spd = solve_minres
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
+def trig_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of pi m / 2n for m = 0..4n-1, the one table every
+    trigonometric basis on an axis of n cells is indexed out of: an angle
+    pi a / 2n of such a basis is read at m = a mod 4n, reduced in integers,
+    so its entries are exact to a few eps at any n (reducing the angle in
+    floating point costs about n eps).  Cached and read-only."""
+    angle = np.pi / (2 * n) * np.arange(4 * n)
+    tables = np.cos(angle), np.sin(angle)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=32)
 def laplacian_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenbasis (q, lam) of a unit-spacing 1D Laplacian on n cells.
 
@@ -451,27 +478,26 @@ def laplacian_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     kind "node": the n + 1 node values with zero-flux walls and half weight
     m = (1/2, 1, ..., 1, 1/2) at the two ends, q[:, k] = cos(pi k i / n)
     (DCT-I), k = 0..n.
-    q is orthonormal (m-orthonormal for "node"), lam_k = 2 - 2 cos(pi k / n),
-    and the stiffness matrix is q diag(lam) q^T (m q diag(lam) q^T m for
-    "node"). The arrays are cached and read-only.
+    q is orthonormal (m-orthonormal for "node"): sqrt(2 / n) times the
+    `trig_table` entries, sqrt(1 / n) on the columns of constant modulus.
+    lam_k = 2 - 2 cos(pi k / n) = 4 sin^2(pi k / 2n), and the stiffness
+    matrix is q diag(lam) q^T (m q diag(lam) q^T m for "node"). The arrays
+    are cached and read-only.
     """
-    j = np.arange(n) + 0.5
-    weight = np.ones(n)
+    cos, sin = trig_table(n)
+    rows = 2 * np.arange(n) + 1   # 2 j + 1 at the cells, 2 i at the nodes
     if kind == "cell":
-        k = np.arange(n)
-        q = np.cos(np.pi * np.outer(j, k) / n)
+        table, k, flat = cos, np.arange(n), [0]
     elif kind == "dirichlet":
-        k = np.arange(1, n + 1)
-        q = np.sin(np.pi * np.outer(j, k) / n)
+        table, k, flat = sin, np.arange(1, n + 1), [-1]
     elif kind == "node":
-        k = np.arange(n + 1)
-        q = np.cos(np.pi * np.outer(k, k) / n)
-        weight = np.ones(n + 1)
-        weight[[0, -1]] = 0.5
+        table, k, flat, rows = cos, np.arange(n + 1), [0, -1], 2 * np.arange(n + 1)
     else:
         raise ValueError(f"unknown Laplacian basis kind {kind!r}")
-    q /= np.sqrt(weight @ q ** 2)
-    lam = 2.0 - 2.0 * np.cos(np.pi * k / n)
+    norm = np.full(k.size, np.sqrt(2.0 / n))
+    norm[flat] = np.sqrt(1.0 / n)
+    q = table[np.outer(rows, k) % (4 * n)] * norm
+    lam = (2.0 * sin[k]) ** 2
     q.setflags(write=False)
     lam.setflags(write=False)
     return q, lam

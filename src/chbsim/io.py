@@ -42,6 +42,7 @@ from .constitutive import (
     ModelSpec,
     PotentialSpec,
     SourceSpec,
+    cap_error,
     validate_params,
 )
 from .timestepper import (
@@ -330,9 +331,6 @@ _CHOICES = {
     "phi0": ("uniform", "tanh_disc", "cosine_perturbation"),
     "sigma0": ("uniform", "cosine"),
 }
-# the largest |1 + delta_cap| of the quadratic-growth potential: below it the
-# quartic and its C^2 continuation at the cap, at most 1.5 cap^4, are finite
-CAP_LIMIT = float(np.finfo(float).max / 4.0) ** 0.25
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -401,9 +399,8 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
         errors.append("snapshot_every must be >= 0")
     if not cfg.formats:
         errors.append("need at least one output format")
-    if cfg.potential == "quadratic_growth" and not abs(1.0 + cfg.delta_cap) <= CAP_LIMIT:
-        errors.append(f"delta_cap={cfg.delta_cap!r} puts the cap 1 + delta_cap beyond "
-                      f"+-{CAP_LIMIT:.3e}, where psi overflows")
+    if cfg.potential == "quadratic_growth" and (error := cap_error(cfg.delta_cap)):
+        errors.append(error)
     for build in (cfg.grid, cfg.scheme):
         try:
             build()

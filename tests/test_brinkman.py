@@ -508,6 +508,29 @@ def assert_inverts_the_saddle_matrix(prob):
     assert residual <= 64 * np.finfo(float).eps * np.linalg.cond(a), residual
 
 
+@pytest.mark.parametrize("n", [2, 5, 32, 127, 256])
+def test_node_sines_are_the_dst1_in_the_cell_mode_frame(n):
+    # sqrt(2 / n) sin(pi k i / n) on the n + 1 nodes, zero on the wall rows
+    # and in the padding column k = 0, to a few eps; the n - 1 interior
+    # modes are orthonormal
+    s = brinkman._node_sines(n)
+    i, k = np.meshgrid(np.arange(n + 1), np.arange(n), indexing="ij")
+    want = np.sqrt(2.0 / n) * np.sin(np.pi * (i * k % (2 * n)) / n)
+    want[[0, n], :] = want[:, 0] = 0.0
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(s - want)) <= 4 * eps
+    assert np.all(s[[0, n], :] == 0.0) and np.all(s[:, 0] == 0.0)
+    assert np.max(np.abs(s[:, 1:].T @ s[:, 1:] - np.eye(n - 1))) <= 8 * eps
+
+
+@pytest.mark.parametrize("nx, ny, tables", [(12, 12, 1), (12, 10, 2)])
+def test_a_square_grid_builds_its_exact_inverse_from_one_table(nx, ny, tables):
+    elliptic.trig_table.cache_clear()
+    elliptic.laplacian_basis.cache_clear()
+    brinkman._saddle_inverse(make_grid(1.0, 1.0, nx, ny), 1.0, 0.0, 1.0)
+    assert elliptic.trig_table.cache_info().misses == tables
+
+
 @pytest.mark.parametrize("nx, ny", [(8, 6), (7, 9)])
 @pytest.mark.parametrize("lam", [0.0, 0.4])
 @pytest.mark.parametrize("nu", [1e-2, 1.0, 1e3])
@@ -576,23 +599,72 @@ def test_exact_blocks_through_the_composition_take_three_iterations(cfg):
 
 @pytest.mark.parametrize("cfg", [verify.DISC, verify.COUPLED, verify.GALERKIN],
                          ids=["disc", "coupled", "galerkin"])
-def test_constant_viscosity_first_flows_take_no_minres_iteration(cfg):
-    # the exact start K^-1 rhs already meets the run's flow tolerance
+def test_constant_viscosity_first_flows_take_no_minres_iteration(cfg, block_calls):
+    # the exact start K^-1 rhs already meets the run's flow tolerance, so
+    # the block preconditioner is never built
     prob = first_flow(cfg)
     assert brinkman._constant(prob)
     sol = solve_brinkman(prob, timestepper.FLOW_TOL)
     assert sol.report.converged and sol.report.iterations == 0, sol.report
+    assert block_calls == []
 
 
-def test_exact_start_that_misses_is_finished_by_minres():
-    # off-centre disc at constant eta, nu = 1e-2 and tol 1e-12: rounding
-    # leaves the exact start at a relative residual of ~2e-12 here, and MINRES
-    # with the block preconditioner goes on from it (23 iterations when this
-    # was written) to the solution that MINRES from zero finds
+def smooth_problem(n, nu):
+    """Constant eta = 1 on n x n cells: u force sin(pi x), gamma_v = 0.3
+    cos(pi x) cos(pi y)."""
+    grid = make_grid(1.0, 1.0, n, n)
+    x, y = grid.cell_centers()
+    force = FaceField(np.zeros((n + 1, n)), np.zeros((n, n + 1)))
+    force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
+    return problem(grid, nu=nu, force=force,
+                   gamma_v=0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
+
+
+def test_refined_exact_start_meets_the_flow_tolerance_at_128(block_calls, monkeypatch):
+    # rounding leaves K^-1 rhs at a relative residual of ~4.5e-11 here,
+    # above FLOW_TOL = 1e-11 (6 MINRES iterations before the refinement);
+    # one refinement (one more apply of A and of K^-1) reaches ~5e-12
+    prob = smooth_problem(128, 1.0)
+    applies = []
+    original = brinkman.brinkman_operator
+
+    def counted(p):
+        op = original(p)
+        apply = op.apply
+        op.apply = lambda x: applies.append(1) or apply(x)
+        return op
+    monkeypatch.setattr(brinkman, "brinkman_operator", counted)
+    op = original(prob)
+    exact = brinkman._saddle_inverse(prob.grid, 1.0, 0.0, 1.0)
+    start = exact(prob.rhs)
+    assert np.linalg.norm(prob.rhs - op.apply(start)) > 1e-11 * np.linalg.norm(prob.rhs)
+    sol = solve_brinkman(prob, timestepper.FLOW_TOL)
+    assert sol.report.converged and sol.report.iterations == 0, sol.report
+    assert sol.report.rel_residual <= timestepper.FLOW_TOL
+    assert block_calls == [] and len(applies) == 2
+
+
+def test_exact_start_that_misses_is_finished_by_minres(block_calls, monkeypatch):
+    # an exact inverse spoilt by a factor 1 + 1e-3 leaves the start and its
+    # one refinement at relative residuals of ~1e-3 and ~1e-6, above tol
+    # 1e-12: MINRES builds the block preconditioner once and goes on from
+    # the refined start to the solution that MINRES from zero finds
+    original = brinkman._saddle_inverse
+
+    def spoilt(*args):
+        exact = original(*args)
+        return lambda x: exact(x) * (1.0 + 1e-3)
+    monkeypatch.setattr(brinkman, "_saddle_inverse", spoilt)
     prob = disc_problem(make_grid(1.0, 1.0, 16, 16), 1.0, 1e-2, 0.0)
     assert brinkman._constant(prob)
     sol = solve_brinkman(prob, 1e-12)
-    assert sol.report.converged, sol.report
+    assert sol.report.converged and sol.report.iterations > 0, sol.report
+    assert len(block_calls) == 1
+    # a run keeps the preconditioner its first miss built
+    window = brinkman.ProjectedStart(4)
+    for _ in range(2):
+        assert window.solve(prob, 1e-12).report == sol.report
+    assert len(block_calls) == 2
     x, rep = solve_minres(brinkman_operator(prob), prob.rhs, 1e-12,
                           precond=brinkman._block_preconditioner(prob))
     assert rep.converged
@@ -607,7 +679,8 @@ def test_block_path_matches_dense_oracle(block_calls, nu, lam):
     prob = problem(grid, nu=nu, eta=0.8, lam=lam, force=force, gamma_v=gamma_v)
     krylov = solve_brinkman(prob, 1e-13)
     direct = dense_oracle_solve(prob)
-    assert block_calls and krylov.report.converged
+    # the block preconditioner is built only where MINRES has to iterate
+    assert len(block_calls) == (krylov.report.iterations > 0) and krylov.report.converged
     for a, b in ((krylov.v.u, direct.v.u), (krylov.v.w, direct.v.w),
                  (krylov.p, direct.p)):
         np.testing.assert_allclose(a, b, atol=1e-10 * np.max(np.abs(b)))
@@ -617,16 +690,11 @@ def test_block_path_matches_dense_oracle(block_calls, nu, lam):
 def test_block_iterations_do_not_grow_with_the_grid(block_calls, nu):
     iters = []
     for n in (16, 64):
-        grid = make_grid(1.0, 1.0, n, n)
-        x, y = grid.cell_centers()
-        force = FaceField(np.zeros((n + 1, n)), np.zeros((n, n + 1)))
-        force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
-        prob = problem(grid, nu=nu, force=force,
-                       gamma_v=0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
-        sol = solve_brinkman(prob, TOL)
+        sol = solve_brinkman(smooth_problem(n, nu), TOL)
         assert sol.report.converged
         iters.append(sol.report.iterations)
-    assert len(block_calls) == 2
+    # one preconditioner build for each solve that iterates
+    assert len(block_calls) == sum(it > 0 for it in iters)
     assert iters[1] <= 1.5 * iters[0], iters
 
 
@@ -636,12 +704,7 @@ def test_block_preconditioner_iterations_from_zero_do_not_grow_with_the_grid(nu)
     # block preconditioner, which serves a start that misses, runs from zero
     iters = []
     for n in (16, 64):
-        grid = make_grid(1.0, 1.0, n, n)
-        x, y = grid.cell_centers()
-        force = FaceField(np.zeros((n + 1, n)), np.zeros((n, n + 1)))
-        force.u[1:-1, :] = np.sin(np.pi * 0.5 * (x[1:, :] + x[:-1, :]))
-        prob = problem(grid, nu=nu, force=force,
-                       gamma_v=0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        prob = smooth_problem(n, nu)
         _, rep = solve_minres(brinkman_operator(prob), prob.rhs, TOL,
                               precond=brinkman._block_preconditioner(prob))
         assert rep.converged

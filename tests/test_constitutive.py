@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 
 from chbsim.constitutive import (
+    CAP_LIMIT,
     CoefficientSpec,
     EdgeValues,
     MobilityViscositySpec,
     ModelParams,
     PotentialSpec,
     SourceSpec,
+    cap_error,
     gamma_v_clamp,
     linear_growth_constant,
     mobilities,
@@ -48,6 +50,25 @@ def test_quartic_growth_constants():
     gap = psi - (spec.r1 * t * t - spec.r2)
     assert float(np.min(gap)) == pytest.approx(23.0 / 64.0, abs=1e-6)
     assert np.all(gap > 0.0)
+
+
+@pytest.mark.parametrize("delta_cap", [-2.0, -1.0, -0.5, 1.158e77, float("nan")])
+def test_quadratic_growth_refuses_a_cap_outside_one_to_the_float_limit(delta_cap):
+    # below 1 the wells leave the quartic region; above CAP_LIMIT psi
+    # overflowed inside potential_eval (RuntimeWarning at 1.158e77)
+    with pytest.raises(ValueError, match="outside"):
+        PotentialSpec.quadratic_growth(delta_cap)
+    with pytest.raises(ValueError, match="outside"):
+        PotentialSpec(kind="quadratic_growth", delta_cap=delta_cap)
+
+
+def test_quadratic_growth_accepts_the_cap_range_ends():
+    for delta_cap in (0.0, CAP_LIMIT - 1.0):
+        spec = PotentialSpec.quadratic_growth(delta_cap)
+        with np.errstate(all="raise"):
+            psi, dpsi = potential_eval(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]), spec)
+        assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
+    assert cap_error(0.0) is None and cap_error(-1e-300) is not None
 
 
 def test_quadratic_growth_truncation_is_c2():

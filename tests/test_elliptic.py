@@ -604,6 +604,48 @@ def test_solve_minres_indefinite_diagonal():
         solve_minres(StencilOperator(lambda x: d * x, d.shape, symmetric=False), rhs, 1e-12)
 
 
+def counted_diagonal(d):
+    """A symmetric diagonal operator and the list its applies append to."""
+    applies = []
+    return StencilOperator(lambda x: applies.append(1) or d * x, d.shape,
+                           symmetric=True), applies
+
+
+def test_solve_minres_refines_a_start_that_misses_once():
+    # refine = K^-1 spoilt by 1 + 1e-8: the start 0 misses, one refinement
+    # leaves 1e-8 of rhs, which meets tol 1e-6 with no iteration at one
+    # more apply; at tol 1e-12 the refined start still misses and MINRES
+    # goes on from it, with no second refinement
+    rng = np.random.default_rng(61)
+    d = rng.uniform(1.0, 3.0, 50)
+    rhs = rng.standard_normal(d.shape)
+    refines = []
+
+    def refine(r):
+        refines.append(1)
+        return r / d * (1.0 + 1e-8)
+    op, applies = counted_diagonal(d)
+    x, rep = solve_minres(op, rhs, 1e-6, refine=refine)
+    assert rep.converged and rep.iterations == 0 and rep.rel_residual <= 1e-6
+    assert len(applies) == 2 and len(refines) == 1
+    np.testing.assert_allclose(x, rhs / d * (1.0 + 1e-8), rtol=1e-15)
+    del applies[:], refines[:]
+    x, rep = solve_minres(op, rhs, 1e-12, refine=refine, precond=jacobi(d))
+    assert rep.converged and rep.iterations > 0 and len(refines) == 1
+    np.testing.assert_allclose(x, rhs / d, rtol=1e-11)
+
+
+def test_solve_minres_start_that_meets_the_goal_is_not_refined():
+    # the refinement runs only on a miss: a start within tol costs the one
+    # apply that measures it
+    d = np.linspace(1.0, 2.0, 20)
+    rhs = np.cos(np.arange(20.0))
+    op, applies = counted_diagonal(d)
+    x, rep = solve_minres(op, rhs, 1e-12, rhs / d, refine=lambda r: 1 / 0)
+    assert rep.converged and rep.iterations == 0 and len(applies) == 1
+    assert np.array_equal(x, rhs / d)
+
+
 def stiffness_and_mass(n, kind):
     """Dense unit-spacing 1D stiffness K and diagonal mass M of a
     `laplacian_basis` kind on n >= 2 cells, assembled entry by entry."""
@@ -625,6 +667,61 @@ def test_laplacian_bases_diagonalize_the_1d_stiffness(n):
         np.testing.assert_allclose(m @ q @ np.diag(lam) @ q.T @ m, k, atol=1e-14)
     with pytest.raises(ValueError):
         laplacian_basis(n, "edge")
+
+
+# side lengths up to 256, with the n-th one of each where the floating-point
+# angle reduction of the old per-kind formulas drifted most
+TABLE_SIDES = [2, 3, 5, 8, 31, 32, 33, 64, 93, 120, 128, 255, 256]
+LONG = np.longdouble
+
+
+def long_basis(n, kind):
+    """The per-kind formula of `laplacian_basis` in long double: (q, lam)."""
+    j, pi = np.arange(n, dtype=LONG) + 0.5, 4 * np.arctan(LONG(1))
+    if kind == "cell":
+        k, rows, weight = np.arange(n, dtype=LONG), j, np.ones(n, dtype=LONG)
+        q = np.cos(pi * np.outer(rows, k) / n)
+    elif kind == "dirichlet":
+        k, rows, weight = np.arange(1, n + 1, dtype=LONG), j, np.ones(n, dtype=LONG)
+        q = np.sin(pi * np.outer(rows, k) / n)
+    else:
+        k = rows = np.arange(n + 1, dtype=LONG)
+        weight = np.ones(n + 1, dtype=LONG)
+        weight[[0, -1]] = 0.5
+        q = np.cos(pi * np.outer(rows, k) / n)
+    return q / np.sqrt(weight @ q ** 2), 2 - 2 * np.cos(pi * k / n), weight
+
+
+@pytest.mark.skipif(np.finfo(LONG).eps >= np.finfo(float).eps,
+                    reason="long double carries no extra precision here")
+@pytest.mark.parametrize("kind", ["cell", "dirichlet", "node"])
+def test_laplacian_bases_are_the_per_kind_formulas_to_a_few_eps(kind):
+    # the trig_table bases against their formulas in long double, entry by
+    # entry and eigenvalue by eigenvalue; their Gram matrix (formed in long
+    # double, so only the bases' own rounding counts) is I to 4 eps at every
+    # side up to 256, where the floating-point angles drifted to 49-66 eps
+    eps = np.finfo(float).eps
+    for n in TABLE_SIDES:
+        q, lam = laplacian_basis(n, kind)
+        want_q, want_lam, weight = long_basis(n, kind)
+        assert float(np.max(np.abs(q - want_q))) <= 4 * eps, n
+        assert float(np.max(np.abs(lam - want_lam))) <= 8 * eps, n
+        gram = q.astype(LONG).T @ (weight[:, None] * q.astype(LONG))
+        assert float(np.max(np.abs(gram - np.eye(len(gram), dtype=LONG)))) <= 4 * eps, n
+
+
+def test_each_side_length_reads_one_cached_table():
+    elliptic.trig_table.cache_clear()
+    laplacian_basis.cache_clear()
+    for kind in ("cell", "dirichlet", "node"):
+        laplacian_basis(24, kind)
+    laplacian_basis(25, "cell")
+    info = elliptic.trig_table.cache_info()
+    assert info.misses == 2 and info.hits == 2
+    cos, sin = elliptic.trig_table(24)
+    assert cos.shape == sin.shape == (96,) and not cos.flags.writeable
+    for m in (0, 24, 48, 72):   # the quarter turns: the table holds what np.cos gives
+        assert cos[m] == np.cos(np.pi / 48 * m) and sin[m] == np.sin(np.pi / 48 * m)
 
 
 KINDS = st.sampled_from(("cell", "dirichlet", "node"))

@@ -408,18 +408,20 @@ def test_stage_fields_and_sources_are_evaluated_once_per_stage(monkeypatch):
     assert calls["synthesize"] <= 3 * stages
 
 
-BUILDS = [(brinkman, "brinkman_operator"), (brinkman, "_block_preconditioner")]
+BUILDS = [(brinkman, "brinkman_operator"), (brinkman, "_block_preconditioner"),
+          (brinkman, "_saddle_inverse")]
 
 
 def test_a_run_builds_its_flow_operator_once(monkeypatch):
-    # constant eta and lam: one build of each per integrate call (13 flow
-    # solves), and no bit changes when every stage builds afresh (a slot
-    # that never finds its key)
+    # constant eta and lam: one operator and one exact inverse per integrate
+    # call (13 flow solves), no block preconditioner (every exact start
+    # meets the tolerance), and no bit changes when every stage builds
+    # afresh (a slot that never finds its key)
     res, _, _, calls = _flow_run(monkeypatch, BUILDS)
-    assert calls == {"brinkman_operator": 1, "_block_preconditioner": 1}
+    assert calls == {"brinkman_operator": 1, "_block_preconditioner": 0, "_saddle_inverse": 1}
     monkeypatch.setattr(core.LastBuild, "get", lambda self, key, build: build())
     fresh, _, _, calls = _flow_run(monkeypatch, BUILDS)
-    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13}
+    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 0, "_saddle_inverse": 13}
     assert res.flow_iterations == fresh.flow_iterations
     assert res.a.tobytes() == fresh.a.tobytes() and res.c.tobytes() == fresh.c.tobytes()
     for a, b in zip(res.states, fresh.states, strict=True):
@@ -443,7 +445,7 @@ def test_variable_coefficients_are_rebuilt_at_every_stage(monkeypatch):
     state0 = SpectralState(0.0, project(0.5 * np.cos(np.pi * x) * np.cos(np.pi * y), basis),
                            project(np.ones(model.grid.shape), basis))
     integrate(state0, 1e-4, 3, model, basis, flow=True)
-    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13}
+    assert calls == {"brinkman_operator": 13, "_block_preconditioner": 13, "_saddle_inverse": 0}
 
 
 def test_sampled_states_hold_the_synthesized_recorded_coefficients():

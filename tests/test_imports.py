@@ -1,9 +1,11 @@
-"""Source hygiene: every name a library module imports is used there, no
-module imports a private name of another, every function and class it
-defines is used by the program or the benchmark, and no module reads the
-name the benchmark alone keeps."""
+"""Source hygiene: the package imports only the standard library and numpy,
+every name a library module imports is used there, no module imports a
+private name of another, every function and class it defines is used by the
+program or the benchmark, and no module reads the name the benchmark alone
+keeps."""
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,35 @@ KEPT = {
     "weak_residuals": "the only check of the scheme against the continuous weak form",
     "save_config": "the public writer of the config format",
 }
+
+
+# what the package may import beside itself: numpy is its one dependency
+# (scipy and sympy may be installed, but the package must not need them)
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The top-level packages the absolute imports of `source` name that are
+    neither the standard library, numpy nor chbsim itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return [f"line {line}: {name.split('.')[0]}" for line, name in sorted(found)
+            if name.split(".")[0] not in ALLOWED | {"chbsim"}]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_modules_import_only_the_standard_library_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_sees_a_foreign_import():
+    source = ("import os.path\nimport numpy as np\nfrom . import core\n"
+              "from scipy.linalg import solve\n\n\ndef f():\n    import sympy\n")
+    assert foreign_imports(source) == ["line 4: scipy", "line 8: sympy"]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -356,17 +356,37 @@ def test_saved_configs_load_back_unchanged(tmp_path, changes):
         assert load_config(path) == cfg
 
 
+def cap_message(delta_cap):
+    return [f"delta_cap={delta_cap!r} puts the cap 1 + delta_cap outside [1, 8.188e+76]: "
+            "below 1 the wells at +-1 leave the quartic, above it psi overflows"]
+
+
 @pytest.mark.parametrize("delta_cap", [1.158e77, -1.158e77])
 def test_a_cap_beyond_the_float_range_is_refused(tmp_path, delta_cap):
     # hypothesis once drew 1.158e77: psi's quartic at the cap overflowed
-    # inside the check, instead of the check refusing the config
+    # inside the check, instead of the check refusing the config; -1.158e77
+    # is a cap below 1 as well
     cfg = RunConfig(potential="quadratic_growth", delta_cap=delta_cap)
     path = tmp_path / "saved.ini"
     save_config(cfg, path)
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert exc.value.errors == [f"delta_cap={delta_cap!r} puts the cap 1 + delta_cap "
-                                "beyond +-8.188e+76, where psi overflows"]
+    assert exc.value.errors == cap_message(delta_cap)
+
+
+@pytest.mark.parametrize("delta_cap", [-2.0, -1.0, -0.5, 0.0])
+def test_a_cap_below_the_wells_is_refused(tmp_path, delta_cap):
+    # a cap below 1 puts the wells at +-1 outside the quartic region; at
+    # delta_cap = -2.0 psi(-0.5, 0, 0.5) read (2.25, 1, 2.25), no double well
+    cfg = RunConfig(potential="quadratic_growth", delta_cap=delta_cap)
+    path = tmp_path / "saved.ini"
+    save_config(cfg, path)
+    if delta_cap < 0.0:
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.errors == cap_message(delta_cap)
+    else:
+        assert load_config(path) == cfg
 
 
 DIRECTORIES = st.one_of(st.text(st.sampled_from("ab/._-#; \t\n\r"), max_size=8),

@@ -618,29 +618,33 @@ def test_variable_viscosity_flow_solve_starts_from_the_projected_flow(monkeypatc
 def _counted_run(cfg, monkeypatch):
     """`run` of cfg with one snapshot per step, and the operator and
     preconditioner builds it made."""
-    calls = {"brinkman_operator": 0, "_block_preconditioner": 0}
+    calls = {"brinkman_operator": 0, "_block_preconditioner": 0, "_saddle_inverse": 0}
     for name in calls:
-        def tallied(prob, _name=name, _original=getattr(brinkman, name)):
+        def tallied(*args, _name=name, _original=getattr(brinkman, name)):
             calls[_name] += 1
-            return _original(prob)
+            return _original(*args)
         monkeypatch.setattr(brinkman, name, tallied)
     spec = dc_replace(cfg, snapshot_every=1).sim_spec()
     return run(cfg.initial_state(), cfg.n_steps, spec), calls
 
 
-@pytest.mark.parametrize("cfg, builds", [
-    (dc_replace(verify.DISC, nx=16, ny=16, t_end=3e-4), 1),  # constant eta, lam
-    (HETERO_16, 3),                                         # one per step
+@pytest.mark.parametrize("cfg, builds, exact", [
+    # constant eta, lam: the exact inverse, and no block preconditioner
+    (dc_replace(verify.DISC, nx=16, ny=16, t_end=3e-4), 1, True),
+    (HETERO_16, 3, False),                                  # one per step
 ], ids=["disc", "hetero_io"])
 def test_a_run_builds_its_flow_operator_once_per_viscosity_field(
-        cfg, builds, monkeypatch):
+        cfg, builds, exact, monkeypatch):
     # reuse changes no bit: the same run with every solve building afresh
     # (a window that never finds its key) repeats every level and row
+    def made(n):
+        return {"brinkman_operator": n, "_block_preconditioner": 0 if exact else n,
+                "_saddle_inverse": n if exact else 0}
     res, calls = _counted_run(cfg, monkeypatch)
-    assert calls == {"brinkman_operator": builds, "_block_preconditioner": builds}
+    assert calls == made(builds)
     monkeypatch.setattr(core.LastBuild, "get", lambda self, key, build: build())
     fresh, calls = _counted_run(cfg, monkeypatch)
-    assert calls == {"brinkman_operator": 3, "_block_preconditioner": 3}
+    assert calls == made(3)
     assert res.rows == fresh.rows
     assert [r.flow for r in res.reports] == [r.flow for r in fresh.reports]
     for a, b in zip(res.states, fresh.states, strict=True):
