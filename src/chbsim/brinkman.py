@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import ModelSpec, viscosities
-from .core import FaceField, Grid, LastBuild, bits
+from .core import FaceField, Grid, bits
 from .elliptic import (
     SolveReport,
     StencilOperator,
@@ -601,7 +601,7 @@ def _block_preconditioner(problem: BrinkmanProblem):
     not across a sharp jump.  At constant viscosities s would be exactly 1
     and the rescaling is left out; there it serves only the iterations that
     follow an exact start which missed after its refinement, and
-    `solve_brinkman` builds it only then.
+    `_exact_solver` builds it only then.
     """
     g = problem.grid
     eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
@@ -624,44 +624,49 @@ def _constant(problem: BrinkmanProblem) -> bool:
     return bool(np.ptp(problem.eta) == 0.0 and np.ptp(problem.lam) == 0.0)
 
 
-def _build(problem: BrinkmanProblem) -> list:
-    """[operator, block preconditioner, exact inverse]: at constant
-    viscosities `_saddle_inverse` and no preconditioner yet (`solve_brinkman`
-    builds it at its first apply), otherwise no exact inverse."""
-    if _constant(problem):
-        return [brinkman_operator(problem), None, _saddle_inverse(
-            problem.grid, float(problem.eta[0, 0]), float(problem.lam[0, 0]), problem.nu)]
-    return [brinkman_operator(problem), _block_preconditioner(problem), None]
+def _exact_solver(problem: BrinkmanProblem):
+    """solve(problem, tol, x0=None) for every problem with the grid, nu and
+    constant eta and lam of this one: from x0, or K^-1 rhs without it, with
+    `_saddle_inverse` refining a start that misses tol once (`solve_minres`'s
+    `refine`).  The operator and K^-1 are built here, `_block_preconditioner`
+    at the first MINRES apply, and all three are kept for later calls."""
+    if not problem.nu > 0.0:
+        raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
+    op = brinkman_operator(problem)
+    exact = _saddle_inverse(problem.grid, float(problem.eta[0, 0]),
+                            float(problem.lam[0, 0]), problem.nu)
+    block = None
+
+    def solve(problem: BrinkmanProblem, tol: float,
+              x0: np.ndarray | None = None) -> BrinkmanSolution:
+        def precond(a: np.ndarray) -> np.ndarray:
+            nonlocal block
+            if block is None:
+                block = _block_preconditioner(problem)
+            return block(a)
+        x, report = solve_minres(op, problem.rhs, tol,
+                                 exact(problem.rhs) if x0 is None else x0,
+                                 precond=precond, refine=exact)
+        return _solution(problem, x, report)
+    return solve
 
 
 def solve_brinkman(problem: BrinkmanProblem, tol: float,
-                   x0: np.ndarray | None = None,
-                   built: LastBuild | None = None) -> BrinkmanSolution:
-    """Solve the saddle system with MINRES and `_block_preconditioner` to the
-    relative tolerance tol, from the packed start x0 (zero when not given).
-    At constant eta and lam the start is first made exact: x0 + K^-1 (rhs -
-    A x0), or K^-1 rhs without x0, with the exact inverse K^-1 of
-    `_saddle_inverse`.  A start that rounding leaves above tol is refined
-    once, x0 += K^-1 (rhs - A x0) (`solve_minres`'s `refine`), and MINRES
-    iterates only if that still misses; the preconditioner is built at its
-    first apply, so a start that meets tol builds none.
-    `built` holds the `_build` of an earlier solve: it is reused while the
-    grid, nu and the bits of eta and lam are the ones it was built from, and
-    rebuilt otherwise (always, without `built`).  Requires nu > 0: without
+                   x0: np.ndarray | None = None, exact=None) -> BrinkmanSolution:
+    """Solve the saddle system to the relative tolerance tol from the packed
+    start x0.  At constant eta and lam it is `exact`, the `_exact_solver` of
+    their grid and nu that a `ProjectedStart` keeps, or a fresh one without
+    it; otherwise MINRES with `_block_preconditioner` from x0 (zero when not
+    given), which the call builds and lets go.  Requires nu > 0: without
     friction its velocity blocks are singular."""
+    if exact is None and _constant(problem):
+        exact = _exact_solver(problem)
+    if exact is not None:
+        return exact(problem, tol, x0)
     if not problem.nu > 0.0:
         raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
-    kept = (built or LastBuild()).get(
-        bits(problem.grid, problem.nu, problem.eta, problem.lam), lambda: _build(problem))
-    op, exact = kept[0], kept[2]
-
-    def precond(a: np.ndarray) -> np.ndarray:
-        if kept[1] is None:
-            kept[1] = _block_preconditioner(problem)
-        return kept[1](a)
-    if exact is not None:
-        x0 = exact(problem.rhs) if x0 is None else x0 + exact(problem.rhs - op.apply(x0))
-    x, report = solve_minres(op, problem.rhs, tol, x0, precond=precond, refine=exact)
+    x, report = solve_minres(brinkman_operator(problem), problem.rhs, tol, x0,
+                             precond=_block_preconditioner(problem))
     return _solution(problem, x, report)
 
 
@@ -700,32 +705,35 @@ class ProjectedStart:
     _COLLAPSE of its norm lies in the stored span and is not stored.  The
     buffer is allocated once, at the first pair.
 
-    Beside the window it holds the `_build` of its last solve (a
-    `LastBuild`), which the next solve reuses while the grid, nu and the
-    bits of eta and lam are unchanged: once per run at constant viscosities,
-    once per solve where eta follows phi.  At constant viscosities the solve
-    starts from the exact inverse, so the window is neither read nor
-    filled.  Everything ends with the window, that is with the run.
+    At constant viscosities a solve starts from the exact inverse instead
+    and leaves the window alone; beside it the window keeps one
+    `_exact_solver`, keyed by the bits of the grid, nu, eta and lam and
+    dropped before another is built, so a run builds it once.  A
+    variable-viscosity solve keeps nothing it built.
     """
 
     def __init__(self, size: int) -> None:
         self._r = np.zeros((size, size))
         self._qx: np.ndarray | None = None   # row i: column i of Q, then of X R^-1
         self._m = 0
-        self._built = LastBuild()
+        self._key = self._exact = None   # an `_exact_solver` and its bits
 
     def __len__(self) -> int:
         return self._m
 
     def solve(self, problem: BrinkmanProblem, tol: float) -> BrinkmanSolution:
-        """`solve_brinkman` to tol with the operator, preconditioner and
-        exact inverse this window last built.  At constant viscosities it
-        starts from K^-1 rhs and leaves the window alone; otherwise it starts
-        from the start for problem.rhs (zero while no pair is stored), and a
-        converged solution joins the window."""
+        """`solve_brinkman` to tol: at constant viscosities with the kept
+        `_exact_solver` (rebuilt when the key changed) from K^-1 rhs;
+        otherwise from the start for problem.rhs (zero while no pair is
+        stored), and a converged solution joins the window."""
         if _constant(problem):
-            return solve_brinkman(problem, tol, None, self._built)
-        sol = solve_brinkman(problem, tol, self.start(problem.rhs), self._built)
+            key = bits(problem.grid, problem.nu, problem.eta, problem.lam)
+            if key != self._key:
+                self._key = self._exact = None
+                self._exact = _exact_solver(problem)
+                self._key = key
+            return solve_brinkman(problem, tol, None, self._exact)
+        sol = solve_brinkman(problem, tol, self.start(problem.rhs))
         if sol.report.converged:
             self.add(sol.x, problem.rhs)
         return sol

@@ -142,7 +142,7 @@ def _cmd_galerkin(args, parser) -> int:
         return _usage_error(f"--k: {exc}")
     phi0, sigma0 = cfg.initial_fields()
     steps = cfg.n_steps
-    table = verify.galerkin_sweep(model, phi0, sigma0, ks, cfg.dt, steps)
+    table = verify.galerkin_sweep(model, phi0, sigma0, ks, cfg.dt, steps, flow=cfg.flow)
 
     names = list(next(iter(table.values())).keys())
     print(f"bounded quantities over {steps} RK4 steps, dt = {cfg.dt:g}")

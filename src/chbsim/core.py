@@ -5,8 +5,7 @@ rectangular grid; velocities live on the staggered faces (MAC layout).
 Array index [i, j] maps to (x, y) with x = (i + 1/2) hx, y = (j + 1/2) hy.
 Everything here is plain value data; functions are pure and deterministic
 (fixed-order numpy reductions), which is what makes bit-identical reruns
-possible further up the stack.  The one holder of state, `LastBuild`, keeps
-what a run builds from a coefficient field until that field changes.
+possible further up the stack.
 """
 from __future__ import annotations
 
@@ -148,20 +147,3 @@ def bits(*values) -> tuple:
     return tuple((v.shape, v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray)
                  else float.hex(v) if isinstance(v, float) else v for v in values)
 
-
-class LastBuild:
-    """The value built for the last key (`bits`), kept until a call brings
-    another key.  The old value is dropped before the new one is built, so a
-    rebuild never holds two; a holder lives as long as the run that owns it."""
-
-    def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._value = None
-
-    def get(self, key: tuple, build):
-        """The value for key: the kept one, or build() when the key changed."""
-        if key != self._key:
-            self._key = self._value = None
-            self._value = build()
-            self._key = key
-        return self._value

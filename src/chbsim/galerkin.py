@@ -4,11 +4,12 @@ The phase and nutrient fields are expanded in the first k eigenfunctions
 w_m(x, y) = kappa_m cos(i pi x / Lx) cos(j pi y / Ly) and the PDE system is
 projected onto the span, yielding an ODE system in the coefficient vectors
 which is marched with classical RK4.  Velocity and pressure are NOT spectral:
-every stage re-solves the staggered Brinkman system on the grid through a
-`ProjectedStart`: from the exact solve at constant viscosities, otherwise
-from the best mix of the flows of the last FLOW_WINDOW solved stages.  A stage synthesizes its fields and evaluates psi' and the
-sources once, into a `Stage` record that the flow solve, the projections and
-the sampled States all read.
+unless the flow is off, every stage re-solves the staggered Brinkman system
+on the grid through a `ProjectedStart`: from the exact solve at constant
+viscosities, built once per `integrate` call, otherwise from the best mix of
+the flows of the last FLOW_WINDOW solved stages.  A stage synthesizes its
+fields and evaluates psi' and the sources once, into a `Stage` record that
+the flow solve, the projections and the sampled States all read.
 
 A stage's coefficient derivatives are the quadrature pairings of its fluxes
 and sources with the modes and their gradients (`assemble_matrices`); no
@@ -243,14 +244,13 @@ def integrate(state0: SpectralState, dt: float, steps: int, model: ModelSpec,
               basis: SpectralBasis, *, flow: bool = True) -> GalerkinResult:
     """Classical RK4 march of the coefficient ODEs.
 
-    Every stage re-solves the grid Brinkman system from its `Stage` record
-    to FLOW_TOL through a `ProjectedStart` over this call's last
-    FLOW_WINDOW solved stages (from the exact solve at constant
-    viscosities), with the operator, preconditioner and exact inverse that
-    window last built while eta and lam keep their bits; nothing is kept
-    between calls.  Aborts when ||a|| + ||c|| exceeds 1e6.  Samples the
-    stage-1 record of every step as a State (with that stage's velocity and
-    pressure), and the final state, without taking its derivatives.
+    With `flow`, every stage re-solves the grid Brinkman system from its
+    `Stage` record to FLOW_TOL through a `ProjectedStart` over this call's
+    last FLOW_WINDOW solved stages, from the exact solve (built once per
+    call) at constant viscosities; nothing is kept between calls.  Without
+    it v and p are zero.  Aborts when ||a|| + ||c|| exceeds 1e6.  Samples
+    the stage-1 record of every step as a State (with that stage's velocity
+    and pressure), and the final state, without taking its derivatives.
     """
     if dt <= 0.0 or steps < 0:
         raise ValueError("need dt > 0 and steps >= 0")

@@ -4,11 +4,11 @@ One step from t_n advances in three stages that share one old-level record:
 
   (i)   Brinkman solve with capillary forcing assembled from the old fields,
         giving the velocity and pressure used by both transport equations,
-        through the run's `brinkman.ProjectedStart`: from the exact solve at
-        constant viscosities, otherwise from the best mix of the run's last
-        FLOW_WINDOW solved flows for this rhs (zero while none is solved
-        yet), with the operator, preconditioner and exact inverse the window
-        last built while the viscosity fields keep their bits;
+        through the run's `brinkman.ProjectedStart`: from the exact solve,
+        built once per run, at constant viscosities, otherwise from the best
+        mix of the run's last FLOW_WINDOW solved flows for this rhs (zero
+        while none is solved yet), with an operator and preconditioner built
+        for this step alone;
   (ii)  phase update with the stabilized linear splitting: psi'(phi_n) kept
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of
         the sources implicit.  The chemical potential is eliminated from the

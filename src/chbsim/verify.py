@@ -398,14 +398,15 @@ def _galerkin_model() -> ModelSpec:
 
 
 def galerkin_sweep(model: ModelSpec, phi0: np.ndarray, sigma0: np.ndarray,
-                   ks, dt: float, steps: int) -> dict:
-    """Bounded-quantity table per cutoff k (shared by verify and the CLI)."""
+                   ks, dt: float, steps: int, *, flow: bool = True) -> dict:
+    """Bounded-quantity table per cutoff k (shared by verify and the CLI),
+    with or without the Brinkman flow (`galerkin.integrate`'s `flow`)."""
     table = {}
     for k in ks:
         basis = galerkin.build_basis(k, model.grid)
         st0 = galerkin.SpectralState(t=0.0, a=galerkin.project(phi0, basis),
                                      c=galerkin.project(sigma0, basis))
-        res = galerkin.integrate(st0, dt, steps, model, basis, flow=True)
+        res = galerkin.integrate(st0, dt, steps, model, basis, flow=flow)
         table[k] = diagnostics.norm_estimates(res.states, model).as_dict()
     return table
 

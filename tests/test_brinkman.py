@@ -1,4 +1,7 @@
 """Brinkman saddle solver against the loop-assembled dense oracle."""
+import gc
+import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -926,9 +929,21 @@ def test_solution_views_the_packed_vector_the_solver_returned():
     assert np.array_equal(sol.x, brinkman._pack(sol.v.u, sol.v.w, sol.p))
 
 
-def test_solve_brinkman_rejects_zero_friction():
-    with pytest.raises(ValueError):
-        solve_brinkman(problem(make_grid(1.0, 1.0, 6, 6), nu=0.0), TOL)
+def test_solve_brinkman_rejects_zero_friction(monkeypatch):
+    # a direct solve and a window solve, at constant and at variable
+    # viscosities, refuse nu = 0 before building anything, with no warning
+    built = spied_builds(monkeypatch, ("brinkman_operator", "_block_preconditioner",
+                                       "_saddle_inverse"))
+    grid = make_grid(1.0, 1.5, 9, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for contrast in (1.0, 10.0):
+            prob = disc_problem(grid, contrast, 0.0, 0.0)
+            assert brinkman._constant(prob) == (contrast == 1.0)
+            for solve in (solve_brinkman, brinkman.ProjectedStart(4).solve):
+                with pytest.raises(ValueError, match="nu > 0"):
+                    solve(prob, TOL)
+    assert built == []
 
 
 # Not strict: the floor lands on either side of the test from one data set to
@@ -1021,9 +1036,13 @@ def test_window_keeps_no_stalled_solve(monkeypatch):
     assert len(window) == 1
 
 
-def test_constant_viscosity_window_stores_nothing():
+def test_constant_viscosity_window_stores_nothing(monkeypatch):
     # each solve starts from K^-1 rhs, as a fresh solve does, and the window
-    # neither reads nor keeps a pair
+    # neither reads nor keeps a pair; it is a `solve_brinkman` call, the
+    # span the benchmark times every flow solve by
+    calls = []
+    monkeypatch.setattr(brinkman, "solve_brinkman",
+                        lambda *args: calls.append(args) or solve_brinkman(*args))
     grid = make_grid(1.0, 1.5, 9, 7)
     window = brinkman.ProjectedStart(4)
     for seed in range(3):
@@ -1032,7 +1051,7 @@ def test_constant_viscosity_window_stores_nothing():
         sol, fresh = window.solve(prob, TOL), solve_brinkman(prob, TOL)
         assert sol.report == fresh.report and sol.report.converged
         assert sol.x.tobytes() == fresh.x.tobytes()
-        assert len(window) == 0
+        assert len(window) == 0 and len(calls) == seed + 1
 
 
 def test_variable_viscosity_solve_never_builds_the_exact_inverse(monkeypatch):
@@ -1051,38 +1070,73 @@ def test_variable_viscosity_solve_never_builds_the_exact_inverse(monkeypatch):
     assert len(built) == 1
 
 
-def test_window_rebuilds_its_operator_when_a_coefficient_changes_a_bit(monkeypatch):
-    # the window keeps its own copy of the bits of eta and lam: an eta
-    # changed in place and a lam of -0.0 in place of 0.0 are new fields, an
-    # equal copy is not; every solve has the bits of a fresh build's
+def spied_builds(monkeypatch, names):
+    """Patch each brinkman builder in names to record (name, weakref to what
+    it built); returns the record."""
     built = []
-    for name in ("brinkman_operator", "_block_preconditioner"):
-        original = getattr(brinkman, name)
-        monkeypatch.setattr(brinkman, name, lambda prob, _f=original, _n=name:
-                            built.append(_n) or _f(prob))
-    grid = make_grid(1.0, 1.5, 9, 7)
-    force, gamma_v = random_data(grid, 3)
-    eta, lam = disc_problem(grid, 10.0, 2.0, 0.0).eta, np.zeros(grid.shape)
+    for name in names:
+        def spy(*args, _f=getattr(brinkman, name), _n=name):
+            out = _f(*args)
+            built.append((_n, weakref.ref(out)))
+            return out
+        monkeypatch.setattr(brinkman, name, spy)
+    return built
+
+
+def test_window_rebuilds_its_operator_when_a_coefficient_changes_a_bit(monkeypatch):
+    # the window keeps its own copy of the bits its exact solver was built
+    # for: a new nu, a new grid, an eta with one bit flipped in place and a
+    # lam of -0.0 in place of 0.0 each build afresh, an equal copy does not;
+    # every solve has the bits of a fresh solve
+    built = spied_builds(monkeypatch, ("brinkman_operator", "_saddle_inverse"))
     window = brinkman.ProjectedStart(4)
 
-    def builds(eta_now, lam_now, nu=2.0):
-        """Operator and preconditioner builds of one window solve."""
-        prob = BrinkmanProblem(grid, eta_now, lam_now, nu, force, gamma_v)
-        x0, before = window.start(prob.rhs), len(built)
+    def builds(grid, eta, lam, nu=2.0):
+        """Operator and exact-inverse builds of one window solve."""
+        force, gamma_v = random_data(grid, 3)
+        prob = BrinkmanProblem(grid, eta, lam, nu, force, gamma_v)
+        before = len(built)
         sol = window.solve(prob, TOL)
-        made = built[before:]
-        assert made in ([], ["brinkman_operator", "_block_preconditioner"])
-        fresh = solve_brinkman(prob, TOL, x0)
+        made = [name for name, _ in built[before:]]
+        assert made in ([], ["brinkman_operator", "_saddle_inverse"])
+        fresh = solve_brinkman(prob, TOL)
         assert sol.report == fresh.report and sol.x.tobytes() == fresh.x.tobytes()
+        assert len(window) == 0
         return len(made) // 2
 
-    assert builds(eta, lam) == 1
-    assert builds(eta.copy(), lam.copy()) == 0
-    eta[4, 3] *= 1.0 + 2.0 ** -52
-    assert builds(eta, lam) == 1
-    assert builds(eta, np.full(grid.shape, -0.0)) == 1
-    assert builds(eta, -lam) == 0
-    assert builds(eta, -lam, nu=3.0) == 1
+    grid = make_grid(1.0, 1.5, 9, 7)
+    eta, lam = np.full(grid.shape, 0.8), np.zeros(grid.shape)
+    assert builds(grid, eta, lam) == 1
+    assert builds(grid, eta.copy(), lam.copy()) == 0
+    eta.view(np.int64)[...] ^= 1   # the last mantissa bit of every cell
+    assert builds(grid, eta, lam) == 1
+    assert builds(grid, eta, np.full(grid.shape, -0.0)) == 1
+    assert builds(grid, eta, -lam) == 0
+    assert builds(grid, eta, -lam, nu=3.0) == 1
+    assert builds(make_grid(1.0, 2.0, 9, 7), eta, -lam, nu=3.0) == 1
+
+
+def test_a_variable_viscosity_solve_keeps_nothing_it_built(monkeypatch):
+    # the operator and preconditioner of a variable-viscosity solve die with
+    # the solve; the exact solver of a constant-viscosity one lives as long
+    # as the window
+    built = spied_builds(monkeypatch, ("brinkman_operator", "_block_preconditioner",
+                                       "_saddle_inverse"))
+    grid = make_grid(1.0, 1.5, 9, 7)
+    window = brinkman.ProjectedStart(4)
+    for seed in range(2):
+        assert window.solve(disc_problem(grid, 10.0, 2.0, 0.3, seed), TOL).report.converged
+    gc.collect()
+    assert all(ref() is None for _, ref in built) and len(window) == 2
+    assert [name for name, _ in built] == ["brinkman_operator", "_block_preconditioner"] * 2
+    del built[:]
+    assert window.solve(problem(grid, nu=2.0, eta=0.8, lam=0.3), TOL).report.converged
+    gc.collect()
+    assert [name for name, _ in built] == ["brinkman_operator", "_saddle_inverse"]
+    assert all(ref() is not None for _, ref in built)
+    del window
+    gc.collect()
+    assert all(ref() is None for _, ref in built)
 
 
 # ---------------------------------------------------------------------------

@@ -416,10 +416,10 @@ def test_a_run_builds_its_flow_operator_once(monkeypatch):
     # constant eta and lam: one operator and one exact inverse per integrate
     # call (13 flow solves), no block preconditioner (every exact start
     # meets the tolerance), and no bit changes when every stage builds
-    # afresh (a slot that never finds its key)
+    # afresh (a window that never finds its key)
     res, _, _, calls = _flow_run(monkeypatch, BUILDS)
     assert calls == {"brinkman_operator": 1, "_block_preconditioner": 0, "_saddle_inverse": 1}
-    monkeypatch.setattr(core.LastBuild, "get", lambda self, key, build: build())
+    monkeypatch.setattr(brinkman, "bits", lambda *values: object())
     fresh, _, _, calls = _flow_run(monkeypatch, BUILDS)
     assert calls == {"brinkman_operator": 13, "_block_preconditioner": 0, "_saddle_inverse": 13}
     assert res.flow_iterations == fresh.flow_iterations

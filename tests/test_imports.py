@@ -1,8 +1,8 @@
 """Source hygiene: the package imports only the standard library and numpy,
 every name a library module imports is used there, no module imports a
 private name of another, every function and class it defines is used by the
-program or the benchmark, and no module reads the name the benchmark alone
-keeps."""
+program or the benchmark, no module reads the name the benchmark alone
+keeps, and every cache holds functions of sizes and scalars only."""
 import ast
 import re
 import sys
@@ -160,3 +160,49 @@ def test_the_scan_sees_a_read_of_a_name():
     source = ("from .a import x\nfrom . import a\nx = a.x\ny = x\n"
               "z = getattr(a, 'x')\n")
     assert reads_of("x", source) == [1, 3, 4, 5]
+
+
+# what a cached function's parameters may be: a cache outlives the run that
+# fills it, so it may hold only functions of sizes and scalars, never of a
+# run's fields
+CACHEABLE = {"int", "float", "str", "Grid"}
+
+
+def cached_parameters(source: str) -> dict[str, list[str]]:
+    """Per function that `functools.lru_cache` decorates (bare, called or as
+    an attribute), its parameters whose annotation is not in CACHEABLE, as
+    "name: annotation" ("name: None" when not annotated)."""
+    def is_cache(dec) -> bool:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        return (isinstance(target, ast.Name) and target.id == "lru_cache"
+                or isinstance(target, ast.Attribute) and target.attr == "lru_cache")
+
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                is_cache(dec) for dec in node.decorator_list):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            found[node.name] = [
+                f"{p.arg}: {ast.unparse(p.annotation) if p.annotation else None}"
+                for p in params
+                if p.annotation is None or ast.unparse(p.annotation) not in CACHEABLE]
+    return found
+
+
+def test_caches_hold_functions_of_sizes_and_scalars_only():
+    found = {f"{path.stem}.{name}": bad for path in MODULES
+             for name, bad in cached_parameters(path.read_text(encoding="utf-8")).items()}
+    assert {"elliptic.trig_table", "elliptic.laplacian_basis", "elliptic.robin_basis",
+            "io._csv_prefixes"} <= set(found)
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_the_scan_sees_a_cached_array_parameter():
+    source = ("import functools\nfrom functools import lru_cache\n\n\n"
+              "@lru_cache(maxsize=4)\ndef table(n: int, kind: str, g: Grid) -> int:\n"
+              "    return n\n\n\n@functools.lru_cache\n"
+              "def scaled(a: np.ndarray, c: float, d) -> float:\n    return c\n\n\n"
+              "def plain(a: np.ndarray) -> None:\n    pass\n")
+    assert cached_parameters(source) == {"table": [], "scaled": ["a: np.ndarray", "d: None"]}

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chbsim import cli, elliptic, galerkin, timestepper, verify
+from chbsim import brinkman, cli, elliptic, galerkin, timestepper, verify
 from chbsim.core import FaceField, Grid, State, face_to_center, make_grid
 from chbsim.io import (
     _CHOICES,
@@ -917,6 +917,30 @@ def test_cli_galerkin_sweep_small(tmp_path, capsys):
     assert cli.main(["galerkin", str(path), "--k", "1,4"]) == 1
     assert "FAIL" in capsys.readouterr().out
     assert cli.main(["galerkin", str(path), "--k", " "]) == 2
+
+
+def test_cli_galerkin_follows_the_flow_key(tmp_path, monkeypatch, capsys):
+    # [solver] flow = off: no flow solve, so the pressure and velocity norms
+    # are 0; flow = on solves every stage's flow, 4 per step and the final one
+    solves = []
+    solve = brinkman.ProjectedStart.solve
+
+    def counted(self, problem, tol):
+        solves.append(tol)
+        return solve(self, problem, tol)
+
+    monkeypatch.setattr(brinkman.ProjectedStart, "solve", counted)
+    text = SMALL_RUN.replace("nx = 8", "nx = 16").replace("ny = 8", "ny = 16")
+    for flow, n_solves in (("off", 0), ("on", 2 * (4 * 2 + 1))):
+        path = write_small_config(tmp_path, text=text.replace("flow = off", f"flow = {flow}"))
+        del solves[:]
+        assert cli.main(["galerkin", str(path), "--k", "4,9"]) == 0
+        rows = {line.split()[0]: [float(v) for v in line.split()[1:]]
+                for line in capsys.readouterr().out.splitlines() if line.startswith("  l")}
+        assert len(solves) == n_solves
+        for name in ("l43_p", "l2h1_v"):
+            assert len(rows[name]) == 2
+            assert all(v == 0.0 for v in rows[name]) == (flow == "off"), (flow, name)
 
 
 def test_cli_galerkin_builds_each_basis_once(tmp_path, monkeypatch, capsys):
