@@ -12,16 +12,17 @@ and div live at cell centers, the shear dxy at interior nodes; omitting the
 shear energy at wall nodes imposes the tangential traction condition weakly,
 and the normal traction (including the pressure) is the natural boundary
 condition of the Lagrangian. The first-order system is symmetric indefinite
-by construction and solved with preconditioned MINRES (nu > 0). At constant
-viscosities the whole saddle system has an exact inverse: a 3 x 3 solve per
-sine/cosine mode on the interior faces and pressure modes, and a
-capacitance solve on the wall faces and the constant pressure. Each solve
-starts from it, refined once where rounding leaves it above the tolerance,
-and only a start that still misses builds the block preconditioner for
-MINRES. The block-diagonal preconditioner is separate
-cosine-transform u and w blocks of a constant reference (the minimum
-viscosities), rescaled cell by cell by the Jacobi diagonals where the
-viscosities vary, and a Cahouet-Chabard pressure part: a constant plus a
+by construction and needs nu > 0. At constant viscosities the whole saddle
+system has an exact inverse K^-1: a 3 x 3 solve per sine/cosine mode on the
+interior faces and pressure modes, and a capacitance solve on the wall
+faces and the constant pressure. Such a solve is K^-1 b, refined once where
+rounding leaves it above the tolerance (one step of fixed-precision
+iterative refinement reaches the backward-stable floor: Skeel, Math. Comp.
+35, 1980), and reports its true residual; it makes no Krylov iteration.
+Variable viscosities are solved with MINRES and a block-diagonal
+preconditioner: separate cosine-transform u and w blocks of a constant
+reference (the minimum viscosities), rescaled cell by cell by the Jacobi
+diagonals, and a Cahouet-Chabard pressure part: a constant plus a
 sine-transform correction on the few lowest modes where the friction term
 is not negligible (all of them when nu is large). A dense loop-assembled
 oracle covers small grids.
@@ -50,6 +51,7 @@ from .elliptic import (
     separable_inverse,
     solve_minres,
     trig_table,
+    true_report,
 )
 
 
@@ -66,16 +68,23 @@ class BrinkmanProblem:
     vw: np.ndarray = field(init=False, repr=False, compare=False)   # w-face volumes
     eta_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     rhs: np.ndarray = field(init=False, repr=False, compare=False)  # packed (u, w, p)
+    # (eta, lam) where each takes one value on every cell, otherwise None
+    constant: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (np.all(np.isfinite(self.eta)) and np.all(np.isfinite(self.lam))):
+        # a NaN or an infinity shows in the extremes of its field
+        eta_lo, eta_hi, lam_lo, lam_hi = (float(f(a)) for a in (self.eta, self.lam)
+                                          for f in (np.min, np.max))
+        if not all(map(math.isfinite, (eta_lo, eta_hi, lam_lo, lam_hi))):
             raise ValueError("viscosities must be finite")
-        if np.any(self.eta <= 0.0):
+        if eta_lo <= 0.0:
             raise ValueError("shear viscosity must be strictly positive")
-        if np.any(self.lam < 0.0):
+        if lam_lo < 0.0:
             raise ValueError("bulk viscosity must be non-negative")
         if self.eta.shape != self.grid.shape or self.lam.shape != self.grid.shape:
             raise ValueError("viscosity fields must be cell fields")
+        self.constant = ((float(self.eta.flat[0]), float(self.lam.flat[0]))
+                         if eta_lo == eta_hi and lam_lo == lam_hi else None)
         self.vu, self.vw = face_volumes(self.grid)
         self.eta_nodes = _node_eta(self.eta)
         self.rhs = _pack(self.force.u * self.vu, self.force.w * self.vw,
@@ -590,25 +599,20 @@ def _compose(grid: Grid, velocity, pressure):
 
 
 def _block_preconditioner(problem: BrinkmanProblem):
-    """Block-diagonal SPD preconditioner for nu > 0: the composition
-    (`_compose`) of `_scalar_velocity_blocks` and `_pressure_block` for the
-    reference problem with constant eta, lam = their minima.
-
-    Where eta or lam varies it is rescaled as a -> s P(s a) with s =
-    sqrt(d_ref / d) from the Jacobi diagonals (cell-wise viscosity weights,
-    as in Grinevich & Olshanskii, SISC 31, 2009); SPD by construction. Its
-    iteration counts stay flat with the grid for smooth viscosity profiles,
-    not across a sharp jump.  At constant viscosities s would be exactly 1
-    and the rescaling is left out; there it serves only the iterations that
-    follow an exact start which missed after its refinement, and
-    `_exact_solver` builds it only then.
+    """Block-diagonal SPD preconditioner for the MINRES solve of variable
+    viscosities, nu > 0: the composition (`_compose`) of
+    `_scalar_velocity_blocks` and `_pressure_block` for the reference
+    problem with constant eta, lam = their minima, rescaled as a -> s P(s a)
+    with s = sqrt(d_ref / d) from the Jacobi diagonals (cell-wise viscosity
+    weights, as in Grinevich & Olshanskii, SISC 31, 2009); SPD by
+    construction, also at constant viscosities, where s is 1 up to
+    rounding.  Its iteration counts stay flat with the grid for smooth
+    viscosity profiles, not across a sharp jump.
     """
     g = problem.grid
     eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
     apply = _compose(g, _scalar_velocity_blocks(g, eta, lam, nu),
                      _pressure_block(g, eta, lam, nu))
-    if _constant(problem):
-        return apply
     s = np.sqrt(_jacobi_diagonal(problem, 2.0 * eta + lam, eta) / _jacobi_diagonal(problem))
     sa = np.empty(s.size)
 
@@ -619,35 +623,27 @@ def _block_preconditioner(problem: BrinkmanProblem):
     return rescaled
 
 
-def _constant(problem: BrinkmanProblem) -> bool:
-    """Whether eta and lam each take one value on every cell."""
-    return bool(np.ptp(problem.eta) == 0.0 and np.ptp(problem.lam) == 0.0)
-
-
 def _exact_solver(problem: BrinkmanProblem):
     """solve(problem, tol, x0=None) for every problem with the grid, nu and
-    constant eta and lam of this one: from x0, or K^-1 rhs without it, with
-    `_saddle_inverse` refining a start that misses tol once (`solve_minres`'s
-    `refine`).  The operator and K^-1 are built here, `_block_preconditioner`
-    at the first MINRES apply, and all three are kept for later calls."""
+    `constant` eta and lam of this one: x = x0, or K^-1 rhs without it; a
+    start that misses tol is refined once, x += K^-1 (rhs - A x), and the
+    report (`true_report`, 0 iterations) is of the true residual.  A start
+    that meets tol costs one operator apply, a refined one two.  The
+    operator and K^-1 are built here and kept for later calls."""
     if not problem.nu > 0.0:
         raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
     op = brinkman_operator(problem)
-    exact = _saddle_inverse(problem.grid, float(problem.eta[0, 0]),
-                            float(problem.lam[0, 0]), problem.nu)
-    block = None
+    exact = _saddle_inverse(problem.grid, *problem.constant, problem.nu)
 
     def solve(problem: BrinkmanProblem, tol: float,
               x0: np.ndarray | None = None) -> BrinkmanSolution:
-        def precond(a: np.ndarray) -> np.ndarray:
-            nonlocal block
-            if block is None:
-                block = _block_preconditioner(problem)
-            return block(a)
-        x, report = solve_minres(op, problem.rhs, tol,
-                                 exact(problem.rhs) if x0 is None else x0,
-                                 precond=precond, refine=exact)
-        return _solution(problem, x, report)
+        b = problem.rhs
+        x = exact(b) if x0 is None else x0.copy()
+        r = b - op.apply(x)
+        if true_report(b, r, 0, tol).rel_residual > tol:
+            x += exact(r)
+            r = b - op.apply(x)
+        return _solution(problem, x, true_report(b, r, 0, tol))
     return solve
 
 
@@ -659,7 +655,7 @@ def solve_brinkman(problem: BrinkmanProblem, tol: float,
     it; otherwise MINRES with `_block_preconditioner` from x0 (zero when not
     given), which the call builds and lets go.  Requires nu > 0: without
     friction its velocity blocks are singular."""
-    if exact is None and _constant(problem):
+    if exact is None and problem.constant is not None:
         exact = _exact_solver(problem)
     if exact is not None:
         return exact(problem, tol, x0)
@@ -705,11 +701,11 @@ class ProjectedStart:
     _COLLAPSE of its norm lies in the stored span and is not stored.  The
     buffer is allocated once, at the first pair.
 
-    At constant viscosities a solve starts from the exact inverse instead
-    and leaves the window alone; beside it the window keeps one
-    `_exact_solver`, keyed by the bits of the grid, nu, eta and lam and
-    dropped before another is built, so a run builds it once.  A
-    variable-viscosity solve keeps nothing it built.
+    At constant viscosities a solve is the exact inverse refined once
+    instead, with no MINRES, and leaves the window alone; beside it the
+    window keeps one `_exact_solver`, keyed by the bits of the grid, nu and
+    the `constant` eta and lam and dropped before another is built, so a
+    run builds it once.  A variable-viscosity solve keeps nothing it built.
     """
 
     def __init__(self, size: int) -> None:
@@ -726,8 +722,8 @@ class ProjectedStart:
         `_exact_solver` (rebuilt when the key changed) from K^-1 rhs;
         otherwise from the start for problem.rhs (zero while no pair is
         stored), and a converged solution joins the window."""
-        if _constant(problem):
-            key = bits(problem.grid, problem.nu, problem.eta, problem.lam)
+        if problem.constant is not None:
+            key = bits(problem.grid, problem.nu, *problem.constant)
             if key != self._key:
                 self._key = self._exact = None
                 self._exact = _exact_solver(problem)

@@ -141,9 +141,7 @@ def face_to_center(v: FaceField) -> tuple[np.ndarray, np.ndarray]:
 
 def bits(*values) -> tuple:
     """A key under which two value lists are equal only when they are the
-    same bit for bit: an array by its shape, type and bytes (so 0.0 and -0.0
-    differ, as does an array changed in place since), a float by its hex
-    form, anything else by equality."""
-    return tuple((v.shape, v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray)
-                 else float.hex(v) if isinstance(v, float) else v for v in values)
+    same bit for bit: a float by its hex form (so 0.0 and -0.0 differ),
+    anything else by equality."""
+    return tuple(float.hex(v) if isinstance(v, float) else v for v in values)
 

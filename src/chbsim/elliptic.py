@@ -9,9 +9,11 @@ crosses a row end are walls held at +0.0, and Robin walls recompute the
 first and last cell columns from their own fluxes. Solvers are two
 matrix-free Krylov iterations, BiCGStab for the nonsymmetric phase and
 nutrient systems and MINRES for the symmetric ones (the Brinkman saddle
-system, criterion 6's Neumann-Poisson study), each with the same
-preconditioner hook a -> M^-1 a and fixed-order reductions, so repeated
-runs are bit-identical.
+system at variable viscosities, criterion 6's Neumann-Poisson study), each
+with the same preconditioner hook a -> M^-1 a and fixed-order reductions,
+so repeated runs are bit-identical. Every solve, these two and the exact
+constant-coefficient Brinkman solve alike, reports its true residual
+through `true_report`.
 """
 from __future__ import annotations
 
@@ -224,9 +226,10 @@ def _norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
 
 
-def _true_report(rhs: np.ndarray, r: np.ndarray, iterations: int,
-                 tol: float) -> SolveReport:
-    """Report for the true residual r = rhs - A x."""
+def true_report(rhs: np.ndarray, r: np.ndarray, iterations: int,
+                tol: float) -> SolveReport:
+    """Report for the true residual r = rhs - A x: converged when
+    ||r|| <= 10 tol ||rhs||, the one rule of every solve's report."""
     res = _norm(r)
     nb = _norm(rhs)
     rel = res / nb if nb > 0.0 else (0.0 if res == 0.0 else 1.0)
@@ -301,10 +304,10 @@ def solve_general(op: StencilOperator, rhs: np.ndarray, tol: float,
             if _norm(r) <= target:
                 break
         r = rhs - op.apply(x)
-        if not broke and _true_report(rhs, r, it, tol).converged:
+        if not broke and true_report(rhs, r, it, tol).converged:
             break
         restarts += 1
-    return x, _true_report(rhs, r, it, tol)
+    return x, true_report(rhs, r, it, tol)
 
 
 def _minres_cycle(op: StencilOperator, rhs: np.ndarray, x: np.ndarray,
@@ -400,8 +403,7 @@ def _misses(r: np.ndarray, goal: float) -> bool:
 
 def solve_minres(op: StencilOperator, rhs: np.ndarray, tol: float,
                  x0: np.ndarray | None = None,
-                 precond: Callable[[np.ndarray], np.ndarray] | None = None,
-                 refine: Callable[[np.ndarray], np.ndarray] | None = None
+                 precond: Callable[[np.ndarray], np.ndarray] | None = None
                  ) -> tuple[np.ndarray, SolveReport]:
     """MINRES for symmetric indefinite stencils, with an optional SPD
     preconditioner `precond` (a -> M^-1 a).
@@ -417,12 +419,8 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray, tol: float,
     two measurements, as on long ill-conditioned solves) is the recurrence
     restarted from the true residual, at most 8 times. The preconditioner
     is applied once per iteration and once per recurrence started, and the
-    report reuses the last measured residual.
-    `refine` (a -> K^-1 a, an inverse exact up to rounding) corrects a
-    start that misses the goal once, x += K^-1 (rhs - A x), before any
-    iteration, at one more operator apply; the recurrence then runs only if
-    the corrected start still misses. A start that meets the goal costs the
-    one apply that measures it."""
+    report reuses the last measured residual. A start that meets the goal
+    costs the one apply that measures it."""
     if not op.symmetric:
         raise ValueError("solve_minres requires a symmetric operator")
     minv = precond if precond is not None else (lambda a: a)
@@ -432,16 +430,13 @@ def solve_minres(op: StencilOperator, rhs: np.ndarray, tol: float,
     target = 0.0
     it_total = 0
     r = rhs - op.apply(x)
-    if refine is not None and _misses(r, goal):
-        x += refine(r)
-        r = rhs - op.apply(x)
     for _ in range(8):
         if not _misses(r, goal) or it_total >= MAX_ITERS or goal < 1e-280:
             break
         x, r, it, target = _minres_cycle(op, rhs, x, r, minv, target, goal,
                                          MAX_ITERS - it_total)
         it_total += it
-    return x, _true_report(rhs, r, it_total, tol)
+    return x, true_report(rhs, r, it_total, tol)
 
 
 # Not a solver: only perfbench/spans.py reads this name, wrapping it for its

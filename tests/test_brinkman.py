@@ -600,16 +600,44 @@ def test_exact_blocks_through_the_composition_take_three_iterations(cfg):
     assert rep.converged and rep.iterations <= 3, rep
 
 
+@pytest.fixture
+def minres_calls(monkeypatch):
+    """Counts the calls of `solve_minres` that brinkman makes."""
+    calls = []
+    original = brinkman.solve_minres
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(brinkman, "solve_minres", spy)
+    return calls
+
+
 @pytest.mark.parametrize("cfg", [verify.DISC, verify.COUPLED, verify.GALERKIN],
                          ids=["disc", "coupled", "galerkin"])
-def test_constant_viscosity_first_flows_take_no_minres_iteration(cfg, block_calls):
-    # the exact start K^-1 rhs already meets the run's flow tolerance, so
-    # the block preconditioner is never built
+def test_constant_viscosity_first_flows_take_no_minres_iteration(cfg, block_calls,
+                                                                 minres_calls):
+    # the exact start K^-1 rhs already meets the run's flow tolerance: a
+    # direct solve and a window solve alike never call MINRES nor build the
+    # block preconditioner
     prob = first_flow(cfg)
-    assert brinkman._constant(prob)
+    assert prob.constant is not None
+    for solve in (solve_brinkman, brinkman.ProjectedStart(4).solve):
+        sol = solve(prob, timestepper.FLOW_TOL)
+        assert sol.report.converged and sol.report.iterations == 0, sol.report
+    assert block_calls == [] and minres_calls == []
+
+
+def test_refined_start_at_small_friction_is_not_spoilt_by_minres(block_calls, minres_calls):
+    # a random force at nu = 1e-3: the refined start reads ~9.7e-11, within
+    # 10 FLOW_TOL; MINRES from it used to end at ~1.4e-10 after 53
+    # iterations, an unconverged report that failed the step
+    grid = make_grid(1.0, 1.0, 64, 64)
+    force, gamma_v = random_data(grid, 11)
+    prob = problem(grid, nu=1e-3, eta=3.16, lam=0.5, force=force, gamma_v=gamma_v)
     sol = solve_brinkman(prob, timestepper.FLOW_TOL)
     assert sol.report.converged and sol.report.iterations == 0, sol.report
-    assert block_calls == []
+    assert block_calls == [] and minres_calls == []
 
 
 def smooth_problem(n, nu):
@@ -623,55 +651,86 @@ def smooth_problem(n, nu):
                    gamma_v=0.3 * np.cos(np.pi * x) * np.cos(np.pi * y))
 
 
-def test_refined_exact_start_meets_the_flow_tolerance_at_128(block_calls, monkeypatch):
-    # rounding leaves K^-1 rhs at a relative residual of ~4.5e-11 here,
-    # above FLOW_TOL = 1e-11 (6 MINRES iterations before the refinement);
-    # one refinement (one more apply of A and of K^-1) reaches ~5e-12
-    prob = smooth_problem(128, 1.0)
-    applies = []
-    original = brinkman.brinkman_operator
+def counted_exact_path(monkeypatch, spoil):
+    """Patch the operator and the exact inverse to count their applies, the
+    inverse spoilt by the factor 1 + spoil; returns the two tallies."""
+    applies, inverses = [], []
+    operator, inverse = brinkman.brinkman_operator, brinkman._saddle_inverse
 
-    def counted(p):
-        op = original(p)
+    def counted_operator(p):
+        op = operator(p)
         apply = op.apply
         op.apply = lambda x: applies.append(1) or apply(x)
         return op
-    monkeypatch.setattr(brinkman, "brinkman_operator", counted)
-    op = original(prob)
-    exact = brinkman._saddle_inverse(prob.grid, 1.0, 0.0, 1.0)
-    start = exact(prob.rhs)
-    assert np.linalg.norm(prob.rhs - op.apply(start)) > 1e-11 * np.linalg.norm(prob.rhs)
+
+    def spoilt(*args):
+        exact = inverse(*args)
+        return lambda x: inverses.append(1) or exact(x) * (1.0 + spoil)
+    monkeypatch.setattr(brinkman, "brinkman_operator", counted_operator)
+    monkeypatch.setattr(brinkman, "_saddle_inverse", spoilt)
+    return applies, inverses
+
+
+def test_refined_exact_start_meets_the_flow_tolerance_at_128(block_calls, monkeypatch):
+    # rounding leaves K^-1 rhs at a relative residual of ~4.5e-11 here,
+    # above FLOW_TOL = 1e-11; one refinement (one more apply of A and of
+    # K^-1) reaches ~5e-12
+    prob = smooth_problem(128, 1.0)
+    start = brinkman._saddle_inverse(prob.grid, 1.0, 0.0, 1.0)(prob.rhs)
+    residual = prob.rhs - brinkman_operator(prob).apply(start)
+    assert np.linalg.norm(residual) > 1e-11 * np.linalg.norm(prob.rhs)
+    applies, inverses = counted_exact_path(monkeypatch, 0.0)
     sol = solve_brinkman(prob, timestepper.FLOW_TOL)
     assert sol.report.converged and sol.report.iterations == 0, sol.report
     assert sol.report.rel_residual <= timestepper.FLOW_TOL
-    assert block_calls == [] and len(applies) == 2
+    assert block_calls == [] and len(applies) == 2 and len(inverses) == 2
 
 
-def test_exact_start_that_misses_is_finished_by_minres(block_calls, monkeypatch):
+def test_exact_start_that_misses_after_its_refinement_fails_the_step(
+        block_calls, minres_calls, monkeypatch):
     # an exact inverse spoilt by a factor 1 + 1e-3 leaves the start and its
-    # one refinement at relative residuals of ~1e-3 and ~1e-6, above tol
-    # 1e-12: MINRES builds the block preconditioner once and goes on from
-    # the refined start to the solution that MINRES from zero finds
-    original = brinkman._saddle_inverse
+    # one refinement at relative residuals of ~1e-3 and ~1e-6: the report is
+    # unconverged with 0 iterations, no MINRES runs, and the step fails
+    counted_exact_path(monkeypatch, 1e-3)
+    cfg = replace(verify.DISC, nx=16, ny=16)
+    model = cfg.model_spec()
+    old = diagnostics.old_level(diagnostics.time_level(cfg.initial_state(), model),
+                                model, True)
+    sol = solve_brinkman(old.flow, timestepper.FLOW_TOL)
+    assert not sol.report.converged and sol.report.iterations == 0, sol.report
+    assert 1e-7 < sol.report.rel_residual < 1e-5, sol.report
+    with pytest.raises(timestepper.StepFailure, match="flow"):
+        timestepper.solve_flow(old, brinkman.ProjectedStart(4))
+    assert block_calls == [] and minres_calls == []
 
-    def spoilt(*args):
-        exact = original(*args)
-        return lambda x: exact(x) * (1.0 + 1e-3)
-    monkeypatch.setattr(brinkman, "_saddle_inverse", spoilt)
-    prob = disc_problem(make_grid(1.0, 1.0, 16, 16), 1.0, 1e-2, 0.0)
-    assert brinkman._constant(prob)
-    sol = solve_brinkman(prob, 1e-12)
-    assert sol.report.converged and sol.report.iterations > 0, sol.report
-    assert len(block_calls) == 1
-    # a run keeps the preconditioner its first miss built
-    window = brinkman.ProjectedStart(4)
-    for _ in range(2):
-        assert window.solve(prob, 1e-12).report == sol.report
-    assert len(block_calls) == 2
-    x, rep = solve_minres(brinkman_operator(prob), prob.rhs, 1e-12,
-                          precond=brinkman._block_preconditioner(prob))
-    assert rep.converged
-    np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=1e-9 * np.max(np.abs(x)))
+
+def test_exact_solve_refines_a_start_that_misses_once(monkeypatch):
+    # K^-1 spoilt by 1 + 1e-4 leaves K^-1 b at 1e-4 of b and its one
+    # refinement at 1e-8: at tol 1e-6 the refined start meets the goal at
+    # one more apply of A and of K^-1; at tol 1e-12 it still misses, and the
+    # solve ends there with no second refinement
+    applies, inverses = counted_exact_path(monkeypatch, 1e-4)
+    prob = smooth_problem(16, 1.0)
+    for tol, converged in ((1e-6, True), (1e-12, False)):
+        del applies[:], inverses[:]
+        rep = solve_brinkman(prob, tol).report
+        assert rep.converged == converged and rep.iterations == 0, rep
+        assert rep.rel_residual == pytest.approx(1e-8, rel=1e-2), rep
+        assert len(applies) == 2 and len(inverses) == 2
+
+
+def test_exact_solve_of_a_start_that_meets_the_goal_is_not_refined(monkeypatch):
+    # the refinement runs only on a miss: K^-1 b within tol, or a given
+    # start within it, costs the one apply that measures it
+    applies, inverses = counted_exact_path(monkeypatch, 1e-4)
+    prob = smooth_problem(16, 1.0)
+    sol = solve_brinkman(prob, 1e-3)
+    assert sol.report.converged and sol.report.rel_residual > 1e-5, sol.report
+    assert len(applies) == 1 and len(inverses) == 1
+    x0 = sol.x.copy()
+    again = solve_brinkman(prob, 1e-3, x0)
+    assert again.report == sol.report and len(applies) == 2 and len(inverses) == 1
+    assert np.array_equal(again.x, x0) and not np.shares_memory(again.x, x0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])
@@ -682,8 +741,8 @@ def test_block_path_matches_dense_oracle(block_calls, nu, lam):
     prob = problem(grid, nu=nu, eta=0.8, lam=lam, force=force, gamma_v=gamma_v)
     krylov = solve_brinkman(prob, 1e-13)
     direct = dense_oracle_solve(prob)
-    # the block preconditioner is built only where MINRES has to iterate
-    assert len(block_calls) == (krylov.report.iterations > 0) and krylov.report.converged
+    # constant viscosities: the exact inverse, with no block preconditioner
+    assert block_calls == [] and krylov.report.converged
     for a, b in ((krylov.v.u, direct.v.u), (krylov.v.w, direct.v.w),
                  (krylov.p, direct.p)):
         np.testing.assert_allclose(a, b, atol=1e-10 * np.max(np.abs(b)))
@@ -727,32 +786,25 @@ def disc_problem(grid, contrast, nu, lam, seed=11):
 
 @settings(max_examples=10, deadline=None)
 @given(nx=SIDES, ny=SIDES, lx=LENGTHS, ly=LENGTHS, nu=FRICTIONS,
-       contrast=st.floats(1.0, 1e3), seed=SEEDS)
+       contrast=st.floats(1.0, 1e3), seed=SEEDS, constant=st.booleans())
 def test_rescaled_block_preconditioner_is_symmetric_positive_definite(
-        nx, ny, lx, ly, nu, contrast, seed):
-    # cell-wise random eta in [0.5, 0.5 contrast] and lam in [0, 2]
+        nx, ny, lx, ly, nu, contrast, seed, constant):
+    # cell-wise random eta in [0.5, 0.5 contrast] and lam in [0, 2], or the
+    # values of one cell on every cell, where the rescaling is 1 up to
+    # rounding
     grid = make_grid(lx, ly, nx, ny)
     rng = np.random.default_rng(seed)
     force, gamma_v = random_data(grid, seed)
-    prob = BrinkmanProblem(grid, rng.uniform(0.5, 0.5 * contrast, grid.shape),
-                           rng.uniform(0.0, 2.0, grid.shape), nu, force, gamma_v)
+    eta, lam = rng.uniform(0.5, 0.5 * contrast, grid.shape), rng.uniform(0.0, 2.0, grid.shape)
+    if constant:
+        eta, lam = np.full(grid.shape, eta[0, 0]), np.full(grid.shape, lam[0, 0])
+    prob = BrinkmanProblem(grid, eta, lam, nu, force, gamma_v)
+    assert (prob.constant is not None) == constant
     n = prob.rhs.size
     mat = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
                                             (n,), symmetric=True))
     assert np.max(np.abs(mat - mat.T)) <= 1e-14 * np.max(np.abs(mat))
     assert np.min(np.linalg.eigvalsh(mat)) > 0.0
-
-
-def test_constant_coefficients_skip_the_rescaling(block_calls):
-    grid = make_grid(1.0, 1.5, 7, 5)
-    force, gamma_v = random_data(grid, 3)
-    prob = problem(grid, nu=2.0, eta=0.8, lam=0.3, force=force, gamma_v=gamma_v)
-    apply = brinkman._block_preconditioner(prob)
-    assert len(block_calls) == 1  # no reference problem was built
-    # and the rescaling would not change a bit: s is exactly 1
-    a = np.random.default_rng(9).standard_normal(prob.rhs.size)
-    s = np.sqrt(brinkman._jacobi_diagonal(prob) / brinkman._jacobi_diagonal(prob))
-    assert np.array_equal(apply(a), s * apply(s * a))
 
 
 @pytest.mark.parametrize("contrast, nu, lam", [
@@ -939,7 +991,7 @@ def test_solve_brinkman_rejects_zero_friction(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         for contrast in (1.0, 10.0):
             prob = disc_problem(grid, contrast, 0.0, 0.0)
-            assert brinkman._constant(prob) == (contrast == 1.0)
+            assert (prob.constant is not None) == (contrast == 1.0)
             for solve in (solve_brinkman, brinkman.ProjectedStart(4).solve):
                 with pytest.raises(ValueError, match="nu > 0"):
                     solve(prob, TOL)
