@@ -15,6 +15,10 @@ reruns byte-identical; a value the file cannot carry is refused.
 
 Snapshots come in two flavours: CSV (one row per cell, the bit-exact
 archival format) and legacy-VTK structured points (ASCII, for viewers).
+Their values carry the same text as `repr`, but `repr_texts` builds it for
+a whole state at once: Schubfach's shortest digits in uint64 arithmetic and
+`repr`'s layout from small tables.  A state whose fields do not fit the
+grid is refused before its file is opened.
 The output directory can be redirected with the CHBSIM_OUTPUT_ROOT
 environment variable and is protected by a lock sentinel per run.
 """
@@ -447,6 +451,243 @@ def save_config(cfg: RunConfig, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# repr of whole float64 arrays
+# ---------------------------------------------------------------------------
+#
+# The digits are Schubfach's (Giulietti, "The Schubfach way to render
+# doubles", 2020): the shortest decimal in the value's rounding interval,
+# the closest one if two are, the even one on a tie.  That is what `repr`
+# writes.  They come from three round-to-odd products of the scaled
+# significand with a 126-bit power of ten (rop below, as in the JDK's
+# DoubleToDecimal), emulated in uint64 with 32-bit limbs.  The layout is
+# `repr`'s: fixed notation for a decimal point position decpt in [-3, 16]
+# ("0.000ddd", "dd.dd", "dd00.0"), d.ddde±XX otherwise.  Each value's text
+# is built as three little-endian words of 8 characters from tables indexed
+# by decpt and the digit count.  Zeros, non-finite values and the two
+# smallest subnormals (where Schubfach keeps two digits) take `repr` itself.
+#
+# Every operand of the digit and word arithmetic is a uint64 array or an
+# np.uint64 scalar (it relies on wrap-around; mixed with a signed integer,
+# numpy would compute in float64).  Work goes in chunks of _CHUNK values
+# through buffers made once per call, so no chunk maps fresh pages.
+
+_U = np.uint64
+_CHUNK = 4096
+_K_MIN, _K_MAX = -324, 292       # the decimal exponents a double needs
+_OFF = 330                       # decpt + _OFF indexes the layout tables
+_M32, _M52, _M63 = _U(2 ** 32 - 1), _U(2 ** 52 - 1), _U(2 ** 63 - 1)
+
+
+def _pow10_126(k: int) -> int:
+    """g = floor(beta) + 1, where 10^-k = beta 2^r and 2^125 <= beta < 2^126."""
+    num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
+    e = 125 - num.bit_length() + den.bit_length()
+    while True:
+        beta = (num << e) // den if e >= 0 else num // (den << -e)
+        if beta >= 1 << 126:
+            e -= 1
+        elif beta < 1 << 125:
+            e += 1
+        else:
+            return beta + 1
+
+
+def _word(text: str) -> int:
+    return int.from_bytes(text.encode("ascii"), "little")
+
+
+@lru_cache(maxsize=1)
+def _text_tables() -> tuple:
+    """Read-only tables, built at first use:
+    - by biased exponent + 2048 when the fraction is 0 (the irregular
+      spacing of a power of two): g's limbs, the significand shift, the
+      lower and upper interval offsets and the implicit bit; and k;
+    - by decpt + _OFF (+ 2 _OFF for a negative value): the sign and
+      "0.000" head, 2^(8 len), 63 - 8 len, the exponent text, a layout code
+      (decpt for "dd.dd", 0 for "0.0dd", 17 for an exponent);
+    - by 18 digits + code: the kept-digit masks, the masks and dot of the
+      decimal point and the placement of the exponent text, per word."""
+    g = [_pow10_126(k) for k in range(_K_MIN, _K_MAX + 1)]
+    g1 = np.array([v >> 63 for v in g], dtype=_U)
+    g0 = np.array([v & (2 ** 63 - 1) for v in g], dtype=_U)
+    q = np.tile(np.maximum(np.arange(2048), 1) - 1075, 2)    # subnormals share q of exponent 1
+    irregular = np.arange(4096) > 2049
+    # floor(q log10 2) and floor(log10(3/4 2^q)), then floor(-k log2 10) (JDK MathUtils)
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = q + ((-k * 913124641741) >> 38) + 2
+    gi = np.clip(k, _K_MIN, _K_MAX) - _K_MIN
+    h = np.clip(h, 0, 8)      # only exponent 2047, which never reaches the kernel, leaves 1..4
+    digit = np.stack([g1[gi], g1[gi] >> _U(32), g1[gi] & _M32, g0[gi] >> _U(32), g0[gi] & _M32,
+                      (h + 2).astype(_U), (np.where(irregular, 1, 2) << h).astype(_U),
+                      (2 << h).astype(_U), np.where(np.arange(4096) % 2048 > 0, 2 ** 52, 0).astype(_U)])
+    head = np.zeros((5, 4 * _OFF), _U)
+    for negative in (0, 1):
+        for decpt in range(-_OFF, _OFF):
+            small, exponent = -4 < decpt <= 0, not -4 < decpt <= 16
+            text = "-" * negative + ("0." + "0" * -decpt) * small
+            e = f"e{decpt - 1:+03d}" if exponent else ""
+            code = 17 if exponent else max(decpt, 0)
+            head[:, decpt + _OFF + 2 * _OFF * negative] = (
+                _word(text), 1 << 8 * len(text), 63 - 8 * len(text), _word(e), code)
+    layout = np.zeros((15, 18 * 18), _U)
+    for n in range(1, 18):
+        for code in range(18):
+            fixed = 1 <= code <= 16
+            kept = max(n, code + 1) if fixed else n     # "dd00.0" keeps zeros
+            point = code if fixed else int(code == 17 and n > 1)
+            keep = 2 ** (8 * kept) - 1
+            low = 2 ** (8 * point) - 1 if point else 2 ** 192 - 1
+            dot = 0x2E << 8 * point if point else 0
+            for j in range(3):
+                shift = kept + (point > 0) - 8 * j   # of the exponent text in word j
+                layout[j::3, n * 18 + code] = (
+                    keep >> 64 * j & 2 ** 64 - 1, low >> 64 * j & 2 ** 64 - 1,
+                    dot >> 64 * j & 2 ** 64 - 1, 2 ** (8 * shift) % 2 ** 64 if shift >= 0 else 1,
+                    8 * min(max(-shift, 0), 7))
+    tables = (digit, k, head, layout)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _rop(g1, g1h, g1l, g0h, g0l, cp, work):
+    """floor(g cp / 2^127), odd when bits 64..126 of g cp are not all 0, with
+    g = g1 2^63 + g0 (the JDK's rop); g's limbs g1h, g1l, g0h, g0l have 32 bits."""
+    ch, cl, t, u, x1, y1, nonzero = work["rop"]
+    np.right_shift(cp, _U(32), out=ch)
+    np.bitwise_and(cp, _M32, out=cl)
+    for gh, gl, hi in ((g0h, g0l, x1), (g1h, g1l, y1)):     # hi = the high word of g cp
+        np.multiply(gl, cl, out=t)
+        t >>= _U(32)
+        np.multiply(gh, cl, out=u)
+        t += u
+        np.multiply(gl, ch, out=u)
+        t += u
+        t >>= _U(32)
+        np.multiply(gh, ch, out=hi)
+        hi += t
+    np.multiply(g1, cp, out=t)                            # z = (g1 cp mod 2^64) / 2 + x1
+    t >>= _U(1)
+    t += x1
+    np.right_shift(t, _U(63), out=u)
+    y1 += u
+    t <<= _U(1)
+    np.not_equal(t, 0, out=nonzero)
+    y1 |= nonzero
+    return y1
+
+
+def _shortest(mag, work):
+    """The shortest decimal f 10^k of each positive finite double whose bits
+    are `mag` (no zero, no subnormal below 3 ulps)."""
+    digit, exp10, _, _ = _text_tables()
+    fraction = mag & _M52
+    index = ((mag >> _U(52)) | ((fraction == 0).astype(_U) << _U(11))).astype(np.intp)
+    g1, g1h, g1l, g0h, g0l, shift, dl, dr, implicit = np.take(
+        digit, index, axis=1, out=work["digit"], mode="clip")
+    c = fraction | implicit
+    cp = work["cp"]          # the value and the ends of its rounding interval
+    np.left_shift(c, shift, out=cp[0])
+    np.subtract(cp[0], dl, out=cp[1])
+    np.add(cp[0], dr, out=cp[2])
+    vb, vbl, vbr = _rop(g1, g1h, g1l, g0h, g0l, cp, work)
+    odd = c & _U(1)          # an odd significand's interval is open
+    vbl += odd
+    vbr -= odd
+    s = vb >> _U(2)
+    s10 = (s // _U(10)) * _U(10)
+    # one digit fewer: s10 or s10 + 10 when in the interval (needs s >= 100)
+    shorter_in = (vbl <= s10 << _U(2)) | ((s10 << _U(2)) + _U(40) <= vbr)
+    upper10 = (s10 << _U(2)) + _U(40) <= vbr
+    # else s or s + 1, the closer one when both are in (the even one on a tie)
+    up = (vbl > s << _U(2)) | (((s << _U(2)) + _U(4) <= vbr)
+                               & ((vb & _U(3)) + (s & _U(1)) > _U(2)))
+    f = np.where((s >= _U(100)) & shorter_in, s10 + upper10.astype(_U) * _U(10),
+                 s + up.astype(_U))
+    return f, np.take(exp10, index)
+
+
+_P10 = np.array([10 ** i for i in range(18)], dtype=_U)
+_ASCII = _U(0x3030303030303030)
+
+
+def _digit_bytes(x):
+    """The 8 decimal digits of each x < 10^8, one per byte, first digit lowest."""
+    hi = x // _U(10000)
+    merged = hi | ((x - hi * _U(10000)) << _U(32))            # 4 digits per 32 bits
+    top = ((merged * _U(10486)) >> _U(20)) & _U(0x7F0000007F)
+    pairs = ((merged - _U(100) * top) << _U(16)) + top          # 2 digits per 16 bits
+    tens = ((pairs * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
+    return tens + ((pairs - _U(10) * tens) << _U(8))
+
+
+def _length(words):
+    """The bytes up to the highest nonzero one of each word (negative for 0)."""
+    return ((words.astype(np.float64).view(np.int64) >> 52) - 1015) >> 3
+
+
+def _chunk_text(x, work) -> list[str]:
+    n = x.size
+    _, _, head, layout = _text_tables()
+    mag = x.view(_U) & _M63
+    fallback = (mag - _U(3)) >= _U(0x7FF0000000000000 - 3)    # 0, 1 or 2 ulps, inf, nan
+    np.putmask(mag, fallback, _U(0x3FF0000000000000))
+    f, k = _shortest(mag, work)
+    nf = np.searchsorted(_P10, f, side="right")              # digits of f
+    full = f * np.take(_P10, 17 - nf)                        # as 17 digits
+    lead = full // _U(10 ** 16)
+    rest = full - lead * _U(10 ** 16)
+    pair = np.empty((2, n), _U)
+    pair[0] = rest // _U(10 ** 8)
+    pair[1] = rest - pair[0] * _U(10 ** 8)
+    b, c = _digit_bytes(pair)                                # digits 1..8, 9..16
+    digits = np.maximum(np.maximum(_length(b) + 1, _length(c) + 9), 1)   # without trailing 0s
+    hw, scale, back, ew, code = np.take(head, nf + k + _OFF + np.signbit(x) * 2 * _OFF,
+                                        axis=1, out=work["head"], mode="clip")
+    lay = np.take(layout, digits * 18 + code.astype(np.intp), axis=1,
+                  out=work["layout"], mode="clip")
+    w = work["words"]
+    np.bitwise_or(lead, b << _U(8), out=w[0])
+    np.bitwise_or(b >> _U(56), c << _U(8), out=w[1])
+    np.right_shift(c, _U(56), out=w[2])
+    w |= _ASCII
+    w &= lay[0:3]                                            # drop trailing zeros
+    lo = w & lay[3:6]
+    hi = w ^ lo                                              # the digits after the point
+    w = (hi << _U(8)) | lo | lay[6:9] | ((ew * lay[9:12]) >> lay[12:15])
+    w[1:] |= hi[:-1] >> _U(56)
+    out = np.empty((n, 3), _U)                               # shifted right past the head
+    np.multiply(w, scale, out=out.T)
+    out.T[0] |= hw
+    out.T[1:] |= (w[:-1] >> back) >> _U(1)
+    if fallback.any():
+        where = np.flatnonzero(fallback)
+        bits, which = np.unique(x[where].view(_U), return_inverse=True)
+        texts = b"".join(repr(v).encode("ascii").ljust(24, b"\0")
+                         for v in bits.view(np.float64).tolist())
+        out[where] = np.frombuffer(texts, _U).reshape(-1, 3)[which.ravel()]
+    return out.view(np.uint8).astype(np.uint32).view("U24").ravel().tolist()
+
+
+def repr_texts(values) -> list[str]:
+    """[repr(float(v)) for v in values.ravel()], built for the whole array at
+    once; equal to it for every float64 bit pattern."""
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    size = x.size
+    if size % _CHUNK:
+        x = np.concatenate([x, np.ones(_CHUNK - size % _CHUNK)])
+    work = {"digit": np.empty((9, _CHUNK), _U), "cp": np.empty((3, _CHUNK), _U),
+            "rop": [np.empty((3, _CHUNK), _U) for _ in range(6)] + [np.empty((3, _CHUNK), bool)],
+            "head": np.empty((5, _CHUNK), _U), "layout": np.empty((15, _CHUNK), _U),
+            "words": np.empty((3, _CHUNK), _U)}
+    texts = []
+    for start in range(0, size, _CHUNK):
+        texts += _chunk_text(x[start:start + _CHUNK], work)
+    del texts[size:]
+    return texts
+
+
+# ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------
 
@@ -469,17 +710,39 @@ def _snapshot_text(state: State) -> dict:
     """The `repr` of every value of each `SNAPSHOT_FIELDS` column, in (i, j)
     order: each value is formatted once, and every writer reads this table."""
     vx, vy = face_to_center(state.v)
-    cols = (state.phi, state.mu, state.sigma, state.p, vx, vy)
-    return {name: list(map(repr, np.asarray(col, dtype=float).ravel().tolist()))
-            for name, col in zip(SNAPSHOT_FIELDS, cols)}
+    cols = [np.asarray(col, dtype=float).ravel()
+            for col in (state.phi, state.mu, state.sigma, state.p, vx, vy)]
+    texts = repr_texts(np.concatenate(cols))
+    ends = np.cumsum([col.size for col in cols]).tolist()
+    return {name: texts[end - col.size:end]
+            for name, col, end in zip(SNAPSHOT_FIELDS, cols, ends)}
+
+
+def _shape_errors(state: State, grid: Grid, text: dict | None) -> list[str]:
+    """How `state` (or the `text` table passed for it) fails to fit `grid`."""
+    nx, ny = grid.nx, grid.ny
+    if text is not None:
+        return [f"the {name} text holds {len(text.get(name, ()))} values, not {nx * ny}"
+                for name in SNAPSHOT_FIELDS if len(text.get(name, ())) != nx * ny]
+    arrays = (("phi", state.phi, (nx, ny)), ("mu", state.mu, (nx, ny)),
+              ("sigma", state.sigma, (nx, ny)), ("p", state.p, (nx, ny)),
+              ("u faces", state.v.u, (nx + 1, ny)), ("w faces", state.v.w, (nx, ny + 1)))
+    return [f"{name} {np.shape(array)}, not {shape}"
+            for name, array, shape in arrays if np.shape(array) != shape]
 
 
 def write_snapshot(state: State, grid: Grid, path: str | Path,
                    fmt: str = "csv", text: dict | None = None) -> SnapshotHeader:
     """Write one snapshot file.  `text` is `_snapshot_text(state)`, which a
-    caller writing several formats of one state passes to each of them."""
+    caller writing several formats of one state passes to each of them.
+    Fields (or a `text` table) that do not fit `grid` raise one ValueError
+    naming them, before the file is opened."""
     if fmt not in _CHUNKS:
         raise ValueError(f"unknown snapshot format {fmt!r}")
+    errors = _shape_errors(state, grid, text)
+    if errors:
+        raise ValueError(f"snapshot does not fit the {grid.nx}x{grid.ny} grid: "
+                         + "; ".join(errors))
     header = SnapshotHeader(time=state.t, lx=grid.Lx, ly=grid.Ly,
                             nx=grid.nx, ny=grid.ny)
     text = _snapshot_text(state) if text is None else text

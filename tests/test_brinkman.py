@@ -735,7 +735,7 @@ def test_exact_solve_of_a_start_that_meets_the_goal_is_not_refined(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 @pytest.mark.parametrize("nu", [1e-2, 1.0, 1e3])
-def test_block_path_matches_dense_oracle(block_calls, nu, lam):
+def test_exact_path_matches_dense_oracle(block_calls, nu, lam):
     grid = make_grid(1.0, 1.5, 8, 6)
     force, gamma_v = random_data(grid, 11)
     prob = problem(grid, nu=nu, eta=0.8, lam=lam, force=force, gamma_v=gamma_v)
@@ -749,21 +749,9 @@ def test_block_path_matches_dense_oracle(block_calls, nu, lam):
 
 
 @pytest.mark.parametrize("nu", [1.0, 1e3])
-def test_block_iterations_do_not_grow_with_the_grid(block_calls, nu):
-    iters = []
-    for n in (16, 64):
-        sol = solve_brinkman(smooth_problem(n, nu), TOL)
-        assert sol.report.converged
-        iters.append(sol.report.iterations)
-    # one preconditioner build for each solve that iterates
-    assert len(block_calls) == sum(it > 0 for it in iters)
-    assert iters[1] <= 1.5 * iters[0], iters
-
-
-@pytest.mark.parametrize("nu", [1.0, 1e3])
 def test_block_preconditioner_iterations_from_zero_do_not_grow_with_the_grid(nu):
-    # the test above now counts the iterations after the exact start; the
-    # block preconditioner, which serves a start that misses, runs from zero
+    # the block preconditioner serves variable viscosities only; from zero,
+    # its iteration count on the smooth problem is set by the preconditioner
     iters = []
     for n in (16, 64):
         prob = smooth_problem(n, nu)

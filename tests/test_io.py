@@ -26,6 +26,7 @@ from chbsim.io import (
     _csv_prefixes,
     _semantic_errors,
     _snapshot_text,
+    repr_texts,
     OUTPUT_ROOT_ENV,
     SNAPSHOT_FIELDS,
     ConfigError,
@@ -607,6 +608,76 @@ def test_snapshot_bytes_are_unchanged(fmt, tmp_path):
     path = tmp_path / f"snap.{fmt}"
     write_snapshot(state, grid, path, fmt=fmt)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SNAPSHOT_SHA256[fmt]
+
+
+# layout edges of repr: the fixed/exponent switch at 1e-04 and 1e+16,
+# integers that take ".0", the subnormal and normal extremes, the signed zero
+# and values whose shortest form has 16 (1/3, 2/3) and 17 (0.1 + 0.2) digits
+EDGE_VALUES = [1e-05, 0.0001, 9999999999999998.0, 1e+16, 1000000000000000.0, 100.0,
+               2.0 ** 53, 2.0 ** 53 + 2, 1e+22, -0.0, 5e-324, 1e-323,
+               2.2250738585072014e-308, 1.7976931348623157e+308, 1 / 3, 0.1 + 0.2,
+               2 / 3, 1.5e-323, 123456789012345678.0, 0.001]
+
+
+def edge_snapshot_state():
+    """A 5x4 state of EDGE_VALUES, built with exactly rounded arithmetic only."""
+    grid = make_grid(1.0, 0.8, 5, 4)
+    vals = np.array(EDGE_VALUES).reshape(grid.shape)
+    small = np.array(EDGE_VALUES[:6] + EDGE_VALUES[9:12] + EDGE_VALUES[14:18])
+    state = State(t=1 / 3, phi=vals, mu=-vals, sigma=vals[::-1, ::-1].copy(), p=vals * 0.5,
+                  v=FaceField(np.resize(small, (6, 4)), -np.resize(small[::-1], (5, 5))))
+    return grid, state
+
+
+# SHA-256 of the files the per-value `repr` writer produced for this state
+EDGE_SNAPSHOT_SHA256 = {
+    "csv": "e41ac5a10eab768c2ca03b2f05807dfc49cf8030849917eb3e3ef2dbb277779d",
+    "vtk": "13c6a8415f7164a8765b3d42535fd901eeabd27f4f56a88afc1fa78acaa9ceab",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "vtk"])
+def test_edge_value_snapshot_bytes_are_unchanged(fmt, tmp_path):
+    grid, state = edge_snapshot_state()
+    path = tmp_path / f"snap.{fmt}"
+    write_snapshot(state, grid, path, fmt=fmt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EDGE_SNAPSHOT_SHA256[fmt]
+
+
+def test_repr_texts_of_the_layout_edges():
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES]
+                      + [0.0, math.inf, -math.inf, math.nan, 4.9406564584124654e-322])
+    assert repr_texts(values) == [repr(v) for v in values.tolist()]
+    assert repr_texts(values[:0]) == []
+    assert repr_texts(values.reshape(5, -1)) == [repr(v) for v in values.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=300))
+def test_repr_texts_equal_repr_on_any_bit_pattern(bits):
+    # raw 64-bit patterns: every exponent, subnormals, infinities and NaNs
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert repr_texts(values) == [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("shrink", ["phi", "u", "text"])
+def test_a_snapshot_that_does_not_fit_its_grid_is_refused_before_the_file(tmp_path, shrink):
+    # a 4x4 state on an 8x8 grid used to give a CSV of 16 mislabelled rows
+    # that read_snapshot refused and a VTK of 16 values for CELL_DATA 64
+    grid = make_grid(1.0, 1.0, 8, 8)
+    small = make_grid(1.0, 1.0, 4, 4)
+    state = State(0.0, *np.ones((4,) + grid.shape), FaceField.zeros(grid))
+    text = None
+    if shrink == "phi":
+        state = replace(state, phi=np.ones(small.shape))
+    elif shrink == "u":
+        state = replace(state, v=FaceField(np.zeros((8, 8)), state.v.w))
+    else:
+        text = _snapshot_text(State(0.0, *np.ones((4,) + small.shape), FaceField.zeros(small)))
+    path = tmp_path / "snap.csv"
+    with pytest.raises(ValueError, match="does not fit the 8x8 grid"):
+        write_snapshot(state, grid, path, "csv", text)
+    assert not path.exists()
 
 
 def test_both_formats_from_one_shared_table_keep_their_bytes(tmp_path):
