@@ -46,6 +46,7 @@ from .brinkman import (
     solve_brinkman,
 )
 from .timestepper import (
+    RunContext,
     RunResult,
     SchemeOptions,
     SimSpec,

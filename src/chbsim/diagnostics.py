@@ -98,11 +98,15 @@ class OldLevel(TimeLevel):
     flow: BrinkmanProblem | None    # of (phi_n, sigma_n, mu_n); None with the flow off
 
 
-def old_level(level: TimeLevel, model: ModelSpec, flow: bool) -> OldLevel:
-    """Evaluate the old-level coefficients of the step leaving `level`."""
+def old_level(level: TimeLevel, model: ModelSpec, flow: bool,
+              m_faces: FaceField | None = None) -> OldLevel:
+    """Evaluate the old-level coefficients of the step leaving `level`;
+    `m_faces` is m(phi_n) on the faces when the caller holds it (a run at
+    constant mobility, `timestepper.RunContext`), built here when None."""
     st = level.state
     src = sources(st.phi, st.sigma, st.mu, model.source, model.params)
-    m_faces = harmonic_face_coefficients(model.mobvis.m(st.phi), model.grid)
+    if m_faces is None:
+        m_faces = harmonic_face_coefficients(model.mobvis.m(st.phi), model.grid)
     problem = (brinkman_problem(st.phi, st.sigma, st.mu, level.n_sigma, src.gamma_v, model)
                if flow else None)
     return OldLevel(**vars(level), src=src, m_faces=m_faces, flow=problem)

@@ -463,8 +463,11 @@ def save_config(cfg: RunConfig, path: str | Path) -> None:
 # `repr`'s: fixed notation for a decimal point position decpt in [-3, 16]
 # ("0.000ddd", "dd.dd", "dd00.0"), d.ddde±XX otherwise.  Each value's text
 # is built as three little-endian words of 8 characters from tables indexed
-# by decpt and the digit count.  Zeros, non-finite values and the two
-# smallest subnormals (where Schubfach keeps two digits) take `repr` itself.
+# by decpt and the digit count.  Zeros and non-finite values take `repr`
+# itself.  The one-digit-shorter candidate is tried from two digits on
+# (s >= 10), not from three as in the JDK, whose `Double.toString` keeps at
+# least two digits where `repr` keeps one: the smallest subnormals come out
+# as `repr`'s "5e-324" and "5e-323", not as "4.9e-324" and "4.9e-323".
 #
 # Every operand of the digit and word arithmetic is a uint64 array or an
 # np.uint64 scalar (it relies on wrap-around; mixed with a signed integer,
@@ -579,7 +582,7 @@ def _rop(g1, g1h, g1l, g0h, g0l, cp, work):
 
 def _shortest(mag, work):
     """The shortest decimal f 10^k of each positive finite double whose bits
-    are `mag` (no zero, no subnormal below 3 ulps)."""
+    are `mag` (no zero)."""
     digit, exp10, _, _ = _text_tables()
     fraction = mag & _M52
     index = ((mag >> _U(52)) | ((fraction == 0).astype(_U) << _U(11))).astype(np.intp)
@@ -596,13 +599,13 @@ def _shortest(mag, work):
     vbr -= odd
     s = vb >> _U(2)
     s10 = (s // _U(10)) * _U(10)
-    # one digit fewer: s10 or s10 + 10 when in the interval (needs s >= 100)
+    # one digit fewer: s10 or s10 + 10 when in the interval (needs s >= 10)
     shorter_in = (vbl <= s10 << _U(2)) | ((s10 << _U(2)) + _U(40) <= vbr)
     upper10 = (s10 << _U(2)) + _U(40) <= vbr
     # else s or s + 1, the closer one when both are in (the even one on a tie)
     up = (vbl > s << _U(2)) | (((s << _U(2)) + _U(4) <= vbr)
                                & ((vb & _U(3)) + (s & _U(1)) > _U(2)))
-    f = np.where((s >= _U(100)) & shorter_in, s10 + upper10.astype(_U) * _U(10),
+    f = np.where((s >= _U(10)) & shorter_in, s10 + upper10.astype(_U) * _U(10),
                  s + up.astype(_U))
     return f, np.take(exp10, index)
 
@@ -630,7 +633,7 @@ def _chunk_text(x, work) -> list[str]:
     n = x.size
     _, _, head, layout = _text_tables()
     mag = x.view(_U) & _M63
-    fallback = (mag - _U(3)) >= _U(0x7FF0000000000000 - 3)    # 0, 1 or 2 ulps, inf, nan
+    fallback = (mag - _U(1)) >= _U(0x7FF0000000000000 - 1)    # zero, inf, nan
     np.putmask(mag, fallback, _U(0x3FF0000000000000))
     f, k = _shortest(mag, work)
     nf = np.searchsorted(_P10, f, side="right")              # digits of f

@@ -15,17 +15,25 @@ One step from t_n advances in three stages that share one old-level record:
         two-field block and the single-field system is solved with BiCGStab,
         started from and right-preconditioned by the cosine-transform
         inverse of the constant-coefficient operator at the upper mobility
-        bound and the largest theta_phi; at constant mobility and theta_phi
-        that inverse is exact, and the true-residual check at the start
-        ends the solve with no iteration.
+        bound and the largest theta_phi, which the run holds and builds
+        again only when that largest theta_phi changes; at constant
+        mobility and theta_phi that inverse is exact, and the true-residual
+        check at the start ends the solve with no iteration.
         mu' is then evaluated exactly from phi', so the constitutive relation
         holds to machine precision;
   (iii) nutrient update with implicit Robin-wall diffusion, the fresh phi'
         in the cross-diffusion flux and explicit upwind convection, solved
         with plain BiCGStab started from the separable inverse of the
         diffusion at the upper nutrient-mobility bound
-        (`elliptic.robin_inverse`); at constant nutrient mobility that
-        start is exact and no iteration is made.
+        (`elliptic.robin_inverse`, built once per run); at constant
+        nutrient mobility that start is exact and no iteration is made.
+
+The steps of a run share one `RunContext`: the flow window, the two
+inverses, the Neumann Laplacian and the Robin wall income, and at a
+constant mobility its face values and the stencils on them (`lap_m` for
+(ii), the cross flux and the Robin diffusion for (iii)).  Each is built at
+the first step that needs it; where a mobility follows phi its faces and
+stencils are built every step.
 
 After (ii) and (iii) the field is shifted by a spatial constant (of the order
 of the Krylov tolerance) chosen so the integral mass ledgers close exactly.
@@ -41,12 +49,12 @@ with the flow off v = 0, so both are zero and no pass is made.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from .core import FaceField, Grid, State, integrate_cell
-from .constitutive import ModelSpec, potential_eval
+from .core import FaceField, Grid, State, bits, integrate_cell
+from .constitutive import CoefficientSpec, ModelSpec, potential_eval
 from .elliptic import (
     SolveReport,
     StencilOperator,
@@ -111,6 +119,67 @@ class StepFailure(RuntimeError):
         self.partial = partial
 
 
+T = TypeVar("T")
+
+
+class RunContext:
+    """What one run of `specs` builds once and its steps share.
+
+    `window`, the run's `ProjectedStart`, starts each flow solve.  Each
+    other slot holds one build whose inputs are constants of the run, made
+    at the first step that needs it: the Neumann Laplacian
+    `diffusion_stencil(1.0)` and `phase_inverse` for the phase stage,
+    `robin_source` and `robin_inverse` for the nutrient stage.
+    `phase_inverse` is keyed by m.hi and max theta_phi, and
+    `robin_inverse` by chi_sigma n.hi, b and dt; a slot is rebuilt when
+    its key changes (max theta_phi follows phi under Hawkins sources).  At
+    a constant mobility (lo == hi) its faces are run constants too, and so
+    are the stencils built on them: m(phi) on the faces and `lap_m` for
+    the phase, n(phi) on the faces, the cross flux and the Robin diffusion
+    for the nutrient.  Where a mobility follows phi they are built afresh
+    every step.  A slot holds one build at a time, the face fields and the
+    Robin source are read-only, and all of it goes with the context, which
+    `run` lets go when it returns.
+    """
+
+    def __init__(self, specs: SimSpec) -> None:
+        self.specs = specs
+        self.window = ProjectedStart(FLOW_WINDOW)
+        self._slots: dict[str, tuple] = {}   # slot -> (key, build)
+
+    def held(self, slot: str, build: Callable[[], T], key: tuple = ()) -> T:
+        """The build in `slot`, made by `build()` when the slot is empty or
+        holds one made under another key; the old build is let go first."""
+        kept = self._slots.get(slot)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        self._slots.pop(slot, None)
+        made = build()
+        self._slots[slot] = (key, made)
+        return made
+
+    def on_faces(self, slot: str, coeff: CoefficientSpec, build: Callable[[], T]) -> T:
+        """`build()` of something on the faces of the mobility `coeff`:
+        held in `slot` at a constant coeff, made afresh otherwise."""
+        return self.held(slot, build) if coeff.lo == coeff.hi else build()
+
+    def face_mobility(self, slot: str, coeff: CoefficientSpec,
+                      phi: np.ndarray) -> FaceField:
+        """coeff(phi) on the faces (`harmonic_face_coefficients`), read-only,
+        through `on_faces`."""
+        def build() -> FaceField:
+            faces = harmonic_face_coefficients(coeff(phi), self.specs.model.grid)
+            _read_only(faces.u)
+            _read_only(faces.w)
+            return faces
+        return self.on_faces(slot, coeff, build)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _require_converged(solve: str, t: float, rep: SolveReport) -> None:
     if not rep.converged:
         raise StepFailure(
@@ -161,21 +230,22 @@ def phase_inverse(grid: Grid, dt: float, s: float, eps: float, m: float,
 
 
 def step_phase(old: diagnostics.OldLevel, conv: Transport,
-               specs: SimSpec) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+               ctx: RunContext) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Advance the phase field; returns (phi', mu', solver report).
 
     Solves  phi' + dt L_m[(s/eps) phi' - eps lap phi' + c] = rhs  where
     L_m = -div(m(phi_n) grad .) + theta_phi and c collects the explicit
     parts of mu'; afterwards mu' is evaluated from phi' exactly.  `conv` is
-    the upwind transport of phi_n by the new velocity.
+    the upwind transport of phi_n by the new velocity; the stencils and the
+    inverse come from the run's `ctx`.
     """
-    model, sc = specs.model, specs.scheme
+    model, sc = ctx.specs.model, ctx.specs.scheme
     g, p, dt = model.grid, model.params, sc.dt
     eps, s = p.epsilon, sc.s
     phi_n, sigma_n = old.state.phi, old.state.sigma
     theta = old.src.theta_phi
-    lap = diffusion_stencil(1.0, g)
-    lap_m = diffusion_stencil(old.m_faces, g)
+    lap = ctx.held("lap", lambda: diffusion_stencil(1.0, g))
+    lap_m = ctx.on_faces("lap_m", model.mobvis.m, lambda: diffusion_stencil(old.m_faces, g))
     a_buf, l_buf, tmp = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
 
     c_lin = old.dpsi / eps - (s / eps) * phi_n - p.chi_phi * sigma_n
@@ -202,7 +272,10 @@ def step_phase(old: diagnostics.OldLevel, conv: Transport,
     # the exact inverse (both factors are polynomials in the Neumann
     # Laplacian), and the start already meets the tolerance.
     op = StencilOperator(apply, g.shape)
-    precond = phase_inverse(g, dt, s, eps, model.mobvis.m.hi, float(np.max(theta)))
+    m_hi, theta_max = model.mobvis.m.hi, float(np.max(theta))
+    precond = ctx.held("phase_inverse",
+                       lambda: phase_inverse(g, dt, s, eps, m_hi, theta_max),
+                       bits(m_hi, theta_max))
     phi_new, rep = solve_general(op, rhs, PHASE_TOL, precond(rhs), precond=precond)
     _require_converged("phase", old.state.t, rep)
     mu_new = a_eps(phi_new) + c_lin
@@ -222,26 +295,29 @@ def step_phase(old: diagnostics.OldLevel, conv: Transport,
 
 def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
                   phi_new: np.ndarray, mu_new: np.ndarray, n_faces: FaceField,
-                  specs: SimSpec) -> tuple[np.ndarray, SolveReport]:
+                  ctx: RunContext) -> tuple[np.ndarray, SolveReport]:
     """Advance the nutrient; returns (sigma', solver report).
 
     Implicit diffusion chi_sigma div(n(phi') grad sigma') with Robin walls,
     the cross flux -chi_phi div(n(phi') grad phi') and the sources evaluated
     with the fresh mu', convection explicit upwind; `conv` is the upwind
     transport of sigma_n by the new velocity, `n_faces` is n(phi') on the
-    faces.
+    faces; the stencils, the wall income and the start come from the run's
+    `ctx`.
     """
-    model, sc = specs.model, specs.scheme
+    model, sc = ctx.specs.model, ctx.specs.scheme
     g, p, dt = model.grid, model.params, sc.dt
-    sigma_n = old.state.sigma
+    n, sigma_n = model.mobvis.n, old.state.sigma
 
+    income = ctx.held("robin_source", lambda: _read_only(robin_source(p.b, p.sigma_inf, g)))
+    cross = ctx.on_faces("cross", n, lambda: diffusion_stencil(n_faces, g))
     gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * mu_new
-    rhs = sigma_n + dt * (robin_source(p.b, p.sigma_inf, g)
-                          - p.chi_phi * diffusion_stencil(n_faces, g)(phi_new)
+    rhs = sigma_n + dt * (income
+                          - p.chi_phi * cross(phi_new)
                           - gamma_sig - conv.div)
 
-    robin = diffusion_stencil(FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w),
-                              g, p.b)
+    robin = ctx.on_faces("robin", n, lambda: diffusion_stencil(
+        FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w), g, p.b))
     r_buf = np.empty(g.shape)
 
     def apply(f: np.ndarray) -> np.ndarray:
@@ -251,7 +327,9 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
 
     # started from the inverse at the upper nutrient-mobility bound, exact
     # when n is constant
-    start = robin_inverse(g, 1.0, dt, p.chi_sigma * model.mobvis.n.hi, p.b)
+    c = p.chi_sigma * n.hi
+    start = ctx.held("robin_inverse", lambda: robin_inverse(g, 1.0, dt, c, p.b),
+                     bits(c, p.b, dt))
     sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, NUTRIENT_TOL,
                                    start(rhs))
     _require_converged("nutrient", old.state.t, rep)
@@ -268,21 +346,26 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
     return sigma_new, rep
 
 
-def step(level: diagnostics.TimeLevel, specs: SimSpec,
-         window: ProjectedStart) -> tuple[diagnostics.TimeLevel, StepReport]:
-    """One full step from the record of the level it leaves: flow, phase,
-    nutrient, ledgers, budget; returns the record of the new level.
+def step(level: diagnostics.TimeLevel,
+         ctx: RunContext) -> tuple[diagnostics.TimeLevel, StepReport]:
+    """One full step of the run `ctx` from the record of the level it
+    leaves: flow, phase, nutrient, ledgers, budget; returns the record of
+    the new level.
 
-    `window`, the solved flows of the steps before, only moves the start of
-    the flow solve (see `solve_flow`)."""
+    What `ctx` holds changes no bit: its window, the solved flows of the
+    steps before, only moves the start of the flow solve (see
+    `solve_flow`), and its other builds are the ones a fresh context would
+    make from the same constants."""
+    specs = ctx.specs
     model, dt = specs.model, specs.scheme.dt
-    g = model.grid
-    old = diagnostics.old_level(level, model, specs.scheme.flow)
+    g, mobvis = model.grid, model.mobvis
+    old = diagnostics.old_level(level, model, specs.scheme.flow,
+                                ctx.face_mobility("m_faces", mobvis.m, level.state.phi))
 
     flow_report = None
     div_residual = 0.0
     if old.flow is not None:
-        sol = solve_flow(old, window)
+        sol = solve_flow(old, ctx.window)
         v_new, p_new = sol.v, sol.p
         flow_report = sol.report
         div_residual = sol.divergence_residual
@@ -291,9 +374,9 @@ def step(level: diagnostics.TimeLevel, specs: SimSpec,
         v_new, p_new = FaceField.zeros(g), np.zeros(g.shape)
         still = Transport(np.zeros(g.shape), 0.0)
         conv = diagnostics.Convection(still, still)
-    phi_new, mu_new, phase_rep = step_phase(old, conv.phi, specs)
-    n_faces = harmonic_face_coefficients(model.mobvis.n(phi_new), g)
-    sigma_new, nut_rep = step_nutrient(old, conv.sigma, phi_new, mu_new, n_faces, specs)
+    phi_new, mu_new, phase_rep = step_phase(old, conv.phi, ctx)
+    n_faces = ctx.face_mobility("n_faces", mobvis.n, phi_new)
+    sigma_new, nut_rep = step_nutrient(old, conv.sigma, phi_new, mu_new, n_faces, ctx)
 
     new = diagnostics.time_level(State(t=old.state.t + dt, phi=phi_new, mu=mu_new,
                                        sigma=sigma_new, p=p_new, v=v_new), model)
@@ -355,19 +438,23 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
     """March n_steps fixed steps, collecting one diagnostics row per level.
 
     The row at t = 0 carries the initial energy and masses with zero rates.
-    Each flow solve starts from the run's last FLOW_WINDOW solved flows, the
-    first from zero.  On a failed step the partial record is attached to the
-    raised StepFailure so callers can keep what was completed.
+    The steps share one `RunContext`, made here and let go on return: each
+    flow solve starts from the run's last FLOW_WINDOW solved flows, the
+    first from zero, and the builds whose inputs are run constants (the
+    constant-coefficient inverses, and at a constant mobility its faces and
+    stencils) are made at the first step and rebuilt only when their key
+    changes.  On a failed step the partial record is attached to the raised
+    StepFailure so callers can keep what was completed.
     """
     model, sc = specs.model, specs.scheme
     level = diagnostics.time_level(state0, model)
     rows = [_row(level, model)]
     reports: list[StepReport] = []
     states = [state0.copy()]
-    window = ProjectedStart(FLOW_WINDOW)
+    ctx = RunContext(specs)
     try:
         for k in range(n_steps):
-            level, rep = step(level, specs, window)
+            level, rep = step(level, ctx)
             rows.append(_row(level, model, rep))
             reports.append(rep)
             last = k == n_steps - 1

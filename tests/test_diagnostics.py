@@ -12,7 +12,6 @@ from chbsim.constitutive import (
     SourceSpec,
 )
 from chbsim.constitutive import mobilities
-from chbsim.brinkman import ProjectedStart
 from chbsim.core import make_grid
 from chbsim.diagnostics import (
     convection,
@@ -27,7 +26,7 @@ from chbsim.diagnostics import (
 )
 from chbsim.elliptic import harmonic_face_coefficients
 from chbsim.galerkin import build_basis
-from chbsim.timestepper import FLOW_WINDOW, SchemeOptions, SimSpec, initial_state, run, step
+from chbsim.timestepper import RunContext, SchemeOptions, SimSpec, initial_state, run, step
 
 
 def build_model(nx=16, ny=16, eps=0.1, chi_phi=0.5, b=1.0,
@@ -116,7 +115,7 @@ def test_relaxation_step_dissipates_energy():
     state = initial_state(0.4 * np.cos(np.pi * x) * np.cos(np.pi * y),
                           np.zeros(g.shape), model)
     specs = SimSpec(model, SchemeOptions(dt=1e-4, flow=False))
-    _, rep = step(time_level(state, model), specs, ProjectedStart(FLOW_WINDOW))
+    _, rep = step(time_level(state, model), RunContext(specs))
     b = rep.budget
     assert b.diss_mu > 0.0
     assert b.diss_nsigma >= 0.0
@@ -162,7 +161,7 @@ def test_step_ledgers_close_after_the_conservation_shift():
                           model)
     specs = SimSpec(model, SchemeOptions(dt=1e-3, flow=False))
     level = time_level(state, model)
-    new, _ = step(level, specs, ProjectedStart(FLOW_WINDOW))
+    new, _ = step(level, RunContext(specs))
     led = mass_balances(old_level(level, model, False), new.state,
                         convection(state, new.state.v, g), 1e-3, model)
     assert abs(led.phi_residual) < 1e-13 * g.area

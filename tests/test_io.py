@@ -650,6 +650,12 @@ def test_repr_texts_of_the_layout_edges():
     assert repr_texts(values) == [repr(v) for v in values.tolist()]
     assert repr_texts(values[:0]) == []
     assert repr_texts(values.reshape(5, -1)) == [repr(v) for v in values.tolist()]
+    # the subnormals c = 10, 12, ..., 20 (exponent field 0), written as a
+    # kernel that tried one digit fewer only from s >= 100 wrote them;
+    # `repr` has "5e-323" ... "1e-322"
+    small = np.array([4.9e-323, 5.9e-323, 6.9e-323, 7.9e-323, 8.9e-323, 9.9e-323])
+    small = np.concatenate([small, -small])
+    assert repr_texts(small) == [repr(v) for v in small.tolist()]
 
 
 @settings(max_examples=60, deadline=None)

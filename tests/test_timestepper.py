@@ -1,5 +1,8 @@
 """Semi-implicit stepping: fixed points, dense oracles, ledgers, convergence."""
+import gc
 import sys
+import weakref
+from collections import Counter
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -29,9 +32,8 @@ from chbsim.elliptic import (
     solve_general,
     upwind_transport,
 )
-from chbsim.brinkman import ProjectedStart
 from chbsim.timestepper import (
-    FLOW_WINDOW,
+    RunContext,
     SchemeOptions,
     SimSpec,
     StepFailure,
@@ -63,7 +65,7 @@ def specs_for(model, dt, **kw):
 
 def step_from(state, specs):
     """One step from a state: the new state and the step report."""
-    new, rep = step(time_level(state, specs.model), specs, ProjectedStart(FLOW_WINDOW))
+    new, rep = step(time_level(state, specs.model), RunContext(specs))
     return new.state, rep
 
 
@@ -118,7 +120,8 @@ def test_uniform_tumour_grows_at_the_lima_rate():
     state = initial_state(np.ones(model.grid.shape),
                           np.full(model.grid.shape, sig_bar), model)
     still = upwind_transport(state.phi, FaceField.zeros(model.grid), model.grid)
-    phi_new, _, _ = step_phase(old_record(state, model), still, specs_for(model, dt))
+    phi_new, _, _ = step_phase(old_record(state, model), still,
+                               RunContext(specs_for(model, dt)))
     np.testing.assert_allclose(phi_new, 1.0 + dt * (0.4 * sig_bar - 0.1),
                                atol=1e-13)
 
@@ -173,7 +176,8 @@ def test_phase_step_matches_dense_block_solve(variant):
     mu_oracle = sol[n:].reshape(g.shape)
 
     phi_new, mu_new, rep = step_phase(old_record(state, model),
-                                      upwind_transport(phi_n, v_new, g), specs_for(model, dt))
+                                      upwind_transport(phi_n, v_new, g),
+                                      RunContext(specs_for(model, dt)))
     assert rep.converged
     np.testing.assert_allclose(phi_new, phi_oracle, atol=1e-8)
     np.testing.assert_allclose(mu_new, mu_oracle, atol=1e-7)
@@ -303,7 +307,7 @@ def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
     monkeypatch.setattr(timestepper, "solve_general", spy_general)
     still = upwind_transport(state.phi, FaceField.zeros(model.grid), model.grid)
     _, _, rep = step_phase(old_record(state, model), still,
-                           specs_for(model, 1e-3, flow=False))
+                           RunContext(specs_for(model, 1e-3, flow=False)))
     assert len(built) == 1 and len(used) == 1 and used[0] is built[0]
     assert rep.converged
     if case != "variable":   # the exact start leaves only the residual check
@@ -418,15 +422,19 @@ def test_old_level_coefficients_are_evaluated_once_per_step(monkeypatch):
     # psi', N_sigma and the energy of each level are evaluated once, when the
     # level is produced (t = 0 by `run`); the sources, m(phi_n), n(phi') and,
     # with the flow on, the viscosities and the capillary force once per
-    # step, shared by the three stages, the mass ledgers and the energy budget
-    model = flow_model_with_lima_sources()
-    state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    # step, shared by the three stages, the mass ledgers and the energy
+    # budget; at constant mobilities m and n are evaluated once per run
+    constant = flow_model_with_lima_sources()
+    variable = dc_replace(constant, mobvis=dc_replace(
+        constant.mobvis, m=CoefficientSpec(1e-3, 2e-3), n=CoefficientSpec(0.01, 0.05)))
+    state = initial_state(disc_phase(constant.grid), np.ones(constant.grid.shape), constant)
     calls = {"m": 0, "n": 0}
     coefficient = constitutive.CoefficientSpec.__call__
 
     def evaluated(spec, phi):
         for name in ("m", "n"):
-            calls[name] += spec is getattr(model.mobvis, name)
+            calls[name] += any(spec is getattr(model.mobvis, name)
+                               for model in (constant, variable))
         return coefficient(spec, phi)
 
     monkeypatch.setattr(constitutive.CoefficientSpec, "__call__", evaluated)
@@ -446,14 +454,15 @@ def test_old_level_coefficients_are_evaluated_once_per_step(monkeypatch):
                     and getattr(module, name, None) is original):
                 monkeypatch.setattr(module, name, counted)
     n = 3
-    for flow in (True, False):
-        calls.update(dict.fromkeys(calls, 0))
-        run(state, n, specs_for(model, 1e-4, flow=flow))
-        per_flow_step = n if flow else 0
-        assert calls == {"m": n, "n": n, "sources": n, "mobilities": 0,
-                         "potential_eval": n + 1, "nutrient_energy": n + 1,
-                         "viscosities": per_flow_step,
-                         "capillary_force": per_flow_step, "energy": 0}, flow
+    for model, per_face_step in ((constant, 1), (variable, n)):
+        for flow in (True, False):
+            calls.update(dict.fromkeys(calls, 0))
+            run(state, n, specs_for(model, 1e-4, flow=flow))
+            per_flow_step = n if flow else 0
+            assert calls == {"m": per_face_step, "n": per_face_step, "sources": n,
+                             "mobilities": 0, "potential_eval": n + 1,
+                             "nutrient_energy": n + 1, "viscosities": per_flow_step,
+                             "capillary_force": per_flow_step, "energy": 0}, (flow, model)
 
 
 def test_each_step_makes_one_upwind_pass_per_transported_field(monkeypatch):
@@ -553,7 +562,7 @@ def test_flow_solve_starts_from_the_projected_flow(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(timestepper, "solve_flow", from_old_flow)
         for _ in range(n_steps):
-            new, rep = step(plain[-1], spec, ProjectedStart(FLOW_WINDOW))
+            new, rep = step(plain[-1], RunContext(spec))
             assert rep.flow.converged
             plain.append(new)
             plain_its.append(rep.flow.iterations)
@@ -608,7 +617,7 @@ def test_variable_viscosity_flow_solve_starts_from_the_projected_flow(monkeypatc
     level, plain_its = time_level(state0, model), []
     monkeypatch.setattr(timestepper, "solve_flow", from_old_flow)
     for _ in range(cfg.n_steps):
-        level, rep = step(level, spec, ProjectedStart(FLOW_WINDOW))
+        level, rep = step(level, RunContext(spec))
         assert rep.flow.converged
         plain_its.append(rep.flow.iterations)
     assert its[0] == plain_its[0]   # both start from zero
@@ -651,6 +660,123 @@ def test_a_run_builds_its_flow_operator_once_per_viscosity_field(
         assert all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
                    for f in ("phi", "mu", "sigma", "p"))
         assert a.v.u.tobytes() == b.v.u.tobytes() and a.v.w.tobytes() == b.v.w.tobytes()
+
+# ---------------------------------------------------------------------------
+# what a run holds
+# ---------------------------------------------------------------------------
+
+def spied_step_builds(monkeypatch):
+    """Every build the stages make through `timestepper`'s builders, as
+    (piece, the phase inverse's inputs, a weak reference to it): the Neumann Laplacian
+    "lap", "lap_m", the "cross" flux, the "robin" diffusion, "m_faces",
+    "n_faces", "robin_source", "phase_inverse" and "robin_inverse".  The
+    mobilities of `build_model` tell m (below 0.01) from n (0.01 and up)."""
+    built = []
+
+    def spy(name, original):
+        def build(*args):
+            out = original(*args)
+            if name == "diffusion_stencil":
+                coeff = args[0]
+                piece = ("lap" if not isinstance(coeff, FaceField) else "robin" if len(args) > 2
+                         else "lap_m" if coeff.u[0, 0] < 0.01 else "cross")
+            elif name == "harmonic_face_coefficients":
+                piece = "m_faces" if np.max(args[0]) < 0.01 else "n_faces"
+            else:
+                piece = name
+            # only the scalar inputs of the phase inverse are kept: the
+            # others would keep face fields alive
+            built.append((piece, args if name == "phase_inverse" else (),
+                          weakref.ref(out)))
+            return out
+        return build
+
+    for name in ("diffusion_stencil", "harmonic_face_coefficients", "robin_source",
+                 "phase_inverse", "robin_inverse"):
+        monkeypatch.setattr(timestepper, name, spy(name, getattr(timestepper, name)))
+    return built
+
+
+def tally(built):
+    return Counter(piece for piece, _, _ in built)
+
+
+HELD = ("lap", "lap_m", "cross", "robin", "m_faces", "n_faces", "robin_source",
+        "phase_inverse", "robin_inverse")
+
+
+def test_a_run_builds_its_constant_coefficient_pieces_once(monkeypatch):
+    # constant mobilities, Lima sources (theta_phi = 0), flow on and off:
+    # each piece is built at the first step, and a second run builds afresh
+    model = flow_model_with_lima_sources()
+    state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    built = spied_step_builds(monkeypatch)
+    for flow in (True, False):
+        del built[:]
+        run(state, 4, specs_for(model, 1e-4, flow=flow))
+        assert tally(built) == dict.fromkeys(HELD, 1), flow
+        run(state, 4, specs_for(model, 1e-4, flow=flow))
+        assert tally(built) == dict.fromkeys(HELD, 2), flow
+
+
+def test_a_mobility_that_follows_phi_builds_its_faces_every_step(monkeypatch):
+    # m follows phi: m(phi_n) on the faces and lap_m are built every step;
+    # n stays constant, so its faces and stencils are built once
+    model = build_model(m=CoefficientSpec(1e-3, 2e-3), source=SOURCES["lima"])
+    state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    built = spied_step_builds(monkeypatch)
+    run(state, 4, specs_for(model, 1e-4, flow=False))
+    assert tally(built) == {**dict.fromkeys(HELD, 1), "m_faces": 4, "lap_m": 4}
+
+
+@pytest.mark.parametrize("source", ["hawkins", "hawkins_positive_floor"])
+def test_a_hawkins_run_rebuilds_the_phase_inverse_when_max_theta_changes(
+        source, monkeypatch):
+    # theta_phi follows phi: the inverse is keyed by max theta_phi and built
+    # again at each step whose max differs in a bit from the step before,
+    # and only then (below the floor theta_phi = p0 rho_min everywhere, so
+    # one build serves the run)
+    if source == "hawkins":
+        model = build_model(nx=32, ny=32, source=SOURCES["hawkins"])
+        state = initial_state(disc_phase(model.grid), np.full(model.grid.shape, 0.8), model)
+    else:
+        state, model = constant_mobility_state(source)
+    built = spied_step_builds(monkeypatch)
+    res = run(state, 5, specs_for(model, 1e-3, flow=False, snapshot_every=1))
+    maxima = [float(np.max(sources(st.phi, st.sigma, st.mu, model.source,
+                                   model.params).theta_phi)) for st in res.states[:-1]]
+    changed = [theta for k, theta in enumerate(maxima)
+               if k == 0 or theta.hex() != maxima[k - 1].hex()]
+    assert [args[-1] for piece, args, _ in built if piece == "phase_inverse"] == changed
+    assert len(changed) == (1 if source == "hawkins_positive_floor" else 5)
+    assert tally(built)["robin_inverse"] == 1
+
+
+def test_held_pieces_are_read_only_and_die_with_the_run(monkeypatch):
+    model = flow_model_with_lima_sources()
+    state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    built = spied_step_builds(monkeypatch)
+    held = []
+    original = timestepper.step
+
+    def step(level, ctx):
+        # keep the arrays the run holds alive past the run, once
+        if not held:
+            held.append(ctx)
+        return original(level, ctx)
+
+    monkeypatch.setattr(timestepper, "step", step)
+    res = run(state, 3, specs_for(model, 1e-4, flow=True))
+    assert res.reports[-1].phase.converged
+    arrays = [a for piece, _, ref in built if piece in ("m_faces", "n_faces", "robin_source")
+              for a in ((ref().u, ref().w) if isinstance(ref(), FaceField) else (ref(),))]
+    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][0, 0] = 1.0
+    del held[:], arrays
+    gc.collect()
+    assert len(built) == len(HELD) and all(ref() is None for _, _, ref in built)
+
 
 def test_step_failure_carries_the_partial_record(monkeypatch):
     # variable mobility: the phase start is inexact, so one iteration stalls
