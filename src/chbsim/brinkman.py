@@ -791,19 +791,32 @@ def energy_parts(problem: BrinkmanProblem, v: FaceField,
     """Quadratures of the flow energy identity:
     a(v,v) = 2 eta |Dv|^2 + lam (div v)^2 + nu |v|^2 integrated, the force
     work <f, v> and the pressure work <p, gamma_v>. For the discrete solution
-    a(v,v) = force_work + pressure_work up to the solver residual."""
+    a(v,v) = force_work + pressure_work up to the solver residual.
+
+    The strains are those of `strain_rates`; each quadrature is one vdot of
+    (weight * difference) with the difference, the mesh factors applied to
+    the sums (4 eta_nodes dxy^2 = eta_nodes (dudy + dwdx)^2)."""
     g = problem.grid
-    vol = g.cell_area
-    dxx, dyy, dxy = strain_rates(v, g)
-    div = dxx + dyy
-    vu, vw = problem.vu, problem.vw
-    visc_shear = float(np.sum(2.0 * problem.eta * (dxx ** 2 + dyy ** 2))) * vol \
-        + float(np.sum(4.0 * problem.eta_nodes * dxy ** 2)) * vol
-    visc_bulk = float(np.sum(problem.lam * div ** 2)) * vol
-    friction = problem.nu * (float(np.sum(v.u ** 2 * vu)) + float(np.sum(v.w ** 2 * vw)))
-    force_work = float(np.sum(problem.force.u * v.u * vu)) \
-        + float(np.sum(problem.force.w * v.w * vw))
-    pressure_work = float(np.sum(p * problem.gamma_v)) * vol
+    vol, hx, hy = g.cell_area, g.hx, g.hy
+    du = np.subtract(v.u[1:], v.u[:-1])           # hx dxx
+    dw = np.subtract(v.w[:, 1:], v.w[:, :-1])     # hy dyy
+    weighted = np.multiply(problem.eta, du)
+    normal = float(np.vdot(weighted, du)) * (hy / hx)
+    normal += float(np.vdot(np.multiply(problem.eta, dw, out=weighted), dw)) * (hx / hy)
+    shear = np.subtract(v.u[1:-1, 1:], v.u[1:-1, :-1])
+    shear /= hy
+    dwdx = np.subtract(v.w[1:, 1:-1], v.w[:-1, 1:-1])
+    dwdx /= hx
+    shear += dwdx                                  # 2 dxy
+    visc_shear = 2.0 * normal + float(np.vdot(problem.eta_nodes * shear, shear)) * vol
+    du /= hx
+    dw /= hy
+    du += dw                                       # div v
+    visc_bulk = float(np.vdot(np.multiply(problem.lam, du, out=weighted), du)) * vol
+    vu_u, vw_w = problem.vu * v.u, problem.vw * v.w
+    friction = problem.nu * (float(np.vdot(vu_u, v.u)) + float(np.vdot(vw_w, v.w)))
+    force_work = float(np.vdot(vu_u, problem.force.u)) + float(np.vdot(vw_w, problem.force.w))
+    pressure_work = float(np.vdot(p, problem.gamma_v)) * vol
     return {
         "visc_shear": visc_shear,
         "visc_bulk": visc_bulk,

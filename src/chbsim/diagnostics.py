@@ -6,7 +6,13 @@ ledgers and the energy budget read those records.  The budget routine
 mirrors the scheme's own quadratures term by term (same face coefficients,
 same upwind fluxes, same wall traces), so its residual contains only the
 time-discretization remainder and the Krylov floors, and shrinks linearly
-with the step size.  The weak-form residuals at the bottom of the module
+with the step size.  Its quadratures, the level energy's and the ledgers'
+are fused: each is one `np.vdot` of (weight * difference) with the
+difference, over new contiguous arrays of the interior-face differences or
+of the wall cells, so no zero-walled face array is built.  They are still
+the budget's own, evaluated from the fields the step produced and never
+read from the stages, so they differ from the stages' sums only by
+rounding.  The weak-form residuals at the bottom of the module
 deliberately do NOT mirror the scheme: they test snapshots against the
 spectral route's cosine basis with centered differences, which makes them an
 independent consistency probe.
@@ -14,6 +20,7 @@ independent consistency probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +49,6 @@ from .elliptic import (
     face_gradient,
     harmonic_face_coefficients,
     neumann_multiplier,
-    robin_influx,
     upwind_transport,
 )
 from .brinkman import (BrinkmanProblem, brinkman_problem, energy_parts, face_volumes,
@@ -50,9 +56,56 @@ from .brinkman import (BrinkmanProblem, brinkman_problem, energy_parts, face_vol
 from .galerkin import build_basis, wall_pairing
 
 
-def _grad_sq(f: np.ndarray, grid: Grid) -> float:
-    g = face_gradient(f, grid)
-    return (float((g.u ** 2).sum()) + float((g.w ** 2).sum())) * grid.cell_area
+def _grad_sq(f: np.ndarray, grid: Grid, faces: FaceField | None = None) -> float:
+    """int c |grad f|^2 with the face coefficients c = `faces` (1 when None)
+    and the face gradient of `face_gradient`, zero at the walls: per axis one
+    vdot of (c * difference) with the difference over the interior faces,
+    the mesh factor cell_area / h^2 applied to the sum."""
+    dx = np.subtract(f[1:], f[:-1])
+    dy = np.subtract(f[:, 1:], f[:, :-1])
+    cx, cy = (dx, dy) if faces is None else (np.multiply(faces.u[1:-1], dx),
+                                             np.multiply(faces.w[:, 1:-1], dy))
+    return (float(np.vdot(cx, dx)) * (grid.hy / grid.hx)
+            + float(np.vdot(cy, dy)) * (grid.hx / grid.hy))
+
+
+@lru_cache(maxsize=32)
+def _wall_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wall cells as flat indices, left, right, bottom and top walls in
+    turn (a corner cell once for each of its walls), the flat index of the
+    next cell inward of each, and the length of its piece of wall (hy on
+    the left and right, hx on the bottom and top).  Cached and read-only."""
+    nx, ny = grid.shape
+    i, j = np.arange(nx) * ny, np.arange(ny)
+    near = np.concatenate([j, (nx - 1) * ny + j, i, i + ny - 1])
+    next_ = np.concatenate([ny + j, (nx - 2) * ny + j, i + 1, i + ny - 2])
+    length = np.concatenate([np.full(2 * ny, grid.hy), np.full(2 * nx, grid.hx)])
+    cells = near, next_, length
+    for a in cells:
+        a.setflags(write=False)
+    return cells
+
+
+def _wall_trace(f: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(f at the wall cells, the wall length times the trace 1.5 f_near -
+    0.5 f_next of `extrapolate_to_walls`), in the order of `_wall_cells`."""
+    near, next_, length = _wall_cells(grid)
+    at_wall = f.take(near)
+    trace = np.multiply(at_wall, 1.5)
+    trace -= np.multiply(f.take(next_), 0.5)
+    trace *= length
+    return at_wall, trace
+
+
+def _along_walls(values: EdgeValues, grid: Grid) -> np.ndarray:
+    """The wall length times `values` at each wall cell, in the order of
+    `_wall_cells`."""
+    nx, ny = grid.shape
+    out = np.empty(2 * (nx + ny))
+    out[:ny], out[ny:2 * ny] = values.left, values.right
+    out[2 * ny:2 * ny + nx], out[2 * ny + nx:] = values.bottom, values.top
+    out *= _wall_cells(grid)[2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +128,8 @@ def time_level(state: State, model: ModelSpec) -> TimeLevel:
     eps = model.params.epsilon
     psi, dpsi = potential_eval(state.phi, model.potential)
     nut, n_sigma, _ = nutrient_energy(state.phi, state.sigma, model.params)
-    bulk = integrate_cell(psi / eps + nut, g)
-    return TimeLevel(state, dpsi, n_sigma, float(bulk + 0.5 * eps * _grad_sq(state.phi, g)))
+    bulk = (float(psi.sum()) / eps + float(nut.sum())) * g.cell_area
+    return TimeLevel(state, dpsi, n_sigma, bulk + 0.5 * eps * _grad_sq(state.phi, g))
 
 
 def energy(state: State, model: ModelSpec) -> float:
@@ -160,42 +213,33 @@ def energy_budget(old: OldLevel, new_level: TimeLevel, n_faces: FaceField,
     sigma' wall traces; with the flow off v = p = 0, and so is the flow part."""
     g, p = model.grid, model.params
     new, nsig = new_level.state, new_level.n_sigma
+    vol = g.cell_area
 
-    gmu = face_gradient(new.mu, g)
-    diss_mu = (float((old.m_faces.u * gmu.u ** 2).sum())
-               + float((old.m_faces.w * gmu.w ** 2).sum())) * g.cell_area
-
+    diss_mu = _grad_sq(new.mu, g, old.m_faces)
     nhat = p.chi_sigma * new.sigma - p.chi_phi * new.phi
-    gnh = face_gradient(nhat, g)
-    diss_nsigma = (float((n_faces.u * gnh.u ** 2).sum())
-                   + float((n_faces.w * gnh.w ** 2).sum())) * g.cell_area
+    diss_nsigma = _grad_sq(nhat, g, n_faces)
 
-    tr = extrapolate_to_walls(new.sigma, g)
-    sinf = p.sigma_inf
-    one_minus_phi = 1.0 - new.phi
-    income = p.b * (
-        float((sinf.left * nsig[0, :] - tr.left * p.chi_phi * one_minus_phi[0, :]).sum()) * g.hy
-        + float((sinf.right * nsig[-1, :] - tr.right * p.chi_phi * one_minus_phi[-1, :]).sum()) * g.hy
-        + float((sinf.bottom * nsig[:, 0] - tr.bottom * p.chi_phi * one_minus_phi[:, 0]).sum()) * g.hx
-        + float((sinf.top * nsig[:, -1] - tr.top * p.chi_phi * one_minus_phi[:, -1]).sum()) * g.hx
-    )
-    bnd_sigma_sq = p.b * p.chi_sigma * (
-        float((tr.left * new.sigma[0, :]).sum() + (tr.right * new.sigma[-1, :]).sum()) * g.hy
-        + float((tr.bottom * new.sigma[:, 0]).sum() + (tr.top * new.sigma[:, -1]).sum()) * g.hx
-    )
+    # wall quadratures: trace and sinf carry the wall length
+    near = _wall_cells(g)[0]
+    sigma_w, trace = _wall_trace(new.sigma, g)
+    sinf = _along_walls(p.sigma_inf, g)
+    one_minus_phi = np.subtract(1.0, new.phi.take(near))
+    income = p.b * (float(np.vdot(sinf, nsig.take(near)))
+                    - p.chi_phi * float(np.vdot(trace, one_minus_phi)))
+    bnd_sigma_sq = p.b * p.chi_sigma * float(np.vdot(trace, sigma_w))
 
     gamma_phi = old.src.lambda_phi - old.src.theta_phi * new.mu
     gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * new.mu
-    src_phi_mu = integrate_cell(gamma_phi * new.mu, g)
-    src_sigma_n = -integrate_cell(gamma_sig * nsig, g)
+    src_phi_mu = float(np.vdot(gamma_phi, new.mu)) * vol
+    src_sigma_n = -float(np.vdot(gamma_sig, nsig)) * vol
 
     diss_visc = conv_work = 0.0
     if old.flow is not None:
         parts = energy_parts(old.flow, new.v, new.p)
         diss_visc = parts["dissipation"]
         conv_work = (parts["force_work"] + parts["pressure_work"]
-                     - integrate_cell(conv.phi.div * new.mu, g)
-                     - integrate_cell(conv.sigma.div * nsig, g))
+                     - float(np.vdot(conv.phi.div, new.mu)) * vol
+                     - float(np.vdot(conv.sigma.div, nsig)) * vol)
 
     e0, e1 = old.energy, new_level.energy
     residual = ((e1 - e0) / dt + diss_mu + diss_nsigma + diss_visc + bnd_sigma_sq
@@ -234,16 +278,19 @@ def mass_balances(old: OldLevel, new: State, conv: Convection, dt: float,
                                - outward upwind flux ]
     """
     g, p = model.grid, model.params
-    prev, src = old.state, old.src
-    gamma_phi = src.lambda_phi - src.theta_phi * new.mu
-    gamma_sig = src.lambda_sigma - src.theta_sigma * new.mu
+    prev, src, vol = old.state, old.src, g.cell_area
+    # int (Lambda - theta mu') as int Lambda - <theta, mu'>
+    int_gamma_phi = (float(src.lambda_phi.sum()) - float(np.vdot(src.theta_phi, new.mu))) * vol
+    int_gamma_sig = (float(src.lambda_sigma.sum())
+                     - float(np.vdot(src.theta_sigma, new.mu))) * vol
+    # Robin income b * wall quadrature of (sigma_inf - sigma' trace)
+    _, trace = _wall_trace(new.sigma, g)
+    income = p.b * (float(_along_walls(p.sigma_inf, g).sum()) - float(trace.sum()))
 
     phi_change = integrate_cell(new.phi, g) - integrate_cell(prev.phi, g)
-    phi_expected = dt * (integrate_cell(gamma_phi, g) - conv.phi.outflow)
+    phi_expected = dt * (int_gamma_phi - conv.phi.outflow)
     sigma_change = integrate_cell(new.sigma, g) - integrate_cell(prev.sigma, g)
-    sigma_expected = dt * (-integrate_cell(gamma_sig, g)
-                           + robin_influx(new.sigma, p.b, p.sigma_inf, g)
-                           - conv.sigma.outflow)
+    sigma_expected = dt * (-int_gamma_sig + income - conv.sigma.outflow)
     return BalanceLedger(phi_change, phi_expected, sigma_change, sigma_expected)
 
 

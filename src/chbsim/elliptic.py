@@ -67,8 +67,20 @@ def face_gradient(f: np.ndarray, grid: Grid) -> FaceField:
     return FaceField(gx, gy)
 
 
+def stencil_scratch(grid: Grid) -> tuple[np.ndarray, ...]:
+    """The arrays a `diffusion_stencil` apply on `grid` writes its face
+    fluxes to.  Stencils whose applies never run inside one another may
+    share one: an apply reads none of it before writing it, except the
+    y-slots 0 and nx ny, which no apply writes."""
+    nx, ny = grid.shape
+    return (np.zeros((nx + 1, ny)), np.zeros(nx * ny + 1), np.empty((nx, ny)),
+            np.empty(nx), np.empty(nx), np.empty(ny), np.empty(nx))
+
+
 def diffusion_stencil(coeff_faces: FaceField | float, grid: Grid,
-                      b: float | None = None) -> Callable[..., np.ndarray]:
+                      b: float | None = None,
+                      scratch: tuple[np.ndarray, ...] | None = None
+                      ) -> Callable[..., np.ndarray]:
     """f -> div(c grad f) for the face coefficients c (or one number c on
     every face), built once per c.
 
@@ -79,8 +91,9 @@ def diffusion_stencil(coeff_faces: FaceField | float, grid: Grid,
     coefficients, c / h^2 on interior faces and b / h on the walls, so the
     result equals the `face_gradient` formula bit for bit when hx and hy are
     powers of two (barring underflow) and to round-off otherwise.  The face
-    fluxes go to scratch arrays allocated here; `apply(f, out=None)` writes
-    into `out` when given and into a new array otherwise.
+    fluxes go to the `scratch` arrays (`stencil_scratch`), allocated here
+    when None; `apply(f, out=None)` writes into `out` when given and into a
+    new array otherwise.
 
     The y-fluxes live in the flat cell layout, so each of their differences
     is one contiguous operation at offset 1: slot k holds the face below
@@ -100,12 +113,11 @@ def diffusion_stencil(coeff_faces: FaceField | float, grid: Grid,
     else:
         cu = cw = float(coeff_faces)
     ku, kw = cu / grid.hx ** 2, cw / grid.hy ** 2
-    fu = np.zeros((nx + 1, ny))   # wall fluxes stay zero without Robin walls
-    fy = np.zeros(n + 1)          # the y-fluxes in the flat cell layout
-    dy = np.empty((nx, ny))
+    # the x-fluxes, the y-fluxes in the flat cell layout, their difference,
+    # the Robin fluxes of the bottom and top walls and 0.5 f_next along a wall
+    fu, fy, dy, fb, ft, half_x, half_y = (stencil_scratch(grid) if scratch is None
+                                          else scratch)
     inner_u, inner_y, walls_y = fu[1:-1, :], fy[1:n], fy[ny:n:ny]
-    fb, ft = np.empty(nx), np.empty(nx)   # Robin fluxes of the bottom and top walls
-    half_x, half_y = np.empty(ny), np.empty(nx)   # 0.5 f_next along a wall
     # each Robin wall: its flux slot, its nearest and next cells, a scratch
     # row and b / h signed so that the axis flux is F = b (0 - trace) n_out
     walls = () if b is None else (
@@ -121,6 +133,8 @@ def diffusion_stencil(coeff_faces: FaceField | float, grid: Grid,
         np.subtract(flat[1:], flat[:-1], out=inner_y)
         np.multiply(inner_y, kw, out=inner_y)
         walls_y[...] = 0.0
+        if not walls:   # zero-flux walls, whatever a Robin apply left there
+            fu[::nx] = 0.0
         for flux, near, next_, half, scale in walls:   # trace 1.5 f_near - 0.5 f_next
             np.multiply(f[near], 1.5, out=flux)
             flux -= np.multiply(f[next_], 0.5, out=half)
@@ -498,8 +512,17 @@ def laplacian_basis(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     return q, lam
 
 
+def transform_scratch(grid: Grid) -> tuple[np.ndarray, ...]:
+    """The arrays a `separable_inverse` apply in full bases of `grid`
+    writes its intermediate products to.  Inverses whose applies never run
+    inside one another may share one: an apply reads none of it before
+    writing it."""
+    return tuple(np.empty(grid.shape) for _ in range(3))
+
+
 def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray,
-                      px: np.ndarray | None = None, py: np.ndarray | None = None
+                      px: np.ndarray | None = None, py: np.ndarray | None = None,
+                      scratch: tuple[np.ndarray, ...] | None = None
                       ) -> Callable[..., np.ndarray]:
     """r -> qx ((px^T r py) * scale) qy^T: the operator that is diagonal,
     with entries `scale`, in the tensor basis of qx and qy whose dual
@@ -511,15 +534,18 @@ def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray,
     The four factors are held C-contiguous (copied here where they are
     not), so no BLAS product takes a transposed or strided operand.  The
     returned `apply(r, out=None)` writes into `out` when given and into a
-    new array otherwise; its intermediate products go to three scratch
-    arrays allocated here, in the order of the formula (`np.dot`: the same
-    BLAS products as `@`, with less overhead per call)."""
+    new array otherwise; its intermediate products go to the three
+    `scratch` arrays (mx by ny, mx by my and nx by my; `transform_scratch`
+    in full bases), allocated here when None, in the order of the formula
+    (`np.dot`: the same BLAS products as `@`, with less overhead per
+    call)."""
     px = qx if px is None else px
     py = qy if py is None else py
     qx, py = np.ascontiguousarray(qx), np.ascontiguousarray(py)
     pxt, qyt = np.ascontiguousarray(px.T), np.ascontiguousarray(qy.T)
     (nx, mx), (ny, my) = qx.shape, qy.shape
-    a, b, c = np.empty((mx, ny)), np.empty((mx, my)), np.empty((nx, my))
+    a, b, c = ((np.empty((mx, ny)), np.empty((mx, my)), np.empty((nx, my)))
+               if scratch is None else scratch)
 
     def apply(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.multiply(np.dot(np.dot(pxt, r, out=a), py, out=b), scale, out=b)
@@ -527,14 +553,17 @@ def separable_inverse(qx: np.ndarray, qy: np.ndarray, scale: np.ndarray,
     return apply
 
 
-def neumann_multiplier(grid: Grid, symbol: Callable[[np.ndarray], np.ndarray]
-                       ) -> Callable[[np.ndarray], np.ndarray]:
+def neumann_multiplier(grid: Grid, symbol: Callable[[np.ndarray], np.ndarray],
+                       scratch: tuple[np.ndarray, ...] | None = None
+                       ) -> Callable[..., np.ndarray]:
     """r -> symbol(-lap) r for the Neumann cell Laplacian, diagonal in the
-    cosine basis (DCT-II) with eigenvalues kappa = lam_x / hx^2 + lam_y / hy^2."""
+    cosine basis (DCT-II) with eigenvalues kappa = lam_x / hx^2 + lam_y / hy^2;
+    `scratch` as in `separable_inverse`."""
     qx, lx = laplacian_basis(grid.nx, "cell")
     qy, ly = laplacian_basis(grid.ny, "cell")
     return separable_inverse(qx, qy, symbol(lx[:, None] / grid.hx ** 2
-                                            + ly[None, :] / grid.hy ** 2))
+                                            + ly[None, :] / grid.hy ** 2),
+                             scratch=scratch)
 
 
 @lru_cache(maxsize=32)
@@ -565,17 +594,19 @@ def robin_basis(n: int, k: float, w: float
     return left, right, lam
 
 
-def robin_inverse(grid: Grid, alpha: float, beta: float, c: float,
-                  b: float) -> Callable[..., np.ndarray]:
+def robin_inverse(grid: Grid, alpha: float, beta: float, c: float, b: float,
+                  scratch: tuple[np.ndarray, ...] | None = None
+                  ) -> Callable[..., np.ndarray]:
     """r -> (alpha - beta div(c grad))^-1 r for one number c on every face
     and Robin walls b (b = 0: zero-flux walls), the operator
     alpha f - beta * diffusion_stencil(c, grid, b)(f); needs alpha > 0 or
     b > 0. It is separable in the `robin_basis` pairs of the two axes
-    (cached), so an apply is four BLAS products (`separable_inverse`)."""
+    (cached), so an apply is four BLAS products (`separable_inverse`, with
+    its `scratch`)."""
     lx, rx, ex = robin_basis(grid.nx, c / grid.hx ** 2, b / grid.hx)
     ly, ry, ey = robin_basis(grid.ny, c / grid.hy ** 2, b / grid.hy)
     scale = 1.0 / (alpha - beta * (ex[:, None] + ey[None, :]))
-    return separable_inverse(lx, ly, scale, rx, ry)
+    return separable_inverse(lx, ly, scale, rx, ry, scratch=scratch)
 
 
 def materialize_dense(op: StencilOperator) -> np.ndarray:

@@ -66,6 +66,8 @@ from .elliptic import (
     robin_inverse,
     robin_source,
     solve_general,
+    stencil_scratch,
+    transform_scratch,
 )
 from .brinkman import BrinkmanSolution, ProjectedStart
 from . import diagnostics
@@ -140,12 +142,20 @@ class RunContext:
     every step.  A slot holds one build at a time, the face fields and the
     Robin source are read-only, and all of it goes with the context, which
     `run` lets go when it returns.
+
+    The stencils the stages build write their face fluxes to the one
+    `flux` scratch of the context, and both inverses their transforms to
+    its one `transform` scratch: no stage applies one of them inside
+    another's apply.
     """
 
     def __init__(self, specs: SimSpec) -> None:
         self.specs = specs
         self.window = ProjectedStart(FLOW_WINDOW)
         self._slots: dict[str, tuple] = {}   # slot -> (key, build)
+        grid = specs.model.grid
+        self.flux = stencil_scratch(grid)
+        self.transform = transform_scratch(grid)
 
     def held(self, slot: str, build: Callable[[], T], key: tuple = ()) -> T:
         """The build in `slot`, made by `build()` when the slot is empty or
@@ -221,12 +231,14 @@ def solve_flow(old: diagnostics.OldLevel, window: ProjectedStart) -> BrinkmanSol
 
 
 def phase_inverse(grid: Grid, dt: float, s: float, eps: float, m: float,
-                  theta: float) -> Callable[[np.ndarray], np.ndarray]:
+                  theta: float, scratch: tuple[np.ndarray, ...] | None = None
+                  ) -> Callable[..., np.ndarray]:
     """Exact inverse of the phase operator f + dt L_m A_eps f for constant
     mobility m and constant theta: L_m = m (-lap) + theta and
-    A_eps = s/eps - eps lap are polynomials in the Neumann cell Laplacian."""
+    A_eps = s/eps - eps lap are polynomials in the Neumann cell Laplacian;
+    `scratch` as in `elliptic.separable_inverse`."""
     return neumann_multiplier(grid, lambda kappa: 1.0 / (
-        1.0 + dt * (m * kappa + theta) * (s / eps + eps * kappa)))
+        1.0 + dt * (m * kappa + theta) * (s / eps + eps * kappa)), scratch=scratch)
 
 
 def step_phase(old: diagnostics.OldLevel, conv: Transport,
@@ -244,8 +256,9 @@ def step_phase(old: diagnostics.OldLevel, conv: Transport,
     eps, s = p.epsilon, sc.s
     phi_n, sigma_n = old.state.phi, old.state.sigma
     theta = old.src.theta_phi
-    lap = ctx.held("lap", lambda: diffusion_stencil(1.0, g))
-    lap_m = ctx.on_faces("lap_m", model.mobvis.m, lambda: diffusion_stencil(old.m_faces, g))
+    lap = ctx.held("lap", lambda: diffusion_stencil(1.0, g, scratch=ctx.flux))
+    lap_m = ctx.on_faces("lap_m", model.mobvis.m,
+                         lambda: diffusion_stencil(old.m_faces, g, scratch=ctx.flux))
     a_buf, l_buf, tmp = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
 
     c_lin = old.dpsi / eps - (s / eps) * phi_n - p.chi_phi * sigma_n
@@ -274,7 +287,8 @@ def step_phase(old: diagnostics.OldLevel, conv: Transport,
     op = StencilOperator(apply, g.shape)
     m_hi, theta_max = model.mobvis.m.hi, float(np.max(theta))
     precond = ctx.held("phase_inverse",
-                       lambda: phase_inverse(g, dt, s, eps, m_hi, theta_max),
+                       lambda: phase_inverse(g, dt, s, eps, m_hi, theta_max,
+                                             scratch=ctx.transform),
                        bits(m_hi, theta_max))
     phi_new, rep = solve_general(op, rhs, PHASE_TOL, precond(rhs), precond=precond)
     _require_converged("phase", old.state.t, rep)
@@ -310,14 +324,15 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
     n, sigma_n = model.mobvis.n, old.state.sigma
 
     income = ctx.held("robin_source", lambda: _read_only(robin_source(p.b, p.sigma_inf, g)))
-    cross = ctx.on_faces("cross", n, lambda: diffusion_stencil(n_faces, g))
+    cross = ctx.on_faces("cross", n, lambda: diffusion_stencil(n_faces, g, scratch=ctx.flux))
     gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * mu_new
     rhs = sigma_n + dt * (income
                           - p.chi_phi * cross(phi_new)
                           - gamma_sig - conv.div)
 
     robin = ctx.on_faces("robin", n, lambda: diffusion_stencil(
-        FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w), g, p.b))
+        FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w), g, p.b,
+        scratch=ctx.flux))
     r_buf = np.empty(g.shape)
 
     def apply(f: np.ndarray) -> np.ndarray:
@@ -328,7 +343,8 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
     # started from the inverse at the upper nutrient-mobility bound, exact
     # when n is constant
     c = p.chi_sigma * n.hi
-    start = ctx.held("robin_inverse", lambda: robin_inverse(g, 1.0, dt, c, p.b),
+    start = ctx.held("robin_inverse",
+                     lambda: robin_inverse(g, 1.0, dt, c, p.b, scratch=ctx.transform),
                      bits(c, p.b, dt))
     sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, NUTRIENT_TOL,
                                    start(rhs))

@@ -11,9 +11,11 @@ from chbsim.constitutive import (
     PotentialSpec,
     SourceSpec,
 )
-from chbsim.constitutive import mobilities
-from chbsim.core import make_grid
+from chbsim.brinkman import energy_parts
+from chbsim.constitutive import mobilities, nutrient_energy, potential_eval
+from chbsim.core import FaceField, State, extrapolate_to_walls, make_grid
 from chbsim.diagnostics import (
+    _grad_sq,
     convection,
     energy,
     energy_budget,
@@ -24,7 +26,7 @@ from chbsim.diagnostics import (
     time_level,
     weak_residuals,
 )
-from chbsim.elliptic import harmonic_face_coefficients
+from chbsim.elliptic import face_gradient, harmonic_face_coefficients
 from chbsim.galerkin import build_basis
 from chbsim.timestepper import RunContext, SchemeOptions, SimSpec, initial_state, run, step
 
@@ -132,6 +134,201 @@ def test_prepared_run_closes_the_budget_tightly(budget_runs):
         for rep in res.reports:
             b = rep.budget
             assert abs(b.budget_residual) <= 1e-6 * max(1.0, abs(b.e_after))
+
+
+# ---------------------------------------------------------------------------
+# the fused quadratures against the face-gradient formulas
+# ---------------------------------------------------------------------------
+# Each oracle term is (value, scale): the quadrature as the zero-walled
+# face_gradient formulas form it, and the sum of the absolute values of its
+# summands, the scale its rounding error is measured against.
+
+def oracle_grad_sq(f, grid, faces=None):
+    g = face_gradient(f, grid)
+    cu, cw = (1.0, 1.0) if faces is None else (faces.u, faces.w)
+    value = (float((cu * g.u ** 2).sum()) + float((cw * g.w ** 2).sum())) * grid.cell_area
+    return value, value
+
+
+def oracle_energy(state, model):
+    g, eps = model.grid, model.params.epsilon
+    psi, _ = potential_eval(state.phi, model.potential)
+    nut, _, _ = nutrient_energy(state.phi, state.sigma, model.params)
+    grad, _ = oracle_grad_sq(state.phi, g)
+    bulk = float((psi / eps + nut).sum()) * g.cell_area
+    scale = float((np.abs(psi) / eps + np.abs(nut)).sum()) * g.cell_area
+    return bulk + 0.5 * eps * grad, scale + 0.5 * eps * grad
+
+
+def oracle_energy_parts(problem, v, p):
+    g = problem.grid
+    vol = g.cell_area
+    dxx = (v.u[1:, :] - v.u[:-1, :]) / g.hx
+    dyy = (v.w[:, 1:] - v.w[:, :-1]) / g.hy
+    dxy = 0.5 * ((v.u[1:-1, 1:] - v.u[1:-1, :-1]) / g.hy
+                 + (v.w[1:, 1:-1] - v.w[:-1, 1:-1]) / g.hx)
+    visc_shear = (float(np.sum(2.0 * problem.eta * (dxx ** 2 + dyy ** 2))) * vol
+                  + float(np.sum(4.0 * problem.eta_nodes * dxy ** 2)) * vol)
+    visc_bulk = float(np.sum(problem.lam * (dxx + dyy) ** 2)) * vol
+    friction = problem.nu * (float(np.sum(v.u ** 2 * problem.vu))
+                             + float(np.sum(v.w ** 2 * problem.vw)))
+    fu, fw = problem.force.u * v.u * problem.vu, problem.force.w * v.w * problem.vw
+    pg = p * problem.gamma_v
+    return {"visc_shear": (visc_shear, visc_shear), "visc_bulk": (visc_bulk, visc_bulk),
+            "friction": (friction, friction),
+            "force_work": (float(fu.sum() + fw.sum()),
+                           float(np.abs(fu).sum() + np.abs(fw).sum())),
+            "pressure_work": (float(pg.sum()) * vol, float(np.abs(pg).sum()) * vol)}
+
+
+def wall_sums(pieces, grid):
+    """hy * (left + right) + hx * (bottom + top) of per-wall arrays, and
+    the same of their absolute values."""
+    left, right, bottom, top = pieces
+    value = (float(left.sum() + right.sum()) * grid.hy
+             + float(bottom.sum() + top.sum()) * grid.hx)
+    scale = (float(np.abs(left).sum() + np.abs(right).sum()) * grid.hy
+             + float(np.abs(bottom).sum() + np.abs(top).sum()) * grid.hx)
+    return value, scale
+
+
+def walls_of(f):
+    return f[0, :], f[-1, :], f[:, 0], f[:, -1]
+
+
+def oracle_budget(old, new_level, n_faces, conv, dt, model):
+    g, p = model.grid, model.params
+    new, nsig, vol = new_level.state, new_level.n_sigma, g.cell_area
+    terms = {"diss_mu": oracle_grad_sq(new.mu, g, old.m_faces),
+             "diss_nsigma": oracle_grad_sq(p.chi_sigma * new.sigma - p.chi_phi * new.phi,
+                                           g, n_faces)}
+    tr = extrapolate_to_walls(new.sigma, g)
+    traces = (tr.left, tr.right, tr.bottom, tr.top)
+    sinf = [np.broadcast_to(getattr(p.sigma_inf, side), t.shape)
+            for side, t in zip(("left", "right", "bottom", "top"), traces)]
+    gain, gain_scale = wall_sums([a * b for a, b in zip(sinf, walls_of(nsig))], g)
+    loss, loss_scale = wall_sums([t * p.chi_phi * b for t, b in
+                                  zip(traces, walls_of(1.0 - new.phi))], g)
+    terms["bnd_income"] = p.b * (gain - loss), p.b * (gain_scale + loss_scale)
+    sq, sq_scale = wall_sums([t * b for t, b in zip(traces, walls_of(new.sigma))], g)
+    terms["bnd_sigma_sq"] = p.b * p.chi_sigma * sq, p.b * p.chi_sigma * sq_scale
+    pairs = {"src_phi_mu": (old.src.lambda_phi - old.src.theta_phi * new.mu) * new.mu,
+             "src_sigma_n": -(old.src.lambda_sigma - old.src.theta_sigma * new.mu) * nsig}
+    for name, a in pairs.items():
+        terms[name] = float(a.sum()) * vol, float(np.abs(a).sum()) * vol
+    terms["diss_visc"] = terms["conv_work"] = (0.0, 0.0)
+    if old.flow is not None:
+        parts = oracle_energy_parts(old.flow, new.v, new.p)
+        visc = [parts[k] for k in ("visc_shear", "visc_bulk", "friction")]
+        terms["diss_visc"] = sum(v for v, _ in visc), sum(s for _, s in visc)
+        transported = [conv.phi.div * new.mu, conv.sigma.div * nsig]
+        terms["conv_work"] = (
+            parts["force_work"][0] + parts["pressure_work"][0]
+            - sum(float(a.sum()) * vol for a in transported),
+            parts["force_work"][1] + parts["pressure_work"][1]
+            + sum(float(np.abs(a).sum()) * vol for a in transported))
+    e0, e1 = old.energy, new_level.energy
+    signs = {"diss_mu": 1, "diss_nsigma": 1, "diss_visc": 1, "bnd_sigma_sq": 1,
+             "src_phi_mu": -1, "src_sigma_n": -1, "bnd_income": -1, "conv_work": -1}
+    terms["budget_residual"] = (
+        (e1 - e0) / dt + sum(sign * terms[k][0] for k, sign in signs.items()),
+        (oracle_energy(old.state, model)[1] + oracle_energy(new, model)[1]) / dt
+        + sum(terms[k][1] for k in signs))
+    return terms
+
+
+def oracle_ledgers(old, new, conv, dt, model):
+    g, p = model.grid, model.params
+    prev, src, vol = old.state, old.src, g.cell_area
+    gamma_phi = src.lambda_phi - src.theta_phi * new.mu
+    gamma_sig = src.lambda_sigma - src.theta_sigma * new.mu
+    tr = extrapolate_to_walls(new.sigma, g)
+    income, income_scale = wall_sums(
+        [np.broadcast_to(getattr(p.sigma_inf, side), t.shape) - t for side, t in
+         zip(("left", "right", "bottom", "top"), (tr.left, tr.right, tr.bottom, tr.top))], g)
+    theta_mu = [np.abs(src.theta_phi * new.mu), np.abs(src.theta_sigma * new.mu)]
+    return {
+        "phi_expected": (dt * (float(gamma_phi.sum()) * vol - conv.phi.outflow),
+                         dt * (float((np.abs(src.lambda_phi) + theta_mu[0]).sum()) * vol
+                               + abs(conv.phi.outflow))),
+        "sigma_expected": (dt * (-float(gamma_sig.sum()) * vol + p.b * income
+                                 - conv.sigma.outflow),
+                           dt * (float((np.abs(src.lambda_sigma) + theta_mu[1]).sum()) * vol
+                                 + p.b * income_scale + abs(conv.sigma.outflow))),
+        "phi_change": (float(new.phi.sum()) * vol - float(prev.phi.sum()) * vol,
+                       float(np.abs(new.phi).sum() + np.abs(prev.phi).sum()) * vol),
+        "sigma_change": (float(new.sigma.sum()) * vol - float(prev.sigma.sum()) * vol,
+                         float(np.abs(new.sigma).sum() + np.abs(prev.sigma).sum()) * vol)}
+
+
+ULPS = 8   # allowed rounding difference, in units of eps times a term's scale
+
+
+def assert_within_ulps(got, want, scale, name):
+    assert abs(got - want) <= ULPS * np.finfo(float).eps * scale, (name, got, want, scale)
+
+
+def random_step(n, flow, b, variable, seed):
+    """A model on an n by 3n/4 grid (hx != hy) with Hawkins sources (theta
+    != 0), random old and new fields and, with the flow on, a random new
+    velocity and pressure: the inputs of one step's self-check."""
+    rng = np.random.default_rng(seed)
+    ny = 3 * n // 4
+    grid = make_grid(1.0, 0.75, n, ny)
+    sinf = (EdgeValues(*(rng.uniform(0.5, 1.5, k) for k in (ny, ny, n, n))) if variable
+            else EdgeValues(0.9, 1.1, 1.0, 0.8))
+    params = ModelParams(epsilon=0.1, chi_sigma=1.3, chi_phi=0.4, nu=2.0, b=b,
+                         sigma_inf=sinf)
+    coeff = (lambda lo, hi: CoefficientSpec(lo, hi)) if variable else (
+        lambda lo, hi: CoefficientSpec.constant(hi))
+    mobvis = MobilityViscositySpec(m=coeff(1e-3, 3e-3), n=coeff(0.05, 0.5),
+                                   eta=coeff(1.0, 100.0), lam=coeff(0.0, 0.5))
+    model = ModelSpec(grid, params, PotentialSpec.quartic(), mobvis,
+                      SourceSpec.hawkins(p0=0.5, c_gamma_v=0.1))
+
+    def fields(t):
+        u, w = rng.standard_normal((n + 1, ny)), rng.standard_normal((n, ny + 1))
+        return State(t, rng.uniform(-1.1, 1.1, grid.shape), rng.standard_normal(grid.shape),
+                     rng.uniform(0.0, 1.5, grid.shape),
+                     rng.standard_normal(grid.shape) if flow else np.zeros(grid.shape),
+                     FaceField(u, w) if flow else FaceField.zeros(grid))
+    prev, new = fields(0.0), fields(1e-3)
+    old = old_level(time_level(prev, model), model, flow)
+    n_faces = harmonic_face_coefficients(mobvis.n(new.phi), grid)
+    return model, old, time_level(new, model), n_faces, convection(prev, new.v, grid)
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+@pytest.mark.parametrize("b", [0.0, 1.5])
+@pytest.mark.parametrize("flow", [False, True], ids=["still", "flow"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_fused_quadratures_equal_the_face_gradient_formulas(n, flow, b, variable):
+    model, old, new, n_faces, conv = random_step(n, flow, b, variable, seed=n + int(b > 0))
+    g, dt = model.grid, 1e-3
+    for f, faces in ((new.state.phi, None), (new.state.mu, old.m_faces),
+                     (new.state.sigma, n_faces)):
+        assert_within_ulps(_grad_sq(f, g, faces), *oracle_grad_sq(f, g, faces), "grad_sq")
+    for level in (old, new):
+        assert_within_ulps(level.energy, *oracle_energy(level.state, model), "energy")
+
+    budget = energy_budget(old, new, n_faces, conv, dt, model)
+    want = oracle_budget(old, new, n_faces, conv, dt, model)
+    assert (budget.e_before, budget.e_after) == (old.energy, new.energy)
+    for name, (value, scale) in want.items():
+        assert_within_ulps(getattr(budget, name), value, scale, name)
+    if flow:
+        parts = energy_parts(old.flow, new.state.v, new.state.p)
+        for name, (value, scale) in oracle_energy_parts(old.flow, new.state.v,
+                                                        new.state.p).items():
+            assert_within_ulps(parts[name], value, scale, name)
+    else:
+        assert budget.diss_visc == budget.conv_work == 0.0
+    if b == 0.0:
+        assert budget.bnd_income == budget.bnd_sigma_sq == 0.0
+
+    ledger = mass_balances(old, new.state, conv, dt, model)
+    for name, (value, scale) in oracle_ledgers(old, new.state, conv, dt, model).items():
+        assert_within_ulps(getattr(ledger, name), value, scale, name)
 
 
 # ---------------------------------------------------------------------------

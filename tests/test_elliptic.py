@@ -24,6 +24,8 @@ from chbsim.elliptic import (
     separable_inverse,
     solve_general,
     solve_minres,
+    stencil_scratch,
+    transform_scratch,
     upwind_transport,
 )
 
@@ -351,6 +353,29 @@ def test_diffusion_stencil_equals_the_slice_oracle_bit_for_bit(sides, spacing, b
         np.testing.assert_array_equal(bits(out), bits(want))
         np.testing.assert_array_equal(bits(f), bits(f_in))
         assert not any(np.shares_memory(a, kept) for a in (got, out) for kept in scratch)
+
+
+def test_builds_sharing_one_scratch_keep_their_bits(kept_arrays):
+    # zero-flux stencils, one on faces, and a Robin stencil, all on one
+    # `stencil_scratch` and applied in turn (the Robin apply writes the
+    # x-wall fluxes the others hold at zero), and two inverses on one
+    # `transform_scratch`, equal the same builds on scratch of their own
+    grid = make_grid(1.0, 0.75, 12, 9)
+    rng = np.random.default_rng(11)
+    faces = harmonic_face_coefficients(rng.uniform(0.5, 2.0, grid.shape), grid)
+    flux, transform = stencil_scratch(grid), transform_scratch(grid)
+    builds = [
+        (flux, lambda s: diffusion_stencil(faces, grid, 1.5, scratch=s)),
+        (flux, lambda s: diffusion_stencil(1.0, grid, scratch=s)),
+        (flux, lambda s: diffusion_stencil(faces, grid, scratch=s)),
+        (transform, lambda s: neumann_multiplier(grid, lambda k: 1.0 / (1.0 + k), scratch=s)),
+        (transform, lambda s: robin_inverse(grid, 1.0, 0.1, 0.7, 1.5, scratch=s))]
+    pairs = [(build(shared), build(None)) for shared, build in builds]
+    for (shared, _), (apply, _) in zip(builds, pairs):
+        assert any(k is shared[0] for k in kept_arrays(apply))
+    for f in rng.standard_normal((2,) + grid.shape):
+        for k in (0, 1, 2, 0, 2, 1, 3, 4, 3):
+            np.testing.assert_array_equal(bits(pairs[k][0](f)), bits(pairs[k][1](f)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -223,7 +223,7 @@ def test_constant_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     assert abs(rep.ledger_phi) <= 1e-11
 
     # the plain path: the identity as start map and preconditioner
-    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: lambda a: a)
+    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args, **kw: lambda a: a)
     plain, plain_rep = step_from(state, specs)
     assert plain_rep.phase.iterations > 10
     assert (np.linalg.norm(new.phi - plain.phi)
@@ -250,7 +250,7 @@ def test_variable_mobility_phase_solve_is_preconditioned(source, monkeypatch):
     state, specs, new, rep = variable_mobility_step(32, 2.0, source)
     assert rep.phase.converged and abs(rep.ledger_phi) <= 1e-11
 
-    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args: lambda a: a)
+    monkeypatch.setattr(timestepper, "phase_inverse", lambda *args, **kw: lambda a: a)
     plain, plain_rep = step_from(state, specs)
     assert plain_rep.phase.converged
     assert 3 * rep.phase.iterations <= plain_rep.phase.iterations
@@ -274,7 +274,7 @@ def test_nutrient_solve_starts_from_the_robin_inverse(n_bounds, monkeypatch):
         assert rep.nutrient.iterations == 0
 
     monkeypatch.setattr(timestepper, "robin_inverse",
-                        lambda *args: lambda rhs: state.sigma.copy())
+                        lambda *args, **kw: lambda rhs: state.sigma.copy())
     old, old_rep = step_from(state, specs)
     assert old_rep.nutrient.converged
     assert rep.nutrient.iterations <= old_rep.nutrient.iterations
@@ -294,8 +294,8 @@ def test_phase_solve_is_one_preconditioned_bicgstab(case, monkeypatch):
         state, model = constant_mobility_state(case)
     built, used = [], []
 
-    def spy_inverse(*args):
-        built.append(phase_inverse(*args))
+    def spy_inverse(*args, **kwargs):
+        built.append(phase_inverse(*args, **kwargs))
         return built[-1]
 
     def spy_general(op, rhs, tol, x0=None, precond=None):
@@ -674,8 +674,8 @@ def spied_step_builds(monkeypatch):
     built = []
 
     def spy(name, original):
-        def build(*args):
-            out = original(*args)
+        def build(*args, **kwargs):
+            out = original(*args, **kwargs)
             if name == "diffusion_stencil":
                 coeff = args[0]
                 piece = ("lap" if not isinstance(coeff, FaceField) else "robin" if len(args) > 2
@@ -750,6 +750,19 @@ def test_a_hawkins_run_rebuilds_the_phase_inverse_when_max_theta_changes(
     assert [args[-1] for piece, args, _ in built if piece == "phase_inverse"] == changed
     assert len(changed) == (1 if source == "hawkins_positive_floor" else 5)
     assert tally(built)["robin_inverse"] == 1
+
+
+def test_held_stencils_and_inverses_share_the_context_scratch(kept_arrays):
+    # one flux scratch for the four stencils and one transform scratch for
+    # the two inverses, per context
+    model = flow_model_with_lima_sources()
+    state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
+    ctx = RunContext(specs_for(model, 1e-4, flow=False))
+    step(time_level(state, model), ctx)
+    for slots, scratch in ((("lap", "lap_m", "cross", "robin"), ctx.flux),
+                           (("phase_inverse", "robin_inverse"), ctx.transform)):
+        for slot in slots:
+            assert any(k is scratch[0] for k in kept_arrays(ctx._slots[slot][1])), slot
 
 
 def test_held_pieces_are_read_only_and_die_with_the_run(monkeypatch):
