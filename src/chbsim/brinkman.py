@@ -24,8 +24,9 @@ preconditioner: separate cosine-transform u and w blocks of a constant
 reference (the minimum viscosities), rescaled cell by cell by the Jacobi
 diagonals, and a Cahouet-Chabard pressure part: a constant plus a
 sine-transform correction on the few lowest modes where the friction term
-is not negligible (all of them when nu is large). A dense loop-assembled
-oracle covers small grids.
+is not negligible (all of them when nu is large); a sequence of such
+solves starts each from the least-squares mix of its last solved flows
+(`ProjectedStart`). A dense loop-assembled oracle covers small grids.
 
 The matrix-free apply keeps every array at w's row stride ny + 1, so each
 x- or y-shift is a flat offset (ny + 1 or 1) and every operation runs on
@@ -679,27 +680,20 @@ def _solution(problem: BrinkmanProblem, x: np.ndarray,
 # Start of a sequence of solves
 # ---------------------------------------------------------------------------
 
-_COLLAPSE = 1e-10   # relative norm below which a new rhs adds nothing to a window
+_COLLAPSE = 1e-10   # relative singular value below which a window direction is dropped
 
 
 class ProjectedStart:
     """Start for a sequence of Brinkman solves (Fischer, CMAME 163, 1998).
 
     Holds up to `size` solved pairs (x_i, b_i), x_i the packed flow and b_i
-    its `BrinkmanProblem.rhs`, oldest first; the start for a new rhs b is
-    X c, with c minimising ||b - B c||_2.  Only the stored b_i are used, so
-    the start costs no operator apply and stays defined when the operator
-    changes between solves.  The pairs are kept as B = Q R (Q orthonormal,
-    R upper triangular) and X R^-1, so the start is (X R^-1)(Q^T b): 2 size
-    stored vectors of length n, O(size n) work per start and per update.  A full window first
-    lets its oldest pair go, by Givens rotations that restore the triangle
-    of R without its first column, applied alike to Q and X R^-1.  A new b
-    is then orthogonalised against Q by classical Gram-Schmidt, in the free
-    row of the buffer; a second pass runs only when the first keeps less
-    than 1/sqrt(2) of the norm of b ("twice is enough": Parlett-Kahan;
-    Giraud, Langou & Rozloznik, 2005).  One whose remainder falls below
-    _COLLAPSE of its norm lies in the stored span and is not stored.  The
-    buffer is allocated once, at the first pair.
+    its `BrinkmanProblem.rhs`, oldest first, as rows of two (size, n) arrays
+    made at the first pair; a full window drops its oldest pair first, and a
+    b equal to one it holds is not stored again.  The start for a new rhs b
+    is X c, with c minimising ||b - B c||_2 by one `np.linalg.lstsq` that
+    counts singular values below _COLLAPSE of the largest as zero.  It reads
+    only the stored b_i, so it costs no operator apply and stays defined
+    when the operator changes between solves.
 
     At constant viscosities a solve is the exact inverse refined once
     instead, with no MINRES, and leaves the window alone; beside it the
@@ -709,8 +703,8 @@ class ProjectedStart:
     """
 
     def __init__(self, size: int) -> None:
-        self._r = np.zeros((size, size))
-        self._qx: np.ndarray | None = None   # row i: column i of Q, then of X R^-1
+        self._size = size
+        self._x = self._b = None   # (size, n): the stored x_i and b_i, oldest first
         self._m = 0
         self._key = self._exact = None   # an `_exact_solver` and its bits
 
@@ -738,48 +732,19 @@ class ProjectedStart:
         """X c for the stored pairs, or None while none is stored."""
         if not self._m:
             return None
-        qx = self._qx[:self._m]
-        return (qx[:, :b.size] @ b) @ qx[:, b.size:]
+        c = np.linalg.lstsq(self._b[:self._m].T, b, rcond=_COLLAPSE)[0]
+        return c @ self._x[:self._m]
 
     def add(self, x: np.ndarray, b: np.ndarray) -> None:
-        """Store a solved pair, dropping the oldest one when full."""
-        size, n = len(self._r), b.size
-        if self._qx is None:
-            self._qx = np.empty((size, 2 * n))
-        if self._m == size:
-            self._drop_oldest()
-        m, r, qx = self._m, self._r, self._qx
-        q, v, y = qx[:m, :n], qx[m, :n], qx[m, n:]   # the new row is the free one
-        h = q @ b
-        r[:m, m] = h
-        np.subtract(b, h @ q, out=v)
-        norm_b, norm = float(np.linalg.norm(b)), float(np.linalg.norm(v))
-        if norm < norm_b / math.sqrt(2.0):
-            h = q @ v
-            v -= h @ q
-            r[:m, m] += h
-            norm = float(np.linalg.norm(v))
-        if not norm > _COLLAPSE * norm_b:
-            return
-        v /= norm
-        np.subtract(x, r[:m, m] @ qx[:m, n:], out=y)
-        y /= norm
-        r[m, m] = norm
-        self._m = m + 1
-
-    def _drop_oldest(self) -> None:
-        m, r, qx = self._m, self._r, self._qx
-        r[:m, :m - 1] = r[:m, 1:m]   # upper Hessenberg once the first column goes
-        for j in range(m - 1):
-            a, c = float(r[j, j]), float(r[j + 1, j])
-            h = math.hypot(a, c)
-            rot = np.array(((a / h, c / h), (-c / h, a / h)))
-            r[j:j + 2, j:m - 1] = rot @ r[j:j + 2, j:m - 1]
-            r[j + 1, j] = 0.0
-            qx[j:j + 2] = rot @ qx[j:j + 2]
-        r[m - 1] = 0.0
-        r[:, m - 1] = 0.0
-        self._m = m - 1
+        """Store a solved pair, the oldest one dropped first when full."""
+        if self._x is None:
+            self._x, self._b = np.empty((self._size, x.size)), np.empty((self._size, b.size))
+        if self._m == self._size:
+            self._m -= 1
+            self._x[:-1], self._b[:-1] = self._x[1:], self._b[1:]
+        if not any(np.array_equal(b, kept) for kept in self._b[:self._m]):
+            self._x[self._m], self._b[self._m] = x, b
+            self._m += 1
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def _print_order_table(title: str, ns, hs, errs, order) -> bool:
 
 
 def _cmd_mms() -> int:
-    sizes = (16, 32, 64, 128)
+    sizes = verify.MMS_SIZES
     hs, errs, order = verify.poisson_convergence(sizes)
     ok = _print_order_table("Neumann-Poisson manufactured solution",
                             sizes, hs, errs, order)

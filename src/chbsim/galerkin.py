@@ -6,8 +6,8 @@ projected onto the span, yielding an ODE system in the coefficient vectors
 which is marched with classical RK4.  Velocity and pressure are NOT spectral:
 unless the flow is off, every stage re-solves the staggered Brinkman system
 on the grid through a `ProjectedStart`: from the exact solve at constant
-viscosities, built once per `integrate` call, otherwise from the best mix of
-the flows of the last FLOW_WINDOW solved stages.  A stage synthesizes its
+viscosities, built once per `integrate` call, otherwise from the
+least-squares mix of the flows of the last FLOW_WINDOW solved stages.  A stage synthesizes its
 fields and evaluates psi' and the sources once, into a `Stage` record that
 the flow solve, the projections and the sampled States all read.
 

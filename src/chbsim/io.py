@@ -123,6 +123,13 @@ class RunConfig:
     directory: str = "run"
     formats: tuple = ("csv",)
 
+    def __post_init__(self) -> None:
+        """Make the checks of `_semantic_errors`: a config that fails one is
+        a `ConfigError` however it is built, so no caller checks again."""
+        errors = _semantic_errors(self)
+        if errors:
+            raise ConfigError(errors)
+
     # -- assembly into model objects ------------------------------------
 
     def grid(self) -> Grid:
@@ -375,12 +382,7 @@ def load_config(path: str | Path) -> RunConfig:
                 errors.append(f"[{section}] {key}: {exc}")
     if errors:
         raise ConfigError(errors)
-
-    cfg = RunConfig(**values)
-    errors.extend(_semantic_errors(cfg))
-    if errors:
-        raise ConfigError(errors)
-    return cfg
+    return RunConfig(**values)
 
 
 def _semantic_errors(cfg: RunConfig) -> list[str]:
@@ -399,8 +401,6 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
             errors.append(f"t_end={cfg.t_end} is not a whole number of steps dt={cfg.dt}; "
                           f"the nearest whole-step horizons are "
                           f"{math.floor(ratio) * cfg.dt!r} and {math.ceil(ratio) * cfg.dt!r}")
-    if cfg.snapshot_every < 0:
-        errors.append("snapshot_every must be >= 0")
     if not cfg.formats:
         errors.append("need at least one output format")
     if cfg.potential == "quadratic_growth" and (error := cap_error(cfg.delta_cap)):
@@ -1002,11 +1002,8 @@ def _write_outputs(result: RunResult, cfg: RunConfig, outdir: Path) -> None:
 def run_from_config(cfg: RunConfig) -> tuple[RunResult, Path]:
     """Full simulation with all outputs; partial outputs survive a failed step.
 
-    `cfg` gets the checks `load_config` makes, so a config built in code that
-    no file could carry raises `ConfigError` before any output exists."""
-    errors = _semantic_errors(cfg)
-    if errors:
-        raise ConfigError(errors)
+    `cfg` passed its checks when it was built; a value no file can carry or
+    non-finite initial fields raise `ConfigError` before any output exists."""
     # an error in any of these leaves no output behind
     state0, text, n_steps = cfg.initial_state(), _config_text(cfg), cfg.n_steps
     specs = cfg.sim_spec()

@@ -5,10 +5,10 @@ One step from t_n advances in three stages that share one old-level record:
   (i)   Brinkman solve with capillary forcing assembled from the old fields,
         giving the velocity and pressure used by both transport equations,
         through the run's `brinkman.ProjectedStart`: from the exact solve,
-        built once per run, at constant viscosities, otherwise from the best
-        mix of the run's last FLOW_WINDOW solved flows for this rhs (zero
-        while none is solved yet), with an operator and preconditioner built
-        for this step alone;
+        built once per run, at constant viscosities, otherwise from the
+        least-squares mix of the run's last FLOW_WINDOW solved flows for
+        this rhs (zero while none is solved yet), with an operator and
+        preconditioner built for this step alone;
   (ii)  phase update with the stabilized linear splitting: psi'(phi_n) kept
         explicit plus s/eps (phi' - phi_n), surface term and mu-feedback of
         the sources implicit.  The chemical potential is eliminated from the
@@ -28,12 +28,9 @@ One step from t_n advances in three stages that share one old-level record:
         (`elliptic.robin_inverse`, built once per run); at constant
         nutrient mobility that start is exact and no iteration is made.
 
-The steps of a run share one `RunContext`: the flow window, the two
-inverses, the Neumann Laplacian and the Robin wall income, and at a
-constant mobility its face values and the stencils on them (`lap_m` for
-(ii), the cross flux and the Robin diffusion for (iii)).  Each is built at
-the first step that needs it; where a mobility follows phi its faces and
-stencils are built every step.
+The steps of a run share one `RunContext`, which builds the run's constants
+when the run starts; where a mobility follows phi, its faces and the
+stencils on them are built every step.
 
 After (ii) and (iii) the field is shifted by a spatial constant (of the order
 of the Krylov tolerance) chosen so the integral mass ledgers close exactly.
@@ -49,7 +46,7 @@ with the flow off v = 0, so both are zero and no pass is made.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -94,6 +91,8 @@ class SchemeOptions:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.s >= 0.0:
             raise ValueError(f"stabilization s must be non-negative, got {self.s}")
+        if not self.snapshot_every >= 0:
+            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
 
 
 @dataclass
@@ -121,68 +120,70 @@ class StepFailure(RuntimeError):
         self.partial = partial
 
 
-T = TypeVar("T")
-
-
 class RunContext:
-    """What one run of `specs` builds once and its steps share.
+    """What one run of `specs` builds once, when it is made, and its steps share.
 
-    `window`, the run's `ProjectedStart`, starts each flow solve.  Each
-    other slot holds one build whose inputs are constants of the run, made
-    at the first step that needs it: the Neumann Laplacian
-    `diffusion_stencil(1.0)` and `phase_inverse` for the phase stage,
-    `robin_source` and `robin_inverse` for the nutrient stage.
-    `phase_inverse` is keyed by m.hi and max theta_phi, and
-    `robin_inverse` by chi_sigma n.hi, b and dt; a slot is rebuilt when
-    its key changes (max theta_phi follows phi under Hawkins sources).  At
-    a constant mobility (lo == hi) its faces are run constants too, and so
-    are the stencils built on them: m(phi) on the faces and `lap_m` for
-    the phase, n(phi) on the faces, the cross flux and the Robin diffusion
-    for the nutrient.  Where a mobility follows phi they are built afresh
-    every step.  A slot holds one build at a time, the face fields and the
-    Robin source are read-only, and all of it goes with the context, which
-    `run` lets go when it returns.
-
-    The stencils the stages build write their face fluxes to the one
-    `flux` scratch of the context, and both inverses their transforms to
-    its one `transform` scratch: no stage applies one of them inside
-    another's apply.
+    `window`, the run's `ProjectedStart`, starts each flow solve; `lap` (the
+    Neumann Laplacian), `income` (`robin_source`) and `robin_inverse` (the
+    nutrient start at chi_sigma n.hi) are run constants, and at a constant
+    mobility (lo == hi) so are its faces and the stencils on them: `m_faces`
+    and `lap_m` for the phase, `n_faces`, `cross` and `robin` for the
+    nutrient.  Where a mobility follows phi these are None, and each step
+    builds its own (`faces`, `nutrient_stencils`).  The one build that can
+    change within a run, the phase inverse at m.hi and max theta_phi (which
+    follows phi under Hawkins sources), is made again by `phase_inverse`
+    when the bits of that max change.  The faces and `income` are
+    read-only; the stencils share the one `flux` scratch and both inverses
+    the one `transform` scratch, as no stage applies one inside another's
+    apply.  All of it goes with the context, which `run` lets go on return.
     """
 
     def __init__(self, specs: SimSpec) -> None:
         self.specs = specs
         self.window = ProjectedStart(FLOW_WINDOW)
-        self._slots: dict[str, tuple] = {}   # slot -> (key, build)
-        grid = specs.model.grid
-        self.flux = stencil_scratch(grid)
-        self.transform = transform_scratch(grid)
+        g, p, mobvis = specs.model.grid, specs.model.params, specs.model.mobvis
+        self.flux, self.transform = stencil_scratch(g), transform_scratch(g)
+        self.lap = diffusion_stencil(1.0, g, scratch=self.flux)
+        self.income = _read_only(robin_source(p.b, p.sigma_inf, g))
+        self.robin_inverse = robin_inverse(g, 1.0, specs.scheme.dt, p.chi_sigma * mobvis.n.hi,
+                                           p.b, scratch=self.transform)
+        # at lo == hi a mobility is lo on every cell, whatever phi it is of
+        anywhere = np.zeros(g.shape)
+        self.m_faces = self.lap_m = self.n_faces = self.cross = self.robin = None
+        if mobvis.m.lo == mobvis.m.hi:
+            self.m_faces = self.faces(mobvis.m, anywhere)
+            self.lap_m = diffusion_stencil(self.m_faces, g, scratch=self.flux)
+        if mobvis.n.lo == mobvis.n.hi:
+            self.n_faces = self.faces(mobvis.n, anywhere)
+            self.cross, self.robin = self.nutrient_stencils(self.n_faces)
+        self._theta = self._phase_inverse = None   # max theta_phi's bits and its inverse
 
-    def held(self, slot: str, build: Callable[[], T], key: tuple = ()) -> T:
-        """The build in `slot`, made by `build()` when the slot is empty or
-        holds one made under another key; the old build is let go first."""
-        kept = self._slots.get(slot)
-        if kept is not None and kept[0] == key:
-            return kept[1]
-        self._slots.pop(slot, None)
-        made = build()
-        self._slots[slot] = (key, made)
-        return made
+    def faces(self, coeff: CoefficientSpec, phi: np.ndarray) -> FaceField:
+        """coeff(phi) on the faces (`harmonic_face_coefficients`), read-only."""
+        faces = harmonic_face_coefficients(coeff(phi), self.specs.model.grid)
+        _read_only(faces.u)
+        _read_only(faces.w)
+        return faces
 
-    def on_faces(self, slot: str, coeff: CoefficientSpec, build: Callable[[], T]) -> T:
-        """`build()` of something on the faces of the mobility `coeff`:
-        held in `slot` at a constant coeff, made afresh otherwise."""
-        return self.held(slot, build) if coeff.lo == coeff.hi else build()
+    def nutrient_stencils(self, n_faces: FaceField) -> tuple[Callable[..., np.ndarray], ...]:
+        """The cross flux div(n grad .) and the Robin diffusion
+        div(chi_sigma n grad .) on the nutrient mobility faces `n_faces`."""
+        g, p = self.specs.model.grid, self.specs.model.params
+        return (diffusion_stencil(n_faces, g, scratch=self.flux),
+                diffusion_stencil(FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w),
+                                  g, p.b, scratch=self.flux))
 
-    def face_mobility(self, slot: str, coeff: CoefficientSpec,
-                      phi: np.ndarray) -> FaceField:
-        """coeff(phi) on the faces (`harmonic_face_coefficients`), read-only,
-        through `on_faces`."""
-        def build() -> FaceField:
-            faces = harmonic_face_coefficients(coeff(phi), self.specs.model.grid)
-            _read_only(faces.u)
-            _read_only(faces.w)
-            return faces
-        return self.on_faces(slot, coeff, build)
+    def phase_inverse(self, theta_max: float) -> Callable[..., np.ndarray]:
+        """`phase_inverse` at m.hi and theta_max, made again (the old one let
+        go first) only when the bits of theta_max change."""
+        if bits(theta_max) != self._theta:
+            self._theta = self._phase_inverse = None
+            model, sc = self.specs.model, self.specs.scheme
+            self._phase_inverse = phase_inverse(model.grid, sc.dt, sc.s, model.params.epsilon,
+                                                model.mobvis.m.hi, theta_max,
+                                                scratch=self.transform)
+            self._theta = bits(theta_max)
+        return self._phase_inverse
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -256,16 +257,15 @@ def step_phase(old: diagnostics.OldLevel, conv: Transport,
     eps, s = p.epsilon, sc.s
     phi_n, sigma_n = old.state.phi, old.state.sigma
     theta = old.src.theta_phi
-    lap = ctx.held("lap", lambda: diffusion_stencil(1.0, g, scratch=ctx.flux))
-    lap_m = ctx.on_faces("lap_m", model.mobvis.m,
-                         lambda: diffusion_stencil(old.m_faces, g, scratch=ctx.flux))
+    lap_m = (ctx.lap_m if ctx.lap_m is not None
+             else diffusion_stencil(old.m_faces, g, scratch=ctx.flux))
     a_buf, l_buf, tmp = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
 
     c_lin = old.dpsi / eps - (s / eps) * phi_n - p.chi_phi * sigma_n
 
     def a_eps(f: np.ndarray) -> np.ndarray:
         """(s/eps) f - eps lap f, in a scratch array."""
-        lap(f, out=a_buf)
+        ctx.lap(f, out=a_buf)
         np.multiply(a_buf, eps, out=a_buf)
         return np.subtract(np.multiply(f, s / eps, out=tmp), a_buf, out=a_buf)
 
@@ -285,11 +285,7 @@ def step_phase(old: diagnostics.OldLevel, conv: Transport,
     # the exact inverse (both factors are polynomials in the Neumann
     # Laplacian), and the start already meets the tolerance.
     op = StencilOperator(apply, g.shape)
-    m_hi, theta_max = model.mobvis.m.hi, float(np.max(theta))
-    precond = ctx.held("phase_inverse",
-                       lambda: phase_inverse(g, dt, s, eps, m_hi, theta_max,
-                                             scratch=ctx.transform),
-                       bits(m_hi, theta_max))
+    precond = ctx.phase_inverse(float(np.max(theta)))
     phi_new, rep = solve_general(op, rhs, PHASE_TOL, precond(rhs), precond=precond)
     _require_converged("phase", old.state.t, rep)
     mu_new = a_eps(phi_new) + c_lin
@@ -321,18 +317,15 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
     """
     model, sc = ctx.specs.model, ctx.specs.scheme
     g, p, dt = model.grid, model.params, sc.dt
-    n, sigma_n = model.mobvis.n, old.state.sigma
+    sigma_n = old.state.sigma
 
-    income = ctx.held("robin_source", lambda: _read_only(robin_source(p.b, p.sigma_inf, g)))
-    cross = ctx.on_faces("cross", n, lambda: diffusion_stencil(n_faces, g, scratch=ctx.flux))
+    cross, robin = ((ctx.cross, ctx.robin) if ctx.cross is not None
+                    else ctx.nutrient_stencils(n_faces))
     gamma_sig = old.src.lambda_sigma - old.src.theta_sigma * mu_new
-    rhs = sigma_n + dt * (income
+    rhs = sigma_n + dt * (ctx.income
                           - p.chi_phi * cross(phi_new)
                           - gamma_sig - conv.div)
 
-    robin = ctx.on_faces("robin", n, lambda: diffusion_stencil(
-        FaceField(p.chi_sigma * n_faces.u, p.chi_sigma * n_faces.w), g, p.b,
-        scratch=ctx.flux))
     r_buf = np.empty(g.shape)
 
     def apply(f: np.ndarray) -> np.ndarray:
@@ -342,12 +335,8 @@ def step_nutrient(old: diagnostics.OldLevel, conv: Transport,
 
     # started from the inverse at the upper nutrient-mobility bound, exact
     # when n is constant
-    c = p.chi_sigma * n.hi
-    start = ctx.held("robin_inverse",
-                     lambda: robin_inverse(g, 1.0, dt, c, p.b, scratch=ctx.transform),
-                     bits(c, p.b, dt))
     sigma_new, rep = solve_general(StencilOperator(apply, g.shape), rhs, NUTRIENT_TOL,
-                                   start(rhs))
+                                   ctx.robin_inverse(rhs))
     _require_converged("nutrient", old.state.t, rep)
 
     # constant shift closing the sigma ledger exactly; the shift moves the
@@ -375,8 +364,8 @@ def step(level: diagnostics.TimeLevel,
     specs = ctx.specs
     model, dt = specs.model, specs.scheme.dt
     g, mobvis = model.grid, model.mobvis
-    old = diagnostics.old_level(level, model, specs.scheme.flow,
-                                ctx.face_mobility("m_faces", mobvis.m, level.state.phi))
+    m_faces = ctx.m_faces if ctx.m_faces is not None else ctx.faces(mobvis.m, level.state.phi)
+    old = diagnostics.old_level(level, model, specs.scheme.flow, m_faces)
 
     flow_report = None
     div_residual = 0.0
@@ -391,7 +380,7 @@ def step(level: diagnostics.TimeLevel,
         still = Transport(np.zeros(g.shape), 0.0)
         conv = diagnostics.Convection(still, still)
     phi_new, mu_new, phase_rep = step_phase(old, conv.phi, ctx)
-    n_faces = ctx.face_mobility("n_faces", mobvis.n, phi_new)
+    n_faces = ctx.n_faces if ctx.n_faces is not None else ctx.faces(mobvis.n, phi_new)
     sigma_new, nut_rep = step_nutrient(old, conv.sigma, phi_new, mu_new, n_faces, ctx)
 
     new = diagnostics.time_level(State(t=old.state.t + dt, phi=phi_new, mu=mu_new,
@@ -456,10 +445,8 @@ def run(state0: State, n_steps: int, specs: SimSpec) -> RunResult:
     The row at t = 0 carries the initial energy and masses with zero rates.
     The steps share one `RunContext`, made here and let go on return: each
     flow solve starts from the run's last FLOW_WINDOW solved flows, the
-    first from zero, and the builds whose inputs are run constants (the
-    constant-coefficient inverses, and at a constant mobility its faces and
-    stencils) are made at the first step and rebuilt only when their key
-    changes.  On a failed step the partial record is attached to the raised
+    first from zero, and the run's constants are built before the first
+    step.  On a failed step the partial record is attached to the raised
     StepFailure so callers can keep what was completed.
     """
     model, sc = specs.model, specs.scheme

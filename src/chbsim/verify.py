@@ -294,9 +294,10 @@ def criterion_5(cache: Cache) -> CriterionResult:
 # space, first order in dt
 SPACE_ORDER = (1.8, 2.2)
 TIME_ORDER = (0.8, 1.2)
+MMS_SIZES = (16, 32, 64, 128)   # the grids of both spatial convergence studies
 
 
-def poisson_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
+def poisson_convergence(sizes=MMS_SIZES) -> tuple[list, list, float]:
     """-lap u = f, homogeneous Neumann, u* = cos(pi x) cos(pi y)."""
     hs, errs = [], []
     for n in sizes:
@@ -316,7 +317,7 @@ def poisson_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
     return hs, errs, _fit_order(hs, errs)
 
 
-def robin_convergence(sizes=(16, 32, 64, 128)) -> tuple[list, list, float]:
+def robin_convergence(sizes=MMS_SIZES) -> tuple[list, list, float]:
     """u - div(grad u) = f with Robin walls, u* = cos(pi x) cos(pi y) + 2.
 
     The manufactured trace is fed through the per-edge boundary-data arrays;

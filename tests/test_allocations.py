@@ -11,6 +11,10 @@ The energy budget and the level record run once per step.  Their
 quadratures are vdots over new arrays of the interior-face differences, so
 their peak allocation per call is pinned at what that takes at 64^2; the
 zero-walled face arrays and square temporaries they replaced took more.
+
+The start of a variable-viscosity flow solve runs once per step.  It reads
+the window's stored rows in place, so a call allocates the start itself and
+no stack of the stored pairs.
 """
 import tracemalloc
 
@@ -62,6 +66,18 @@ def test_stencil_apply_into_out_allocates_no_grid_array(b, faces):
     stencil = diffusion_stencil(c, GRID, b)
     f, out = rng.standard_normal(GRID.shape), np.empty(GRID.shape)
     assert peak_bytes(lambda: stencil(f, out=out)) < LIMIT
+
+
+def test_projected_start_stacks_no_stored_pairs():
+    # at 64^2 the packed flow has n = 12,416 entries: the start is one such
+    # vector, and a (4, n) stack of the stored b or x would add 388 KiB
+    n = 2 * (GRID.nx + 1) * GRID.ny + GRID.nx * GRID.ny
+    rng = np.random.default_rng(6)
+    window = brinkman.ProjectedStart(4)
+    for _ in range(4):
+        window.add(rng.standard_normal(n), rng.standard_normal(n))
+    b = rng.standard_normal(n)
+    assert peak_bytes(lambda: window.start(b)) < 8 * n + LIMIT
 
 
 # peak traced bytes per call at 64^2 with the flow on, rounded up to 8 KiB;

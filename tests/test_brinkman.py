@@ -1016,8 +1016,8 @@ def test_projected_start_equals_a_least_squares_start_over_the_kept_pairs(
     # 3 size random pairs, one of them a copy of an earlier one, and one
     # within 1e-3 of a mix of the pairs the window keeps when it comes (x
     # near the same mix of the kept x as b of the kept b, as for x = A^-1 b);
-    # a copy of a pair still in the window lies in its span and is not
-    # stored, the near one is stored after a second Gram-Schmidt pass
+    # a copy of a pair still in the window is not stored, the near one is.
+    # The oracle is Householder QR, not the window's own least-squares solve
     rng = np.random.default_rng(seed)
     pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(3 * size)]
     at = data.draw(st.integers(1, len(pairs)), label="copy at")
@@ -1043,11 +1043,13 @@ def test_projected_start_equals_a_least_squares_start_over_the_kept_pairs(
         if not any(b is old for _, old in kept):
             kept.append((x, b))
         assert len(window) == len(kept) <= size
-        q = window._qx[:len(window), :n]   # one pass would leave ~1e-13 here
-        assert np.max(np.abs(q @ q.T - np.eye(len(window)))) <= 1e-14
+        for x_kept, b_kept in kept:   # the window holds the kept pairs
+            got = window.start(b_kept)
+            assert np.linalg.norm(got - x_kept) <= 1e-10 * np.linalg.norm(x_kept)
         xs, bs = (np.array(col).T for col in zip(*kept))
+        q, r = np.linalg.qr(bs)
         for rhs in (rng.standard_normal(n), b):
-            want = xs @ np.linalg.lstsq(bs, rhs, rcond=None)[0]
+            want = xs @ np.linalg.solve(r, q.T @ rhs)
             got = window.start(rhs)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 

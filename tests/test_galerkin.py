@@ -557,11 +557,11 @@ def test_projected_start_of_a_repeated_pair_is_finite_and_the_window_bounded():
     x, b, _ = _solved_pair(probs[0])
     window = ProjectedStart(FLOW_WINDOW)
     window.add(x, b)
-    window.add(x, b)  # the second copy collapses in the Gram-Schmidt pass
+    window.add(x, b)  # an equal b is not stored again
     x0 = window.start(b)
     assert np.all(np.isfinite(x0))
     np.testing.assert_allclose(x0, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
-    exact = ProjectedStart(FLOW_WINDOW)  # here the second copy collapses to exactly 0
+    exact = ProjectedStart(FLOW_WINDOW)  # one stored pair: the start is exact
     exact.add(np.arange(1.0, 5.0), np.array([2.0, 0.0, 0.0, 0.0]))
     exact.add(np.arange(1.0, 5.0), np.array([2.0, 0.0, 0.0, 0.0]))
     assert np.array_equal(exact.start(np.array([1.0, 0.0, 0.0, 0.0])),

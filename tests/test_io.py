@@ -18,10 +18,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chbsim import brinkman, cli, elliptic, galerkin, timestepper, verify
+from chbsim import brinkman, cli, elliptic, galerkin, io, timestepper, verify
 from chbsim.core import FaceField, Grid, State, face_to_center, make_grid
 from chbsim.io import (
     _CHOICES,
+    _CODECS,
     _SECTIONS,
     _csv_prefixes,
     _semantic_errors,
@@ -177,6 +178,7 @@ def assert_one_error_and_no_output(path, name, out, capsys) -> str:
     ("t_end = 1.7e308", "overflows the step count"),       # 1.7e311 steps of dt = 1e-3
     ("t_end = 2.5e-3", "not a whole number of steps"),
     ("directory = runs #2", "inline comment"),
+    ("snapshot_every = -1", "snapshot_every"),
 ])
 def test_config_rejects_bad_step_and_solver_settings_before_any_output(
         tmp_path, monkeypatch, capsys, line, name):
@@ -241,12 +243,12 @@ def test_directory_names_a_config_file_cannot_carry_are_refused(
 
 
 def test_run_from_config_checks_a_config_built_in_code(tmp_path, monkeypatch):
-    # 2.5 steps: load_config refuses it, and so must a run of the same
-    # config built in code, before any output exists (it used to make 2
-    # steps and write a config.ini that load_config refuses)
+    # 2.5 steps: load_config refuses it, and so does building the same
+    # config in code, so no run of it starts and no output exists (a run
+    # used to make 2 steps and write a config.ini that load_config refuses)
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
     with pytest.raises(ConfigError, match="not a whole number of steps") as exc:
-        run_from_config(RunConfig(nx=8, ny=8, dt=1e-3, t_end=2.5e-3))
+        RunConfig(nx=8, ny=8, dt=1e-3, t_end=2.5e-3)
     assert len(exc.value.errors) == 1
     assert not (tmp_path / "out").exists()
     # every scenario config passes the same check, the benchmark's
@@ -342,18 +344,40 @@ def test_every_field_has_one_lower_case_key_in_one_section(tmp_path):
     assert sorted(keys) == sorted(name.lower() for name in FIELDS)
 
 
+def write_fields(path, **changes):
+    """Write the canonical file of the default config with `changes`, as
+    `save_config` would, without building the config, which refuses values
+    that fail its checks."""
+    values = {**vars(RunConfig()), **changes}
+    path.write_text("".join(f"[{section}]\n" + "".join(
+        f"{attr.lower()} = {_CODECS[attr][1](values[attr])}\n" for attr in attrs)
+        for section, attrs in _SECTIONS.items()), encoding="utf-8")
+
+
+def refused(path, **changes) -> list[str]:
+    """The errors building the config with `changes` raises, once loading
+    its file (`write_fields`) is checked to raise the same."""
+    with pytest.raises(ConfigError) as built:
+        RunConfig(**changes)
+    write_fields(path, **changes)
+    with pytest.raises(ConfigError) as loaded:
+        load_config(path)
+    assert loaded.value.errors == built.value.errors
+    return built.value.errors
+
+
 @PROPERTY
 @given(changes=CHANGES)
 def test_saved_configs_load_back_unchanged(tmp_path, changes):
-    cfg = replace(RunConfig(), **changes)
+    # a config that fails a check cannot be built, and its file loads to
+    # the same errors
     path = tmp_path / "saved.ini"
-    save_config(cfg, path)
-    errors = _semantic_errors(cfg)
-    if errors:
-        with pytest.raises(ConfigError) as exc:
-            load_config(path)
-        assert exc.value.errors == errors
+    try:
+        cfg = replace(RunConfig(), **changes)
+    except ConfigError:
+        refused(path, **changes)
     else:
+        save_config(cfg, path)
         assert load_config(path) == cfg
 
 
@@ -367,26 +391,21 @@ def test_a_cap_beyond_the_float_range_is_refused(tmp_path, delta_cap):
     # hypothesis once drew 1.158e77: psi's quartic at the cap overflowed
     # inside the check, instead of the check refusing the config; -1.158e77
     # is a cap below 1 as well
-    cfg = RunConfig(potential="quadratic_growth", delta_cap=delta_cap)
-    path = tmp_path / "saved.ini"
-    save_config(cfg, path)
-    with pytest.raises(ConfigError) as exc:
-        load_config(path)
-    assert exc.value.errors == cap_message(delta_cap)
+    assert refused(tmp_path / "saved.ini", potential="quadratic_growth",
+                   delta_cap=delta_cap) == cap_message(delta_cap)
 
 
 @pytest.mark.parametrize("delta_cap", [-2.0, -1.0, -0.5, 0.0])
 def test_a_cap_below_the_wells_is_refused(tmp_path, delta_cap):
     # a cap below 1 puts the wells at +-1 outside the quartic region; at
     # delta_cap = -2.0 psi(-0.5, 0, 0.5) read (2.25, 1, 2.25), no double well
-    cfg = RunConfig(potential="quadratic_growth", delta_cap=delta_cap)
     path = tmp_path / "saved.ini"
-    save_config(cfg, path)
     if delta_cap < 0.0:
-        with pytest.raises(ConfigError) as exc:
-            load_config(path)
-        assert exc.value.errors == cap_message(delta_cap)
+        assert refused(path, potential="quadratic_growth",
+                       delta_cap=delta_cap) == cap_message(delta_cap)
     else:
+        cfg = RunConfig(potential="quadratic_growth", delta_cap=delta_cap)
+        save_config(cfg, path)
         assert load_config(path) == cfg
 
 
@@ -945,6 +964,18 @@ def test_cli_run_completes_a_small_simulation(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "completed 2 steps" in out
     assert (tmp_path / "out" / "demo" / "timeseries.csv").exists()
+
+
+def test_cli_run_checks_its_config_once(tmp_path, monkeypatch, capsys):
+    # the checks run when the config is built, not again in run_from_config
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    calls = []
+    original = io.validate_params
+    monkeypatch.setattr(io, "validate_params",
+                        lambda *args: calls.append(args) or original(*args))
+    assert cli.main(["run", str(write_small_config(tmp_path))]) == 0
+    assert "completed 2 steps" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_cli_run_that_stalls_keeps_the_initial_outputs(tmp_path, monkeypatch, capsys):

@@ -759,10 +759,12 @@ def test_held_stencils_and_inverses_share_the_context_scratch(kept_arrays):
     state = initial_state(disc_phase(model.grid), np.ones(model.grid.shape), model)
     ctx = RunContext(specs_for(model, 1e-4, flow=False))
     step(time_level(state, model), ctx)
-    for slots, scratch in ((("lap", "lap_m", "cross", "robin"), ctx.flux),
-                           (("phase_inverse", "robin_inverse"), ctx.transform)):
-        for slot in slots:
-            assert any(k is scratch[0] for k in kept_arrays(ctx._slots[slot][1])), slot
+    # theta_phi = 0 under Lima sources: the inverse the step made, not a new one
+    kept = ctx.phase_inverse(0.0)
+    for held, scratch in (((ctx.lap, ctx.lap_m, ctx.cross, ctx.robin), ctx.flux),
+                          ((kept, ctx.robin_inverse), ctx.transform)):
+        for i, build in enumerate(held):
+            assert any(k is scratch[0] for k in kept_arrays(build)), i
 
 
 def test_held_pieces_are_read_only_and_die_with_the_run(monkeypatch):
@@ -809,6 +811,8 @@ def test_scheme_options_validation():
         SchemeOptions(dt=0.0)
     with pytest.raises(ValueError):
         SchemeOptions(dt=1e-3, s=-1.0)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        SchemeOptions(dt=1e-3, snapshot_every=-1)
 
 
 def test_phase_abort_guard_trips_on_explosion(monkeypatch):
