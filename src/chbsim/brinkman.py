@@ -12,20 +12,21 @@ and div live at cell centers, the shear dxy at interior nodes; omitting the
 shear energy at wall nodes imposes the tangential traction condition weakly,
 and the normal traction (including the pressure) is the natural boundary
 condition of the Lagrangian. The first-order system is symmetric indefinite
-by construction and needs nu > 0. At constant viscosities the whole saddle
+by construction and needs a finite nu > 0, which `BrinkmanProblem` checks
+where a problem is made. At constant viscosities the whole saddle
 system has an exact inverse K^-1: a 3 x 3 solve per sine/cosine mode on the
 interior faces and pressure modes, and a capacitance solve on the wall
 faces and the constant pressure. Such a solve is K^-1 b, refined once where
 rounding leaves it above the tolerance (one step of fixed-precision
 iterative refinement reaches the backward-stable floor: Skeel, Math. Comp.
 35, 1980), and reports its true residual; it makes no Krylov iteration.
-Variable viscosities are solved with MINRES and a block-diagonal
-preconditioner: separate cosine-transform u and w blocks of a constant
-reference (the minimum viscosities), rescaled cell by cell by the Jacobi
-diagonals, and a Cahouet-Chabard pressure part: a constant plus a
-sine-transform correction on the few lowest modes where the friction term
-is not negligible (all of them when nu is large); a sequence of such
-solves starts each from the least-squares mix of its last solved flows
+Variable viscosities are solved with MINRES and the block-diagonal
+preconditioner of `_block_preconditioner`: cosine-transform u and w blocks
+of a constant reference (the minimum viscosities) and a Cahouet-Chabard
+pressure part (a constant plus a sine-transform correction on the lowest
+modes where friction is not negligible, all of them when nu is large),
+rescaled cell by cell by the Jacobi diagonals; a sequence of such solves
+starts each from the least-squares mix of its last solved flows
 (`ProjectedStart`). A dense loop-assembled oracle covers small grids.
 
 The matrix-free apply keeps every array at w's row stride ny + 1, so each
@@ -61,7 +62,7 @@ class BrinkmanProblem:
     grid: Grid
     eta: np.ndarray      # shear viscosity at cells, > 0
     lam: np.ndarray      # bulk viscosity at cells, >= 0
-    nu: float            # friction coefficient, > 0 for solvability
+    nu: float            # friction coefficient, finite and > 0
     force: FaceField     # right-hand side at faces
     gamma_v: np.ndarray  # prescribed divergence at cells
     # derived geometry, computed once here and shared by every operator apply
@@ -82,6 +83,8 @@ class BrinkmanProblem:
             raise ValueError("shear viscosity must be strictly positive")
         if lam_lo < 0.0:
             raise ValueError("bulk viscosity must be non-negative")
+        if not (math.isfinite(self.nu) and self.nu > 0.0):
+            raise ValueError(f"friction must be finite with nu > 0, got nu = {self.nu}")
         if self.eta.shape != self.grid.shape or self.lam.shape != self.grid.shape:
             raise ValueError("viscosity fields must be cell fields")
         self.constant = ((float(self.eta.flat[0]), float(self.lam.flat[0]))
@@ -533,135 +536,94 @@ def _bordered_inverse(d: np.ndarray, w: np.ndarray, e: np.ndarray) -> np.ndarray
     return out
 
 
-def _scalar_velocity_blocks(grid: Grid, eta: float, lam: float, nu: float):
-    """In-place apply (ru, rw, zu, zw) of separate u and w blocks: vu (nu +
-    (2 eta + lam) Lx + eta Ly)^-1 for u, where Lx is the node Laplacian
-    along x (DCT-I, half weight at the walls) and Ly the cell Laplacian
-    along y (DCT-II), and its mirror image for w.  They drop the u-w
-    coupling and treat the wall rows as interior ones; the rescaled block
-    of variable viscosities uses them as its constant reference."""
-    (qxn, lxn), (qxc, lxc) = (laplacian_basis(grid.nx, k) for k in ("node", "cell"))
-    (qyn, lyn), (qyc, lyc) = (laplacian_basis(grid.ny, k) for k in ("node", "cell"))
-    kx, ky = 1.0 / grid.hx ** 2, 1.0 / grid.hy ** 2
-    vol, ce = grid.cell_area, 2.0 * eta + lam
+def _block_preconditioner(problem: BrinkmanProblem):
+    """Block-diagonal SPD preconditioner for the MINRES solve of variable
+    viscosities: a -> s P(s a), P that of the reference problem with
+    constant eta, lam = their minima and s = sqrt(d_ref / d) from the
+    Jacobi diagonals (cell-wise viscosity weights, as in Grinevich &
+    Olshanskii, SISC 31, 2009); SPD by construction, also at constant
+    viscosities, where s is 1 up to rounding.  Its iteration counts stay
+    flat with the grid for smooth viscosity profiles, not across a sharp
+    jump.
+
+    P's u block is vu (nu + ce Lx + eta Ly)^-1, ce = 2 eta + lam, Lx the
+    node Laplacian along x (DCT-I, half weight at the walls) and Ly the cell
+    Laplacian along y (DCT-II); its w block is the mirror image.  They drop
+    the u-w coupling and treat the wall rows as interior ones.  P's pressure
+    block is the Cahouet-Chabard inverse Schur surrogate (nu (-Lap_D)^-1 +
+    ce) / vol, Lap_D the cell Laplacian with zero wall values (DST-II on
+    both axes): with traction walls the wall faces carry p itself, so G^T
+    diag(vu, vw)^-1 G = -vol Lap_D exactly and the surrogate is exact in the
+    friction limit.  It is applied as ce / vol r plus the DST-II correction
+    nu / (kappa vol) on the smallest rectangle of modes, the first mx by my
+    (nu / kappa falls along both axes), that holds every mode with nu /
+    kappa > _PRESSURE_EPS ce.  A mode outside it gets ce / vol, within a
+    factor [1 / (1 + _PRESSURE_EPS), 1] of its surrogate value, so the block
+    stays SPD; the rectangle is empty, leaving (ce / vol) I, where nu is
+    small, and the whole grid where it is large."""
+    g = problem.grid
+    eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
+    kx, ky = 1.0 / g.hx ** 2, 1.0 / g.hy ** 2
+    vol, ce = g.cell_area, 2.0 * eta + lam
+    (qxn, lxn), (qxc, lxc), (qxd, lxd) = (laplacian_basis(g.nx, k)
+                                          for k in ("node", "cell", "dirichlet"))
+    (qyn, lyn), (qyc, lyc), (qyd, lyd) = (laplacian_basis(g.ny, k)
+                                          for k in ("node", "cell", "dirichlet"))
     inv_u = separable_inverse(qxn, qyc, 1.0 / (vol * (
         nu + ce * kx * lxn[:, None] + eta * ky * lyc[None, :])))
     inv_w = separable_inverse(qxc, qyn, 1.0 / (vol * (
         nu + eta * kx * lxc[:, None] + ce * ky * lyn[None, :])))
-
-    def apply(ru, rw, zu, zw) -> None:
-        inv_u(ru, out=zu)
-        inv_w(rw, out=zw)
-    return apply
-
-
-def _pressure_block(grid: Grid, eta: float, lam: float, nu: float):
-    """In-place apply (rp, zp) of the Cahouet-Chabard pressure block: the
-    inverse Schur surrogate (nu (-Lap_D)^-1 + 2 eta + lam) / vol. Lap_D is
-    the cell Laplacian with zero wall values (DST-II on both axes): with
-    traction walls the wall faces carry p itself, so G^T diag(vu, vw)^-1 G
-    = -vol Lap_D exactly and the surrogate is exact in the friction limit.
-    It is applied as ce / vol r, ce = 2 eta + lam, plus the DST-II
-    correction nu / (kappa vol) on the smallest rectangle of modes (mx, my)
-    that holds every mode with nu / kappa > _PRESSURE_EPS ce; nu / kappa
-    falls along both axes, so the rectangle is the first mx by my modes.  A
-    mode outside it gets ce / vol, within a factor [1 / (1 + _PRESSURE_EPS),
-    1] of its surrogate value, so the block stays SPD; an empty rectangle
-    leaves (ce / vol) I, and where nu is large the rectangle is the whole
-    grid."""
-    (qxd, lxd), (qyd, lyd) = (laplacian_basis(n, "dirichlet") for n in grid.shape)
-    kx, ky = 1.0 / grid.hx ** 2, 1.0 / grid.hy ** 2
-    ce = 2.0 * eta + lam
     low = nu / (kx * lxd[:, None] + ky * lyd[None, :])
     kept = low > _PRESSURE_EPS * ce
     mx, my = int(np.count_nonzero(kept[:, 0])), int(np.count_nonzero(kept[0, :]))
-    inv_low = separable_inverse(qxd[:, :mx], qyd[:, :my],
-                                low[:mx, :my] / grid.cell_area) if mx else None
-    cp = ce / grid.cell_area
-    corr = np.empty(grid.shape)
+    inv_low = separable_inverse(qxd[:, :mx], qyd[:, :my], low[:mx, :my] / vol) if mx else None
+    cp = ce / vol
+    s = np.sqrt(_jacobi_diagonal(problem, ce, eta) / _jacobi_diagonal(problem))
+    sa, corr = np.empty(s.size), np.empty(g.shape)
 
-    def apply(rp, zp) -> None:
+    def apply(a: np.ndarray) -> np.ndarray:
+        out = np.empty(a.size)
+        (ru, rw, rp), (zu, zw, zp) = _unpack(np.multiply(s, a, out=sa), g), _unpack(out, g)
+        inv_u(ru, out=zu)
+        inv_w(rw, out=zw)
         np.multiply(rp, cp, out=zp)
         if inv_low is not None:
             zp += inv_low(rp, out=corr)
-    return apply
-
-
-def _compose(grid: Grid, velocity, pressure):
-    """The block-diagonal apply x -> (velocity(ru, rw), pressure(rp)),
-    packed into a new array."""
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.size)
-        (ru, rw, rp), (zu, zw, zp) = _unpack(x, grid), _unpack(out, grid)
-        velocity(ru, rw, zu, zw)
-        pressure(rp, zp)
-        return out
-    return apply
-
-
-def _block_preconditioner(problem: BrinkmanProblem):
-    """Block-diagonal SPD preconditioner for the MINRES solve of variable
-    viscosities, nu > 0: the composition (`_compose`) of
-    `_scalar_velocity_blocks` and `_pressure_block` for the reference
-    problem with constant eta, lam = their minima, rescaled as a -> s P(s a)
-    with s = sqrt(d_ref / d) from the Jacobi diagonals (cell-wise viscosity
-    weights, as in Grinevich & Olshanskii, SISC 31, 2009); SPD by
-    construction, also at constant viscosities, where s is 1 up to
-    rounding.  Its iteration counts stay flat with the grid for smooth
-    viscosity profiles, not across a sharp jump.
-    """
-    g = problem.grid
-    eta, lam, nu = float(np.min(problem.eta)), float(np.min(problem.lam)), problem.nu
-    apply = _compose(g, _scalar_velocity_blocks(g, eta, lam, nu),
-                     _pressure_block(g, eta, lam, nu))
-    s = np.sqrt(_jacobi_diagonal(problem, 2.0 * eta + lam, eta) / _jacobi_diagonal(problem))
-    sa = np.empty(s.size)
-
-    def rescaled(a: np.ndarray) -> np.ndarray:
-        out = apply(np.multiply(s, a, out=sa))
         out *= s
         return out
-    return rescaled
+    return apply
 
 
-def _exact_solver(problem: BrinkmanProblem):
-    """solve(problem, tol, x0=None) for every problem with the grid, nu and
-    `constant` eta and lam of this one: x = x0, or K^-1 rhs without it; a
-    start that misses tol is refined once, x += K^-1 (rhs - A x), and the
-    report (`true_report`, 0 iterations) is of the true residual.  A start
-    that meets tol costs one operator apply, a refined one two.  The
-    operator and K^-1 are built here and kept for later calls."""
-    if not problem.nu > 0.0:
-        raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
-    op = brinkman_operator(problem)
-    exact = _saddle_inverse(problem.grid, *problem.constant, problem.nu)
-
-    def solve(problem: BrinkmanProblem, tol: float,
-              x0: np.ndarray | None = None) -> BrinkmanSolution:
-        b = problem.rhs
-        x = exact(b) if x0 is None else x0.copy()
+def _exact_solve(problem: BrinkmanProblem, tol: float, x0: np.ndarray | None,
+                 pair) -> BrinkmanSolution:
+    """The solve at constant viscosities, pair = (operator, K^-1) of the
+    problem's grid, nu and `constant` eta and lam: x = x0, or K^-1 rhs
+    without it; a start that misses tol is refined once, x += K^-1 (rhs -
+    A x), and the report (`true_report`, 0 iterations) is of the true
+    residual.  A start that meets tol costs one apply of A, a refined two."""
+    op, exact = pair
+    b = problem.rhs
+    x = exact(b) if x0 is None else x0.copy()
+    r = b - op.apply(x)
+    if true_report(b, r, 0, tol).rel_residual > tol:
+        x += exact(r)
         r = b - op.apply(x)
-        if true_report(b, r, 0, tol).rel_residual > tol:
-            x += exact(r)
-            r = b - op.apply(x)
-        return _solution(problem, x, true_report(b, r, 0, tol))
-    return solve
+    return _solution(problem, x, true_report(b, r, 0, tol))
 
 
 def solve_brinkman(problem: BrinkmanProblem, tol: float,
                    x0: np.ndarray | None = None, exact=None) -> BrinkmanSolution:
     """Solve the saddle system to the relative tolerance tol from the packed
-    start x0.  At constant eta and lam it is `exact`, the `_exact_solver` of
-    their grid and nu that a `ProjectedStart` keeps, or a fresh one without
-    it; otherwise MINRES with `_block_preconditioner` from x0 (zero when not
-    given), which the call builds and lets go.  Requires nu > 0: without
-    friction its velocity blocks are singular."""
-    if exact is None and problem.constant is not None:
-        exact = _exact_solver(problem)
-    if exact is not None:
-        return exact(problem, tol, x0)
-    if not problem.nu > 0.0:
-        raise ValueError(f"solve_brinkman needs friction nu > 0, got {problem.nu}")
+    start x0.  At constant eta and lam it is `_exact_solve` with exact, the
+    (operator, K^-1) pair of their grid and nu that a `ProjectedStart`
+    keeps, or a pair built for the call without it; otherwise MINRES with
+    `_block_preconditioner` from x0 (zero when not given), which the call
+    builds and lets go."""
+    if problem.constant is not None:
+        if exact is None:
+            exact = brinkman_operator(problem), _saddle_inverse(problem.grid, *problem.constant,
+                                                                problem.nu)
+        return _exact_solve(problem, tol, x0, exact)
     x, report = solve_minres(brinkman_operator(problem), problem.rhs, tol, x0,
                              precond=_block_preconditioner(problem))
     return _solution(problem, x, report)
@@ -695,32 +657,34 @@ class ProjectedStart:
     only the stored b_i, so it costs no operator apply and stays defined
     when the operator changes between solves.
 
-    At constant viscosities a solve is the exact inverse refined once
-    instead, with no MINRES, and leaves the window alone; beside it the
-    window keeps one `_exact_solver`, keyed by the bits of the grid, nu and
-    the `constant` eta and lam and dropped before another is built, so a
-    run builds it once.  A variable-viscosity solve keeps nothing it built.
+    At constant viscosities a solve is `_exact_solve`, the exact inverse
+    refined once, with no MINRES, and leaves the window alone; beside it
+    the window keeps the one exact pair (operator, K^-1) that the solve
+    reads, keyed by the bits of the grid, nu and the `constant` eta and lam
+    and dropped before another is built, so a run builds it once.  A
+    variable-viscosity solve keeps nothing it built.
     """
 
     def __init__(self, size: int) -> None:
         self._size = size
         self._x = self._b = None   # (size, n): the stored x_i and b_i, oldest first
         self._m = 0
-        self._key = self._exact = None   # an `_exact_solver` and its bits
+        self._key = self._exact = None   # the exact pair (operator, K^-1) and its bits
 
     def __len__(self) -> int:
         return self._m
 
     def solve(self, problem: BrinkmanProblem, tol: float) -> BrinkmanSolution:
         """`solve_brinkman` to tol: at constant viscosities with the kept
-        `_exact_solver` (rebuilt when the key changed) from K^-1 rhs;
+        exact pair (rebuilt when the key changed) from K^-1 rhs;
         otherwise from the start for problem.rhs (zero while no pair is
         stored), and a converged solution joins the window."""
         if problem.constant is not None:
             key = bits(problem.grid, problem.nu, *problem.constant)
             if key != self._key:
                 self._key = self._exact = None
-                self._exact = _exact_solver(problem)
+                self._exact = (brinkman_operator(problem),
+                               _saddle_inverse(problem.grid, *problem.constant, problem.nu))
                 self._key = key
             return solve_brinkman(problem, tol, None, self._exact)
         sol = solve_brinkman(problem, tol, self.start(problem.rhs))

@@ -403,6 +403,10 @@ def _semantic_errors(cfg: RunConfig) -> list[str]:
                           f"{math.floor(ratio) * cfg.dt!r} and {math.ceil(ratio) * cfg.dt!r}")
     if not cfg.formats:
         errors.append("need at least one output format")
+    repeated = sorted({f for f in cfg.formats if cfg.formats.count(f) > 1})
+    if repeated:
+        errors.append(f"formats names {', '.join(map(repr, repeated))} more than once: "
+                      "each snapshot file would be written once per name")
     if cfg.potential == "quadratic_growth" and (error := cap_error(cfg.delta_cap)):
         errors.append(error)
     for build in (cfg.grid, cfg.scheme):

@@ -431,8 +431,10 @@ def test_energy_identity_holds_for_the_solution():
 
 
 def test_dense_oracle_rejects_frictionless_singular_system():
+    # nu = 0 is refused where the problem is made; nu = 1e-14 still leaves
+    # cond ~8e16 at 6^2, above the oracle's 1e13
     grid = make_grid(1.0, 1.0, 6, 6)
-    prob = problem(grid, nu=0.0)
+    prob = problem(grid, nu=1e-14)
     with pytest.raises(np.linalg.LinAlgError):
         dense_oracle_solve(prob)
     with pytest.raises(ValueError):
@@ -494,6 +496,54 @@ def test_block_preconditioner_is_symmetric_positive_definite(nx, ny, lx, ly, nu,
                                             (n,), symmetric=True))
     assert np.max(np.abs(mat - mat.T)) <= 1e-14 * np.max(np.abs(mat))
     assert np.min(np.linalg.eigvalsh(mat)) > 0.0
+
+
+def neumann_second_difference(n):
+    """The n by n matrix of diagonal 1, 2, ..., 2, 1 and off-diagonal -1."""
+    k = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    k[0, 0] = k[-1, -1] = 1.0
+    return k
+
+
+def half_ends(n):
+    """diag(1/2, 1, ..., 1, 1/2), the node weights of an axis of n + 1 nodes."""
+    m = np.ones(n + 1)
+    m[[0, -1]] = 0.5
+    return np.diag(m)
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly, nu, eta, lam", [
+    (6, 5, 1.0, 1.7, 0.3, 0.8, 0.3), (8, 8, 1.0, 1.0, 1e3, 1.0, 0.0),
+    (7, 9, 1.0, 1.0, 1e-2, 1.0, 0.0), (7, 9, 1.3, 0.9, 1e-2, 2.5, 1.1)])
+def test_block_preconditioner_velocity_blocks_match_their_definition(nx, ny, lx, ly, nu,
+                                                                     eta, lam):
+    # at constant eta and lam the u block is [vol (nu Mx (x) I + ce / hx^2
+    # Kx (x) I + eta / hy^2 Mx (x) Ky)]^-1, ce = 2 eta + lam, Mx the half-end
+    # weights and Kx the Neumann second difference on the nx + 1 nodes, Ky
+    # that on the ny cells; the w block is its mirror image, and no block
+    # couples u, w and p.  Rounding in the reference inverse and the
+    # transforms stays within a few eps cond.
+    grid = make_grid(lx, ly, nx, ny)
+    prob = problem(grid, nu=nu, eta=eta, lam=lam)
+    n = prob.rhs.size
+    mat = materialize_dense(StencilOperator(brinkman._block_preconditioner(prob),
+                                            (n,), symmetric=True))
+    ce, vol, k = 2.0 * eta + lam, grid.cell_area, neumann_second_difference
+    a_u = vol * (nu * np.kron(half_ends(nx), np.eye(ny))
+                 + ce / grid.hx ** 2 * np.kron(k(nx + 1), np.eye(ny))
+                 + eta / grid.hy ** 2 * np.kron(half_ends(nx), k(ny)))
+    a_w = vol * (nu * np.kron(np.eye(nx), half_ends(ny))
+                 + eta / grid.hx ** 2 * np.kron(k(nx), half_ends(ny))
+                 + ce / grid.hy ** 2 * np.kron(np.eye(nx), k(ny + 1)))
+    cuts = np.cumsum([0, a_u.shape[0], a_w.shape[0], nx * ny])
+    blocks = [[mat[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]] for j in range(3)]
+              for i in range(3)]
+    for got, a in ((blocks[0][0], a_u), (blocks[1][1], a_w)):
+        want = np.linalg.inv(a)
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 16.0 * np.finfo(float).eps * np.linalg.cond(a), err
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert not np.any(blocks[i][j]) and not np.any(blocks[j][i])
 
 
 def saddle_inverse(prob):
@@ -587,16 +637,10 @@ def test_exact_blocks_through_the_composition_take_three_iterations(cfg):
     g = mat[:nv, nv:]
     s_inv = np.linalg.inv(g.T @ a_inv @ g)
 
-    def velocity(ru, rw, zu, zw):
-        z = a_inv @ np.concatenate([ru.ravel(), rw.ravel()])
-        zu[...] = z[:zu.size].reshape(zu.shape)
-        zw[...] = z[zu.size:].reshape(zw.shape)
+    def exact_blocks(r):
+        return np.concatenate([a_inv @ r[:nv], s_inv @ r[nv:]])
 
-    def pressure(rp, zp):
-        zp[...] = (s_inv @ rp.ravel()).reshape(zp.shape)
-
-    _, rep = solve_minres(brinkman_operator(prob), prob.rhs, TOL,
-                          precond=brinkman._compose(prob.grid, velocity, pressure))
+    _, rep = solve_minres(brinkman_operator(prob), prob.rhs, TOL, precond=exact_blocks)
     assert rep.converged and rep.iterations <= 3, rep
 
 
@@ -970,19 +1014,32 @@ def test_solution_views_the_packed_vector_the_solver_returned():
 
 
 def test_solve_brinkman_rejects_zero_friction(monkeypatch):
-    # a direct solve and a window solve, at constant and at variable
-    # viscosities, refuse nu = 0 before building anything, with no warning
+    # nu = 0 is refused where the problem is made, at constant and at
+    # variable viscosities, so no solve builds anything, with no warning
     built = spied_builds(monkeypatch, ("brinkman_operator", "_block_preconditioner",
                                        "_saddle_inverse"))
     grid = make_grid(1.0, 1.5, 9, 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for contrast in (1.0, 10.0):
-            prob = disc_problem(grid, contrast, 0.0, 0.0)
-            assert (prob.constant is not None) == (contrast == 1.0)
-            for solve in (solve_brinkman, brinkman.ProjectedStart(4).solve):
-                with pytest.raises(ValueError, match="nu > 0"):
-                    solve(prob, TOL)
+            with pytest.raises(ValueError, match="nu > 0"):
+                disc_problem(grid, contrast, 0.0, 0.0)
+    assert built == []
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, np.nan, np.inf])
+def test_problem_refuses_friction_that_is_not_finite_and_positive(monkeypatch, nu):
+    # nu = inf used to pass and stop both solve paths on invalid-value
+    # warnings; a tiny positive friction is still accepted
+    built = spied_builds(monkeypatch, ("brinkman_operator", "_block_preconditioner",
+                                       "_saddle_inverse"))
+    grid = make_grid(1.0, 1.5, 9, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for contrast in (1.0, 10.0):
+            with pytest.raises(ValueError, match="nu > 0"):
+                disc_problem(grid, contrast, nu, 0.3)
+            assert disc_problem(grid, contrast, 1e-14, 0.3).nu == 1e-14
     assert built == []
 
 

@@ -179,6 +179,7 @@ def assert_one_error_and_no_output(path, name, out, capsys) -> str:
     ("t_end = 2.5e-3", "not a whole number of steps"),
     ("directory = runs #2", "inline comment"),
     ("snapshot_every = -1", "snapshot_every"),
+    ("formats = csv, vtk, csv", "'csv'"),
 ])
 def test_config_rejects_bad_step_and_solver_settings_before_any_output(
         tmp_path, monkeypatch, capsys, line, name):
@@ -379,6 +380,14 @@ def test_saved_configs_load_back_unchanged(tmp_path, changes):
     else:
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("formats", [("csv", "csv"), ("vtk", "csv", "vtk")])
+def test_a_repeated_snapshot_format_is_refused(tmp_path, formats):
+    # a repeated format made the run write each snapshot file twice, to one
+    # path; built directly and loaded from a file, it is one error naming it
+    errors = refused(tmp_path / "saved.ini", formats=formats)
+    assert len(errors) == 1 and repr(formats[0]) in errors[0], errors
 
 
 def cap_message(delta_cap):
